@@ -74,12 +74,11 @@ fn main() {
                 .unwrap_or_default()
         );
     }
-    let get = |w: &str| report.cells.iter().find(|c| c.workload == w);
-    if let (Some(on), Some(off)) = (get("get_rpc"), get("get_rpc_nobands")) {
+    if let Some(get) = report.cells.iter().find(|c| c.workload == "get_rpc") {
         println!(
-            "GET p99 under PUT storm: {:.1} µs with QoS bands vs {:.1} µs without",
-            on.p99_get_ns as f64 / 1e3,
-            off.p99_get_ns as f64 / 1e3
+            "GET under PUT storm: p50 {:.1} µs, p99 {:.1} µs",
+            get.p50_get_ns as f64 / 1e3,
+            get.p99_get_ns as f64 / 1e3
         );
     }
 

@@ -38,7 +38,7 @@ use gravel_telemetry::HistogramSnapshot;
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct ThroughputCell {
     /// Workload name (`"gups"`, `"gups_nocrc"`, `"pagerank"`,
-    /// `"pagerank_nogov"`, `"get_rpc"`, or `"get_rpc_nobands"`).
+    /// `"pagerank_nogov"`, or `"get_rpc"`).
     pub workload: String,
     /// Wire-integrity mode the cell ran under (`"crc32c"` or `"off"`).
     pub wire_integrity: String,
@@ -297,16 +297,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 /// One request-reply latency trial: a continuous background PUT storm
 /// keeps every node's bulk class saturated while the foreground issues
-/// sequential GET probes from node 0 and times each round trip. With
-/// `qos_bands` on, the LATENCY band drains GETs and their replies ahead
-/// of queued bulk runs; the `_nobands` ablation funnels everything
-/// through one class queue, so the same probes wait behind the storm.
-/// `msgs_per_sec` is the foreground GET op rate; the headline fields
-/// are `p50_get_ns`/`p99_get_ns`.
-fn get_rpc_trial(scale: &Scale, nodes: usize, qos_bands: bool) -> ThroughputCell {
+/// sequential GET probes from node 0 and times each round trip: the
+/// LATENCY band drains GETs and their replies ahead of queued bulk
+/// runs. `msgs_per_sec` is the foreground GET op rate; the headline
+/// fields are `p50_get_ns`/`p99_get_ns`.
+fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let heap_len: usize = 1 << 10;
     let mut cfg = bench_config(nodes, heap_len, 1);
-    cfg.rpc.qos_bands = qos_bands;
     // Probes must complete, not race the deadline: the cell measures
     // scheduling latency, and a timeout would poison the percentiles.
     cfg.rpc.timeout = Duration::from_secs(10);
@@ -374,7 +371,7 @@ fn get_rpc_trial(scale: &Scale, nodes: usize, qos_bands: bool) -> ThroughputCell
     rt.quiesce();
     lat.sort_unstable();
     let mut cell = cell_from_run(
-        if qos_bands { "get_rpc" } else { "get_rpc_nobands" },
+        "get_rpc",
         WireIntegrity::Crc32c,
         1,
         nodes,
@@ -475,18 +472,9 @@ pub fn measure(
             pagerank_trial(scale, nodes, lanes, false)
         }));
     }
-    // Request-reply latency under bulk pressure, with the QoS-band
-    // ablation. At full scale the LATENCY band's p99 must undercut the
-    // bands-off cell; at smoke scale the pair is informational only.
-    eprintln!("[throughput] get_rpc nodes={nodes} (foreground GETs vs PUT storm, qos on/off)");
-    let bands = best_of(scale.trials, || get_rpc_trial(scale, nodes, true));
-    let nobands = best_of(scale.trials, || get_rpc_trial(scale, nodes, false));
-    eprintln!(
-        "[throughput] GET p99 with QoS bands: {} ns; without: {} ns",
-        bands.p99_get_ns, nobands.p99_get_ns
-    );
-    cells.push(bands);
-    cells.push(nobands);
+    // Request-reply latency under bulk pressure.
+    eprintln!("[throughput] get_rpc nodes={nodes} (foreground GETs vs PUT storm)");
+    cells.push(best_of(scale.trials, || get_rpc_trial(scale, nodes)));
     let base = cells.iter().find(|c| c.workload == "gups" && c.lanes == 1);
     let top = cells
         .iter()

@@ -1,45 +1,28 @@
-//! The aggregator thread (paper §3.4, §6) — now also the sender half of
-//! the delivery protocol.
+//! The aggregator thread (paper §3.4, §6).
 //!
 //! One CPU thread per node (per configured slot) drains the
 //! producer/consumer queue and repacks messages into per-destination
-//! queues, which are flushed to the transport when full or after the
-//! 125 µs timeout. On top of the original aggregation duties, each
-//! aggregator lane runs go-back-N delivery per destination flow:
-//! packets are stamped with `(lane, seq)`, kept in a retransmit buffer
-//! until cumulatively acked by the receiving network thread, and
-//! re-sent with exponential backoff when acks stop arriving. A flow
-//! that makes no progress for `RetryConfig::max_retries` consecutive
-//! rounds is declared dead and reported through the shared
-//! [`ErrorSlot`], which unwinds the whole cluster instead of hanging
-//! quiescence.
-//!
-//! Backpressure: the transport's data channels are bounded. A send that
-//! cannot complete within its short timeout parks the packet in the
-//! flow's staging queue and increments `net.chan_stalls` (a full
-//! go-back-N window increments `net.window_stalls` instead — together
-//! they are `NetStats::backpressure_stalls`); the loop keeps draining
-//! the GPU ring and the ack mailbox meanwhile, so a stalled link can
+//! queues, which are flushed when full or after the 125 µs timeout.
+//! Flushed packets are handed to the lane's go-back-N [`Sender`]
+//! ([`crate::flow`]), which owns sequencing, acks, retransmission and
+//! QoS band credits; a flow that exhausts its retries is reported
+//! through the shared [`ErrorSlot`], which unwinds the whole cluster
+//! instead of hanging quiescence. The loop keeps draining the GPU ring
+//! and the ack mailbox while a link is stalled, so backpressure can
 //! never deadlock the reply path (netthread → ring → aggregator →
 //! netthread).
 
-use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Band, Consumed, TrafficClass, NUM_CLASSES};
-use gravel_net::{ChaosPlan, RetryConfig, SendStatus, Transport};
-use gravel_pgas::{DataFrame, FlushPolicy, FrameKind, NodeQueues, Packet};
-use gravel_telemetry::Gauge;
+use gravel_gq::{Consumed, TrafficClass, NUM_CLASSES};
+use gravel_net::{ChaosPlan, Transport};
+use gravel_pgas::{FlushPolicy, NodeQueues, Packet};
 
 use crate::backoff::Backoff;
-use crate::error::{ErrorSlot, RuntimeError};
+use crate::error::ErrorSlot;
+use crate::flow::{in_flight_gauge, Flow, Sender};
 use crate::node::NodeShared;
-
-/// How long one transport send attempt may block before the packet is
-/// parked and the loop resumes servicing acks and the GPU ring.
-const SEND_ATTEMPT_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// Park cap while waiting for in-flight packets to drain at shutdown.
 const DRAIN_POLL: Duration = Duration::from_micros(200);
@@ -60,87 +43,6 @@ const MIN_PARK: Duration = Duration::from_micros(5);
 /// The periodic wake that remains is only a liveness backstop.
 const PARKED_LANE_PARK: Duration = Duration::from_millis(20);
 
-/// In-flight packet budget of one QoS band, derived from the go-back-N
-/// window (no separate knob): the LATENCY band may fill the whole
-/// window, NORMAL three quarters, BULK half. A bulk stream therefore
-/// can never occupy the window so completely that a GET or reply has to
-/// queue behind it — the credit head-room *is* the priority mechanism
-/// (SNIPPETS.md Snippet 3's credit-gated sends). The cap is static on
-/// purpose: a work-conserving variant (full window while no
-/// higher-band traffic is active) was measured to cost nothing on pure
-/// GUPS but to erase most of the GET-latency advantage — request
-/// traffic is intermittent, so by the time a reply is queued the
-/// window is already stuffed with bulk frames it must drain behind.
-fn band_credit(band: Band, window: usize) -> usize {
-    match band {
-        Band::Latency => window,
-        Band::Normal => (window * 3 / 4).max(1),
-        Band::Bulk => (window / 2).max(1),
-    }
-}
-
-/// Sender-side state of one destination flow (go-back-N + QoS bands).
-struct Flow {
-    /// Next sequence number to stamp.
-    next_seq: u64,
-    /// Lowest unacknowledged sequence number.
-    base: u64,
-    /// Flushed packets awaiting a sequence number, one queue per
-    /// traffic class (drained in [`TrafficClass::PRIORITY`] order
-    /// subject to band credits). Index 0 carries everything when QoS
-    /// bands are disabled.
-    classq: Vec<VecDeque<Packet>>,
-    /// Stamped, sealed, but unsent frames (parked by backpressure).
-    staged: VecDeque<DataFrame>,
-    /// Sent, unacknowledged frames: `base .. base + unacked.len()`.
-    /// Sealed exactly once at stamp time; retransmissions are
-    /// refcounted clones of the same frame bytes (no re-CRC).
-    unacked: VecDeque<DataFrame>,
-    /// QoS band of every stamped-but-unacked frame, in stamp order
-    /// (parallels `unacked` then `staged`); popped at ack time to
-    /// refund the band's credit.
-    stamped_bands: VecDeque<Band>,
-    /// Last time this flow made ack progress or (re)transmitted.
-    last_activity: Instant,
-    /// Current retransmission backoff.
-    backoff: Duration,
-    /// Consecutive retransmission rounds without ack progress.
-    retries: u32,
-}
-
-impl Flow {
-    fn new(retry: &RetryConfig) -> Self {
-        Flow {
-            next_seq: 0,
-            base: 0,
-            classq: (0..NUM_CLASSES).map(|_| VecDeque::new()).collect(),
-            staged: VecDeque::new(),
-            unacked: VecDeque::new(),
-            stamped_bands: VecDeque::new(),
-            last_activity: Instant::now(),
-            backoff: retry.backoff,
-            retries: 0,
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.unacked.len()
-    }
-
-    /// Stamped frames currently charged against `band`'s credit.
-    fn band_in_flight(&self, band: Band) -> usize {
-        self.stamped_bands.iter().filter(|b| **b == band).count()
-    }
-
-    fn has_queued(&self) -> bool {
-        self.classq.iter().any(|q| !q.is_empty())
-    }
-
-    fn is_drained(&self) -> bool {
-        !self.has_queued() && self.staged.is_empty() && self.unacked.is_empty()
-    }
-}
-
 /// Restartable state of one aggregator lane, hoisted out of the thread
 /// so a supervised restart resumes exactly where the predecessor died:
 /// the per-destination aggregation queues, the go-back-N flows, and the
@@ -151,8 +53,8 @@ impl Flow {
 /// where the state is consistent by construction.
 pub struct LaneState {
     /// Per-destination aggregation queues, one set per traffic class
-    /// (index = [`TrafficClass::index`]) when QoS bands are on, a
-    /// single shared set otherwise. Empty until the lane first runs.
+    /// (index = [`TrafficClass::index`]). Empty until the lane first
+    /// runs.
     nodeqs: Vec<NodeQueues>,
     flows: Vec<Flow>,
     /// Words drained from the GPU queue but not yet aggregated.
@@ -185,219 +87,6 @@ impl Default for LaneState {
 
 fn lock_state(state: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
     state.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// The sender half of the delivery protocol for one aggregator lane.
-/// Borrows its flows from the lane's [`LaneState`] so sequence numbers
-/// and unacked windows survive a worker restart.
-struct Sender<'a> {
-    node: &'a NodeShared,
-    lane: u32,
-    transport: &'a dyn Transport,
-    retry: RetryConfig,
-    flows: &'a mut Vec<Flow>,
-    /// Live unacked-packet total across this lane's flows
-    /// (`node{N}.agg.in_flight` in the registry).
-    in_flight: &'a Gauge,
-}
-
-impl<'a> Sender<'a> {
-    fn new(
-        node: &'a NodeShared,
-        lane: u32,
-        transport: &'a dyn Transport,
-        flows: &'a mut Vec<Flow>,
-        in_flight: &'a Gauge,
-    ) -> Self {
-        let retry = node.retry.clone();
-        if flows.len() != node.nodes {
-            *flows = (0..node.nodes).map(|_| Flow::new(&retry)).collect();
-        }
-        Sender {
-            lane,
-            transport,
-            retry,
-            flows,
-            in_flight,
-            node,
-        }
-    }
-
-    fn note_in_flight(&self) {
-        self.in_flight
-            .set(self.flows.iter().map(Flow::in_flight).sum::<usize>() as i64);
-    }
-
-    /// Queue a freshly flushed packet for its flow by traffic class and
-    /// pump the flow. With QoS bands off everything shares one FIFO
-    /// class (the ablation: strict pre-PR-7 ordering).
-    fn submit(&mut self, pkt: Packet) {
-        let dest = pkt.dest as usize;
-        let ci = if self.node.qos_bands { pkt.class().index() } else { 0 };
-        self.flows[dest].classq[ci].push_back(pkt);
-        self.pump(dest);
-    }
-
-    /// Move queued packets onto the wire while the go-back-N window has
-    /// room: first re-try frames already stamped but parked by
-    /// backpressure (sequence order is sacred), then stamp fresh
-    /// packets in priority order, each subject to its band's in-flight
-    /// credit. A class blocked *only* by exhausted credits counts
-    /// `rpc.credits_stalled`.
-    fn pump(&mut self, dest: usize) {
-        let window = self.retry.window;
-        let qos = self.node.qos_bands;
-        let epoch = self.node.wire_epoch.load(Ordering::Relaxed);
-        let flow = &mut self.flows[dest];
-        while flow.in_flight() < window {
-            if let Some(pkt) = flow.staged.pop_front() {
-                match self.transport.send_data(pkt.clone(), SEND_ATTEMPT_TIMEOUT) {
-                    SendStatus::Sent => {
-                        flow.last_activity = Instant::now();
-                        flow.unacked.push_back(pkt);
-                        continue;
-                    }
-                    SendStatus::TimedOut => {
-                        flow.staged.push_front(pkt);
-                        self.node.net_chan_stalls.add(1);
-                        self.note_in_flight();
-                        return;
-                    }
-                    SendStatus::Closed => return, // cluster is winding down
-                }
-            }
-            // Stamp the highest-priority queued packet whose band still
-            // has credit.
-            let mut next = None;
-            let mut credit_blocked = false;
-            for class in TrafficClass::PRIORITY {
-                let ci = if qos { class.index() } else { 0 };
-                if flow.classq[ci].is_empty() {
-                    continue;
-                }
-                let band = class.band();
-                if qos && flow.band_in_flight(band) >= band_credit(band, window) {
-                    credit_blocked = true;
-                    continue;
-                }
-                next = Some((ci, band));
-                break;
-            }
-            let Some((ci, band)) = next else {
-                if credit_blocked {
-                    self.node.rpc_credits_stalled.add(1);
-                }
-                self.note_in_flight();
-                return;
-            };
-            let mut pkt = flow.classq[ci].pop_front().expect("class queue non-empty");
-            pkt.lane = self.lane;
-            pkt.seq = flow.next_seq;
-            flow.next_seq += 1;
-            // With bands off every frame travels as plain DATA (packets
-            // may mix classes when aggregation didn't split them).
-            let frame = if qos {
-                pkt.seal_in(epoch, self.node.wire_integrity, self.node.pool.as_ref())
-            } else {
-                pkt.seal_kind_in(
-                    epoch,
-                    self.node.wire_integrity,
-                    FrameKind::Data,
-                    self.node.pool.as_ref(),
-                )
-            };
-            flow.stamped_bands.push_back(band);
-            flow.staged.push_back(frame);
-        }
-        if !flow.staged.is_empty() || flow.has_queued() {
-            // Window full: also a form of backpressure (the receiver or
-            // the ack path is behind).
-            self.node.net_window_stalls.add(1);
-        }
-        self.note_in_flight();
-    }
-
-    /// Drain this lane's ack mailbox, verify each ack frame, and
-    /// release acknowledged packets. Unverifiable acks are dropped
-    /// (counted in `net.ack_corrupt_dropped`) — a lost ack just means
-    /// the next cumulative ack or a retransmission round covers it.
-    fn drain_acks(&mut self) {
-        while let Some(frame) = self.transport.try_recv_ack(self.node.id, self.lane) {
-            let ack = match frame.open(self.node.wire_integrity) {
-                Ok(ack) => ack,
-                Err(_) => {
-                    self.node.net_ack_corrupt_dropped.add(1);
-                    continue;
-                }
-            };
-            // With integrity off a mangled src can still verify; never
-            // index out of the flow table on a corrupt peer id.
-            let Some(flow) = self.flows.get_mut(ack.src as usize) else {
-                self.node.net_ack_corrupt_dropped.add(1);
-                continue;
-            };
-            self.node.net_acks_received.add(1);
-            let mut progressed = false;
-            while flow.base <= ack.cum_seq && !flow.unacked.is_empty() {
-                flow.unacked.pop_front();
-                // Refund the acked frame's band credit (stamp order ==
-                // ack order under go-back-N).
-                flow.stamped_bands.pop_front();
-                flow.base += 1;
-                progressed = true;
-            }
-            if progressed {
-                flow.last_activity = Instant::now();
-                flow.backoff = self.retry.backoff;
-                flow.retries = 0;
-                let dest = ack.src as usize;
-                self.pump(dest);
-            }
-        }
-    }
-
-    /// Retransmit timed-out windows (go-back-N: resend everything
-    /// unacked). Returns an error when a flow exhausts its retries.
-    fn poll_retransmits(&mut self) -> Result<(), RuntimeError> {
-        let now = Instant::now();
-        for dest in 0..self.flows.len() {
-            let flow = &mut self.flows[dest];
-            if flow.unacked.is_empty() || now.duration_since(flow.last_activity) < flow.backoff {
-                continue;
-            }
-            if flow.retries >= self.retry.max_retries {
-                return Err(RuntimeError::RetryExhausted {
-                    src: self.node.id,
-                    dest: dest as u32,
-                    lane: self.lane,
-                    seq: flow.base,
-                    retries: flow.retries,
-                });
-            }
-            flow.retries += 1;
-            flow.backoff = (flow.backoff * 2).min(self.retry.backoff_max);
-            flow.last_activity = now;
-            let resend: Vec<DataFrame> = flow.unacked.iter().cloned().collect();
-            self.node.net_retransmits.add(resend.len() as u64);
-            let _span = self
-                .node
-                .tracer
-                .span("agg.retransmit", "aggregate", self.node.id);
-            for pkt in resend {
-                // Best-effort: a full channel just means the next round
-                // retries again — the window bound keeps this finite.
-                if self.transport.send_data(pkt, SEND_ATTEMPT_TIMEOUT) == SendStatus::Closed {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Are all flows fully acknowledged?
-    fn is_drained(&self) -> bool {
-        self.flows.iter().all(Flow::is_drained)
-    }
 }
 
 /// Run the aggregation loop until the queue is closed and every flow is
@@ -444,9 +133,7 @@ pub fn run_supervised(
     chaos: Option<Arc<ChaosPlan>>,
 ) {
     let lane = slot as u32;
-    let in_flight = node
-        .registry
-        .gauge(&format!("node{}.agg.in_flight", node.id));
+    let in_flight = in_flight_gauge(&node);
     let rows = node.queue.config().rows;
     // This lane exclusively drains its own shard ring: destinations hash
     // to lanes at produce time, so per-destination ordering holds without
@@ -459,16 +146,13 @@ pub fn run_supervised(
         // this thread dies.
         let mut st = lock_state(&state);
         if st.nodeqs.is_empty() {
-            // One queue set per traffic class (QoS on) or a single
-            // shared set (QoS off). RPC classes get tiny buffers and a
-            // 25 µs flush so a lone GET or reply never marinates behind
-            // the bulk flush policy. Every queue set shares the node's
-            // `AggCounters`: one increment per flush event, so per-slot
-            // snapshots can never drift.
-            let classes = if node.qos_bands { NUM_CLASSES } else { 1 };
-            for ci in 0..classes {
-                let rpc_class = node.qos_bands && ci != TrafficClass::Bulk.index();
-                let (bytes, pol) = if rpc_class {
+            // One queue set per traffic class. RPC classes get tiny
+            // buffers and a 25 µs flush so a lone GET or reply never
+            // marinates behind the bulk flush policy. Every queue set
+            // shares the node's `AggCounters`: one increment per flush
+            // event, so per-slot snapshots can never drift.
+            for ci in 0..NUM_CLASSES {
+                let (bytes, pol) = if ci != TrafficClass::Bulk.index() {
                     (
                         queue_bytes.min(2048),
                         FlushPolicy::Fixed(Duration::from_micros(25)),
@@ -520,17 +204,12 @@ pub fn run_supervised(
                 // Runs split on class as well as destination so packets
                 // stay class-pure (the wire kind advertises the class
                 // and the sender schedules whole packets by band).
-                let qi = if node.qos_bands {
-                    TrafficClass::of_command_word(pending[*pos]).index()
-                } else {
-                    0
-                };
+                let qi = TrafficClass::of_command_word(pending[*pos]).index();
                 let mut end = *pos;
                 let mut killed = false;
                 while end < pending.len()
                     && pending[end + 1] as usize == dest
-                    && (!node.qos_bands
-                        || TrafficClass::of_command_word(pending[end]).index() == qi)
+                    && TrafficClass::of_command_word(pending[end]).index() == qi
                 {
                     if let Some(c) = chaos.as_deref() {
                         if c.agg_tick(node.id, lane) {
@@ -665,13 +344,9 @@ pub fn run_supervised(
                 // packets. Bounded by the retry budget per flow.
                 let mut bo = Backoff::new(DRAIN_POLL);
                 while !sender.is_drained() && !errors.is_set() && !transport.is_closed() {
-                    sender.drain_acks();
-                    if let Err(e) = sender.poll_retransmits() {
+                    if let Err(e) = sender.service() {
                         errors.set(e);
                         break;
-                    }
-                    for dest in 0..node.nodes {
-                        sender.pump(dest);
                     }
                     if bo.should_spin() {
                         node.net_spin_spins.add(1);
@@ -690,8 +365,9 @@ pub fn run_supervised(
 mod tests {
     use super::*;
     use crate::config::GravelConfig;
+    use crate::error::RuntimeError;
     use gravel_gq::Message;
-    use gravel_net::{ChannelTransport, RecvStatus};
+    use gravel_net::{ChannelTransport, RecvStatus, RetryConfig};
     use gravel_pgas::{AmRegistry, WireIntegrity};
 
     fn spawn_node(nodes: usize) -> (Arc<NodeShared>, Arc<ChannelTransport>, Arc<ErrorSlot>) {

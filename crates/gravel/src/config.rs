@@ -123,9 +123,8 @@ pub struct GravelConfig {
     /// it the oldest entry is evicted, so a babbling peer cannot OOM the
     /// receiver.
     pub quarantine_capacity: usize,
-    /// Request-reply traffic class: QoS band scheduling (with its
-    /// ablation knob), pending-reply table capacity, and the request
-    /// timeout. See DESIGN.md §15.
+    /// Request-reply traffic class: pending-reply table capacity and
+    /// the request timeout. See DESIGN.md §15.
     pub rpc: crate::rpc::RpcConfig,
     /// Adaptive lane governor: when `Some`, a multi-lane node starts
     /// with one *active* lane and expands/collapses the dest-hash
@@ -208,7 +207,6 @@ impl GravelConfig {
             rpc: crate::rpc::RpcConfig {
                 reply_table_cap: 256,
                 timeout: Duration::from_millis(500),
-                ..crate::rpc::RpcConfig::default()
             },
             lane_governor: Some(crate::governor::GovernorConfig::default()),
             buffer_pool: true,

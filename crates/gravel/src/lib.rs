@@ -27,6 +27,7 @@ pub mod backoff;
 pub mod config;
 pub mod ctx;
 pub mod error;
+pub mod flow;
 pub mod governor;
 pub mod ha;
 pub mod netthread;

@@ -133,9 +133,6 @@ pub struct NodeShared {
     pub rpc: crate::rpc::PendingReplies,
     /// Request deadline copied from `cfg.rpc.timeout`.
     pub rpc_timeout: std::time::Duration,
-    /// QoS band scheduling on this node's send path (copied from
-    /// `cfg.rpc.qos_bands`; `false` = single-band ablation).
-    pub qos_bands: bool,
     /// Packets held back because their band's in-flight credit was
     /// exhausted while window room remained (`rpc.credits_stalled`).
     pub rpc_credits_stalled: Counter,
@@ -156,10 +153,7 @@ pub struct NodeShared {
 impl NodeShared {
     /// Build node `id`'s state with a private registry derived from
     /// `cfg.telemetry` (unit tests, standalone nodes). Clusters share one
-    /// registry via [`with_telemetry`](Self::with_telemetry). Network
-    /// senders are owned by the aggregator thread (see
-    /// [`crate::aggregator::run`]) so that dropping them at shutdown
-    /// disconnects the network threads.
+    /// registry via [`with_telemetry`](Self::with_telemetry).
     pub fn new(id: u32, cfg: &GravelConfig, ams: Arc<AmRegistry>) -> Self {
         let registry = Arc::new(Registry::new(cfg.telemetry));
         let tracer = cfg.telemetry.tracer();
@@ -233,7 +227,6 @@ impl NodeShared {
             replay: cfg.ha.checkpoint.then(crate::ha::ReplayLog::new),
             rpc: crate::rpc::PendingReplies::bound(&registry, &p, cfg.rpc.reply_table_cap),
             rpc_timeout: cfg.rpc.timeout,
-            qos_bands: cfg.rpc.qos_bands,
             rpc_credits_stalled: registry.counter(&name("rpc.credits_stalled")),
             rpc_replies_sent: registry.counter(&name("rpc.replies_sent")),
             registry,

@@ -36,11 +36,6 @@ use gravel_telemetry::{Counter, Registry};
 /// [`GravelConfig`](crate::GravelConfig).
 #[derive(Clone, Debug)]
 pub struct RpcConfig {
-    /// Schedule the aggregator's send path by QoS band (GETs and
-    /// replies overtake bulk PUT runs). `false` is the ablation knob:
-    /// one class, one band, plain DATA frames — the PR 5
-    /// `WireIntegrity::Off` pattern.
-    pub qos_bands: bool,
     /// Pending-reply table capacity (outstanding requests per node).
     pub reply_table_cap: usize,
     /// Default request deadline: how long the requester waits before an
@@ -51,7 +46,6 @@ pub struct RpcConfig {
 impl Default for RpcConfig {
     fn default() -> Self {
         RpcConfig {
-            qos_bands: true,
             reply_table_cap: 4096,
             timeout: Duration::from_millis(250),
         }

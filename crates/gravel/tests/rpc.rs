@@ -1,6 +1,6 @@
 //! Request-reply integration tests: GET round trips, value-returning
 //! AM calls, deterministic timeouts, the post-restart generation guard,
-//! the QoS-band ablation, and the chaos acceptance run (DESIGN.md §15).
+//! and the chaos acceptance run (DESIGN.md §15).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -213,28 +213,4 @@ fn chaos_gets_are_bit_exact_or_deterministic_timeouts() {
         );
     }
     rt.shutdown().expect("restarts absorb the injected panics");
-}
-
-/// The QoS ablation: with bands disabled every request-reply frame
-/// rides FrameKind::Data through a single class queue, and the
-/// workload's *results* are identical — bands change scheduling, never
-/// outcomes.
-#[test]
-fn qos_bands_ablation_changes_scheduling_not_results() {
-    for qos in [true, false] {
-        let mut cfg = GravelConfig::small(3, 32);
-        cfg.rpc.qos_bands = qos;
-        let rt = GravelRuntime::new(cfg);
-        seed_heaps(&rt, 16, 8);
-        let results = mixed_workload(&rt, 8);
-        for (want, got) in results {
-            assert_eq!(got, Ok(want), "qos_bands={qos}");
-        }
-        rt.quiesce();
-        for node in 0..3 {
-            assert_eq!(rt.heap(node).load(0), 2 * 64, "qos_bands={qos}");
-            assert_eq!(rt.node(node).rpc.len(), 0);
-        }
-        rt.shutdown().expect("clean run");
-    }
 }

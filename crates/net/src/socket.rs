@@ -352,12 +352,27 @@ impl StreamDecoder {
     }
 }
 
-/// Per-peer connection slot. `generation` ties each reader thread to
+/// Per-peer connection state. `generation` ties each reader thread to
 /// the stream it serves, so a stale reader can't tear down a
-/// replacement connection.
+/// replacement connection. It lives *beside* the slot mutex, not in
+/// it: a writer holds the mutex across a blocking `write_all`, and a
+/// reader that had to take the same mutex to check its generation
+/// would stop draining the socket — with both directions' buffers full
+/// neither side's writer could ever finish. It is only written with
+/// the slot locked; readers load it lock-free.
+struct Peer {
+    slot: Mutex<PeerSlot>,
+    generation: AtomicU64,
+}
+
+impl Peer {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PeerSlot> {
+        self.slot.lock().expect("a thread panicked holding a peer slot")
+    }
+}
+
 struct PeerSlot {
     writer: Option<Stream>,
-    generation: u64,
     ever_connected: bool,
     /// Peer answered our HELLO with a REJECT — dialing again is
     /// pointless (version/shape mismatches don't heal), so the
@@ -386,7 +401,7 @@ struct Inner {
     addrs: Vec<SocketAddrSpec>,
     epoch: AtomicU32,
     closed: AtomicBool,
-    peers: Vec<Mutex<PeerSlot>>,
+    peers: Vec<Peer>,
     data_tx: Sender<DataFrame>,
     data_rx: Receiver<DataFrame>,
     ack_tx: Vec<Sender<AckFrame>>,
@@ -488,13 +503,13 @@ impl SocketTransport {
             epoch: AtomicU32::new(0),
             closed: AtomicBool::new(false),
             peers: (0..cfg.nodes)
-                .map(|_| {
-                    Mutex::new(PeerSlot {
+                .map(|_| Peer {
+                    slot: Mutex::new(PeerSlot {
                         writer: None,
-                        generation: 0,
                         ever_connected: false,
                         gave_up: false,
-                    })
+                    }),
+                    generation: AtomicU64::new(0),
                 })
                 .collect(),
             data_tx,
@@ -569,7 +584,7 @@ impl SocketTransport {
 
     /// Whether the stream to `peer` is currently up.
     pub fn connected(&self, peer: NodeId) -> bool {
-        self.inner.peers[peer as usize].lock().unwrap().writer.is_some()
+        self.inner.peers[peer as usize].lock().writer.is_some()
     }
 
     /// Block until the stream to `peer` is up, up to `deadline`.
@@ -670,12 +685,12 @@ impl Inner {
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        for slot in &self.peers {
-            let mut slot = slot.lock().unwrap();
+        for peer in &self.peers {
+            let mut slot = peer.lock();
             if let Some(s) = slot.writer.take() {
                 s.shutdown();
             }
-            slot.generation += 1;
+            peer.generation.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -752,7 +767,8 @@ impl Inner {
         buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
         buf.extend_from_slice(frame);
         let ok = {
-            let mut slot = self.peers[peer as usize].lock().unwrap();
+            let p = &self.peers[peer as usize];
+            let mut slot = p.lock();
             match slot.writer.as_mut() {
                 None => {
                     self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
@@ -761,8 +777,8 @@ impl Inner {
                 Some(writer) => {
                     if let Err(_e) = writer.write_all(&buf) {
                         self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
-                        let gen = slot.generation;
-                        self.drop_conn(&mut slot, gen);
+                        let gen = p.generation.load(Ordering::SeqCst);
+                        self.drop_conn(p, &mut slot, gen);
                         false
                     } else {
                         true
@@ -776,16 +792,16 @@ impl Inner {
         ok
     }
 
-    /// Tear down the connection in `slot` if it is still generation
-    /// `gen`, emitting a Down event.
-    fn drop_conn(&self, slot: &mut PeerSlot, gen: u64) {
-        if slot.generation != gen {
+    /// Tear down the connection in `peer`'s (locked) `slot` if it is
+    /// still generation `gen`.
+    fn drop_conn(&self, peer: &Peer, slot: &mut PeerSlot, gen: u64) {
+        if peer.generation.load(Ordering::SeqCst) != gen {
             return;
         }
         if let Some(s) = slot.writer.take() {
             s.shutdown();
         }
-        slot.generation += 1;
+        peer.generation.fetch_add(1, Ordering::SeqCst);
     }
 
     fn note_down(&self, peer: NodeId) {
@@ -806,12 +822,12 @@ impl Inner {
         stream.set_read_timeout(Some(READ_TICK));
         let gen;
         {
-            let mut slot = self.peers[peer as usize].lock().unwrap();
+            let p = &self.peers[peer as usize];
+            let mut slot = p.lock();
             if let Some(old) = slot.writer.take() {
                 old.shutdown();
             }
-            slot.generation += 1;
-            gen = slot.generation;
+            gen = p.generation.fetch_add(1, Ordering::SeqCst) + 1;
             slot.writer = Some(stream);
             if slot.ever_connected {
                 self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -893,7 +909,7 @@ impl Inner {
         let mut attempt: u32 = 0;
         while !self.closed.load(Ordering::Relaxed) {
             {
-                let slot = self.peers[peer as usize].lock().unwrap();
+                let slot = self.peers[peer as usize].lock();
                 if slot.gave_up {
                     return;
                 }
@@ -909,7 +925,7 @@ impl Inner {
                     attempt = 0;
                 }
                 DialOutcome::Rejected => {
-                    self.peers[peer as usize].lock().unwrap().gave_up = true;
+                    self.peers[peer as usize].lock().gave_up = true;
                     return;
                 }
                 DialOutcome::Failed => {
@@ -980,11 +996,9 @@ impl Inner {
             if self.closed.load(Ordering::Relaxed) {
                 return;
             }
-            {
-                let slot = self.peers[peer as usize].lock().unwrap();
-                if slot.generation != gen {
-                    return; // replaced by a newer connection
-                }
+            // Lock-free on purpose: see `Peer`.
+            if self.peers[peer as usize].generation.load(Ordering::SeqCst) != gen {
+                return; // replaced by a newer connection
             }
             match stream.read(&mut chunk) {
                 Ok(0) => break, // EOF: peer exited or died
@@ -1016,9 +1030,10 @@ impl Inner {
     }
 
     fn teardown(&self, peer: NodeId, gen: u64) {
-        let mut slot = self.peers[peer as usize].lock().unwrap();
-        if slot.generation == gen {
-            self.drop_conn(&mut slot, gen);
+        let p = &self.peers[peer as usize];
+        let mut slot = p.lock();
+        if p.generation.load(Ordering::SeqCst) == gen {
+            self.drop_conn(p, &mut slot, gen);
             drop(slot);
             self.note_down(peer);
         }

@@ -549,3 +549,64 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
     t0.close();
     t1.close();
 }
+
+/// Both endpoints write far more than the socket buffers hold, at the
+/// same time. A writer holds its peer slot across a blocking
+/// `write_all`, so this only finishes if each side's reader keeps
+/// draining without ever waiting on that slot — the two-process
+/// cluster wedge (readers took the slot mutex to check their
+/// generation; once both directions filled, nobody drained).
+#[test]
+fn bidirectional_overrun_of_both_socket_buffers_does_not_wedge() {
+    const FRAMES: usize = 256;
+    const LIMIT: Duration = Duration::from_secs(30);
+    let (t0, t1) = spawn_pair("overrun");
+    // 64 kB of payload per data frame: a few frames fill a UDS buffer.
+    let words = vec![0x5EED_u64; 8 * 1024];
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let mut workers = Vec::new();
+    for (me, peer, t) in [(0u32, 1u32, t0.clone()), (1, 0, t1.clone())] {
+        let (words, done) = (words.clone(), done_tx.clone());
+        workers.push(std::thread::spawn(move || {
+            for seq in 0..FRAMES as u64 {
+                let mut pkt = Packet::from_words(me, peer, &words);
+                pkt.seq = seq;
+                t.send_data(pkt.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
+                assert!(t.send_control(peer, &words), "control frame {seq} reached the stream");
+            }
+            done.send(me).ok();
+        }));
+    }
+    for _ in 0..2 {
+        done_rx
+            .recv_timeout(LIMIT)
+            .expect("a writer is wedged behind its own reader");
+    }
+    for w in workers {
+        w.join().expect("writer thread");
+    }
+    // Nothing was lost on the way: readers only ever drop on a full
+    // mailbox, and the data mailbox holds far more than FRAMES.
+    for (node, t) in [(0u32, &t0), (1, &t1)] {
+        let until = Instant::now() + LIMIT;
+        let (mut data, mut ctrl) = (0, 0);
+        while (data, ctrl) != (FRAMES, FRAMES) {
+            assert!(Instant::now() < until, "node {node} received {data} data / {ctrl} control");
+            if let RecvStatus::Msg(_) = t.recv_data(node, Duration::from_millis(1)) {
+                data += 1;
+            }
+            if let RecvStatus::Msg(_) = t.recv_control(Duration::from_millis(1)) {
+                ctrl += 1;
+            }
+        }
+    }
+    // `close` takes every peer slot: it must not queue behind a writer.
+    let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+    let closer = std::thread::spawn(move || {
+        t0.close();
+        t1.close();
+        closed_tx.send(()).ok();
+    });
+    closed_rx.recv_timeout(LIMIT).expect("close() wedged");
+    closer.join().expect("closer thread");
+}

@@ -12,10 +12,11 @@
 //!   index, so a message re-routed to a different owner needs no
 //!   offset translation and a shard's words are the stride
 //!   `shard, shard + nshards, shard + 2·nshards, …`.
-//! * **Epoch-boundary commit.** The coordinator (node 0) queues
-//!   JOIN/LEAVE/EVICT proposals and commits at most one at a time: cut
-//!   an epoch, compute the minimal-move map, broadcast `TOPO`. Traffic
-//!   on unaffected shards never stops.
+//! * **Epoch-boundary commit.** The coordinator (whichever member
+//!   holds the lease, below) queues JOIN/LEAVE/EVICT proposals and
+//!   commits at most one at a time: cut an epoch, compute the
+//!   minimal-move map, broadcast `TOPO`. Traffic on unaffected shards
+//!   never stops.
 //! * **Stale-routing bounce.** The receive-side [`ApplyGate`] refuses
 //!   messages for shards it does not own (stale map at the sender) or
 //!   does not *yet* serve (migration still in flight) and bounces them
@@ -55,9 +56,8 @@
 //! migration is reconstructed on the successor from the cached last
 //! TOPO broadcast. The same quorum gates every EVICT, so a minority
 //! partition freezes (stale traffic NACK-bounces, nothing forks) until
-//! connectivity heals. The boot holder is the lowest initial member —
-//! node 0 by convention, but it can drain-leave like anyone else by
-//! handing the lease off first.
+//! connectivity heals. The boot holder is the lowest initial member;
+//! it can drain-leave like anyone else by handing the lease off first.
 //!
 //! Documented limitations (asserted by tests, not hidden): an elastic
 //! *sender's* restart is unsupported (its pending queue is volatile —
@@ -77,9 +77,10 @@ use gravel_apps::gups::{self, GupsInput};
 use gravel_core::ha::lease::{successor, LeaseState, VoteLedger};
 use gravel_core::ha::{RebalancePlan, Rebalancer, TopologyChange};
 use gravel_core::netthread::ApplyGate;
-use gravel_core::{FailureDetector, NodeShared, PeerStatus};
+use gravel_core::flow::{in_flight_gauge, Sender};
+use gravel_core::{ErrorSlot, FailureDetector, NodeShared, PeerStatus};
 use gravel_gq::{Command, Message};
-use gravel_net::{SendStatus, SocketTransport, Transport};
+use gravel_net::{SocketTransport, Transport};
 use gravel_pgas::{Directory, FencedInstall, Packet, ShardMap};
 use gravel_telemetry::{Counter, Gauge, Histogram};
 
@@ -89,7 +90,6 @@ use crate::proto::{
     OP_DEATH_VOTE_REQ, OP_JOIN_REQ, OP_LEASE, OP_LEAVE_REQ, OP_MAP_REQ, OP_MIGRATE,
     OP_MIGRATE_ACK, OP_MIGRATE_REQ, OP_TOPO, OP_WARD_MIGRATE_REQ,
 };
-use crate::sender::SenderConfig;
 use crate::store::WardStores;
 
 /// How often the lease holder broadcasts its beat.
@@ -690,54 +690,22 @@ pub fn expected_table(input: &GupsInput, capacity: usize, senders: &[u32]) -> Ve
 // Elastic sender
 // ---------------------------------------------------------------------
 
-struct ElFlow {
-    base: u64,
-    next: u64,
-    /// `(seq, words)` in-flight packets, exact bytes for go-back-N.
-    unacked: VecDeque<(u64, Vec<u64>)>,
-    rto: Duration,
-    timer: Instant,
-}
-
-impl ElFlow {
-    fn new(rto: Duration) -> Self {
-        ElFlow { base: 0, next: 0, unacked: VecDeque::new(), rto, timer: Instant::now() }
-    }
-}
-
-fn transmit(
-    transport: &SocketTransport,
-    node: &NodeShared,
-    dest: u32,
-    seq: u64,
-    words: &[u64],
-) -> bool {
-    let mut pkt = Packet::from_words(node.id, dest, words);
-    pkt.lane = 0;
-    pkt.seq = seq;
-    let frame = pkt.seal_in(
-        node.wire_epoch.load(Ordering::Relaxed),
-        node.wire_integrity,
-        node.pool.as_ref(),
-    );
-    !matches!(transport.send_data(frame, Duration::from_millis(5)), SendStatus::TimedOut)
-}
-
 /// Drive this node's elastic update stream. Unlike the static sender
 /// there is no precomputed packetization: each loop routes the pending
 /// queue through the *current* map, so a map flip (or a bounce) simply
-/// re-aggregates messages toward their new owner. Runs until `stop` —
+/// re-aggregates messages toward their new owner, and hands the packets
+/// to the shared go-back-N engine on wire lane 0. Runs until `stop` —
 /// an elastic sender can never declare itself finished (a bounce may
 /// arrive any time another node reshards); instead it continuously
 /// publishes quiescence through `drained`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_elastic_sender(
-    transport: &SocketTransport,
+    transport: &dyn Transport,
     node: &NodeShared,
     state: &ElasticState,
     plan: Vec<(u64, u64)>,
     msgs_per_packet: usize,
-    cfg: &SenderConfig,
+    errors: &ErrorSlot,
     stop: &AtomicBool,
     deadline: Instant,
     drained: &AtomicBool,
@@ -747,7 +715,9 @@ pub fn run_elastic_sender(
     // exactly once; redelivered ones were already counted.
     let mut pending: VecDeque<(u64, u64, bool)> =
         plan.into_iter().map(|(a, v)| (a, v, true)).collect();
-    let mut flows: HashMap<u32, ElFlow> = HashMap::new();
+    let in_flight = in_flight_gauge(node);
+    let mut flows = Vec::new();
+    let mut sender = Sender::new(node, 0, transport, &mut flows, &in_flight);
     loop {
         if stop.load(Ordering::Relaxed) || Instant::now() >= deadline || transport.is_closed() {
             return;
@@ -760,37 +730,19 @@ pub fn run_elastic_sender(
                 progressed = true;
             }
         }
-        // Cumulative acks advance windows.
-        while let Some(frame) = transport.try_recv_ack(node.id, 0) {
-            match frame.open(node.wire_integrity) {
-                Ok(ack) => {
-                    node.net_acks_received.inc();
-                    if let Some(f) = flows.get_mut(&ack.src) {
-                        if ack.cum_seq + 1 > f.base {
-                            f.base = ack.cum_seq + 1;
-                            while f.unacked.front().is_some_and(|&(s, _)| s < f.base) {
-                                f.unacked.pop_front();
-                            }
-                            f.rto = cfg.rto_base;
-                            f.timer = Instant::now();
-                            progressed = true;
-                        }
-                    }
-                }
-                Err(_) => node.net_ack_corrupt_dropped.inc(),
-            }
+        if let Err(e) = sender.service() {
+            errors.set(e);
+            return;
         }
         // Route the pending queue through the current map, batching
-        // per destination up to msgs_per_packet, respecting windows.
+        // per destination up to msgs_per_packet; messages for a flow
+        // with no window room wait for the next pass.
         let map = state.current_map();
         let mut stash: VecDeque<(u64, u64, bool)> = VecDeque::new();
         let mut batches: HashMap<u32, Vec<u64>> = HashMap::new();
         while let Some((addr, value, fresh)) = pending.pop_front() {
             let dest = map.owner_of(addr);
-            let flow = flows.entry(dest).or_insert_with(|| ElFlow::new(cfg.rto_base));
-            let in_flight = flow.unacked.len()
-                + usize::from(batches.get(&dest).is_some_and(|b| !b.is_empty()));
-            if in_flight >= cfg.window {
+            if !sender.has_room(dest as usize) {
                 stash.push_back((addr, value, fresh));
                 continue;
             }
@@ -800,43 +752,19 @@ pub fn run_elastic_sender(
                 node.note_offloaded(1);
             }
             if batch.len() / gravel_gq::MSG_ROWS >= msgs_per_packet {
-                let words = std::mem::take(batch);
-                let seq = flow.next;
-                flow.next += 1;
-                transmit(transport, node, dest, seq, &words);
-                flow.unacked.push_back((seq, words));
-                flow.timer = Instant::now();
+                sender.submit(Packet::from_words(node.id, dest, &std::mem::take(batch)));
                 progressed = true;
             }
         }
         // Flush partial batches — latency over packing at the tail.
         for (dest, words) in batches {
-            if words.is_empty() {
-                continue;
+            if !words.is_empty() {
+                sender.submit(Packet::from_words(node.id, dest, &words));
+                progressed = true;
             }
-            let flow = flows.get_mut(&dest).expect("batched flow exists");
-            let seq = flow.next;
-            flow.next += 1;
-            transmit(transport, node, dest, seq, &words);
-            flow.unacked.push_back((seq, words));
-            flow.timer = Instant::now();
-            progressed = true;
         }
         pending = stash;
-        // Go-back-N on silent expiry, exact stored bytes.
-        for (&dest, f) in flows.iter_mut() {
-            if !f.unacked.is_empty() && f.timer.elapsed() >= f.rto {
-                for (seq, words) in &f.unacked {
-                    transmit(transport, node, dest, *seq, words);
-                    node.net_retransmits.inc();
-                }
-                f.rto = (f.rto * 2).min(cfg.rto_max);
-                f.timer = Instant::now();
-            }
-        }
-        let quiescent = pending.is_empty()
-            && state.bounced_empty()
-            && flows.values().all(|f| f.unacked.is_empty());
+        let quiescent = pending.is_empty() && state.bounced_empty() && sender.is_drained();
         drained.store(quiescent, Ordering::SeqCst);
         if !progressed {
             std::thread::sleep(Duration::from_micros(500));

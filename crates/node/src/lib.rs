@@ -14,21 +14,24 @@
 //! * [`store`]  — buddy-side storage of a ward's baseline + replay log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
-//! * [`sender`] — deterministic GUPS packetization + go-back-N flows.
+//! * [`sender`] — deterministic GUPS packetization, fed to the core
+//!   go-back-N engine (`gravel_core::flow`) on wire lane 0.
 //! * [`elastic`] — live membership: the versioned shard directory, the
-//!   stale-routing bounce gate, pull-based shard migration, and the
-//!   node-0 coordinator (DESIGN.md §16).
-//! * [`rpc_pump`] — request-reply (GET) flows on their own wire lane,
-//!   plus the sentinel probes the cluster test verifies bit-exact.
+//!   stale-routing bounce gate, pull-based shard migration, the
+//!   map-routed sender, and the lease-held coordinator (DESIGN.md §16,
+//!   §18).
+//! * [`gets`] — the sentinel GET probes the cluster test verifies
+//!   bit-exact; their requests and replies ride a core aggregator lane
+//!   on wire lane 1.
 //! * [`signal`] — SIGTERM/SIGINT graceful-shutdown plumbing and the
 //!   literal self-`kill -9` chaos switch.
 //! * [`report`] — the JSON the harness asserts on, written atomically.
 
 pub mod elastic;
 pub mod forward;
+pub mod gets;
 pub mod proto;
 pub mod report;
-pub mod rpc_pump;
 pub mod sender;
 pub mod signal;
 pub mod store;

@@ -27,20 +27,22 @@ use std::time::{Duration, Instant};
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::ha::heartbeat;
 use gravel_core::netthread::{self, PacketTap, RecvState};
-use gravel_core::{ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared};
+use gravel_core::{
+    aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared,
+};
 use gravel_net::{
-    ChaosPlan, PeerEvent, ProcessFault, RecvStatus, SocketAddrSpec, SocketConfig,
+    ChaosPlan, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec, SocketConfig,
     SocketTransport, Transport,
 };
-use gravel_pgas::{AmRegistry, WireIntegrity};
+use gravel_pgas::{AmRegistry, FlushPolicy, WireIntegrity};
 use gravel_telemetry::Counter;
 
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
 use gravel_node::forward::Forwarder;
+use gravel_node::gets::{self, RPC_LANE};
 use gravel_node::proto::{self, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
-use gravel_node::rpc_pump;
-use gravel_node::sender::{self, SenderConfig};
+use gravel_node::sender;
 use gravel_node::signal;
 use gravel_node::store::WardStores;
 
@@ -64,8 +66,9 @@ struct Args {
     /// static cluster, the pre-elastic behavior bit for bit.
     active: Option<usize>,
     /// This process dials into a running elastic cluster (its slot is
-    /// outside the initial membership); the coordinator it knocks on
-    /// is node 0 of the same `--dir`/`--tcp-base` mesh.
+    /// outside the initial membership); it knocks on whichever member
+    /// of the same `--dir`/`--tcp-base` mesh holds the coordinator
+    /// lease.
     join: bool,
     /// How long a starting elastic node waits for its buddy before
     /// treating startup as a cold boot (a joiner's buddy slot may not
@@ -487,6 +490,17 @@ fn run() -> i32 {
     // Generous RPC deadline: a GET must survive a peer's kill -9 →
     // restart window before it is declared timed out.
     cfg.rpc.timeout = Duration::from_secs(5);
+    // Every sender in this process is the core go-back-N engine. No
+    // retry budget: a dead peer is expected to come back, and costs one
+    // `backoff_max` probe per expiry, not a storm. The window is 64
+    // because the GUPS flows are BULK-band, which may fill half of it:
+    // 32 update packets in flight per destination.
+    cfg.retry = RetryConfig {
+        window: 64,
+        backoff: Duration::from_millis(50),
+        backoff_max: Duration::from_millis(500),
+        max_retries: u32::MAX,
+    };
     let node = Arc::new(NodeShared::new(me, &cfg, Arc::new(AmRegistry::new())));
 
     let mut scfg = SocketConfig::new(me, addrs(&args));
@@ -536,10 +550,9 @@ fn run() -> i32 {
         chaos,
     ));
 
-    // Elastic mode: the shard directory, bounce gate, and (on node 0)
-    // the coordinator's rebalancer. The checkpoint provider must be
-    // installed before the first cut so every baseline carries its
-    // ready-shard set.
+    // Elastic mode: the shard directory and bounce gate. The
+    // checkpoint provider must be installed before the first cut so
+    // every baseline carries its ready-shard set.
     let elastic_state = args.active.map(|active| {
         let nshards = gravel_pgas::DEFAULT_SHARDS.min(args.table.max(1));
         let members: Vec<u32> = (0..active as u32).collect();
@@ -692,7 +705,7 @@ fn run() -> i32 {
     if args.gets > 0 {
         node.heap.store(
             part.local_len(me as usize) as u64,
-            rpc_pump::sentinel_value(args.seed, me),
+            gets::sentinel_value(args.seed, me),
         );
     }
 
@@ -734,16 +747,22 @@ fn run() -> i32 {
         move || netthread::run_with_gate(n, t, e, s, None, Some(tap), gate)
     });
 
-    // Sender: deterministic flows, go-back-N until fully acked. The
-    // elastic sender instead routes its queue through the live map
-    // every pass and publishes quiescence continuously (`sender_done`
-    // doubles as the drained flag — a bounce can clear it again).
+    // Sender: deterministic flows through the go-back-N engine until
+    // fully acked. The elastic sender instead routes its queue through
+    // the live map every pass and publishes quiescence continuously
+    // (`sender_done` doubles as the drained flag — a bounce can clear
+    // it again).
     let stop = Arc::new(AtomicBool::new(false));
     let sender_done = Arc::new(AtomicBool::new(false));
     let snd = if let Some(st) = &elastic_state {
         std::thread::spawn({
-            let (t, n, stop, drained) =
-                (transport.clone(), node.clone(), stop.clone(), sender_done.clone());
+            let (t, n, e, stop, drained) = (
+                transport.clone(),
+                node.clone(),
+                errors.clone(),
+                stop.clone(),
+                sender_done.clone(),
+            );
             let st = st.clone();
             // Only initial members carry update streams; joiners (and
             // post-drain leavers) route and serve but send nothing —
@@ -757,12 +776,12 @@ fn run() -> i32 {
             let msgs_per_packet = args.msgs_per_packet;
             move || {
                 elastic::run_elastic_sender(
-                    &t,
+                    &*t,
                     &n,
                     &st,
                     plan,
                     msgs_per_packet,
-                    &SenderConfig::default(),
+                    &e,
                     &stop,
                     deadline,
                     &drained,
@@ -771,11 +790,16 @@ fn run() -> i32 {
         })
     } else {
         std::thread::spawn({
-            let (t, n, stop, done) =
-                (transport.clone(), node.clone(), stop.clone(), sender_done.clone());
+            let (t, n, e, stop, done) = (
+                transport.clone(),
+                node.clone(),
+                errors.clone(),
+                stop.clone(),
+                sender_done.clone(),
+            );
             let plans = sender::plan_flows(&input, nodes, me, args.msgs_per_packet);
             move || {
-                if sender::run_sender(&t, &n, plans, &SenderConfig::default(), &stop, deadline) {
+                if sender::run_sender(&*t, &n, &plans, &e, &stop, deadline) {
                     done.store(true, Ordering::SeqCst);
                 }
             }
@@ -800,23 +824,30 @@ fn run() -> i32 {
         }));
     }
 
-    // Request-reply plane: a pump draining the offload queue (GETs we
-    // issue + replies the netthread enqueues for peers) onto lane-1
-    // flows, and a probe stream GETting every peer's sentinel.
+    // Request-reply plane: the core aggregator draining the offload
+    // queue (GETs we issue + replies the netthread enqueues for peers)
+    // onto wire lane 1 — class-pure packets, 25 µs RPC flush, the same
+    // go-back-N engine — and a probe stream GETting every peer's
+    // sentinel.
     let gets_done = Arc::new(AtomicBool::new(args.gets == 0));
     let mut rpc_threads = Vec::new();
+    let mut agg = None;
     if args.gets > 0 {
-        rpc_threads.push(std::thread::spawn({
-            let (t, n, stop) = (transport.clone(), node.clone(), stop.clone());
-            move || rpc_pump::run_rpc_pump(&t, &n, &stop, deadline)
+        agg = Some(std::thread::spawn({
+            let (n, e) = (node.clone(), errors.clone());
+            let t: Arc<dyn Transport> = transport.clone();
+            // Only RPC classes flow here, and those flush on their own
+            // 25 µs timer; the bulk policy is never consulted.
+            let policy = FlushPolicy::Fixed(cfg.flush_timeout);
+            move || aggregator::run(n, RPC_LANE as usize, t, cfg.node_queue_bytes, policy, e)
         }));
         rpc_threads.push(std::thread::spawn({
             let (n, stop, done) = (node.clone(), stop.clone(), gets_done.clone());
             let (gets, seed, input) = (args.gets, args.seed, input);
             move || {
-                let counters = rpc_pump::GetsCounters::bound(&n);
+                let counters = gets::GetsCounters::bound(&n);
                 let part = gups::partition(&input, nodes);
-                let out = rpc_pump::run_gets(
+                let out = gets::run_gets(
                     &n,
                     nodes,
                     gets,
@@ -907,6 +938,13 @@ fn run() -> i32 {
         .chain(rpc_threads)
         .chain(elastic_threads)
     {
+        let _ = h.join();
+    }
+    // The aggregator goes last: the network thread may still enqueue
+    // replies while it drains, and only a live consumer keeps that
+    // enqueue from blocking on a full ring.
+    node.queue.close();
+    if let Some(h) = agg {
         let _ = h.join();
     }
     code

@@ -9,23 +9,23 @@
 //! already-applied sequences as duplicates, re-ack them, and the window
 //! fast-forwards to where it was. No sender-side durable state at all.
 //!
-//! Delivery is go-back-N per destination flow, mirroring the in-process
-//! aggregator's protocol: a bounded in-flight window, cumulative acks,
-//! and full-window retransmission on timeout with exponential backoff.
-//! Unlike the in-process runtime there is no retry budget: a dead peer
-//! is expected to come back (that is the whole point of this binary),
-//! so the sender retries until the run deadline. The node's own
-//! updates loop back through the transport as a normal sequenced flow —
-//! one delivery path, not two.
+//! Delivery is the core go-back-N engine ([`gravel_core::flow`]) — the
+//! same one the in-process aggregator runs; this module only decides
+//! *what* the packets are. The binary configures it with no retry
+//! budget: a dead peer is expected to come back (that is the whole
+//! point of this binary), so the sender retries until the run
+//! deadline. The node's own updates loop back through the transport as
+//! a normal sequenced flow — one delivery path, not two.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::NodeShared;
+use gravel_core::flow::{in_flight_gauge, Sender};
+use gravel_core::{ErrorSlot, NodeShared};
 use gravel_gq::Message;
-use gravel_net::{SendStatus, SocketTransport, Transport};
+use gravel_net::Transport;
 use gravel_pgas::Packet;
 
 /// One destination flow's precomputed packets (message words, 4 per
@@ -83,146 +83,54 @@ pub fn expected_packets(
     msgs.div_ceil(msgs_per_packet) as u64
 }
 
-/// Go-back-N tuning for the multi-process sender.
-#[derive(Clone, Copy, Debug)]
-pub struct SenderConfig {
-    /// In-flight packets per destination flow.
-    pub window: usize,
-    /// First retransmission timeout; doubles per silent expiry.
-    pub rto_base: Duration,
-    /// Retransmission backoff ceiling (also covers restart windows:
-    /// a dead peer costs one `rto_max` probe per expiry, not a storm).
-    pub rto_max: Duration,
-}
-
-impl Default for SenderConfig {
-    fn default() -> Self {
-        SenderConfig {
-            window: 32,
-            rto_base: Duration::from_millis(50),
-            rto_max: Duration::from_millis(500),
-        }
-    }
-}
-
-struct FlowRt {
-    plan: FlowPlan,
-    /// First unacked sequence.
-    base: u64,
-    /// Next never-sent sequence.
-    next: u64,
-    /// Highest sequence ever transmitted (so re-sends after a window
-    /// rewind don't double-count `offloaded`).
-    high_water: u64,
-    rto: Duration,
-    timer: Instant,
-}
-
-/// Drive every flow to full acknowledgement. Returns `true` when all
-/// packets are acked; `false` on stop/deadline/transport-close.
+/// Drive every flow to full acknowledgement: feed the plans' packets,
+/// in order, to the shared go-back-N engine on wire lane 0 as its
+/// window opens. Returns `true` when every packet is acked; `false` on
+/// stop/deadline/transport-close (or a flow error, left in `errors`).
+///
+/// A restarted process calls this with the same plan and fresh engine
+/// state: it restamps from sequence 0, the peers' cumulative acks
+/// report how far the previous incarnation got, and the engine retires
+/// everything below that without resending it.
 pub fn run_sender(
-    transport: &SocketTransport,
+    transport: &dyn Transport,
     node: &NodeShared,
-    plans: Vec<FlowPlan>,
-    cfg: &SenderConfig,
+    plans: &[FlowPlan],
+    errors: &ErrorSlot,
     stop: &AtomicBool,
     deadline: Instant,
 ) -> bool {
-    let integrity = node.wire_integrity;
-    let now = Instant::now();
-    let mut flows: Vec<FlowRt> = plans
-        .into_iter()
-        .filter(|p| !p.packets.is_empty())
-        .map(|plan| FlowRt {
-            plan,
-            base: 0,
-            next: 0,
-            high_water: 0,
-            rto: cfg.rto_base,
-            timer: now,
-        })
-        .collect();
+    let in_flight = in_flight_gauge(node);
+    let mut flows = Vec::new();
+    let mut sender = Sender::new(node, 0, transport, &mut flows, &in_flight);
+    // Next unsubmitted packet of each plan.
+    let mut cursors = vec![0usize; plans.len()];
     loop {
-        if flows.iter().all(|f| f.base as usize >= f.plan.packets.len()) {
+        let fed = plans.iter().zip(&cursors).all(|(p, &c)| c == p.packets.len());
+        if fed && sender.is_drained() {
             return true;
         }
         if stop.load(Relaxed) || Instant::now() >= deadline || transport.is_closed() {
             return false;
         }
-        let mut progressed = false;
-        // Drain acks: cumulative, so any ack can advance a whole window.
-        while let Some(frame) = transport.try_recv_ack(node.id, 0) {
-            match frame.open(integrity) {
-                Ok(ack) => {
-                    node.net_acks_received.inc();
-                    if let Some(f) = flows.iter_mut().find(|f| f.plan.dest == ack.src) {
-                        if ack.cum_seq + 1 > f.base {
-                            f.base = ack.cum_seq + 1;
-                            f.rto = cfg.rto_base;
-                            f.timer = Instant::now();
-                            progressed = true;
-                        }
-                    }
-                }
-                Err(_) => node.net_ack_corrupt_dropped.inc(),
-            }
+        if let Err(e) = sender.service() {
+            errors.set(e);
+            return false;
         }
-        for f in &mut flows {
-            let total = f.plan.packets.len() as u64;
-            if f.base >= total {
-                continue;
-            }
-            // Fill the window with first transmissions.
-            while f.next < total && f.next < f.base + cfg.window as u64 {
-                if !transmit(transport, node, f, f.next, integrity) {
-                    break;
-                }
-                if f.next >= f.high_water {
-                    let msgs = f.plan.packets[f.next as usize].len() / gravel_gq::MSG_ROWS;
-                    node.note_offloaded(msgs as u64);
-                    f.high_water = f.next + 1;
-                }
-                f.next += 1;
-                f.timer = Instant::now();
+        let mut progressed = false;
+        for (plan, cursor) in plans.iter().zip(&mut cursors) {
+            while *cursor < plan.packets.len() && sender.has_room(plan.dest as usize) {
+                let words = &plan.packets[*cursor];
+                node.note_offloaded((words.len() / gravel_gq::MSG_ROWS) as u64);
+                sender.submit(Packet::from_words(node.id, plan.dest, words));
+                *cursor += 1;
                 progressed = true;
-            }
-            // Go-back-N: on a silent expiry, resend the whole window.
-            // The link may be down mid-restart — frames are fire-and-
-            // forget there, so this is also the probe that rediscovers
-            // a recovered peer.
-            if f.base < f.next && f.timer.elapsed() >= f.rto {
-                for seq in f.base..f.next {
-                    transmit(transport, node, f, seq, integrity);
-                    node.net_retransmits.inc();
-                }
-                f.rto = (f.rto * 2).min(cfg.rto_max);
-                f.timer = Instant::now();
             }
         }
         if !progressed {
             std::thread::sleep(Duration::from_micros(500));
         }
     }
-}
-
-/// Seal and send one packet of `f`. False only if the loopback lane is
-/// backpressured (cross-node sends never block; a down link drops).
-fn transmit(
-    transport: &SocketTransport,
-    node: &NodeShared,
-    f: &FlowRt,
-    seq: u64,
-    integrity: gravel_pgas::WireIntegrity,
-) -> bool {
-    let mut pkt = Packet::from_words(node.id, f.plan.dest, &f.plan.packets[seq as usize]);
-    pkt.lane = 0;
-    pkt.seq = seq;
-    let epoch = node.wire_epoch.load(Relaxed);
-    let frame = pkt.seal_in(epoch, integrity, node.pool.as_ref());
-    !matches!(
-        transport.send_data(frame, Duration::from_millis(5)),
-        SendStatus::TimedOut
-    )
 }
 
 #[cfg(test)]
