@@ -40,6 +40,19 @@ pub fn node_updates(input: &GupsInput, nodes: usize, node: usize) -> Vec<usize> 
     (0..count).map(|_| rng.gen_range(0..input.table_len)).collect()
 }
 
+/// [`node_updates`] generated on demand, for callers that route or
+/// count a stream without keeping it (asserted equal by a unit test).
+pub fn update_stream(
+    input: &GupsInput,
+    nodes: usize,
+    node: usize,
+) -> impl ExactSizeIterator<Item = usize> {
+    let mut rng = StdRng::seed_from_u64(input.seed ^ (node as u64).wrapping_mul(0x9E37_79B9));
+    let count = input.updates / nodes + usize::from(node < input.updates % nodes);
+    let table_len = input.table_len;
+    (0..count).map(move |_| rng.gen_range(0..table_len))
+}
+
 /// The table partition GUPS uses (cyclic: uniform scatter).
 pub fn partition(input: &GupsInput, nodes: usize) -> Partition {
     Partition::new(input.table_len, nodes, Layout::Cyclic)
@@ -205,6 +218,16 @@ pub fn trace(input: &GupsInput, nodes: usize) -> WorkloadTrace {
 mod tests {
     use super::*;
     use gravel_core::GravelConfig;
+
+    #[test]
+    fn update_stream_is_node_updates_without_the_vector() {
+        let input = GupsInput { updates: 1003, table_len: 97, seed: 5 };
+        for node in 0..4 {
+            let stream = update_stream(&input, 4, node);
+            assert_eq!(stream.len(), node_updates(&input, 4, node).len());
+            assert_eq!(stream.collect::<Vec<_>>(), node_updates(&input, 4, node));
+        }
+    }
 
     #[test]
     fn live_gups_matches_sequential_histogram() {

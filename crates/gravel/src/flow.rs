@@ -252,6 +252,7 @@ impl<'a> Sender<'a> {
                 // packet retires without touching the wire.
                 debug_assert!(flow.stamped_bands.is_empty());
                 flow.base += 1;
+                self.node.net_fast_forwarded.add(1);
                 continue;
             }
             let frame = pkt.seal_in(epoch, self.node.wire_integrity, self.node.pool.as_ref());

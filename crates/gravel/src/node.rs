@@ -75,6 +75,9 @@ pub struct NodeShared {
     pub net_retransmits: Counter,
     /// Duplicate packets suppressed by this node's receiver.
     pub net_dups_suppressed: Counter,
+    /// Packets a restarted sender retired without sending because the
+    /// peer's cumulative ack already covered them (restart catch-up).
+    pub net_fast_forwarded: Counter,
     /// Acks this node's network thread sent.
     pub net_acks_sent: Counter,
     /// Acks this node's aggregator lanes received.
@@ -207,6 +210,7 @@ impl NodeShared {
             retry: cfg.retry.clone(),
             net_retransmits: registry.counter(&name("net.retransmits")),
             net_dups_suppressed: registry.counter(&name("net.dups_suppressed")),
+            net_fast_forwarded: registry.counter(&name("net.fast_forwarded")),
             net_acks_sent: registry.counter(&name("net.acks_sent")),
             net_acks_received: registry.counter(&name("net.acks_received")),
             net_chan_stalls: registry.counter(&name("net.chan_stalls")),

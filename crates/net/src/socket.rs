@@ -29,8 +29,7 @@
 //! / CONTROL) is always sealed and verified with CRC32C — membership
 //! and recovery traffic is never run unchecked.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -42,16 +41,19 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use gravel_gq::BufferPool;
 use gravel_pgas::frame::{
-    open_control, open_heartbeat, open_hello, open_reject, seal_heartbeat, seal_hello,
-    seal_reject, HelloInfo, RejectReason,
+    open_control, open_heartbeat, open_hello, open_reject, seal_control_into, seal_heartbeat,
+    seal_hello, seal_reject, HelloInfo, RejectReason,
 };
-use gravel_pgas::{DataFrame, FrameError, WireIntegrity, ACK_FRAME_BYTES, HEADER_BYTES};
+use gravel_pgas::{
+    DataFrame, FrameError, WireIntegrity, ACK_FRAME_BYTES, FRAME_OVERHEAD, HEADER_BYTES,
+};
 
 use crate::partition::LinkSchedule;
 use crate::{AckFrame, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
 
 /// Hard ceiling on a single frame's size on the wire. A length prefix
-/// beyond this is a protocol violation and drops the connection.
+/// beyond this is a protocol violation and drops the connection, so the
+/// write side refuses (and counts) a frame over it instead of sending.
 pub const MAX_FRAME_BYTES: usize = 8 << 20;
 
 /// Where one node listens.
@@ -105,8 +107,8 @@ pub struct SocketConfig {
     /// Data ingress channel capacity.
     pub ingress_capacity: usize,
     /// Packet-buffer arena for the data path: inbound data frames are
-    /// sealed into recycled buffers and outbound length-prefix
-    /// assembly reuses pooled scratch, so the steady-state wire loop
+    /// sealed into recycled buffers and outbound control frames are
+    /// sealed in pooled scratch, so the steady-state wire loop
     /// allocates nothing. `None` (the ablation) allocates per frame.
     pub pool: Option<BufferPool>,
     /// Declarative link chaos (partitions, one-way drops, per-link
@@ -171,6 +173,10 @@ pub struct SocketStats {
     /// Frames dropped because the link to their destination was down
     /// or mid-redial (go-back-N retransmission heals these).
     pub link_drops: u64,
+    /// Outbound frames refused because they exceed
+    /// [`MAX_FRAME_BYTES`] (the peer would tear the link down on the
+    /// length prefix alone).
+    pub oversize_drops: u64,
     /// Inbound frames dropped on a full local mailbox.
     pub mailbox_drops: u64,
     /// Inbound bytes that were not a decodable frame (bad length
@@ -231,6 +237,13 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.flush(),
@@ -285,77 +298,121 @@ impl Listener {
 // the old accept thread would delete the *new* socket file. Stale
 // files are instead removed at bind time.
 
+/// Size of a [`StreamDecoder`]'s buffer unless a single frame needs
+/// more. A Unix stream socket buffers ~208 kB by default, so one read
+/// into an empty buffer drains it: a 64 kB frame costs one `read` (not
+/// four 16 kB ones) and a burst of acks costs one for all of them.
+const READ_BYTES: usize = 256 * 1024;
+
+/// Least room a read is offered; with less left after the buffered
+/// bytes, they move to the front first.
+const MIN_READ_BYTES: usize = 64 * 1024;
+
 /// Reassembles length-delimited frames from arbitrary read boundaries.
+/// The decoder owns one contiguous buffer: the stream is read straight
+/// into it and complete frames are handed out as slices of it, so a
+/// frame is copied only by whoever needs it to outlive the next read.
 /// Public so the fuzz tests can split a valid byte stream at every
 /// offset and assert identical reassembly.
 pub struct StreamDecoder {
-    buf: VecDeque<u8>,
+    /// Fully initialized; `buf[head..tail]` is what arrived and has not
+    /// been returned as a frame yet.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
     max_frame: usize,
 }
 
 impl StreamDecoder {
     /// Decoder enforcing the given frame-size ceiling.
     pub fn new(max_frame: usize) -> Self {
-        StreamDecoder { buf: VecDeque::new(), max_frame }
+        StreamDecoder { buf: Vec::new(), head: 0, tail: 0, max_frame }
     }
 
-    /// Feed bytes as they arrived from the stream.
+    /// Feed bytes that arrived some other way than
+    /// [`read_from`](Self::read_from) (tests, the fuzz harness).
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes);
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// One `read` from `src` straight into the decoder's buffer, with
+    /// room for at least the rest of the frame in progress. Returns
+    /// what `read` returned.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let want = self.missing().max(MIN_READ_BYTES);
+        let n = src.read(self.room(want))?;
+        self.tail += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.tail - self.head
     }
 
-    /// Pop the next complete frame, `Ok(None)` if more bytes are
-    /// needed, or `Err(len)` if the length prefix exceeds the ceiling
-    /// (the stream is unrecoverable — framing is lost).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, usize> {
-        let mut out = Vec::new();
-        match self.next_frame_into(&mut out) {
-            Ok(true) => Ok(Some(out)),
-            Ok(false) => Ok(None),
-            Err(len) => Err(len),
+    /// Length of the frame at the head of the buffer, once its prefix
+    /// has arrived.
+    fn head_len(&self) -> Option<usize> {
+        if self.pending() < 4 {
+            return None;
+        }
+        let p = &self.buf[self.head..self.head + 4];
+        Some(u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize)
+    }
+
+    /// Bytes the frame in progress still lacks (0 when its length is
+    /// unknown or over the ceiling — the next `next_frame` rejects it).
+    fn missing(&self) -> usize {
+        match self.head_len() {
+            Some(len) if len <= self.max_frame => (4 + len).saturating_sub(self.pending()),
+            _ => 0,
         }
     }
 
-    /// Allocation-free [`next_frame`](Self::next_frame): the frame is
-    /// written into `out` (cleared first) and `Ok(true)` returned. The
-    /// read loop reuses one scratch vector across frames, so steady-
-    /// state reassembly never allocates.
-    pub fn next_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, usize> {
-        if self.buf.len() < 4 {
-            return Ok(false);
+    /// At least `min` writable bytes after the buffered ones. Buffered
+    /// bytes move only when the room after them is too small: to the
+    /// front (at most one partial frame per refill), and the buffer
+    /// grows past [`READ_BYTES`] only for a frame that needs it.
+    fn room(&mut self, min: usize) -> &mut [u8] {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-            as usize;
+        if self.buf.len() - self.tail < min && self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() - self.tail < min {
+            self.buf.resize((self.tail + min).max(READ_BYTES), 0);
+        }
+        &mut self.buf[self.tail..]
+    }
+
+    /// The next complete frame, in place: valid until the decoder is
+    /// fed again. `Ok(None)` if more bytes are needed, `Err(len)` if
+    /// the length prefix exceeds the ceiling (the stream is
+    /// unrecoverable — framing is lost).
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, usize> {
+        let Some(len) = self.head_len() else {
+            return Ok(None);
+        };
         if len > self.max_frame {
             return Err(len);
         }
-        if self.buf.len() < 4 + len {
-            return Ok(false);
+        if self.pending() < 4 + len {
+            return Ok(None);
         }
-        self.buf.drain(..4);
-        out.clear();
-        out.reserve(len);
-        let (head, tail) = self.buf.as_slices();
-        if head.len() >= len {
-            out.extend_from_slice(&head[..len]);
-        } else {
-            out.extend_from_slice(head);
-            out.extend_from_slice(&tail[..len - head.len()]);
-        }
-        self.buf.drain(..len);
-        Ok(true)
+        let at = self.head + 4;
+        self.head = at + len;
+        Ok(Some(&self.buf[at..at + len]))
     }
 }
 
 /// Per-peer connection state. `generation` ties each reader thread to
 /// the stream it serves, so a stale reader can't tear down a
 /// replacement connection. It lives *beside* the slot mutex, not in
-/// it: a writer holds the mutex across a blocking `write_all`, and a
+/// it: a writer holds the mutex across a blocking frame write, and a
 /// reader that had to take the same mutex to check its generation
 /// would stop draining the socket — with both directions' buffers full
 /// neither side's writer could ever finish. It is only written with
@@ -387,6 +444,7 @@ struct Counters {
     handshake_rejects: AtomicU64,
     rejected_by_peer: AtomicU64,
     link_drops: AtomicU64,
+    oversize_drops: AtomicU64,
     mailbox_drops: AtomicU64,
     garbage_frames: AtomicU64,
 }
@@ -529,6 +587,7 @@ impl SocketTransport {
                 handshake_rejects: AtomicU64::new(0),
                 rejected_by_peer: AtomicU64::new(0),
                 link_drops: AtomicU64::new(0),
+                oversize_drops: AtomicU64::new(0),
                 mailbox_drops: AtomicU64::new(0),
                 garbage_frames: AtomicU64::new(0),
             },
@@ -606,17 +665,41 @@ impl SocketTransport {
     /// the frame reached a live stream (or the loopback) — callers
     /// treat `false` as "peer down, retry after reconnect".
     pub fn send_control(&self, dest: NodeId, words: &[u64]) -> bool {
+        self.send_control_parts(dest, words, &[])
+    }
+
+    /// [`send_control`](Self::send_control) for a message whose bulk is
+    /// already in wire order: the payload is `words` followed by `tail`
+    /// (whole little-endian words, e.g. a packet's payload bytes). The
+    /// frame is sealed in one pass — one copy of `tail`, one CRC — into
+    /// pooled scratch and gather-written from there.
+    pub fn send_control_parts(&self, dest: NodeId, words: &[u64], tail: &[u8]) -> bool {
         let inner = &self.inner;
         let epoch = inner.epoch.load(Ordering::Relaxed);
         if dest == inner.me {
+            let mut all = words.to_vec();
+            all.extend(tail.chunks_exact(8).map(|c| {
+                u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"))
+            }));
             return inner
                 .ctrl_tx
-                .send(ControlMsg { src: inner.me, epoch, words: words.to_vec() })
+                .send(ControlMsg { src: inner.me, epoch, words: all })
                 .is_ok();
         }
-        let bytes =
-            gravel_pgas::seal_control(inner.me, dest, epoch, words, WireIntegrity::Crc32c);
-        inner.write_to_peer(dest, &bytes)
+        let taken = inner
+            .pool
+            .as_ref()
+            .map(|pool| pool.take(FRAME_OVERHEAD + words.len() * 8 + tail.len()));
+        let (mut frame, ticket) = match taken {
+            Some((v, t)) => (v, Some(t)),
+            None => (Vec::new(), None),
+        };
+        seal_control_into(&mut frame, inner.me, dest, epoch, words, tail, WireIntegrity::Crc32c);
+        let ok = inner.write_to_peer(dest, &frame);
+        if let (Some(pool), Some(t)) = (&inner.pool, ticket) {
+            pool.put(frame, t);
+        }
+        ok
     }
 
     /// Receive the next verified control-plane message.
@@ -655,6 +738,7 @@ impl SocketTransport {
             handshake_rejects: c.handshake_rejects.load(Ordering::Relaxed),
             rejected_by_peer: c.rejected_by_peer.load(Ordering::Relaxed),
             link_drops: c.link_drops.load(Ordering::Relaxed),
+            oversize_drops: c.oversize_drops.load(Ordering::Relaxed),
             mailbox_drops: c.mailbox_drops.load(Ordering::Relaxed),
             garbage_frames: c.garbage_frames.load(Ordering::Relaxed),
             partition_drops: chaos.partition_drops,
@@ -755,41 +839,31 @@ impl Inner {
     /// failure the connection is torn down (the redial supervisor or
     /// the peer's own dialer brings it back) and the frame is dropped.
     fn write_now(&self, peer: NodeId, frame: &[u8]) -> bool {
-        debug_assert!(frame.len() <= MAX_FRAME_BYTES);
-        // Assemble prefix + frame in one buffer so the stream sees a
-        // single write; the buffer is pooled scratch when the arena is
-        // on (returned via `put` — it never outlives this call).
-        let taken = self.pool.as_ref().map(|pool| pool.take(4 + frame.len()));
-        let (mut buf, ticket) = match taken {
-            Some((v, t)) => (v, Some(t)),
-            None => (Vec::with_capacity(4 + frame.len()), None),
-        };
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(frame);
-        let ok = {
-            let p = &self.peers[peer as usize];
-            let mut slot = p.lock();
-            match slot.writer.as_mut() {
-                None => {
-                    self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-                Some(writer) => {
-                    if let Err(_e) = writer.write_all(&buf) {
-                        self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
-                        let gen = p.generation.load(Ordering::SeqCst);
-                        self.drop_conn(p, &mut slot, gen);
-                        false
-                    } else {
-                        true
-                    }
-                }
-            }
-        };
-        if let (Some(pool), Some(t)) = (&self.pool, ticket) {
-            pool.put(buf, t);
+        if frame.len() > MAX_FRAME_BYTES {
+            // The peer's decoder would take the prefix for lost framing
+            // and tear the link down; refusing costs only this frame.
+            self.stats.oversize_drops.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "gravel-net: node {} dropped a {}-byte frame for node {peer}: over the {} ceiling",
+                self.me,
+                frame.len(),
+                MAX_FRAME_BYTES,
+            );
+            return false;
         }
-        ok
+        let p = &self.peers[peer as usize];
+        let mut slot = p.lock();
+        let Some(writer) = slot.writer.as_mut() else {
+            self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        if write_frame(writer, frame).is_err() {
+            self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
+            let gen = p.generation.load(Ordering::SeqCst);
+            self.drop_conn(p, &mut slot, gen);
+            return false;
+        }
+        true
     }
 
     /// Tear down the connection in `peer`'s (locked) `slot` if it is
@@ -990,8 +1064,6 @@ impl Inner {
 
     fn read_loop(self: Arc<Self>, peer: NodeId, gen: u64, mut stream: Stream) {
         let mut decoder = StreamDecoder::new(MAX_FRAME_BYTES);
-        let mut chunk = [0u8; 16 * 1024];
-        let mut frame = Vec::new();
         loop {
             if self.closed.load(Ordering::Relaxed) {
                 return;
@@ -1000,24 +1072,21 @@ impl Inner {
             if self.peers[peer as usize].generation.load(Ordering::SeqCst) != gen {
                 return; // replaced by a newer connection
             }
-            match stream.read(&mut chunk) {
+            match decoder.read_from(&mut stream) {
                 Ok(0) => break, // EOF: peer exited or died
-                Ok(n) => {
-                    decoder.push(&chunk[..n]);
-                    loop {
-                        match decoder.next_frame_into(&mut frame) {
-                            Ok(true) => self.route(&frame),
-                            Ok(false) => break,
-                            Err(_) => {
-                                // Length prefix is garbage: framing is
-                                // lost, the stream cannot be trusted.
-                                self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
-                                self.teardown(peer, gen);
-                                return;
-                            }
+                Ok(_) => loop {
+                    match decoder.next_frame() {
+                        Ok(Some(frame)) => self.route(frame),
+                        Ok(None) => break,
+                        Err(_) => {
+                            // Length prefix is garbage: framing is
+                            // lost, the stream cannot be trusted.
+                            self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
+                            self.teardown(peer, gen);
+                            return;
                         }
                     }
-                }
+                },
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                 {
@@ -1039,10 +1108,12 @@ impl Inner {
         }
     }
 
-    /// Dispatch one reassembled frame by its (unverified) kind byte.
-    /// Verification happens at each plane's consumer for data and acks
-    /// (mirroring the in-memory fabrics, where frames arrive sealed);
-    /// control-plane frames are verified right here.
+    /// Dispatch one reassembled frame — still in the decoder's buffer —
+    /// by its (unverified) kind byte. Verification happens at each
+    /// plane's consumer for data and acks (mirroring the in-memory
+    /// fabrics, where frames arrive sealed); control-plane frames are
+    /// verified and parsed right here. Only a data frame is copied
+    /// whole, once, into the buffer it is delivered in.
     fn route(&self, frame: &[u8]) {
         if frame.len() < HEADER_BYTES {
             self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
@@ -1066,7 +1137,7 @@ impl Inner {
                         v.extend_from_slice(frame);
                         pool.seal(v, ticket)
                     }
-                    None => Bytes::from(frame.to_vec()),
+                    None => Bytes::copy_from_slice(frame),
                 };
                 let df = DataFrame {
                     src: word(8),
@@ -1149,11 +1220,27 @@ fn read_frame(stream: &mut Stream) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-fn write_frame(stream: &mut Stream, frame: &[u8]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + frame.len());
-    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    buf.extend_from_slice(frame);
-    stream.write_all(&buf)
+/// Write one length-delimited frame: `[len, frame]` gathered into one
+/// `write_vectored` (no scratch copy to join them), looping on short
+/// writes.
+fn write_frame(stream: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
+    let prefix = (frame.len() as u32).to_le_bytes();
+    // Bytes of prefix + frame written so far.
+    let mut done = 0;
+    while done < 4 + frame.len() {
+        let wrote = if done < 4 {
+            stream.write_vectored(&[IoSlice::new(&prefix[done..]), IoSlice::new(frame)])
+        } else {
+            stream.write(&frame[done - 4..])
+        };
+        match wrote {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl Transport for SocketTransport {
@@ -1264,5 +1351,60 @@ impl Transport for SocketTransport {
     fn ack_depths(&self, node: NodeId) -> usize {
         debug_assert_eq!(node, self.inner.me);
         self.inner.ack_rx.iter().map(|r| r.len()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts at most `step` bytes per call, across the gathered
+    /// buffers — a socket whose send buffer is smaller than the frame.
+    struct ShortWriter {
+        out: Vec<u8>,
+        step: usize,
+        interrupt_next: bool,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.interrupt_next) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for b in bufs {
+                let n = left.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.step - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn gather_write_resumes_after_a_short_write_at_every_offset() {
+        let frame: Vec<u8> = (0..100u8).collect();
+        let mut want = (frame.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&frame);
+        // Steps 1..4 cut inside the length prefix, 4 exactly behind it.
+        for step in (1..=want.len() + 1).chain([usize::MAX]) {
+            let mut w = ShortWriter { out: Vec::new(), step, interrupt_next: true };
+            write_frame(&mut w, &frame).expect("short writes are not errors");
+            assert_eq!(w.out, want, "step {step}");
+        }
+        let mut empty = ShortWriter { out: Vec::new(), step: 3, interrupt_next: false };
+        write_frame(&mut empty, &[]).expect("an empty frame is just its prefix");
+        assert_eq!(empty.out, [0, 0, 0, 0]);
+        let mut stuck = ShortWriter { out: Vec::new(), step: 0, interrupt_next: false };
+        let err = write_frame(&mut stuck, &frame).expect_err("a stream that takes nothing");
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 }

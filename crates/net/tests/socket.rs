@@ -1,6 +1,7 @@
 //! In-process tests for the socket transport: handshake, routing on
-//! every plane, version rejection, bounded redial backoff, and
-//! stream-reassembly at every split offset.
+//! every plane, version rejection, bounded redial backoff,
+//! stream-reassembly at every split offset, and frames far larger than
+//! a socket buffer.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -59,6 +60,14 @@ fn poll<T>(deadline: Duration, mut f: impl FnMut() -> Option<T>) -> T {
         assert!(Instant::now() < until, "poll timed out");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// The next control message `t` receives, within `deadline`.
+fn next_control(t: &SocketTransport, deadline: Duration) -> gravel_net::ControlMsg {
+    poll(deadline, || match t.recv_control(Duration::from_millis(50)) {
+        RecvStatus::Msg(m) => Some(m),
+        _ => None,
+    })
 }
 
 #[test]
@@ -283,6 +292,39 @@ fn redial_backoff_is_bounded_and_heals() {
     t1.close();
 }
 
+/// A stream source that hands out at most `step` bytes per `read`, the
+/// way a socket hands out whatever has arrived.
+struct Dribble<'a> {
+    data: &'a [u8],
+    step: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.step.min(self.data.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Read `src` to its end through the decoder's own buffer, collecting
+/// every frame it yields.
+fn read_all(dec: &mut StreamDecoder, src: &mut impl Read, got: &mut Vec<Vec<u8>>) {
+    while dec.read_from(src).expect("in-memory read") > 0 {
+        while let Some(f) = dec.next_frame().expect("valid stream") {
+            got.push(f.to_vec());
+        }
+    }
+}
+
+/// Append one length-delimited frame to `stream` and remember it.
+fn push_frame(stream: &mut Vec<u8>, frames: &mut Vec<Vec<u8>>, bytes: Vec<u8>) {
+    stream.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    stream.extend_from_slice(&bytes);
+    frames.push(bytes);
+}
+
 /// Satellite: stream reassembly split at *every* byte offset. A valid
 /// multi-frame byte stream cut into two arbitrary reads must reassemble
 /// into the identical frame sequence. The stream mixes every plane the
@@ -302,18 +344,13 @@ fn reassembly_survives_a_split_at_every_offset() {
         seal_ack(0, 1, 0, 1, 3, WireIntegrity::Crc32c).to_vec(),
         seal_control(1, 0, 2, &[1, 2, 3], WireIntegrity::Crc32c).to_vec(),
     ] {
-        stream.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        stream.extend_from_slice(&bytes);
-        frames.push(bytes);
+        push_frame(&mut stream, &mut frames, bytes);
     }
     for cut in 0..=stream.len() {
         let mut dec = StreamDecoder::new(MAX_FRAME_BYTES);
         let mut got = Vec::new();
-        for part in [&stream[..cut], &stream[cut..]] {
-            dec.push(part);
-            while let Some(f) = dec.next_frame().expect("valid stream") {
-                got.push(f);
-            }
+        for mut part in [&stream[..cut], &stream[cut..]] {
+            read_all(&mut dec, &mut part, &mut got);
         }
         assert_eq!(got, frames, "split at byte {cut}");
         assert_eq!(dec.pending(), 0, "split at byte {cut}");
@@ -332,6 +369,38 @@ fn reassembly_survives_a_split_at_every_offset() {
             gravel_pgas::FrameKind::AmReply
         ]
     );
+}
+
+/// The decoder reads into its own buffer, so the same stream must come
+/// out whatever a read returns: a byte-dripped stream, reads that each
+/// carry dozens of small frames, and frames several times larger than
+/// any one read (the buffer grows for them and the partial frame is
+/// carried across refills).
+#[test]
+fn reassembly_is_invariant_under_the_size_of_a_read() {
+    let mut stream = Vec::new();
+    let mut frames = Vec::new();
+    let big: Vec<u64> = (0..150_000).collect();
+    let packet: Vec<u64> = (0..8 * 1024).collect();
+    for round in 0..3u64 {
+        for seq in 0..40 {
+            let ack = seal_ack(0, 1, 0, 1, round * 40 + seq, WireIntegrity::Crc32c);
+            push_frame(&mut stream, &mut frames, ack.to_vec());
+        }
+        // 1.2 MB: several reads long at every step below.
+        let ctrl = seal_control(1, 0, 2, &big, WireIntegrity::Crc32c);
+        push_frame(&mut stream, &mut frames, ctrl.to_vec());
+        let mut pkt = Packet::from_words(1, 0, &packet);
+        pkt.seq = round;
+        push_frame(&mut stream, &mut frames, pkt.seal(1, WireIntegrity::Crc32c).bytes.to_vec());
+    }
+    for step in [13, 4096, 65_536, 300_000, usize::MAX] {
+        let mut dec = StreamDecoder::new(MAX_FRAME_BYTES);
+        let mut got = Vec::new();
+        read_all(&mut dec, &mut Dribble { data: &stream, step }, &mut got);
+        assert!(got == frames, "reads of at most {step} bytes reassembled differently");
+        assert_eq!(dec.pending(), 0, "step {step}");
+    }
 }
 
 /// End-to-end on a real socket: GET and AM_REPLY frames dripped through
@@ -443,13 +512,13 @@ proptest! {
             let end = (at + c).min(stream.len());
             dec.push(&stream[at..end]);
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
             at = end;
         }
         dec.push(&stream[at..]);
         while let Some(f) = dec.next_frame().unwrap() {
-            got.push(f);
+            got.push(f.to_vec());
         }
         prop_assert_eq!(got, frames);
     }
@@ -474,7 +543,7 @@ proptest! {
             // openers.
             if f.len() >= HEADER_BYTES {
                 let _ = gravel_pgas::open_frame(
-                    &f,
+                    f,
                     gravel_pgas::FrameKind::Data,
                     WireIntegrity::Crc32c,
                 );
@@ -550,9 +619,62 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
     t1.close();
 }
 
+/// A 4 MB control frame between two bursts of 64 kB data frames: every
+/// frame is larger than what the kernel takes in one go (the control
+/// frame is ~20 socket buffers), so the gather-write of
+/// `[length, frame]` resumes mid-frame many times — and everything
+/// still arrives whole and in order.
+#[test]
+fn frames_far_larger_than_the_socket_buffer_arrive_intact_and_in_order() {
+    const BURST: u64 = 48;
+    let (t0, t1) = spawn_pair("bigframes");
+    let ctrl: Vec<u64> = (0..512 * 1024).map(|i| i ^ 0xC0DE).collect();
+    let payload = |seq: u64| -> Vec<u64> { (0..8 * 1024).map(|i| i * 31 + seq).collect() };
+    let writer = std::thread::spawn({
+        let (t1, ctrl) = (t1.clone(), ctrl.clone());
+        move || {
+            for seq in 0..2 * BURST {
+                if seq == BURST {
+                    assert!(t1.send_control(0, &ctrl), "control frame reached the stream");
+                }
+                let mut pkt = Packet::from_words(1, 0, &payload(seq));
+                pkt.seq = seq;
+                t1.send_data(pkt.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
+            }
+        }
+    });
+    let msg = next_control(&t0, Duration::from_secs(30));
+    assert!(msg.words == ctrl, "the 4 MB control frame was damaged in transit");
+    for seq in 0..2 * BURST {
+        let got = poll(Duration::from_secs(30), || {
+            match t0.recv_data(0, Duration::from_millis(50)) {
+                RecvStatus::Msg(f) => Some(f),
+                _ => None,
+            }
+        });
+        let back = got.open(WireIntegrity::Crc32c).expect("clean frame");
+        assert_eq!(back.seq, seq, "data frames arrive in the order they were written");
+        assert!(back.words() == payload(seq), "data frame {seq} was damaged in transit");
+    }
+    writer.join().expect("writer thread");
+    let (s0, s1) = (t0.stats(), t1.stats());
+    assert_eq!((s0.garbage_frames, s1.link_drops, s1.oversize_drops), (0, 0, 0));
+
+    // One word past the ceiling is refused at the write side, counted,
+    // and costs neither the link nor the frames behind it.
+    let over = vec![0u64; MAX_FRAME_BYTES / 8];
+    assert!(!t1.send_control(0, &over), "an oversize frame must not be written");
+    assert_eq!(t1.stats().oversize_drops, 1);
+    assert!(t1.send_control(0, &[7]), "the link survived the refusal");
+    assert_eq!(next_control(&t0, Duration::from_secs(5)).words, vec![7]);
+    assert_eq!(t0.stats().garbage_frames, 0);
+    t0.close();
+    t1.close();
+}
+
 /// Both endpoints write far more than the socket buffers hold, at the
-/// same time. A writer holds its peer slot across a blocking
-/// `write_all`, so this only finishes if each side's reader keeps
+/// same time. A writer holds its peer slot across a blocking frame
+/// write, so this only finishes if each side's reader keeps
 /// draining without ever waiting on that slot — the two-process
 /// cluster wedge (readers took the slot mutex to check their
 /// generation; once both directions filled, nobody drained).

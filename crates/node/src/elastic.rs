@@ -752,14 +752,15 @@ pub fn run_elastic_sender(
                 node.note_offloaded(1);
             }
             if batch.len() / gravel_gq::MSG_ROWS >= msgs_per_packet {
-                sender.submit(Packet::from_words(node.id, dest, &std::mem::take(batch)));
+                sender.submit(Packet::from_words_in(node.id, dest, batch, node.pool.as_ref()));
+                batch.clear();
                 progressed = true;
             }
         }
         // Flush partial batches — latency over packing at the tail.
         for (dest, words) in batches {
             if !words.is_empty() {
-                sender.submit(Packet::from_words(node.id, dest, &words));
+                sender.submit(Packet::from_words_in(node.id, dest, &words, node.pool.as_ref()));
                 progressed = true;
             }
         }
@@ -787,6 +788,12 @@ pub struct ElasticCtx {
     pub rebalancer: Arc<Mutex<Rebalancer>>,
     pub detector: Arc<FailureDetector>,
     pub is_joiner: bool,
+    /// Set once startup recovery has restored the heap. Until then this
+    /// node neither installs nor donates shard words: an install would
+    /// be overwritten by the recovered image (while the shard stayed
+    /// marked as served), a donation would ship words not yet restored.
+    /// Both pulls are re-requested until answered, so refusing is safe.
+    pub started: Arc<AtomicBool>,
 }
 
 fn change_kind(c: &TopologyChange) -> TopoKind {
@@ -835,16 +842,18 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
                 state.on_topo(&t, src);
             }
         }
-        Some(OP_MIGRATE) => {
+        Some(OP_MIGRATE) if ctx.started.load(Ordering::SeqCst) => {
             if let Some(m) = proto::decode_migrate(words) {
                 state.on_migrate(&m, &ctx.forwarder);
             }
         }
-        Some(OP_MIGRATE_REQ) => {
+        Some(OP_MIGRATE_REQ) if ctx.started.load(Ordering::SeqCst) => {
             if let Some((v, shard)) = proto::decode_migrate_req(words) {
                 state.serve_migrate_req(v, shard, src);
             }
         }
+        // Before startup recovery is done: see `ElasticCtx::started`.
+        Some(OP_MIGRATE | OP_MIGRATE_REQ) => {}
         Some(OP_WARD_MIGRATE_REQ) => {
             if let Some((v, shard, ward)) = proto::decode_ward_migrate_req(words) {
                 let ward_dead =

@@ -16,6 +16,14 @@
 //!    coordination: the cut's position in the stream *is* its
 //!    consistency point.
 //!
+//! A forward is sealed straight from the applied packet's payload
+//! bytes: the five `FWD` header words and the payload go into one
+//! control frame in one pass (one copy, one CRC) and are gather-written
+//! to the buddy's stream. Epochs are cut on two cadences: every
+//! `--ckpt-every` applied packets, and — whatever that flag says —
+//! before the log the buddy holds could outgrow the single frame a
+//! `RECOVER_RESP` must fit in (see [`log_budget`]).
+//!
 //! If the buddy is down, forwards are dropped (`send_control` returns
 //! false) and the node's protection degrades — the documented
 //! single-failure assumption. The membership layer heals it: when the
@@ -33,11 +41,24 @@ use std::sync::{Arc, Mutex};
 
 use gravel_core::netthread::{PacketTap, RecvState};
 use gravel_core::NodeShared;
-use gravel_net::{ChaosPlan, SocketTransport};
-use gravel_pgas::Packet;
+use gravel_net::{ChaosPlan, SocketTransport, MAX_FRAME_BYTES};
+use gravel_pgas::{Packet, FRAME_OVERHEAD};
 use gravel_telemetry::Counter;
 
-use crate::proto::{self, CkptImage, FwdPacket};
+use crate::proto::{self, CkptImage, FWD_HEAD_WORDS};
+
+/// How many bytes of forwards the buddy may log on top of a baseline of
+/// `ckpt_words` encoded words before the next cut. A restarting node
+/// gets baseline + log back in *one* `RECOVER_RESP` frame, and a frame
+/// over [`MAX_FRAME_BYTES`] can never be delivered — so the log is cut
+/// at half of what the baseline leaves under the ceiling, and the
+/// packet that crosses the line still fits in the other half.
+fn log_budget(ckpt_words: usize) -> usize {
+    // `[OP_RECOVER_RESP, has_ckpt]` + the checkpoint body (the `CKPT`
+    // op minus its opcode) + the log's entry count.
+    let fixed = FRAME_OVERHEAD + 8 * (ckpt_words + 2);
+    MAX_FRAME_BYTES.saturating_sub(fixed) / 2
+}
 
 struct FwdState {
     /// Next-expected sequence per flow, mirroring the network thread's
@@ -46,6 +67,10 @@ struct FwdState {
     cursors: HashMap<(u32, u32), u64>,
     /// Applied packets since the last cut.
     since_cut: u64,
+    /// Bytes those packets occupy in the buddy's log, as `RECOVER_RESP`
+    /// will encode them, and the bound that forces a cut.
+    log_bytes: usize,
+    log_budget: usize,
     /// Monotonic epoch number (first cut = 1).
     epoch: u64,
 }
@@ -65,7 +90,7 @@ pub struct Forwarder {
     /// Who keeps our state: `(me + 1) % nodes`.
     buddy: u32,
     /// Cut an epoch every this many applied packets (0 = only explicit
-    /// rebaselines).
+    /// rebaselines and the log-size bound).
     ckpt_every: u64,
     chaos: Option<Arc<ChaosPlan>>,
     state: Mutex<FwdState>,
@@ -96,7 +121,13 @@ impl Forwarder {
             buddy,
             ckpt_every,
             chaos,
-            state: Mutex::new(FwdState { cursors: HashMap::new(), since_cut: 0, epoch: 0 }),
+            state: Mutex::new(FwdState {
+                cursors: HashMap::new(),
+                since_cut: 0,
+                log_bytes: 0,
+                log_budget: log_budget(0),
+                epoch: 0,
+            }),
             rebaseline_wanted: AtomicBool::new(false),
             ready_provider: Mutex::new(None),
             fwd_sent: registry.counter(&name("fwd.sent")),
@@ -158,7 +189,10 @@ impl Forwarder {
             .as_ref()
             .map_or_else(Vec::new, |f| f());
         let image = CkptImage { epoch: st.epoch, cursors, heap: self.node.heap.snapshot(), ready };
-        self.transport.send_control(self.buddy, &proto::encode_ckpt(&image));
+        let ckpt = proto::encode_ckpt(&image);
+        st.log_bytes = 0;
+        st.log_budget = log_budget(ckpt.len());
+        self.transport.send_control(self.buddy, &ckpt);
         self.stamp_epoch(st.epoch);
         self.epochs_cut.inc();
     }
@@ -178,10 +212,13 @@ impl Forwarder {
 
 impl PacketTap for Forwarder {
     fn on_packet_applied(&self, pkt: &Packet) {
-        let fwd = FwdPacket { src: pkt.src, lane: pkt.lane, seq: pkt.seq, words: pkt.words() };
+        // Whole words only, as the log replays them.
+        let words = &pkt.payload[..pkt.payload.len() & !7];
+        let head = proto::fwd_head(pkt.src, pkt.lane, pkt.seq, words.len() / 8);
         let mut st = self.lock();
-        if self.transport.send_control(self.buddy, &proto::encode_fwd(&fwd)) {
+        if self.transport.send_control_parts(self.buddy, &head, words) {
             self.fwd_sent.inc();
+            st.log_bytes += 8 * (FWD_HEAD_WORDS - 1) + words.len();
         } else {
             // Buddy down: protection degraded until the rebaseline on
             // its rejoin (single-failure assumption).
@@ -190,7 +227,10 @@ impl PacketTap for Forwarder {
         st.cursors.insert((pkt.src, pkt.lane), pkt.seq + 1);
         st.since_cut += 1;
         let wanted = self.rebaseline_wanted.swap(false, Ordering::Relaxed);
-        if wanted || (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every) {
+        if wanted
+            || (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every)
+            || st.log_bytes >= st.log_budget
+        {
             self.cut_locked(&mut st);
         }
         drop(st);
@@ -207,5 +247,92 @@ impl PacketTap for Forwarder {
                 crate::signal::kill_self_hard();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use gravel_core::GravelConfig;
+    use gravel_net::{RecvStatus, SocketAddrSpec, SocketConfig, Transport};
+    use gravel_pgas::AmRegistry;
+
+    use super::*;
+    use crate::proto::{FwdPacket, OP_CKPT, OP_FWD};
+    use crate::store::WardStores;
+
+    /// What `WardStores::recover` would put on the wire for ward 0.
+    fn recover_frame_bytes(stores: &WardStores) -> usize {
+        FRAME_OVERHEAD + 8 * proto::encode_recover_resp(&stores.recover(0)).len()
+    }
+
+    /// `--ckpt-every 0` leaves the log-size bound as the only thing that
+    /// cuts epochs. Forward far more than a frame holds through a real
+    /// forwarder to a real buddy store: at its largest (just before
+    /// each cut lands, and at the end) the stored state must still
+    /// encode into one deliverable `RECOVER_RESP`.
+    #[test]
+    fn recovery_frame_stays_under_the_ceiling_with_packet_cadence_off() {
+        const PACKETS: u64 = 300; // × 64 kB ≈ 2.4 frame ceilings
+        let dir = std::env::temp_dir().join(format!("gravel-fwd-{}", std::process::id()));
+        let addrs: Vec<_> = (0..2)
+            .map(|i| SocketAddrSpec::Uds(dir.join(format!("n{i}.sock"))))
+            .collect();
+        let t0 = SocketTransport::spawn(SocketConfig::new(0, addrs.clone())).expect("bind 0");
+        let t1 = SocketTransport::spawn(SocketConfig::new(1, addrs)).expect("bind 1");
+        assert!(t0.wait_connected(1, Duration::from_secs(5)));
+
+        let cfg = GravelConfig::small(2, 1024);
+        let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
+        let recv_state = Arc::new(Mutex::new(RecvState::new()));
+        let fwd = Forwarder::new(t0.clone(), node, recv_state, 1, 0, None);
+        fwd.rebaseline();
+
+        // Node 1 plays `ctrl_loop`'s FWD / CKPT arms.
+        let buddy = std::thread::spawn({
+            let t1 = t1.clone();
+            move || {
+                let stores = WardStores::new();
+                let (mut fwds, mut cuts, mut largest) = (0, 0, 0);
+                let until = Instant::now() + Duration::from_secs(60);
+                while fwds < PACKETS {
+                    assert!(Instant::now() < until, "only {fwds} forwards arrived");
+                    let RecvStatus::Msg(msg) = t1.recv_control(Duration::from_millis(50)) else {
+                        continue;
+                    };
+                    match msg.words.first().copied() {
+                        Some(OP_FWD) => {
+                            stores.on_fwd(0, FwdPacket::decode(msg.words).expect("a forward"));
+                            fwds += 1;
+                        }
+                        Some(OP_CKPT) => {
+                            largest = largest.max(recover_frame_bytes(&stores));
+                            stores.on_ckpt(0, proto::decode_ckpt(&msg.words).expect("a cut"));
+                            cuts += 1;
+                        }
+                        other => panic!("unexpected control op {other:?}"),
+                    }
+                }
+                (cuts, largest.max(recover_frame_bytes(&stores)))
+            }
+        });
+
+        let words: Vec<u64> = (0..8 * 1024).collect();
+        for seq in 0..PACKETS {
+            let mut pkt = Packet::from_words(1, 0, &words);
+            pkt.seq = seq;
+            fwd.on_packet_applied(&pkt);
+        }
+        let (cuts, largest) = buddy.join().expect("buddy thread");
+        assert!(cuts >= 3, "the size bound cut {cuts} epochs for 2.4 ceilings of forwards");
+        assert!(
+            largest <= MAX_FRAME_BYTES,
+            "a restarting node would be sent a {largest}-byte RECOVER_RESP"
+        );
+        assert!(largest > MAX_FRAME_BYTES / 4, "the bound cut far too eagerly ({largest} bytes)");
+        t0.close();
+        t1.close();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -40,7 +40,9 @@ use gravel_telemetry::Counter;
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
 use gravel_node::forward::Forwarder;
 use gravel_node::gets::{self, RPC_LANE};
-use gravel_node::proto::{self, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP};
+use gravel_node::proto::{
+    self, FwdPacket, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP,
+};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
 use gravel_node::sender;
 use gravel_node::signal;
@@ -109,7 +111,7 @@ fn parse_args() -> Args {
         table: 512,
         seed: 42,
         integrity: WireIntegrity::Crc32c,
-        msgs_per_packet: 8,
+        msgs_per_packet: sender::DEFAULT_MSGS_PER_PACKET,
         ckpt_every: 16,
         kill_at: None,
         deadline_secs: 60,
@@ -159,7 +161,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes {
+    if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes || a.msgs_per_packet == 0 {
         usage();
     }
     if a.dir.is_none() && a.tcp_base.is_none() {
@@ -233,7 +235,8 @@ fn ctrl_loop(
         }
         match msg.words.first().copied() {
             Some(OP_FWD) => {
-                if let Some(p) = proto::decode_fwd(&msg.words) {
+                // The message's own word vector becomes the log entry.
+                if let Some(p) = FwdPacket::decode(msg.words) {
                     stores.on_fwd(msg.src, p);
                 }
             }
@@ -416,6 +419,7 @@ impl Reporter {
                 link_drops: s.link_drops,
                 retransmits: self.node.net_retransmits.get(),
                 dups_suppressed: self.node.net_dups_suppressed.get(),
+                fast_forwarded: self.node.net_fast_forwarded.get(),
                 acks_sent: self.node.net_acks_sent.get(),
                 deaths_declared: snap.counter("ha.deaths_declared"),
                 membership_joins: snap.counter(&n("membership.joins")),
@@ -492,11 +496,10 @@ fn run() -> i32 {
     cfg.rpc.timeout = Duration::from_secs(5);
     // Every sender in this process is the core go-back-N engine. No
     // retry budget: a dead peer is expected to come back, and costs one
-    // `backoff_max` probe per expiry, not a storm. The window is 64
-    // because the GUPS flows are BULK-band, which may fill half of it:
-    // 32 update packets in flight per destination.
+    // `backoff_max` probe per expiry, not a storm. The window follows
+    // the packet size: see `sender::window_for`.
     cfg.retry = RetryConfig {
-        window: 64,
+        window: sender::window_for(args.msgs_per_packet),
         backoff: Duration::from_millis(50),
         backoff_max: Duration::from_millis(500),
         max_retries: u32::MAX,
@@ -582,6 +585,9 @@ fn run() -> i32 {
     };
     let detector = Arc::new(FailureDetector::new(hb_cfg.clone()));
 
+    // Raised once startup recovery has restored (or cold-booted) the
+    // heap; the membership loop and the shard-migration ops wait for it.
+    let started = Arc::new(AtomicBool::new(false));
     let elastic_ctx = elastic_state.as_ref().map(|st| {
         Arc::new(ElasticCtx {
             state: st.clone(),
@@ -592,6 +598,7 @@ fn run() -> i32 {
             rebalancer: Arc::new(Mutex::new(gravel_core::ha::Rebalancer::new())),
             detector: detector.clone(),
             is_joiner: args.join,
+            started: started.clone(),
         })
     });
 
@@ -616,7 +623,6 @@ fn run() -> i32 {
         losses: node.registry.counter(&format!("node{me}.membership.losses")),
         rejoins: node.registry.counter(&format!("node{me}.membership.rejoins")),
     };
-    let started = Arc::new(AtomicBool::new(false));
     let memb = std::thread::spawn({
         let (t, d, f) = (transport.clone(), detector.clone(), forwarder.clone());
         let elastic = args.active.is_some();
@@ -658,10 +664,10 @@ fn run() -> i32 {
     }
     for p in &recovered.log {
         let (disposed, _) =
-            gravel_pgas::apply_words(&p.words, p.src, &node.heap, &node.ams, &mut |_reply| {});
+            gravel_pgas::apply_words(p.words(), p.src(), &node.heap, &node.ams, &mut |_reply| {});
         node.note_applied(disposed as u64);
-        let cur = cursors.entry((p.src, p.lane)).or_insert(0);
-        *cur = (*cur).max(p.seq + 1);
+        let cur = cursors.entry((p.src(), p.lane())).or_insert(0);
+        *cur = (*cur).max(p.seq() + 1);
     }
     {
         let mut st = state.lock().unwrap_or_else(|p| p.into_inner());
@@ -797,9 +803,12 @@ fn run() -> i32 {
                 stop.clone(),
                 sender_done.clone(),
             );
-            let plans = sender::plan_flows(&input, nodes, me, args.msgs_per_packet);
+            let msgs_per_packet = args.msgs_per_packet;
             move || {
-                if sender::run_sender(&*t, &n, &plans, &e, &stop, deadline) {
+                // Planned on this thread: the main thread counts the
+                // inbound flows' packets meanwhile.
+                let plans = sender::plan_flows(&input, nodes, me);
+                if sender::run_sender(&*t, &n, &plans, msgs_per_packet, &e, &stop, deadline) {
                     done.store(true, Ordering::SeqCst);
                 }
             }
@@ -866,9 +875,7 @@ fn run() -> i32 {
         }));
     }
 
-    let expected: Vec<u64> = (0..nodes)
-        .map(|src| sender::expected_packets(&input, nodes, src as u32, me, args.msgs_per_packet))
-        .collect();
+    let expected = sender::expected_packets(&input, nodes, me, args.msgs_per_packet);
     let reporter = Reporter {
         args,
         node: node.clone(),
@@ -928,7 +935,10 @@ fn run() -> i32 {
             }
             break 0;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // A whole job is a few hundred milliseconds: until it is done,
+        // poll at about what writing the report costs, so completion is
+        // published promptly; lingering needs no such hurry.
+        std::thread::sleep(Duration::from_millis(if completed { 10 } else { 1 }));
     };
 
     stop.store(true, Ordering::SeqCst);

@@ -94,18 +94,72 @@ pub const OP_DEATH_VOTE_REQ: u64 = 15;
 /// Ballot reply carrying the voter's verdict (peer → requester).
 pub const OP_DEATH_VOTE: u64 = 16;
 
+/// Words of a `FWD` op ahead of the packet's message words:
+/// `[OP_FWD, src, lane, seq, nwords]`.
+pub const FWD_HEAD_WORDS: usize = 5;
+
+/// The head of the `FWD` op for a packet of `nwords` message words.
+/// The forwarder seals it in front of the applied packet's payload
+/// bytes — the op never exists as a word vector on the sending side.
+pub fn fwd_head(src: u32, lane: u32, seq: u64, nwords: usize) -> [u64; FWD_HEAD_WORDS] {
+    [OP_FWD, src as u64, lane as u64, seq, nwords as u64]
+}
+
 /// One applied packet as forwarded to the buddy: the flow coordinates
-/// the receiver applied it under, plus the raw message words.
+/// the receiver applied it under, plus the raw message words. Kept as
+/// the `FWD` op it arrived in, so the buddy logs the control message's
+/// own word vector instead of copying the packet out of it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FwdPacket {
+    /// `[OP_FWD, src, lane, seq, nwords, words…]`, validated.
+    op: Vec<u64>,
+}
+
+impl FwdPacket {
+    /// The forward of `words` applied under flow `src:lane` at `seq`.
+    pub fn new(src: u32, lane: u32, seq: u64, words: &[u64]) -> Self {
+        let mut op = Vec::with_capacity(FWD_HEAD_WORDS + words.len());
+        op.extend(fwd_head(src, lane, seq, words.len()));
+        op.extend_from_slice(words);
+        FwdPacket { op }
+    }
+
+    /// Adopt a received control message as a forward; `None` unless it
+    /// is a well-formed `FWD` op.
+    pub fn decode(op: Vec<u64>) -> Option<Self> {
+        if op.len() < FWD_HEAD_WORDS || op[0] != OP_FWD {
+            return None;
+        }
+        u32::try_from(op[1]).ok()?;
+        u32::try_from(op[2]).ok()?;
+        let n = usize::try_from(op[4]).ok()?;
+        (op.len() == n.checked_add(FWD_HEAD_WORDS)?).then_some(FwdPacket { op })
+    }
+
+    /// The op as it travels: what [`decode`](Self::decode) accepts.
+    pub fn op(&self) -> &[u64] {
+        &self.op
+    }
+
     /// Original sender of the packet.
-    pub src: u32,
+    pub fn src(&self) -> u32 {
+        self.op[1] as u32
+    }
+
     /// Sender lane.
-    pub lane: u32,
+    pub fn lane(&self) -> u32 {
+        self.op[2] as u32
+    }
+
     /// Per-flow sequence number.
-    pub seq: u64,
+    pub fn seq(&self) -> u64 {
+        self.op[3]
+    }
+
     /// Message words (4 per message).
-    pub words: Vec<u64>,
+    pub fn words(&self) -> &[u64] {
+        &self.op[FWD_HEAD_WORDS..]
+    }
 }
 
 /// An epoch cut: everything a restarted process needs to resume as if
@@ -135,29 +189,6 @@ pub struct RecoverResp {
     pub ckpt: Option<CkptImage>,
     /// Packets applied (and forwarded) since the baseline.
     pub log: Vec<FwdPacket>,
-}
-
-pub fn encode_fwd(p: &FwdPacket) -> Vec<u64> {
-    let mut w = Vec::with_capacity(5 + p.words.len());
-    w.extend([OP_FWD, p.src as u64, p.lane as u64, p.seq, p.words.len() as u64]);
-    w.extend_from_slice(&p.words);
-    w
-}
-
-pub fn decode_fwd(words: &[u64]) -> Option<FwdPacket> {
-    if words.len() < 5 || words[0] != OP_FWD {
-        return None;
-    }
-    let n = usize::try_from(words[4]).ok()?;
-    if words.len() != n.checked_add(5)? {
-        return None;
-    }
-    Some(FwdPacket {
-        src: u32::try_from(words[1]).ok()?,
-        lane: u32::try_from(words[2]).ok()?,
-        seq: words[3],
-        words: words[5..].to_vec(),
-    })
 }
 
 /// Append a checkpoint body (everything but the opcode) to `out`.
@@ -227,8 +258,8 @@ pub fn encode_recover_resp(r: &RecoverResp) -> Vec<u64> {
     }
     w.push(r.log.len() as u64);
     for p in &r.log {
-        w.extend([p.src as u64, p.lane as u64, p.seq, p.words.len() as u64]);
-        w.extend_from_slice(&p.words);
+        // A log entry is the forward's op minus its opcode.
+        w.extend_from_slice(&p.op()[1..]);
     }
     w
 }
@@ -257,9 +288,8 @@ pub fn decode_recover_resp(words: &[u64]) -> Option<RecoverResp> {
         let n = usize::try_from(*words.get(i + 3)?).ok()?;
         i += 4;
         let end = i.checked_add(n)?;
-        let pw = words.get(i..end)?.to_vec();
+        log.push(FwdPacket::new(src, lane, seq, words.get(i..end)?));
         i = end;
-        log.push(FwdPacket { src, lane, seq, words: pw });
     }
     (i == words.len()).then_some(RecoverResp { ckpt, log })
 }
@@ -526,7 +556,7 @@ mod tests {
     use super::*;
 
     fn fwd(seq: u64) -> FwdPacket {
-        FwdPacket { src: 2, lane: 0, seq, words: vec![10, 20, 30, 40, 50, 60, 70, 80] }
+        FwdPacket::new(2, 0, seq, &[10, 20, 30, 40, 50, 60, 70, 80])
     }
 
     fn ckpt() -> CkptImage {
@@ -541,7 +571,10 @@ mod tests {
     #[test]
     fn fwd_roundtrips() {
         let p = fwd(4);
-        assert_eq!(decode_fwd(&encode_fwd(&p)), Some(p));
+        assert_eq!((p.src(), p.lane(), p.seq()), (2, 0, 4));
+        assert_eq!(p.words(), [10, 20, 30, 40, 50, 60, 70, 80]);
+        assert_eq!(p.op()[..FWD_HEAD_WORDS], fwd_head(2, 0, 4, 8));
+        assert_eq!(FwdPacket::decode(p.op().to_vec()), Some(p));
     }
 
     #[test]
@@ -567,11 +600,18 @@ mod tests {
         let mut extra = w.clone();
         extra.push(0);
         assert_eq!(decode_recover_resp(&extra), None, "trailing junk refused");
-        assert_eq!(decode_fwd(&encode_ckpt(&ckpt())), None, "wrong opcode refused");
+        assert_eq!(FwdPacket::decode(encode_ckpt(&ckpt())), None, "wrong opcode refused");
         // A length word claiming more payload than present must not panic.
-        let mut lying = encode_fwd(&fwd(0));
+        let mut lying = fwd(0).op().to_vec();
         lying[4] = u64::MAX;
-        assert_eq!(decode_fwd(&lying), None);
+        assert_eq!(FwdPacket::decode(lying), None);
+        let op = fwd(0).op().to_vec();
+        for cut in 0..op.len() {
+            assert_eq!(FwdPacket::decode(op[..cut].to_vec()), None, "cut at {cut}");
+        }
+        let mut wide_src = op;
+        wide_src[1] = u64::MAX;
+        assert_eq!(FwdPacket::decode(wide_src), None, "ids must fit their fields");
     }
 
     fn topo() -> TopoMsg {

@@ -20,6 +20,10 @@ pub struct OutStats {
     pub link_drops: u64,
     pub retransmits: u64,
     pub dups_suppressed: u64,
+    /// Packets this (restarted) node's senders retired unsent because
+    /// the peers' cumulative acks already covered them.
+    #[serde(default)]
+    pub fast_forwarded: u64,
     pub acks_sent: u64,
     pub deaths_declared: u64,
     pub membership_joins: u64,

@@ -3,7 +3,12 @@
 //! The update stream is *packetized deterministically*: node `i`'s
 //! updates (a pure function of the seed) are mapped to messages, split
 //! by destination in stream order, and chunked into packets of a fixed
-//! message count. Packet `k` of flow `i → j` therefore has identical
+//! message count. A packet is what the paper's aggregator would hand
+//! the NIC: by default one full per-destination queue,
+//! [`DEFAULT_MSGS_PER_PACKET`] messages = 64 kB, so the sealed frame,
+//! the buddy forward and the ack it costs are paid once per 2048
+//! updates (`--msgs-per-packet` shrinks it for tests that need many
+//! packets to aim a kill at). Packet `k` of flow `i → j` has identical
 //! bytes on every run — which is what makes restart trivial: a
 //! restarted sender re-sends from sequence 0, receivers recognize
 //! already-applied sequences as duplicates, re-ack them, and the window
@@ -24,63 +29,85 @@ use std::time::{Duration, Instant};
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::flow::{in_flight_gauge, Sender};
 use gravel_core::{ErrorSlot, NodeShared};
-use gravel_gq::Message;
+use gravel_gq::{Message, MSG_BYTES, MSG_ROWS};
 use gravel_net::Transport;
-use gravel_pgas::Packet;
+use gravel_pgas::{Packet, DEFAULT_QUEUE_BYTES};
 
-/// One destination flow's precomputed packets (message words, 4 per
-/// message, up to `msgs_per_packet` messages each).
+/// Messages per packet unless `--msgs-per-packet` says otherwise: the
+/// paper's 64 kB per-node queue, full.
+pub const DEFAULT_MSGS_PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
+
+/// Update bytes a flow keeps in flight to one destination, at most: a
+/// few times what a stream socket buffers, so the pipe stays full, and
+/// little enough that a receiver fed by every peer at once works its
+/// queue off well inside the retransmit timer. (At 32 × 64 kB per flow
+/// it does not on a loaded two-core host, and every expiry resends the
+/// whole 2 MB window for nothing.)
+const IN_FLIGHT_BYTES: usize = 512 * 1024;
+
+/// The go-back-N window for flows of `msgs_per_packet`-message packets.
+/// The update streams are BULK-band, which may fill half the window, so
+/// this is twice the packets allowed in flight: [`IN_FLIGHT_BYTES`]
+/// worth, but never more than 32 (small packets are bounded by count,
+/// as they always were) and never fewer than 2.
+pub fn window_for(msgs_per_packet: usize) -> usize {
+    2 * (IN_FLIGHT_BYTES / (msgs_per_packet * MSG_BYTES)).clamp(2, 32)
+}
+
+/// One destination flow's whole message stream, encoded: `MSG_ROWS`
+/// words per message, in stream order.
 pub struct FlowPlan {
     pub dest: u32,
-    pub packets: Vec<Vec<u64>>,
+    pub words: Vec<u64>,
 }
 
-/// Deterministically packetize this node's GUPS update stream: one flow
-/// per destination that receives at least one update, packets chunked
-/// in stream order.
-pub fn plan_flows(
-    input: &GupsInput,
-    nodes: usize,
-    me: u32,
-    msgs_per_packet: usize,
-) -> Vec<FlowPlan> {
-    assert!(msgs_per_packet > 0);
-    let dir = gups::directory(input, nodes);
-    let mut streams: Vec<Vec<Message>> = vec![Vec::new(); nodes];
-    for g in gups::node_updates(input, nodes, me as usize) {
-        let r = dir.route(g);
-        streams[r.dest as usize].push(Message::inc(r.dest, r.offset, 1));
+impl FlowPlan {
+    /// The flow's packets: the stream in runs of `msgs_per_packet`
+    /// messages (the last one may be short).
+    pub fn packets(&self, msgs_per_packet: usize) -> std::slice::Chunks<'_, u64> {
+        assert!(msgs_per_packet > 0);
+        self.words.chunks(msgs_per_packet * MSG_ROWS)
     }
-    streams
-        .into_iter()
-        .enumerate()
-        .filter(|(_, msgs)| !msgs.is_empty())
-        .map(|(dest, msgs)| FlowPlan {
-            dest: dest as u32,
-            packets: msgs
-                .chunks(msgs_per_packet)
-                .map(|chunk| chunk.iter().flat_map(|m| m.encode()).collect())
-                .collect(),
-        })
-        .collect()
 }
 
-/// How many packets flow `src → dest` carries — the receiver's
-/// termination condition is `expected == this` for every source, and
-/// it is computable on any node without communication.
+/// Deterministically route this node's GUPS update stream: one flow per
+/// destination that receives at least one update, each update encoded
+/// straight into its flow's word buffer in stream order.
+pub fn plan_flows(input: &GupsInput, nodes: usize, me: u32) -> Vec<FlowPlan> {
+    let dir = gups::directory(input, nodes);
+    let updates = gups::update_stream(input, nodes, me as usize);
+    // Uniform scatter: a little over an even share each.
+    let share = (updates.len() / nodes + updates.len() / (8 * nodes) + 16) * MSG_ROWS;
+    let mut plans: Vec<FlowPlan> = (0..nodes as u32)
+        .map(|dest| FlowPlan { dest, words: Vec::with_capacity(share) })
+        .collect();
+    for g in updates {
+        let r = dir.route(g);
+        plans[r.dest as usize].words.extend(Message::inc(r.dest, r.offset, 1).encode());
+    }
+    plans.retain(|p| !p.words.is_empty());
+    plans
+}
+
+/// How many packets each flow `src → dest` carries, indexed by `src` —
+/// the receiver's termination condition is `expected == this` for
+/// every source, and it is computable on any node without
+/// communication: one counting pass over every source's stream.
 pub fn expected_packets(
     input: &GupsInput,
     nodes: usize,
-    src: u32,
     dest: u32,
     msgs_per_packet: usize,
-) -> u64 {
+) -> Vec<u64> {
     let dir = gups::directory(input, nodes);
-    let msgs = gups::node_updates(input, nodes, src as usize)
-        .into_iter()
-        .filter(|&g| dir.route(g).dest == dest)
-        .count();
-    msgs.div_ceil(msgs_per_packet) as u64
+    (0..nodes)
+        .map(|src| {
+            let msgs = gups::update_stream(input, nodes, src)
+                .filter(|&g| dir.route(g).dest == dest)
+                .count();
+            msgs.div_ceil(msgs_per_packet) as u64
+        })
+        .collect()
 }
 
 /// Drive every flow to full acknowledgement: feed the plans' packets,
@@ -96,6 +123,7 @@ pub fn run_sender(
     transport: &dyn Transport,
     node: &NodeShared,
     plans: &[FlowPlan],
+    msgs_per_packet: usize,
     errors: &ErrorSlot,
     stop: &AtomicBool,
     deadline: Instant,
@@ -103,29 +131,34 @@ pub fn run_sender(
     let in_flight = in_flight_gauge(node);
     let mut flows = Vec::new();
     let mut sender = Sender::new(node, 0, transport, &mut flows, &in_flight);
-    // Next unsubmitted packet of each plan.
-    let mut cursors = vec![0usize; plans.len()];
+    // Unsubmitted packets of each plan.
+    let mut unsent: Vec<_> = plans.iter().map(|p| p.packets(msgs_per_packet)).collect();
     loop {
-        let fed = plans.iter().zip(&cursors).all(|(p, &c)| c == p.packets.len());
-        if fed && sender.is_drained() {
-            return true;
-        }
-        if stop.load(Relaxed) || Instant::now() >= deadline || transport.is_closed() {
-            return false;
-        }
         if let Err(e) = sender.service() {
             errors.set(e);
             return false;
         }
         let mut progressed = false;
-        for (plan, cursor) in plans.iter().zip(&mut cursors) {
-            while *cursor < plan.packets.len() && sender.has_room(plan.dest as usize) {
-                let words = &plan.packets[*cursor];
-                node.note_offloaded((words.len() / gravel_gq::MSG_ROWS) as u64);
-                sender.submit(Packet::from_words(node.id, plan.dest, words));
-                *cursor += 1;
+        for (plan, packets) in plans.iter().zip(&mut unsent) {
+            while sender.has_room(plan.dest as usize) {
+                let Some(words) = packets.next() else { break };
+                node.note_offloaded((words.len() / MSG_ROWS) as u64);
+                sender.submit(Packet::from_words_in(
+                    node.id,
+                    plan.dest,
+                    words,
+                    node.pool.as_ref(),
+                ));
                 progressed = true;
             }
+        }
+        // Checked right behind `service`, before any sleep: the acks
+        // for the last packets are usually in by the time they are out.
+        if unsent.iter().all(|p| p.len() == 0) && sender.is_drained() {
+            return true;
+        }
+        if stop.load(Relaxed) || Instant::now() >= deadline || transport.is_closed() {
+            return false;
         }
         if !progressed {
             std::thread::sleep(Duration::from_micros(500));
@@ -138,35 +171,68 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_default_packet_is_the_papers_64_kb_queue() {
+        assert_eq!(DEFAULT_MSGS_PER_PACKET * MSG_BYTES, DEFAULT_QUEUE_BYTES);
+        assert_eq!(DEFAULT_MSGS_PER_PACKET, 2048);
+        let input = GupsInput { updates: 30_000, table_len: 64, seed: 5 };
+        let largest = plan_flows(&input, 3, 0)
+            .iter()
+            .flat_map(|f| f.packets(DEFAULT_MSGS_PER_PACKET))
+            .map(|p| p.len() * 8)
+            .max();
+        assert_eq!(largest, Some(64 * 1024));
+    }
+
+    #[test]
+    fn the_window_keeps_bytes_not_packets_in_flight() {
+        // The kill-window tests' shape is what it always was…
+        assert_eq!(window_for(8), 64);
+        // …a default packet is 64 kB, and eight of them are in flight.
+        assert_eq!(window_for(DEFAULT_MSGS_PER_PACKET), 16);
+        assert_eq!(window_for(1 << 20), 4, "even one huge packet pipelines");
+    }
+
+    #[test]
     fn plans_are_deterministic_and_cover_every_update() {
         let input = GupsInput { updates: 1000, table_len: 64, seed: 9 };
-        let a = plan_flows(&input, 3, 1, 8);
-        let b = plan_flows(&input, 3, 1, 8);
+        let a = plan_flows(&input, 3, 1);
+        let b = plan_flows(&input, 3, 1);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dest, y.dest);
-            assert_eq!(x.packets, y.packets);
+            assert_eq!(x.words, y.words);
         }
-        let msgs: usize = a
-            .iter()
-            .flat_map(|f| &f.packets)
-            .map(|p| p.len() / gravel_gq::MSG_ROWS)
-            .sum();
-        assert_eq!(msgs, gups::node_updates(&input, 3, 1).len());
+        // Every update is in exactly one flow, towards its owner, in
+        // stream order.
+        let dir = gups::directory(&input, 3);
+        let mut next = [0usize; 3];
+        for g in gups::node_updates(&input, 3, 1) {
+            let r = dir.route(g);
+            let flow = a.iter().find(|f| f.dest == r.dest).expect("a flow per owner");
+            let at = next[r.dest as usize];
+            next[r.dest as usize] += MSG_ROWS;
+            assert_eq!(flow.words[at..at + MSG_ROWS], Message::inc(r.dest, r.offset, 1).encode());
+        }
+        for f in &a {
+            assert_eq!(f.words.len(), next[f.dest as usize], "flow {} has extra messages", f.dest);
+            let msgs: usize = f.packets(8).map(|p| p.len() / MSG_ROWS).sum();
+            assert_eq!(msgs, f.words.len() / MSG_ROWS);
+        }
     }
 
     #[test]
     fn expected_packets_matches_the_plan() {
         let input = GupsInput { updates: 777, table_len: 32, seed: 3 };
-        for src in 0..3u32 {
-            let plans = plan_flows(&input, 3, src, 5);
-            for dest in 0..3u32 {
-                let planned = plans
-                    .iter()
-                    .find(|f| f.dest == dest)
-                    .map_or(0, |f| f.packets.len() as u64);
-                assert_eq!(expected_packets(&input, 3, src, dest, 5), planned);
-            }
+        for dest in 0..3u32 {
+            let planned: Vec<u64> = (0..3u32)
+                .map(|src| {
+                    plan_flows(&input, 3, src)
+                        .iter()
+                        .find(|f| f.dest == dest)
+                        .map_or(0, |f| f.packets(5).count() as u64)
+                })
+                .collect();
+            assert_eq!(expected_packets(&input, 3, dest, 5), planned);
         }
     }
 }

@@ -84,7 +84,7 @@ impl WardStores {
         let ckpt = st.ckpt.as_ref()?;
         let mut heap = ckpt.heap.clone();
         for pkt in &st.log {
-            for quad in pkt.words.chunks_exact(gravel_gq::MSG_ROWS) {
+            for quad in pkt.words().chunks_exact(gravel_gq::MSG_ROWS) {
                 let Some(msg) = gravel_gq::Message::decode(
                     quad.try_into().expect("chunks_exact yields MSG_ROWS"),
                 ) else {
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
 
     fn fwd(seq: u64) -> FwdPacket {
-        FwdPacket { src: 0, lane: 0, seq, words: vec![seq; 4] }
+        FwdPacket::new(0, 0, seq, &[seq; 4])
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         words.extend(Message::inc(0, 3, 1).encode());
         words.extend([u64::MAX, 0, 0, 0]); // undecodable: skipped
         words.extend(Message::inc(0, 999, 1).encode()); // out of range: skipped
-        s.on_fwd(2, FwdPacket { src: 1, lane: 0, seq: 0, words });
+        s.on_fwd(2, FwdPacket::new(1, 0, 0, &words));
         assert_eq!(s.reconstruct_heap(2), Some(vec![15, 0, 77, 4]));
     }
 }

@@ -35,8 +35,17 @@ impl Cluster {
         self.dir.join(format!("node{node}.json"))
     }
 
-    /// Spawn member `node`; `extra` appends flags (e.g. `--kill-at`).
+    /// Spawn member `node` shipping 8-message packets, so that the
+    /// small inputs below still make hundreds of packets to aim
+    /// `--kill-at` at; `extra` appends flags.
     fn spawn(&self, node: usize, extra: &[String]) -> Child {
+        let small = ["--msgs-per-packet", "8", "--ckpt-every", "4"].map(String::from);
+        self.spawn_default_packets(node, &[&small[..], extra].concat())
+    }
+
+    /// Spawn member `node` with the binary's own packet size and epoch
+    /// cadence; `extra` appends flags (e.g. `--kill-at`).
+    fn spawn_default_packets(&self, node: usize, extra: &[String]) -> Child {
         Command::new(BIN)
             .args([
                 "--node",
@@ -51,8 +60,6 @@ impl Cluster {
                 &self.input.table_len.to_string(),
                 "--seed",
                 &self.input.seed.to_string(),
-                "--ckpt-every",
-                "4",
                 "--out",
                 self.out_path(node).to_str().unwrap(),
             ])
@@ -224,6 +231,45 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
     for r in &finals {
         assert!(r.graceful, "node {} tore down gracefully after recovery", r.node);
     }
+}
+
+/// The same scenario at the binary's defaults: 64 kB packets, eight in
+/// flight per flow, an epoch every 16 of them. The victim dies about
+/// half-way through its inbound streams; its restarted sender restamps
+/// from sequence 0 and must catch up by cumulative ack, not by pushing
+/// the delivered half of a 25 MB stream through the sockets again.
+#[test]
+fn kill9_mid_run_at_the_default_packet_size_recovers_and_fast_forwards() {
+    let input = GupsInput { updates: 2_400_000, table_len: 4096, seed: 17 };
+    let cluster = Cluster::new("kill9_64k", input, 3);
+    // ~390 packets reach each member; die after applying the 200th.
+    const VICTIM: usize = 1;
+    let kill = ["--kill-at".to_string(), "200".to_string()];
+    let mut children: Vec<Child> = (0..3)
+        .map(|n| cluster.spawn_default_packets(n, if n == VICTIM { &kill } else { &[] }))
+        .collect();
+    let status = children[VICTIM].wait().unwrap();
+    assert!(!status.success(), "victim must die by SIGKILL, got {status:?}");
+    assert!(
+        read_report(&cluster.out_path(0)).is_err(),
+        "the cluster finished before the kill landed: not a mid-run kill"
+    );
+
+    children[VICTIM] = cluster.spawn_default_packets(VICTIM, &[]);
+    let reports = cluster.wait_all_completed(Duration::from_secs(50));
+    cluster.assert_bit_exact(&reports);
+    let vr = &reports[VICTIM];
+    assert!(vr.recovered_from_ckpt, "restarted victim recovered a buddy-held baseline");
+    assert!(
+        vr.stats.fast_forwarded > 0,
+        "the restarted sender re-sent what its peers already held"
+    );
+    for r in &reports {
+        let packets = r.stats.fwd_sent + r.stats.fwd_dropped;
+        assert!(packets < 1000, "node {} applied {packets} packets: not 64 kB ones", r.node);
+    }
+    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    cluster.assert_bit_exact(&finals);
 }
 
 #[test]

@@ -70,6 +70,10 @@ impl Cluster {
             self.input.seed.to_string(),
             "--ckpt-every".into(),
             "4".to_string(),
+            // Small packets on purpose: the kill switches and update
+            // counts below assume hundreds of packets per stream.
+            "--msgs-per-packet".into(),
+            "8".to_string(),
             "--deadline-secs".into(),
             "120".to_string(),
             "--out".into(),

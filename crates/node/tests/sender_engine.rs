@@ -17,7 +17,6 @@ use gravel_node::sender::{self, FlowPlan};
 use gravel_pgas::AmRegistry;
 
 const NODES: usize = 3;
-const MSGS_PER_PACKET: usize = 4;
 /// Failsafe only: every wait below ends on a protocol event.
 const LIMIT: Duration = Duration::from_secs(60);
 
@@ -64,7 +63,7 @@ impl Cluster {
 
     /// One sender incarnation per listed node, each with fresh engine
     /// state, run to full acknowledgement.
-    fn run_senders(&self, input: &GupsInput, who: &[usize]) {
+    fn run_senders(&self, input: &GupsInput, msgs_per_packet: usize, who: &[usize]) {
         let stop = AtomicBool::new(false);
         let deadline = Instant::now() + LIMIT;
         std::thread::scope(|s| {
@@ -78,6 +77,7 @@ impl Cluster {
                             &*self.transport,
                             node,
                             &plans,
+                            msgs_per_packet,
                             &self.errors,
                             stop,
                             deadline,
@@ -109,7 +109,7 @@ impl Cluster {
 }
 
 fn plans(input: &GupsInput, me: usize) -> Vec<FlowPlan> {
-    sender::plan_flows(input, NODES, me as u32, MSGS_PER_PACKET)
+    sender::plan_flows(input, NODES, me as u32)
 }
 
 /// The sequential truth, laid out as per-node heaps.
@@ -124,13 +124,13 @@ fn expected_heaps(input: &GupsInput, heap_len: usize) -> Vec<Vec<u64>> {
     heaps
 }
 
-#[test]
-fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards() {
-    let input = GupsInput { updates: 6000, table_len: 96, seed: 29 };
+/// Deliver `input` over the lossy fabric in packets of
+/// `msgs_per_packet` messages, then restart node 0's sender.
+fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     let cluster = Cluster::start(&input, 0xFA57);
     let everyone: Vec<usize> = (0..NODES).collect();
 
-    cluster.run_senders(&input, &everyone);
+    cluster.run_senders(&input, msgs_per_packet, &everyone);
     let heaps = cluster.heaps();
     assert_eq!(heaps, expected_heaps(&input, heaps[0].len()), "heap not bit-exact");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
@@ -138,13 +138,15 @@ fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards()
         cluster.total(|n| n.net_retransmits.get()) > 0,
         "the fabric never dropped anything: the test exercised no recovery"
     );
+    assert_eq!(cluster.total(|n| n.net_fast_forwarded.get()), 0, "nothing restarted yet");
 
     // "kill -9 + restart" of node 0's sender: the same plan restamped
     // from sequence 0 by fresh engine state, against receivers that
     // already hold the whole stream.
-    let packets: usize = plans(&input, 0).iter().map(|p| p.packets.len()).sum();
+    let packets: usize =
+        plans(&input, 0).iter().map(|p| p.packets(msgs_per_packet).count()).sum();
     let dups_before = cluster.total(|n| n.net_dups_suppressed.get());
-    cluster.run_senders(&input, &[0]);
+    cluster.run_senders(&input, msgs_per_packet, &[0]);
 
     assert_eq!(cluster.heaps(), heaps, "a restarted sender double-applied");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
@@ -153,9 +155,27 @@ fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards()
     // the sender retransmit) ever reached a receiver again.
     let resent = cluster.total(|n| n.net_dups_suppressed.get()) - dups_before;
     assert!(resent > 0, "the restarted sender must probe each peer at least once");
+    let skipped = cluster.nodes[0].net_fast_forwarded.get();
+    assert!(
+        skipped > packets as u64 / 2,
+        "only {skipped} of {packets} packets were retired by cumulative ack"
+    );
     assert!(
         resent < packets as u64 / 4,
         "restart re-sent {resent} of {packets} packets instead of fast-forwarding"
     );
     cluster.stop();
+}
+
+#[test]
+fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards() {
+    bit_exact_then_restart(GupsInput { updates: 6000, table_len: 96, seed: 29 }, 4);
+}
+
+/// The same at the binary's default packet: 64 kB frames, about forty
+/// to a flow, through the same drop + dup + reorder fabric.
+#[test]
+fn default_64_kb_packets_are_bit_exact_and_fast_forward_too() {
+    let input = GupsInput { updates: 720_000, table_len: 4096, seed: 31 };
+    bit_exact_then_restart(input, sender::DEFAULT_MSGS_PER_PACKET);
 }

@@ -902,6 +902,47 @@ pub fn open_heartbeat(bytes: &[u8], integrity: WireIntegrity) -> Result<FrameHea
     open_frame(bytes, FrameKind::Heartbeat, integrity)
 }
 
+/// Seal a control frame into `buf` (cleared first). The payload is
+/// `words`, little-endian, followed by `tail`: bytes already in wire
+/// order (whole little-endian words), so a caller that holds its bulk
+/// as packet payload bytes seals it with one copy and one CRC pass —
+/// the buddy forwarder does, per applied packet. With a recycled `buf`
+/// the seal allocates nothing.
+pub fn seal_control_into(
+    buf: &mut Vec<u8>,
+    src: u32,
+    dest: u32,
+    epoch: u32,
+    words: &[u64],
+    tail: &[u8],
+    integrity: WireIntegrity,
+) {
+    assert!(tail.len().is_multiple_of(8), "control payloads are whole words");
+    let payload_len = words.len() * 8 + tail.len();
+    let head = FrameHead {
+        kind: FrameKind::Control,
+        flags: 0,
+        src,
+        dest,
+        lane: 0,
+        epoch,
+        seq: 0,
+        payload_len: payload_len as u32,
+    };
+    let mut out = BytesMut::from_vec(std::mem::take(buf));
+    out.clear();
+    out.reserve(FRAME_OVERHEAD + payload_len);
+    put_header(&mut out, &head);
+    out.put_u64_slice_le(words);
+    out.put_slice(tail);
+    let crc = match integrity {
+        WireIntegrity::Crc32c => crc32c(&out),
+        WireIntegrity::Off => 0,
+    };
+    out.put_u32_le(crc);
+    *buf = out.into_vec();
+}
+
 /// Seal a control frame whose payload is op-specific `u64` words
 /// (checkpoint shipping, replay forwarding, recovery).
 pub fn seal_control(
@@ -911,21 +952,9 @@ pub fn seal_control(
     words: &[u64],
     integrity: WireIntegrity,
 ) -> Bytes {
-    let mut payload = BytesMut::with_capacity(words.len() * 8);
-    for &w in words {
-        payload.put_u64_le(w);
-    }
-    let head = FrameHead {
-        kind: FrameKind::Control,
-        flags: 0,
-        src,
-        dest,
-        lane: 0,
-        epoch,
-        seq: 0,
-        payload_len: payload.len() as u32,
-    };
-    seal_frame(&head, &payload, integrity)
+    let mut buf = Vec::new();
+    seal_control_into(&mut buf, src, dest, epoch, words, &[], integrity);
+    Bytes::from(buf)
 }
 
 /// Verify a control frame and decode its word payload.
@@ -1265,6 +1294,21 @@ mod tests {
         let empty = seal_control(2, 3, 0, &[], WireIntegrity::Crc32c);
         let (_, got) = open_control(&empty, WireIntegrity::Crc32c).unwrap();
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn control_sealed_from_words_plus_wire_order_tail_is_byte_identical() {
+        // The forwarder's single-pass seal (header words + the applied
+        // packet's payload bytes) must put the same bytes on the wire
+        // as sealing the whole op from words.
+        let words = [1u64, 2, 0, 9, 3, 0xAA, 0xBB, u64::MAX];
+        let tail: Vec<u8> = words[5..].iter().flat_map(|w| w.to_le_bytes()).collect();
+        for integrity in [WireIntegrity::Crc32c, WireIntegrity::Off] {
+            // A dirty, recycled buffer: the seal starts from scratch.
+            let mut buf = vec![0x5a; 7];
+            seal_control_into(&mut buf, 4, 5, 6, &words[..5], &tail, integrity);
+            assert_eq!(buf, seal_control(4, 5, 6, &words, integrity).to_vec());
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub use am::{relax_min_handler, AmHandler, AmRegistry, AmReturningHandler};
 pub use command::{apply, apply_words, Applied};
 pub use frame::{
     crc32c, open_ack, open_control, open_data_frame, open_frame, open_heartbeat, open_hello,
-    open_reject, seal_ack, seal_control, seal_frame, seal_frame_in, seal_heartbeat, seal_hello,
-    seal_reject, DataFrame, FrameError, FrameHead, FrameKind, HelloInfo, RejectReason,
+    open_reject, seal_ack, seal_control, seal_control_into, seal_frame, seal_frame_in,
+    seal_heartbeat, seal_hello, seal_reject, DataFrame, FrameError, FrameHead, FrameKind, HelloInfo, RejectReason,
     WireIntegrity, ACK_FRAME_BYTES, FRAME_OVERHEAD, HEADER_BYTES,
 };
 pub use heap::SymmetricHeap;

@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use gravel_gq::pool::{BufTicket, BufferPool};
 use gravel_telemetry::{Counter, Registry};
 
@@ -118,7 +118,7 @@ impl Packet {
     ///
     /// Allocates a fresh `Vec`; the apply hot path iterates the payload
     /// in place via [`messages`](Self::messages) instead and keeps this
-    /// for tests, the replay log, and the model code.
+    /// for tests and the model code.
     pub fn words(&self) -> Vec<u64> {
         self.payload
             .chunks_exact(8)
@@ -163,18 +163,28 @@ impl Packet {
 
     /// Build a packet from words (test/model helper).
     pub fn from_words(src: u32, dest: u32, words: &[u64]) -> Self {
-        let mut buf = BytesMut::with_capacity(words.len() * 8);
-        for &w in words {
-            buf.put_u64_le(w);
-        }
-        Packet {
-            src,
-            dest,
-            lane: 0,
-            seq: 0,
-            born: Instant::now(),
-            payload: buf.freeze(),
-        }
+        Self::from_words_in(src, dest, words, None)
+    }
+
+    /// [`from_words`](Self::from_words) drawing the payload buffer from
+    /// a packet-buffer arena: one copy and no allocation in steady
+    /// state. Senders that packetize outside the aggregator (the
+    /// `gravel-node` update streams) build their packets with this.
+    pub fn from_words_in(src: u32, dest: u32, words: &[u64], pool: Option<&BufferPool>) -> Self {
+        let payload = match pool {
+            Some(pool) => {
+                let (vec, ticket) = pool.take(words.len() * 8);
+                let mut buf = BytesMut::from_vec(vec);
+                buf.put_u64_slice_le(words);
+                pool.seal(buf.into_vec(), ticket)
+            }
+            None => {
+                let mut buf = BytesMut::with_capacity(words.len() * 8);
+                buf.put_u64_slice_le(words);
+                buf.freeze()
+            }
+        };
+        Packet { src, dest, lane: 0, seq: 0, born: Instant::now(), payload }
     }
 }
 
