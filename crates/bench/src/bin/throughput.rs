@@ -76,9 +76,15 @@ fn main() {
     }
     if let Some(get) = report.cells.iter().find(|c| c.workload == "get_rpc") {
         println!(
-            "GET under PUT storm: p50 {:.1} µs, p99 {:.1} µs",
+            "GET under PUT storm: p50 {:.1} µs, p99 {:.1} µs \
+             (node0.rpc.rtt_ns: p50 {:.1} µs, p99 {:.1} µs; \
+             {} express packets sent, {} express frames received)",
             get.p50_get_ns as f64 / 1e3,
-            get.p99_get_ns as f64 / 1e3
+            get.p99_get_ns as f64 / 1e3,
+            get.p50_rtt_ns as f64 / 1e3,
+            get.p99_rtt_ns as f64 / 1e3,
+            get.express_packets,
+            get.express_frames,
         );
     }
 

@@ -66,6 +66,17 @@ pub struct ThroughputCell {
     /// Tail foreground GET round-trip latency (ns). Zero for workloads
     /// that issue no GETs.
     pub p99_get_ns: u64,
+    /// The same round trips as the requesting node itself recorded them
+    /// (`node0.rpc.rtt_ns`, issue → completion; 1/8-octave buckets).
+    pub p50_rtt_ns: u64,
+    /// Tail of the node's own round-trip histogram (ns).
+    pub p99_rtt_ns: u64,
+    /// Express-band packets the cluster's aggregators sent, and frames
+    /// its network threads received with the express stamp: nonzero
+    /// when requests and replies took the express path.
+    pub express_packets: u64,
+    /// See `express_packets`.
+    pub express_frames: u64,
 }
 
 /// The full report written to `BENCH_throughput.json`.
@@ -202,6 +213,10 @@ fn cell_from_run(
         retransmits: stats.total_retransmits(),
         p50_get_ns: 0,
         p99_get_ns: 0,
+        p50_rtt_ns: stats.nodes[0].rpc.rtt_p50_ns,
+        p99_rtt_ns: stats.nodes[0].rpc.rtt_p99_ns,
+        express_packets: stats.nodes.iter().map(|n| n.agg_express_packets).sum(),
+        express_frames: stats.nodes.iter().map(|n| n.net.express_frames).sum(),
     }
 }
 
@@ -297,22 +312,21 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 /// One request-reply latency trial: a continuous background PUT storm
 /// keeps every node's bulk class saturated while the foreground issues
-/// sequential GET probes from node 0 and times each round trip: the
-/// LATENCY band drains GETs and their replies ahead of queued bulk
-/// runs. `msgs_per_sec` is the foreground GET op rate; the headline
-/// fields are `p50_get_ns`/`p99_get_ns`.
+/// sequential GET probes from node 0 and times each round trip: GETs
+/// and their replies take the express path (own ring, own flow,
+/// priority ingress) past the queued bulk. `msgs_per_sec` is the
+/// foreground GET op rate; the headline fields are
+/// `p50_get_ns`/`p99_get_ns`, and the node's own `rpc.rtt_ns`
+/// histogram is printed beside them.
 fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let heap_len: usize = 1 << 10;
     let mut cfg = bench_config(nodes, heap_len, 1);
     // Probes must complete, not race the deadline: the cell measures
     // scheduling latency, and a timeout would poison the percentiles.
     cfg.rpc.timeout = Duration::from_secs(10);
-    // 4 kB bulk packets (the fault-sweep size): each in-flight bulk
-    // packet is ~128 messages of receiver work, so head-of-line wait in
-    // the per-node inbound FIFO stays small and the measured latency is
-    // dominated by *sender-side* queueing — the part the band scheduler
-    // arbitrates. 64 kB packets would bury the scheduling signal under
-    // megabytes of already-shipped bulk ahead of the reply.
+    // 4 kB bulk packets (the fault-sweep size): a probe waits for at
+    // most the one bulk packet its receiver has in hand, ~128 messages
+    // of apply work here.
     cfg.node_queue_bytes = 4096;
     let rt = GravelRuntime::new(cfg);
     for node in 0..nodes {
@@ -333,9 +347,9 @@ fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let stop = AtomicBool::new(false);
     let mut lat: Vec<u64> = Vec::with_capacity(scale.get_probes);
     // Keep ~64k bulk messages in flight cluster-wide: enough beyond the
-    // go-back-N windows that every sender holds a queued bulk backlog
-    // (the state the band scheduler arbitrates), bounded so the run
-    // measures scheduling rather than unbounded-overload queueing.
+    // go-back-N windows that every ring, sender and ingress holds a
+    // bulk backlog (what the express path has to get past), bounded so
+    // the run measures that rather than unbounded-overload queueing.
     const BULK_IN_FLIGHT: u64 = 64 * 1024;
     let shared: Vec<_> = (0..nodes).map(|n| rt.node(n).clone()).collect();
     let start = Instant::now();

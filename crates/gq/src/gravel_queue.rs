@@ -21,6 +21,7 @@
 //! slower, §4.1).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gravel_simt::{LaneVec, WgCtx};
@@ -118,8 +119,10 @@ pub struct GravelQueue {
     read_idx: AtomicU64,
     closed: AtomicBool,
     /// Consumers park here when the ring is empty; `publish`/`close`
-    /// wake them (near-free when nobody is parked).
-    waiter: WaitCell,
+    /// wake them (near-free when nobody is parked). Shared with another
+    /// ring when one consumer drains both
+    /// ([`with_shared_waiter`](Self::with_shared_waiter)).
+    waiter: Arc<WaitCell>,
     /// Producers park here when the ring is full; consumers wake them
     /// after releasing slots (near-free when nobody is parked).
     prod_waiter: WaitCell,
@@ -143,6 +146,31 @@ impl GravelQueue {
     /// `stats` from [`QueueStats::bound`], `tracer` from the node's
     /// `TelemetryConfig`, `node` stamped on every span.
     pub fn with_telemetry(cfg: QueueConfig, stats: QueueStats, tracer: Tracer, node: u32) -> Self {
+        Self::build(cfg, stats, tracer, node, Arc::new(WaitCell::new()))
+    }
+
+    /// [`with_telemetry`](Self::with_telemetry), but consumers of this
+    /// ring park on — and its publishes wake — `other`'s wait cell. For
+    /// one thread draining both rings: it parks once, with
+    /// [`park_for_ready_or`](Self::park_for_ready_or), and a publish on
+    /// either ring wakes it.
+    pub fn with_shared_waiter(
+        cfg: QueueConfig,
+        stats: QueueStats,
+        tracer: Tracer,
+        node: u32,
+        other: &GravelQueue,
+    ) -> Self {
+        Self::build(cfg, stats, tracer, node, other.waiter.clone())
+    }
+
+    fn build(
+        cfg: QueueConfig,
+        stats: QueueStats,
+        tracer: Tracer,
+        node: u32,
+        waiter: Arc<WaitCell>,
+    ) -> Self {
         assert!(cfg.slots >= 2, "need at least two slots");
         assert!(
             cfg.lane_width >= 1 && cfg.rows >= 1,
@@ -154,7 +182,7 @@ impl GravelQueue {
             write_idx: AtomicU64::new(0),
             read_idx: AtomicU64::new(0),
             closed: AtomicBool::new(false),
-            waiter: WaitCell::new(),
+            waiter,
             prod_waiter: WaitCell::new(),
             stats,
             tracer,
@@ -208,7 +236,7 @@ impl GravelQueue {
     }
 
     /// Is the next unconsumed slot ready to drain (or the queue closed)?
-    fn has_ready(&self) -> bool {
+    pub fn has_ready(&self) -> bool {
         let seq = self.read_idx.load(Ordering::Acquire);
         let (slot, round) = self.slot_ring(seq);
         (slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire))
@@ -219,7 +247,15 @@ impl GravelQueue {
     /// slot publish or [`close`](Self::close). Returns `true` if the
     /// thread actually slept (the caller's spin-then-park telemetry).
     pub fn park_for_ready(&self, timeout: Duration) -> bool {
-        self.waiter.park_timeout(timeout, || self.has_ready())
+        self.park_for_ready_or(timeout, || false)
+    }
+
+    /// [`park_for_ready`](Self::park_for_ready) that also returns early
+    /// when `also()` holds — the readiness of a second ring built with
+    /// [`with_shared_waiter`](Self::with_shared_waiter) on this one.
+    pub fn park_for_ready_or(&self, timeout: Duration, also: impl Fn() -> bool) -> bool {
+        self.waiter
+            .park_timeout(timeout, || self.has_ready() || also())
     }
 
     // ---- producers -------------------------------------------------------
@@ -792,7 +828,6 @@ mod tests {
 
     #[test]
     fn park_for_ready_wakes_on_publish() {
-        use std::sync::Arc;
         let q = Arc::new(GravelQueue::new(small_cfg()));
         let waiter = {
             let q = q.clone();
@@ -810,6 +845,35 @@ mod tests {
         assert!(
             waited < Duration::from_secs(5),
             "publish woke the parked consumer ({waited:?})"
+        );
+    }
+
+    #[test]
+    fn a_publish_on_a_sharing_ring_wakes_the_other_rings_consumer() {
+        let main = Arc::new(GravelQueue::new(small_cfg()));
+        let side = Arc::new(GravelQueue::with_shared_waiter(
+            small_cfg(),
+            QueueStats::default(),
+            Tracer::disabled(),
+            0,
+            &main,
+        ));
+        let waiter = {
+            let (main, side) = (main.clone(), side.clone());
+            std::thread::spawn(move || {
+                let start = std::time::Instant::now();
+                while !side.has_ready() {
+                    main.park_for_ready_or(Duration::from_secs(10), || side.has_ready());
+                }
+                start.elapsed()
+            })
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        side.produce_batch(&[1, 2, 3, 4], 1);
+        let waited = waiter.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(5),
+            "side-ring publish woke the consumer parked on the main ring ({waited:?})"
         );
     }
 

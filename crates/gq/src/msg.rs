@@ -113,31 +113,33 @@ impl Command {
     }
 }
 
-/// QoS priority bands (SNIPPETS.md Snippet 3's rustg sketch): the
-/// sender's per-flow credit pools. Small latency-sensitive GETs and
-/// replies overtake bulk PUT runs because the BULK band's in-flight
-/// credit is capped below the go-back-N window.
+/// The two lanes a message can take through the pipeline (SNIPPETS.md
+/// Snippet 3's "packet classification, priority bands"): request-reply
+/// traffic rides **express** — its own offload ring, flush-on-empty
+/// aggregation, its own go-back-N flow and the priority side of the
+/// receiver's ingress — so a GET never queues behind bulk PUT runs;
+/// everything fire-and-forget rides **bulk**.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Band {
-    /// GETs and replies: smallest packets, drained first.
-    Latency,
-    /// Value-returning active-message calls.
-    Normal,
+    /// GETs, replies and value-returning AM calls: small, served first.
+    Express,
     /// Fire-and-forget PUT/INC/AM streams.
     Bulk,
 }
 
 /// Number of priority bands.
-pub const NUM_BANDS: usize = 3;
+pub const NUM_BANDS: usize = 2;
 
 impl Band {
-    /// Index into per-band credit arrays.
+    /// All bands in service order (highest priority first).
+    pub const ALL: [Band; NUM_BANDS] = [Band::Express, Band::Bulk];
+
+    /// Index into per-band arrays (service order).
     #[inline]
     pub fn index(self) -> usize {
         match self {
-            Band::Latency => 0,
-            Band::Normal => 1,
-            Band::Bulk => 2,
+            Band::Express => 0,
+            Band::Bulk => 1,
         }
     }
 }
@@ -162,17 +164,9 @@ pub enum TrafficClass {
 pub const NUM_CLASSES: usize = 4;
 
 impl TrafficClass {
-    /// All classes in drain-priority order (highest first).
-    pub const PRIORITY: [TrafficClass; NUM_CLASSES] = [
-        TrafficClass::Get,
-        TrafficClass::Reply,
-        TrafficClass::AmCall,
-        TrafficClass::Bulk,
-    ];
-
     /// Index into per-class queue arrays (priority order).
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             TrafficClass::Get => 0,
             TrafficClass::Reply => 1,
@@ -181,13 +175,12 @@ impl TrafficClass {
         }
     }
 
-    /// The QoS band this class drains in.
+    /// The band this class travels in.
     #[inline]
     pub fn band(self) -> Band {
         match self {
-            TrafficClass::Get | TrafficClass::Reply => Band::Latency,
-            TrafficClass::AmCall => Band::Normal,
             TrafficClass::Bulk => Band::Bulk,
+            _ => Band::Express,
         }
     }
 
@@ -332,11 +325,11 @@ mod tests {
         assert_eq!(Command::Reply.class(), TrafficClass::Reply);
         let am = Command::AmCall { handler: 2, deadline_ms: 1 };
         assert_eq!(am.class(), TrafficClass::AmCall);
-        assert_eq!(TrafficClass::Get.band(), Band::Latency);
-        assert_eq!(TrafficClass::Reply.band(), Band::Latency);
-        assert_eq!(TrafficClass::AmCall.band(), Band::Normal);
+        assert_eq!(TrafficClass::Get.band(), Band::Express);
+        assert_eq!(TrafficClass::Reply.band(), Band::Express);
+        assert_eq!(TrafficClass::AmCall.band(), Band::Express);
         assert_eq!(TrafficClass::Bulk.band(), Band::Bulk);
-        for c in TrafficClass::PRIORITY {
+        for c in [TrafficClass::Get, TrafficClass::Reply, TrafficClass::AmCall, TrafficClass::Bulk] {
             assert_eq!(TrafficClass::of_command_word(Message {
                 command: match c {
                     TrafficClass::Get => Command::Get { deadline_ms: 9 },

@@ -4,13 +4,19 @@
 //! producer/consumer queue and repacks messages into per-destination
 //! queues, which are flushed when full or after the 125 µs timeout.
 //! Flushed packets are handed to the lane's go-back-N [`Sender`]
-//! ([`crate::flow`]), which owns sequencing, acks, retransmission and
-//! QoS band credits; a flow that exhausts its retries is reported
-//! through the shared [`ErrorSlot`], which unwinds the whole cluster
-//! instead of hanging quiescence. The loop keeps draining the GPU ring
-//! and the ack mailbox while a link is stalled, so backpressure can
-//! never deadlock the reply path (netthread → ring → aggregator →
-//! netthread).
+//! ([`crate::flow`]), which owns sequencing, acks and retransmission; a
+//! flow that exhausts its retries is reported through the shared
+//! [`ErrorSlot`], which unwinds the whole cluster instead of hanging
+//! quiescence. The loop keeps draining the GPU ring and the ack mailbox
+//! while a link is stalled, so backpressure can never deadlock the
+//! reply path (netthread → ring → aggregator → netthread).
+//!
+//! The lane that drains bulk ring 0 also owns the node's **express
+//! ring** (request-reply traffic, DESIGN.md §15). It polls that ring
+//! first on every iteration — so a GET or reply waits for at most the
+//! one bulk batch in hand — and flushes the express queues the moment
+//! the ring reads empty: whatever accumulated while the lane was busy
+//! leaves as one packet, and nothing ever waits on a flush timer.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -43,24 +49,42 @@ const MIN_PARK: Duration = Duration::from_micros(5);
 /// The periodic wake that remains is only a liveness backstop.
 const PARKED_LANE_PARK: Duration = Duration::from_millis(20);
 
+/// Index of the bulk queue set in [`LaneState::nodeqs`].
+const BULK: usize = TrafficClass::Bulk.index();
+
+/// Words drained from one ring but not yet aggregated, and the word
+/// offset of the next unprocessed message.
+#[derive(Default)]
+struct Cursor {
+    pending: Vec<u64>,
+    pos: usize,
+}
+
+impl Cursor {
+    fn is_done(&self) -> bool {
+        self.pos >= self.pending.len()
+    }
+}
+
 /// Restartable state of one aggregator lane, hoisted out of the thread
 /// so a supervised restart resumes exactly where the predecessor died:
 /// the per-destination aggregation queues, the go-back-N flows, and the
-/// cursor into a partially processed GPU batch. Only the owning lane
+/// cursors into partially processed ring batches. Only the owning lane
 /// thread locks it (per loop iteration), so the lock is uncontended; a
 /// panic mid-iteration leaves it poisoned, which the restarted thread
 /// recovers from — injected chaos only panics at message boundaries,
 /// where the state is consistent by construction.
+#[derive(Default)]
 pub struct LaneState {
     /// Per-destination aggregation queues, one set per traffic class
     /// (index = [`TrafficClass::index`]). Empty until the lane first
     /// runs.
     nodeqs: Vec<NodeQueues>,
     flows: Vec<Flow>,
-    /// Words drained from the GPU queue but not yet aggregated.
-    pending: Vec<u64>,
-    /// Word offset of the next unprocessed message in `pending`.
-    pos: usize,
+    /// The current bulk-ring batch.
+    bulk: Cursor,
+    /// The current express-ring batch (the ring's owner lane only).
+    express: Cursor,
     /// Reusable flush scratch: packets travel queue → sender through
     /// this one vector, so the steady-state drain loop allocates
     /// nothing per batch.
@@ -69,19 +93,7 @@ pub struct LaneState {
 
 impl LaneState {
     pub fn new() -> Self {
-        LaneState {
-            nodeqs: Vec::new(),
-            flows: Vec::new(),
-            pending: Vec::new(),
-            pos: 0,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl Default for LaneState {
-    fn default() -> Self {
-        LaneState::new()
+        LaneState::default()
     }
 }
 
@@ -115,8 +127,79 @@ pub fn run(
     );
 }
 
+/// The packets waiting in `scratch` leave through `sender`.
+fn submit_all(node: &NodeShared, scratch: &mut Vec<Packet>, sender: &mut Sender<'_>) {
+    for pkt in scratch.drain(..) {
+        if pkt.class() != TrafficClass::Bulk {
+            node.agg_express_packets.add(1);
+        }
+        sender.submit(pkt);
+    }
+}
+
+/// Aggregate `cur`'s batch from its cursor to the end (fresh, or
+/// inherited mid-way from a predecessor that panicked at the cursor).
+/// Kept a function: as a closure inside `run_supervised` the
+/// per-message scan measured 2 ns slower.
+fn aggregate(
+    node: &NodeShared,
+    lane: u32,
+    chaos: Option<&ChaosPlan>,
+    cur: &mut Cursor,
+    nodeqs: &mut [NodeQueues],
+    scratch: &mut Vec<Packet>,
+    sender: &mut Sender<'_>,
+) {
+    let rows = node.queue.config().rows;
+    let now = Instant::now();
+    let Cursor { pending, pos } = cur;
+    while *pos < pending.len() {
+        // Scan the run of consecutive messages bound for the
+        // same destination and hand it to the node queue in one
+        // call. Destination sharding makes runs long (with one
+        // dest per lane a whole batch is a single run), so the
+        // per-message dispatch cost amortizes away. The chaos
+        // schedule still ticks once per message so an injected
+        // kill lands on its exact message boundary: the run is
+        // cut short, everything before the boundary is pushed
+        // and submitted, and only then does the lane die.
+        let dest = pending[*pos + 1] as usize;
+        debug_assert!(dest < node.nodes, "message to unknown node {dest}");
+        // Runs split on class as well as destination so packets
+        // stay class-pure (the wire kind advertises the class
+        // and the express stamp follows from it).
+        let qi = TrafficClass::of_command_word(pending[*pos]).index();
+        let mut end = *pos;
+        let mut killed = false;
+        while end < pending.len()
+            && pending[end + 1] as usize == dest
+            && TrafficClass::of_command_word(pending[end]).index() == qi
+        {
+            if let Some(c) = chaos {
+                if c.agg_tick(node.id, lane) {
+                    killed = true;
+                    break;
+                }
+            }
+            end += rows;
+        }
+        if end > *pos {
+            scratch.clear();
+            nodeqs[qi].push_run(dest, &pending[*pos..end], rows, now, scratch);
+            submit_all(node, scratch, sender);
+            *pos = end;
+        }
+        if killed {
+            panic!(
+                "chaos: aggregator {}/{} killed at injected drain step",
+                node.id, lane
+            );
+        }
+    }
+}
+
 /// [`run`] with lane state hoisted into `state` (so a supervised
-/// restart resumes the predecessor's flows and batch cursor exactly)
+/// restart resumes the predecessor's flows and batch cursors exactly)
 /// and optional process-fault injection from `chaos`. Chaos panics fire
 /// at the drain-step boundary *before* the message at the cursor is
 /// aggregated, which is what makes restart-resume exact: the restarted
@@ -134,11 +217,15 @@ pub fn run_supervised(
 ) {
     let lane = slot as u32;
     let in_flight = in_flight_gauge(&node);
-    let rows = node.queue.config().rows;
     // This lane exclusively drains its own shard ring: destinations hash
     // to lanes at produce time, so per-destination ordering holds without
     // any consumer-side coordination.
-    let ring = node.queue.ring(slot % node.queue.lanes());
+    let ring_idx = slot % node.queue.lanes();
+    let ring = node.queue.ring(ring_idx);
+    // Whoever drains bulk ring 0 drains the express ring as well: lane 0
+    // in-process, and the one aggregator a `gravel-node` runs (slot 1,
+    // over a single ring).
+    let express = (ring_idx == 0).then(|| node.queue.express());
     let mut idle = Backoff::new(Duration::from_millis(1));
     loop {
         // One short uncontended lock per iteration; the only other
@@ -146,22 +233,18 @@ pub fn run_supervised(
         // this thread dies.
         let mut st = lock_state(&state);
         if st.nodeqs.is_empty() {
-            // One queue set per traffic class. RPC classes get tiny
-            // buffers and a 25 µs flush so a lone GET or reply never
-            // marinates behind the bulk flush policy. Every queue set
-            // shares the node's `AggCounters`: one increment per flush
-            // event, so per-slot snapshots can never drift.
-            for ci in 0..NUM_CLASSES {
-                let (bytes, pol) = if ci != TrafficClass::Bulk.index() {
-                    (
-                        queue_bytes.min(2048),
-                        FlushPolicy::Fixed(Duration::from_micros(25)),
-                    )
-                } else {
-                    (queue_bytes, policy)
-                };
-                let mut nq =
-                    NodeQueues::with_policy(node.id, node.nodes, bytes, pol, node.agg.clone());
+            // One queue set per traffic class, so packets stay
+            // class-pure. Every set shares the node's `AggCounters`:
+            // one increment per flush event, so per-slot snapshots can
+            // never drift.
+            for _ in 0..NUM_CLASSES {
+                let mut nq = NodeQueues::with_policy(
+                    node.id,
+                    node.nodes,
+                    queue_bytes,
+                    policy,
+                    node.agg.clone(),
+                );
                 if let Some(pool) = &node.pool {
                     nq = nq.with_pool(pool.clone());
                 }
@@ -171,8 +254,8 @@ pub fn run_supervised(
         let LaneState {
             nodeqs,
             flows,
-            pending,
-            pos,
+            bulk,
+            express: fast,
             scratch,
         } = &mut *st;
         let mut sender = Sender::new(&node, lane, transport.as_ref(), flows, &in_flight);
@@ -184,56 +267,60 @@ pub fn run_supervised(
         if errors.is_set() {
             return;
         }
-        if *pos < pending.len() {
-            // Aggregate the current batch (fresh, or inherited mid-way
-            // from a predecessor that panicked at the cursor).
-            let _span = node.tracer.span("agg.drain", "aggregate", node.id);
-            let now = Instant::now();
-            while *pos < pending.len() {
-                // Scan the run of consecutive messages bound for the
-                // same destination and hand it to the node queue in one
-                // call. Destination sharding makes runs long (with one
-                // dest per lane a whole batch is a single run), so the
-                // per-message dispatch cost amortizes away. The chaos
-                // schedule still ticks once per message so an injected
-                // kill lands on its exact message boundary: the run is
-                // cut short, everything before the boundary is pushed
-                // and submitted, and only then does the lane die.
-                let dest = pending[*pos + 1] as usize;
-                debug_assert!(dest < node.nodes, "message to unknown node {dest}");
-                // Runs split on class as well as destination so packets
-                // stay class-pure (the wire kind advertises the class
-                // and the sender schedules whole packets by band).
-                let qi = TrafficClass::of_command_word(pending[*pos]).index();
-                let mut end = *pos;
-                let mut killed = false;
-                while end < pending.len()
-                    && pending[end + 1] as usize == dest
-                    && TrafficClass::of_command_word(pending[end]).index() == qi
-                {
-                    if let Some(c) = chaos.as_deref() {
-                        if c.agg_tick(node.id, lane) {
-                            killed = true;
-                            break;
-                        }
-                    }
-                    end += rows;
-                }
-                if end > *pos {
-                    scratch.clear();
-                    nodeqs[qi].push_run(dest, &pending[*pos..end], rows, now, scratch);
-                    for pkt in scratch.drain(..) {
-                        sender.submit(pkt);
-                    }
-                    *pos = end;
-                }
-                if killed {
-                    panic!(
-                        "chaos: aggregator {}/{} killed at injected drain step",
-                        node.id, lane
-                    );
-                }
+        // Express lane first. Strict priority cannot starve bulk: what
+        // the express ring can hold is bounded by the pending-reply
+        // table and by requesters that wait for their replies.
+        let mut express_closed = express.is_none();
+        if let Some(x) = express {
+            if fast.is_done() {
+                fast.pending.clear();
+                fast.pos = 0;
+                express_closed =
+                    x.try_consume_batch(&mut fast.pending, node.drain_batch) == Consumed::Closed;
             }
+            if !fast.is_done() {
+                let _span = node.tracer.span("agg.express", "aggregate", node.id);
+                aggregate(
+                    &node,
+                    lane,
+                    chaos.as_deref(),
+                    fast,
+                    nodeqs,
+                    scratch,
+                    &mut sender,
+                );
+                // No `idle.reset()`: a requester's next message is a
+                // round trip away, far past the spin window, and its
+                // publish ends a park anyway. A fresh yield loop per
+                // GET cost a third of the bulk rate beside it.
+                continue;
+            }
+            // The ring reads empty: everything aggregated since it last
+            // did leaves now.
+            for nodeq in nodeqs[..BULK].iter_mut() {
+                scratch.clear();
+                nodeq.flush_all_into(scratch);
+                submit_all(&node, scratch, &mut sender);
+            }
+        }
+        if !bulk.is_done() {
+            let _span = node.tracer.span("agg.drain", "aggregate", node.id);
+            aggregate(
+                &node,
+                lane,
+                chaos.as_deref(),
+                bulk,
+                nodeqs,
+                scratch,
+                &mut sender,
+            );
+            // Once per batch, not only when the ring runs empty: a lone
+            // message for a sparse destination must not wait for as
+            // long as a dense stream elsewhere keeps the ring busy.
+            let now = Instant::now();
+            scratch.clear();
+            nodeqs[BULK].poll_timeouts_into(now, scratch);
+            submit_all(&node, scratch, &mut sender);
             // Busy lane: publish its load signal (max fill EWMA across
             // this lane's queue sets) and, on lane 0, run the governor's
             // rate-limited mask decision.
@@ -241,42 +328,38 @@ pub fn run_supervised(
                 let fill = nodeqs.iter().map(|q| q.max_fill_ewma()).fold(0.0, f64::max);
                 gov.publish_fill(lane as usize, fill);
                 if lane == 0 {
-                    gov.decide(&node.queue, Instant::now());
+                    gov.decide(&node.queue, now);
                 }
             }
             continue;
         }
-        pending.clear();
-        *pos = 0;
-        match ring.try_consume_batch(pending, node.drain_batch) {
+        bulk.pending.clear();
+        bulk.pos = 0;
+        match ring.try_consume_batch(&mut bulk.pending, node.drain_batch) {
             Consumed::Batch(_) => {
-                // Processed by the cursor branch on the next iteration.
+                // Processed by the cursor branch on the next iteration,
+                // after another look at the express ring.
                 node.agg_polls_hit.add(1);
                 idle.reset();
             }
             Consumed::Empty => {
                 node.agg_polls_empty.add(1);
                 let now = Instant::now();
-                for nodeq in nodeqs.iter_mut() {
-                    scratch.clear();
-                    nodeq.poll_timeouts_into(now, scratch);
-                    if !scratch.is_empty() {
-                        let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                        for pkt in scratch.drain(..) {
-                            sender.submit(pkt);
-                        }
-                    }
+                scratch.clear();
+                nodeqs[BULK].poll_timeouts_into(now, scratch);
+                if !scratch.is_empty() {
+                    let _span = node.tracer.span("agg.flush", "aggregate", node.id);
+                    submit_all(&node, scratch, &mut sender);
                 }
                 // Idle: spin briefly (work usually arrives within
                 // microseconds on the hot path), then park on the ring's
                 // wait cell instead of burning the core — the paper's
                 // APU spent 65 % of it polling here. The park is bounded
-                // by the earliest pending flush deadline, and kept short
-                // while acks are outstanding (no wakeup channel there).
-                let deadline = nodeqs
-                    .iter()
-                    .filter_map(|q| q.next_deadline(now))
-                    .min();
+                // by the earliest pending flush deadline (the express
+                // queues are empty by now, they never hold a deadline),
+                // and kept short while acks are outstanding (no wakeup
+                // channel there).
+                let deadline = nodeqs[BULK].next_deadline(now);
                 // Idle lane: publish the real fill while flushes are
                 // still pending, zero once fully empty — a stale EWMA
                 // from a dest that went quiet must not pin the mask
@@ -324,19 +407,24 @@ pub fn run_supervised(
                         std::thread::yield_now();
                     } else {
                         node.net_spin_parks.add(1);
-                        ring.park_for_ready(park);
+                        // The express ring shares this ring's wait
+                        // cell: a publish on either ends the park.
+                        ring.park_for_ready_or(park, || express.is_some_and(|x| x.has_ready()));
                     }
                 }
             }
             Consumed::Closed => {
+                if !express_closed {
+                    // `close()` shuts the express ring first, so it is
+                    // closed by now; go round until it reads drained.
+                    continue;
+                }
                 for nodeq in nodeqs.iter_mut() {
                     scratch.clear();
                     nodeq.flush_all_into(scratch);
                     if !scratch.is_empty() {
                         let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                        for pkt in scratch.drain(..) {
-                            sender.submit(pkt);
-                        }
+                        submit_all(&node, scratch, &mut sender);
                     }
                 }
                 // Drain phase: hold the thread until every flow is
@@ -367,7 +455,7 @@ mod tests {
     use crate::config::GravelConfig;
     use crate::error::RuntimeError;
     use gravel_gq::Message;
-    use gravel_net::{ChannelTransport, RecvStatus, RetryConfig};
+    use gravel_net::{ChannelTransport, RecvStatus, RetryConfig, SendStatus};
     use gravel_pgas::{AmRegistry, WireIntegrity};
 
     fn spawn_node(nodes: usize) -> (Arc<NodeShared>, Arc<ChannelTransport>, Arc<ErrorSlot>) {
@@ -612,5 +700,219 @@ mod tests {
         // Sequence numbers are consecutive from 0.
         let seqs: Vec<u64> = uniq.keys().copied().collect();
         assert_eq!(seqs, (0..uniq.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// A `ChannelTransport` that also records every data frame in the
+    /// order it was put on the wire. The order-asserting tests below
+    /// run with a window and channel wider than their traffic and a
+    /// retransmit timer longer than their lifetime, so a packet is on
+    /// the wire the moment the lane submits it, exactly once.
+    struct WireLog {
+        inner: ChannelTransport,
+        sent: Mutex<Vec<Packet>>,
+    }
+
+    impl Transport for WireLog {
+        fn nodes(&self) -> usize {
+            self.inner.nodes()
+        }
+        fn lanes(&self) -> usize {
+            self.inner.lanes()
+        }
+        fn send_data(&self, frame: gravel_pgas::DataFrame, timeout: Duration) -> SendStatus {
+            let pkt = frame.open(WireIntegrity::Crc32c).expect("frame verifies");
+            self.sent.lock().unwrap().push(pkt);
+            self.inner.send_data(frame, timeout)
+        }
+        fn recv_data(&self, node: u32, timeout: Duration) -> RecvStatus<gravel_pgas::DataFrame> {
+            self.inner.recv_data(node, timeout)
+        }
+        fn send_ack(&self, ack: gravel_net::AckFrame) {
+            self.inner.send_ack(ack)
+        }
+        fn try_recv_ack(&self, node: u32, lane: u32) -> Option<gravel_net::AckFrame> {
+            self.inner.try_recv_ack(node, lane)
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn is_closed(&self) -> bool {
+            self.inner.is_closed()
+        }
+        fn data_depths(&self) -> Vec<usize> {
+            self.inner.data_depths()
+        }
+        fn ack_depths(&self, node: u32) -> usize {
+            self.inner.ack_depths(node)
+        }
+    }
+
+    /// Node 0 of `nodes` on a [`WireLog`] fabric, its lane not started.
+    fn logged_node(nodes: usize) -> (Arc<NodeShared>, Arc<WireLog>, Arc<ErrorSlot>) {
+        let mut cfg = GravelConfig::small(nodes, 16);
+        cfg.retry = RetryConfig {
+            window: 4096,
+            backoff: Duration::from_secs(600),
+            backoff_max: Duration::from_secs(600),
+            max_retries: 1,
+        };
+        let transport = Arc::new(WireLog {
+            inner: ChannelTransport::new(nodes, 1, 4096),
+            sent: Mutex::new(Vec::new()),
+        });
+        let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
+        (node, transport, Arc::new(ErrorSlot::default()))
+    }
+
+    /// Start lane 0, wait until it has flushed `packets` packets, close
+    /// the ring, acknowledge everything on the wire so the lane can
+    /// exit, and return the wire log.
+    fn run_logged(
+        node: &Arc<NodeShared>,
+        transport: &Arc<WireLog>,
+        errors: &Arc<ErrorSlot>,
+        queue_bytes: usize,
+        policy: FlushPolicy,
+        packets: u64,
+    ) -> Vec<Packet> {
+        let agg = {
+            let (node, transport, errors) = (node.clone(), transport.clone(), errors.clone());
+            std::thread::spawn(move || run(node, 0, transport, queue_bytes, policy, errors))
+        };
+        assert!(
+            crate::backoff::wait_for(Duration::from_secs(30), || node.stats().agg.packets
+                >= packets),
+            "lane flushed {} of {packets} packets",
+            node.stats().agg.packets
+        );
+        node.queue.close();
+        // The lane is past its last flush only once it is draining; ack
+        // whatever is on the wire until it exits.
+        while !agg.is_finished() {
+            let log = transport.sent.lock().unwrap().clone();
+            for p in &log {
+                send_ack(&transport.inner, p.dest, p.src, p.lane, p.seq);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        agg.join().unwrap();
+        assert!(!errors.is_set());
+        let log = transport.sent.lock().unwrap().clone();
+        log
+    }
+
+    #[test]
+    fn a_get_behind_a_ring_of_bulk_is_the_first_frame_on_the_wire() {
+        let (node, transport, errors) = logged_node(2);
+        // Twelve bulk slots ahead of it in time, then one GET — all
+        // offloaded before the lane takes its first look.
+        for i in 0..12 {
+            node.host_send(Message::inc(1, i, 1));
+        }
+        node.host_send(Message::get(1, 3, 77, 1));
+        assert_eq!(
+            (node.queue.ring(0).backlog(), node.queue.express().backlog()),
+            (12, 1)
+        );
+        let log = run_logged(
+            &node,
+            &transport,
+            &errors,
+            1 << 20,
+            FlushPolicy::Fixed(Duration::from_millis(1)),
+            2,
+        );
+        assert_eq!(log.len(), 2, "one GET packet, one bulk packet");
+        let (get, bulk) = (&log[0], &log[1]);
+        assert_eq!(get.class(), TrafficClass::Get);
+        assert_eq!(get.msg_count(), 1);
+        assert_eq!(
+            (gravel_pgas::split_wire_lane(get.lane), get.seq),
+            ((0, gravel_gq::Band::Express), 0)
+        );
+        // The bulk flow numbers its packets on its own, from 0, on the
+        // plain lane number.
+        assert_eq!(bulk.class(), TrafficClass::Bulk);
+        assert_eq!((bulk.lane, bulk.seq, bulk.msg_count()), (0, 0, 12));
+        assert_eq!(node.agg_express_packets.get(), 1);
+        assert_eq!(
+            node.stats().agg.timeout_flushes,
+            1,
+            "only the bulk packet waited for a timer"
+        );
+    }
+
+    #[test]
+    fn a_work_groups_gets_leave_as_one_packet_when_the_express_ring_runs_empty() {
+        let (node, transport, errors) = logged_node(2);
+        let gets: Vec<Message> = (0..40).map(|i| Message::get(1, i % 16, i, 1)).collect();
+        node.host_send_batch(&gets);
+        assert_eq!(
+            node.queue.express().backlog(),
+            1,
+            "one slot holds the whole batch"
+        );
+        let log = run_logged(
+            &node,
+            &transport,
+            &errors,
+            1 << 20,
+            FlushPolicy::Fixed(Duration::from_secs(600)),
+            1,
+        );
+        assert_eq!(log.len(), 1);
+        assert_eq!(
+            (log[0].class(), log[0].msg_count()),
+            (TrafficClass::Get, 40)
+        );
+        assert_eq!(
+            node.stats().agg.timeout_flushes,
+            0,
+            "no flush timer involved"
+        );
+    }
+
+    /// The lone PUT for sparse destination 2 must leave when its
+    /// timeout passes, not when the dense stream to destination 1 lets
+    /// the ring run empty. The ring is preloaded with two drain batches
+    /// and closed, so it never reads `Empty`: the only timeout poll
+    /// that can flush the PUT is the one between the batches.
+    #[test]
+    fn a_lone_put_is_timeout_flushed_between_batches_of_a_busy_ring() {
+        let (node, transport, errors) = logged_node(3);
+        let width = node.queue.config().lane_width;
+        let batch = node.drain_batch;
+        node.host_send(Message::put(2, 9, 9));
+        // Whole slots of INCs for node 1: the rest of the first drain
+        // batch, and all of a second one.
+        let dense: Vec<Message> = (0..(2 * batch - 1) * width)
+            .map(|i| Message::inc(1, (i % 16) as u64, 1))
+            .collect();
+        node.host_send_batch(&dense);
+        assert_eq!(node.queue.ring(0).backlog(), 2 * batch as u64);
+        node.queue.close();
+        // Two messages per packet, and an effective timeout of zero:
+        // due at the first poll after the buffer opened.
+        let dense_packets = dense.len() / 2;
+        let log = run_logged(
+            &node,
+            &transport,
+            &errors,
+            64,
+            FlushPolicy::Fixed(Duration::ZERO),
+            dense_packets as u64 + 1,
+        );
+        assert_eq!(log.len(), dense_packets + 1);
+        let first_batch_packets = (batch - 1) * width / 2;
+        assert_eq!(
+            log.iter().position(|p| p.dest == 2),
+            Some(first_batch_packets),
+            "the PUT leaves right behind the first batch, ahead of the second"
+        );
+        let stats = node.stats().agg;
+        assert_eq!(
+            (stats.timeout_flushes, stats.full_flushes),
+            (1, dense_packets as u64)
+        );
     }
 }

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gravel_gq::{Message, ReplySink, RpcFailure};
+use gravel_gq::{Message, ReplySink, RpcFailure, TrafficClass};
 use gravel_simt::{LaneVec, Mask, WgCtx};
 
 use crate::node::NodeShared;
@@ -78,7 +78,17 @@ impl<'a> GravelCtx<'a> {
             .and(&Mask::from_fn(self.wg.wg_size(), |l| dests.get(l) == me))
     }
 
-    fn offload(&mut self, mask: &Mask, dests: &LaneVec<u32>, make: impl Fn(usize) -> Message) {
+    /// Offload one message per lane of `mask`. All of a call's messages
+    /// are one operation, so one `class` speaks for them: request-reply
+    /// classes go to the node's express ring in a single reservation,
+    /// bulk to the destination-sharded rings.
+    fn offload(
+        &mut self,
+        mask: &Mask,
+        dests: &LaneVec<u32>,
+        class: TrafficClass,
+        make: impl Fn(usize) -> Message,
+    ) {
         if mask.is_empty() {
             return;
         }
@@ -92,12 +102,14 @@ impl<'a> GravelCtx<'a> {
         }
         let node = self.node;
         let lanes = node.queue.lanes();
-        if lanes == 1 {
+        if lanes == 1 || class != TrafficClass::Bulk {
+            let ring = match class {
+                TrafficClass::Bulk => node.queue.ring(0),
+                _ => node.queue.express(),
+            };
             let mask = mask.clone();
             self.wg.with_mask(mask, |wg| {
-                node.queue
-                    .ring(0)
-                    .wg_produce(wg, |lane, row| make(lane).encode()[row]);
+                ring.wg_produce(wg, |lane, row| make(lane).encode()[row]);
             });
         } else {
             // Destination-sharded rings: split the work-group by shard so
@@ -176,7 +188,7 @@ impl<'a> GravelCtx<'a> {
         }
         // Remote lanes: offload.
         let remote = self.wg.active().and_not(&local);
-        self.offload(&remote, dests, |lane| {
+        self.offload(&remote, dests, TrafficClass::Bulk, |lane| {
             Message::put(dests.get(lane), addrs.get(lane), vals.get(lane))
         });
     }
@@ -188,7 +200,7 @@ impl<'a> GravelCtx<'a> {
             // Everything — local included — routes through the network
             // thread (§6).
             let mask = self.wg.active().clone();
-            self.offload(&mask, dests, |lane| {
+            self.offload(&mask, dests, TrafficClass::Bulk, |lane| {
                 Message::inc(dests.get(lane), addrs.get(lane), vals.get(lane))
             });
         } else {
@@ -204,7 +216,7 @@ impl<'a> GravelCtx<'a> {
                 self.node.local_direct.add(local.count() as u64);
             }
             let remote = self.wg.active().and_not(&local);
-            self.offload(&remote, dests, |lane| {
+            self.offload(&remote, dests, TrafficClass::Bulk, |lane| {
                 Message::inc(dests.get(lane), addrs.get(lane), vals.get(lane))
             });
         }
@@ -219,7 +231,7 @@ impl<'a> GravelCtx<'a> {
     /// the group, the WG-amortized analogue of the offload queue's
     /// single reservation.
     pub fn shmem_get(&mut self, dests: &LaneVec<u32>, addrs: &LaneVec<u64>) -> Arc<ReplySink> {
-        self.rpc_offload(dests, |lane, token, dl| {
+        self.rpc_offload(dests, TrafficClass::Get, |lane, token, dl| {
             Message::get(dests.get(lane), addrs.get(lane), token, dl)
         })
     }
@@ -234,7 +246,7 @@ impl<'a> GravelCtx<'a> {
         dests: &LaneVec<u32>,
         args: &LaneVec<u64>,
     ) -> Arc<ReplySink> {
-        self.rpc_offload(dests, |lane, token, dl| {
+        self.rpc_offload(dests, TrafficClass::AmCall, |lane, token, dl| {
             Message::am_call(dests.get(lane), handler, args.get(lane), token, dl)
         })
     }
@@ -242,6 +254,7 @@ impl<'a> GravelCtx<'a> {
     fn rpc_offload(
         &mut self,
         dests: &LaneVec<u32>,
+        class: TrafficClass,
         make: impl Fn(usize, u64, u16) -> Message,
     ) -> Arc<ReplySink> {
         let mask = self.wg.active().clone();
@@ -269,7 +282,9 @@ impl<'a> GravelCtx<'a> {
             }
         }
         let send = mask.and(&Mask::from_fn(self.wg.wg_size(), |l| ok[l]));
-        self.offload(&send, dests, |lane| make(lane, tokens[lane], deadline_ms));
+        self.offload(&send, dests, class, |lane| {
+            make(lane, tokens[lane], deadline_ms)
+        });
         sink
     }
 
@@ -284,7 +299,7 @@ impl<'a> GravelCtx<'a> {
         vals: &LaneVec<u64>,
     ) {
         let mask = self.wg.active().clone();
-        self.offload(&mask, dests, |lane| {
+        self.offload(&mask, dests, TrafficClass::Bulk, |lane| {
             Message::active(dests.get(lane), handler, addrs.get(lane), vals.get(lane))
         });
     }
@@ -401,5 +416,31 @@ mod tests {
         });
         let mut out = Vec::new();
         assert_eq!(n.queue.try_consume_into(&mut out), Consumed::Batch(2));
+    }
+
+    #[test]
+    fn gets_and_am_calls_offload_through_the_express_ring() {
+        let n = node(2);
+        let mut w = wg();
+        let mut ctx = GravelCtx::new(&mut w, &n, true);
+        let dests = LaneVec::splat(8, 1u32);
+        let addrs = LaneVec::from_fn(8, |l| l as u64);
+        let sink = ctx.shmem_get(&dests, &addrs);
+        assert_eq!(sink.outstanding(), 8);
+        ctx.shmem_am_call(0, &dests, &addrs);
+        // One reservation per work-group and call, none in a bulk ring.
+        assert_eq!(n.queue.express().backlog(), 2);
+        assert_eq!(n.queue.ring(0).backlog(), 0);
+        assert_eq!(n.offloaded.get(), 16);
+        let mut out = Vec::new();
+        assert_eq!(
+            n.queue.express().try_consume_into(&mut out),
+            Consumed::Batch(8)
+        );
+        let m = Message::decode([out[0], out[1], out[2], out[3]]).unwrap();
+        assert_eq!(
+            (m.command.class(), m.dest, m.addr),
+            (TrafficClass::Get, 1, 0)
+        );
     }
 }

@@ -33,7 +33,7 @@ pub enum RuntimeError {
         src: u32,
         /// Destination node of the dead flow.
         dest: u32,
-        /// Sending aggregator lane.
+        /// Wire lane of the dead flow (aggregator lane plus band).
         lane: u32,
         /// Oldest unacknowledged sequence number.
         seq: u64,

@@ -1,16 +1,23 @@
-//! The sender half of the delivery protocol: go-back-N per destination
-//! flow with QoS band credits, over any [`Transport`].
+//! The sender half of the delivery protocol: one go-back-N flow per
+//! destination and band, over any [`Transport`].
 //!
 //! This is the **only** sender-side reliability implementation in the
 //! tree. The aggregator lanes run it in-process, and `gravel-node` runs
 //! it over sockets — the RPC lane through [`crate::aggregator::run`]
 //! itself, the deterministic GUPS and elastic senders by submitting the
-//! packets they build. Packets are stamped with `(lane, seq)`, sealed
-//! exactly once, kept until cumulatively acked by the receiving network
-//! thread, and re-sent with exponential backoff when acks stop
+//! packets they build. Packets are stamped with `(wire lane, seq)`,
+//! sealed exactly once, kept until cumulatively acked by the receiving
+//! network thread, and re-sent with exponential backoff when acks stop
 //! arriving. A flow that makes no progress for
 //! `RetryConfig::max_retries` consecutive rounds is reported as
 //! [`RuntimeError::RetryExhausted`].
+//!
+//! Each band ([`Band`]) of a lane is a flow of its own: its own
+//! sequence space, window and retransmit timer, told apart on the wire
+//! by the band bit of the lane number ([`gravel_pgas::wire_lane`]). An
+//! express packet is therefore never sequenced behind the bulk packets
+//! flushed before it, and the receiver never parks it in a reorder
+//! buffer waiting for them.
 //!
 //! Backpressure: a send that cannot complete within its short timeout
 //! parks the frame in the flow's staging queue and counts
@@ -23,9 +30,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Band, TrafficClass, NUM_CLASSES};
+use gravel_gq::{Band, NUM_BANDS};
 use gravel_net::{RetryConfig, SendStatus, Transport};
-use gravel_pgas::{DataFrame, Packet};
+use gravel_pgas::{split_wire_lane, wire_lane, DataFrame, Packet};
 use gravel_telemetry::Gauge;
 
 use crate::error::RuntimeError;
@@ -35,27 +42,23 @@ use crate::node::NodeShared;
 /// parked and the caller resumes servicing acks and its own input.
 const SEND_ATTEMPT_TIMEOUT: Duration = Duration::from_micros(200);
 
-/// In-flight packet budget of one QoS band, derived from the go-back-N
-/// window (no separate knob): the LATENCY band may fill the whole
-/// window, NORMAL three quarters, BULK half. A bulk stream therefore
-/// can never occupy the window so completely that a GET or reply has to
-/// queue behind it — the credit head-room *is* the priority mechanism
-/// (SNIPPETS.md Snippet 3's credit-gated sends). The cap is static on
-/// purpose: a work-conserving variant (full window while no
-/// higher-band traffic is active) was measured to cost nothing on pure
-/// GUPS but to erase most of the GET-latency advantage — request
-/// traffic is intermittent, so by the time a reply is queued the
-/// window is already stuffed with bulk frames it must drain behind.
-fn band_credit(band: Band, window: usize) -> usize {
+/// Go-back-N window of one band's flows, derived from `retry.window`
+/// (no separate knob): express flows may use all of it, bulk flows
+/// half. The two bands share the receiver's network thread, so the bulk
+/// share also bounds how much apply work can sit in the fabric ahead of
+/// a request the moment it is sent.
+fn band_window(band: Band, window: usize) -> usize {
     match band {
-        Band::Latency => window,
-        Band::Normal => (window * 3 / 4).max(1),
+        Band::Express => window,
         Band::Bulk => (window / 2).max(1),
     }
 }
 
-/// Sender-side state of one destination flow (go-back-N + QoS bands).
+/// Sender-side state of one go-back-N flow: one destination, one band.
 pub struct Flow {
+    band: Band,
+    /// In-flight limit ([`band_window`]).
+    window: usize,
     /// Next sequence number to stamp.
     next_seq: u64,
     /// Lowest unacknowledged sequence number.
@@ -65,20 +68,14 @@ pub struct Flow {
     /// whose previous incarnation delivered further than this one has
     /// stamped yet (see [`Sender::pump`]).
     peer_next: u64,
-    /// Flushed packets awaiting a sequence number, one queue per
-    /// traffic class (drained in [`TrafficClass::PRIORITY`] order
-    /// subject to band credits).
-    classq: Vec<VecDeque<Packet>>,
+    /// Flushed packets awaiting a sequence number.
+    queued: VecDeque<Packet>,
     /// Stamped, sealed, but unsent frames (parked by backpressure).
     staged: VecDeque<DataFrame>,
     /// Sent, unacknowledged frames: `base .. base + unacked.len()`.
     /// Sealed exactly once at stamp time; retransmissions are
     /// refcounted clones of the same frame bytes (no re-CRC).
     unacked: VecDeque<DataFrame>,
-    /// QoS band of every stamped-but-unacked frame, in stamp order
-    /// (parallels `unacked` then `staged`); popped at ack time to
-    /// refund the band's credit.
-    stamped_bands: VecDeque<Band>,
     /// Last time this flow made ack progress or (re)transmitted.
     last_activity: Instant,
     /// Current retransmission backoff.
@@ -88,47 +85,42 @@ pub struct Flow {
 }
 
 impl Flow {
-    fn new(retry: &RetryConfig) -> Self {
+    fn new(retry: &RetryConfig, band: Band) -> Self {
         Flow {
+            band,
+            window: band_window(band, retry.window),
             next_seq: 0,
             base: 0,
             peer_next: 0,
-            classq: (0..NUM_CLASSES).map(|_| VecDeque::new()).collect(),
+            queued: VecDeque::new(),
             staged: VecDeque::new(),
             unacked: VecDeque::new(),
-            stamped_bands: VecDeque::new(),
             last_activity: Instant::now(),
             backoff: retry.backoff,
             retries: 0,
         }
     }
 
-    fn in_flight(&self) -> usize {
-        self.unacked.len()
-    }
-
-    /// Stamped frames currently charged against `band`'s credit.
-    fn band_in_flight(&self, band: Band) -> usize {
-        self.stamped_bands.iter().filter(|b| **b == band).count()
-    }
-
-    fn has_queued(&self) -> bool {
-        self.classq.iter().any(|q| !q.is_empty())
+    /// Nothing is waiting for window room or for the channel.
+    fn has_room(&self) -> bool {
+        self.staged.is_empty() && self.queued.is_empty()
     }
 
     fn is_drained(&self) -> bool {
-        !self.has_queued() && self.staged.is_empty() && self.unacked.is_empty()
+        self.has_room() && self.unacked.is_empty()
     }
 }
 
-/// The go-back-N sender of one wire lane. Borrows its flows from the
-/// caller (an aggregator's `LaneState`, a node sender's stack) so
+/// The go-back-N sender of one aggregator lane. Borrows its flows from
+/// the caller (an aggregator's `LaneState`, a node sender's stack) so
 /// sequence numbers and unacked windows survive a worker restart.
 pub struct Sender<'a> {
     node: &'a NodeShared,
     lane: u32,
     transport: &'a dyn Transport,
     retry: RetryConfig,
+    /// `NUM_BANDS × nodes` flows, band-major in service order: every
+    /// express flow sits (and is serviced) ahead of every bulk flow.
     flows: &'a mut Vec<Flow>,
     /// Live unacked-packet total across this lane's flows
     /// ([`in_flight_gauge`]).
@@ -143,7 +135,8 @@ pub fn in_flight_gauge(node: &NodeShared) -> Gauge {
 
 impl<'a> Sender<'a> {
     /// A sender for `lane` over `flows`, which is (re)initialized to one
-    /// fresh flow per destination unless it already has that shape.
+    /// fresh flow per band and destination unless it already has that
+    /// shape.
     pub fn new(
         node: &'a NodeShared,
         lane: u32,
@@ -152,8 +145,12 @@ impl<'a> Sender<'a> {
         in_flight: &'a Gauge,
     ) -> Self {
         let retry = node.retry.clone();
-        if flows.len() != node.nodes {
-            *flows = (0..node.nodes).map(|_| Flow::new(&retry)).collect();
+        if flows.len() != NUM_BANDS * node.nodes {
+            *flows = Band::ALL
+                .iter()
+                .flat_map(|&band| (0..node.nodes).map(move |_| band))
+                .map(|band| Flow::new(&retry, band))
+                .collect();
         }
         Sender {
             lane,
@@ -165,49 +162,53 @@ impl<'a> Sender<'a> {
         }
     }
 
-    fn note_in_flight(&self) {
-        self.in_flight
-            .set(self.flows.iter().map(Flow::in_flight).sum::<usize>() as i64);
+    fn flow_index(&self, band: Band, dest: usize) -> usize {
+        band.index() * self.node.nodes + dest
     }
 
-    /// Queue a packet for its destination's flow by traffic class and
-    /// pump the flow.
+    fn note_in_flight(&self) {
+        self.in_flight
+            .set(self.flows.iter().map(|f| f.unacked.len()).sum::<usize>() as i64);
+    }
+
+    /// Queue a packet on the flow of its destination and band, and pump
+    /// that flow.
     pub fn submit(&mut self, pkt: Packet) {
-        let dest = pkt.dest as usize;
-        self.flows[dest].classq[pkt.class().index()].push_back(pkt);
-        self.pump(dest);
+        let idx = self.flow_index(pkt.class().band(), pkt.dest as usize);
+        self.flows[idx].queued.push_back(pkt);
+        self.pump(idx);
     }
 
     /// Whether everything submitted towards `dest` has been stamped and
-    /// put on the wire — nothing is waiting for window room, band
-    /// credit or the channel. Callers that build packets on demand
-    /// submit only while this holds, so the flow (not the caller) sets
-    /// the pace and at most one packet ever queues ahead of the window.
+    /// put on the wire — nothing is waiting for window room or the
+    /// channel. Callers that build packets on demand submit only while
+    /// this holds, so the flow (not the caller) sets the pace and at
+    /// most one packet ever queues ahead of the window.
     pub fn has_room(&self, dest: usize) -> bool {
-        let flow = &self.flows[dest];
-        flow.staged.is_empty() && !flow.has_queued()
+        Band::ALL
+            .iter()
+            .all(|&band| self.flows[self.flow_index(band, dest)].has_room())
     }
 
-    /// Move queued packets onto the wire while the go-back-N window has
-    /// room: first re-try frames already stamped but parked by
-    /// backpressure (sequence order is sacred), then stamp fresh
-    /// packets in priority order, each subject to its band's in-flight
-    /// credit. A class blocked *only* by exhausted credits counts
-    /// `rpc.credits_stalled`.
-    pub fn pump(&mut self, dest: usize) {
-        let window = self.retry.window;
+    /// Move flow `idx`'s queued packets onto the wire while its window
+    /// has room: first re-try frames already stamped but parked by
+    /// backpressure (sequence order is sacred), then stamp fresh ones.
+    fn pump(&mut self, idx: usize) {
         let epoch = self.node.wire_epoch.load(Ordering::Relaxed);
-        let flow = &mut self.flows[dest];
-        while flow.in_flight() < window {
-            if let Some(pkt) = flow.staged.pop_front() {
-                match self.transport.send_data(pkt.clone(), SEND_ATTEMPT_TIMEOUT) {
+        let flow = &mut self.flows[idx];
+        while flow.unacked.len() < flow.window {
+            if let Some(frame) = flow.staged.pop_front() {
+                match self
+                    .transport
+                    .send_data(frame.clone(), SEND_ATTEMPT_TIMEOUT)
+                {
                     SendStatus::Sent => {
                         flow.last_activity = Instant::now();
-                        flow.unacked.push_back(pkt);
+                        flow.unacked.push_back(frame);
                         continue;
                     }
                     SendStatus::TimedOut => {
-                        flow.staged.push_front(pkt);
+                        flow.staged.push_front(frame);
                         self.node.net_chan_stalls.add(1);
                         self.note_in_flight();
                         return;
@@ -215,31 +216,11 @@ impl<'a> Sender<'a> {
                     SendStatus::Closed => return, // cluster is winding down
                 }
             }
-            // Stamp the highest-priority queued packet whose band still
-            // has credit.
-            let mut next = None;
-            let mut credit_blocked = false;
-            for class in TrafficClass::PRIORITY {
-                if flow.classq[class.index()].is_empty() {
-                    continue;
-                }
-                let band = class.band();
-                if flow.band_in_flight(band) >= band_credit(band, window) {
-                    credit_blocked = true;
-                    continue;
-                }
-                next = Some((class.index(), band));
-                break;
-            }
-            let Some((ci, band)) = next else {
-                if credit_blocked {
-                    self.node.rpc_credits_stalled.add(1);
-                }
+            let Some(mut pkt) = flow.queued.pop_front() else {
                 self.note_in_flight();
                 return;
             };
-            let mut pkt = flow.classq[ci].pop_front().expect("class queue non-empty");
-            pkt.lane = self.lane;
+            pkt.lane = wire_lane(self.lane, flow.band);
             pkt.seq = flow.next_seq;
             flow.next_seq += 1;
             if pkt.seq < flow.peer_next {
@@ -250,19 +231,23 @@ impl<'a> Sender<'a> {
                 // is what makes the restart exact). The ack that raised
                 // `peer_next` also released every stamped frame, so the
                 // packet retires without touching the wire.
-                debug_assert!(flow.stamped_bands.is_empty());
+                debug_assert!(flow.unacked.is_empty());
                 flow.base += 1;
                 self.node.net_fast_forwarded.add(1);
                 continue;
             }
             let frame = pkt.seal_in(epoch, self.node.wire_integrity, self.node.pool.as_ref());
-            flow.stamped_bands.push_back(band);
             flow.staged.push_back(frame);
         }
-        if !flow.staged.is_empty() || flow.has_queued() {
+        if !flow.has_room() {
             // Window full: also a form of backpressure (the receiver or
-            // the ack path is behind).
+            // the ack path is behind). On the express band it is what
+            // `rpc.credits_stalled` has always meant: a request or
+            // reply held back for want of in-flight credit.
             self.node.net_window_stalls.add(1);
+            if flow.band == Band::Express {
+                self.node.rpc_credits_stalled.add(1);
+            }
         }
         self.note_in_flight();
     }
@@ -273,8 +258,8 @@ impl<'a> Sender<'a> {
     pub fn service(&mut self) -> Result<(), RuntimeError> {
         self.drain_acks();
         self.poll_retransmits()?;
-        for dest in 0..self.flows.len() {
-            self.pump(dest);
+        for idx in 0..self.flows.len() {
+            self.pump(idx);
         }
         Ok(())
     }
@@ -292,12 +277,16 @@ impl<'a> Sender<'a> {
                     continue;
                 }
             };
-            // With integrity off a mangled src can still verify; never
-            // index out of the flow table on a corrupt peer id.
-            let Some(flow) = self.flows.get_mut(ack.src as usize) else {
+            // With integrity off a mangled src or lane can still
+            // verify; never index out of the flow table (or into
+            // another lane's sequence space) on a corrupt header.
+            let (lane, band) = split_wire_lane(ack.lane);
+            if lane != self.lane || ack.src as usize >= self.node.nodes {
                 self.node.net_ack_corrupt_dropped.add(1);
                 continue;
-            };
+            }
+            let idx = self.flow_index(band, ack.src as usize);
+            let flow = &mut self.flows[idx];
             self.node.net_acks_received.add(1);
             flow.peer_next = flow.peer_next.max(ack.cum_seq.saturating_add(1));
             let mut progressed = false;
@@ -307,8 +296,6 @@ impl<'a> Sender<'a> {
             while flow.base < flow.peer_next
                 && (flow.unacked.pop_front().is_some() || flow.staged.pop_front().is_some())
             {
-                // Refund the acked frame's band credit.
-                flow.stamped_bands.pop_front();
                 flow.base += 1;
                 progressed = true;
             }
@@ -316,8 +303,7 @@ impl<'a> Sender<'a> {
                 flow.last_activity = Instant::now();
                 flow.backoff = self.retry.backoff;
                 flow.retries = 0;
-                let dest = ack.src as usize;
-                self.pump(dest);
+                self.pump(idx);
             }
         }
     }
@@ -326,16 +312,16 @@ impl<'a> Sender<'a> {
     /// unacked). Returns an error when a flow exhausts its retries.
     pub fn poll_retransmits(&mut self) -> Result<(), RuntimeError> {
         let now = Instant::now();
-        for dest in 0..self.flows.len() {
-            let flow = &mut self.flows[dest];
+        let nodes = self.node.nodes;
+        for (idx, flow) in self.flows.iter_mut().enumerate() {
             if flow.unacked.is_empty() || now.duration_since(flow.last_activity) < flow.backoff {
                 continue;
             }
             if flow.retries >= self.retry.max_retries {
                 return Err(RuntimeError::RetryExhausted {
                     src: self.node.id,
-                    dest: dest as u32,
-                    lane: self.lane,
+                    dest: (idx % nodes) as u32,
+                    lane: wire_lane(self.lane, flow.band),
                     seq: flow.base,
                     retries: flow.retries,
                 });
@@ -343,16 +329,19 @@ impl<'a> Sender<'a> {
             flow.retries += 1;
             flow.backoff = (flow.backoff * 2).min(self.retry.backoff_max);
             flow.last_activity = now;
-            let resend: Vec<DataFrame> = flow.unacked.iter().cloned().collect();
-            self.node.net_retransmits.add(resend.len() as u64);
+            self.node.net_retransmits.add(flow.unacked.len() as u64);
             let _span = self
                 .node
                 .tracer
                 .span("agg.retransmit", "aggregate", self.node.id);
-            for pkt in resend {
+            for frame in flow.unacked.iter() {
                 // Best-effort: a full channel just means the next round
                 // retries again — the window bound keeps this finite.
-                if self.transport.send_data(pkt, SEND_ATTEMPT_TIMEOUT) == SendStatus::Closed {
+                if self
+                    .transport
+                    .send_data(frame.clone(), SEND_ATTEMPT_TIMEOUT)
+                    == SendStatus::Closed
+                {
                     break;
                 }
             }

@@ -9,7 +9,9 @@
 //! and (on the paper's hardware) beats concurrent read-modify-writes.
 //!
 //! On top of applying packets, the thread enforces exactly-once in-order
-//! delivery per flow `(src, lane)`: packets below the expected sequence
+//! delivery per flow `(src, wire lane)` — each band of a sender lane is
+//! a flow of its own, so a request served ahead of queued bulk frames
+//! is in sequence, not out of order: packets below the expected sequence
 //! number are duplicates (counted and re-acked, which heals lost acks);
 //! packets above it are parked in a bounded reorder buffer until the gap
 //! fills (go-back-N retransmission fills it if the missing packet was
@@ -400,6 +402,9 @@ pub fn run_with_gate(
             }
             RecvStatus::Closed => return,
         };
+        if frame.express {
+            node.net_express_frames.add(1);
+        }
         // Verify before decoding a single byte. A frame that fails is
         // dropped: corrupted ≡ lost, and the sender's go-back-N window
         // retransmits it. Truncations are classified separately so the
@@ -423,8 +428,9 @@ pub fn run_with_gate(
             node.net_misrouted.add(1);
             continue;
         }
+        let (src, lane) = (pkt.src, pkt.lane);
         let mut st = lock_recv(&state);
-        let flow = st.flows.entry((pkt.src, pkt.lane)).or_default();
+        let flow = st.flows.entry((src, lane)).or_default();
         if pkt.seq < flow.expected {
             // Duplicate (injected, or a retransmission of an applied
             // packet whose ack was lost). Re-ack so the sender advances.
@@ -434,7 +440,8 @@ pub fn run_with_gate(
             // retransmission recovers it otherwise), then ack what we
             // actually have.
             if flow.ooo.len() < OOO_BUFFER_CAP {
-                flow.ooo.entry(pkt.seq).or_insert(pkt.clone());
+                node.net_ooo_parked.add(1);
+                flow.ooo.entry(pkt.seq).or_insert(pkt);
             } else {
                 node.net_ooo_dropped.add(1);
             }
@@ -471,8 +478,8 @@ pub fn run_with_gate(
             transport.send_ack(
                 Ack {
                     src: node.id,
-                    dest: pkt.src,
-                    lane: pkt.lane,
+                    dest: src,
+                    lane,
                     cum_seq: flow.expected - 1,
                 }
                 .seal(node.wire_epoch.load(Ordering::Relaxed), node.wire_integrity),
@@ -712,5 +719,120 @@ mod tests {
         });
         handle.join().unwrap();
         assert!(!transport.is_closed());
+    }
+
+    /// K bulk frames are already queued in the node's ingress when a GET
+    /// arrives. The GET is served first — its reply is in the express
+    /// ring before a single bulk message has applied — and nothing is
+    /// out of order about that: it is the first packet of its own flow.
+    #[test]
+    fn a_get_is_served_ahead_of_the_bulk_frames_queued_before_it() {
+        use gravel_gq::{Band, TrafficClass};
+        use gravel_pgas::wire_lane;
+
+        struct Tap {
+            node: Arc<NodeShared>,
+            /// Per applied packet: class, seq, and the node's applied
+            /// and offloaded totals right after it.
+            seen: Mutex<Vec<(TrafficClass, u64, u64, u64)>>,
+        }
+        impl PacketTap for Tap {
+            fn on_packet_applied(&self, pkt: &Packet) {
+                let n = &self.node;
+                self.seen.lock().unwrap().push((
+                    pkt.class(),
+                    pkt.seq,
+                    n.applied.get(),
+                    n.offloaded.get(),
+                ));
+            }
+        }
+
+        const K: u64 = 6;
+        let cfg = GravelConfig::small(2, 8);
+        let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
+        node.heap.store(5, 555);
+        let transport = Arc::new(ChannelTransport::new(2, 1, 64));
+        let errors = Arc::new(ErrorSlot::default());
+        let from_peer = |lane: u32, seq: u64, words: &[u64]| {
+            let mut p = Packet::from_words(1, 0, words);
+            p.lane = lane;
+            p.seq = seq;
+            p.seal(0, WireIntegrity::Crc32c)
+        };
+        let mut incs = Vec::new();
+        for _ in 0..3 {
+            incs.extend(Message::inc(0, 2, 1).encode());
+        }
+        for seq in 0..K {
+            transport.send_data(from_peer(0, seq, &incs), Duration::from_secs(1));
+        }
+        let get = from_peer(
+            wire_lane(0, Band::Express),
+            0,
+            &Message::get(0, 5, 42, 1).encode(),
+        );
+        assert!(get.express);
+        transport.send_data(get, Duration::from_secs(1));
+
+        // Only now does the network thread start.
+        let tap = Arc::new(Tap {
+            node: node.clone(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let handle = {
+            let (node, transport, errors, tap) =
+                (node.clone(), transport.clone(), errors.clone(), tap.clone());
+            let state = Arc::new(Mutex::new(RecvState::new()));
+            std::thread::spawn(move || {
+                run_with_tap(node, transport, errors, state, None, Some(tap))
+            })
+        };
+        assert!(crate::backoff::wait_for(Duration::from_secs(5), || {
+            node.applied.get() == 1 + 3 * K
+        }));
+        transport.close();
+        handle.join().unwrap();
+
+        let seen = tap.seen.lock().unwrap().clone();
+        assert_eq!(
+            seen[0],
+            (TrafficClass::Get, 0, 1, 1),
+            "GET applied first, its reply offloaded, no bulk message applied yet"
+        );
+        let bulk: Vec<_> = seen[1..].iter().map(|s| (s.0, s.1, s.2)).collect();
+        let want: Vec<_> = (0..K)
+            .map(|k| (TrafficClass::Bulk, k, 1 + 3 * (k + 1)))
+            .collect();
+        assert_eq!(bulk, want, "then the bulk frames, in their own order");
+        assert_eq!(node.heap.load(2), 3 * K);
+        // The reply went out through the express ring, to the requester.
+        let mut out = Vec::new();
+        assert_eq!(
+            node.queue.express().try_consume_into(&mut out),
+            gravel_gq::Consumed::Batch(1)
+        );
+        assert_eq!(
+            Message::decode([out[0], out[1], out[2], out[3]]),
+            Some(Message::reply(1, 42, 555))
+        );
+        assert_eq!(node.queue.ring(0).backlog(), 0);
+        assert_eq!(node.net_express_frames.get(), 1);
+        assert_eq!(
+            node.net_ooo_parked.get(),
+            0,
+            "overtaking another band is not reordering"
+        );
+        // Both flows were acked into the one mailbox of the peer's lane
+        // 0, each under its own wire lane.
+        let mut acked = std::collections::BTreeMap::new();
+        while let Some(a) = transport.try_recv_ack(1, 0) {
+            let a = a.open(WireIntegrity::Crc32c).unwrap();
+            acked.insert(a.lane, a.cum_seq);
+        }
+        assert_eq!(
+            acked.into_iter().collect::<Vec<_>>(),
+            vec![(0, K - 1), (wire_lane(0, Band::Express), 0)]
+        );
     }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gravel_gq::{BufferPool, Message, QueueStats};
+use gravel_gq::{BufferPool, Message, QueueStats, TrafficClass};
 use gravel_net::RetryConfig;
 use gravel_pgas::{
     AdaptiveFlush, AggCounters, AmRegistry, Quarantine, SymmetricHeap, WireIntegrity,
@@ -64,6 +64,9 @@ pub struct NodeShared {
     pub remote_routed: Counter,
     /// Aggregation counters shared by every aggregator slot of this node.
     pub agg: AggCounters,
+    /// Express-band packets this node's aggregator handed to its sender
+    /// (`agg.express_packets`; also counted in `agg.packets`).
+    pub agg_express_packets: Counter,
     /// Aggregator idle/busy poll counts (§8.1's 65 %-polling metric).
     pub agg_polls_empty: Counter,
     /// Aggregator polls that found work.
@@ -90,6 +93,13 @@ pub struct NodeShared {
     /// Out-of-order packets discarded because the reorder buffer was
     /// full (recovered later by retransmission).
     pub net_ooo_dropped: Counter,
+    /// Packets parked in a reorder buffer because they arrived ahead of
+    /// their flow's next sequence number. Zero on a reliable fabric:
+    /// each band is its own flow, so an express frame overtaking bulk
+    /// frames never waits for them here.
+    pub net_ooo_parked: Counter,
+    /// Inbound data frames that carried the express stamp.
+    pub net_express_frames: Counter,
     /// Busy-spin iterations in the runtime's idle loops (aggregator
     /// drain waits, quiesce polls) before parking.
     pub net_spin_spins: Counter,
@@ -136,8 +146,8 @@ pub struct NodeShared {
     pub rpc: crate::rpc::PendingReplies,
     /// Request deadline copied from `cfg.rpc.timeout`.
     pub rpc_timeout: std::time::Duration,
-    /// Packets held back because their band's in-flight credit was
-    /// exhausted while window room remained (`rpc.credits_stalled`).
+    /// Times an express flow had packets waiting behind a full window
+    /// (`rpc.credits_stalled`).
     pub rpc_credits_stalled: Counter,
     /// Replies this node's network thread generated while applying GETs
     /// and AM calls (`rpc.replies_sent`).
@@ -205,6 +215,7 @@ impl NodeShared {
             local_routed: registry.counter(&name("route.local_routed")),
             remote_routed: registry.counter(&name("route.remote_routed")),
             agg: AggCounters::bound(&registry, &p),
+            agg_express_packets: registry.counter(&name("agg.express_packets")),
             agg_polls_empty: registry.counter(&name("agg.polls_empty")),
             agg_polls_hit: registry.counter(&name("agg.polls_hit")),
             retry: cfg.retry.clone(),
@@ -216,6 +227,8 @@ impl NodeShared {
             net_chan_stalls: registry.counter(&name("net.chan_stalls")),
             net_window_stalls: registry.counter(&name("net.window_stalls")),
             net_ooo_dropped: registry.counter(&name("net.ooo_dropped")),
+            net_ooo_parked: registry.counter(&name("net.ooo_parked")),
+            net_express_frames: registry.counter(&name("net.express_frames")),
             net_spin_spins: registry.counter(&name("net.spin_spins")),
             net_spin_parks: registry.counter(&name("net.spin_parks")),
             wire_integrity: cfg.wire_integrity,
@@ -254,7 +267,8 @@ impl NodeShared {
     }
 
     /// Inject one message from the host CPU (control paths, tests). The
-    /// message lands in its destination's shard ring.
+    /// message lands in its destination's shard ring, or in the express
+    /// ring if it is a request or a reply.
     pub fn host_send(&self, msg: Message) {
         self.queue.produce_one(msg.dest, &msg.encode());
         self.note_offloaded(1);
@@ -262,15 +276,17 @@ impl NodeShared {
 
     /// Inject a batch of messages from the host CPU with one slot
     /// reservation per full slot (bench harnesses, bulk control paths).
-    /// Messages may mix destinations; each is routed to its
-    /// destination's shard ring, preserving per-destination order.
+    /// Messages may mix destinations and classes; each is routed to its
+    /// destination's shard ring — or, for request-reply classes, to the
+    /// express ring — preserving per-destination order.
     pub fn host_send_batch(&self, msgs: &[Message]) {
         if msgs.is_empty() {
             return;
         }
         let width = self.queue.config().lane_width;
         let lanes = self.queue.lanes();
-        if lanes == 1 {
+        if lanes == 1 && msgs.iter().all(|m| m.command.class() == TrafficClass::Bulk) {
+            // One ring takes everything: no per-message routing.
             let ring = self.queue.ring(0);
             let mut words = Vec::with_capacity(width * gravel_gq::MSG_ROWS);
             for chunk in msgs.chunks(width) {
@@ -280,38 +296,47 @@ impl NodeShared {
                 }
                 ring.produce_batch(&words, chunk.len());
             }
-        } else {
-            // Bucket per shard, flushing a full slot's worth at a time.
-            let mut bufs: Vec<Vec<u64>> = (0..lanes)
-                .map(|_| Vec::with_capacity(width * gravel_gq::MSG_ROWS))
-                .collect();
-            let mut counts = vec![0usize; lanes];
-            for m in msgs {
-                let s = self.queue.shard_of(m.dest);
-                bufs[s].extend_from_slice(&m.encode());
-                counts[s] += 1;
-                if counts[s] == width {
-                    // Producers drive the governor too: under a
-                    // collapsed mask a dense burst saturates the ring
-                    // long before the (possibly descheduled) lane-0
-                    // consumer notices, and the producer is running by
-                    // definition. Deciding *before* the produce
-                    // matters — a full ring blocks the produce call,
-                    // and a blocked producer can't expand the mask it
-                    // is blocked on. Once per slot keeps this off the
-                    // per-message path; the cadence gate bounds it.
-                    if let Some(gov) = &self.governor {
-                        gov.decide(&self.queue, Instant::now());
-                    }
-                    self.queue.ring(s).produce_batch(&bufs[s], counts[s]);
-                    bufs[s].clear();
-                    counts[s] = 0;
+            self.note_offloaded(msgs.len() as u64);
+            return;
+        }
+        // Bucket `lanes` is the express ring.
+        let ring = |bucket: usize| match bucket {
+            b if b == lanes => self.queue.express(),
+            b => self.queue.ring(b),
+        };
+        // Bucket per ring, flushing a full slot's worth at a time.
+        let mut bufs: Vec<Vec<u64>> = (0..=lanes)
+            .map(|_| Vec::with_capacity(width * gravel_gq::MSG_ROWS))
+            .collect();
+        let mut counts = vec![0usize; lanes + 1];
+        for m in msgs {
+            let s = match m.command.class() {
+                TrafficClass::Bulk => self.queue.shard_of(m.dest),
+                _ => lanes,
+            };
+            bufs[s].extend_from_slice(&m.encode());
+            counts[s] += 1;
+            if counts[s] == width {
+                // Producers drive the governor too: under a
+                // collapsed mask a dense burst saturates the ring
+                // long before the (possibly descheduled) lane-0
+                // consumer notices, and the producer is running by
+                // definition. Deciding *before* the produce
+                // matters — a full ring blocks the produce call,
+                // and a blocked producer can't expand the mask it
+                // is blocked on. Once per slot keeps this off the
+                // per-message path; the cadence gate bounds it.
+                if let Some(gov) = &self.governor {
+                    gov.decide(&self.queue, Instant::now());
                 }
+                ring(s).produce_batch(&bufs[s], counts[s]);
+                bufs[s].clear();
+                counts[s] = 0;
             }
-            for s in 0..lanes {
-                if counts[s] > 0 {
-                    self.queue.ring(s).produce_batch(&bufs[s], counts[s]);
-                }
+        }
+        for s in 0..=lanes {
+            if counts[s] > 0 {
+                ring(s).produce_batch(&bufs[s], counts[s]);
             }
         }
         self.note_offloaded(msgs.len() as u64);
@@ -323,6 +348,7 @@ impl NodeShared {
     pub fn stats(&self) -> NodeStats {
         let chan_stalls = self.net_chan_stalls.get();
         let window_stalls = self.net_window_stalls.get();
+        let rtt = self.rpc.rtt.snapshot();
         NodeStats {
             node: self.id,
             offloaded: self.offloaded.get(),
@@ -332,6 +358,7 @@ impl NodeShared {
             remote_routed: self.remote_routed.get(),
             agg: self.agg.snapshot(),
             queue: self.queue.stats.snapshot(),
+            agg_express_packets: self.agg_express_packets.get(),
             agg_polls_empty: self.agg_polls_empty.get(),
             agg_polls_hit: self.agg_polls_hit.get(),
             net: NetStats {
@@ -343,6 +370,8 @@ impl NodeShared {
                 window_stalls,
                 backpressure_stalls: chan_stalls + window_stalls,
                 ooo_dropped: self.net_ooo_dropped.get(),
+                ooo_parked: self.net_ooo_parked.get(),
+                express_frames: self.net_express_frames.get(),
                 spin_spins: self.net_spin_spins.get(),
                 spin_parks: self.net_spin_parks.get(),
                 corrupt_dropped: self.net_corrupt_dropped.get(),
@@ -361,6 +390,8 @@ impl NodeShared {
                 table_full: self.rpc.table_full.get(),
                 credits_stalled: self.rpc_credits_stalled.get(),
                 replies_sent: self.rpc_replies_sent.get(),
+                rtt_p50_ns: rtt.p50(),
+                rtt_p99_ns: rtt.p99(),
             },
         }
     }
@@ -414,5 +445,25 @@ mod tests {
         node.local_direct.add(4);
         assert_eq!(node.offloaded.get(), 4, "vital counter still live");
         assert_eq!(node.local_direct.get(), 0, "observability counter dead");
+    }
+
+    #[test]
+    fn a_mixed_batch_splits_by_class_and_keeps_each_rings_order() {
+        let node = make_node(2);
+        let msgs: Vec<Message> = (0..10u64)
+            .map(|i| match i % 3 {
+                0 => Message::get(1, i, i, 1),
+                _ => Message::inc(1, i, 1),
+            })
+            .collect();
+        node.host_send_batch(&msgs);
+        assert_eq!(node.offloaded.get(), 10);
+        let drain = |ring: &gravel_gq::GravelQueue| {
+            let mut out = Vec::new();
+            while let gravel_gq::Consumed::Batch(_) = ring.try_consume_into(&mut out) {}
+            out.chunks(4).map(|w| w[2]).collect::<Vec<u64>>()
+        };
+        assert_eq!(drain(node.queue.express()), vec![0, 3, 6, 9]);
+        assert_eq!(drain(node.queue.ring(0)), vec![1, 2, 4, 5, 7, 8]);
     }
 }

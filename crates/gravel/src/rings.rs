@@ -16,6 +16,13 @@
 //! byte for byte: one ring with the full slot budget, every destination
 //! in shard 0.
 //!
+//! Beside the bulk rings sits one small **express ring** per node for
+//! request-reply traffic (every [`TrafficClass`] but `Bulk`), so a GET
+//! or a reply never queues behind a ring full of PUTs. The aggregator
+//! draining bulk ring 0 drains it too, before every bulk batch, and the
+//! two rings share a wait cell so a publish on either wakes that one
+//! thread (DESIGN.md §15).
+//!
 //! The total slot budget of the configured geometry is divided across
 //! the rings (each keeps at least two slots), so enabling lanes does not
 //! multiply the memory footprint — governed or not. A governed bank
@@ -28,12 +35,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gravel_gq::{Consumed, GravelQueue, QueueConfig, QueueStats};
+use gravel_gq::{Consumed, GravelQueue, QueueConfig, QueueStats, TrafficClass};
 use gravel_telemetry::Tracer;
 
 /// A bank of per-lane offload rings sharing one telemetry surface.
 pub struct ShardedRings {
     rings: Box<[GravelQueue]>,
+    /// The express ring: an eighth of the configured slot budget, the
+    /// same slot shape. What it is asked to hold is bounded anyway — by
+    /// the pending-reply table and by requesters waiting for their
+    /// replies — and a full ring only makes a producer wait for the
+    /// lane that drains it first.
+    express: GravelQueue,
     /// Routing mask: destinations hash into the first `active` rings.
     /// Equals `rings.len()` (and never moves) without a governor.
     active: AtomicUsize,
@@ -67,10 +80,22 @@ impl ShardedRings {
             slots: (cfg.slots / lanes).max(2),
             ..cfg
         };
+        let rings: Box<[GravelQueue]> = (0..lanes)
+            .map(|_| GravelQueue::with_telemetry(ring_cfg, stats.clone(), tracer.clone(), node))
+            .collect();
+        let express_cfg = QueueConfig {
+            slots: (cfg.slots / 8).max(2),
+            ..cfg
+        };
         ShardedRings {
-            rings: (0..lanes)
-                .map(|_| GravelQueue::with_telemetry(ring_cfg, stats.clone(), tracer.clone(), node))
-                .collect(),
+            express: GravelQueue::with_shared_waiter(
+                express_cfg,
+                stats.clone(),
+                tracer,
+                node,
+                &rings[0],
+            ),
+            rings,
             active: AtomicUsize::new(if governed { 1 } else { lanes }),
             stats,
         }
@@ -113,6 +138,12 @@ impl ShardedRings {
         &self.rings[lane]
     }
 
+    /// The express ring, drained by whichever aggregator drains bulk
+    /// ring 0.
+    pub fn express(&self) -> &GravelQueue {
+        &self.express
+    }
+
     /// Which lane owns destination `dest`. Stable while the active-lane
     /// mask holds — per-destination ordering within a mask depends on
     /// it (a governor transition remaps destinations; see DESIGN.md
@@ -128,11 +159,14 @@ impl ShardedRings {
 
     /// Unconsumed slots across all rings.
     pub fn backlog(&self) -> u64 {
-        self.rings.iter().map(|r| r.backlog()).sum()
+        self.express.backlog() + self.rings.iter().map(|r| r.backlog()).sum::<u64>()
     }
 
-    /// Close every ring (producers must have stopped).
+    /// Close every ring (producers must have stopped). Express first: a
+    /// lane that finds its bulk ring closed may rely on the express
+    /// ring being closed too.
     pub fn close(&self) {
+        self.express.close();
         for r in self.rings.iter() {
             r.close();
         }
@@ -140,21 +174,26 @@ impl ShardedRings {
 
     /// Are all rings closed?
     pub fn is_closed(&self) -> bool {
-        self.rings.iter().all(|r| r.is_closed())
+        self.express.is_closed() && self.rings.iter().all(|r| r.is_closed())
     }
 
-    /// Produce one message into its destination's ring (host paths).
+    /// Produce one message (as words) into the ring its class and
+    /// destination select (host paths).
     pub fn produce_one(&self, dest: u32, words: &[u64]) {
-        self.rings[self.shard_of(dest)].produce_batch(words, 1);
+        let ring = match TrafficClass::of_command_word(words[0]) {
+            TrafficClass::Bulk => &self.rings[self.shard_of(dest)],
+            _ => &self.express,
+        };
+        ring.produce_batch(words, 1);
     }
 
-    /// Drain one ready slot from any ring, sweeping lanes in order
-    /// (single-consumer test paths; live lanes drain their own ring via
-    /// [`ring`](Self::ring)). `Closed` only once every ring is closed and
-    /// drained.
+    /// Drain one ready slot from any ring, express first and then the
+    /// lanes in order (single-consumer test paths; live lanes drain
+    /// their own ring via [`ring`](Self::ring)). `Closed` only once
+    /// every ring is closed and drained.
     pub fn try_consume_into(&self, out: &mut Vec<u64>) -> Consumed {
         let mut all_closed = true;
-        for r in self.rings.iter() {
+        for r in std::iter::once(&self.express).chain(self.rings.iter()) {
             match r.try_consume_into(out) {
                 Consumed::Batch(n) => return Consumed::Batch(n),
                 Consumed::Empty => all_closed = false,
@@ -242,6 +281,27 @@ mod tests {
         out.clear();
         assert_eq!(b.ring(1).try_consume_into(&mut out), Consumed::Batch(1));
         assert_eq!(out[1], 1);
+    }
+
+    #[test]
+    fn request_reply_classes_take_the_express_ring() {
+        assert_eq!(bank(2).express().config().slots, 2, "floor of two slots");
+        let b = ShardedRings::new(QueueConfig { slots: 32, lane_width: 4, rows: 4 }, 2);
+        assert_eq!(b.express().config().slots, 4, "an eighth of the budget");
+        b.produce_one(1, &Message::inc(1, 0, 1).encode());
+        b.produce_one(1, &Message::get(1, 0, 7, 1).encode());
+        b.produce_one(0, &Message::reply(0, 7, 9).encode());
+        b.produce_one(1, &Message::am_call(1, 0, 0, 8, 1).encode());
+        assert_eq!(b.ring(1).backlog(), 1, "only the INC is bulk");
+        assert_eq!(b.ring(0).backlog(), 0);
+        assert_eq!(b.express().backlog(), 3);
+        assert_eq!(b.backlog(), 4);
+        // The sweep serves the express ring first.
+        let mut out = Vec::new();
+        assert_eq!(b.try_consume_into(&mut out), Consumed::Batch(1));
+        assert_eq!(Message::decode([out[0], out[1], out[2], out[3]]), Some(Message::get(1, 0, 7, 1)));
+        b.close();
+        assert!(b.express().is_closed() && b.is_closed());
     }
 
     #[test]

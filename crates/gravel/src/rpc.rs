@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_gq::{ReplySink, RpcFailure};
-use gravel_telemetry::{Counter, Registry};
+use gravel_telemetry::{Counter, Histogram, Registry};
 
 /// Request-reply tuning, part of
 /// [`GravelConfig`](crate::GravelConfig).
@@ -72,6 +72,7 @@ impl std::error::Error for RpcError {}
 struct Entry {
     sink: Arc<ReplySink>,
     slot: usize,
+    issued: Instant,
     deadline: Instant,
 }
 
@@ -99,6 +100,9 @@ pub struct PendingReplies {
     pub orphan_replies: Counter,
     /// Registrations refused because the table was at capacity.
     pub table_full: Counter,
+    /// Issue→completion time of every request that left the table by
+    /// reply or by timeout, in nanoseconds (`rpc.rtt_ns`).
+    pub rtt: Histogram,
 }
 
 const GEN_BITS: u32 = 8;
@@ -119,6 +123,7 @@ impl PendingReplies {
             stale_rejected: registry.counter(&name("stale_rejected")),
             orphan_replies: registry.counter(&name("orphan_replies")),
             table_full: registry.counter(&name("table_full")),
+            rtt: registry.histogram(&name("rtt_ns")),
         }
     }
 
@@ -157,7 +162,8 @@ impl PendingReplies {
         inner.next_seq = inner.next_seq.wrapping_add(1);
         let token = (gen << (64 - GEN_BITS)) | seq;
         sink.arm();
-        inner.entries.insert(token, Entry { sink, slot, deadline });
+        let issued = Instant::now();
+        inner.entries.insert(token, Entry { sink, slot, issued, deadline });
         drop(inner);
         self.issued.add(1);
         Ok(token)
@@ -177,6 +183,7 @@ impl PendingReplies {
                 // `complete` must already see this completion in the
                 // ledger (`issued == completed + timeouts`).
                 self.completed.add(1);
+                self.rtt.record_duration(e.issued.elapsed());
                 e.sink.complete(e.slot, value);
                 true
             }
@@ -214,6 +221,7 @@ impl PendingReplies {
         // `complete`).
         self.timeouts.add(n as u64);
         for e in evicted {
+            self.rtt.record_duration(now.saturating_duration_since(e.issued));
             e.sink.fail(e.slot, RpcFailure::TimedOut);
         }
         n

@@ -40,6 +40,11 @@ pub struct NetStats {
     /// Out-of-order packets dropped because the reorder buffer was full;
     /// recovered by retransmission.
     pub ooo_dropped: u64,
+    /// Packets parked in a reorder buffer, ahead of their own flow's
+    /// next sequence number (never behind another band's).
+    pub ooo_parked: u64,
+    /// Inbound data frames that carried the express stamp.
+    pub express_frames: u64,
     /// Busy-spin iterations in the runtime's idle loops before parking.
     pub spin_spins: u64,
     /// Times an idle runtime thread actually parked instead of spinning.
@@ -91,11 +96,15 @@ pub struct RpcStats {
     pub orphan_replies: u64,
     /// Registrations refused because the pending-reply table was full.
     pub table_full: u64,
-    /// Packets held back by exhausted per-band in-flight credits while
-    /// go-back-N window room remained.
+    /// Times an express flow had packets waiting behind a full window.
     pub credits_stalled: u64,
     /// Replies this node generated serving GETs and AM calls.
     pub replies_sent: u64,
+    /// Median issue→completion time of this node's requests, in
+    /// nanoseconds (`rpc.rtt_ns`; timed-out requests included).
+    pub rtt_p50_ns: u64,
+    /// 99th percentile of the same.
+    pub rtt_p99_ns: u64,
 }
 
 /// Statistics of one node at shutdown (or snapshot time).
@@ -118,6 +127,8 @@ pub struct NodeStats {
     pub agg: AggStats,
     /// Producer/consumer queue statistics.
     pub queue: StatsSnapshot,
+    /// Express-band packets among `agg.packets`.
+    pub agg_express_packets: u64,
     /// Aggregator polls that found the queue empty.
     pub agg_polls_empty: u64,
     /// Aggregator polls that found work.
@@ -139,6 +150,7 @@ impl NodeStats {
         let c = |suffix: &str| snap.counter(&format!("node{node}.{suffix}"));
         let chan_stalls = c("net.chan_stalls");
         let window_stalls = c("net.window_stalls");
+        let rtt = snap.histogram(&format!("node{node}.rpc.rtt_ns"));
         NodeStats {
             node,
             offloaded: c("offloaded"),
@@ -163,6 +175,7 @@ impl NodeStats {
                 messages_consumed: c("queue.messages_consumed"),
                 slots_produced: c("queue.slots_produced"),
             },
+            agg_express_packets: c("agg.express_packets"),
             agg_polls_empty: c("agg.polls_empty"),
             agg_polls_hit: c("agg.polls_hit"),
             net: NetStats {
@@ -174,6 +187,8 @@ impl NodeStats {
                 window_stalls,
                 backpressure_stalls: chan_stalls + window_stalls,
                 ooo_dropped: c("net.ooo_dropped"),
+                ooo_parked: c("net.ooo_parked"),
+                express_frames: c("net.express_frames"),
                 spin_spins: c("net.spin_spins"),
                 spin_parks: c("net.spin_parks"),
                 corrupt_dropped: c("net.corrupt_dropped"),
@@ -192,6 +207,8 @@ impl NodeStats {
                 table_full: c("rpc.table_full"),
                 credits_stalled: c("rpc.credits_stalled"),
                 replies_sent: c("rpc.replies_sent"),
+                rtt_p50_ns: rtt.map_or(0, |h| h.p50()),
+                rtt_p99_ns: rtt.map_or(0, |h| h.p99()),
             },
         }
     }

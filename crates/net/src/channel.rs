@@ -1,27 +1,65 @@
-//! The reliable in-memory fabric: bounded crossbeam channels.
+//! The reliable in-memory fabric: bounded in-memory queues.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, SendTimeoutError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use gravel_pgas::DataFrame;
 
 use crate::{AckFrame, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
 
-/// Reliable bounded-channel transport: one data ingress channel per
-/// node (consumed by its network thread) and one ack mailbox per
-/// `(node, lane)` (consumed by that aggregator).
+/// Reliable bounded transport: one data ingress per node (consumed by
+/// its network thread) and one ack mailbox per `(node, lane)` (consumed
+/// by that aggregator).
 ///
 /// Closing is a flag rather than sender-drop choreography: receivers
 /// keep draining frames already in flight and report
-/// [`RecvStatus::Closed`] only once the flag is set *and* their channel
+/// [`RecvStatus::Closed`] only once the flag is set *and* their ingress
 /// is empty, so nothing accepted before `close()` is lost.
 pub struct ChannelTransport {
-    data: Vec<(Sender<DataFrame>, Receiver<DataFrame>)>,
+    data: Vec<Ingress>,
+    /// Frames each of a node's two ingress queues may hold.
+    capacity: usize,
     acks: Vec<Vec<(Sender<AckFrame>, Receiver<AckFrame>)>>,
     heartbeats: Vec<(Sender<Heartbeat>, Receiver<Heartbeat>)>,
     closed: AtomicBool,
     dropped_acks: AtomicU64,
+}
+
+/// One node's data ingress: an express and a bulk FIFO under one lock.
+/// [`recv_data`](Transport::recv_data) serves express frames first, so
+/// a request or reply waits for at most the bulk packet the network
+/// thread already holds, never for the queue behind it. Each FIFO keeps
+/// its own order and its own bound — the two only ever reorder frames
+/// of *different* flows (every band is its own go-back-N flow), which
+/// no sequence check can see.
+#[derive(Default)]
+struct Ingress {
+    queues: Mutex<IngressQueues>,
+    /// The node's receiver waits here for a frame…
+    not_empty: Condvar,
+    /// …and senders here for room in a full queue.
+    not_full: Condvar,
+}
+
+#[derive(Default)]
+struct IngressQueues {
+    express: VecDeque<DataFrame>,
+    bulk: VecDeque<DataFrame>,
+    /// How many receivers / senders are blocked on the condvars, so the
+    /// uncontended send and receive skip the wake syscall.
+    receivers_waiting: usize,
+    senders_waiting: usize,
+}
+
+impl Ingress {
+    fn lock(&self) -> MutexGuard<'_, IngressQueues> {
+        // Every update leaves the queues valid, so a panicking peer
+        // thread (injected chaos) must not take the fabric down.
+        self.queues.lock().unwrap_or_else(|p| p.into_inner())
+    }
 }
 
 /// Ack mailboxes are small: a flow re-acks on every packet, and only
@@ -35,12 +73,13 @@ const HEARTBEAT_MAILBOX_CAPACITY: usize = 256;
 
 impl ChannelTransport {
     /// Fabric for `nodes` nodes with `lanes` aggregator lanes each and
-    /// `capacity` packets of data buffering per node.
+    /// `capacity` packets of data buffering per node and band.
     pub fn new(nodes: usize, lanes: usize, capacity: usize) -> Self {
         assert!(nodes > 0 && lanes > 0, "empty fabric");
         assert!(capacity > 0, "data channels must hold at least one packet");
         ChannelTransport {
-            data: (0..nodes).map(|_| bounded(capacity)).collect(),
+            data: (0..nodes).map(|_| Ingress::default()).collect(),
+            capacity,
             acks: (0..nodes)
                 .map(|_| (0..lanes).map(|_| bounded(ACK_MAILBOX_CAPACITY)).collect())
                 .collect(),
@@ -66,31 +105,75 @@ impl Transport for ChannelTransport {
         }
         let dest = frame.dest as usize;
         debug_assert!(dest < self.data.len(), "frame to unknown node {dest}");
-        match self.data[dest].0.send_timeout(frame, timeout) {
-            Ok(()) => SendStatus::Sent,
-            Err(SendTimeoutError::Timeout(_)) => {
-                if self.closed.load(Ordering::Acquire) {
+        let ingress = &self.data[dest];
+        let mut q = ingress.lock();
+        let mut deadline = None;
+        loop {
+            let fifo = if frame.express { &mut q.express } else { &mut q.bulk };
+            if fifo.len() < self.capacity {
+                fifo.push_back(frame);
+                break;
+            }
+            let now = Instant::now();
+            let until = *deadline.get_or_insert(now + timeout);
+            if now >= until {
+                return if self.closed.load(Ordering::Acquire) {
                     SendStatus::Closed
                 } else {
                     SendStatus::TimedOut
-                }
+                };
             }
-            Err(SendTimeoutError::Disconnected(_)) => SendStatus::Closed,
+            q.senders_waiting += 1;
+            q = ingress
+                .not_full
+                .wait_timeout(q, until - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+            q.senders_waiting -= 1;
         }
+        let wake = q.receivers_waiting > 0;
+        drop(q);
+        if wake {
+            ingress.not_empty.notify_one();
+        }
+        SendStatus::Sent
     }
 
     fn recv_data(&self, node: NodeId, timeout: Duration) -> RecvStatus<DataFrame> {
-        let rx = &self.data[node as usize].1;
-        match rx.recv_timeout(timeout) {
-            Ok(frame) => RecvStatus::Msg(frame),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.closed.load(Ordering::Acquire) && rx.is_empty() {
+        let ingress = &self.data[node as usize];
+        let mut q = ingress.lock();
+        let mut deadline = None;
+        loop {
+            let next = match q.express.pop_front() {
+                Some(frame) => Some(frame),
+                None => q.bulk.pop_front(),
+            };
+            if let Some(frame) = next {
+                let wake = q.senders_waiting > 0;
+                drop(q);
+                if wake {
+                    // Senders may be waiting on either queue; all of
+                    // them re-check.
+                    ingress.not_full.notify_all();
+                }
+                return RecvStatus::Msg(frame);
+            }
+            let now = Instant::now();
+            let until = *deadline.get_or_insert(now + timeout);
+            if now >= until {
+                return if self.closed.load(Ordering::Acquire) {
                     RecvStatus::Closed
                 } else {
                     RecvStatus::TimedOut
-                }
+                };
             }
-            Err(RecvTimeoutError::Disconnected) => RecvStatus::Closed,
+            q.receivers_waiting += 1;
+            q = ingress
+                .not_empty
+                .wait_timeout(q, until - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+            q.receivers_waiting -= 1;
         }
     }
 
@@ -138,7 +221,13 @@ impl Transport for ChannelTransport {
     }
 
     fn data_depths(&self) -> Vec<usize> {
-        self.data.iter().map(|(tx, _)| tx.len()).collect()
+        self.data
+            .iter()
+            .map(|ingress| {
+                let q = ingress.lock();
+                q.express.len() + q.bulk.len()
+            })
+            .collect()
     }
 
     fn ack_depths(&self, node: NodeId) -> usize {
@@ -150,10 +239,12 @@ impl Transport for ChannelTransport {
 mod tests {
     use super::*;
     use crate::Ack;
-    use gravel_pgas::{Packet, WireIntegrity};
+    use gravel_pgas::{FrameKind, Packet, WireIntegrity};
 
+    /// A one-word bulk frame (sealed as DATA whatever opcode the tag
+    /// happens to look like).
     fn frame(src: u32, dest: u32, tag: u64) -> DataFrame {
-        Packet::from_words(src, dest, &[tag]).seal(0, WireIntegrity::Crc32c)
+        Packet::from_words(src, dest, &[tag]).seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {
@@ -191,6 +282,60 @@ mod tests {
         assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(_)));
         assert_eq!(t.send_data(frame(0, 1, 2), T), SendStatus::Sent);
         assert_eq!(t.data_depths(), vec![0, 1]);
+    }
+
+    fn get_frame(src: u32, dest: u32, token: u64) -> DataFrame {
+        let get = gravel_gq::Message::get(dest, 0, token, 1);
+        Packet::from_words(src, dest, &get.encode()).seal(0, WireIntegrity::Crc32c)
+    }
+
+    #[test]
+    fn express_frames_are_served_before_queued_bulk_each_in_its_own_order() {
+        let t = ChannelTransport::new(2, 1, 16);
+        for tag in 10..14 {
+            assert_eq!(t.send_data(frame(0, 1, tag), T), SendStatus::Sent);
+        }
+        assert_eq!(t.send_data(get_frame(0, 1, 100), T), SendStatus::Sent);
+        assert_eq!(t.send_data(frame(0, 1, 14), T), SendStatus::Sent);
+        assert_eq!(t.send_data(get_frame(0, 1, 101), T), SendStatus::Sent);
+        assert_eq!(t.data_depths(), vec![0, 7]);
+        let mut order = Vec::new();
+        while let RecvStatus::Msg(f) = t.recv_data(1, Duration::ZERO) {
+            let w = words(&f);
+            order.push(if f.express { w[3] } else { w[0] });
+        }
+        // Both GETs first (token order), then the bulk frames in theirs.
+        assert_eq!(order, vec![100, 101, 10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn a_full_bulk_queue_does_not_block_express_frames() {
+        let t = ChannelTransport::new(2, 1, 1);
+        assert_eq!(t.send_data(frame(0, 1, 1), T), SendStatus::Sent);
+        assert_eq!(t.send_data(frame(0, 1, 2), Duration::ZERO), SendStatus::TimedOut);
+        assert_eq!(t.send_data(get_frame(0, 1, 7), Duration::ZERO), SendStatus::Sent);
+        // The express queue has its own bound.
+        assert_eq!(t.send_data(get_frame(0, 1, 8), Duration::ZERO), SendStatus::TimedOut);
+        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if f.express));
+        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if !f.express));
+    }
+
+    #[test]
+    fn a_blocked_sender_and_a_blocked_receiver_wake_each_other() {
+        let t = std::sync::Arc::new(ChannelTransport::new(2, 1, 1));
+        assert_eq!(t.send_data(frame(0, 1, 1), T), SendStatus::Sent);
+        let sender = {
+            let t = t.clone();
+            std::thread::spawn(move || t.send_data(frame(0, 1, 2), Duration::from_secs(30)))
+        };
+        // Frees the one bulk slot: the sender parked on it completes,
+        // and its frame in turn ends this thread's second wait.
+        assert!(matches!(t.recv_data(1, Duration::from_secs(30)), RecvStatus::Msg(_)));
+        match t.recv_data(1, Duration::from_secs(30)) {
+            RecvStatus::Msg(f) => assert_eq!(words(&f), vec![2]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(sender.join().unwrap(), SendStatus::Sent);
     }
 
     #[test]
@@ -242,5 +387,31 @@ mod tests {
             t.send_ack(ack(1, 0, 0, i));
         }
         assert_eq!(t.fault_stats().dropped_acks, 10);
+    }
+
+    proptest::proptest! {
+        /// An ack for any band of a lane lands in that lane's mailbox —
+        /// and in no other — with its wire lane intact for the sender
+        /// to pick the flow by.
+        #[test]
+        fn acks_of_every_band_land_in_the_owning_lanes_mailbox(
+            acks in proptest::collection::vec((0u32..3, proptest::prelude::any::<bool>(), 0u64..1000), 1..40),
+        ) {
+            use gravel_gq::Band;
+            use gravel_pgas::{split_wire_lane, wire_lane};
+            let t = ChannelTransport::new(2, 3, 4);
+            for &(lane, express, cum_seq) in &acks {
+                let band = if express { Band::Express } else { Band::Bulk };
+                let wire = wire_lane(lane, band);
+                t.send_ack(ack(1, 0, wire, cum_seq));
+                for other in (0..3).filter(|&l| l != lane) {
+                    proptest::prop_assert_eq!(t.try_recv_ack(0, other), None);
+                }
+                let got = t.try_recv_ack(0, lane).expect("in the owner's mailbox");
+                let opened = got.open(WireIntegrity::Crc32c).unwrap();
+                proptest::prop_assert_eq!(opened, Ack { src: 1, dest: 0, lane: wire, cum_seq });
+                proptest::prop_assert_eq!(split_wire_lane(opened.lane), (lane, band));
+            }
+        }
     }
 }

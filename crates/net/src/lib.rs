@@ -48,35 +48,39 @@ pub use unreliable::UnreliableTransport;
 use std::time::Duration;
 
 use gravel_pgas::frame::{open_ack, seal_ack, ACK_FRAME_BYTES};
-use gravel_pgas::{DataFrame, FrameError, WireIntegrity};
+use gravel_pgas::{split_wire_lane, DataFrame, FrameError, WireIntegrity};
 
 /// Node identifier on the fabric.
 pub type NodeId = u32;
 
 /// A cumulative acknowledgement on the reverse path.
 ///
-/// `src` is the acking (receiving) node; the frame is routed to
-/// aggregator lane `lane` of node `dest`, confirming receipt of every
-/// data packet on that flow with sequence number `<= cum_seq`.
+/// `src` is the acking (receiving) node; the frame is routed to the
+/// aggregator lane of node `dest` that owns wire lane `lane`,
+/// confirming receipt of every data packet on that flow with sequence
+/// number `<= cum_seq`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ack {
     /// Node that received the data and is acknowledging it.
     pub src: NodeId,
     /// Original data sender the ack is addressed to.
     pub dest: NodeId,
-    /// Aggregator lane (slot) on `dest` that owns the flow.
+    /// Wire lane of the flow on `dest` (aggregator lane plus band, see
+    /// [`gravel_pgas::wire_lane`]).
     pub lane: u32,
     /// Highest sequence number received in order on this flow.
     pub cum_seq: u64,
 }
 
 impl Ack {
-    /// Seal into the checksummed wire form the ack plane carries.
+    /// Seal into the checksummed wire form the ack plane carries. The
+    /// header keeps the wire lane; the routing stamp names the owning
+    /// aggregator lane, whose mailbox serves every band of that lane.
     pub fn seal(&self, epoch: u32, integrity: WireIntegrity) -> AckFrame {
         AckFrame {
             src: self.src,
             dest: self.dest,
-            lane: self.lane,
+            lane: split_wire_lane(self.lane).0,
             bytes: seal_ack(self.src, self.dest, self.lane, epoch, self.cum_seq, integrity),
         }
     }

@@ -45,7 +45,8 @@ use gravel_pgas::frame::{
     seal_hello, seal_reject, HelloInfo, RejectReason,
 };
 use gravel_pgas::{
-    DataFrame, FrameError, WireIntegrity, ACK_FRAME_BYTES, FRAME_OVERHEAD, HEADER_BYTES,
+    split_wire_lane, DataFrame, FrameError, WireIntegrity, ACK_FRAME_BYTES, FRAME_OVERHEAD,
+    HEADER_BYTES,
 };
 
 use crate::partition::LinkSchedule;
@@ -1142,6 +1143,7 @@ impl Inner {
                 let df = DataFrame {
                     src: word(8),
                     dest: word(12),
+                    express: kind != 0,
                     born: Instant::now(),
                     bytes,
                 };
@@ -1154,7 +1156,9 @@ impl Inner {
                     self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                let lane = word(16) as usize;
+                // The mailbox is the owning aggregator lane's; the band
+                // stays in the frame for the sender to read.
+                let lane = split_wire_lane(word(16)).0 as usize;
                 if lane >= self.lanes {
                     self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
                     return;

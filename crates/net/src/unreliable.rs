@@ -493,10 +493,13 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
 mod tests {
     use super::*;
     use crate::{Ack, ChannelTransport};
-    use gravel_pgas::{FrameError, Packet, WireIntegrity};
+    use gravel_pgas::{FrameError, FrameKind, Packet, WireIntegrity};
 
+    /// A one-word bulk frame. Sealed as DATA explicitly: the tag doubles
+    /// as the packet's command word, and a tag that happens to be an RPC
+    /// opcode must not turn the frame express and jump the FIFO.
     fn pkt(src: u32, dest: u32, tag: u64) -> DataFrame {
-        Packet::from_words(src, dest, &[tag]).seal(0, WireIntegrity::Crc32c)
+        Packet::from_words(src, dest, &[tag]).seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {

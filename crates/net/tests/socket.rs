@@ -552,6 +552,59 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Over a real stream and over loopback alike, an ack for any band
+    /// of a lane lands in that lane's mailbox with its wire lane intact,
+    /// and a request-reply frame arrives carrying the express stamp.
+    #[test]
+    fn acks_of_every_band_reach_the_owning_lanes_mailbox(
+        acks in prop::collection::vec((0u32..3, any::<bool>(), 0u64..1000, any::<bool>()), 1..24),
+    ) {
+        use gravel_gq::{Band, Message};
+        use gravel_pgas::{split_wire_lane, wire_lane};
+        let addrs = uds_pair("bands");
+        let spawn = |me: u32| {
+            let mut cfg = SocketConfig::new(me, addrs.clone());
+            cfg.reconnect = fast_reconnect();
+            cfg.lanes = 3;
+            SocketTransport::spawn(cfg).expect("bind")
+        };
+        let (t0, t1) = (spawn(0), spawn(1));
+        prop_assert!(t0.wait_connected(1, Duration::from_secs(5)));
+        prop_assert!(t1.wait_connected(0, Duration::from_secs(5)));
+        for &(lane, express, cum_seq, loopback) in &acks {
+            let band = if express { Band::Express } else { Band::Bulk };
+            let ack = Ack { src: u32::from(!loopback), dest: 0, lane: wire_lane(lane, band), cum_seq };
+            let from = if loopback { &t0 } else { &t1 };
+            from.send_ack(ack.seal(0, WireIntegrity::Crc32c));
+            let got = poll(Duration::from_secs(5), || t0.try_recv_ack(0, lane));
+            prop_assert_eq!(got.lane, lane, "stamp names the owning lane");
+            let opened = got.open(WireIntegrity::Crc32c).unwrap();
+            prop_assert_eq!(opened, ack);
+            prop_assert_eq!(split_wire_lane(opened.lane), (lane, band));
+            for other in (0..3).filter(|&l| l != lane) {
+                prop_assert!(t0.try_recv_ack(0, other).is_none());
+            }
+        }
+        // The express stamp does not cross the wire; the receiving
+        // endpoint restores it from the frame kind.
+        for (msg, express) in [(Message::get(0, 1, 2, 3), true), (Message::inc(0, 1, 2), false)] {
+            let frame = Packet::from_words(1, 0, &msg.encode()).seal(0, WireIntegrity::Crc32c);
+            prop_assert_eq!(frame.express, express);
+            t1.send_data(frame, Duration::from_secs(1));
+            let got = poll(Duration::from_secs(5), || match t0.recv_data(0, Duration::from_millis(50)) {
+                RecvStatus::Msg(f) => Some(f),
+                _ => None,
+            });
+            prop_assert_eq!(got.express, express);
+        }
+        t0.close();
+        t1.close();
+    }
+}
+
 #[test]
 fn link_chaos_partitions_and_delays_the_socket_mesh() {
     use gravel_net::{LinkFault, LinkSchedule};

@@ -21,8 +21,8 @@
 //!   map-routed sender, and the lease-held coordinator (DESIGN.md §16,
 //!   §18).
 //! * [`gets`] — the sentinel GET probes the cluster test verifies
-//!   bit-exact; their requests and replies ride a core aggregator lane
-//!   on wire lane 1.
+//!   bit-exact; their requests and replies ride a core aggregator, on
+//!   lane 1's express flows.
 //! * [`signal`] — SIGTERM/SIGINT graceful-shutdown plumbing and the
 //!   literal self-`kill -9` chaos switch.
 //! * [`report`] — the JSON the harness asserts on, written atomically.

@@ -835,9 +835,9 @@ fn run() -> i32 {
 
     // Request-reply plane: the core aggregator draining the offload
     // queue (GETs we issue + replies the netthread enqueues for peers)
-    // onto wire lane 1 — class-pure packets, 25 µs RPC flush, the same
-    // go-back-N engine — and a probe stream GETting every peer's
-    // sentinel.
+    // onto lane 1's express flows — class-pure packets flushed as soon
+    // as the express ring reads empty, the same go-back-N engine — and
+    // a probe stream GETting every peer's sentinel.
     let gets_done = Arc::new(AtomicBool::new(args.gets == 0));
     let mut rpc_threads = Vec::new();
     let mut agg = None;
@@ -845,8 +845,8 @@ fn run() -> i32 {
         agg = Some(std::thread::spawn({
             let (n, e) = (node.clone(), errors.clone());
             let t: Arc<dyn Transport> = transport.clone();
-            // Only RPC classes flow here, and those flush on their own
-            // 25 µs timer; the bulk policy is never consulted.
+            // Only RPC classes flow here, through the express ring, which
+            // flushes on empty; the bulk policy is never consulted.
             let policy = FlushPolicy::Fixed(cfg.flush_timeout);
             move || aggregator::run(n, RPC_LANE as usize, t, cfg.node_queue_bytes, policy, e)
         }));

@@ -46,7 +46,7 @@ pub const DEFAULT_MSGS_PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
 const IN_FLIGHT_BYTES: usize = 512 * 1024;
 
 /// The go-back-N window for flows of `msgs_per_packet`-message packets.
-/// The update streams are BULK-band, which may fill half the window, so
+/// The update streams are bulk flows, whose window is half of it, so
 /// this is twice the packets allowed in flight: [`IN_FLIGHT_BYTES`]
 /// worth, but never more than 32 (small packets are bounded by count,
 /// as they always were) and never fewer than 2.

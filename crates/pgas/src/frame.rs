@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use gravel_gq::Band;
 
 use crate::nodeq::Packet;
 
@@ -188,7 +189,8 @@ pub struct FrameHead {
     /// Destination node the *sender* stamped — the receiver checks this
     /// against its own id to catch misrouted frames.
     pub dest: u32,
-    /// Aggregator lane of the flow.
+    /// Wire lane of the flow: aggregator lane plus band
+    /// ([`wire_lane`]).
     pub lane: u32,
     /// Checkpoint epoch at the sender when the frame was sealed.
     pub epoch: u32,
@@ -196,6 +198,34 @@ pub struct FrameHead {
     pub seq: u64,
     /// Payload bytes following the header.
     pub payload_len: u32,
+}
+
+/// Bit of a wire lane number that marks the express band.
+const EXPRESS_LANE_BIT: u32 = 1 << 31;
+
+/// The lane number a flow carries on the wire. Each band of an
+/// aggregator lane is its own go-back-N flow with its own sequence
+/// space, and `(src, wire lane)` is the one flow identity receivers,
+/// acks, checkpoint cursors and forward logs key on. A bulk flow's wire
+/// lane *is* its aggregator lane, so bulk frames read as they always
+/// did; the express flow sets the top bit.
+pub fn wire_lane(lane: u32, band: Band) -> u32 {
+    debug_assert!(lane & EXPRESS_LANE_BIT == 0, "lane {lane} overflows");
+    match band {
+        Band::Express => lane | EXPRESS_LANE_BIT,
+        Band::Bulk => lane,
+    }
+}
+
+/// Inverse of [`wire_lane`]: the owning aggregator lane (whose ack
+/// mailbox the flow's acks land in) and the band.
+pub fn split_wire_lane(wire: u32) -> (u32, Band) {
+    let band = if wire & EXPRESS_LANE_BIT != 0 {
+        Band::Express
+    } else {
+        Band::Bulk
+    };
+    (wire & !EXPRESS_LANE_BIT, band)
 }
 
 // ---------------------------------------------------------------------------
@@ -981,10 +1011,13 @@ pub fn open_control(
 // ---------------------------------------------------------------------------
 
 /// One sealed data packet as it travels the fabric: the contiguous
-/// frame bytes plus two out-of-band stamps. `dest` is the *routing*
+/// frame bytes plus out-of-band stamps. `dest` is the *routing*
 /// stamp the fabric switches on — corruption injection may rewrite it
 /// (a misroute), which is exactly why the receiver re-checks the
-/// header's `dest` against its own id. `born` is telemetry metadata
+/// header's `dest` against its own id. `express` lets a fabric serve
+/// request-reply frames ahead of queued bulk without parsing them; it
+/// only ever reorders *across* flows, so a wrong stamp costs latency,
+/// never correctness. `born` is telemetry metadata
 /// (aggregation-open time for the latency histogram), not protocol
 /// state; it never crosses a real wire and injection never touches it.
 #[derive(Clone, Debug)]
@@ -994,6 +1027,8 @@ pub struct DataFrame {
     pub src: u32,
     /// Fabric routing stamp (which ingress channel the frame lands in).
     pub dest: u32,
+    /// Priority stamp, set at seal time: any kind but DATA.
+    pub express: bool,
     /// When the aggregation buffer behind the payload was opened.
     pub born: Instant,
     /// The complete frame: header, payload, CRC trailer.
@@ -1085,6 +1120,7 @@ impl Packet {
         DataFrame {
             src: self.src,
             dest: self.dest,
+            express: kind != FrameKind::Data,
             born: self.born,
             bytes: seal_frame_in(&head, &self.payload, integrity, pool),
         }
@@ -1204,6 +1240,7 @@ mod tests {
         let junk = DataFrame {
             src: 0,
             dest: 1,
+            express: false,
             born: Instant::now(),
             bytes: Bytes::from(vec![0x13u8; 64]),
         };

@@ -4,9 +4,9 @@ use std::time::{Duration, Instant};
 
 use gravel_pgas::{
     apply_words, open_ack, open_control, open_frame, open_heartbeat, open_hello, open_reject,
-    seal_control, seal_heartbeat, seal_hello, seal_reject, AmRegistry, DataFrame, FrameKind,
-    HelloInfo, Layout, NodeQueues, Packet, Partition, RejectReason, SymmetricHeap, WireIntegrity,
-    ACK_FRAME_BYTES,
+    seal_control, seal_heartbeat, seal_hello, seal_reject, split_wire_lane, wire_lane, AmRegistry,
+    DataFrame, FrameKind, HelloInfo, Layout, NodeQueues, Packet, Partition, RejectReason,
+    SymmetricHeap, WireIntegrity, ACK_FRAME_BYTES,
 };
 use proptest::prelude::*;
 
@@ -21,6 +21,30 @@ fn fuzz_cases() -> u32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// (lane, band) ↔ wire lane round-trips, the two bands of one lane
+    /// never collide, a bulk flow keeps its aggregator lane as its wire
+    /// lane, and a sealed frame carries the mapping through `open`.
+    #[test]
+    fn wire_lane_mapping_roundtrips(lane in 0u32..(1 << 31), other in 0u32..(1 << 31)) {
+        use gravel_gq::{Band, Message};
+        for band in Band::ALL {
+            prop_assert_eq!(split_wire_lane(wire_lane(lane, band)), (lane, band));
+            for b2 in Band::ALL {
+                prop_assert_eq!(
+                    wire_lane(lane, band) == wire_lane(other, b2),
+                    (lane, band) == (other, b2)
+                );
+            }
+        }
+        prop_assert_eq!(wire_lane(lane, Band::Bulk), lane);
+        let mut pkt = Packet::from_words(0, 1, &Message::get(1, 0, 0, 1).encode());
+        pkt.lane = wire_lane(lane, pkt.class().band());
+        let frame = pkt.seal(0, WireIntegrity::Crc32c);
+        prop_assert!(frame.express);
+        let opened = frame.open(WireIntegrity::Crc32c).unwrap();
+        prop_assert_eq!(split_wire_lane(opened.lane), (lane, Band::Express));
+    }
 
     /// owner/local_offset/global round-trips and partitions cover the
     /// space exactly, for both layouts and arbitrary sizes.
@@ -169,6 +193,7 @@ proptest! {
             let frame = DataFrame {
                 src: 0,
                 dest: 0,
+                express: false,
                 born: Instant::now(),
                 bytes: bytes::Bytes::from(junk.clone()),
             };

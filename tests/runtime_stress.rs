@@ -350,6 +350,125 @@ fn fault_matrix_pagerank_reliable_and_faulty_agree() {
     assert!(!faulty.faults.is_clean());
 }
 
+/// GETs from every node interleaved with a multi-superstep GUPS storm,
+/// over `cfg`'s fabric. Asserts what must hold under any fault mix:
+/// every GET ends bit-exact or as a deterministic timeout, the rpc
+/// ledger balances with empty pending tables, and the bulk heap matches
+/// the sequential reference exactly (inside `run_gups`' twin below).
+fn run_gets_in_a_put_storm(mut cfg: GravelConfig) -> RuntimeStats {
+    const GETS: usize = 12;
+    const STEPS: u64 = 3;
+    let nodes = cfg.nodes;
+    let heap = cfg.heap_len as u64;
+    let wg = cfg.wg_size as u64;
+    // The GET targets live above the words the storm increments.
+    let probe = |node: usize, k: u64| 0xFEED_0000 | ((node as u64) << 8) | k;
+    cfg.heap_len += 4;
+    cfg.rpc.timeout = Duration::from_secs(2);
+    let rt = GravelRuntime::new(cfg);
+    for node in 0..nodes {
+        for k in 0..4 {
+            rt.heap(node).store(heap + k, probe(node, k));
+        }
+    }
+    let failures = std::thread::scope(|s| {
+        let getters: Vec<_> = (0..nodes)
+            .map(|src| {
+                let rt = &rt;
+                s.spawn(move || {
+                    let mut timed_out = 0u64;
+                    for i in 0..GETS {
+                        let dest = (src + 1 + i) % nodes;
+                        let k = (i % 4) as u64;
+                        match rt.host_get(src, dest as u32, heap + k) {
+                            Ok(v) => assert_eq!(v, probe(dest, k), "GET {src}->{dest} word {k}"),
+                            Err(gravel_gq::RpcFailure::TimedOut) => timed_out += 1,
+                            Err(other) => panic!("non-deterministic GET failure {other:?}"),
+                        }
+                    }
+                    timed_out
+                })
+            })
+            .collect();
+        for step in 0..STEPS {
+            for me in 0..nodes {
+                rt.dispatch(me, 1, |ctx| {
+                    let n = ctx.wg.wg_size();
+                    let me = ctx.my_node() as u64;
+                    let k = ctx.nodes() as u64;
+                    let dests = LaneVec::from_fn(n, |l| {
+                        (mix(step * 7919 + me * 131 + l as u64) % k) as u32
+                    });
+                    let addrs =
+                        LaneVec::from_fn(n, |l| mix(step * 104729 + me * 31 + l as u64) % heap);
+                    ctx.shmem_inc(&dests, &addrs, &LaneVec::splat(n, 1u64));
+                });
+            }
+        }
+        getters.into_iter().map(|g| g.join().unwrap()).sum::<u64>()
+    });
+    rt.quiesce();
+    let mut expect = vec![vec![0u64; heap as usize]; nodes];
+    for step in 0..STEPS {
+        for me in 0..nodes as u64 {
+            for l in 0..wg {
+                let dest = (mix(step * 7919 + me * 131 + l) % nodes as u64) as usize;
+                expect[dest][(mix(step * 104729 + me * 31 + l) % heap) as usize] += 1;
+            }
+        }
+    }
+    for d in 0..nodes {
+        for a in 0..heap as usize {
+            assert_eq!(rt.heap(d).load(a as u64), expect[d][a], "node {d} slot {a}");
+        }
+        assert_eq!(rt.node(d).rpc.len(), 0, "node {d} pending table leaked");
+    }
+    let stats = rt.shutdown().expect("clean shutdown under faults");
+    let (mut issued, mut timeouts) = (0, 0);
+    for n in &stats.nodes {
+        assert_eq!(n.rpc.issued, n.rpc.completed + n.rpc.timeouts, "node {} ledger", n.node);
+        issued += n.rpc.issued;
+        timeouts += n.rpc.timeouts;
+    }
+    assert_eq!(issued, (nodes * GETS) as u64);
+    assert_eq!(timeouts, failures, "every timeout the table counted reached its caller");
+    stats
+}
+
+/// The request-reply cell of the fault matrix: the express and bulk
+/// bands are separate go-back-N flows sharing one fabric, so each fault
+/// kind must be healed per band without the two ever waiting on each
+/// other.
+#[test]
+fn fault_matrix_gets_interleaved_with_a_put_storm() {
+    let clean = run_gets_in_a_put_storm(small_cfg(3, 32, None));
+    assert!(clean.faults.is_clean());
+    assert_eq!(clean.total_retransmits(), 0);
+    for n in &clean.nodes {
+        assert_eq!(n.rpc.timeouts, 0);
+        assert_eq!(n.net.ooo_parked, 0, "a packet waited in a reorder buffer on a clean fabric");
+        assert!(n.net.express_frames > 0);
+    }
+
+    let drop = run_gets_in_a_put_storm(small_cfg(3, 32, Some(FaultConfig::drop_only(71, 0.05))));
+    assert!(drop.faults.dropped_data > 0);
+    assert!(drop.total_retransmits() > 0);
+
+    let mixed = run_gets_in_a_put_storm(small_cfg(3, 32, Some(FaultConfig::mixed(73, 0.10))));
+    assert!(mixed.faults.duplicated > 0 && mixed.total_dups_suppressed() > 0);
+
+    let mut reorder = FaultConfig::quiet(79);
+    reorder.reorder = 0.25;
+    reorder.jitter = Duration::from_micros(500);
+    let reordered = run_gets_in_a_put_storm(small_cfg(3, 32, Some(reorder)));
+    assert!(reordered.faults.delayed > 0);
+
+    let mut outage = FaultConfig::quiet(83);
+    outage.link_down_period = Duration::from_millis(20);
+    outage.link_down_len = Duration::from_millis(4);
+    run_gets_in_a_put_storm(small_cfg(3, 32, Some(outage)));
+}
+
 /// A corrupted/misrouted message (out-of-range address) is dropped by the
 /// network thread without panicking, and quiescence still completes.
 #[test]
