@@ -100,13 +100,9 @@ fn dispatch_node(rt: &GravelRuntime, dir: &Directory, input: &GupsInput, node: u
         let in_range = Mask::from_fn(n, |l| gids.get(l) < updates.len());
         ctx.masked(&in_range, |ctx| {
             // Fig. 4b line 15: shmem_inc(A + B[GRID_ID], C[GRID_ID]).
-            let dests = LaneVec::from_fn(n, |l| {
-                let g = gids.get(l).min(updates.len() - 1);
-                dir.route(updates[g]).dest
-            });
-            let addrs = LaneVec::from_fn(n, |l| {
-                let g = gids.get(l).min(updates.len() - 1);
-                dir.route(updates[g]).offset
+            let (dests, addrs) = LaneVec::pair_from_fn(n, |l| {
+                let r = dir.route(updates[gids.get(l).min(updates.len() - 1)]);
+                (r.dest, r.offset)
             });
             let vals = LaneVec::splat(n, 1u64);
             ctx.shmem_inc(&dests, &addrs, &vals);

@@ -114,8 +114,9 @@ pub fn run(input: &GupsModInput, mode: DivergedMode, costs: DivergedCosts) -> Gu
         let trip_counts =
             LaneVec::from_fn(n, |l| if base + l < input_copy.wis { trips(&input_copy, base + l) } else { 0 });
         diverged_for(ctx, &trip_counts, mode, costs, |ctx, i| {
-            queue.wg_produce(ctx, |lane, row| {
-                Message::inc(0, update_addr(&input_copy, base + lane, i), 1).encode()[row]
+            queue.wg_produce_with(ctx, |lane, msg| {
+                let inc = Message::inc(0, update_addr(&input_copy, base + lane, i), 1);
+                msg.copy_from_slice(&inc.encode());
             });
         });
     });

@@ -45,11 +45,24 @@ pub fn run_live(rt: &GravelRuntime, g: &Csr, iters: usize, damping: u64) -> Vec<
     }
     let base = (reference::FIXED_ONE - damping) / n as u64;
     let dir = directory(g, nodes);
+    let node_edges = edge_partition(g, &dir, nodes);
     let mut rank = vec![reference::FIXED_ONE / n as u64; n];
     for _ in 0..iters {
-        iterate_once(rt, g, &dir, base, damping, &mut rank);
+        iterate_once(rt, g, &dir, &node_edges, base, damping, &mut rank);
     }
     rank
+}
+
+/// Each node's scatter work list: for every edge `u → v` owned by the
+/// node (it owns `u`), `(u, v's node, v's heap offset)`. It depends on the
+/// graph and the partition only, so a run builds it once.
+fn edge_partition(g: &Csr, dir: &Directory, nodes: usize) -> Vec<Vec<(u32, u32, u64)>> {
+    let mut node_edges = vec![Vec::new(); nodes];
+    for (u, v, _) in g.iter_edges() {
+        let rv = dir.route(v as usize);
+        node_edges[dir.route(u as usize).dest as usize].push((u, rv.dest, rv.offset));
+    }
+    node_edges
 }
 
 /// Application progress of a checkpointed PageRank run: the iteration
@@ -97,6 +110,7 @@ pub fn run_live_checkpointed(
     let n = g.num_vertices();
     let nodes = rt.nodes();
     let dir = directory(g, nodes);
+    let node_edges = edge_partition(g, &dir, nodes);
     let base = (reference::FIXED_ONE - damping) / n as u64;
     let mut rank = if progress.rank.len() == n {
         progress.rank.clone()
@@ -104,7 +118,7 @@ pub fn run_live_checkpointed(
         vec![reference::FIXED_ONE / n as u64; n]
     };
     for _ in (progress.iteration as usize)..iters {
-        iterate_once(rt, g, &dir, base, damping, &mut rank);
+        iterate_once(rt, g, &dir, &node_edges, base, damping, &mut rank);
         progress.iteration += 1;
         progress.rank = rank.clone();
         rt.cut_epoch_with(Some(progress));
@@ -117,17 +131,13 @@ fn iterate_once(
     rt: &GravelRuntime,
     g: &Csr,
     dir: &Directory,
+    node_edges: &[Vec<(u32, u32, u64)>],
     base: u64,
     damping: u64,
     rank: &mut [u64],
 ) {
     let n = g.num_vertices();
     let nodes = rt.nodes();
-    let mut node_edges: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); nodes];
-    for (u, v, _) in g.iter_edges() {
-        let rv = dir.route(v as usize);
-        node_edges[dir.route(u as usize).dest as usize].push((u, rv.dest, rv.offset));
-    }
     let _span = rt.tracer().span("pagerank.iter", "app", 0);
     let shares: Vec<u64> = (0..n as u32)
         .map(|u| rank[u as usize].checked_div(g.out_degree(u) as u64).unwrap_or(0))

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use gravel_simt::{LaneVec, WgCtx};
+use gravel_simt::{Mask, WgCtx};
 use gravel_telemetry::Tracer;
 
 use crate::park::WaitCell;
@@ -270,6 +270,26 @@ impl GravelQueue {
     /// divergent code wrap the call in
     /// [`diverged_for`](gravel_simt::diverged_for).
     pub fn wg_produce(&self, ctx: &mut WgCtx, payload: impl Fn(usize, usize) -> u64) {
+        self.wg_produce_with(ctx, |lane, msg| {
+            for (row, word) in msg.iter_mut().enumerate() {
+                *word = payload(lane, row);
+            }
+        });
+    }
+
+    /// [`wg_produce`](Self::wg_produce) for callers that build a lane's
+    /// message in one go: `fill(lane, msg)` writes all `rows` words of
+    /// lane `lane`'s message, once per active lane.
+    ///
+    /// What the lockstep work-group would *execute* — a prefix sum of
+    /// ones, a leader election, a broadcast, one address computation per
+    /// lane and row — is charged to `ctx` instruction for instruction, but
+    /// not interpreted: a lane's column is its rank in the active mask,
+    /// the broadcast value is the reservation the leader just made, and
+    /// the row addresses follow from the column. The host-side cost of an
+    /// offload is then the payload evaluation and the same slot write
+    /// [`produce_batch`](Self::produce_batch) does.
+    pub fn wg_produce_with(&self, ctx: &mut WgCtx, fill: impl Fn(usize, &mut [u64])) {
         assert!(
             ctx.wg_size() <= self.cfg.lane_width,
             "work-group ({}) wider than queue slots ({})",
@@ -284,32 +304,34 @@ impl GravelQueue {
         // Spans the whole slot handoff: reservation fetch-add through the
         // full-bit publish.
         let _span = self.tracer.span("gq.offload", "offload", self.node);
-        // Fig. 5b lines 4-6: elect the leader, compute per-lane columns.
-        let ones = LaneVec::splat(ctx.wg_size(), 1u64);
-        let my_off = ctx.prefix_sum(&ones);
-        let leader = ctx.elect_leader().expect("non-empty mask has a leader");
+        let rows = self.cfg.rows;
+        // The lanes' messages, compacted in lane order (message-major).
+        let mut words = ctx.take_words(count * rows);
+        for (msg, lane) in words.chunks_exact_mut(rows).zip(mask.iter()) {
+            fill(lane, msg);
+        }
+        // Fig. 5b lines 4-6: `prefix_sum(1)` gives each lane its column,
+        // `reduce_max(LANE_ID)` elects the leader.
+        ctx.charge_collective();
+        ctx.elect_leader();
         // Line 9: the leader reserves a slot for the whole work-group.
         let seq = ctx.atomic_fetch_add(&self.write_idx, 1);
         self.stats.producer_rmws.add(1);
         let slot = self.producer_wait(seq);
         // Line 10: broadcast the reservation to every lane (reduce-to-sum
         // of a register that is zero except at the leader).
-        let qoff = LaneVec::from_fn(ctx.wg_size(), |l| if l == leader { seq } else { 0 });
-        let seq_bcast = ctx.reduce_sum(&qoff);
-        debug_assert_eq!(seq_bcast, seq);
+        ctx.charge_collective();
         // Coalesced payload writes: row by row, adjacent lanes hit
         // adjacent words.
         let base = slot.payload.as_ptr() as u64;
-        for row in 0..self.cfg.rows {
-            let row_base = base + (row * self.cfg.lane_width * 8) as u64;
-            let addrs = LaneVec::from_fn(ctx.wg_size(), |l| row_base + my_off.get(l) * 8);
-            ctx.mem_access(&addrs, 8);
-            for lane in mask.iter() {
-                let col = my_off.get(lane) as usize;
-                slot.payload[row * self.cfg.lane_width + col]
-                    .store(payload(lane, row), Ordering::Relaxed);
-            }
-        }
+        let full = count == mask.lanes();
+        let pitch = (self.cfg.lane_width * 8) as u64;
+        ctx.mem_access_rows(8, rows, pitch, |lane| {
+            let col = if full { lane } else { mask.rank(lane) };
+            base + col as u64 * 8
+        });
+        self.write_slot(slot, &words);
+        ctx.give_words(words);
         // Fig. 7 time ③: the leader sets the full bit.
         self.publish(slot, count);
         ctx.counters.messages += count as u64;
@@ -327,16 +349,16 @@ impl GravelQueue {
         for lane in mask.iter() {
             // Divergent serialization: each lane's reservation is its own
             // wavefront instruction.
-            let single = gravel_simt::Mask::from_fn(ctx.wg_size(), |l| l == lane);
+            let mut single = Mask::none(ctx.wg_size());
+            single.set(lane, true);
             ctx.with_mask(single, |ctx| {
                 let seq = ctx.atomic_fetch_add(&self.write_idx, 1);
                 self.stats.producer_rmws.add(1);
                 let slot = self.producer_wait(seq);
                 let base = slot.payload.as_ptr() as u64;
-                for row in 0..self.cfg.rows {
-                    let addrs = LaneVec::splat(ctx.wg_size(), base + row as u64 * 8);
-                    ctx.mem_access(&addrs, 8);
-                    slot.payload[row].store(payload(lane, row), Ordering::Relaxed);
+                for (row, word) in slot.payload.iter().enumerate() {
+                    ctx.mem_access_by(8, |_| base + row as u64 * 8);
+                    word.store(payload(lane, row), Ordering::Relaxed);
                 }
                 self.publish(slot, 1);
                 ctx.counters.messages += 1;
@@ -356,12 +378,18 @@ impl GravelQueue {
         let seq = self.write_idx.fetch_add(1, Ordering::AcqRel);
         self.stats.producer_rmws.add(1);
         let slot = self.producer_wait(seq);
+        self.write_slot(slot, words);
+        self.publish(slot, count);
+    }
+
+    /// Store message-major `words` into `slot`'s row-major payload, one
+    /// message per column from column 0.
+    fn write_slot(&self, slot: &Slot, words: &[u64]) {
         for (m, msg) in words.chunks_exact(self.cfg.rows).enumerate() {
             for (row, &w) in msg.iter().enumerate() {
                 slot.payload[row * self.cfg.lane_width + m].store(w, Ordering::Relaxed);
             }
         }
-        self.publish(slot, count);
     }
 
     // ---- consumers -------------------------------------------------------
@@ -521,6 +549,9 @@ impl GravelQueue {
             .saturating_sub(self.read_idx.load(Ordering::Acquire))
     }
 }
+
+#[cfg(test)]
+mod stepwise;
 
 #[cfg(test)]
 mod tests {

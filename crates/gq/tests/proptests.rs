@@ -133,3 +133,83 @@ proptest! {
         prop_assert_eq!(Command::decode(m.command.encode()), Some(m.command));
     }
 }
+
+/// Which lanes of work-group `wg` offload: a seeded scatter, with whole
+/// work-groups fully on or fully off mixed in.
+fn offloads(seed: u64, wg: usize, lane: usize) -> bool {
+    let h = (seed ^ ((wg as u64) << 32 | lane as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    match (seed >> 8).wrapping_add(wg as u64) % 4 {
+        0 => true,
+        1 => false,
+        _ => h >> 63 == 1,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `wg_produce` through the engine, on compute units that reuse one
+    /// context across work-groups: every non-empty work-group fills
+    /// exactly one slot with its active lanes' messages in lane order
+    /// after exactly one reservation, and the dispatch charges what the
+    /// same work-groups charge one at a time on fresh contexts (the
+    /// step-by-step oracle for a single call is
+    /// `gravel_queue::stepwise`, beside the code).
+    #[test]
+    fn wg_produce_through_the_engine_is_one_slot_and_one_rmw_per_work_group(
+        wgs in 1usize..7,
+        wg_size in 1usize..301,
+        wf in prop_oneof![Just(4usize), Just(32), Just(64)],
+        cus in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        use gravel_simt::{Counters, Grid, Mask, SimtEngine, WgCtx};
+        let grid = Grid { wg_count: wgs, wg_size, wf_width: wf.min(wg_size) };
+        let cfg = QueueConfig { slots: 8, lane_width: wg_size, rows: 2 };
+        let kernel = |q: &GravelQueue, ctx: &mut WgCtx| {
+            let wg = ctx.wg_id();
+            let mask = Mask::from_fn(ctx.wg_size(), |l| offloads(seed, wg, l));
+            ctx.if_then(&mask, |ctx| {
+                q.wg_produce(ctx, |lane, row| [wg as u64, lane as u64][row]);
+            });
+        };
+
+        let q = GravelQueue::new(cfg);
+        let res = SimtEngine::with_cus(cus).dispatch(grid, |ctx| kernel(&q, ctx));
+
+        // One slot per non-empty work-group, compacted in lane order.
+        let mut seen = vec![false; wgs];
+        let mut slot = Vec::new();
+        while let Consumed::Batch(n) = q.try_consume_into(&mut slot) {
+            let wg = slot[0] as usize;
+            prop_assert!(!std::mem::replace(&mut seen[wg], true), "work-group {} twice", wg);
+            let lanes: Vec<u64> = (0..wg_size as u64)
+                .filter(|&l| offloads(seed, wg, l as usize))
+                .collect();
+            prop_assert_eq!(n, lanes.len());
+            let expect: Vec<u64> = lanes.iter().flat_map(|&l| [wg as u64, l]).collect();
+            prop_assert_eq!(&slot, &expect);
+            slot.clear();
+        }
+        let non_empty = (0..wgs).filter(|&wg| (0..wg_size).any(|l| offloads(seed, wg, l))).count();
+        prop_assert_eq!(seen.iter().filter(|&&s| s).count(), non_empty);
+        let stats = q.stats.snapshot();
+        prop_assert_eq!(stats.producer_rmws, non_empty as u64);
+        prop_assert_eq!(stats.slots_produced, non_empty as u64);
+        prop_assert_eq!(res.counters.atomics, non_empty as u64);
+        prop_assert_eq!(res.counters.messages, stats.messages_produced);
+
+        // A reused context charges what fresh ones do. Transactions
+        // depend on each slot's address, so they are compared per call
+        // by the in-crate oracle, not here.
+        let q = GravelQueue::new(cfg);
+        let mut fresh = Counters::default();
+        for wg in 0..wgs {
+            let mut ctx = WgCtx::new(grid, wg);
+            kernel(&q, &mut ctx);
+            fresh.merge(&ctx.counters);
+        }
+        let sans_tx = |c: Counters| Counters { mem_transactions: 0, ..c };
+        prop_assert_eq!(sans_tx(res.counters), sans_tx(fresh));
+    }
+}

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gravel_gq::{Message, ReplySink, RpcFailure, TrafficClass};
+use gravel_gq::{GravelQueue, Message, ReplySink, RpcFailure, TrafficClass};
 use gravel_simt::{LaneVec, Mask, WgCtx};
 
 use crate::node::NodeShared;
@@ -73,9 +73,7 @@ impl<'a> GravelCtx<'a> {
 
     fn local_mask(&self, dests: &LaneVec<u32>) -> Mask {
         let me = self.node.id;
-        self.wg
-            .active()
-            .and(&Mask::from_fn(self.wg.wg_size(), |l| dests.get(l) == me))
+        self.wg.active().filter(|l| dests.get(l) == me)
     }
 
     /// Offload one message per lane of `mask`. All of a call's messages
@@ -92,35 +90,26 @@ impl<'a> GravelCtx<'a> {
         if mask.is_empty() {
             return;
         }
-        let me = self.node.id;
+        let node = self.node;
+        let me = node.id;
+        let produce = |wg: &mut WgCtx, ring: &GravelQueue, lanes: Mask| {
+            wg.with_mask(lanes, |wg| {
+                ring.wg_produce_with(wg, |lane, msg| msg.copy_from_slice(&make(lane).encode()));
+            });
+        };
         let count = mask.count() as u64;
         let mut local = 0u64;
-        for lane in mask.iter() {
-            if dests.get(lane) == me {
-                local += 1;
-            }
-        }
-        let node = self.node;
-        let lanes = node.queue.lanes();
-        if lanes == 1 || class != TrafficClass::Bulk {
-            let ring = match class {
-                TrafficClass::Bulk => node.queue.ring(0),
-                _ => node.queue.express(),
-            };
-            let mask = mask.clone();
-            self.wg.with_mask(mask, |wg| {
-                ring.wg_produce(wg, |lane, row| make(lane).encode()[row]);
-            });
+        // Destination-sharded rings: a bulk offload splits the work-group
+        // by shard so each destination's traffic lands in its owning
+        // lane's ring. One reservation per (work-group, shard) — still
+        // work-group granularity within each shard. The routing mask is
+        // read exactly once for the whole split: the lane governor may
+        // move it concurrently, and re-reading it per shard could route
+        // one lane into two shards (a duplicate send) or into none (a
+        // lost message).
+        let shards = if class != TrafficClass::Bulk || node.queue.lanes() == 1 {
+            1
         } else {
-            // Destination-sharded rings: split the work-group by shard so
-            // each destination's traffic lands in its owning lane's ring.
-            // One reservation per (work-group, shard) — still work-group
-            // granularity within each shard. The routing mask is read
-            // exactly once for the whole split: the lane governor may
-            // move it concurrently, and re-reading it per shard pass
-            // could route one lane into two shards (a duplicate send)
-            // or into none (a lost message).
-            //
             // SIMT producers drive the governor like host producers do
             // (see `NodeShared::host_send_batch`): on an oversubscribed
             // host the producer sees a saturated collapsed ring long
@@ -133,31 +122,30 @@ impl<'a> GravelCtx<'a> {
             if let Some(gov) = &node.governor {
                 gov.decide(&node.queue, Instant::now());
             }
-            let active = node.queue.active_lanes();
-            if active == 1 {
-                // Collapsed mask: everything routes to lane 0, no
-                // split to compute.
-                let mask = mask.clone();
-                self.wg.with_mask(mask, |wg| {
-                    node.queue
-                        .ring(0)
-                        .wg_produce(wg, |lane, row| make(lane).encode()[row]);
-                });
-            } else {
-                // `dest % active` never reaches a parked shard, so the
-                // split only visits the active prefix.
-                for shard in 0..active {
-                    let m = mask.and(&Mask::from_fn(self.wg.wg_size(), |l| {
-                        dests.get(l) as usize % active == shard
-                    }));
-                    if m.is_empty() {
-                        continue;
-                    }
-                    self.wg.with_mask(m, |wg| {
-                        node.queue
-                            .ring(shard)
-                            .wg_produce(wg, |lane, row| make(lane).encode()[row]);
-                    });
+            node.queue.active_lanes()
+        };
+        if shards == 1 {
+            // One ring (express, a single-lane node, or a collapsed
+            // mask): no split to compute.
+            let ring = match class {
+                TrafficClass::Bulk => node.queue.ring(0),
+                _ => node.queue.express(),
+            };
+            local += mask.iter().filter(|&l| dests.get(l) == me).count() as u64;
+            produce(self.wg, ring, mask.clone());
+        } else {
+            // `dest % shards` never reaches a parked shard, so the split
+            // only visits the active prefix. One pass over the mask counts
+            // the local lanes and fills every shard's lane set.
+            let mut split = vec![Mask::none(mask.lanes()); shards];
+            for lane in mask.iter() {
+                let dest = dests.get(lane);
+                local += u64::from(dest == me);
+                split[dest as usize % shards].set(lane, true);
+            }
+            for (shard, lanes) in split.into_iter().enumerate() {
+                if !lanes.is_empty() {
+                    produce(self.wg, node.queue.ring(shard), lanes);
                 }
             }
         }
@@ -175,15 +163,12 @@ impl<'a> GravelCtx<'a> {
         if !local.is_empty() {
             let heap = &self.node.heap;
             let base = heap as *const _ as u64;
-            let local2 = local.clone();
-            self.wg.with_mask(local2, |wg| {
-                let hw_addrs =
-                    LaneVec::from_fn(wg.wg_size(), |l| base.wrapping_add(addrs.get(l) * 8));
-                wg.mem_access(&hw_addrs, 8);
-                for lane in wg.active().clone().iter() {
-                    heap.store(addrs.get(lane), vals.get(lane));
-                }
+            self.wg.with_mask(local.clone(), |wg| {
+                wg.mem_access_by(8, |l| base.wrapping_add(addrs.get(l) * 8));
             });
+            for lane in local.iter() {
+                heap.store(addrs.get(lane), vals.get(lane));
+            }
             self.node.local_direct.add(local.count() as u64);
         }
         // Remote lanes: offload.
@@ -267,24 +252,22 @@ impl<'a> GravelCtx<'a> {
         // Register every lane's token *before* offloading anything, so
         // no reply can ever race its own registration. A lane refused by
         // a full table fails its slot immediately and sends nothing.
-        let mut tokens = vec![0u64; self.wg.wg_size()];
-        let mut ok = vec![false; self.wg.wg_size()];
+        let mut tokens = self.wg.take_words(self.wg.wg_size());
+        let mut send = mask.clone();
         for lane in mask.iter() {
             match self.node.rpc.register(sink.clone(), lane, deadline) {
-                Ok(t) => {
-                    tokens[lane] = t;
-                    ok[lane] = true;
-                }
+                Ok(t) => tokens[lane] = t,
                 Err(_) => {
+                    send.set(lane, false);
                     sink.arm();
                     sink.fail(lane, RpcFailure::TableFull);
                 }
             }
         }
-        let send = mask.and(&Mask::from_fn(self.wg.wg_size(), |l| ok[l]));
         self.offload(&send, dests, class, |lane| {
             make(lane, tokens[lane], deadline_ms)
         });
+        self.wg.give_words(tokens);
         sink
     }
 

@@ -9,7 +9,7 @@
 //! adjacent columns, i.e. the same lines) can be compared quantitatively
 //! against divergent layouts.
 
-use crate::mask::Mask;
+use crate::mask::{Lanes, Mask};
 
 /// Cache-line size used by the coalescer, in bytes (64 B, matching the
 /// AMD A10-7850K's L1D line).
@@ -22,34 +22,83 @@ pub const CACHE_LINE: usize = 64;
 /// `addrs` holds each lane's byte address; lanes not set in `mask` do not
 /// access memory.
 pub fn transactions(addrs: &[u64], mask: &Mask, access_bytes: usize) -> usize {
-    assert!(access_bytes > 0, "zero-sized access");
-    let mut lines: Vec<u64> = Vec::with_capacity(mask.count() * 2);
-    for lane in mask.iter() {
-        let start = addrs[lane] / CACHE_LINE as u64;
-        let end = (addrs[lane] + access_bytes as u64 - 1) / CACHE_LINE as u64;
-        for line in start..=end {
-            lines.push(line);
-        }
-    }
-    lines.sort_unstable();
-    lines.dedup();
-    lines.len()
+    wg_transactions(addrs, mask, access_bytes, mask.lanes().max(1))
 }
 
 /// Transactions for a whole work-group access, evaluated per wavefront
 /// (hardware coalescers operate on one wavefront's cache port at a time).
 pub fn wg_transactions(addrs: &[u64], mask: &Mask, access_bytes: usize, wf_width: usize) -> usize {
-    let wfs = mask.lanes().div_ceil(wf_width);
-    (0..wfs)
-        .map(|wf| {
-            let view = mask.wavefront_view(wf, wf_width);
-            if view.is_empty() {
-                0
-            } else {
-                transactions(addrs, &view, access_bytes)
-            }
-        })
-        .sum()
+    wg_transactions_by(mask, access_bytes, wf_width, |lane| addrs[lane])
+}
+
+/// [`wg_transactions`] with each lane's address computed on demand, so an
+/// access whose addresses follow from the lane id needs no address
+/// register. `addr_of` is called for active lanes only and must be pure:
+/// a wavefront whose addresses turn out unordered is walked a second time.
+pub fn wg_transactions_by(
+    mask: &Mask,
+    access_bytes: usize,
+    wf_width: usize,
+    addr_of: impl Fn(usize) -> u64,
+) -> usize {
+    assert!(access_bytes > 0, "zero-sized access");
+    assert!(wf_width > 0, "zero-width wavefront");
+    let span = access_bytes as u64 - 1;
+    // The cache lines of a lane's first and last byte.
+    let lines_of = |lane: usize| {
+        let addr = addr_of(lane);
+        (addr / CACHE_LINE as u64, (addr + span) / CACHE_LINE as u64)
+    };
+    let mut unordered = Vec::new();
+    let mut total = 0;
+    let mut lo = 0;
+    while lo < mask.lanes() {
+        let hi = (lo + wf_width).min(mask.lanes());
+        let lanes = mask.iter_range(lo, hi);
+        total += ordered_lines(lanes.clone(), lines_of)
+            .unwrap_or_else(|| sorted_lines(lanes, lines_of, &mut unordered));
+        lo = hi;
+    }
+    total
+}
+
+/// Distinct lines of one wavefront whose lanes' first lines never
+/// decrease (unit-stride, strided, broadcast and compacted-column
+/// accesses all qualify): every line from an earlier lane's first to the
+/// furthest last seen is already counted, so each lane adds only the
+/// lines past that — one pass, no storage. `None` at the first lane
+/// whose first line steps backwards.
+fn ordered_lines(lanes: Lanes<'_>, lines_of: impl Fn(usize) -> (u64, u64)) -> Option<usize> {
+    let mut count = 0u64;
+    // `uncounted`: the first line past everything counted so far.
+    let (mut prev_first, mut uncounted) = (0u64, 0u64);
+    for lane in lanes {
+        let (first, last) = lines_of(lane);
+        if first < prev_first {
+            return None;
+        }
+        prev_first = first;
+        count += (last + 1).saturating_sub(first.max(uncounted));
+        uncounted = uncounted.max(last + 1);
+    }
+    Some(count as usize)
+}
+
+/// Distinct lines of one wavefront in any address order: collect, sort,
+/// dedup. `buf` is reused across a call's wavefronts.
+fn sorted_lines(
+    lanes: Lanes<'_>,
+    lines_of: impl Fn(usize) -> (u64, u64),
+    buf: &mut Vec<u64>,
+) -> usize {
+    buf.clear();
+    for lane in lanes {
+        let (first, last) = lines_of(lane);
+        buf.extend(first..=last);
+    }
+    buf.sort_unstable();
+    buf.dedup();
+    buf.len()
 }
 
 #[cfg(test)]
@@ -98,5 +147,26 @@ mod tests {
         // Lanes pair up on lines.
         let addrs: Vec<u64> = (0..8).map(|l| (l / 2) * CACHE_LINE as u64).collect();
         assert_eq!(transactions(&addrs, &Mask::all(8), 4), 4);
+    }
+
+    #[test]
+    fn unordered_wavefronts_fall_back_to_the_sort() {
+        // Descending unit stride: same 1 line as ascending.
+        let down: Vec<u64> = (0..16).rev().map(|l| l * 4).collect();
+        assert_eq!(transactions(&down, &Mask::all(16), 4), 1);
+        // Wavefront 0 ascending, wavefront 1 scattered with a repeat.
+        let mut addrs: Vec<u64> = (0..4).map(|l| l * 64).collect();
+        addrs.extend([640, 0, 640, 320]);
+        assert_eq!(wg_transactions(&addrs, &Mask::all(8), 4, 4), 4 + 3);
+    }
+
+    #[test]
+    fn ordered_overlapping_straddles_count_each_line_once() {
+        // 16-byte accesses every 40 bytes: lanes straddle and share lines.
+        let addrs: Vec<u64> = (0..8).map(|l| 56 + l * 40).collect();
+        let mut lines: Vec<u64> = addrs.iter().flat_map(|a| [a / 64, (a + 15) / 64]).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(transactions(&addrs, &Mask::all(8), 16), lines.len());
     }
 }

@@ -25,7 +25,6 @@
 
 use crate::fbar::FBar;
 use crate::lanes::LaneVec;
-use crate::mask::Mask;
 use crate::workgroup::{ExecScope, WgCtx};
 
 /// How a diverged loop reaches work-group-level semantics.
@@ -139,8 +138,7 @@ pub fn diverged_for(
                 // Inactive lanes keep executing with their work-group:
                 // charge the whole work-group (Fig. 11c).
                 ctx.charge(overhead, ExecScope::WholeWorkGroup);
-                let iter_mask =
-                    enclosing.and(&Mask::from_fn(ctx.wg_size(), |l| i < trip_counts.get(l)));
+                let iter_mask = enclosing.filter(|l| i < trip_counts.get(l));
                 ctx.with_mask(iter_mask, |ctx| body(ctx, i));
             }
             loop_cnt
@@ -182,6 +180,7 @@ pub fn diverged_for(
 mod tests {
     use super::*;
     use crate::grid::Grid;
+    use crate::mask::Mask;
 
     fn ctx() -> WgCtx {
         // 8 lanes, 4-wide wavefronts → 2 wavefronts.

@@ -3,13 +3,15 @@
 //! [`SimtEngine`] plays the role of the GPU's command processor plus its
 //! compute units: a dispatch distributes the grid's work-groups across
 //! `num_cus` worker threads (one thread per compute unit), each of which
-//! interprets its work-groups in lockstep with a private [`WgCtx`]. Kernels
-//! therefore run *concurrently* with host CPU threads and can synchronize
-//! with them through real atomics — the fine-grain shared-virtual-memory
-//! property (paper §2.3) that Gravel's producer/consumer queue relies on.
+//! interprets its work-groups in lockstep on a private [`WgCtx`] that it
+//! re-arms between work-groups. Kernels therefore run *concurrently* with
+//! host CPU threads and can synchronize with them through real atomics —
+//! the fine-grain shared-virtual-memory property (paper §2.3) that
+//! Gravel's producer/consumer queue relies on. (A dispatch that has one
+//! unit to run — a one-unit engine or a one-work-group grid — runs it on
+//! the dispatching thread, which would otherwise only wait for it.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::counters::Counters;
 use crate::grid::Grid;
@@ -53,10 +55,8 @@ impl SimtEngine {
     /// Dispatch `kernel` over `grid`, one invocation per work-group, using
     /// up to `num_cus` threads. Returns merged counters.
     pub fn dispatch(&self, grid: Grid, kernel: impl Fn(&mut WgCtx) + Sync) -> DispatchResult {
-        let results = self.dispatch_map(grid, |ctx| {
-            kernel(ctx);
-        });
-        results.1
+        let (_, result) = self.run(grid, || (), |(), ctx| kernel(ctx));
+        result
     }
 
     /// Dispatch and collect one `R` per work-group, in work-group order.
@@ -65,39 +65,69 @@ impl SimtEngine {
         grid: Grid,
         kernel: impl Fn(&mut WgCtx) -> R + Sync,
     ) -> (Vec<R>, DispatchResult) {
-        assert!(grid.wg_count > 0, "empty grid");
-        let next_wg = AtomicUsize::new(0);
-        let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..grid.wg_count).map(|_| None).collect());
-        let totals: Mutex<Counters> = Mutex::new(Counters::default());
-        let workers = self.num_cus.min(grid.wg_count);
-
-        std::thread::scope(|scope| {
-            for _cu in 0..workers {
-                scope.spawn(|| {
-                    let mut local = Counters::default();
-                    loop {
-                        let wg_id = next_wg.fetch_add(1, Ordering::Relaxed);
-                        if wg_id >= grid.wg_count {
-                            break;
-                        }
-                        let mut ctx = WgCtx::new(grid, wg_id);
-                        let out = kernel(&mut ctx);
-                        local.merge(&ctx.counters);
-                        outputs.lock().expect("output lock")[wg_id] = Some(out);
-                    }
-                    totals.lock().expect("counter lock").merge(&local);
-                });
-            }
-        });
-
-        let outs: Vec<R> = outputs
-            .into_inner()
-            .expect("output lock")
+        let (per_cu, result) =
+            self.run(grid, Vec::new, |outs, ctx| outs.push((ctx.wg_id(), kernel(ctx))));
+        let mut slots: Vec<Option<R>> = (0..grid.wg_count).map(|_| None).collect();
+        for (wg_id, out) in per_cu.into_iter().flatten() {
+            slots[wg_id] = Some(out);
+        }
+        let outs = slots
             .into_iter()
             .map(|o| o.expect("every work-group produced output"))
             .collect();
-        let counters = totals.into_inner().expect("counter lock");
-        (outs, DispatchResult { counters, wgs_run: grid.wg_count })
+        (outs, result)
+    }
+
+    /// The compute units: `num_cus` (at most one per work-group) threads
+    /// pull work-group ids off a shared counter, each interpreting its
+    /// work-groups on one reused [`WgCtx`] and folding them into a private
+    /// accumulator from `init`. Accumulators and counters come back
+    /// through the threads' join handles, so the only shared write in a
+    /// dispatch is the work-group counter.
+    fn run<A: Send>(
+        &self,
+        grid: Grid,
+        init: impl Fn() -> A + Sync,
+        step: impl Fn(&mut A, &mut WgCtx) + Sync,
+    ) -> (Vec<A>, DispatchResult) {
+        assert!(grid.wg_count > 0, "empty grid");
+        let next_wg = AtomicUsize::new(0);
+        let workers = self.num_cus.min(grid.wg_count);
+        let compute_unit = || {
+            let mut acc = init();
+            let mut counters = Counters::default();
+            let mut ctx: Option<WgCtx> = None;
+            loop {
+                let wg_id = next_wg.fetch_add(1, Ordering::Relaxed);
+                if wg_id >= grid.wg_count {
+                    return (acc, counters);
+                }
+                let ctx = ctx.get_or_insert_with(|| WgCtx::new(grid, wg_id));
+                ctx.reset(wg_id);
+                step(&mut acc, ctx);
+                counters.merge(&ctx.counters);
+            }
+        };
+        if workers == 1 {
+            // One unit has nothing to run beside: the dispatching thread,
+            // which would only block in `join`, is that unit.
+            let (acc, counters) = compute_unit();
+            return (vec![acc], DispatchResult { counters, wgs_run: grid.wg_count });
+        }
+        let mut counters = Counters::default();
+        let accs = std::thread::scope(|scope| {
+            let units: Vec<_> = (0..workers).map(|_| scope.spawn(compute_unit)).collect();
+            units
+                .into_iter()
+                .map(|unit| {
+                    // A kernel panic surfaces on the dispatching thread.
+                    let (acc, local) = unit.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    counters.merge(&local);
+                    acc
+                })
+                .collect()
+        });
+        (accs, DispatchResult { counters, wgs_run: grid.wg_count })
     }
 
     /// Deterministic single-threaded dispatch in work-group-id order.
@@ -110,8 +140,9 @@ impl SimtEngine {
         assert!(grid.wg_count > 0, "empty grid");
         let mut outs = Vec::with_capacity(grid.wg_count);
         let mut counters = Counters::default();
+        let mut ctx = WgCtx::new(grid, 0);
         for wg_id in 0..grid.wg_count {
-            let mut ctx = WgCtx::new(grid, wg_id);
+            ctx.reset(wg_id);
             outs.push(kernel(&mut ctx));
             counters.merge(&ctx.counters);
         }

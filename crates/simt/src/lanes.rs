@@ -33,6 +33,16 @@ impl<T: Copy> LaneVec<T> {
         LaneVec { vals: (0..lanes).map(f).collect() }
     }
 
+    /// Two registers computed per lane in one pass, for values that come
+    /// out of one lookup (a route's destination and offset).
+    pub fn pair_from_fn<U: Copy>(
+        lanes: usize,
+        f: impl FnMut(usize) -> (T, U),
+    ) -> (LaneVec<T>, LaneVec<U>) {
+        let (vals, others) = (0..lanes).map(f).unzip();
+        (LaneVec { vals }, LaneVec { vals: others })
+    }
+
     /// Wrap an existing per-lane vector.
     pub fn from_vec(vals: Vec<T>) -> Self {
         LaneVec { vals }
@@ -118,6 +128,9 @@ mod tests {
         assert_eq!(s.as_slice(), &[7, 7, 7, 7]);
         let ids = LaneVec::from_fn(4, |l| l as u32);
         assert_eq!(ids.as_slice(), &[0, 1, 2, 3]);
+        let (twice, odd) = LaneVec::pair_from_fn(4, |l| (2 * l, l % 2 == 1));
+        assert_eq!(twice.as_slice(), &[0, 2, 4, 6]);
+        assert_eq!(odd.as_slice(), &[false, true, false, true]);
     }
 
     #[test]

@@ -34,6 +34,11 @@ pub enum ExecScope {
 }
 
 /// Execution context handed to kernels, one per work-group.
+///
+/// The engine keeps one context per compute unit and [`reset`](Self::reset)s
+/// it between work-groups, so the mask stack and the lent word buffers keep
+/// their capacity: a steady-state work-group allocates only what its kernel
+/// allocates.
 pub struct WgCtx {
     grid: Grid,
     wg_id: usize,
@@ -42,19 +47,52 @@ pub struct WgCtx {
     pub counters: Counters,
     /// Programmer-managed local data share.
     pub scratchpad: Scratchpad,
+    /// Word buffers lent out by [`take_words`](Self::take_words).
+    spare_words: Vec<Vec<u64>>,
 }
 
 impl WgCtx {
     /// Context for work-group `wg_id` of `grid`, all lanes active.
     pub fn new(grid: Grid, wg_id: usize) -> Self {
         assert!(wg_id < grid.wg_count, "work-group id out of range");
+        let mut mask_stack = Vec::with_capacity(4);
+        mask_stack.push(Mask::all(grid.wg_size));
         WgCtx {
             grid,
             wg_id,
-            mask_stack: vec![Mask::all(grid.wg_size)],
+            mask_stack,
             counters: Counters::default(),
             scratchpad: Scratchpad::new(),
+            spare_words: Vec::new(),
         }
+    }
+
+    /// Re-arm the context for work-group `wg_id` of the same grid: all
+    /// lanes active, counters and scratchpad cleared. What a kernel can
+    /// observe is exactly what [`new`](Self::new) would give it.
+    pub fn reset(&mut self, wg_id: usize) {
+        assert!(wg_id < self.grid.wg_count, "work-group id out of range");
+        self.wg_id = wg_id;
+        self.mask_stack.truncate(1);
+        self.counters = Counters::default();
+        self.scratchpad = Scratchpad::new();
+    }
+
+    /// Borrow a buffer of `len` words that outlives this work-group.
+    /// Runtime code acting for the work-group (the queue's producer, the
+    /// RPC offload) stages words in it instead of allocating per call;
+    /// hand it back with [`give_words`](Self::give_words) to keep its
+    /// capacity. The contents are unspecified (zeros or an earlier
+    /// borrower's words): write before you read.
+    pub fn take_words(&mut self, len: usize) -> Vec<u64> {
+        let mut words = self.spare_words.pop().unwrap_or_default();
+        words.resize(len, 0);
+        words
+    }
+
+    /// Return a buffer taken with [`take_words`](Self::take_words).
+    pub fn give_words(&mut self, words: Vec<u64>) {
+        self.spare_words.push(words);
     }
 
     /// This work-group's id within the grid.
@@ -107,28 +145,60 @@ impl WgCtx {
 
     /// Charge `instrs` wavefront instructions under `scope`.
     pub fn charge(&mut self, instrs: u64, scope: ExecScope) {
+        let active = self.active();
         let wfs = match scope {
-            ExecScope::WholeWorkGroup => self.wf_count() as u64,
-            ExecScope::ActiveWavefronts => {
-                let m = self.active().clone();
-                (0..self.wf_count()).filter(|&wf| m.wavefront_any(wf, self.wf_width())).count()
-                    as u64
-            }
+            ExecScope::WholeWorkGroup => self.wf_count(),
+            ExecScope::ActiveWavefronts => active.active_wavefronts(self.wf_width()),
         };
-        self.counters.wf_issue_slots += instrs * wfs;
-        self.counters.active_lane_slots += instrs * self.active_count() as u64;
+        let lanes = active.count();
+        self.counters.wf_issue_slots += instrs * wfs as u64;
+        self.counters.active_lane_slots += instrs * lanes as u64;
     }
 
     /// Charge one coalesced memory instruction: each active lane accesses
     /// `bytes` at its address in `addrs`. Returns the number of cache-line
     /// transactions the coalescer issued.
     pub fn mem_access(&mut self, addrs: &LaneVec<u64>, bytes: usize) -> usize {
-        let mask = self.active().clone();
-        let tx = coalesce::wg_transactions(addrs.as_slice(), &mask, bytes, self.wf_width());
-        self.counters.mem_transactions += tx as u64;
-        self.counters.mem_accesses += mask.count() as u64;
-        self.charge(1, ExecScope::ActiveWavefronts);
-        tx
+        self.mem_access_by(bytes, |lane| addrs.get(lane))
+    }
+
+    /// [`mem_access`](Self::mem_access) for an access whose addresses are
+    /// a function of the lane id (a slot column, a table base plus an
+    /// index register): same charges, no address register to build.
+    /// `addr_of` must be pure; it is called for active lanes only.
+    pub fn mem_access_by(&mut self, bytes: usize, addr_of: impl Fn(usize) -> u64) -> usize {
+        self.mem_access_rows(bytes, 1, 0, addr_of)
+    }
+
+    /// `rows` memory instructions over one address register: instruction
+    /// `r` accesses `bytes` at `addr_of(lane) + r * pitch` — a pitched
+    /// store such as a queue slot's payload rows or a structure-of-arrays
+    /// record. Charged as `rows` calls of [`mem_access`](Self::mem_access);
+    /// returns their transactions summed. A pitch of whole cache lines
+    /// moves every access by whole lines, so each row coalesces exactly
+    /// like the first and the coalescer walks the lanes once.
+    pub fn mem_access_rows(
+        &mut self,
+        bytes: usize,
+        rows: usize,
+        pitch: u64,
+        addr_of: impl Fn(usize) -> u64,
+    ) -> usize {
+        let whole_lines = pitch.is_multiple_of(coalesce::CACHE_LINE as u64);
+        let (mut tx, mut total) = (0, 0);
+        for row in 0..rows as u64 {
+            if row == 0 || !whole_lines {
+                let active = self.active();
+                tx = coalesce::wg_transactions_by(active, bytes, self.wf_width(), |lane| {
+                    addr_of(lane) + row * pitch
+                });
+            }
+            self.counters.mem_transactions += tx as u64;
+            self.counters.mem_accesses += self.active_count() as u64;
+            self.charge(1, ExecScope::ActiveWavefronts);
+            total += tx;
+        }
+        total
     }
 
     /// Execute a work-group barrier (charges every wavefront — all must
@@ -174,9 +244,8 @@ impl WgCtx {
         then_body: impl FnOnce(&mut WgCtx),
         else_body: impl FnOnce(&mut WgCtx),
     ) {
-        let parent = self.active().clone();
-        let then_mask = parent.and(cond);
-        let else_mask = parent.and_not(cond);
+        let parent = self.active();
+        let (then_mask, else_mask) = (parent.and(cond), parent.and_not(cond));
         // Charge the branch instruction itself.
         self.charge(1, ExecScope::ActiveWavefronts);
         if !then_mask.is_empty() {
@@ -221,7 +290,11 @@ impl WgCtx {
 
     // ---- work-group-level collectives (§4.1, §5.2) -----------------------
 
-    fn charge_collective(&mut self) {
+    /// Charge one work-group collective without computing it, for callers
+    /// that read the result off the active mask (a prefix sum of ones is
+    /// [`Mask::rank`], a broadcast of a value the caller already holds is
+    /// that value). The reduce/prefix/elect methods charge exactly this.
+    pub fn charge_collective(&mut self) {
         // A log-depth tree network (Fig. 11a): one instruction + barrier
         // per level, executed by the whole work-group.
         let levels = usize::BITS - (self.wg_size().max(2) - 1).leading_zeros();

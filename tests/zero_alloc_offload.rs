@@ -1,0 +1,146 @@
+//! The runtime's share of a work-group offload allocates nothing.
+//!
+//! `tests/zero_alloc_pipeline.rs` pins the packet path behind the ring;
+//! this file pins the path into it. The lockstep interpreter allocated
+//! about a dozen times per 256-lane `wg_produce` (a register per
+//! collective, an address register per row, a mask clone per charge).
+//! Now the masks are inline, the collectives are read off the mask, and
+//! the staging buffer lives in the compute unit's reused `WgCtx`, so the
+//! only allocations left in an offloading work-group are the kernel's own
+//! registers — and a clone creeping back into `charge` or `mem_access`
+//! fails here instead of costing a few ns a message unnoticed.
+//!
+//! The allocator counts per thread and only while that thread asks, so
+//! the tests in this file cannot see each other or the harness.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use gravel_apps::gups;
+use gravel_core::{GravelConfig, GravelCtx, NodeShared};
+use gravel_gq::{GravelQueue, QueueConfig, MSG_ROWS};
+use gravel_pgas::AmRegistry;
+use gravel_simt::{Grid, LaneVec, SimtEngine, WgCtx};
+
+std::thread_local! {
+    /// `Some(n)` while this thread is counting its own allocations.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Set once this thread has run one work-group (its `WgCtx` is warm).
+    static WARM: Cell<bool> = const { Cell::new(false) };
+}
+
+struct ThreadCountingAlloc;
+
+fn note_alloc() {
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+/// Run `f`, returning how many times this thread allocated inside it.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    let allocs = COUNT.with(|c| c.take()).expect("counting was on");
+    (allocs, out)
+}
+
+const WG: usize = 256;
+
+#[test]
+fn wg_produce_on_a_warm_compute_unit_allocates_nothing() {
+    // A slot per work-group: nothing has to drain the ring.
+    let q = GravelQueue::new(QueueConfig {
+        slots: 96,
+        lane_width: WG,
+        rows: MSG_ROWS,
+    });
+    let grid = Grid {
+        wg_count: 96,
+        wg_size: WG,
+        wf_width: 64,
+    };
+    let (allocs, measured) = (AtomicU64::new(0), AtomicU64::new(0));
+    SimtEngine::with_cus(2).dispatch(grid, |ctx| {
+        let base = (ctx.wg_id() * WG) as u64;
+        let offload =
+            |ctx: &mut WgCtx| q.wg_produce(ctx, |lane, row| base + lane as u64 + row as u64);
+        // A unit's first work-group sizes its context's buffers.
+        if !WARM.with(|w| w.replace(true)) {
+            return offload(ctx);
+        }
+        let (n, ()) = counted(|| offload(ctx));
+        allocs.fetch_add(n, Ordering::Relaxed);
+        measured.fetch_add(1, Ordering::Relaxed);
+    });
+    assert!(
+        measured.load(Ordering::Relaxed) >= 94,
+        "all but each unit's first work-group"
+    );
+    assert_eq!(
+        allocs.load(Ordering::Relaxed),
+        0,
+        "wg_produce allocated on a warm compute unit"
+    );
+    assert_eq!(q.stats.snapshot().messages_produced, 96 * WG as u64);
+}
+
+#[test]
+fn a_shmem_inc_work_group_allocates_only_its_kernels_registers() {
+    /// `GRID_ID`, the routed `dests` and `addrs`, and the `vals` splat.
+    const KERNEL_REGISTERS: u64 = 4;
+    const WGS: usize = 64;
+    let cfg = GravelConfig::paper(2, 1 << 10);
+    assert!(
+        WGS < cfg.queue.slots,
+        "a slot per work-group: nothing drains the ring"
+    );
+    let node = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
+    let input = gups::GupsInput {
+        updates: 2 * WGS * WG,
+        table_len: 2 << 10,
+        seed: 3,
+    };
+    let dir = gups::directory(&input, 2);
+    let updates = gups::node_updates(&input, 2, 0);
+    let grid = Grid {
+        wg_count: WGS,
+        wg_size: WG,
+        wf_width: cfg.wf_width,
+    };
+    let mut wg = WgCtx::new(grid, 0);
+    for id in 0..WGS {
+        wg.reset(id);
+        let (allocs, ()) = counted(|| {
+            let mut ctx = GravelCtx::new(&mut wg, &node, true);
+            let gids = ctx.wg.global_ids();
+            let (dests, addrs) = LaneVec::pair_from_fn(WG, |l| {
+                let r = dir.route(updates[gids.get(l)]);
+                (r.dest, r.offset)
+            });
+            ctx.shmem_inc(&dests, &addrs, &LaneVec::splat(WG, 1u64));
+        });
+        // The first work-group also sizes the context's staging buffer.
+        if id > 0 {
+            assert_eq!(allocs, KERNEL_REGISTERS, "work-group {id}");
+        }
+    }
+    assert_eq!(node.offloaded.get(), (WGS * WG) as u64);
+}
