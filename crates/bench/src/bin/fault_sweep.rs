@@ -2,7 +2,7 @@
 //! packet-drop probability and byte-level corruption.
 //!
 //! The paper evaluates Gravel on a reliable fabric; this sweep measures
-//! what the delivery protocol (go-back-N retransmission with cumulative
+//! what the delivery protocol (ack-clocked retransmission with selective
 //! acks, added for unreliable transports) costs as the network degrades.
 //! At drop = 0 on the reliable transport the protocol is pure overhead
 //! (sequence stamping + ack traffic); each further column pays for the

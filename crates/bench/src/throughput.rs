@@ -8,7 +8,7 @@
 //!   stream is precomputed and injected from a host producer thread in
 //!   slot-sized batches, so the measured interval is dominated by the
 //!   CPU-side hot path this bench exists to track (ring drain →
-//!   aggregation → go-back-N delivery → zero-copy apply), not by the
+//!   aggregation → acknowledged delivery → zero-copy apply), not by the
 //!   interpreted SIMT frontend.
 //! * **PageRank (end-to-end)** — `run_live` over a fixed generated
 //!   graph, gated like GUPS since the lane governor landed: it includes
@@ -347,7 +347,7 @@ fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let stop = AtomicBool::new(false);
     let mut lat: Vec<u64> = Vec::with_capacity(scale.get_probes);
     // Keep ~64k bulk messages in flight cluster-wide: enough beyond the
-    // go-back-N windows that every ring, sender and ingress holds a
+    // delivery windows that every ring, sender and ingress holds a
     // bulk backlog (what the express path has to get past), bounded so
     // the run measures that rather than unbounded-overload queueing.
     const BULK_IN_FLIGHT: u64 = 64 * 1024;

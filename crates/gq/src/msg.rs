@@ -116,7 +116,7 @@ impl Command {
 /// The two lanes a message can take through the pipeline (SNIPPETS.md
 /// Snippet 3's "packet classification, priority bands"): request-reply
 /// traffic rides **express** — its own offload ring, flush-on-empty
-/// aggregation, its own go-back-N flow and the priority side of the
+/// aggregation, its own delivery flow and the priority side of the
 /// receiver's ingress — so a GET never queues behind bulk PUT runs;
 /// everything fire-and-forget rides **bulk**.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

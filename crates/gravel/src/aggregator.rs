@@ -3,7 +3,7 @@
 //! One CPU thread per node (per configured slot) drains the
 //! producer/consumer queue and repacks messages into per-destination
 //! queues, which are flushed when full or after the 125 µs timeout.
-//! Flushed packets are handed to the lane's go-back-N [`Sender`]
+//! Flushed packets are handed to the lane's [`Sender`]
 //! ([`crate::flow`]), which owns sequencing, acks and retransmission; a
 //! flow that exhausts its retries is reported through the shared
 //! [`ErrorSlot`], which unwinds the whole cluster instead of hanging
@@ -27,7 +27,7 @@ use gravel_pgas::{FlushPolicy, NodeQueues, Packet};
 
 use crate::backoff::Backoff;
 use crate::error::ErrorSlot;
-use crate::flow::{in_flight_gauge, Flow, Sender};
+use crate::flow::{Flow, FlowGauges, Sender};
 use crate::node::NodeShared;
 
 /// Park cap while waiting for in-flight packets to drain at shutdown.
@@ -68,7 +68,7 @@ impl Cursor {
 
 /// Restartable state of one aggregator lane, hoisted out of the thread
 /// so a supervised restart resumes exactly where the predecessor died:
-/// the per-destination aggregation queues, the go-back-N flows, and the
+/// the per-destination aggregation queues, the sender's flows, and the
 /// cursors into partially processed ring batches. Only the owning lane
 /// thread locks it (per loop iteration), so the lock is uncontended; a
 /// panic mid-iteration leaves it poisoned, which the restarted thread
@@ -216,7 +216,7 @@ pub fn run_supervised(
     chaos: Option<Arc<ChaosPlan>>,
 ) {
     let lane = slot as u32;
-    let in_flight = in_flight_gauge(&node);
+    let gauges = FlowGauges::of(&node);
     // This lane exclusively drains its own shard ring: destinations hash
     // to lanes at produce time, so per-destination ordering holds without
     // any consumer-side coordination.
@@ -258,7 +258,7 @@ pub fn run_supervised(
             express: fast,
             scratch,
         } = &mut *st;
-        let mut sender = Sender::new(&node, lane, transport.as_ref(), flows, &in_flight);
+        let mut sender = Sender::new(&node, lane, transport.as_ref(), flows, &gauges);
         sender.drain_acks();
         if let Err(e) = sender.poll_retransmits() {
             errors.set(e);
@@ -704,9 +704,10 @@ mod tests {
 
     /// A `ChannelTransport` that also records every data frame in the
     /// order it was put on the wire. The order-asserting tests below
-    /// run with a window and channel wider than their traffic and a
-    /// retransmit timer longer than their lifetime, so a packet is on
-    /// the wire the moment the lane submits it, exactly once.
+    /// run with a window (the widest there is) and a channel wider than
+    /// their traffic and a retransmit timer longer than their lifetime,
+    /// so a packet is on the wire the moment the lane submits it,
+    /// exactly once.
     struct WireLog {
         inner: ChannelTransport,
         sent: Mutex<Vec<Packet>>,
@@ -751,7 +752,7 @@ mod tests {
     fn logged_node(nodes: usize) -> (Arc<NodeShared>, Arc<WireLog>, Arc<ErrorSlot>) {
         let mut cfg = GravelConfig::small(nodes, 16);
         cfg.retry = RetryConfig {
-            window: 4096,
+            window: gravel_pgas::ACK_MAP_BITS,
             backoff: Duration::from_secs(600),
             backoff_max: Duration::from_secs(600),
             max_retries: 1,
@@ -880,15 +881,19 @@ mod tests {
     #[test]
     fn a_lone_put_is_timeout_flushed_between_batches_of_a_busy_ring() {
         let (node, transport, errors) = logged_node(3);
-        let width = node.queue.config().lane_width;
         let batch = node.drain_batch;
         node.host_send(Message::put(2, 9, 9));
-        // Whole slots of INCs for node 1: the rest of the first drain
-        // batch, and all of a second one.
-        let dense: Vec<Message> = (0..(2 * batch - 1) * width)
+        // Slots of two INCs for node 1: the rest of the first drain
+        // batch, and all of a second one. (Thin slots keep the whole
+        // stream — fifteen packets — inside the bulk window, so wire
+        // order is flush order; how full a slot is plays no part in
+        // when the lane polls its timeouts.)
+        let dense: Vec<Message> = (0..(2 * batch - 1) * 2)
             .map(|i| Message::inc(1, (i % 16) as u64, 1))
             .collect();
-        node.host_send_batch(&dense);
+        for slot in dense.chunks(2) {
+            node.host_send_batch(slot);
+        }
         assert_eq!(node.queue.ring(0).backlog(), 2 * batch as u64);
         node.queue.close();
         // Two messages per packet, and an effective timeout of zero:
@@ -903,7 +908,7 @@ mod tests {
             dense_packets as u64 + 1,
         );
         assert_eq!(log.len(), dense_packets + 1);
-        let first_batch_packets = (batch - 1) * width / 2;
+        let first_batch_packets = batch - 1;
         assert_eq!(
             log.iter().position(|p| p.dest == 2),
             Some(first_batch_packets),

@@ -62,7 +62,7 @@ pub struct GravelConfig {
     ///
     /// The paper's evaluation runs over reliable MPI/InfiniBand
     /// ([`TransportKind::Reliable`], the default), but Gravel's delivery
-    /// protocol (per-flow sequence numbers, cumulative acks, go-back-N
+    /// protocol (per-flow sequence numbers, selective acks, ack-clocked
     /// retransmission) does not depend on that: select
     /// [`TransportKind::Unreliable`] to inject seeded drops, duplication,
     /// reordering, jitter, and link outages and the runtime still
@@ -250,6 +250,16 @@ impl GravelConfig {
             self.retry.window > 0,
             "delivery window must admit one packet"
         );
+        // Every frame a flow may have on the wire has a bit in the ack
+        // map, and every frame the map can report fits the receiver's
+        // reorder buffer: an in-window frame is never reported held and
+        // then dropped.
+        assert!(
+            self.retry.window <= gravel_pgas::ACK_MAP_BITS,
+            "delivery window wider than the ack map ({} frames)",
+            gravel_pgas::ACK_MAP_BITS
+        );
+        const _: () = assert!(gravel_pgas::ACK_MAP_BITS <= crate::netthread::OOO_BUFFER_CAP);
         assert!(self.retry.max_retries > 0, "need at least one retry");
         if let TransportKind::Unreliable(faults) = &self.transport {
             faults.validate();

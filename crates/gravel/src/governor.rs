@@ -48,7 +48,7 @@
 //! **Ordering contract:** per-destination ordering is guaranteed while
 //! the mask holds. A transition remaps destinations between lanes, so
 //! traffic produced just before and just after it may travel two
-//! `(src, lane)` go-back-N flows concurrently — a bounded reorder
+//! `(src, lane)` flows concurrently — a bounded reorder
 //! window, same relaxation elastic resharding already makes for
 //! in-flight traffic (DESIGN.md §16). Gravel's PGAS operations
 //! commute; workloads that need strict cross-transition PUT order run

@@ -1,7 +1,7 @@
 //! gravel-ha — node-level fault tolerance for the live runtime.
 //!
 //! PR 1 made *links* survivable: the delivery protocol (sequence
-//! numbers, cumulative acks, go-back-N retransmission) delivers every
+//! numbers, selective acks, retransmission) delivers every
 //! message exactly once over a transport that drops, duplicates, and
 //! reorders. This layer makes *nodes* survivable. Three mechanisms,
 //! composable and individually switchable through [`HaConfig`]:
@@ -16,7 +16,7 @@
 //! 2. **Supervised restart** ([`supervisor`]) — worker threads
 //!    (aggregators, network threads, heartbeat emitters) run under a
 //!    supervisor that restarts a panicked worker with exponential
-//!    backoff, bounded per restart window. Worker state (go-back-N
+//!    backoff, bounded per restart window. Worker state (sender
 //!    windows, receive cursors) lives in shared `Mutex`es outside the
 //!    threads, so a restarted worker resumes exactly where its
 //!    predecessor died; the delivery protocol's sequence numbers and

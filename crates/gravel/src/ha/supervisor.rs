@@ -47,9 +47,9 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         // Five restarts in ten seconds absorbs a burst of transient
         // failures; a worker that keeps dying faster than that has a
-        // deterministic bug and should escalate. Backoff stays small —
-        // the go-back-N retransmission timer (25 ms+) dominates recovery
-        // latency anyway.
+        // deterministic bug and should escalate. Backoff stays small:
+        // what the dead worker dropped is re-sent as soon as an ack
+        // shows the gap, so the restart is the recovery latency.
         SupervisorConfig {
             max_restarts: 5,
             restart_window: Duration::from_secs(10),

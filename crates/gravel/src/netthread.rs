@@ -14,16 +14,21 @@
 //! is in sequence, not out of order: packets below the expected sequence
 //! number are duplicates (counted and re-acked, which heals lost acks);
 //! packets above it are parked in a bounded reorder buffer until the gap
-//! fills (go-back-N retransmission fills it if the missing packet was
-//! dropped). Every accepted or duplicate packet triggers a cumulative
-//! ack back to the sending lane.
+//! fills. Every packet that reaches this point — accepted, duplicate or
+//! parked — triggers an ack back to the sending lane that restates the
+//! flow's whole receive state: the cumulative point, and a map of which
+//! of the next [`ACK_MAP_BITS`] sequence numbers are parked. The map is
+//! what lets the sender ([`crate::flow`]) see a gap one round trip
+//! after it opened and re-send that one packet. It is computed from the
+//! reorder buffer at ack time and never remembered, so a buffer lost to
+//! a restart is simply absent from the next ack.
 //!
 //! Before any of that, every inbound frame is *verified* (DESIGN.md
 //! §13): magic, version, kind, length, and CRC32C are checked before a
 //! single payload byte is decoded. A frame that fails verification is
 //! counted (`net.corrupt_dropped` / `net.truncated`) and dropped — to
 //! the delivery protocol a corrupted frame is indistinguishable from a
-//! lost one, so go-back-N retransmission heals it. A frame that
+//! lost one, so the same retransmission heals it. A frame that
 //! verifies but names the wrong destination is counted
 //! (`net.misrouted`) and dropped the same way. Messages that pass the
 //! CRC but fail *semantic* validation (unknown handler, out-of-range
@@ -38,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use gravel_gq::{Command, Message};
 use gravel_net::{Ack, ChaosPlan, RecvStatus, Transport};
-use gravel_pgas::{apply, Applied, Packet, QuarantineReason, QuarantinedMessage};
+use gravel_pgas::{apply, Applied, Packet, QuarantineReason, QuarantinedMessage, ACK_MAP_BITS};
 
 use crate::error::ErrorSlot;
 use crate::node::NodeShared;
@@ -49,8 +54,13 @@ const RECV_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Maximum out-of-order packets buffered per flow. Packets beyond this
 /// are dropped (and recovered by the sender's retransmission), bounding
-/// receiver memory under pathological reordering.
-const OOO_BUFFER_CAP: usize = 256;
+/// receiver memory whatever a sender does. A sender this tree builds
+/// never gets there: it keeps at most two windows of packets, and
+/// never more than [`ACK_MAP_BITS`], past the cumulative point on the
+/// wire (`GravelConfig::validate` holds the configured window to
+/// that), so a packet the map reported held is never dropped
+/// afterwards and `net.ooo_dropped` stays 0.
+pub(crate) const OOO_BUFFER_CAP: usize = 256;
 
 /// Receiver-side state of one flow.
 #[derive(Default)]
@@ -61,9 +71,19 @@ struct FlowState {
     ooo: BTreeMap<u64, Packet>,
     /// Message index inside the in-sequence packet currently being
     /// applied. Nonzero only while a restarted thread still owes the
-    /// tail of a packet whose predecessor died mid-apply; the go-back-N
+    /// tail of a packet whose predecessor died mid-apply; the
     /// retransmission of that packet (seq == `expected`) resumes here.
     resume_at: usize,
+}
+
+impl FlowState {
+    /// The selective map of this flow's next ack: bit `i` is set when
+    /// sequence number `expected + i` is parked in the reorder buffer.
+    fn held_map(&self) -> u64 {
+        self.ooo
+            .range(self.expected..self.expected.saturating_add(ACK_MAP_BITS as u64))
+            .fold(0, |map, (seq, _)| map | 1 << (seq - self.expected))
+    }
 }
 
 /// Restartable receiver state of one node's network thread, hoisted out
@@ -406,9 +426,9 @@ pub fn run_with_gate(
             node.net_express_frames.add(1);
         }
         // Verify before decoding a single byte. A frame that fails is
-        // dropped: corrupted ≡ lost, and the sender's go-back-N window
-        // retransmits it. Truncations are classified separately so the
-        // fault sweep can tell a cut cable from a scrambled one.
+        // dropped: corrupted ≡ lost, and the sender retransmits it.
+        // Truncations are classified separately so the fault sweep can
+        // tell a cut cable from a scrambled one.
         let pkt = match frame.open(node.wire_integrity) {
             Ok(pkt) => pkt,
             Err(e) => {
@@ -431,17 +451,17 @@ pub fn run_with_gate(
         let (src, lane) = (pkt.src, pkt.lane);
         let mut st = lock_recv(&state);
         let flow = st.flows.entry((src, lane)).or_default();
-        if pkt.seq < flow.expected {
-            // Duplicate (injected, or a retransmission of an applied
-            // packet whose ack was lost). Re-ack so the sender advances.
+        if pkt.seq < flow.expected || flow.ooo.contains_key(&pkt.seq) {
+            // Duplicate (injected, a retransmission of an applied packet
+            // whose ack was lost, or a second copy of a parked one).
+            // Re-ack so the sender advances.
             node.net_dups_suppressed.add(1);
         } else if pkt.seq > flow.expected {
-            // Out of order: park it if the buffer has room (go-back-N
-            // retransmission recovers it otherwise), then ack what we
-            // actually have.
+            // Out of order: park it if the buffer has room (the sender
+            // retransmits it otherwise), then ack what we actually have.
             if flow.ooo.len() < OOO_BUFFER_CAP {
                 node.net_ooo_parked.add(1);
-                flow.ooo.entry(pkt.seq).or_insert(pkt);
+                flow.ooo.insert(pkt.seq, pkt);
             } else {
                 node.net_ooo_dropped.add(1);
             }
@@ -457,8 +477,8 @@ pub fn run_with_gate(
             flow.expected += 1;
             // Drain any buffered successors the gap was hiding. A panic
             // mid-drain loses the popped packet but not its messages:
-            // `expected` was not yet advanced past it, so the sender's
-            // go-back-N retransmission redelivers it in sequence.
+            // `expected` was not yet advanced past it and the next ack's
+            // map no longer reports it, so the sender re-sends it.
             while let Some(next) = flow.ooo.remove(&flow.expected) {
                 gate_apply_tap(
                     &node,
@@ -471,21 +491,26 @@ pub fn run_with_gate(
                 flow.expected += 1;
             }
         }
-        // Cumulative ack: everything below `expected` is applied. Acks
-        // are best-effort (the mailbox may be full, the link may drop
-        // them) — retransmission plus re-acking makes that safe.
-        if flow.expected > 0 {
-            transport.send_ack(
-                Ack {
-                    src: node.id,
-                    dest: src,
-                    lane,
-                    cum_seq: flow.expected - 1,
-                }
-                .seal(node.wire_epoch.load(Ordering::Relaxed), node.wire_integrity),
-            );
-            node.net_acks_sent.add(1);
-        }
+        // Everything below `expected` is applied, and the map says what
+        // is parked beyond it — before anything is in order too, or a
+        // lost first packet would go unreported. Acks are best-effort
+        // (the mailbox may be full, the link may drop them): each one
+        // restates the whole receive state, so the next one or a
+        // retransmission makes that safe.
+        transport.send_ack(
+            Ack {
+                src: node.id,
+                dest: src,
+                lane,
+                cum_seq: flow.expected.wrapping_sub(1),
+            }
+            .seal_holding(
+                flow.held_map(),
+                node.wire_epoch.load(Ordering::Relaxed),
+                node.wire_integrity,
+            ),
+        );
+        node.net_acks_sent.add(1);
     }
 }
 
@@ -538,8 +563,8 @@ mod tests {
             ack = transport.try_recv_ack(0, 0);
             ack.is_some()
         }));
-        let ack = ack.unwrap().open(WireIntegrity::Crc32c).unwrap();
-        assert_eq!((ack.src, ack.dest, ack.cum_seq), (0, 0, 0));
+        let (ack, held) = ack.unwrap().open(WireIntegrity::Crc32c).unwrap();
+        assert_eq!((ack.src, ack.dest, ack.cum_seq, held), (0, 0, 0, 0));
         transport.close();
         handle.join().unwrap();
         assert_eq!(node.heap.load(2), 10);
@@ -632,7 +657,7 @@ mod tests {
             ..good.clone()
         };
         transport.send_data(bad, Duration::from_secs(1));
-        // The pristine frame finally applies — exactly what a go-back-N
+        // The pristine frame finally applies — exactly what the
         // retransmission of the dropped original looks like.
         transport.send_data(good, Duration::from_secs(1));
         assert!(crate::backoff::wait_for(Duration::from_secs(5), || node
@@ -827,7 +852,8 @@ mod tests {
         // 0, each under its own wire lane.
         let mut acked = std::collections::BTreeMap::new();
         while let Some(a) = transport.try_recv_ack(1, 0) {
-            let a = a.open(WireIntegrity::Crc32c).unwrap();
+            let (a, held) = a.open(WireIntegrity::Crc32c).unwrap();
+            assert_eq!(held, 0, "nothing was ever parked");
             acked.insert(a.lane, a.cum_seq);
         }
         assert_eq!(

@@ -74,8 +74,18 @@ pub struct NodeShared {
     /// Sender-side delivery tuning (copied from the config so worker
     /// threads need no back-reference to it).
     pub retry: RetryConfig,
-    /// Packets retransmitted by this node's sender flows.
+    /// Packets retransmitted by this node's sender flows: frames that
+    /// actually went on the wire a second time, whatever the cause
+    /// (`net.fast_retransmits + net.rto_retransmits`).
     pub net_retransmits: Counter,
+    /// Retransmissions an ack triggered: its map proved the frame lost.
+    pub net_fast_retransmits: Counter,
+    /// Retransmissions the backstop timer triggered.
+    pub net_rto_retransmits: Counter,
+    /// From an ack first showing a frame missing below a later one to
+    /// the cumulative ack passing it, in nanoseconds
+    /// (`net.loss_recovery_ns`).
+    pub net_loss_recovery: Histogram,
     /// Duplicate packets suppressed by this node's receiver.
     pub net_dups_suppressed: Counter,
     /// Packets a restarted sender retired without sending because the
@@ -88,7 +98,7 @@ pub struct NodeShared {
     /// Sends that stalled because the bounded data channel stayed full
     /// for the whole attempt timeout.
     pub net_chan_stalls: Counter,
-    /// Sends parked because the go-back-N in-flight window was full.
+    /// Sends parked because the in-flight window was full.
     pub net_window_stalls: Counter,
     /// Out-of-order packets discarded because the reorder buffer was
     /// full (recovered later by retransmission).
@@ -114,7 +124,7 @@ pub struct NodeShared {
     pub wire_epoch: AtomicU32,
     /// Inbound frames dropped by this node's network thread for failed
     /// verification (bad magic/version/kind/length, CRC mismatch).
-    /// Healed by the sender's go-back-N retransmission.
+    /// Healed by the sender's retransmission.
     pub net_corrupt_dropped: Counter,
     /// Inbound frames dropped because they ended early (truncation).
     pub net_truncated: Counter,
@@ -220,6 +230,9 @@ impl NodeShared {
             agg_polls_hit: registry.counter(&name("agg.polls_hit")),
             retry: cfg.retry.clone(),
             net_retransmits: registry.counter(&name("net.retransmits")),
+            net_fast_retransmits: registry.counter(&name("net.fast_retransmits")),
+            net_rto_retransmits: registry.counter(&name("net.rto_retransmits")),
+            net_loss_recovery: registry.histogram(&name("net.loss_recovery_ns")),
             net_dups_suppressed: registry.counter(&name("net.dups_suppressed")),
             net_fast_forwarded: registry.counter(&name("net.fast_forwarded")),
             net_acks_sent: registry.counter(&name("net.acks_sent")),
@@ -363,6 +376,8 @@ impl NodeShared {
             agg_polls_hit: self.agg_polls_hit.get(),
             net: NetStats {
                 retransmits: self.net_retransmits.get(),
+                fast_retransmits: self.net_fast_retransmits.get(),
+                rto_retransmits: self.net_rto_retransmits.get(),
                 dups_suppressed: self.net_dups_suppressed.get(),
                 acks_sent: self.net_acks_sent.get(),
                 acks_received: self.net_acks_received.get(),

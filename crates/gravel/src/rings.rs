@@ -9,7 +9,7 @@
 //!   lanes never bounce the same cache lines.
 //! * **Per-destination ordering is preserved.** Every destination is
 //!   owned by exactly one lane, so all its traffic flows through one
-//!   `(src, lane)` go-back-N sequence space — the multi-lane pipeline
+//!   `(src, lane)` sequence space — the multi-lane pipeline
 //!   keeps the single-lane delivery guarantees (see DESIGN.md §12).
 //!
 //! With `lanes == 1` this degenerates to the classic single-ring layout

@@ -9,8 +9,8 @@
 //! kernels are dispatched onto the SIMT engine and offload PGAS
 //! operations through their node's queue exactly as on the paper's APUs —
 //! queue → aggregator → per-node queues → network thread → remote heap —
-//! with the delivery protocol (sequence numbers, cumulative acks,
-//! go-back-N retransmission) providing exactly-once semantics even when
+//! with the delivery protocol (sequence numbers, selective acks,
+//! ack-clocked retransmission) providing exactly-once semantics even when
 //! the transport drops, duplicates, or reorders packets.
 //!
 //! ```
@@ -438,15 +438,21 @@ impl GravelRuntime {
         let mut out = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
             let s = n.stats();
+            let gauge = |name: &str| self.registry.gauge(&format!("node{i}.agg.{name}")).get();
             let _ = writeln!(
                 out,
-                "node {i}: backlog={} offloaded={} applied={} chan_depth={} \
-                 retransmits={} dups={} acks_tx={} acks_rx={} stalls={} ooo_drop={}",
+                "node {i}: backlog={} offloaded={} applied={} agg_backlog={} in_flight={} \
+                 chan_depth={} retransmits={} (fast={} rto={}) dups={} acks_tx={} acks_rx={} \
+                 stalls={} ooo_drop={}",
                 n.queue.backlog(),
                 s.offloaded,
                 s.applied,
+                gauge("backlog_packets"),
+                gauge("in_flight"),
                 depths.get(i).copied().unwrap_or(0),
                 s.net.retransmits,
+                s.net.fast_retransmits,
+                s.net.rto_retransmits,
                 s.net.dups_suppressed,
                 s.net.acks_sent,
                 s.net.acks_received,
@@ -925,6 +931,7 @@ mod tests {
                 assert!(waited >= Duration::from_millis(50));
                 assert!(diagnostics.contains("node 0"), "{diagnostics}");
                 assert!(diagnostics.contains("offloaded=1"), "{diagnostics}");
+                assert!(diagnostics.contains("agg_backlog=0"), "{diagnostics}");
             }
             other => panic!("expected QuiesceTimeout, got {other:?}"),
         }

@@ -18,9 +18,15 @@ use gravel_telemetry::RegistrySnapshot;
 /// assert on exactly that).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NetStats {
-    /// Packets retransmitted by this node's sender flows (go-back-N
-    /// rounds × window occupancy).
+    /// Frames this node's sender flows put on the wire again:
+    /// `fast_retransmits + rto_retransmits`.
     pub retransmits: u64,
+    /// Retransmissions triggered by an ack whose map proved the frame
+    /// lost — recovery in a round trip.
+    pub fast_retransmits: u64,
+    /// Retransmissions triggered by the backstop timer (tail loss, a
+    /// silent peer, a spurious expiry on a loaded host).
+    pub rto_retransmits: u64,
     /// Duplicate packets this node's receiver suppressed (injected
     /// duplicates plus retransmissions of already-applied packets).
     pub dups_suppressed: u64,
@@ -31,7 +37,7 @@ pub struct NetStats {
     /// Sends that stalled because the bounded data channel stayed full
     /// for a whole attempt timeout.
     pub chan_stalls: u64,
-    /// Sends parked because the go-back-N in-flight window was full.
+    /// Sends parked because the in-flight window was full.
     pub window_stalls: u64,
     /// Total backpressure signal: `chan_stalls + window_stalls`. Kept as
     /// a field (not a method) so existing struct literals and reports
@@ -50,7 +56,7 @@ pub struct NetStats {
     /// Times an idle runtime thread actually parked instead of spinning.
     pub spin_parks: u64,
     /// Inbound data frames dropped for failed verification (bad magic,
-    /// version, kind, length, or CRC mismatch). Healed by go-back-N
+    /// version, kind, length, or CRC mismatch). Healed by
     /// retransmission — corrupted ≡ lost.
     pub corrupt_dropped: u64,
     /// Inbound data frames dropped because they ended early.
@@ -180,6 +186,8 @@ impl NodeStats {
             agg_polls_hit: c("agg.polls_hit"),
             net: NetStats {
                 retransmits: c("net.retransmits"),
+                fast_retransmits: c("net.fast_retransmits"),
+                rto_retransmits: c("net.rto_retransmits"),
                 dups_suppressed: c("net.dups_suppressed"),
                 acks_sent: c("net.acks_sent"),
                 acks_received: c("net.acks_received"),

@@ -27,7 +27,7 @@ proptest! {
 
     /// A panic injected at an arbitrary aggregator drain step never
     /// loses or duplicates a message: the supervised restart resumes
-    /// the lane's batch cursor and go-back-N flows exactly.
+    /// the lane's batch cursor and sender flows exactly.
     #[test]
     fn aggregator_panic_at_random_step_is_exactly_once(at_step in 1u64..200) {
         let mut cfg = GravelConfig::small(2, 8);
@@ -48,8 +48,8 @@ proptest! {
     }
 
     /// Same property for the receiver: a panic at an arbitrary apply
-    /// step resumes mid-packet via the per-flow cursor and go-back-N
-    /// retransmission, with every message applied exactly once.
+    /// step resumes mid-packet via the per-flow cursor and the
+    /// packet's retransmission, with every message applied exactly once.
     #[test]
     fn netthread_panic_at_random_step_is_exactly_once(at_step in 1u64..200) {
         let mut cfg = GravelConfig::small(2, 8);

@@ -33,7 +33,7 @@ pub struct ChannelTransport {
 /// a request or reply waits for at most the bulk packet the network
 /// thread already holds, never for the queue behind it. Each FIFO keeps
 /// its own order and its own bound — the two only ever reorder frames
-/// of *different* flows (every band is its own go-back-N flow), which
+/// of *different* flows (every band is a flow of its own), which
 /// no sequence check can see.
 #[derive(Default)]
 struct Ingress {
@@ -357,7 +357,7 @@ mod tests {
         let got = t.try_recv_ack(0, 1).expect("routed to (0, 1)");
         assert_eq!(
             got.open(WireIntegrity::Crc32c).unwrap(),
-            Ack { src: 1, dest: 0, lane: 1, cum_seq: 41 }
+            (Ack { src: 1, dest: 0, lane: 1, cum_seq: 41 }, 0)
         );
         assert_eq!(t.try_recv_ack(0, 1), None);
     }
@@ -408,7 +408,7 @@ mod tests {
                     proptest::prop_assert_eq!(t.try_recv_ack(0, other), None);
                 }
                 let got = t.try_recv_ack(0, lane).expect("in the owner's mailbox");
-                let opened = got.open(WireIntegrity::Crc32c).unwrap();
+                let (opened, _) = got.open(WireIntegrity::Crc32c).unwrap();
                 proptest::prop_assert_eq!(opened, Ack { src: 1, dest: 0, lane: wire, cum_seq });
                 proptest::prop_assert_eq!(split_wire_lane(opened.lane), (lane, band));
             }

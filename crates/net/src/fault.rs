@@ -149,18 +149,25 @@ impl FaultConfig {
     }
 }
 
-/// Sender-side delivery/retry tuning (go-back-N with cumulative acks).
+/// Sender-side delivery/retry tuning (selective repeat clocked by acks,
+/// with a backstop timer).
 #[derive(Clone, Debug)]
 pub struct RetryConfig {
-    /// Maximum unacknowledged packets in flight per (lane, destination)
-    /// flow; a full window stalls the sender (counted as backpressure).
+    /// Maximum packets in flight per (lane, destination) flow that the
+    /// receiver has not reported, cumulatively or in an ack's map; a
+    /// full window stalls the sender (counted as backpressure). With
+    /// the reported ones a flow keeps at most two windows past the
+    /// cumulative point. At most the map's 64
+    /// (`GravelConfig::validate`).
     pub window: usize,
-    /// Initial retransmission backoff. Doubles on every expiry without
-    /// progress, up to [`backoff_max`](Self::backoff_max).
+    /// Initial backoff of the backstop retransmit timer (tail loss, a
+    /// silent peer — a loss a later ack can expose never waits for it).
+    /// Doubles on every expiry without progress, up to
+    /// [`backoff_max`](Self::backoff_max).
     pub backoff: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Consecutive no-progress retransmission rounds before the flow is
+    /// Consecutive no-progress timer expiries before the flow is
     /// declared dead and shutdown reports `RetryExhausted`.
     pub max_retries: u32,
 }
@@ -168,9 +175,9 @@ pub struct RetryConfig {
 impl Default for RetryConfig {
     fn default() -> Self {
         // The initial backoff is deliberately far above in-process ack
-        // latency (~tens of µs): a retransmission should mean the packet
-        // or its ack was genuinely lost, not that the receiver thread was
-        // briefly preempted. Worst-case dead-flow detection is
+        // latency (~tens of µs): an expiry should mean the tail of a
+        // burst or its acks were genuinely lost, not that the receiver
+        // thread was briefly preempted. Worst-case dead-flow detection is
         // 25 + 50 + 100 + 200 + 16·250 ms ≈ 4.4 s, comfortably inside
         // the default quiesce deadlines.
         RetryConfig {

@@ -12,7 +12,7 @@
 //!   transient link-down windows) on the data plane, plus ack drops on
 //!   the reverse path.
 //!
-//! Delivery *semantics* (sequence numbers, cumulative acks, go-back-N
+//! Delivery *semantics* (sequence numbers, selective acks,
 //! retransmission, duplicate suppression) live above this crate, in the
 //! runtime's aggregator and network threads — the transport only moves
 //! frames and, in the unreliable case, loses or mangles them on purpose.
@@ -53,12 +53,14 @@ use gravel_pgas::{split_wire_lane, DataFrame, FrameError, WireIntegrity};
 /// Node identifier on the fabric.
 pub type NodeId = u32;
 
-/// A cumulative acknowledgement on the reverse path.
+/// The cumulative part of an acknowledgement on the reverse path.
 ///
 /// `src` is the acking (receiving) node; the frame is routed to the
 /// aggregator lane of node `dest` that owns wire lane `lane`,
 /// confirming receipt of every data packet on that flow with sequence
-/// number `<= cum_seq`.
+/// number `<= cum_seq`. The selective part — which later packets the
+/// receiver holds behind a gap — rides in the same frame
+/// ([`seal_holding`](Ack::seal_holding), [`AckFrame::open`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ack {
     /// Node that received the data and is acknowledging it.
@@ -68,25 +70,34 @@ pub struct Ack {
     /// Wire lane of the flow on `dest` (aggregator lane plus band, see
     /// [`gravel_pgas::wire_lane`]).
     pub lane: u32,
-    /// Highest sequence number received in order on this flow.
+    /// Highest sequence number received in order on this flow
+    /// (`u64::MAX`, one before sequence number 0, until there is one).
     pub cum_seq: u64,
 }
 
 impl Ack {
-    /// Seal into the checksummed wire form the ack plane carries. The
-    /// header keeps the wire lane; the routing stamp names the owning
-    /// aggregator lane, whose mailbox serves every band of that lane.
+    /// Seal an ack that reports nothing held beyond `cum_seq`.
     pub fn seal(&self, epoch: u32, integrity: WireIntegrity) -> AckFrame {
+        self.seal_holding(0, epoch, integrity)
+    }
+
+    /// Seal into the checksummed wire form the ack plane carries, with
+    /// the selective map beside the cumulative point: bit `i` of `held`
+    /// says the receiver holds sequence number `cum_seq + 1 + i`
+    /// ([`gravel_pgas::ACK_MAP_BITS`] of them; bit 0 is always clear). The header
+    /// keeps the wire lane; the routing stamp names the owning
+    /// aggregator lane, whose mailbox serves every band of that lane.
+    pub fn seal_holding(&self, held: u64, epoch: u32, integrity: WireIntegrity) -> AckFrame {
         AckFrame {
             src: self.src,
             dest: self.dest,
             lane: split_wire_lane(self.lane).0,
-            bytes: seal_ack(self.src, self.dest, self.lane, epoch, self.cum_seq, integrity),
+            bytes: seal_ack(self.src, self.dest, self.lane, epoch, self.cum_seq, held, integrity),
         }
     }
 }
 
-/// A sealed ack as it travels the reverse path: 40 opaque frame bytes
+/// A sealed ack as it travels the reverse path: 48 opaque frame bytes
 /// plus the out-of-band routing stamps the fabric switches on. Like
 /// [`DataFrame`], the stamps are untrusted — the receiving aggregator
 /// decodes the verified header, not the stamps.
@@ -98,15 +109,16 @@ pub struct AckFrame {
     pub dest: NodeId,
     /// Routing stamp: aggregator lane mailbox.
     pub lane: u32,
-    /// The complete frame: header + CRC trailer, no payload.
+    /// The complete frame: header, selective map, CRC trailer.
     pub bytes: [u8; ACK_FRAME_BYTES],
 }
 
 impl AckFrame {
-    /// Verify the frame and decode the [`Ack`] from its header.
-    pub fn open(&self, integrity: WireIntegrity) -> Result<Ack, FrameError> {
-        let head = open_ack(&self.bytes, integrity)?;
-        Ok(Ack { src: head.src, dest: head.dest, lane: head.lane, cum_seq: head.seq })
+    /// Verify the frame and decode the [`Ack`] from its header and the
+    /// selective map from its payload.
+    pub fn open(&self, integrity: WireIntegrity) -> Result<(Ack, u64), FrameError> {
+        let (head, held) = open_ack(&self.bytes, integrity)?;
+        Ok((Ack { src: head.src, dest: head.dest, lane: head.lane, cum_seq: head.seq }, held))
     }
 }
 
@@ -174,9 +186,10 @@ pub trait Transport: Send + Sync {
     fn recv_data(&self, node: NodeId, timeout: Duration) -> RecvStatus<DataFrame>;
 
     /// Send a sealed ack towards `(ack.dest, ack.lane)`. Best-effort and
-    /// non-blocking: acks are cumulative, so dropping one (full mailbox,
-    /// injected fault) only delays progress until the next ack or a
-    /// retransmission — it can never corrupt the protocol.
+    /// non-blocking: every ack restates the flow's whole receive state,
+    /// so dropping one (full mailbox, injected fault) only delays
+    /// progress until the next ack or a retransmission — it can never
+    /// corrupt the protocol.
     fn send_ack(&self, ack: AckFrame);
 
     /// Drain one pending (unverified) ack for aggregator `lane` of

@@ -20,7 +20,7 @@
 //! closed stream, never a silent hang. Lost connections are redialed by
 //! the connecting side with bounded exponential backoff plus seeded
 //! jitter; while a link is down, frames routed over it are dropped and
-//! counted — the runtime's go-back-N retransmission heals the loss, and
+//! counted — the runtime's retransmission heals the loss, and
 //! heartbeat silence feeds the phi-accrual detector exactly as a dead
 //! process should.
 //!
@@ -172,7 +172,7 @@ pub struct SocketStats {
     /// Our own HELLOs a peer answered with a REJECT.
     pub rejected_by_peer: u64,
     /// Frames dropped because the link to their destination was down
-    /// or mid-redial (go-back-N retransmission heals these).
+    /// or mid-redial (retransmission heals these).
     pub link_drops: u64,
     /// Outbound frames refused because they exceed
     /// [`MAX_FRAME_BYTES`] (the peer would tear the link down on the
@@ -1272,7 +1272,7 @@ impl Transport for SocketTransport {
             };
         }
         // Cross-node: write or drop. A down link never blocks the
-        // sender — go-back-N retransmission heals the loss after the
+        // sender — retransmission heals the loss after the
         // redial supervisor restores the stream.
         inner.write_to_peer(frame.dest, &frame.bytes);
         SendStatus::Sent

@@ -937,6 +937,6 @@ mod tests {
         // Loopback acks are never touched.
         t.send_ack(Ack { src: 0, dest: 0, lane: 0, cum_seq: 9 }.seal(0, WireIntegrity::Crc32c));
         let f = t.try_recv_ack(0, 0).unwrap();
-        assert_eq!(f.open(WireIntegrity::Crc32c).unwrap().cum_seq, 9);
+        assert_eq!(f.open(WireIntegrity::Crc32c).unwrap().0.cum_seq, 9);
     }
 }

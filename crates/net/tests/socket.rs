@@ -98,9 +98,10 @@ fn uds_roundtrip_all_planes() {
 
     // Ack plane, node 0 -> node 1 lane 0.
     let ack = Ack { src: 0, dest: 1, lane: 0, cum_seq: 7 };
-    t0.send_ack(ack.seal(3, WireIntegrity::Crc32c));
+    let held = 0b1010 | 1 << 63;
+    t0.send_ack(ack.seal_holding(held, 3, WireIntegrity::Crc32c));
     let af = poll(Duration::from_secs(5), || t1.try_recv_ack(1, 0));
-    assert_eq!(af.open(WireIntegrity::Crc32c).unwrap(), ack);
+    assert_eq!(af.open(WireIntegrity::Crc32c).unwrap(), (ack, held));
 
     // Heartbeat plane (sealed + verified over the wire).
     t0.send_heartbeat(Heartbeat { src: 0, dest: 1, seq: 42 });
@@ -341,7 +342,7 @@ fn reassembly_survives_a_split_at_every_offset() {
         pkt.seal(1, WireIntegrity::Crc32c).bytes.to_vec(),
         get.seal(1, WireIntegrity::Crc32c).bytes.to_vec(),
         rep.seal(1, WireIntegrity::Crc32c).bytes.to_vec(),
-        seal_ack(0, 1, 0, 1, 3, WireIntegrity::Crc32c).to_vec(),
+        seal_ack(0, 1, 0, 1, 3, 0b110, WireIntegrity::Crc32c).to_vec(),
         seal_control(1, 0, 2, &[1, 2, 3], WireIntegrity::Crc32c).to_vec(),
     ] {
         push_frame(&mut stream, &mut frames, bytes);
@@ -369,6 +370,10 @@ fn reassembly_survives_a_split_at_every_offset() {
             gravel_pgas::FrameKind::AmReply
         ]
     );
+    // And the ack comes out whole: header, selective map, trailer.
+    assert_eq!(frames[3].len(), gravel_pgas::ACK_FRAME_BYTES);
+    let (head, held) = gravel_pgas::open_ack(&frames[3], WireIntegrity::Crc32c).expect("ack");
+    assert_eq!((head.seq, held), (3, 0b110));
 }
 
 /// The decoder reads into its own buffer, so the same stream must come
@@ -384,7 +389,7 @@ fn reassembly_is_invariant_under_the_size_of_a_read() {
     let packet: Vec<u64> = (0..8 * 1024).collect();
     for round in 0..3u64 {
         for seq in 0..40 {
-            let ack = seal_ack(0, 1, 0, 1, round * 40 + seq, WireIntegrity::Crc32c);
+            let ack = seal_ack(0, 1, 0, 1, round * 40 + seq, seq << 1, WireIntegrity::Crc32c);
             push_frame(&mut stream, &mut frames, ack.to_vec());
         }
         // 1.2 MB: several reads long at every step below.
@@ -581,8 +586,8 @@ proptest! {
             from.send_ack(ack.seal(0, WireIntegrity::Crc32c));
             let got = poll(Duration::from_secs(5), || t0.try_recv_ack(0, lane));
             prop_assert_eq!(got.lane, lane, "stamp names the owning lane");
-            let opened = got.open(WireIntegrity::Crc32c).unwrap();
-            prop_assert_eq!(opened, ack);
+            let (opened, held) = got.open(WireIntegrity::Crc32c).unwrap();
+            prop_assert_eq!((opened, held), (ack, 0));
             prop_assert_eq!(split_wire_lane(opened.lane), (lane, band));
             for other in (0..3).filter(|&l| l != lane) {
                 prop_assert!(t0.try_recv_ack(0, other).is_none());

@@ -77,7 +77,7 @@ use gravel_apps::gups::{self, GupsInput};
 use gravel_core::ha::lease::{successor, LeaseState, VoteLedger};
 use gravel_core::ha::{RebalancePlan, Rebalancer, TopologyChange};
 use gravel_core::netthread::ApplyGate;
-use gravel_core::flow::{in_flight_gauge, Sender};
+use gravel_core::flow::{FlowGauges, Sender};
 use gravel_core::{ErrorSlot, FailureDetector, NodeShared, PeerStatus};
 use gravel_gq::{Command, Message};
 use gravel_net::{SocketTransport, Transport};
@@ -694,7 +694,7 @@ pub fn expected_table(input: &GupsInput, capacity: usize, senders: &[u32]) -> Ve
 /// there is no precomputed packetization: each loop routes the pending
 /// queue through the *current* map, so a map flip (or a bounce) simply
 /// re-aggregates messages toward their new owner, and hands the packets
-/// to the shared go-back-N engine on wire lane 0. Runs until `stop` —
+/// to the shared flow engine on wire lane 0. Runs until `stop` —
 /// an elastic sender can never declare itself finished (a bounce may
 /// arrive any time another node reshards); instead it continuously
 /// publishes quiescence through `drained`.
@@ -715,9 +715,9 @@ pub fn run_elastic_sender(
     // exactly once; redelivered ones were already counted.
     let mut pending: VecDeque<(u64, u64, bool)> =
         plan.into_iter().map(|(a, v)| (a, v, true)).collect();
-    let in_flight = in_flight_gauge(node);
+    let gauges = FlowGauges::of(node);
     let mut flows = Vec::new();
-    let mut sender = Sender::new(node, 0, transport, &mut flows, &in_flight);
+    let mut sender = Sender::new(node, 0, transport, &mut flows, &gauges);
     loop {
         if stop.load(Ordering::Relaxed) || Instant::now() >= deadline || transport.is_closed() {
             return;

@@ -15,7 +15,7 @@
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
 //! * [`sender`] — deterministic GUPS packetization, fed to the core
-//!   go-back-N engine (`gravel_core::flow`) on wire lane 0.
+//!   flow engine (`gravel_core::flow`) on wire lane 0.
 //! * [`elastic`] — live membership: the versioned shard directory, the
 //!   stale-routing bounce gate, pull-based shard migration, the
 //!   map-routed sender, and the lease-held coordinator (DESIGN.md §16,

@@ -494,7 +494,7 @@ fn run() -> i32 {
     // Generous RPC deadline: a GET must survive a peer's kill -9 →
     // restart window before it is declared timed out.
     cfg.rpc.timeout = Duration::from_secs(5);
-    // Every sender in this process is the core go-back-N engine. No
+    // Every sender in this process is the core flow engine. No
     // retry budget: a dead peer is expected to come back, and costs one
     // `backoff_max` probe per expiry, not a storm. The window follows
     // the packet size: see `sender::window_for`.
@@ -753,7 +753,7 @@ fn run() -> i32 {
         move || netthread::run_with_gate(n, t, e, s, None, Some(tap), gate)
     });
 
-    // Sender: deterministic flows through the go-back-N engine until
+    // Sender: deterministic flows through the flow engine until
     // fully acked. The elastic sender instead routes its queue through
     // the live map every pass and publishes quiescence continuously
     // (`sender_done` doubles as the drained flag — a bounce can clear
@@ -836,7 +836,7 @@ fn run() -> i32 {
     // Request-reply plane: the core aggregator draining the offload
     // queue (GETs we issue + replies the netthread enqueues for peers)
     // onto lane 1's express flows — class-pure packets flushed as soon
-    // as the express ring reads empty, the same go-back-N engine — and
+    // as the express ring reads empty, the same flow engine — and
     // a probe stream GETting every peer's sentinel.
     let gets_done = Arc::new(AtomicBool::new(args.gets == 0));
     let mut rpc_threads = Vec::new();

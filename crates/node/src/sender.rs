@@ -14,7 +14,7 @@
 //! already-applied sequences as duplicates, re-ack them, and the window
 //! fast-forwards to where it was. No sender-side durable state at all.
 //!
-//! Delivery is the core go-back-N engine ([`gravel_core::flow`]) — the
+//! Delivery is the core flow engine ([`gravel_core::flow`]) — the
 //! same one the in-process aggregator runs; this module only decides
 //! *what* the packets are. The binary configures it with no retry
 //! budget: a dead peer is expected to come back (that is the whole
@@ -27,31 +27,45 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::flow::{in_flight_gauge, Sender};
+use gravel_core::flow::{FlowGauges, Sender};
 use gravel_core::{ErrorSlot, NodeShared};
 use gravel_gq::{Message, MSG_BYTES, MSG_ROWS};
 use gravel_net::Transport;
-use gravel_pgas::{Packet, DEFAULT_QUEUE_BYTES};
+use gravel_pgas::{Packet, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES};
 
 /// Messages per packet unless `--msgs-per-packet` says otherwise: the
 /// paper's 64 kB per-node queue, full.
 pub const DEFAULT_MSGS_PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
 
-/// Update bytes a flow keeps in flight to one destination, at most: a
-/// few times what a stream socket buffers, so the pipe stays full, and
-/// little enough that a receiver fed by every peer at once works its
-/// queue off well inside the retransmit timer. (At 32 × 64 kB per flow
-/// it does not on a loaded two-core host, and every expiry resends the
-/// whole 2 MB window for nothing.)
+/// Update bytes a flow keeps in flight to one destination — on the wire
+/// and not yet reported by the receiver, cumulatively or in an ack's
+/// map — at most: a few times what a stream socket buffers, so the pipe
+/// stays full, and little enough that a receiver fed by every peer at
+/// once works its queue off well inside the retransmit timer. (At 32 ×
+/// 64 kB per flow it does not on a loaded two-core host, and every
+/// expiry re-sends the 2 MB the receiver has yet to report for
+/// nothing.) A socket loses nothing, so here the receiver reports only
+/// cumulatively and this is everything unacknowledged. Under loss,
+/// frames parked behind a hole are reported and stop counting, and the
+/// flow may run up to twice this past the cumulative point
+/// (`gravel_core::flow`'s span) — which is also the most a receiver's
+/// reorder buffer holds of one flow.
 const IN_FLIGHT_BYTES: usize = 512 * 1024;
 
-/// The go-back-N window for flows of `msgs_per_packet`-message packets.
+/// Most packets a flow keeps in flight, however small they are.
+const IN_FLIGHT_PACKETS: usize = 32;
+
+/// The delivery window for flows of `msgs_per_packet`-message packets.
 /// The update streams are bulk flows, whose window is half of it, so
 /// this is twice the packets allowed in flight: [`IN_FLIGHT_BYTES`]
-/// worth, but never more than 32 (small packets are bounded by count,
-/// as they always were) and never fewer than 2.
+/// worth, but never more than [`IN_FLIGHT_PACKETS`] (small packets are
+/// bounded by count, as they always were) and never fewer than 2. The
+/// widest window still fits an ack's selective map, which is what
+/// `GravelConfig::validate` asks of any window, and so does the span
+/// of the bulk flows it makes (twice their window: this number again).
 pub fn window_for(msgs_per_packet: usize) -> usize {
-    2 * (IN_FLIGHT_BYTES / (msgs_per_packet * MSG_BYTES)).clamp(2, 32)
+    const _: () = assert!(2 * IN_FLIGHT_PACKETS <= ACK_MAP_BITS);
+    2 * (IN_FLIGHT_BYTES / (msgs_per_packet * MSG_BYTES)).clamp(2, IN_FLIGHT_PACKETS)
 }
 
 /// One destination flow's whole message stream, encoded: `MSG_ROWS`
@@ -111,7 +125,7 @@ pub fn expected_packets(
 }
 
 /// Drive every flow to full acknowledgement: feed the plans' packets,
-/// in order, to the shared go-back-N engine on wire lane 0 as its
+/// in order, to the shared flow engine on wire lane 0 as its
 /// window opens. Returns `true` when every packet is acked; `false` on
 /// stop/deadline/transport-close (or a flow error, left in `errors`).
 ///
@@ -128,9 +142,9 @@ pub fn run_sender(
     stop: &AtomicBool,
     deadline: Instant,
 ) -> bool {
-    let in_flight = in_flight_gauge(node);
+    let gauges = FlowGauges::of(node);
     let mut flows = Vec::new();
-    let mut sender = Sender::new(node, 0, transport, &mut flows, &in_flight);
+    let mut sender = Sender::new(node, 0, transport, &mut flows, &gauges);
     // Unsubmitted packets of each plan.
     let mut unsent: Vec<_> = plans.iter().map(|p| p.packets(msgs_per_packet)).collect();
     loop {

@@ -1,28 +1,78 @@
 //! In-process coverage of the deterministic sender on the shared
-//! go-back-N engine: `plan_flows` → `run_sender` → a seeded lossy
+//! flow engine: `plan_flows` → `run_sender` → a seeded lossy
 //! fabric → `netthread`, then a sender "restart" against receivers that
 //! kept their cursors — the path `tests/cluster.rs` only reaches with
 //! real processes, a real `kill -9`, and wall-clock waits.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
+use gravel_core::backoff::wait_for;
 use gravel_core::netthread::{self, RecvState};
 use gravel_core::{ErrorSlot, GravelConfig, NodeShared};
-use gravel_net::{ChannelTransport, FaultConfig, RetryConfig, Transport, UnreliableTransport};
+use gravel_net::{
+    AckFrame, ChannelTransport, FaultConfig, FaultStats, RecvStatus, RetryConfig, SendStatus,
+    Transport, UnreliableTransport,
+};
 use gravel_node::sender::{self, FlowPlan};
-use gravel_pgas::AmRegistry;
+use gravel_pgas::{AmRegistry, DataFrame};
 
 const NODES: usize = 3;
 /// Failsafe only: every wait below ends on a protocol event.
 const LIMIT: Duration = Duration::from_secs(60);
 
+/// The lossy fabric, counting the receive polls each network thread
+/// starts. A thread answers the frame in its hands before it polls
+/// again, which is what lets [`Cluster::run_dry`] tell when the last
+/// frame of a stopped sender has been acknowledged.
+struct Fabric {
+    inner: UnreliableTransport<ChannelTransport>,
+    polls: [AtomicU64; NODES],
+}
+
+impl Transport for Fabric {
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+    fn send_data(&self, frame: DataFrame, timeout: Duration) -> SendStatus {
+        self.inner.send_data(frame, timeout)
+    }
+    fn recv_data(&self, node: u32, timeout: Duration) -> RecvStatus<DataFrame> {
+        self.polls[node as usize].fetch_add(1, SeqCst);
+        self.inner.recv_data(node, timeout)
+    }
+    fn send_ack(&self, ack: AckFrame) {
+        self.inner.send_ack(ack)
+    }
+    fn try_recv_ack(&self, node: u32, lane: u32) -> Option<AckFrame> {
+        self.inner.try_recv_ack(node, lane)
+    }
+    fn close(&self) {
+        self.inner.close()
+    }
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+    fn fault_stats(&self) -> FaultStats {
+        self.inner.fault_stats()
+    }
+    fn data_depths(&self) -> Vec<usize> {
+        self.inner.data_depths()
+    }
+    fn ack_depths(&self, node: u32) -> usize {
+        self.inner.ack_depths(node)
+    }
+}
+
 struct Cluster {
     nodes: Vec<Arc<NodeShared>>,
-    transport: Arc<dyn Transport>,
+    transport: Arc<Fabric>,
     errors: Arc<ErrorSlot>,
     net: Vec<JoinHandle<()>>,
 }
@@ -41,10 +91,13 @@ impl Cluster {
             backoff_max: Duration::from_millis(10),
             max_retries: u32::MAX,
         };
-        let transport: Arc<dyn Transport> = Arc::new(UnreliableTransport::new(
-            ChannelTransport::new(NODES, 1, 256),
-            FaultConfig::mixed(seed, 0.1),
-        ));
+        let transport = Arc::new(Fabric {
+            inner: UnreliableTransport::new(
+                ChannelTransport::new(NODES, 1, 256),
+                FaultConfig::mixed(seed, 0.1),
+            ),
+            polls: Default::default(),
+        });
         let errors = Arc::new(ErrorSlot::default());
         let ams = Arc::new(AmRegistry::new());
         let nodes: Vec<Arc<NodeShared>> = (0..NODES as u32)
@@ -53,7 +106,8 @@ impl Cluster {
         let net = nodes
             .iter()
             .map(|node| {
-                let (n, t, e) = (node.clone(), transport.clone(), errors.clone());
+                let (n, e) = (node.clone(), errors.clone());
+                let t: Arc<dyn Transport> = transport.clone();
                 let state = Arc::new(Mutex::new(RecvState::new()));
                 std::thread::spawn(move || netthread::run_supervised(n, t, e, state, None))
             })
@@ -90,6 +144,23 @@ impl Cluster {
             }
         });
         assert!(!self.errors.is_set(), "flow error: {:?}", self.errors.take());
+    }
+
+    /// With every sender stopped: wait until the fabric has delivered
+    /// the late copies it still holds and the receivers have answered
+    /// them, then empty `node`'s ack mailbox — what `kill -9` does to a
+    /// process's socket. (Without this an ack the old incarnation left
+    /// behind can fast-forward the new one before it has sent a thing.)
+    fn run_dry(&self, node: usize) {
+        let empty = || self.transport.data_depths().iter().all(|&d| d == 0);
+        assert!(wait_for(LIMIT, empty), "the fabric never emptied");
+        // Nothing enters an empty fabric with the senders stopped, so a
+        // poll started from here on follows the thread's last answer.
+        let polls = || self.transport.polls.each_ref().map(|p| p.load(SeqCst));
+        let seen = polls();
+        let polled_again = || polls().iter().zip(&seen).all(|(now, then)| now > then);
+        assert!(wait_for(LIMIT, polled_again), "a network thread stopped polling");
+        while self.transport.try_recv_ack(node as u32, 0).is_some() {}
     }
 
     fn heaps(&self) -> Vec<Vec<u64>> {
@@ -145,6 +216,7 @@ fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     // already hold the whole stream.
     let packets: usize =
         plans(&input, 0).iter().map(|p| p.packets(msgs_per_packet).count()).sum();
+    cluster.run_dry(0);
     let dups_before = cluster.total(|n| n.net_dups_suppressed.get());
     cluster.run_senders(&input, msgs_per_packet, &[0]);
 

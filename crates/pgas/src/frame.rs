@@ -6,8 +6,8 @@
 //! by the payload and a 4-byte CRC32C trailer computed over everything
 //! before it. The receiver verifies the frame *before any decode* — a
 //! frame that fails verification is counted and dropped, and the
-//! sender's go-back-N retransmission heals it exactly as if the fabric
-//! had lost the packet (corrupted ≡ lost at the protocol level).
+//! sender's retransmission heals it exactly as if the fabric had lost
+//! the packet (corrupted ≡ lost at the protocol level).
 //!
 //! The header checks (magic, version, length consistency) always run;
 //! the CRC is computed and verified only under
@@ -24,8 +24,10 @@ use crate::nodeq::Packet;
 /// Frame magic: `b"GRVL"` read as a little-endian `u32`.
 pub const MAGIC: u32 = 0x4C56_5247;
 
-/// Wire-format version this build speaks.
-pub const VERSION: u16 = 1;
+/// Wire-format version this build speaks. Version 2 gave the ack frame
+/// its selective map ([`ACK_MAP_BITS`]); a version-1 ack fails
+/// verification like any other alien frame.
+pub const VERSION: u16 = 2;
 
 /// Fixed header size in bytes (see the layout table in DESIGN.md §13).
 pub const HEADER_BYTES: usize = 36;
@@ -33,8 +35,20 @@ pub const HEADER_BYTES: usize = 36;
 /// Total framing overhead per packet: header plus CRC trailer.
 pub const FRAME_OVERHEAD: usize = HEADER_BYTES + 4;
 
-/// An ack frame is a header + trailer with no payload.
-pub const ACK_FRAME_BYTES: usize = FRAME_OVERHEAD;
+/// A heartbeat frame is a header + trailer with no payload.
+pub const HEARTBEAT_FRAME_BYTES: usize = FRAME_OVERHEAD;
+
+/// Sequence numbers an ack's selective map covers, counted from the
+/// first one the receiver still lacks. A flow never has more frames on
+/// the wire than this, so every one of them is either cumulatively
+/// acknowledged or has a bit in the map.
+pub const ACK_MAP_BITS: usize = 64;
+
+/// An ack frame's payload is its selective map, one little-endian word.
+const ACK_PAYLOAD_BYTES: usize = ACK_MAP_BITS / 8;
+
+/// An ack frame is a header, the selective map and the trailer.
+pub const ACK_FRAME_BYTES: usize = FRAME_OVERHEAD + ACK_PAYLOAD_BYTES;
 
 /// Whether frames carry (and receivers verify) a CRC32C trailer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,7 +69,8 @@ pub enum WireIntegrity {
 pub enum FrameKind {
     /// An aggregated data packet (payload = packed messages).
     Data,
-    /// A cumulative acknowledgement (no payload; `seq` is the cum-seq).
+    /// An acknowledgement: `seq` is the cumulative point, the payload
+    /// the selective map of what is held beyond it.
     Ack,
     /// Connection handshake: the first frame on a new stream, carrying
     /// protocol version (header), node id (`src`), intended peer
@@ -114,8 +129,8 @@ impl FrameKind {
     }
 
     /// True for the four kinds that carry packed messages over the data
-    /// plane (sequenced, acked, retransmitted by go-back-N). The other
-    /// kinds each have their own opener.
+    /// plane (sequenced, acked, retransmitted by the flow engine). The
+    /// other kinds each have their own opener.
     pub fn is_data_plane(self) -> bool {
         matches!(
             self,
@@ -182,7 +197,7 @@ impl FrameError {
 pub struct FrameHead {
     /// What the frame carries.
     pub kind: FrameKind,
-    /// Reserved flag bits (zero in version 1).
+    /// Reserved flag bits (zero so far).
     pub flags: u8,
     /// Sending node.
     pub src: u32,
@@ -204,7 +219,7 @@ pub struct FrameHead {
 const EXPRESS_LANE_BIT: u32 = 1 << 31;
 
 /// The lane number a flow carries on the wire. Each band of an
-/// aggregator lane is its own go-back-N flow with its own sequence
+/// aggregator lane is its own flow with its own sequence
 /// space, and `(src, wire lane)` is the one flow identity receivers,
 /// acks, checkpoint cursors and forward logs key on. A bulk flow's wire
 /// lane *is* its aggregator lane, so bulk frames read as they always
@@ -663,7 +678,7 @@ pub fn open_frame(
 /// Verify `bytes` as one whole frame of any data-plane kind (DATA, GET,
 /// AM_CALL, AM_REPLY — see [`FrameKind::is_data_plane`]) and return its
 /// header. The receive path uses this so request-reply traffic shares
-/// the sequenced go-back-N plane with bulk data.
+/// the sequenced, acknowledged plane with bulk data.
 pub fn open_data_frame(bytes: &[u8], integrity: WireIntegrity) -> Result<FrameHead, FrameError> {
     open_frame_where(bytes, FrameKind::is_data_plane, integrity)
 }
@@ -715,14 +730,18 @@ fn open_frame_where(
     })
 }
 
-/// Seal a payload-free ack frame into a fixed array (no allocation —
-/// acks are small and frequent). `seq` carries the cumulative ack.
+/// Seal an ack frame into a fixed array (no allocation — acks are small
+/// and frequent). `seq` carries `cum_seq`, the highest sequence number
+/// received in order (`u64::MAX` before the first); bit `i` of `held`
+/// says the receiver already holds sequence number `cum_seq + 1 + i`,
+/// parked behind a gap. Bit 0 is therefore always clear.
 pub fn seal_ack(
     src: u32,
     dest: u32,
     lane: u32,
     epoch: u32,
     cum_seq: u64,
+    held: u64,
     integrity: WireIntegrity,
 ) -> [u8; ACK_FRAME_BYTES] {
     let head = FrameHead {
@@ -733,21 +752,29 @@ pub fn seal_ack(
         lane,
         epoch,
         seq: cum_seq,
-        payload_len: 0,
+        payload_len: ACK_PAYLOAD_BYTES as u32,
     };
     let mut out = [0u8; ACK_FRAME_BYTES];
-    put_header(&mut ArrayWriter { buf: &mut out, at: 0 }, &head);
+    let mut w = ArrayWriter { buf: &mut out, at: 0 };
+    put_header(&mut w, &head);
+    w.put_u64_le(held);
+    const BODY: usize = ACK_FRAME_BYTES - 4;
     let crc = match integrity {
-        WireIntegrity::Crc32c => crc32c(&out[..HEADER_BYTES]),
+        WireIntegrity::Crc32c => crc32c(&out[..BODY]),
         WireIntegrity::Off => 0,
     };
-    out[HEADER_BYTES..].copy_from_slice(&crc.to_le_bytes());
+    out[BODY..].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Verify an ack frame and return its header.
-pub fn open_ack(bytes: &[u8], integrity: WireIntegrity) -> Result<FrameHead, FrameError> {
-    open_frame(bytes, FrameKind::Ack, integrity)
+/// Verify an ack frame and return its header and selective map.
+pub fn open_ack(bytes: &[u8], integrity: WireIntegrity) -> Result<(FrameHead, u64), FrameError> {
+    let head = open_frame(bytes, FrameKind::Ack, integrity)?;
+    if head.payload_len as usize != ACK_PAYLOAD_BYTES {
+        return Err(FrameError::BadLength { expect: ACK_FRAME_BYTES, have: bytes.len() });
+    }
+    let held = u64::from_le_bytes(bytes[HEADER_BYTES..HEADER_BYTES + 8].try_into().unwrap());
+    Ok((head, held))
 }
 
 // ---------------------------------------------------------------------------
@@ -906,7 +933,7 @@ pub fn seal_heartbeat(
     epoch: u32,
     seq: u64,
     integrity: WireIntegrity,
-) -> [u8; ACK_FRAME_BYTES] {
+) -> [u8; HEARTBEAT_FRAME_BYTES] {
     let head = FrameHead {
         kind: FrameKind::Heartbeat,
         flags: 0,
@@ -917,7 +944,7 @@ pub fn seal_heartbeat(
         seq,
         payload_len: 0,
     };
-    let mut out = [0u8; ACK_FRAME_BYTES];
+    let mut out = [0u8; HEARTBEAT_FRAME_BYTES];
     put_header(&mut ArrayWriter { buf: &mut out, at: 0 }, &head);
     let crc = match integrity {
         WireIntegrity::Crc32c => crc32c(&out[..HEADER_BYTES]),
@@ -1259,7 +1286,7 @@ mod tests {
             open_ack(&frame.bytes, WireIntegrity::Crc32c),
             Err(FrameError::WrongKind { .. })
         ));
-        let ack = seal_ack(1, 0, 2, 3, 41, WireIntegrity::Crc32c);
+        let ack = seal_ack(1, 0, 2, 3, 41, 0b110, WireIntegrity::Crc32c);
         assert!(matches!(
             open_frame(&ack, FrameKind::Data, WireIntegrity::Crc32c),
             Err(FrameError::WrongKind { .. })
@@ -1268,11 +1295,11 @@ mod tests {
 
     #[test]
     fn ack_roundtrip_and_bitflip_detection() {
-        let bytes = seal_ack(1, 0, 2, 9, 12345, WireIntegrity::Crc32c);
-        let head = open_ack(&bytes, WireIntegrity::Crc32c).expect("clean ack");
+        let bytes = seal_ack(1, 0, 2, 9, 12345, 0xA5 << 32 | 0b10, WireIntegrity::Crc32c);
+        let (head, held) = open_ack(&bytes, WireIntegrity::Crc32c).expect("clean ack");
         assert_eq!(
-            (head.src, head.dest, head.lane, head.epoch, head.seq),
-            (1, 0, 2, 9, 12345)
+            (head.src, head.dest, head.lane, head.epoch, head.seq, held),
+            (1, 0, 2, 9, 12345, 0xA5 << 32 | 0b10)
         );
         for i in 0..bytes.len() {
             let mut bad = bytes;
@@ -1317,7 +1344,7 @@ mod tests {
         let bytes = seal_heartbeat(1, 3, 5, 77, WireIntegrity::Crc32c);
         let head = open_heartbeat(&bytes, WireIntegrity::Crc32c).unwrap();
         assert_eq!((head.src, head.dest, head.epoch, head.seq), (1, 3, 5, 77));
-        // Heartbeats are not acks even though they share the layout.
+        // Heartbeats are not acks even though they share the header.
         assert!(open_ack(&bytes, WireIntegrity::Crc32c).is_err());
     }
 

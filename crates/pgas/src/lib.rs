@@ -31,8 +31,8 @@ pub use frame::{
     crc32c, open_ack, open_control, open_data_frame, open_frame, open_heartbeat, open_hello,
     open_reject, seal_ack, seal_control, seal_control_into, seal_frame, seal_frame_in,
     seal_heartbeat, seal_hello, seal_reject, split_wire_lane, wire_lane, DataFrame, FrameError,
-    FrameHead, FrameKind, HelloInfo, RejectReason, WireIntegrity, ACK_FRAME_BYTES, FRAME_OVERHEAD,
-    HEADER_BYTES,
+    FrameHead, FrameKind, HelloInfo, RejectReason, WireIntegrity, ACK_FRAME_BYTES, ACK_MAP_BITS,
+    FRAME_OVERHEAD, HEADER_BYTES,
 };
 pub use heap::SymmetricHeap;
 pub use quarantine::{Quarantine, QuarantineReason, QuarantinedMessage};

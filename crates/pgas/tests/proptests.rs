@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 use gravel_pgas::{
     apply_words, open_ack, open_control, open_frame, open_heartbeat, open_hello, open_reject,
     seal_control, seal_heartbeat, seal_hello, seal_reject, split_wire_lane, wire_lane, AmRegistry,
-    DataFrame, FrameKind, HelloInfo, Layout, NodeQueues, Packet, Partition, RejectReason,
-    SymmetricHeap, WireIntegrity, ACK_FRAME_BYTES,
+    DataFrame, FrameError, FrameKind, HelloInfo, Layout, NodeQueues, Packet, Partition,
+    RejectReason, SymmetricHeap, WireIntegrity, ACK_FRAME_BYTES,
 };
 use proptest::prelude::*;
 
@@ -338,19 +338,82 @@ proptest! {
         prop_assert!(!opens(&sealed[..cut]));
     }
 
-    /// Ack frames reject every single-bit flip too.
+    /// An ack carries its cumulative point and its selective map
+    /// through seal and open unchanged, with integrity on or off.
     #[test]
-    fn ack_bit_flips_are_rejected(
+    fn ack_codec_round_trips(
+        src in any::<u32>(),
+        dest in any::<u32>(),
+        lane in any::<u32>(),
+        epoch in any::<u32>(),
+        cum in any::<u64>(),
+        held in any::<u64>(),
+        crc in any::<bool>(),
+    ) {
+        let integrity = if crc { WireIntegrity::Crc32c } else { WireIntegrity::Off };
+        let sealed = gravel_pgas::seal_ack(src, dest, lane, epoch, cum, held, integrity);
+        let (head, map) = open_ack(&sealed, integrity).expect("clean ack");
+        prop_assert_eq!(
+            (head.src, head.dest, head.lane, head.epoch, head.seq, map),
+            (src, dest, lane, epoch, cum, held)
+        );
+    }
+
+    /// Ack frames reject every single-bit flip — in the header, the
+    /// map or the trailer — and every truncation.
+    #[test]
+    fn ack_bit_flips_and_truncations_are_rejected(
         src in any::<u32>(),
         dest in any::<u32>(),
         lane in any::<u32>(),
         cum in any::<u64>(),
+        held in any::<u64>(),
         at in 0usize..ACK_FRAME_BYTES,
         bit in 0u32..8,
     ) {
-        let mut sealed = gravel_pgas::seal_ack(src, dest, lane, 3, cum, WireIntegrity::Crc32c);
+        let mut sealed = gravel_pgas::seal_ack(src, dest, lane, 3, cum, held, WireIntegrity::Crc32c);
         prop_assert!(open_ack(&sealed, WireIntegrity::Crc32c).is_ok());
+        // Cut anywhere, and with the CRC out of the picture too: the
+        // length checks alone must refuse a short ack.
+        for integrity in [WireIntegrity::Crc32c, WireIntegrity::Off] {
+            prop_assert!(open_ack(&sealed[..at], integrity).is_err());
+        }
         sealed[at] ^= 1 << bit;
         prop_assert!(open_ack(&sealed, WireIntegrity::Crc32c).is_err());
+    }
+
+    /// The map-less ack of wire version 1 — 40 bytes, CRC intact — is
+    /// refused for its version, not mistaken for "nothing held"; so is
+    /// one that claims the current version with no map behind it.
+    #[test]
+    fn a_version_1_ack_is_refused(
+        src in any::<u32>(),
+        dest in any::<u32>(),
+        lane in any::<u32>(),
+        cum in any::<u64>(),
+    ) {
+        let mut old = Vec::new();
+        old.extend(gravel_pgas::frame::MAGIC.to_le_bytes());
+        old.extend(1u16.to_le_bytes());
+        old.extend([1u8, 0]); // kind ACK, no flags
+        for word in [src, dest, lane, 3] {
+            old.extend(word.to_le_bytes());
+        }
+        old.extend(cum.to_le_bytes());
+        old.extend(0u32.to_le_bytes()); // no payload
+        old.extend(gravel_pgas::crc32c(&old).to_le_bytes());
+        prop_assert_eq!(old.len(), gravel_pgas::FRAME_OVERHEAD);
+        prop_assert_eq!(
+            open_ack(&old, WireIntegrity::Crc32c),
+            Err(FrameError::BadVersion { got: 1 })
+        );
+        old[4..6].copy_from_slice(&gravel_pgas::frame::VERSION.to_le_bytes());
+        let body = old.len() - 4;
+        let crc = gravel_pgas::crc32c(&old[..body]);
+        old[body..].copy_from_slice(&crc.to_le_bytes());
+        prop_assert!(matches!(
+            open_ack(&old, WireIntegrity::Crc32c),
+            Err(FrameError::BadLength { .. })
+        ));
     }
 }

@@ -152,7 +152,7 @@ fn epoch_checkpoint_recovers_a_reset_node_exactly() {
 // must keep the single-lane delivery guarantees — exactly-once apply and
 // per-flow ordering — at every lane count, under link faults and seeded
 // process kills alike. Destination-hash sharding pins each destination to
-// one lane, so every (src, lane) flow keeps one go-back-N sequence space.
+// one lane, so every (src, lane) flow keeps one sequence space.
 // ---------------------------------------------------------------------------
 
 fn lane_cfg(nodes: usize, heap: usize, lanes: usize) -> GravelConfig {
@@ -203,7 +203,7 @@ fn lane_sweep_gups_is_bit_exact_under_mixed_link_faults() {
 /// puts a strictly increasing value to its own private slot each round,
 /// with no quiesce between rounds and a fault mix forcing drops and
 /// reordering underneath. PUT is last-writer-wins, so if the sharded
-/// pipeline (or go-back-N under retransmission) ever let a later round
+/// pipeline (or the flow engine under retransmission) ever let a later round
 /// overtake an earlier one, a stale value would survive in the heap.
 #[test]
 fn lane_sweep_preserves_per_flow_put_order_under_faults() {

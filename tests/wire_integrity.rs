@@ -5,7 +5,7 @@
 //!
 //! - GUPS and PageRank complete **bit-exact** under combined corruption,
 //!   loss, reordering, and a seeded aggregator kill, because a frame
-//!   that fails verification is dropped and go-back-N retransmission
+//!   that fails verification is dropped and retransmission
 //!   heals it exactly as if it had been lost.
 //! - Every injected fault is **accounted for**: the injector's counters
 //!   reconcile against the receivers' integrity-drop counters.

@@ -13,7 +13,7 @@
 //! nonzero count is a packet-path regression, not harness noise.
 //!
 //! Methodology: warm the pipeline (arena buckets, per-destination queue
-//! buffers, go-back-N deques, channel capacity) with a few full
+//! buffers, flow deques, channel capacity) with a few full
 //! send/quiesce rounds, then arm the counter for an identically-shaped
 //! round. Steady state must allocate nothing per message on either the
 //! PUT path (host offload → aggregate → seal → send → apply) or the GET
