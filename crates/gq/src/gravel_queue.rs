@@ -99,16 +99,73 @@ impl Slot {
     }
 }
 
-/// Result of a non-blocking consume attempt.
+/// Result of a non-blocking consume attempt: `T` is the message count
+/// for the copying consumers, the [`Claim`] for
+/// [`GravelQueue::try_claim`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Consumed {
-    /// A slot was drained; `0` messages appended to the output buffer is
-    /// impossible (empty work-groups never publish).
-    Batch(usize),
+pub enum Consumed<T = usize> {
+    /// Slots were drained (or claimed); `0` messages is impossible
+    /// (empty work-groups never publish).
+    Batch(T),
     /// Nothing ready right now.
     Empty,
     /// The queue is closed and fully drained.
     Closed,
+}
+
+/// Consecutive slots `first .. first + slots` owned by one consumer:
+/// claimed by [`GravelQueue::try_claim`], read in place through
+/// [`GravelQueue::claimed`], handed back one at a time by
+/// [`GravelQueue::release`]. Plain data, so a consumer that must
+/// outlive its thread (a supervised aggregator lane) keeps it beside
+/// its own progress and a successor carries on from there.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Claim {
+    /// Sequence number of the first claimed slot.
+    pub first: u64,
+    /// How many slots were claimed.
+    pub slots: u64,
+}
+
+/// The messages of one claimed slot, read where the producer wrote them.
+pub struct SlotView<'a> {
+    /// Row-major payload of the whole slot.
+    payload: &'a [AtomicU64],
+    lane_width: usize,
+    /// Messages stored this round (columns `0..count` are live).
+    count: usize,
+}
+
+impl<'a> SlotView<'a> {
+    /// The live columns of every row, top row first.
+    fn rows(&self) -> impl Iterator<Item = &'a [AtomicU64]> {
+        let count = self.count;
+        self.payload
+            .chunks_exact(self.lane_width)
+            .map(move |row| &row[..count])
+    }
+
+    /// Messages `from..` of the slot, each gathered from the `R` rows of
+    /// its column. The row slices are cut once, so a message costs `R` loads.
+    pub fn messages<const R: usize>(&self, from: usize) -> impl Iterator<Item = [u64; R]> + 'a {
+        assert_eq!(self.payload.len(), R * self.lane_width, "slot has {R} rows");
+        let mut rows = self.rows();
+        let rows: [&[AtomicU64]; R] = std::array::from_fn(|_| rows.next().expect("R rows"));
+        (from..self.count).map(move |m| rows.map(|row| row[m].load(Ordering::Relaxed)))
+    }
+
+    /// Append every message to `out`, message-major, whatever the row
+    /// count.
+    pub fn copy_into(&self, out: &mut Vec<u64>) {
+        let rows = self.payload.len() / self.lane_width;
+        let at = out.len();
+        out.resize(at + self.count * rows, 0);
+        for (r, row) in self.rows().enumerate() {
+            for (word, cell) in out[at + r..].iter_mut().step_by(rows).zip(row) {
+                *word = cell.load(Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// The Gravel producer/consumer queue.
@@ -235,12 +292,15 @@ impl GravelQueue {
         self.waiter.notify_all();
     }
 
+    /// Is slot `seq` published and not yet released?
+    fn is_full(&self, seq: u64) -> bool {
+        let (slot, round) = self.slot_ring(seq);
+        slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire)
+    }
+
     /// Is the next unconsumed slot ready to drain (or the queue closed)?
     pub fn has_ready(&self) -> bool {
-        let seq = self.read_idx.load(Ordering::Acquire);
-        let (slot, round) = self.slot_ring(seq);
-        (slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire))
-            || self.closed.load(Ordering::Acquire)
+        self.is_full(self.read_idx.load(Ordering::Acquire)) || self.closed.load(Ordering::Acquire)
     }
 
     /// Park the calling consumer for up to `timeout`, waking early on a
@@ -383,73 +443,26 @@ impl GravelQueue {
     }
 
     /// Store message-major `words` into `slot`'s row-major payload, one
-    /// message per column from column 0.
+    /// message per column from column 0: each row is one pass over its
+    /// own slice, the mirror of [`SlotView::copy_into`].
     fn write_slot(&self, slot: &Slot, words: &[u64]) {
-        for (m, msg) in words.chunks_exact(self.cfg.rows).enumerate() {
-            for (row, &w) in msg.iter().enumerate() {
-                slot.payload[row * self.cfg.lane_width + m].store(w, Ordering::Relaxed);
+        let rows = self.cfg.rows;
+        for (r, row) in slot.payload.chunks_exact(self.cfg.lane_width).enumerate() {
+            for (cell, &w) in row.iter().zip(words[r..].iter().step_by(rows)) {
+                cell.store(w, Ordering::Relaxed);
             }
         }
     }
 
     // ---- consumers -------------------------------------------------------
 
-    /// Try to drain one slot. On success the slot's messages are appended
-    /// to `out` *message-major* (each message's `rows` words contiguous)
-    /// and `Consumed::Batch(count)` is returned.
-    pub fn try_consume_into(&self, out: &mut Vec<u64>) -> Consumed {
-        loop {
-            let seq = self.read_idx.load(Ordering::Acquire);
-            let (slot, round) = self.slot_ring(seq);
-            let ready =
-                slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire);
-            if !ready {
-                self.stats.consumer_empty_polls.add(1);
-                if self.closed.load(Ordering::Acquire)
-                    && seq >= self.write_idx.load(Ordering::Acquire)
-                {
-                    return Consumed::Closed;
-                }
-                return Consumed::Empty;
-            }
-            // Claim the sequence number; a lost race means another
-            // consumer took it — retry on the next one.
-            if self
-                .read_idx
-                .compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                self.stats.consumer_rmws.add(1);
-                continue;
-            }
-            self.stats.consumer_rmws.add(1);
-            self.stats.consumer_hits.add(1);
-            let count = slot.count.load(Ordering::Relaxed) as usize;
-            out.reserve(count * self.cfg.rows);
-            for m in 0..count {
-                for row in 0..self.cfg.rows {
-                    out.push(slot.payload[row * self.cfg.lane_width + m].load(Ordering::Relaxed));
-                }
-            }
-            // Fig. 7 time ⑤: clear F, bump the current ticket.
-            slot.full.store(false, Ordering::Release);
-            slot.round.store(round + 1, Ordering::Release);
-            self.prod_waiter.notify_all();
-            self.stats.messages_consumed.add(count as u64);
-            return Consumed::Batch(count);
-        }
-    }
-
-    /// Drain up to `max_slots` *consecutive ready* slots with a single
-    /// `read_idx` compare-exchange, appending their messages to `out`
-    /// message-major. Returns `Consumed::Batch(total_messages)`.
-    ///
-    /// This is the consumer-side synchronization amortization mirroring
-    /// the producer's work-group reservation: under load, one RMW claims
+    /// Claim up to `max_slots` *consecutive ready* slots with a single
+    /// `read_idx` compare-exchange: the consumer-side mirror of the
+    /// producer's work-group reservation — under load, one RMW claims
     /// many work-groups' worth of messages instead of one. Claimed slots
-    /// are exclusively owned (later consumers CAS from `seq + k`), so
-    /// they can be copied out and released without further contention.
-    pub fn try_consume_batch(&self, out: &mut Vec<u64>, max_slots: usize) -> Consumed {
+    /// are exclusively owned (later consumers CAS from `first + slots`)
+    /// until each is [`release`](Self::release)d; their producers wait.
+    pub fn try_claim(&self, max_slots: usize) -> Consumed<Claim> {
         let max = max_slots.max(1) as u64;
         loop {
             let seq = self.read_idx.load(Ordering::Acquire);
@@ -457,16 +470,7 @@ impl GravelQueue {
             // full ring ahead can never look ready (its round is one too
             // low until we release the slot it wraps onto), so `k` is
             // implicitly bounded by the ring size.
-            let mut k = 0u64;
-            while k < max {
-                let (slot, round) = self.slot_ring(seq + k);
-                if slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire)
-                {
-                    k += 1;
-                } else {
-                    break;
-                }
-            }
+            let k = (0..max).take_while(|k| self.is_full(seq + k)).count() as u64;
             if k == 0 {
                 self.stats.consumer_empty_polls.add(1);
                 if self.closed.load(Ordering::Acquire)
@@ -476,35 +480,69 @@ impl GravelQueue {
                 }
                 return Consumed::Empty;
             }
-            if self
+            // A lost race means another consumer took `seq` — retry on
+            // the next one.
+            let won = self
                 .read_idx
                 .compare_exchange(seq, seq + k, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                self.stats.consumer_rmws.add(1);
-                continue;
-            }
+                .is_ok();
             self.stats.consumer_rmws.add(1);
-            self.stats.consumer_hits.add(k);
-            let mut total = 0usize;
-            for i in 0..k {
-                let (slot, round) = self.slot_ring(seq + i);
-                let count = slot.count.load(Ordering::Relaxed) as usize;
-                out.reserve(count * self.cfg.rows);
-                for m in 0..count {
-                    for row in 0..self.cfg.rows {
-                        out.push(
-                            slot.payload[row * self.cfg.lane_width + m].load(Ordering::Relaxed),
-                        );
-                    }
-                }
-                slot.full.store(false, Ordering::Release);
-                slot.round.store(round + 1, Ordering::Release);
-                total += count;
+            if won {
+                self.stats.consumer_hits.add(k);
+                return Consumed::Batch(Claim {
+                    first: seq,
+                    slots: k,
+                });
             }
-            self.prod_waiter.notify_all();
-            self.stats.messages_consumed.add(total as u64);
-            return Consumed::Batch(total);
+        }
+    }
+
+    /// The messages of slot `seq`, which the caller holds a [`Claim`] on
+    /// and has not released. (Of any other slot this reads whatever a
+    /// producer happens to be writing: stale, never unsafe.)
+    pub fn claimed(&self, seq: u64) -> SlotView<'_> {
+        let (slot, _) = self.slot_ring(seq);
+        SlotView {
+            payload: &slot.payload,
+            lane_width: self.cfg.lane_width,
+            count: slot.count.load(Ordering::Relaxed) as usize,
+        }
+    }
+
+    /// Hand claimed slot `seq` back to its next producer (Fig. 7 time ⑤:
+    /// clear `F`, bump the current ticket) and count its messages
+    /// consumed.
+    pub fn release(&self, seq: u64) {
+        let (slot, round) = self.slot_ring(seq);
+        let count = slot.count.load(Ordering::Relaxed);
+        slot.full.store(false, Ordering::Release);
+        slot.round.store(round + 1, Ordering::Release);
+        self.prod_waiter.notify_all();
+        self.stats.messages_consumed.add(count);
+    }
+
+    /// Try to drain one slot. On success the slot's messages are appended
+    /// to `out` *message-major* (each message's `rows` words contiguous)
+    /// and `Consumed::Batch(count)` is returned.
+    pub fn try_consume_into(&self, out: &mut Vec<u64>) -> Consumed {
+        self.try_consume_batch(out, 1)
+    }
+
+    /// [`try_claim`](Self::try_claim), copy the claimed slots' messages
+    /// to `out` message-major and release them. Returns
+    /// `Consumed::Batch(total_messages)`.
+    pub fn try_consume_batch(&self, out: &mut Vec<u64>, max_slots: usize) -> Consumed {
+        match self.try_claim(max_slots) {
+            Consumed::Batch(claim) => {
+                let before = out.len();
+                for seq in claim.first..claim.first + claim.slots {
+                    self.claimed(seq).copy_into(out);
+                    self.release(seq);
+                }
+                Consumed::Batch((out.len() - before) / self.cfg.rows)
+            }
+            Consumed::Empty => Consumed::Empty,
+            Consumed::Closed => Consumed::Closed,
         }
     }
 

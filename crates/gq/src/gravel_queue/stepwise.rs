@@ -10,6 +10,12 @@
 //! `Counters`, field for field — `mem_transactions` too, which is why the
 //! oracle lives in this module: both runs must coalesce against the *same*
 //! slot's real address, and only a child module can reserve it.
+//!
+//! [`consume_batch`] is the consumer's counterpart: the batched drain as
+//! it stood before the claim API — one compare-exchange, then every word
+//! copied out through its own index computation — held against
+//! `try_consume_batch` over the claim, the in-place view and the
+//! slot-by-slot release.
 
 use std::sync::atomic::Ordering;
 
@@ -65,6 +71,54 @@ fn wi_produce(q: &GravelQueue, ctx: &mut WgCtx, payload: impl Fn(usize, usize) -
             q.publish(slot, 1);
             ctx.counters.messages += 1;
         });
+    }
+}
+
+/// `try_consume_batch`, word by word.
+fn consume_batch(q: &GravelQueue, out: &mut Vec<u64>, max_slots: usize) -> Consumed {
+    let max = max_slots.max(1) as u64;
+    loop {
+        let seq = q.read_idx.load(Ordering::Acquire);
+        let mut k = 0u64;
+        while k < max {
+            let (slot, round) = q.slot_ring(seq + k);
+            if slot.round.load(Ordering::Acquire) == round && slot.full.load(Ordering::Acquire) {
+                k += 1;
+            } else {
+                break;
+            }
+        }
+        if k == 0 {
+            q.stats.consumer_empty_polls.add(1);
+            if q.closed.load(Ordering::Acquire) && seq >= q.write_idx.load(Ordering::Acquire) {
+                return Consumed::Closed;
+            }
+            return Consumed::Empty;
+        }
+        q.stats.consumer_rmws.add(1);
+        if q.read_idx
+            .compare_exchange(seq, seq + k, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            continue;
+        }
+        q.stats.consumer_hits.add(k);
+        let mut total = 0usize;
+        for i in 0..k {
+            let (slot, round) = q.slot_ring(seq + i);
+            let count = slot.count.load(Ordering::Relaxed) as usize;
+            for m in 0..count {
+                for row in 0..q.cfg.rows {
+                    out.push(slot.payload[row * q.cfg.lane_width + m].load(Ordering::Relaxed));
+                }
+            }
+            slot.full.store(false, Ordering::Release);
+            slot.round.store(round + 1, Ordering::Release);
+            total += count;
+        }
+        q.prod_waiter.notify_all();
+        q.stats.messages_consumed.add(total as u64);
+        return Consumed::Batch(total);
     }
 }
 
@@ -188,5 +242,44 @@ proptest! {
         prop_assert_eq!(charged, want_charged);
         prop_assert_eq!(&ring, &want_ring);
         prop_assert_eq!(ring.len(), mask.count());
+    }
+
+    #[test]
+    fn the_claimed_drain_copies_out_what_the_word_by_word_drain_does(
+        shape in (2usize..6, 1usize..9, 1usize..6),
+        // Rounds of "produce these slots (message counts), then drain
+        // with this claim limit until empty".
+        rounds in prop::collection::vec(
+            (prop::collection::vec(1usize..9, 1..6), 1usize..8), 1..6),
+        salt in any::<u64>(),
+    ) {
+        let (slots, lane_width, rows) = shape;
+        let cfg = QueueConfig { slots, lane_width, rows };
+        let (q, want_q) = (GravelQueue::new(cfg), GravelQueue::new(cfg));
+        let mut tag = salt;
+        for (counts, max_slots) in &rounds {
+            for &count in counts.iter().take(slots) {
+                let count = count.min(lane_width);
+                let words: Vec<u64> = (0..count * rows)
+                    .map(|_| { tag = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1); tag })
+                    .collect();
+                q.produce_batch(&words, count);
+                want_q.produce_batch(&words, count);
+            }
+            loop {
+                let (mut out, mut want) = (Vec::new(), Vec::new());
+                let got = q.try_consume_batch(&mut out, *max_slots);
+                prop_assert_eq!(got, consume_batch(&want_q, &mut want, *max_slots));
+                prop_assert_eq!(out, want);
+                if got == Consumed::Empty {
+                    break;
+                }
+            }
+        }
+        q.close();
+        want_q.close();
+        prop_assert_eq!(q.try_consume_batch(&mut Vec::new(), 1), Consumed::Closed);
+        prop_assert_eq!(consume_batch(&want_q, &mut Vec::new(), 1), Consumed::Closed);
+        prop_assert_eq!(q.stats.snapshot(), want_q.stats.snapshot());
     }
 }

@@ -48,7 +48,7 @@ pub mod replysink;
 pub mod spsc;
 pub mod stats;
 
-pub use gravel_queue::{Consumed, GravelQueue, QueueConfig};
+pub use gravel_queue::{Claim, Consumed, GravelQueue, QueueConfig, SlotView};
 pub use mpmc::MpmcQueue;
 pub use msg::{Band, Command, Message, TrafficClass, MSG_BYTES, MSG_ROWS, NUM_BANDS, NUM_CLASSES};
 pub use pad::CachePad;

@@ -145,7 +145,7 @@ impl Band {
 }
 
 /// The four traffic classes an aggregated packet can carry. Packets are
-/// class-pure (the aggregator splits runs on class boundaries) so the
+/// class-pure (the aggregator keeps one queue set per class) so the
 /// wire frame kind advertises the class and the sender can schedule
 /// whole packets by priority.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -185,7 +185,7 @@ impl TrafficClass {
     }
 
     /// Cheap classifier from a raw command word (no full decode): used
-    /// by the aggregator's run scan, one mask + compare per message.
+    /// by the aggregator's scatter, one mask + compare per message.
     /// Invalid opcodes classify as `Bulk` and are rejected by the
     /// receiver's full decode.
     #[inline]

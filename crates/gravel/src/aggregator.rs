@@ -21,9 +21,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Consumed, TrafficClass, NUM_CLASSES};
+use gravel_gq::{Claim, Consumed, GravelQueue, TrafficClass, MSG_ROWS, NUM_CLASSES};
 use gravel_net::{ChaosPlan, Transport};
-use gravel_pgas::{FlushPolicy, NodeQueues, Packet};
+use gravel_pgas::{FlushPolicy, NodeQueues, Packet, QuarantineReason, QuarantinedMessage};
 
 use crate::backoff::Backoff;
 use crate::error::ErrorSlot;
@@ -52,24 +52,26 @@ const PARKED_LANE_PARK: Duration = Duration::from_millis(20);
 /// Index of the bulk queue set in [`LaneState::nodeqs`].
 const BULK: usize = TrafficClass::Bulk.index();
 
-/// Words drained from one ring but not yet aggregated, and the word
-/// offset of the next unprocessed message.
+/// The slots a lane still holds claimed on one ring — each goes back to
+/// the producers, and out of the claim, when its last message is in a
+/// queue — and how many messages of the first of them are in the queues
+/// already.
 #[derive(Default)]
 struct Cursor {
-    pending: Vec<u64>,
-    pos: usize,
+    claim: Claim,
+    msg: usize,
 }
 
 impl Cursor {
     fn is_done(&self) -> bool {
-        self.pos >= self.pending.len()
+        self.claim.slots == 0
     }
 }
 
 /// Restartable state of one aggregator lane, hoisted out of the thread
 /// so a supervised restart resumes exactly where the predecessor died:
 /// the per-destination aggregation queues, the sender's flows, and the
-/// cursors into partially processed ring batches. Only the owning lane
+/// cursors into partially aggregated ring claims. Only the owning lane
 /// thread locks it (per loop iteration), so the lock is uncontended; a
 /// panic mid-iteration leaves it poisoned, which the restarted thread
 /// recovers from — injected chaos only panics at message boundaries,
@@ -81,13 +83,13 @@ pub struct LaneState {
     /// runs.
     nodeqs: Vec<NodeQueues>,
     flows: Vec<Flow>,
-    /// The current bulk-ring batch.
+    /// The current bulk-ring claim.
     bulk: Cursor,
-    /// The current express-ring batch (the ring's owner lane only).
+    /// The current express-ring claim (the ring's owner lane only).
     express: Cursor,
-    /// Reusable flush scratch: packets travel queue → sender through
-    /// this one vector, so the steady-state drain loop allocates
-    /// nothing per batch.
+    /// Reusable flush scratch: timeout and flush-all packets travel
+    /// queue → sender through this one vector, so the steady-state
+    /// drain loop allocates nothing per batch.
     scratch: Vec<Packet>,
 }
 
@@ -127,79 +129,83 @@ pub fn run(
     );
 }
 
+/// `pkt` leaves through `sender`.
+fn submit(node: &NodeShared, pkt: Packet, sender: &mut Sender<'_>) {
+    if pkt.class() != TrafficClass::Bulk {
+        node.agg_express_packets.add(1);
+    }
+    sender.submit(pkt);
+}
+
 /// The packets waiting in `scratch` leave through `sender`.
 fn submit_all(node: &NodeShared, scratch: &mut Vec<Packet>, sender: &mut Sender<'_>) {
     for pkt in scratch.drain(..) {
-        if pkt.class() != TrafficClass::Bulk {
-            node.agg_express_packets.add(1);
-        }
-        sender.submit(pkt);
+        submit(node, pkt, sender);
     }
 }
 
-/// Aggregate `cur`'s batch from its cursor to the end (fresh, or
-/// inherited mid-way from a predecessor that panicked at the cursor).
-/// Kept a function: as a closure inside `run_supervised` the
-/// per-message scan measured 2 ns slower.
+/// Aggregate `cur`'s claim on `ring` from its cursor to the end (fresh,
+/// or inherited mid-way from a predecessor that panicked at the cursor)
+/// in one pass: each message is read where the producer wrote it and
+/// appended to the queue its class and destination select, and what
+/// that fills goes to the sender at once. The chaos schedule ticks once
+/// per message, before it is aggregated, so an injected kill leaves the
+/// cursor on exactly the message the successor must start with. Kept a
+/// function: as a closure inside `run_supervised` the per-message loop
+/// measured 2 ns slower.
 fn aggregate(
     node: &NodeShared,
     lane: u32,
     chaos: Option<&ChaosPlan>,
+    ring: &GravelQueue,
     cur: &mut Cursor,
     nodeqs: &mut [NodeQueues],
-    scratch: &mut Vec<Packet>,
     sender: &mut Sender<'_>,
 ) {
-    let rows = node.queue.config().rows;
     let now = Instant::now();
-    let Cursor { pending, pos } = cur;
-    while *pos < pending.len() {
-        // Scan the run of consecutive messages bound for the
-        // same destination and hand it to the node queue in one
-        // call. Destination sharding makes runs long (with one
-        // dest per lane a whole batch is a single run), so the
-        // per-message dispatch cost amortizes away. The chaos
-        // schedule still ticks once per message so an injected
-        // kill lands on its exact message boundary: the run is
-        // cut short, everything before the boundary is pushed
-        // and submitted, and only then does the lane die.
-        let dest = pending[*pos + 1] as usize;
-        debug_assert!(dest < node.nodes, "message to unknown node {dest}");
-        // Runs split on class as well as destination so packets
-        // stay class-pure (the wire kind advertises the class
-        // and the express stamp follows from it).
-        let qi = TrafficClass::of_command_word(pending[*pos]).index();
-        let mut end = *pos;
-        let mut killed = false;
-        while end < pending.len()
-            && pending[end + 1] as usize == dest
-            && TrafficClass::of_command_word(pending[end]).index() == qi
-        {
-            if let Some(c) = chaos {
-                if c.agg_tick(node.id, lane) {
-                    killed = true;
-                    break;
-                }
+    while !cur.is_done() {
+        let seq = cur.claim.first;
+        for words in ring.claimed(seq).messages::<MSG_ROWS>(cur.msg) {
+            if chaos.is_some_and(|c| c.agg_tick(node.id, lane)) {
+                panic!(
+                    "chaos: aggregator {}/{} killed at injected drain step",
+                    node.id, lane
+                );
             }
-            end += rows;
+            let dest = words[1] as usize;
+            if dest < node.nodes {
+                // One queue set per class keeps packets class-pure (the
+                // wire kind advertises the class and the express stamp
+                // follows from it).
+                let qi = TrafficClass::of_command_word(words[0]).index();
+                if let Some(pkt) = nodeqs[qi].push(dest, &words, now) {
+                    submit(node, pkt, sender);
+                }
+            } else {
+                // No such node: as with a bad address at the receiver,
+                // evidence of a sender bug and no reason to take the lane
+                // down. Counted offloaded, so counted disposed.
+                node.quarantine.push(QuarantinedMessage {
+                    src: node.id,
+                    lane,
+                    seq,
+                    index: cur.msg,
+                    words,
+                    reason: QuarantineReason::UnknownDest,
+                });
+                node.note_applied(1);
+            }
+            cur.msg += 1;
         }
-        if end > *pos {
-            scratch.clear();
-            nodeqs[qi].push_run(dest, &pending[*pos..end], rows, now, scratch);
-            submit_all(node, scratch, sender);
-            *pos = end;
-        }
-        if killed {
-            panic!(
-                "chaos: aggregator {}/{} killed at injected drain step",
-                node.id, lane
-            );
-        }
+        ring.release(seq);
+        cur.claim.first += 1;
+        cur.claim.slots -= 1;
+        cur.msg = 0;
     }
 }
 
 /// [`run`] with lane state hoisted into `state` (so a supervised
-/// restart resumes the predecessor's flows and batch cursors exactly)
+/// restart resumes the predecessor's flows and claim cursors exactly)
 /// and optional process-fault injection from `chaos`. Chaos panics fire
 /// at the drain-step boundary *before* the message at the cursor is
 /// aggregated, which is what makes restart-resume exact: the restarted
@@ -273,22 +279,15 @@ pub fn run_supervised(
         let mut express_closed = express.is_none();
         if let Some(x) = express {
             if fast.is_done() {
-                fast.pending.clear();
-                fast.pos = 0;
-                express_closed =
-                    x.try_consume_batch(&mut fast.pending, node.drain_batch) == Consumed::Closed;
+                match x.try_claim(node.drain_batch) {
+                    Consumed::Batch(claim) => *fast = Cursor { claim, msg: 0 },
+                    Consumed::Empty => {}
+                    Consumed::Closed => express_closed = true,
+                }
             }
             if !fast.is_done() {
                 let _span = node.tracer.span("agg.express", "aggregate", node.id);
-                aggregate(
-                    &node,
-                    lane,
-                    chaos.as_deref(),
-                    fast,
-                    nodeqs,
-                    scratch,
-                    &mut sender,
-                );
+                aggregate(&node, lane, chaos.as_deref(), x, fast, nodeqs, &mut sender);
                 // No `idle.reset()`: a requester's next message is a
                 // round trip away, far past the spin window, and its
                 // publish ends a park anyway. A fresh yield loop per
@@ -309,9 +308,9 @@ pub fn run_supervised(
                 &node,
                 lane,
                 chaos.as_deref(),
+                ring,
                 bulk,
                 nodeqs,
-                scratch,
                 &mut sender,
             );
             // Once per batch, not only when the ring runs empty: a lone
@@ -333,12 +332,11 @@ pub fn run_supervised(
             }
             continue;
         }
-        bulk.pending.clear();
-        bulk.pos = 0;
-        match ring.try_consume_batch(&mut bulk.pending, node.drain_batch) {
-            Consumed::Batch(_) => {
-                // Processed by the cursor branch on the next iteration,
+        match ring.try_claim(node.drain_batch) {
+            Consumed::Batch(claim) => {
+                // Aggregated by the cursor branch on the next iteration,
                 // after another look at the express ring.
+                *bulk = Cursor { claim, msg: 0 };
                 node.agg_polls_hit.add(1);
                 idle.reset();
             }
@@ -448,6 +446,9 @@ pub fn run_supervised(
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -787,19 +788,23 @@ mod tests {
             node.stats().agg.packets
         );
         node.queue.close();
-        // The lane is past its last flush only once it is draining; ack
-        // whatever is on the wire until it exits.
-        while !agg.is_finished() {
+        ack_until_exit(agg, transport);
+        assert!(!errors.is_set());
+        let log = transport.sent.lock().unwrap().clone();
+        log
+    }
+
+    /// The lane is past its last flush only once it is draining; ack
+    /// whatever is on the wire until it exits.
+    fn ack_until_exit(lane: std::thread::JoinHandle<()>, transport: &WireLog) {
+        while !lane.is_finished() {
             let log = transport.sent.lock().unwrap().clone();
             for p in &log {
                 send_ack(&transport.inner, p.dest, p.src, p.lane, p.seq);
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        agg.join().unwrap();
-        assert!(!errors.is_set());
-        let log = transport.sent.lock().unwrap().clone();
-        log
+        lane.join().expect("the lane exits cleanly");
     }
 
     #[test]
@@ -871,6 +876,91 @@ mod tests {
             0,
             "no flush timer involved"
         );
+    }
+
+    /// A kill at every message of a three-slot claim: the lane dies with
+    /// the slots before the cursor released and the rest still claimed,
+    /// and its successor delivers every message exactly once.
+    #[test]
+    fn a_lane_killed_at_any_message_of_a_claim_resumes_on_that_message() {
+        use gravel_net::ProcessFault;
+        use gravel_pgas::{apply, SymmetricHeap};
+        // Partial slots, weighted increments: a message applied twice or
+        // not at all shows in the heap.
+        let slots: [Vec<Message>; 3] = [3usize, 1, 4].map(|n| {
+            (0..n as u64)
+                .map(|i| Message::inc(1, (n as u64 + i) % 16, 1 + (n as u64 * 7 + i) * 1000))
+                .collect()
+        });
+        let total: usize = slots.iter().map(Vec::len).sum();
+        let heap_of = |msgs: &mut dyn Iterator<Item = Message>| {
+            let heap = SymmetricHeap::new(16);
+            for m in msgs {
+                apply(&m, 0, &heap, &AmRegistry::new(), &mut |_| {});
+            }
+            heap.snapshot()
+        };
+        let want = heap_of(&mut slots.iter().flatten().copied());
+        for kill_at in 1..=total {
+            let (node, transport, errors) = logged_node(2);
+            for slot in &slots {
+                node.host_send_batch(slot);
+            }
+            node.queue.close();
+            let state = Arc::new(Mutex::new(LaneState::new()));
+            let chaos = Arc::new(ChaosPlan::new(vec![ProcessFault::PanicAggregator {
+                node: 0,
+                slot: 0,
+                at_step: kill_at as u64,
+            }]));
+            let spawn_lane = || {
+                let (node, transport, errors) = (node.clone(), transport.clone(), errors.clone());
+                let (state, chaos) = (state.clone(), chaos.clone());
+                std::thread::spawn(move || {
+                    run_supervised(
+                        node,
+                        0,
+                        transport,
+                        64,
+                        FlushPolicy::Fixed(Duration::from_secs(600)),
+                        errors,
+                        state,
+                        Some(chaos),
+                    )
+                })
+            };
+            assert!(spawn_lane().join().is_err(), "kill {kill_at} fired");
+            // The ledger: exactly the slots whose every message was
+            // aggregated before the kill have gone back to the producers.
+            let aggregated = kill_at - 1;
+            let mut released = 0;
+            for n in slots.iter().map(Vec::len) {
+                if released + n > aggregated {
+                    break;
+                }
+                released += n;
+            }
+            let stats = node.queue.stats.snapshot();
+            assert_eq!(stats.messages_consumed, released as u64, "kill {kill_at}");
+            assert_eq!(
+                (stats.consumer_rmws, stats.consumer_hits),
+                (1, 3),
+                "one claim took all three slots"
+            );
+            // The successor inherits the claim and finishes it.
+            ack_until_exit(spawn_lane(), &transport);
+            assert!(!errors.is_set());
+            assert_eq!(node.queue.stats.snapshot().messages_consumed, total as u64);
+            let log = transport.sent.lock().unwrap().clone();
+            let got = heap_of(
+                &mut log
+                    .iter()
+                    .flat_map(|p| p.messages())
+                    .map(|w| Message::decode(w).expect("an INC")),
+            );
+            assert_eq!(got, want, "kill {kill_at}");
+            assert_eq!(node.stats().agg.messages, total as u64, "kill {kill_at}");
+        }
     }
 
     /// The lone PUT for sparse destination 2 must leave when its

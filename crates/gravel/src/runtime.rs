@@ -903,6 +903,34 @@ mod tests {
     }
 
     #[test]
+    fn a_stray_destination_is_quarantined_at_the_sending_lane() {
+        use gravel_gq::Message;
+        use gravel_pgas::QuarantineReason;
+        let rt = GravelRuntime::new(GravelConfig::small(2, 4));
+        // A PUT for a node the cluster does not have, batched between
+        // two good ones (one slot), and another on its own.
+        rt.node(0).host_send_batch(&[
+            Message::put(1, 0, 11),
+            Message::put(5, 1, 99),
+            Message::put(1, 2, 13),
+        ]);
+        rt.node(0).host_send(Message::put(7, 3, 98));
+        rt.quiesce();
+        assert_eq!(rt.node(1).heap.snapshot(), vec![11, 0, 13, 0]);
+        let q = rt.drain_quarantine(0);
+        assert_eq!(q.len(), 2, "{q:?}");
+        assert!(q.iter().all(|m| m.reason == QuarantineReason::UnknownDest
+            && (m.src, m.lane) == (0, 0)
+            && Message::decode(m.words).is_some_and(|w| w.dest >= 2)));
+        assert_eq!((q[0].seq, q[0].index), (0, 1), "ring slot 0, column 1");
+        assert_eq!((q[1].seq, q[1].index), (1, 0));
+        let stats = rt.shutdown().expect("the lane survived");
+        assert_eq!(stats.nodes[0].net.quarantined, 2);
+        assert_eq!(stats.nodes[0].offloaded, 4);
+        assert_eq!(stats.nodes[0].applied + stats.nodes[1].applied, 4);
+    }
+
+    #[test]
     fn epoch_cuts_stamp_the_wire_epoch() {
         let mut cfg = GravelConfig::small(2, 4);
         cfg.ha.checkpoint = true;

@@ -148,7 +148,7 @@ impl Packet {
     }
 
     /// Traffic class of the packet, decoded from the first message's
-    /// command word. The aggregator splits runs on class boundaries, so
+    /// command word. The aggregator keeps one queue set per class, so
     /// every packet it emits is class-pure and the first message speaks
     /// for all of them. An empty (or garbage) payload classifies as
     /// BULK — the conservative band.
@@ -201,6 +201,17 @@ struct AggBuffer {
     fill_ewma: f64,
     /// This destination's current effective flush timeout.
     eff_timeout: Duration,
+}
+
+impl AggBuffer {
+    #[inline]
+    fn append(&mut self, words: &[u64], now: Instant) {
+        if self.buf.is_empty() {
+            self.opened_at = Some(now);
+        }
+        self.buf.put_u64_slice_le(words);
+        self.messages += 1;
+    }
 }
 
 /// Aggregation statistics for one node (Table 5's inputs).
@@ -309,7 +320,7 @@ pub struct NodeQueues {
     /// `None` falls back to per-flush allocation.
     pool: Option<BufferPool>,
     /// Aggregation counters (detached unless built via
-    /// [`with_telemetry`](Self::with_telemetry)).
+    /// [`with_policy`](Self::with_policy)).
     counters: AggCounters,
 }
 
@@ -331,28 +342,9 @@ impl NodeQueues {
         )
     }
 
-    /// Queues whose flush statistics add into shared `counters` (all
-    /// aggregator slots of a node pass clones of the same handles),
-    /// with a fixed timeout. Kept source-compatible for existing
-    /// callers; the runtime's adaptive mode goes through
-    /// [`with_policy`](Self::with_policy).
-    pub fn with_telemetry(
-        my_node: u32,
-        nodes: usize,
-        queue_bytes: usize,
-        timeout: Duration,
-        counters: AggCounters,
-    ) -> Self {
-        Self::with_policy(
-            my_node,
-            nodes,
-            queue_bytes,
-            FlushPolicy::Fixed(timeout),
-            counters,
-        )
-    }
-
-    /// Queues with an explicit [`FlushPolicy`] and shared counters.
+    /// Queues with an explicit [`FlushPolicy`] whose flush statistics add
+    /// into shared `counters` (all aggregator slots of a node pass clones
+    /// of the same handles).
     pub fn with_policy(
         my_node: u32,
         nodes: usize,
@@ -473,38 +465,36 @@ impl NodeQueues {
         })
     }
 
-    /// Append one message (as words) to destination `dest`'s queue.
-    /// Returns a packet when the queue filled.
+    /// Append one message (as words) to destination `dest`'s queue,
+    /// encoded straight into the destination's buffer. Returns a packet
+    /// when the queue filled: flushed first if this message would
+    /// overflow it, or right after if the message filled it exactly.
+    /// This is the aggregator's per-message scatter.
+    #[inline]
     pub fn push(&mut self, dest: usize, words: &[u64], now: Instant) -> Option<Packet> {
-        assert!(dest < self.nodes, "destination out of range");
+        assert!(dest < self.bufs.len(), "destination out of range");
         let bytes = words.len() * 8;
         assert!(bytes <= self.queue_bytes, "message larger than queue");
-        // Flush first if this message would overflow.
-        let flushed = if self.bufs[dest].buf.len() + bytes > self.queue_bytes {
-            self.flush_dest(dest, false)
-        } else {
-            None
-        };
-        let b = &mut self.bufs[dest];
-        if b.buf.is_empty() {
-            b.opened_at = Some(now);
+        if self.bufs[dest].buf.len() + bytes > self.queue_bytes {
+            // Only a capacity that is not a whole number of messages
+            // gets here; the flushed buffer was short of full, so this
+            // message cannot fill its successor as well.
+            let flushed = self.flush_dest(dest, false);
+            self.bufs[dest].append(words, now);
+            debug_assert!(self.bufs[dest].buf.len() < self.queue_bytes);
+            return flushed;
         }
-        b.buf.put_u64_slice_le(words);
-        b.messages += 1;
-        // Exactly-full queues flush immediately.
-        if self.bufs[dest].buf.len() >= self.queue_bytes {
-            debug_assert!(flushed.is_none(), "cannot fill twice in one push");
+        let b = &mut self.bufs[dest];
+        b.append(words, now);
+        if b.buf.len() >= self.queue_bytes {
             return self.flush_dest(dest, false);
         }
-        flushed
+        None
     }
 
-    /// Append a run of same-destination messages — `words` holds whole
-    /// messages of `rows` words each, message-major. Semantically
-    /// identical to pushing each message in order, but the per-message
-    /// dispatch (bounds check, overflow branch, buffer lookup) is paid
-    /// once per buffer-sized chunk instead of once per message. Packets
-    /// flushed along the way are appended to `out` in flush order.
+    /// [`push`](Self::push) every message of `words` — whole messages
+    /// of `rows` words each, message-major — appending the packets
+    /// flushed along the way to `out` in flush order.
     pub fn push_run(
         &mut self,
         dest: usize,
@@ -513,40 +503,9 @@ impl NodeQueues {
         now: Instant,
         out: &mut Vec<Packet>,
     ) {
-        assert!(dest < self.nodes, "destination out of range");
-        let msg_bytes = rows * 8;
-        assert!(
-            msg_bytes > 0 && msg_bytes <= self.queue_bytes,
-            "message larger than queue"
-        );
         debug_assert_eq!(words.len() % rows, 0, "partial message in run");
-        let queue_bytes = self.queue_bytes;
-        let mut rest = words;
-        while !rest.is_empty() {
-            let room = queue_bytes - self.bufs[dest].buf.len();
-            let fit = (room / msg_bytes).min(rest.len() / rows);
-            if fit == 0 {
-                // Next message would overflow; flush and retry. Cannot
-                // loop forever: a flushed buffer has room ≥ msg_bytes.
-                if let Some(p) = self.flush_dest(dest, false) {
-                    out.push(p);
-                }
-                continue;
-            }
-            let take = fit * rows;
-            let b = &mut self.bufs[dest];
-            if b.buf.is_empty() {
-                b.opened_at = Some(now);
-            }
-            b.buf.put_u64_slice_le(&rest[..take]);
-            b.messages += fit as u64;
-            rest = &rest[take..];
-            // Exactly-full queues flush immediately, same as `push`.
-            if self.bufs[dest].buf.len() >= queue_bytes {
-                if let Some(p) = self.flush_dest(dest, false) {
-                    out.push(p);
-                }
-            }
+        for msg in words.chunks_exact(rows) {
+            out.extend(self.push(dest, msg, now));
         }
     }
 
@@ -630,6 +589,7 @@ impl NodeQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     fn words(tag: u64) -> [u64; 4] {
         [tag, tag + 1, tag + 2, tag + 3]
@@ -653,37 +613,86 @@ mod tests {
         assert_eq!(nq.stats().full_flushes, 1);
     }
 
+    /// `push_run` as it stood while the aggregator fed it scanned runs:
+    /// one staged copy per buffer-sized chunk of the run. The reference
+    /// the per-message `push` is held to.
+    fn push_run_chunked(
+        nq: &mut NodeQueues,
+        dest: usize,
+        words: &[u64],
+        rows: usize,
+        now: Instant,
+        out: &mut Vec<Packet>,
+    ) {
+        let msg_bytes = rows * 8;
+        let queue_bytes = nq.queue_bytes;
+        let mut rest = words;
+        while !rest.is_empty() {
+            let room = queue_bytes - nq.bufs[dest].buf.len();
+            let fit = (room / msg_bytes).min(rest.len() / rows);
+            if fit == 0 {
+                out.extend(nq.flush_dest(dest, false));
+                continue;
+            }
+            let take = fit * rows;
+            let b = &mut nq.bufs[dest];
+            if b.buf.is_empty() {
+                b.opened_at = Some(now);
+            }
+            for w in &rest[..take] {
+                b.buf.put_u64_le(*w);
+            }
+            b.messages += fit as u64;
+            rest = &rest[take..];
+            if nq.bufs[dest].buf.len() >= queue_bytes {
+                out.extend(nq.flush_dest(dest, false));
+            }
+        }
+    }
+
     #[test]
-    fn push_run_matches_repeated_push() {
+    fn push_and_push_run_match_the_chunked_reference() {
         // Runs of every length, against a queue whose capacity (104 B)
         // is deliberately NOT a multiple of the 32-byte message, so the
-        // run straddles flush boundaries mid-chunk.
-        for run_len in [1usize, 2, 3, 5, 8, 13, 40] {
-            let mut by_one = NodeQueues::with_config(0, 2, 104, DEFAULT_TIMEOUT);
-            let mut by_run = NodeQueues::with_config(0, 2, 104, DEFAULT_TIMEOUT);
+        // run straddles flush boundaries mid-chunk, and against one that
+        // messages fill exactly.
+        for (run_len, queue_bytes) in [1usize, 2, 3, 5, 8, 13, 40]
+            .into_iter()
+            .flat_map(|n| [(n, 104), (n, 96)])
+        {
+            let case = format!("run_len={run_len} queue_bytes={queue_bytes}");
+            let mut nqs =
+                [(); 3].map(|()| NodeQueues::with_config(0, 2, queue_bytes, DEFAULT_TIMEOUT));
+            let [by_one, by_run, chunked] = &mut nqs;
             let now = Instant::now();
             let run: Vec<u64> = (0..run_len as u64).flat_map(|i| words(i * 10)).collect();
 
-            let mut expect = Vec::new();
+            let mut one = Vec::new();
             for msg in run.chunks(4) {
-                expect.extend(by_one.push(1, msg, now));
+                one.extend(by_one.push(1, msg, now));
             }
             let mut got = Vec::new();
             by_run.push_run(1, &run, 4, now, &mut got);
+            let mut expect = Vec::new();
+            push_run_chunked(chunked, 1, &run, 4, now, &mut expect);
 
-            assert_eq!(got.len(), expect.len(), "run_len={run_len}");
-            for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.words(), e.words(), "run_len={run_len}");
-                assert_eq!(g.dest, e.dest);
+            for nq in [by_one, by_run] {
+                assert_eq!(nq.pending_bytes(1), chunked.pending_bytes(1), "{case}");
+                assert_eq!(nq.stats(), chunked.stats(), "{case}");
             }
-            assert_eq!(by_run.pending_bytes(1), by_one.pending_bytes(1));
-            assert_eq!(by_run.stats().packets, by_one.stats().packets);
-            assert_eq!(by_run.stats().messages, by_one.stats().messages);
-            assert_eq!(by_run.stats().full_flushes, by_one.stats().full_flushes);
             // Residue must drain identically too.
-            let tail_run: Vec<_> = by_run.flush_all().iter().map(|p| p.words()).collect();
-            let tail_one: Vec<_> = by_one.flush_all().iter().map(|p| p.words()).collect();
-            assert_eq!(tail_run, tail_one, "run_len={run_len}");
+            expect.extend(chunked.flush_all());
+            one.extend(nqs[0].flush_all());
+            got.extend(nqs[1].flush_all());
+            assert_eq!(expect.len(), run_len.div_ceil(queue_bytes / 32), "{case}");
+            for flushed in [one, got] {
+                let view = |p: &Packet| (p.dest, p.words());
+                assert_eq!(
+                    flushed.iter().map(view).collect::<Vec<_>>(),
+                    expect.iter().map(view).collect::<Vec<_>>(),
+                    "{case}"
+                );
+            }
         }
     }
 

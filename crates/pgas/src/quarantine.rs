@@ -33,6 +33,11 @@ pub enum QuarantineReason {
     /// The packet payload ended mid-message (length not a multiple of
     /// the message stride) — only reachable with `WireIntegrity::Off`.
     PartialPayload,
+    /// The message named a destination node outside the cluster. Caught
+    /// by the *sending* aggregator lane before it reaches a queue, so
+    /// the entry's `src`/`lane` are the sender's own and `seq`/`index`
+    /// are the ring slot's sequence number and the message's column.
+    UnknownDest,
 }
 
 impl std::fmt::Display for QuarantineReason {
@@ -42,6 +47,7 @@ impl std::fmt::Display for QuarantineReason {
             QuarantineReason::UnknownHandler => "unknown-handler",
             QuarantineReason::OutOfRange => "out-of-range",
             QuarantineReason::PartialPayload => "partial-payload",
+            QuarantineReason::UnknownDest => "unknown-dest",
         };
         f.write_str(s)
     }

@@ -10,6 +10,10 @@
 //! registers — and a clone creeping back into `charge` or `mem_access`
 //! fails here instead of costing a few ns a message unnoticed.
 //!
+//! The last test pins the other side of the ring: a warm aggregator lane
+//! claims slots, scatters their messages into pooled per-destination
+//! buffers, flushes, seals and takes acks without touching the allocator.
+//!
 //! The allocator counts per thread and only while that thread asks, so
 //! the tests in this file cannot see each other or the harness.
 
@@ -19,9 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gravel_apps::gups;
-use gravel_core::{GravelConfig, GravelCtx, NodeShared};
-use gravel_gq::{GravelQueue, QueueConfig, MSG_ROWS};
-use gravel_pgas::AmRegistry;
+use gravel_core::net::{Ack, AckFrame, RecvStatus, SendStatus, Transport};
+use gravel_core::{aggregator, ErrorSlot, GravelConfig, GravelCtx, NodeShared};
+use gravel_gq::{GravelQueue, Message, QueueConfig, MSG_ROWS};
+use gravel_pgas::{open_data_frame, AmRegistry, DataFrame, FlushPolicy, WireIntegrity};
 use gravel_simt::{Grid, LaneVec, SimtEngine, WgCtx};
 
 std::thread_local! {
@@ -143,4 +148,116 @@ fn a_shmem_inc_work_group_allocates_only_its_kernels_registers() {
         }
     }
     assert_eq!(node.offloaded.get(), (WGS * WG) as u64);
+}
+
+/// A fabric that acknowledges every frame at once and, on the lane's own
+/// thread, turns that thread's allocation count on after `WARM_PACKETS`
+/// frames and reads it after `COUNTED_PACKETS` more. Its own work (the
+/// ack mailbox) is not the lane's and is not counted.
+struct CountingSink {
+    acks: std::sync::Mutex<std::collections::VecDeque<AckFrame>>,
+    frames: AtomicU64,
+    /// The lane's allocations over the counted window, once it closed.
+    counted: std::sync::Mutex<Option<u64>>,
+}
+
+const WARM_PACKETS: u64 = 256;
+const COUNTED_PACKETS: u64 = 256;
+
+impl Transport for CountingSink {
+    fn nodes(&self) -> usize {
+        2
+    }
+    fn lanes(&self) -> usize {
+        1
+    }
+    fn send_data(&self, frame: DataFrame, _timeout: std::time::Duration) -> SendStatus {
+        let lane_count = COUNT.with(|c| c.take());
+        let head = open_data_frame(&frame.bytes, WireIntegrity::Off).expect("a sealed frame");
+        let ack = Ack {
+            src: head.dest,
+            dest: head.src,
+            lane: head.lane,
+            cum_seq: head.seq,
+        };
+        self.acks
+            .lock()
+            .unwrap()
+            .push_back(ack.seal(head.epoch, WireIntegrity::Crc32c));
+        drop(frame);
+        let lane_count = match self.frames.fetch_add(1, Ordering::Relaxed) + 1 {
+            WARM_PACKETS => Some(0),
+            n if n == WARM_PACKETS + COUNTED_PACKETS => {
+                *self.counted.lock().unwrap() = lane_count;
+                None
+            }
+            _ => lane_count,
+        };
+        COUNT.with(|c| c.set(lane_count));
+        SendStatus::Sent
+    }
+    fn recv_data(&self, _node: u32, _timeout: std::time::Duration) -> RecvStatus<DataFrame> {
+        RecvStatus::TimedOut
+    }
+    fn send_ack(&self, _ack: AckFrame) {}
+    fn try_recv_ack(&self, _node: u32, _lane: u32) -> Option<AckFrame> {
+        self.acks.lock().unwrap().pop_front()
+    }
+    fn close(&self) {}
+    fn is_closed(&self) -> bool {
+        false
+    }
+    fn data_depths(&self) -> Vec<usize> {
+        vec![0; 2]
+    }
+    fn ack_depths(&self, _node: u32) -> usize {
+        self.acks.lock().unwrap().len()
+    }
+}
+
+#[test]
+fn a_warm_lane_drains_and_flushes_without_allocating() {
+    let cfg = GravelConfig::paper(2, 1 << 10);
+    assert!(cfg.buffer_pool, "the lane flushes into pooled buffers");
+    // 32 messages a packet: the counted window is 8192 messages, 32 full
+    // slots, four claims, 256 size-driven flushes to two destinations.
+    let queue_bytes = 1024;
+    let per_packet = (queue_bytes / gravel_gq::MSG_BYTES) as u64;
+    let messages = (WARM_PACKETS + COUNTED_PACKETS + 8) * per_packet;
+    let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
+    let sink = Arc::new(CountingSink {
+        acks: Default::default(),
+        frames: AtomicU64::new(0),
+        counted: Default::default(),
+    });
+    let errors = Arc::new(ErrorSlot::default());
+    // The whole stream waits in the ring before the lane starts, so every
+    // claim is a full one and the warm-up sees the same frames in flight
+    // (hence the same arena and window depth) as the counted window.
+    assert!(messages.div_ceil(WG as u64) <= cfg.queue.slots as u64);
+    let stream: Vec<Message> = (0..messages)
+        .map(|i| Message::inc((i.wrapping_mul(0x9E37_79B9) >> 7) as u32 % 2, i % 1024, 1))
+        .collect();
+    for chunk in stream.chunks(WG) {
+        node.host_send_batch(chunk);
+    }
+    node.queue.close();
+    let policy = FlushPolicy::Fixed(std::time::Duration::from_secs(600));
+    aggregator::run(
+        node.clone(),
+        0,
+        sink.clone(),
+        queue_bytes,
+        policy,
+        errors.clone(),
+    );
+    assert!(!errors.is_set());
+    let stats = node.stats().agg;
+    assert_eq!(stats.messages, messages);
+    assert!(stats.full_flushes >= WARM_PACKETS + COUNTED_PACKETS);
+    assert_eq!(
+        *sink.counted.lock().unwrap(),
+        Some(0),
+        "a warm lane allocated while draining and flushing"
+    );
 }
