@@ -1,4 +1,4 @@
-//! Focused wire-integrity ablation: GUPS at lanes=1 with CRC32C on vs
+//! Focused wire-integrity ablation: GUPS with CRC32C on vs
 //! off, repeated, printing only the tax. Diagnostic companion to the
 //! full `throughput` bin for iterating on the seal/verify hot path.
 
@@ -32,15 +32,9 @@ fn main() {
         ..Scale::full()
     };
     for _ in 0..reps {
-        let r = throughput::measure(&scale, 4, &[1], false);
-        let on = r.gups_cell(1).unwrap().msgs_per_sec / 1e6;
-        let off = r
-            .cells
-            .iter()
-            .find(|c| c.workload == "gups_nocrc")
-            .unwrap()
-            .msgs_per_sec
-            / 1e6;
+        let r = throughput::measure(&scale, 4, false);
+        let on = r.cell("gups").unwrap().msgs_per_sec / 1e6;
+        let off = r.cell("gups_nocrc").unwrap().msgs_per_sec / 1e6;
         println!(
             "crc32c {on:.2} Mmsg/s  off {off:.2} Mmsg/s  tax {:.2}%",
             r.integrity_tax * 100.0

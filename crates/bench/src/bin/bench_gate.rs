@@ -13,17 +13,8 @@
 //! and a 0 ↔ nonzero flip is reported as a schema change (the cell's
 //! meaning moved between commits) instead of being fed into a division.
 //!
-//! Independent of any baseline, the gate also checks the governed
-//! PageRank lane curve of the *current* entry: the adaptive lane
-//! governor exists so extra lanes are never a loss, so the rate at the
-//! highest measured lane count must hold the lanes=1 rate (within 1.5x
-//! the tolerance — both sides of the ratio come from the same noisy
-//! run). This is what promotes the PageRank cells from informational to
-//! gated.
-//!
-//! With no comparable baseline (first run, or a scale change) the
-//! trajectory half of the gate passes vacuously — it polices the
-//! trajectory, it cannot invent one. The lane-curve check still runs.
+//! With no comparable baseline (first run, or a scale change) the gate
+//! passes vacuously — it polices the trajectory, it cannot invent one.
 
 use serde::Value;
 
@@ -107,44 +98,6 @@ fn main() {
     let cur_cells = cells(current);
     let mut failures = Vec::new();
 
-    // --- Lane-curve gate (current entry alone) -------------------------
-    // The governed PageRank cells must show a monotone-flat-or-up lane
-    // curve: rate at the highest measured lane count >= the lanes=1
-    // rate. Both sides of the ratio are cells measured in the same run,
-    // so the noise is doubled relative to a trajectory comparison — the
-    // curve check gets 1.5x the tolerance. The static-mask ablation
-    // ("pagerank_nogov") is deliberately exempt — documenting the loss
-    // the governor removes is its whole job.
-    let curve_tolerance = 1.5 * tolerance;
-    let pr: Vec<&(CellKey, f64)> = cur_cells
-        .iter()
-        .filter(|(k, r)| k.workload == "pagerank" && *r > 0.0)
-        .collect();
-    let pr_base = pr.iter().find(|(k, _)| k.lanes == 1);
-    let pr_top = pr.iter().max_by_key(|(k, _)| k.lanes);
-    if let (Some((_, base)), Some((top_key, top))) = (pr_base, pr_top) {
-        if top_key.lanes > 1 {
-            if *top < base * (1.0 - curve_tolerance) {
-                failures.push(format!(
-                    "pagerank lane curve bends down: lanes={} {:.0} msgs/s < lanes=1 {:.0} msgs/s \
-                     ({:+.1}%, tolerance {:.0}%)",
-                    top_key.lanes,
-                    top,
-                    base,
-                    (top / base - 1.0) * 100.0,
-                    curve_tolerance * 100.0,
-                ));
-            } else {
-                println!(
-                    "bench_gate: pagerank lane curve holds (lanes={} at {:.2}x of lanes=1)",
-                    top_key.lanes,
-                    top / base,
-                );
-            }
-        }
-    }
-
-    // --- Trajectory gate (vs the most recent comparable baseline) ------
     let baseline = history
         .iter()
         .rev()
@@ -152,7 +105,7 @@ fn main() {
         .find(|e| sha(e) != sha(current) && is_quick(e) == is_quick(current));
     match baseline {
         None => println!(
-            "bench_gate: no earlier {} entry to compare {} against; trajectory gate passes vacuously",
+            "bench_gate: no earlier {} entry to compare {} against; gate passes vacuously",
             if is_quick(current) { "quick-scale" } else { "full-scale" },
             sha(current),
         ),

@@ -53,7 +53,7 @@ fn main() {
     t3.row(vec![
         "aggregator".into(),
         "1 CPU thread".into(),
-        format!("{} thread(s) per node", cfg.aggregator_threads),
+        "1 thread per node".into(),
     ]);
     t3.emit();
 

@@ -1,9 +1,9 @@
 //! `throughput` — the repo's persistent hot-path benchmark.
 //!
-//! Runs GUPS (pipeline-injected) and PageRank (end-to-end) at fixed
-//! sizes across aggregator lane counts and writes
-//! `BENCH_throughput.json` in the working directory, so the perf
-//! trajectory of the aggregate→apply path survives between PRs.
+//! Runs GUPS (pipeline-injected), PageRank (end-to-end) and GETs under
+//! a PUT storm at fixed sizes and writes `BENCH_throughput.json` in the
+//! working directory, so the perf trajectory of the aggregate→apply
+//! path survives between PRs.
 //! `--quick` shrinks everything to CI smoke scale.
 
 use gravel_bench::report::{f2, Table};
@@ -12,17 +12,13 @@ use gravel_bench::throughput::{self, Scale};
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let nodes = 4;
-    let lane_counts = [1usize, 2, 4];
-
-    let report = throughput::measure(&scale, nodes, &lane_counts, quick);
+    let report = throughput::measure(&scale, 4, quick);
 
     let mut t = Table::new(
         "throughput",
-        "hot-path throughput by aggregator lane count",
+        "hot-path throughput",
         &[
             "workload",
-            "lanes",
             "messages",
             "Mmsg/s",
             "p50 µs",
@@ -36,7 +32,6 @@ fn main() {
     for c in &report.cells {
         t.row(vec![
             c.workload.clone(),
-            c.lanes.to_string(),
             c.messages.to_string(),
             f2(c.msgs_per_sec / 1e6),
             f2(c.p50_agg_apply_ns as f64 / 1e3),
@@ -49,32 +44,10 @@ fn main() {
     }
     t.emit();
     println!(
-        "\nGUPS speedup (lanes={} vs lanes=1): {:.2}x",
-        lane_counts.iter().max().unwrap(),
-        report.gups_speedup
-    );
-    println!(
-        "Wire-integrity tax (lanes=1, crc32c vs off): {:.2}%",
+        "\nWire-integrity tax (crc32c vs off): {:.2}%",
         report.integrity_tax * 100.0
     );
-    let top_lanes = *lane_counts.iter().max().unwrap();
-    if let (Some(one), Some(top)) = (report.pagerank_cell(1), report.pagerank_cell(top_lanes)) {
-        let nogov = report
-            .cells
-            .iter()
-            .find(|c| c.workload == "pagerank_nogov" && c.lanes == top_lanes);
-        println!(
-            "PageRank lane curve (governed, lanes={top_lanes} vs 1): {:.2}x{}",
-            top.msgs_per_sec / one.msgs_per_sec,
-            nogov
-                .map(|n| format!(
-                    "  [static mask at lanes={top_lanes}: {:.2}x]",
-                    n.msgs_per_sec / one.msgs_per_sec
-                ))
-                .unwrap_or_default()
-        );
-    }
-    if let Some(get) = report.cells.iter().find(|c| c.workload == "get_rpc") {
+    if let Some(get) = report.cell("get_rpc") {
         println!(
             "GET under PUT storm: p50 {:.1} µs, p99 {:.1} µs \
              (node0.rpc.rtt_ns: p50 {:.1} µs, p99 {:.1} µs; \

@@ -1,5 +1,5 @@
 //! Hot-path throughput measurement: messages/second through the
-//! aggregate → deliver → apply pipeline, per aggregator lane count.
+//! aggregate → deliver → apply pipeline.
 //!
 //! Two workloads, both at fixed sizes so successive runs are comparable
 //! (`BENCH_throughput.json` is the repo's persistent perf trajectory):
@@ -11,18 +11,12 @@
 //!   aggregation → acknowledged delivery → zero-copy apply), not by the
 //!   interpreted SIMT frontend.
 //! * **PageRank (end-to-end)** — `run_live` over a fixed generated
-//!   graph, gated like GUPS since the lane governor landed: it includes
-//!   kernel dispatch and per-iteration barriers, the way applications
-//!   actually experience the runtime. Runs twice per lane count — with
-//!   the adaptive lane governor (the default) and with a static
-//!   destination→lane mask (`"pagerank_nogov"`) — so the report prices
-//!   what adaptive collapse buys on a workload whose per-lane fill
-//!   never justifies the full mask.
+//!   graph: it includes kernel dispatch and per-iteration barriers, the
+//!   way applications actually experience the runtime.
 //!
-//! Each workload runs at every requested lane count. The report carries
-//! messages/sec plus the p50/p99 aggregate→apply latency from the
-//! per-node `net.packet_latency_ns` histograms, so a throughput win that
-//! costs tail latency is visible in the same file.
+//! The report carries messages/sec plus the p50/p99 aggregate→apply
+//! latency from the per-node `net.packet_latency_ns` histograms, so a
+//! throughput win that costs tail latency is visible in the same file.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,12 +31,14 @@ use gravel_telemetry::HistogramSnapshot;
 /// One measured configuration cell.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct ThroughputCell {
-    /// Workload name (`"gups"`, `"gups_nocrc"`, `"pagerank"`,
-    /// `"pagerank_nogov"`, or `"get_rpc"`).
+    /// Workload name (`"gups"`, `"gups_nocrc"`, `"pagerank"` or
+    /// `"get_rpc"`).
     pub workload: String,
     /// Wire-integrity mode the cell ran under (`"crc32c"` or `"off"`).
     pub wire_integrity: String,
-    /// Aggregator lanes per node.
+    /// Aggregator lanes per node: always 1. Part of the cell's key in
+    /// `BENCH_throughput.json`, whose history has lanes=2 and lanes=4
+    /// cells up to PR 17.
     pub lanes: usize,
     /// Cluster size.
     pub nodes: usize,
@@ -93,10 +89,7 @@ pub struct ThroughputReport {
     pub pagerank_vertices: usize,
     /// All measured cells.
     pub cells: Vec<ThroughputCell>,
-    /// GUPS messages/sec at the highest lane count divided by the
-    /// lanes=1 rate — the headline scaling number.
-    pub gups_speedup: f64,
-    /// Fractional throughput cost of wire integrity at lanes=1: the
+    /// Fractional throughput cost of wire integrity: the
     /// median over trial pairs of `1 - gups_rate / gups_nocrc_rate`,
     /// where each pair ran back to back (paired so machine drift
     /// cancels). The acceptance bar is < 0.03 at full scale; negative
@@ -105,18 +98,9 @@ pub struct ThroughputReport {
 }
 
 impl ThroughputReport {
-    /// The GUPS cell at `lanes`, if measured.
-    pub fn gups_cell(&self, lanes: usize) -> Option<&ThroughputCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == "gups" && c.lanes == lanes)
-    }
-
-    /// The governed PageRank cell at `lanes`, if measured.
-    pub fn pagerank_cell(&self, lanes: usize) -> Option<&ThroughputCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == "pagerank" && c.lanes == lanes)
+    /// The cell of `workload`, if measured.
+    pub fn cell(&self, workload: &str) -> Option<&ThroughputCell> {
+        self.cells.iter().find(|c| c.workload == workload)
     }
 }
 
@@ -150,11 +134,7 @@ impl Scale {
         }
     }
 
-    /// CI smoke scale. PageRank is kept big enough (milliseconds, not
-    /// microseconds, per run) that the lane governor reaches steady
-    /// state — the smoke lane-curve assertion needs the collapsed
-    /// regime, not the start-up transient — while still a rounding
-    /// error next to the GUPS cells.
+    /// CI smoke scale.
     pub fn quick() -> Self {
         Scale {
             gups_updates: 40_000,
@@ -165,12 +145,6 @@ impl Scale {
             trials: 1,
         }
     }
-}
-
-fn bench_config(nodes: usize, heap_len: usize, lanes: usize) -> GravelConfig {
-    let mut cfg = GravelConfig::paper(nodes, heap_len);
-    cfg.aggregator_threads = lanes;
-    cfg
 }
 
 /// Merge every node's aggregate→apply latency histogram.
@@ -188,7 +162,6 @@ fn merged_latency(rt: &GravelRuntime) -> HistogramSnapshot {
 fn cell_from_run(
     workload: &str,
     integrity: WireIntegrity,
-    lanes: usize,
     nodes: usize,
     messages: u64,
     elapsed_s: f64,
@@ -202,7 +175,7 @@ fn cell_from_run(
             WireIntegrity::Crc32c => "crc32c".to_string(),
             WireIntegrity::Off => "off".to_string(),
         },
-        lanes,
+        lanes: 1,
         nodes,
         messages,
         elapsed_s,
@@ -224,12 +197,7 @@ fn cell_from_run(
 /// host producer thread, then time to quiescence. `integrity` selects
 /// the wire-integrity mode — the `Off` ablation prices the CRC32C
 /// seal/verify work against an otherwise identical run.
-fn gups_trial(
-    scale: &Scale,
-    nodes: usize,
-    lanes: usize,
-    integrity: WireIntegrity,
-) -> ThroughputCell {
+fn gups_trial(scale: &Scale, nodes: usize, integrity: WireIntegrity) -> ThroughputCell {
     let input = gups::GupsInput {
         updates: scale.gups_updates,
         table_len: scale.gups_table,
@@ -248,7 +216,7 @@ fn gups_trial(
     let heap_len = (0..nodes).map(|n| part.local_len(n)).max().unwrap();
     let messages: u64 = streams.iter().map(|s| s.len() as u64).sum();
 
-    let mut cfg = bench_config(nodes, heap_len, lanes);
+    let mut cfg = GravelConfig::paper(nodes, heap_len);
     cfg.wire_integrity = integrity;
     let workload = match integrity {
         WireIntegrity::Crc32c => "gups",
@@ -264,34 +232,25 @@ fn gups_trial(
     });
     rt.quiesce();
     let elapsed = start.elapsed().as_secs_f64();
-    let cell = cell_from_run(workload, integrity, lanes, nodes, messages, elapsed, &rt);
+    let cell = cell_from_run(workload, integrity, nodes, messages, elapsed, &rt);
     rt.shutdown().expect("throughput GUPS run must be clean");
     cell
 }
 
-/// One PageRank trial: `run_live` end to end. `governed` selects the
-/// lane-governor ablation: `false` pins the static destination→lane
-/// mask (`lane_governor = None`), which is what PageRank ran under
-/// before adaptive collapse — sparse per-lane fill, timeout-dominated
-/// flushes, and a lane curve that bent *down* past lanes=1.
-fn pagerank_trial(scale: &Scale, nodes: usize, lanes: usize, governed: bool) -> ThroughputCell {
+/// One PageRank trial: `run_live` end to end.
+fn pagerank_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let g = gen::hugebubbles_like(scale.pr_vertices, 11);
     let part = pagerank::partition(&g, nodes);
     let heap_len = (0..nodes).map(|n| part.local_len(n)).max().unwrap();
-    let mut cfg = bench_config(nodes, heap_len, lanes);
-    if !governed {
-        cfg.lane_governor = None;
-    }
-    let rt = GravelRuntime::new(cfg);
+    let rt = GravelRuntime::new(GravelConfig::paper(nodes, heap_len));
     let start = Instant::now();
     pagerank::run_live(&rt, &g, scale.pr_iters, pagerank::default_damping());
     rt.quiesce();
     let elapsed = start.elapsed().as_secs_f64();
     let messages = rt.stats().total_offloaded();
     let cell = cell_from_run(
-        if governed { "pagerank" } else { "pagerank_nogov" },
+        "pagerank",
         WireIntegrity::Crc32c,
-        lanes,
         nodes,
         messages,
         elapsed,
@@ -320,7 +279,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// histogram is printed beside them.
 fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let heap_len: usize = 1 << 10;
-    let mut cfg = bench_config(nodes, heap_len, 1);
+    let mut cfg = GravelConfig::paper(nodes, heap_len);
     // Probes must complete, not race the deadline: the cell measures
     // scheduling latency, and a timeout would poison the percentiles.
     cfg.rpc.timeout = Duration::from_secs(10);
@@ -387,7 +346,6 @@ fn get_rpc_trial(scale: &Scale, nodes: usize) -> ThroughputCell {
     let mut cell = cell_from_run(
         "get_rpc",
         WireIntegrity::Crc32c,
-        1,
         nodes,
         scale.get_probes as u64,
         fg_elapsed,
@@ -419,19 +377,15 @@ fn best_of(trials: u32, mut run: impl FnMut() -> ThroughputCell) -> ThroughputCe
     best
 }
 
-/// Run the full matrix: both workloads at every lane count.
-pub fn measure(
-    scale: &Scale,
-    nodes: usize,
-    lane_counts: &[usize],
-    quick: bool,
-) -> ThroughputReport {
+/// Run every cell: GUPS with and without wire integrity, PageRank, and
+/// GETs under a PUT storm.
+pub fn measure(scale: &Scale, nodes: usize, quick: bool) -> ThroughputReport {
     let mut cells = Vec::new();
-    // Integrity ablation: the same GUPS run at lanes=1 with framing CRCs
+    // Integrity ablation: the same GUPS run with framing CRCs
     // disabled, pricing the per-frame seal/verify work. The two sides'
     // trials are interleaved so warmup and clock drift cancel instead of
     // systematically favoring whichever cell runs later.
-    eprintln!("[throughput] gups nodes={nodes} lanes=1 (+ interleaved wire_integrity=off ablation)");
+    eprintln!("[throughput] gups nodes={nodes} (+ interleaved wire_integrity=off ablation)");
     let mut on1: Option<ThroughputCell> = None;
     let mut off1: Option<ThroughputCell> = None;
     let mut pair_ratios = Vec::new();
@@ -443,7 +397,7 @@ pub fn measure(
     // faults, lazy init) out of the first pair.
     let pairs = if scale.trials > 1 { scale.trials.max(9) } else { 1 };
     if scale.trials > 1 {
-        let _ = gups_trial(scale, nodes, 1, WireIntegrity::Crc32c);
+        let _ = gups_trial(scale, nodes, WireIntegrity::Crc32c);
     }
     for p in 0..pairs {
         let (first, second) = if p % 2 == 0 {
@@ -451,53 +405,23 @@ pub fn measure(
         } else {
             (WireIntegrity::Off, WireIntegrity::Crc32c)
         };
-        let a = gups_trial(scale, nodes, 1, first);
-        let b = gups_trial(scale, nodes, 1, second);
+        let a = gups_trial(scale, nodes, first);
+        let b = gups_trial(scale, nodes, second);
         let (on, off) = if p % 2 == 0 { (a, b) } else { (b, a) };
         pair_ratios.push(on.msgs_per_sec / off.msgs_per_sec);
         on1 = faster_of(on1, on);
         off1 = faster_of(off1, off);
     }
     cells.push(on1.expect("trials >= 1"));
-    for &lanes in lane_counts {
-        if lanes == 1 {
-            continue; // measured in the ablation pair above
-        }
-        eprintln!("[throughput] gups nodes={nodes} lanes={lanes}");
-        cells.push(best_of(scale.trials, || {
-            gups_trial(scale, nodes, lanes, WireIntegrity::Crc32c)
-        }));
-    }
     cells.push(off1.expect("trials >= 1"));
-    // PageRank runs both lane-governor ablations back to back at each
-    // lane count: the governed curve is the gated one (lanes must never
-    // be a loss), the static-mask curve documents what the governor is
-    // buying. Always at least best-of-5: a PageRank cell is single-digit
-    // milliseconds, so one scheduler hiccup on a small CI box swings a
-    // single trial by tens of percent — and the smoke lane-curve gate
-    // compares two of these cells against each other.
-    let pr_trials = scale.trials.max(5);
-    for &lanes in lane_counts {
-        eprintln!("[throughput] pagerank nodes={nodes} lanes={lanes} (+ lane_governor=off ablation)");
-        cells.push(best_of(pr_trials, || {
-            pagerank_trial(scale, nodes, lanes, true)
-        }));
-        cells.push(best_of(pr_trials, || {
-            pagerank_trial(scale, nodes, lanes, false)
-        }));
-    }
+    // At least best-of-5: a PageRank cell is single-digit milliseconds,
+    // so one scheduler hiccup on a small CI box swings a single trial
+    // by tens of percent.
+    eprintln!("[throughput] pagerank nodes={nodes}");
+    cells.push(best_of(scale.trials.max(5), || pagerank_trial(scale, nodes)));
     // Request-reply latency under bulk pressure.
     eprintln!("[throughput] get_rpc nodes={nodes} (foreground GETs vs PUT storm)");
     cells.push(best_of(scale.trials, || get_rpc_trial(scale, nodes)));
-    let base = cells.iter().find(|c| c.workload == "gups" && c.lanes == 1);
-    let top = cells
-        .iter()
-        .filter(|c| c.workload == "gups")
-        .max_by_key(|c| c.lanes);
-    let gups_speedup = match (base, top) {
-        (Some(b), Some(t)) if b.msgs_per_sec > 0.0 => t.msgs_per_sec / b.msgs_per_sec,
-        _ => f64::NAN,
-    };
     // Median of the per-pair on/off rate ratios: each ratio compares
     // two back-to-back runs, so slow machine drift (noisy neighbors,
     // frequency changes) cancels where a best-vs-best comparison would
@@ -508,12 +432,11 @@ pub fn measure(
         None => f64::NAN,
     };
     ThroughputReport {
-        schema: "gravel.throughput.v3".to_string(),
+        schema: "gravel.throughput.v4".to_string(),
         quick,
         gups_updates: scale.gups_updates,
         pagerank_vertices: scale.pr_vertices,
         cells,
-        gups_speedup,
         integrity_tax,
     }
 }
@@ -582,12 +505,11 @@ mod save_tests {
 
     fn tiny_report() -> ThroughputReport {
         ThroughputReport {
-            schema: "gravel.throughput.v3".to_string(),
+            schema: "gravel.throughput.v4".to_string(),
             quick: true,
             gups_updates: 1,
             pagerank_vertices: 1,
             cells: Vec::new(),
-            gups_speedup: 1.0,
             integrity_tax: 0.0,
         }
     }
@@ -613,7 +535,7 @@ mod save_tests {
         // Same commit again: the history entry is replaced, not duplicated.
         save(&tiny_report(), &path).unwrap();
         let doc = read_doc(&path);
-        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("gravel.throughput.v3"));
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("gravel.throughput.v4"));
         assert!(
             matches!(doc.get("cells"), Some(Value::Array(_))),
             "latest cells stay at the top level"

@@ -1,8 +1,8 @@
 //! The aggregator thread (paper §3.4, §6).
 //!
-//! One CPU thread per node (per configured slot) drains the
-//! producer/consumer queue and repacks messages into per-destination
-//! queues, which are flushed when full or after the 125 µs timeout.
+//! One CPU thread per node — the lane — drains the producer/consumer
+//! queue and repacks messages into per-destination queues, which are
+//! flushed when full or after the 125 µs timeout.
 //! Flushed packets are handed to the lane's [`Sender`]
 //! ([`crate::flow`]), which owns sequencing, acks and retransmission; a
 //! flow that exhausts its retries is reported through the shared
@@ -11,9 +11,9 @@
 //! while a link is stalled, so backpressure can never deadlock the
 //! reply path (netthread → ring → aggregator → netthread).
 //!
-//! The lane that drains bulk ring 0 also owns the node's **express
-//! ring** (request-reply traffic, DESIGN.md §15). It polls that ring
-//! first on every iteration — so a GET or reply waits for at most the
+//! The lane also drains the node's **express ring** (request-reply
+//! traffic, DESIGN.md §15). It polls that ring first on every
+//! iteration — so a GET or reply waits for at most the
 //! one bulk batch in hand — and flushes the express queues the moment
 //! the ring reads empty: whatever accumulated while the lane was busy
 //! leaves as one packet, and nothing ever waits on a flush timer.
@@ -41,13 +41,10 @@ const UNACKED_POLL: Duration = Duration::from_micros(50);
 /// through them instead.
 const MIN_PARK: Duration = Duration::from_micros(5);
 
-/// Park duration for a lane the governor has routed out of the active
-/// mask. Such a lane receives no traffic until the mask re-expands, and
-/// re-expansion reaches it as a ring publish — which wakes the park
-/// early — so once its residue is flushed and acked it can sleep far
-/// past the normal idle cap without adding wakeup latency anywhere.
-/// The periodic wake that remains is only a liveness backstop.
-const PARKED_LANE_PARK: Duration = Duration::from_millis(20);
+/// Ring slots the lane claims per read-index CAS. Batching the claim
+/// amortizes the consumer's synchronization the same way work-group
+/// reservation amortizes the producer's.
+const DRAIN_BATCH_SLOTS: usize = 8;
 
 /// Index of the bulk queue set in [`LaneState::nodeqs`].
 const BULK: usize = TrafficClass::Bulk.index();
@@ -85,7 +82,7 @@ pub struct LaneState {
     flows: Vec<Flow>,
     /// The current bulk-ring claim.
     bulk: Cursor,
-    /// The current express-ring claim (the ring's owner lane only).
+    /// The current express-ring claim.
     express: Cursor,
     /// Reusable flush scratch: timeout and flush-all packets travel
     /// queue → sender through this one vector, so the steady-state
@@ -105,9 +102,10 @@ fn lock_state(state: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
 
 /// Run the aggregation loop until the queue is closed and every flow is
 /// drained (or the cluster failed). This is the body of each node's
-/// aggregator thread `slot`; each slot owns private per-destination
-/// queues and a private sequence space, which is safe because PGAS
-/// operations commute.
+/// aggregator thread. `slot` is the lane's id on the wire — the sequence
+/// space its flows number in and its acks come back on — and 0 unless
+/// the node's transport carries another sender beside this one
+/// (`gravel-node`'s bulk packetizer is lane 0, this lane 1).
 pub fn run(
     node: Arc<NodeShared>,
     slot: usize,
@@ -223,15 +221,8 @@ pub fn run_supervised(
 ) {
     let lane = slot as u32;
     let gauges = FlowGauges::of(&node);
-    // This lane exclusively drains its own shard ring: destinations hash
-    // to lanes at produce time, so per-destination ordering holds without
-    // any consumer-side coordination.
-    let ring_idx = slot % node.queue.lanes();
-    let ring = node.queue.ring(ring_idx);
-    // Whoever drains bulk ring 0 drains the express ring as well: lane 0
-    // in-process, and the one aggregator a `gravel-node` runs (slot 1,
-    // over a single ring).
-    let express = (ring_idx == 0).then(|| node.queue.express());
+    let ring = node.queue.ring(0);
+    let express = node.queue.express();
     let mut idle = Backoff::new(Duration::from_millis(1));
     loop {
         // One short uncontended lock per iteration; the only other
@@ -276,31 +267,29 @@ pub fn run_supervised(
         // Express lane first. Strict priority cannot starve bulk: what
         // the express ring can hold is bounded by the pending-reply
         // table and by requesters that wait for their replies.
-        let mut express_closed = express.is_none();
-        if let Some(x) = express {
-            if fast.is_done() {
-                match x.try_claim(node.drain_batch) {
-                    Consumed::Batch(claim) => *fast = Cursor { claim, msg: 0 },
-                    Consumed::Empty => {}
-                    Consumed::Closed => express_closed = true,
-                }
+        let mut express_closed = false;
+        if fast.is_done() {
+            match express.try_claim(DRAIN_BATCH_SLOTS) {
+                Consumed::Batch(claim) => *fast = Cursor { claim, msg: 0 },
+                Consumed::Empty => {}
+                Consumed::Closed => express_closed = true,
             }
-            if !fast.is_done() {
-                let _span = node.tracer.span("agg.express", "aggregate", node.id);
-                aggregate(&node, lane, chaos.as_deref(), x, fast, nodeqs, &mut sender);
-                // No `idle.reset()`: a requester's next message is a
-                // round trip away, far past the spin window, and its
-                // publish ends a park anyway. A fresh yield loop per
-                // GET cost a third of the bulk rate beside it.
-                continue;
-            }
-            // The ring reads empty: everything aggregated since it last
-            // did leaves now.
-            for nodeq in nodeqs[..BULK].iter_mut() {
-                scratch.clear();
-                nodeq.flush_all_into(scratch);
-                submit_all(&node, scratch, &mut sender);
-            }
+        }
+        if !fast.is_done() {
+            let _span = node.tracer.span("agg.express", "aggregate", node.id);
+            aggregate(&node, lane, chaos.as_deref(), express, fast, nodeqs, &mut sender);
+            // No `idle.reset()`: a requester's next message is a
+            // round trip away, far past the spin window, and its
+            // publish ends a park anyway. A fresh yield loop per
+            // GET cost a third of the bulk rate beside it.
+            continue;
+        }
+        // The ring reads empty: everything aggregated since it last
+        // did leaves now.
+        for nodeq in nodeqs[..BULK].iter_mut() {
+            scratch.clear();
+            nodeq.flush_all_into(scratch);
+            submit_all(&node, scratch, &mut sender);
         }
         if !bulk.is_done() {
             let _span = node.tracer.span("agg.drain", "aggregate", node.id);
@@ -320,19 +309,9 @@ pub fn run_supervised(
             scratch.clear();
             nodeqs[BULK].poll_timeouts_into(now, scratch);
             submit_all(&node, scratch, &mut sender);
-            // Busy lane: publish its load signal (max fill EWMA across
-            // this lane's queue sets) and, on lane 0, run the governor's
-            // rate-limited mask decision.
-            if let Some(gov) = &node.governor {
-                let fill = nodeqs.iter().map(|q| q.max_fill_ewma()).fold(0.0, f64::max);
-                gov.publish_fill(lane as usize, fill);
-                if lane == 0 {
-                    gov.decide(&node.queue, now);
-                }
-            }
             continue;
         }
-        match ring.try_claim(node.drain_batch) {
+        match ring.try_claim(DRAIN_BATCH_SLOTS) {
             Consumed::Batch(claim) => {
                 // Aggregated by the cursor branch on the next iteration,
                 // after another look at the express ring.
@@ -358,42 +337,13 @@ pub fn run_supervised(
                 // and kept short while acks are outstanding (no wakeup
                 // channel there).
                 let deadline = nodeqs[BULK].next_deadline(now);
-                // Idle lane: publish the real fill while flushes are
-                // still pending, zero once fully empty — a stale EWMA
-                // from a dest that went quiet must not pin the mask
-                // open (or hold it shut) forever.
-                if let Some(gov) = &node.governor {
-                    let fill = if deadline.is_some() {
-                        nodeqs.iter().map(|q| q.max_fill_ewma()).fold(0.0, f64::max)
-                    } else {
-                        0.0
-                    };
-                    gov.publish_fill(lane as usize, fill);
-                    if lane == 0 {
-                        gov.decide(&node.queue, now);
-                    }
-                }
                 let drained = sender.is_drained();
                 drop(st);
-                // A governed lane outside the active mask, fully
-                // drained with no flush pending, parks long and skips
-                // the spin window entirely: it cannot receive work
-                // until the mask re-expands, and that arrives as a
-                // ring publish which wakes the park. Spinning here
-                // would only steal cycles from the lanes that are in
-                // the mask.
-                let parked_out = node.governor.is_some()
-                    && (lane as usize) >= node.queue.active_lanes()
-                    && drained
-                    && deadline.is_none();
-                if !parked_out && idle.should_spin() {
+                if idle.should_spin() {
                     node.net_spin_spins.add(1);
                     std::thread::yield_now();
                 } else {
                     let mut park = idle.next_park();
-                    if parked_out {
-                        park = PARKED_LANE_PARK;
-                    }
                     if let Some(d) = deadline {
                         park = park.min(d);
                     }
@@ -407,7 +357,7 @@ pub fn run_supervised(
                         node.net_spin_parks.add(1);
                         // The express ring shares this ring's wait
                         // cell: a publish on either ends the park.
-                        ring.park_for_ready_or(park, || express.is_some_and(|x| x.has_ready()));
+                        ring.park_for_ready_or(park, || express.has_ready());
                     }
                 }
             }
@@ -623,11 +573,13 @@ mod tests {
         let second = recv(&transport, 1);
         assert_eq!(first.seq, second.seq);
         assert_eq!(first.words(), second.words());
-        assert!(node.net_retransmits.get() >= 1);
         // Ack it so the drain phase can finish.
         send_ack(&transport, 1, 0, 0, second.seq);
         agg.join().unwrap();
         assert!(!errors.is_set());
+        // Read after the join: the sender counts a retransmission when
+        // `send_data` returns, which is after the copy can be received.
+        assert!(node.net_retransmits.get() >= 1);
     }
 
     #[test]
@@ -971,7 +923,7 @@ mod tests {
     #[test]
     fn a_lone_put_is_timeout_flushed_between_batches_of_a_busy_ring() {
         let (node, transport, errors) = logged_node(3);
-        let batch = node.drain_batch;
+        let batch = DRAIN_BATCH_SLOTS;
         node.host_send(Message::put(2, 9, 9));
         // Slots of two INCs for node 1: the rest of the first drain
         // batch, and all of a second one. (Thin slots keep the whole

@@ -37,10 +37,6 @@ pub struct GravelConfig {
     /// flush near `min` for latency). `None` keeps the paper's fixed
     /// [`flush_timeout`](Self::flush_timeout) everywhere.
     pub adaptive_flush: Option<gravel_pgas::AdaptiveFlush>,
-    /// Maximum GPU-ring slots an aggregator lane claims per read-index
-    /// CAS. Batching the claim amortizes the consumer's synchronization
-    /// the same way work-group reservation amortizes the producer's.
-    pub drain_batch_slots: usize,
     /// Compute units per node's GPU.
     pub num_cus: usize,
     /// Work-group size used by [`dispatch`](crate::GravelRuntime::dispatch)
@@ -48,11 +44,6 @@ pub struct GravelConfig {
     pub wg_size: usize,
     /// Wavefront width.
     pub wf_width: usize,
-    /// Aggregator threads per node. The paper found one performs best on
-    /// the 4-thread APU ("there are several background threads in the
-    /// system", §6); more threads trade queue-drain parallelism for
-    /// contention — the knob exists for that ablation.
-    pub aggregator_threads: usize,
     /// Serialize atomic operations (increment, active messages) through
     /// the network thread even when local (§6: "some operations that can
     /// execute locally are still routed through the NI"). Setting this to
@@ -126,15 +117,6 @@ pub struct GravelConfig {
     /// Request-reply traffic class: pending-reply table capacity and
     /// the request timeout. See DESIGN.md §15.
     pub rpc: crate::rpc::RpcConfig,
-    /// Adaptive lane governor: when `Some`, a multi-lane node starts
-    /// with one *active* lane and expands/collapses the dest-hash
-    /// routing mask with measured per-lane fill (sparse workloads keep
-    /// single-lane packing, dense ones get full drain parallelism —
-    /// see DESIGN.md §17). `None` is the static-mask ablation: all
-    /// lanes active forever, the pre-governor behavior, and the mode
-    /// for workloads that need strict per-destination PUT ordering
-    /// across the whole run. Irrelevant at `aggregator_threads == 1`.
-    pub lane_governor: Option<crate::governor::GovernorConfig>,
     /// Recycle packet buffers through the node's lock-free arena
     /// (aggregator flushes, frame sealing, socket receive) instead of
     /// allocating per packet. `false` is the allocator ablation.
@@ -152,11 +134,9 @@ impl GravelConfig {
             node_queue_bytes: gravel_pgas::DEFAULT_QUEUE_BYTES,
             flush_timeout: gravel_pgas::DEFAULT_TIMEOUT,
             adaptive_flush: Some(gravel_pgas::AdaptiveFlush::default()),
-            drain_batch_slots: 8,
             num_cus: 8,
             wg_size: 256,
             wf_width: 64,
-            aggregator_threads: 1,
             serialize_atomics: true,
             transport: TransportKind::Reliable,
             retry: RetryConfig::default(),
@@ -169,7 +149,6 @@ impl GravelConfig {
             wire_integrity: WireIntegrity::Crc32c,
             quarantine_capacity: 1024,
             rpc: crate::rpc::RpcConfig::default(),
-            lane_governor: Some(crate::governor::GovernorConfig::default()),
             buffer_pool: true,
         }
     }
@@ -188,11 +167,9 @@ impl GravelConfig {
             node_queue_bytes: 1024,
             flush_timeout: Duration::from_micros(200),
             adaptive_flush: Some(gravel_pgas::AdaptiveFlush::default()),
-            drain_batch_slots: 8,
             num_cus: 2,
             wg_size: 64,
             wf_width: 32,
-            aggregator_threads: 1,
             serialize_atomics: true,
             transport: TransportKind::Reliable,
             retry: RetryConfig::default(),
@@ -208,7 +185,6 @@ impl GravelConfig {
                 reply_table_cap: 256,
                 timeout: Duration::from_millis(500),
             },
-            lane_governor: Some(crate::governor::GovernorConfig::default()),
             buffer_pool: true,
         }
     }
@@ -234,14 +210,6 @@ impl GravelConfig {
         assert!(
             self.channel_capacity > 0,
             "need at least one packet of channel credit"
-        );
-        assert!(
-            self.aggregator_threads >= 1,
-            "need at least one aggregator lane"
-        );
-        assert!(
-            self.drain_batch_slots >= 1,
-            "need at least one slot per drain claim"
         );
         if let Some(a) = &self.adaptive_flush {
             a.validate();
@@ -277,9 +245,6 @@ impl GravelConfig {
             "pending-reply table must hold at least one request"
         );
         assert!(!self.rpc.timeout.is_zero(), "rpc timeout must be nonzero");
-        if let Some(g) = &self.lane_governor {
-            g.validate();
-        }
         if let Some(hb) = &self.ha.heartbeat {
             assert!(!hb.interval.is_zero(), "heartbeat interval must be nonzero");
             assert!(

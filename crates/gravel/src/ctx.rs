@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gravel_gq::{GravelQueue, Message, ReplySink, RpcFailure, TrafficClass};
+use gravel_gq::{Message, ReplySink, RpcFailure, TrafficClass};
 use gravel_simt::{LaneVec, Mask, WgCtx};
 
 use crate::node::NodeShared;
@@ -76,10 +76,11 @@ impl<'a> GravelCtx<'a> {
         self.wg.active().filter(|l| dests.get(l) == me)
     }
 
-    /// Offload one message per lane of `mask`. All of a call's messages
-    /// are one operation, so one `class` speaks for them: request-reply
-    /// classes go to the node's express ring in a single reservation,
-    /// bulk to the destination-sharded rings.
+    /// Offload one message per lane of `mask` in one work-group
+    /// reservation, whatever the lanes' destinations. All of a call's
+    /// messages are one operation, so one `class` speaks for them:
+    /// request-reply classes go to the node's express ring, bulk to the
+    /// bulk ring.
     fn offload(
         &mut self,
         mask: &Mask,
@@ -91,64 +92,12 @@ impl<'a> GravelCtx<'a> {
             return;
         }
         let node = self.node;
-        let me = node.id;
-        let produce = |wg: &mut WgCtx, ring: &GravelQueue, lanes: Mask| {
-            wg.with_mask(lanes, |wg| {
-                ring.wg_produce_with(wg, |lane, msg| msg.copy_from_slice(&make(lane).encode()));
-            });
-        };
+        let ring = node.queue.band(class.band());
         let count = mask.count() as u64;
-        let mut local = 0u64;
-        // Destination-sharded rings: a bulk offload splits the work-group
-        // by shard so each destination's traffic lands in its owning
-        // lane's ring. One reservation per (work-group, shard) — still
-        // work-group granularity within each shard. The routing mask is
-        // read exactly once for the whole split: the lane governor may
-        // move it concurrently, and re-reading it per shard could route
-        // one lane into two shards (a duplicate send) or into none (a
-        // lost message).
-        let shards = if class != TrafficClass::Bulk || node.queue.lanes() == 1 {
-            1
-        } else {
-            // SIMT producers drive the governor like host producers do
-            // (see `NodeShared::host_send_batch`): on an oversubscribed
-            // host the producer sees a saturated collapsed ring long
-            // before the descheduled consumer would. Deciding *before*
-            // reading the mask matters twice over — a full ring blocks
-            // `wg_produce`, and a blocked producer can't expand the
-            // mask it is blocked on; and deciding first lets this very
-            // offload route across the widened mask. Cadence-gated, so
-            // this is one relaxed load per offload in the common case.
-            if let Some(gov) = &node.governor {
-                gov.decide(&node.queue, Instant::now());
-            }
-            node.queue.active_lanes()
-        };
-        if shards == 1 {
-            // One ring (express, a single-lane node, or a collapsed
-            // mask): no split to compute.
-            let ring = match class {
-                TrafficClass::Bulk => node.queue.ring(0),
-                _ => node.queue.express(),
-            };
-            local += mask.iter().filter(|&l| dests.get(l) == me).count() as u64;
-            produce(self.wg, ring, mask.clone());
-        } else {
-            // `dest % shards` never reaches a parked shard, so the split
-            // only visits the active prefix. One pass over the mask counts
-            // the local lanes and fills every shard's lane set.
-            let mut split = vec![Mask::none(mask.lanes()); shards];
-            for lane in mask.iter() {
-                let dest = dests.get(lane);
-                local += u64::from(dest == me);
-                split[dest as usize % shards].set(lane, true);
-            }
-            for (shard, lanes) in split.into_iter().enumerate() {
-                if !lanes.is_empty() {
-                    produce(self.wg, node.queue.ring(shard), lanes);
-                }
-            }
-        }
+        let local = mask.iter().filter(|&l| dests.get(l) == node.id).count() as u64;
+        self.wg.with_mask(mask.clone(), |wg| {
+            ring.wg_produce_with(wg, |lane, msg| msg.copy_from_slice(&make(lane).encode()));
+        });
         node.note_offloaded(count);
         node.local_routed.add(local);
         node.remote_routed.add(count - local);
@@ -340,7 +289,7 @@ mod tests {
         assert_eq!(n.local_direct.get(), 4);
         assert_eq!(n.remote_routed.get(), 4);
         let mut out = Vec::new();
-        assert_eq!(n.queue.try_consume_into(&mut out), Consumed::Batch(4));
+        assert_eq!(n.queue.ring(0).try_consume_into(&mut out), Consumed::Batch(4));
     }
 
     #[test]
@@ -380,7 +329,7 @@ mod tests {
         let vals = LaneVec::splat(8, 3u64);
         ctx.shmem_am(7, &dests, &addrs, &vals);
         let mut out = Vec::new();
-        assert_eq!(n.queue.try_consume_into(&mut out), Consumed::Batch(8));
+        assert_eq!(n.queue.ring(0).try_consume_into(&mut out), Consumed::Batch(8));
         let m = Message::decode([out[0], out[1], out[2], out[3]]).unwrap();
         assert_eq!(m, Message::active(1, 7, 2, 3));
     }
@@ -398,7 +347,7 @@ mod tests {
             ctx.shmem_inc(&dests, &addrs, &vals);
         });
         let mut out = Vec::new();
-        assert_eq!(n.queue.try_consume_into(&mut out), Consumed::Batch(2));
+        assert_eq!(n.queue.ring(0).try_consume_into(&mut out), Consumed::Batch(2));
     }
 
     #[test]

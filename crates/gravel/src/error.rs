@@ -21,7 +21,7 @@ pub enum RuntimeError {
     /// A worker thread panicked; the panic was caught at the thread
     /// boundary and converted into this error.
     WorkerPanic {
-        /// Thread name (`gravel-agg-<node>-<slot>` or `gravel-net-<node>`).
+        /// Thread name (`gravel-agg-<node>` or `gravel-net-<node>`).
         thread: String,
         /// The panic payload, if it was a string.
         message: String,

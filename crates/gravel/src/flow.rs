@@ -2,7 +2,7 @@
 //! per destination and band, over any [`Transport`].
 //!
 //! This is the **only** sender-side reliability implementation in the
-//! tree. The aggregator lanes run it in-process, and `gravel-node` runs
+//! tree. The aggregator lane runs it in-process, and `gravel-node` runs
 //! it over sockets — the RPC lane through [`crate::aggregator::run`]
 //! itself, the deterministic GUPS and elastic senders by submitting the
 //! packets they build. Packets are stamped with `(wire lane, seq)`,

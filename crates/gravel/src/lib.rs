@@ -28,7 +28,6 @@ pub mod config;
 pub mod ctx;
 pub mod error;
 pub mod flow;
-pub mod governor;
 pub mod ha;
 pub mod netthread;
 pub mod node;
@@ -40,13 +39,12 @@ pub mod stats;
 pub use config::GravelConfig;
 pub use ctx::GravelCtx;
 pub use error::{ErrorSlot, RuntimeError};
-pub use governor::{GovernorConfig, LaneGovernor};
 pub use ha::{
     Checkpoint, EpochSnapshot, FailureDetector, HaConfig, HeartbeatConfig, LeaseState, PeerStatus,
     ReplayLog, Supervisor, SupervisorConfig, VoteLedger, WorkerKind,
 };
 pub use node::NodeShared;
-pub use rings::ShardedRings;
+pub use rings::RingPair;
 pub use rpc::{PendingReplies, RpcConfig, RpcError};
 pub use runtime::GravelRuntime;
 pub use stats::{HaStats, NetStats, NodeStats, RpcStats, RuntimeStats};

@@ -328,36 +328,7 @@ fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: O
 /// cluster fails). This is the body of each node's network thread.
 pub fn run(node: Arc<NodeShared>, transport: Arc<dyn Transport>, errors: Arc<ErrorSlot>) {
     let state = Arc::new(Mutex::new(RecvState::new()));
-    run_supervised(node, transport, errors, state, None);
-}
-
-/// [`run`] with receiver state hoisted into `state` for supervised
-/// restart, and optional process-fault injection from `chaos`. The
-/// receive wait happens *without* the state lock (recovery and
-/// diagnostics may inspect the state while the thread idles); the lock
-/// is taken per delivered packet.
-pub fn run_supervised(
-    node: Arc<NodeShared>,
-    transport: Arc<dyn Transport>,
-    errors: Arc<ErrorSlot>,
-    state: Arc<Mutex<RecvState>>,
-    chaos: Option<Arc<ChaosPlan>>,
-) {
-    run_with_tap(node, transport, errors, state, chaos, None)
-}
-
-/// [`run_supervised`] plus an optional [`PacketTap`] observing every
-/// fully applied packet before its ack leaves (the multi-process
-/// runtime forwards packets to a buddy node here).
-pub fn run_with_tap(
-    node: Arc<NodeShared>,
-    transport: Arc<dyn Transport>,
-    errors: Arc<ErrorSlot>,
-    state: Arc<Mutex<RecvState>>,
-    chaos: Option<Arc<ChaosPlan>>,
-    tap: Option<Arc<dyn PacketTap>>,
-) {
-    run_with_gate(node, transport, errors, state, chaos, tap, None)
+    run_with(node, transport, errors, state, None, None, None);
 }
 
 /// Gate (if any), apply, then tap (if any) — one accepted in-sequence
@@ -389,10 +360,16 @@ fn gate_apply_tap(
     }
 }
 
-/// [`run_with_tap`] plus an optional [`ApplyGate`] filtering every
-/// accepted packet before it applies (the elastic reshard layer
-/// bounces no-longer-owned messages here).
-pub fn run_with_gate(
+/// [`run`] with receiver state hoisted into `state` for supervised
+/// restart, and three optional hooks: process-fault injection from
+/// `chaos`; a [`PacketTap`] observing every fully applied packet before
+/// its ack leaves (the multi-process runtime forwards packets to a
+/// buddy node there); an [`ApplyGate`] filtering every accepted packet
+/// before it applies (the elastic reshard layer bounces
+/// no-longer-owned messages there). The receive wait happens *without*
+/// the state lock (recovery and diagnostics may inspect the state while
+/// the thread idles); the lock is taken per delivered packet.
+pub fn run_with(
     node: Arc<NodeShared>,
     transport: Arc<dyn Transport>,
     errors: Arc<ErrorSlot>,
@@ -810,7 +787,7 @@ mod tests {
                 (node.clone(), transport.clone(), errors.clone(), tap.clone());
             let state = Arc::new(Mutex::new(RecvState::new()));
             std::thread::spawn(move || {
-                run_with_tap(node, transport, errors, state, None, Some(tap))
+                run_with(node, transport, errors, state, None, Some(tap), None)
             })
         };
         assert!(crate::backoff::wait_for(Duration::from_secs(5), || {

@@ -17,9 +17,8 @@
 
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use gravel_gq::{BufferPool, Message, QueueStats, TrafficClass};
+use gravel_gq::{Band, BufferPool, Message, QueueStats};
 use gravel_net::RetryConfig;
 use gravel_pgas::{
     AdaptiveFlush, AggCounters, AmRegistry, Quarantine, SymmetricHeap, WireIntegrity,
@@ -27,8 +26,7 @@ use gravel_pgas::{
 use gravel_telemetry::{Counter, Histogram, Registry, Tracer};
 
 use crate::config::GravelConfig;
-use crate::governor::LaneGovernor;
-use crate::rings::ShardedRings;
+use crate::rings::RingPair;
 use crate::stats::{NetStats, NodeStats};
 
 /// Shared state of one node.
@@ -39,10 +37,9 @@ pub struct NodeShared {
     pub nodes: usize,
     /// This node's slice of the symmetric heap.
     pub heap: SymmetricHeap,
-    /// GPU → aggregator offload rings, destination-sharded with one ring
-    /// per aggregator lane (a single classic ring when
-    /// `aggregator_threads == 1`).
-    pub queue: ShardedRings,
+    /// GPU → aggregator offload rings: one bulk ring and one express
+    /// ring, both drained by the node's aggregator lane.
+    pub queue: RingPair,
     /// Active-message handlers (identical on every node).
     pub ams: Arc<AmRegistry>,
     /// The cluster's metric registry (shared by every node; this node's
@@ -62,7 +59,7 @@ pub struct NodeShared {
     pub local_routed: Counter,
     /// Messages routed to remote destinations.
     pub remote_routed: Counter,
-    /// Aggregation counters shared by every aggregator slot of this node.
+    /// Aggregation counters of this node's aggregator lane.
     pub agg: AggCounters,
     /// Express-band packets this node's aggregator handed to its sender
     /// (`agg.express_packets`; also counted in `agg.packets`).
@@ -93,7 +90,7 @@ pub struct NodeShared {
     pub net_fast_forwarded: Counter,
     /// Acks this node's network thread sent.
     pub net_acks_sent: Counter,
-    /// Acks this node's aggregator lanes received.
+    /// Acks this node's aggregator lane received.
     pub net_acks_received: Counter,
     /// Sends that stalled because the bounded data channel stayed full
     /// for the whole attempt timeout.
@@ -131,18 +128,16 @@ pub struct NodeShared {
     /// Frames that verified but whose header named a different
     /// destination (or an impossible source) — misrouted by the fabric.
     pub net_misrouted: Counter,
-    /// Ack frames this node's aggregator lanes discarded for failed
+    /// Ack frames this node's aggregator lane discarded for failed
     /// verification.
     pub net_ack_corrupt_dropped: Counter,
     /// Dead-letter buffer for CRC-clean messages that failed semantic
     /// validation (owns the `net.quarantined` / `net.quarantine_evicted`
     /// counters).
     pub quarantine: Quarantine,
-    /// Adaptive flush tuning (copied from the config so aggregator lanes
-    /// need no back-reference to it); `None` = fixed timeout.
+    /// Adaptive flush tuning (copied from the config so the aggregator
+    /// lane needs no back-reference to it); `None` = fixed timeout.
     pub adaptive_flush: Option<AdaptiveFlush>,
-    /// GPU-ring slots an aggregator lane may claim per read-index CAS.
-    pub drain_batch: usize,
     /// Aggregation-open → apply latency of every packet this node's
     /// network thread applied, in nanoseconds.
     pub packet_latency: Histogram,
@@ -165,12 +160,8 @@ pub struct NodeShared {
     /// Packet-buffer arena shared by this node's aggregator flushes,
     /// frame sealing, and socket receive path (`Some` when
     /// `cfg.buffer_pool`; owns the `pool.hits` / `pool.misses` /
-    /// `pool.resident_bytes` metrics). See DESIGN.md §17.
+    /// `pool.resident_bytes` metrics). See DESIGN.md §17 "Buffer pooling".
     pub pool: Option<BufferPool>,
-    /// Adaptive lane governor (`Some` when `cfg.lane_governor` is set
-    /// and the node runs more than one aggregator lane). Lane 0 drives
-    /// [`LaneGovernor::decide`]; every lane publishes its fill signal.
-    pub governor: Option<Arc<LaneGovernor>>,
 }
 
 impl NodeShared {
@@ -195,29 +186,12 @@ impl NodeShared {
         let p = format!("node{id}");
         let name = |suffix: &str| format!("{p}.{suffix}");
         let queue_stats = QueueStats::bound(&registry, &p);
-        let lanes = cfg.aggregator_threads.max(1);
-        let governed = cfg.lane_governor.is_some() && lanes > 1;
         NodeShared {
             id,
             nodes: cfg.nodes,
             heap: SymmetricHeap::new(cfg.heap_len),
-            queue: ShardedRings::with_telemetry(
-                cfg.queue,
-                lanes,
-                governed,
-                queue_stats,
-                tracer.clone(),
-                id,
-            ),
+            queue: RingPair::with_telemetry(cfg.queue, queue_stats, tracer.clone(), id),
             pool: cfg.buffer_pool.then(|| BufferPool::bound(&registry, &format!("{p}."))),
-            governor: governed.then(|| {
-                Arc::new(LaneGovernor::bound(
-                    cfg.lane_governor.clone().unwrap(),
-                    lanes,
-                    &registry,
-                    &p,
-                ))
-            }),
             ams,
             offloaded: registry.vital_counter(&name("offloaded")),
             applied: registry.vital_counter(&name("applied")),
@@ -252,7 +226,6 @@ impl NodeShared {
             net_ack_corrupt_dropped: registry.counter(&name("net.ack_corrupt_dropped")),
             quarantine: Quarantine::bound(&registry, &p, cfg.quarantine_capacity),
             adaptive_flush: cfg.adaptive_flush,
-            drain_batch: cfg.drain_batch_slots.max(1),
             packet_latency: registry.histogram(&name("net.packet_latency_ns")),
             replay: cfg.ha.checkpoint.then(crate::ha::ReplayLog::new),
             rpc: crate::rpc::PendingReplies::bound(&registry, &p, cfg.rpc.reply_table_cap),
@@ -280,28 +253,29 @@ impl NodeShared {
     }
 
     /// Inject one message from the host CPU (control paths, tests). The
-    /// message lands in its destination's shard ring, or in the express
-    /// ring if it is a request or a reply.
+    /// message lands in the bulk ring, or in the express ring if it is
+    /// a request or a reply.
     pub fn host_send(&self, msg: Message) {
-        self.queue.produce_one(msg.dest, &msg.encode());
+        self.queue.produce_one(&msg.encode());
         self.note_offloaded(1);
     }
 
     /// Inject a batch of messages from the host CPU with one slot
     /// reservation per full slot (bench harnesses, bulk control paths).
-    /// Messages may mix destinations and classes; each is routed to its
-    /// destination's shard ring — or, for request-reply classes, to the
-    /// express ring — preserving per-destination order.
+    /// Messages may mix destinations and classes: bulk goes to the bulk
+    /// ring, request-reply classes to the express ring, each in the
+    /// order given.
     pub fn host_send_batch(&self, msgs: &[Message]) {
-        if msgs.is_empty() {
-            return;
-        }
         let width = self.queue.config().lane_width;
-        let lanes = self.queue.lanes();
-        if lanes == 1 && msgs.iter().all(|m| m.command.class() == TrafficClass::Bulk) {
-            // One ring takes everything: no per-message routing.
+        let slot_words = width * gravel_gq::MSG_ROWS;
+        let band = |m: &Message| m.command.class().band();
+        if msgs.iter().all(|m| band(m) == Band::Bulk) {
+            // One ring takes everything: no per-message routing. (The
+            // loop below, and one that routes stretches of one band,
+            // measured 1–2 ns a message slower on this input — a fifth
+            // of what a `put_dense` producer spends per message.)
             let ring = self.queue.ring(0);
-            let mut words = Vec::with_capacity(width * gravel_gq::MSG_ROWS);
+            let mut words = Vec::with_capacity(slot_words);
             for chunk in msgs.chunks(width) {
                 words.clear();
                 for m in chunk {
@@ -309,47 +283,24 @@ impl NodeShared {
                 }
                 ring.produce_batch(&words, chunk.len());
             }
-            self.note_offloaded(msgs.len() as u64);
-            return;
-        }
-        // Bucket `lanes` is the express ring.
-        let ring = |bucket: usize| match bucket {
-            b if b == lanes => self.queue.express(),
-            b => self.queue.ring(b),
-        };
-        // Bucket per ring, flushing a full slot's worth at a time.
-        let mut bufs: Vec<Vec<u64>> = (0..=lanes)
-            .map(|_| Vec::with_capacity(width * gravel_gq::MSG_ROWS))
-            .collect();
-        let mut counts = vec![0usize; lanes + 1];
-        for m in msgs {
-            let s = match m.command.class() {
-                TrafficClass::Bulk => self.queue.shard_of(m.dest),
-                _ => lanes,
-            };
-            bufs[s].extend_from_slice(&m.encode());
-            counts[s] += 1;
-            if counts[s] == width {
-                // Producers drive the governor too: under a
-                // collapsed mask a dense burst saturates the ring
-                // long before the (possibly descheduled) lane-0
-                // consumer notices, and the producer is running by
-                // definition. Deciding *before* the produce
-                // matters — a full ring blocks the produce call,
-                // and a blocked producer can't expand the mask it
-                // is blocked on. Once per slot keeps this off the
-                // per-message path; the cadence gate bounds it.
-                if let Some(gov) = &self.governor {
-                    gov.decide(&self.queue, Instant::now());
+        } else {
+            // One slot's worth of staged words per band, flushed when
+            // full and at the end.
+            let mut staged = Band::ALL.map(|_| Vec::with_capacity(slot_words));
+            for m in msgs {
+                let band = band(m);
+                let words = &mut staged[band.index()];
+                words.extend_from_slice(&m.encode());
+                if words.len() == slot_words {
+                    self.queue.band(band).produce_batch(words, width);
+                    words.clear();
                 }
-                ring(s).produce_batch(&bufs[s], counts[s]);
-                bufs[s].clear();
-                counts[s] = 0;
             }
-        }
-        for s in 0..=lanes {
-            if counts[s] > 0 {
-                ring(s).produce_batch(&bufs[s], counts[s]);
+            for (band, words) in Band::ALL.into_iter().zip(&staged) {
+                if !words.is_empty() {
+                    let n = words.len() / gravel_gq::MSG_ROWS;
+                    self.queue.band(band).produce_batch(words, n);
+                }
             }
         }
         self.note_offloaded(msgs.len() as u64);

@@ -90,7 +90,7 @@ impl GravelRuntime {
         register(&mut ams);
         let ams = Arc::new(ams);
 
-        let fabric = ChannelTransport::new(cfg.nodes, cfg.aggregator_threads, cfg.channel_capacity);
+        let fabric = ChannelTransport::new(cfg.nodes, 1, cfg.channel_capacity);
         let transport: Arc<dyn Transport> = match &cfg.transport {
             TransportKind::Reliable => Arc::new(fabric),
             TransportKind::Unreliable(faults) => {
@@ -140,49 +140,49 @@ impl GravelRuntime {
                 WorkerKind::Net,
                 node.id,
                 Arc::new(move || {
-                    netthread::run_supervised(
+                    netthread::run_with(
                         node.clone(),
                         transport.clone(),
+                        errors.clone(),
+                        state.clone(),
+                        chaos.clone(),
+                        None,
+                        None,
+                    )
+                }),
+            );
+        }
+        // Adaptive flush when configured; the paper's fixed timeout
+        // otherwise.
+        let policy = cfg
+            .adaptive_flush
+            .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
+        let queue_bytes = cfg.node_queue_bytes;
+        for node in &nodes {
+            let state = Arc::new(Mutex::new(LaneState::new()));
+            let (node, transport, errors, chaos) = (
+                node.clone(),
+                transport.clone(),
+                errors.clone(),
+                chaos.clone(),
+            );
+            supervisor.spawn(
+                format!("gravel-agg-{}", node.id),
+                WorkerKind::Aggregator,
+                node.id,
+                Arc::new(move || {
+                    aggregator::run_supervised(
+                        node.clone(),
+                        0,
+                        transport.clone(),
+                        queue_bytes,
+                        policy,
                         errors.clone(),
                         state.clone(),
                         chaos.clone(),
                     )
                 }),
             );
-        }
-        for node in &nodes {
-            for slot in 0..cfg.aggregator_threads {
-                let state = Arc::new(Mutex::new(LaneState::new()));
-                let (node, transport, errors, chaos) = (
-                    node.clone(),
-                    transport.clone(),
-                    errors.clone(),
-                    chaos.clone(),
-                );
-                let qb = cfg.node_queue_bytes;
-                // Adaptive flush when configured; the paper's fixed
-                // timeout otherwise.
-                let to = cfg
-                    .adaptive_flush
-                    .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
-                supervisor.spawn(
-                    format!("gravel-agg-{}-{}", node.id, slot),
-                    WorkerKind::Aggregator,
-                    node.id,
-                    Arc::new(move || {
-                        aggregator::run_supervised(
-                            node.clone(),
-                            slot,
-                            transport.clone(),
-                            qb,
-                            to,
-                            errors.clone(),
-                            state.clone(),
-                            chaos.clone(),
-                        )
-                    }),
-                );
-            }
         }
 
         // Optional heartbeat plane: one emitter/detector thread per node.
@@ -768,6 +768,13 @@ mod tests {
             assert_eq!(rt.heap(id).load(0), 64, "node {id}");
         }
         let stats = rt.shutdown().expect("clean shutdown");
+        for n in &stats.nodes {
+            assert_eq!(
+                n.queue.producer_rmws, 1,
+                "node {}: lanes for four destinations, one reservation",
+                n.node
+            );
+        }
         // 3/4 of scattered messages are remote.
         assert!(
             (stats.remote_fraction() - 0.75).abs() < 1e-9,

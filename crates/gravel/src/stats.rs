@@ -32,7 +32,7 @@ pub struct NetStats {
     pub dups_suppressed: u64,
     /// Acks sent by this node's network thread.
     pub acks_sent: u64,
-    /// Acks received by this node's aggregator lanes.
+    /// Acks received by this node's aggregator lane.
     pub acks_received: u64,
     /// Sends that stalled because the bounded data channel stayed full
     /// for a whole attempt timeout.

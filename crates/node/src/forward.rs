@@ -5,7 +5,7 @@
 //!
 //! 1. **Forward-before-ack.** The tap runs while the network thread
 //!    still holds the receive-state lock, *before* the cumulative ack
-//!    is sent (see [`gravel_core::netthread::run_with_tap`]). So by the
+//!    is sent (see [`gravel_core::netthread::run_with`]). So by the
 //!    time any sender can observe a packet as acked, its forward has
 //!    already been written to the buddy's stream — an acked packet can
 //!    never be missing from the buddy's log (modulo the buddy itself

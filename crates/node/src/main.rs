@@ -750,7 +750,7 @@ fn run() -> i32 {
         let gate = elastic_state
             .clone()
             .map(|st| st as Arc<dyn netthread::ApplyGate>);
-        move || netthread::run_with_gate(n, t, e, s, None, Some(tap), gate)
+        move || netthread::run_with(n, t, e, s, None, Some(tap), gate)
     });
 
     // Sender: deterministic flows through the flow engine until

@@ -109,7 +109,7 @@ impl Cluster {
                 let (n, e) = (node.clone(), errors.clone());
                 let t: Arc<dyn Transport> = transport.clone();
                 let state = Arc::new(Mutex::new(RecvState::new()));
-                std::thread::spawn(move || netthread::run_supervised(n, t, e, state, None))
+                std::thread::spawn(move || netthread::run_with(n, t, e, state, None, None, None))
             })
             .collect();
         Cluster { nodes, transport, errors, net }

@@ -196,8 +196,7 @@ struct AggBuffer {
     opened_at: Option<Instant>,
     messages: u64,
     /// EWMA of this destination's fill fraction at flush time (0..=1).
-    /// Drives the effective timeout under [`FlushPolicy::Adaptive`]
-    /// and, aggregated per lane, the lane governor's signal.
+    /// Drives the effective timeout under [`FlushPolicy::Adaptive`].
     fill_ewma: f64,
     /// This destination's current effective flush timeout.
     eff_timeout: Duration,
@@ -438,12 +437,9 @@ impl NodeQueues {
             None => b.buf.split().freeze(),
         };
         let born = b.opened_at.take().unwrap_or_else(Instant::now);
-        // Fill fraction of this flush feeds the destination's EWMA —
-        // tracked under every policy (the lane governor reads it);
-        // only the effective timeout is adaptive-gated.
-        let fill = (payload.len() as f64 / queue_bytes as f64).min(1.0);
-        b.fill_ewma = 0.75 * b.fill_ewma + 0.25 * fill;
         if let FlushPolicy::Adaptive(a) = policy {
+            let fill = (payload.len() as f64 / queue_bytes as f64).min(1.0);
+            b.fill_ewma = 0.75 * b.fill_ewma + 0.25 * fill;
             b.eff_timeout = a.min + (a.max - a.min).mul_f64(b.fill_ewma);
         }
         self.counters.packets.inc();
@@ -568,21 +564,6 @@ impl NodeQueues {
     /// Bytes currently buffered for `dest`.
     pub fn pending_bytes(&self, dest: usize) -> usize {
         self.bufs[dest].buf.len()
-    }
-
-    /// The lane governor's load signal: the *highest* per-destination
-    /// fill EWMA across this queue set. Max (not mean) because one
-    /// dense destination is enough to justify keeping a lane, while
-    /// idle destinations (EWMA decaying from its 0.5 start) shouldn't
-    /// dilute the signal. Destinations that never flushed report their
-    /// neutral 0.5 start only if something is buffered — a completely
-    /// untouched queue set reports 0.
-    pub fn max_fill_ewma(&self) -> f64 {
-        self.bufs
-            .iter()
-            .filter(|b| b.messages > 0 || b.fill_ewma != 0.5 || b.opened_at.is_some())
-            .map(|b| b.fill_ewma)
-            .fold(0.0, f64::max)
     }
 }
 

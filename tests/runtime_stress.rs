@@ -149,31 +149,6 @@ fn eight_node_all_to_all() {
     assert!((stats.remote_fraction() - 0.875).abs() < 1e-9);
 }
 
-/// Two aggregator threads drain the same queue without losing or
-/// duplicating messages (the paper's aggregator-thread-count knob).
-#[test]
-fn two_aggregator_threads_are_exact() {
-    let mut cfg = GravelConfig::small(2, 8);
-    cfg.aggregator_threads = 2;
-    let rt = GravelRuntime::new(cfg);
-    for _ in 0..6 {
-        rt.dispatch(0, 2, |ctx| {
-            let n = ctx.wg.wg_size();
-            let dests = LaneVec::splat(n, 1u32);
-            let addrs = LaneVec::splat(n, 3u64);
-            let vals = LaneVec::splat(n, 1u64);
-            ctx.shmem_inc(&dests, &addrs, &vals);
-        });
-    }
-    rt.quiesce();
-    assert_eq!(rt.heap(1).load(3), 6 * 2 * 64);
-    let stats = rt.shutdown().expect("clean shutdown");
-    assert_eq!(stats.total_offloaded(), stats.total_applied());
-    // Both aggregator slots contributed packets (probabilistically; at
-    // minimum the totals are conserved).
-    assert_eq!(stats.nodes[0].agg.messages, 6 * 2 * 64);
-}
-
 // ---------------------------------------------------------------------------
 // Fault matrix: the delivery protocol (sequence numbers, selective acks,
 // ack-clocked retransmission with a timer behind it) must make results
