@@ -33,8 +33,15 @@ pub struct GravelCtx<'a> {
 }
 
 impl<'a> GravelCtx<'a> {
-    /// Bind a work-group context to a node.
+    /// Bind a work-group context to a node. `serialize_atomics = false`
+    /// (local INCs as GPU atomics) needs a node built with the same
+    /// setting: only then does its network thread resolve INC with a
+    /// locked add that those atomics cannot tear.
     pub fn new(wg: &'a mut WgCtx, node: &'a NodeShared, serialize_atomics: bool) -> Self {
+        assert!(
+            serialize_atomics || !node.heap.serializes_atomics(),
+            "concurrent-RMW kernels need a node configured with serialize_atomics = false"
+        );
         GravelCtx {
             wg,
             node,
@@ -308,7 +315,9 @@ mod tests {
 
     #[test]
     fn concurrent_rmw_ablation_applies_local_incs_directly() {
-        let n = node(2);
+        let mut cfg = GravelConfig::small(2, 32);
+        cfg.serialize_atomics = false;
+        let n = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
         let mut w = wg();
         let mut ctx = GravelCtx::new(&mut w, &n, false);
         let dests = LaneVec::from_fn(8, |l| (l / 4) as u32); // 4 local, 4 remote

@@ -41,9 +41,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Command, Message};
+use gravel_gq::{Command, Message, MSG_BYTES, MSG_ROWS};
 use gravel_net::{Ack, ChaosPlan, RecvStatus, Transport};
-use gravel_pgas::{apply, Applied, Packet, QuarantineReason, QuarantinedMessage, ACK_MAP_BITS};
+use gravel_pgas::{
+    apply, apply_stream, msg_words_at, Applied, Packet, QuarantineReason, QuarantinedMessage,
+    StreamEnd, ACK_MAP_BITS,
+};
 
 use crate::error::ErrorSlot;
 use crate::node::NodeShared;
@@ -180,147 +183,160 @@ fn lock_recv(state: &Mutex<RecvState>) -> MutexGuard<'_, RecvState> {
     state.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Flushes a batch of applied-message counts on drop — including the
-/// unwind of a chaos panic, so the quiescence counters stay exact at
-/// every message boundary without paying one fenced counter add per
-/// message on the hot path.
+/// Counts the messages a call to [`apply_packet`] disposed of when it
+/// drops — including the unwind of a chaos panic, so the quiescence
+/// counters stay exact at every message boundary without paying one
+/// fenced counter add per message on the hot path. Every message the
+/// cursor moves past is disposed of exactly once, so the count is how
+/// far the cursor moved.
 struct ApplyGuard<'a> {
     node: &'a NodeShared,
-    done: u64,
+    /// The flow's resume cursor: the next message of the packet to
+    /// dispose of.
+    cursor: &'a mut usize,
+    /// Where the cursor stood when this call started.
+    from: usize,
 }
 
 impl Drop for ApplyGuard<'_> {
     fn drop(&mut self) {
-        if self.done > 0 {
-            self.node.note_applied(self.done);
+        let done = *self.cursor - self.from;
+        if done > 0 {
+            self.node.note_applied(done as u64);
         }
     }
 }
 
-/// Apply one in-sequence packet to the node's heap, one message at a
-/// time, starting at `*resume_at` (0 for a fresh packet). Messages are
-/// decoded straight out of the packet's byte payload (no intermediate
-/// `Vec` — this loop is the receive hot path, see
-/// `crates/pgas/tests/zero_alloc.rs`). Disposed messages count toward
-/// quiescence in one batch when the packet finishes *or* the thread
-/// unwinds, and the cursor advances per message, so a panic at any
-/// message boundary — the only place injected chaos fires — loses and
-/// double-counts nothing: the retransmitted packet resumes at the
-/// cursor. Batching never fakes quiescence: replies a handler enqueues
-/// inflate `offloaded` before the batch lands in `applied`, so the
-/// counters cannot balance mid-packet. On completion the whole packet
-/// is appended to the node's replay log (if checkpointing) and the
-/// cursor returns to 0; an interrupted packet is *not* logged — its
-/// completed retransmission will be.
+/// Divert message `index` of `pkt` to the node's quarantine.
+fn quarantine(
+    node: &NodeShared,
+    pkt: &Packet,
+    index: usize,
+    words: [u64; MSG_ROWS],
+    reason: QuarantineReason,
+) {
+    node.quarantine.push(QuarantinedMessage {
+        src: pkt.src,
+        lane: pkt.lane,
+        seq: pkt.seq,
+        index,
+        words,
+        reason,
+    });
+}
+
+/// Dispose of message `index` of `pkt` by the general path: decode it
+/// and dispatch on the command. This is what every message went through
+/// until PR 22; now it is what [`apply_stream`] hands the messages a
+/// PUT/INC run does not recognise (and, applied to every message, the
+/// reference `oracle.rs` holds the runs to). Returns `false` at a
+/// shutdown sentinel.
+///
+/// Unlike `apply_words` (the replay path, where undecodable words are
+/// skipped uncounted because the log predates validation), the live
+/// path quarantines every poison message — undecodable command words
+/// and semantic rejections alike — and its caller counts it disposed:
+/// it was offloaded as a message, so quiescence must see it retired
+/// exactly once.
+fn apply_message(node: &NodeShared, pkt: &Packet, index: usize, words: [u64; MSG_ROWS]) -> bool {
+    let Some(msg) = Message::decode(words) else {
+        quarantine(node, pkt, index, words, QuarantineReason::BadCommand);
+        return true;
+    };
+    // Replies consume their pending-table entry instead of touching the
+    // heap; the table itself counts stale and orphan tokens, so a
+    // replayed reply is harmless here.
+    if matches!(msg.command, Command::Reply) {
+        node.rpc.complete(msg.addr, msg.value);
+        return true;
+    }
+    // Replying handlers re-enter the node's own Gravel path: the reply
+    // is enqueued like any GPU-initiated message (and counted for
+    // quiescence before this message's batch lands, so `quiesce` cannot
+    // return with replies in flight).
+    let applied = apply(&msg, pkt.src, &node.heap, &node.ams, &mut |m| {
+        if matches!(m.command, Command::Reply) {
+            node.rpc_replies_sent.add(1);
+        }
+        node.host_send(m)
+    });
+    match applied {
+        Applied::Done => true,
+        Applied::Rejected(reason) => {
+            quarantine(node, pkt, index, words, reason);
+            true
+        }
+        Applied::Shutdown => false,
+    }
+}
+
+/// Apply one in-sequence packet to the node's heap, starting at message
+/// `*resume_at` (0 for a fresh packet), straight out of the packet's
+/// byte payload (no intermediate `Vec` — this loop is the receive hot
+/// path, see `crates/pgas/tests/zero_alloc.rs`).
+///
+/// The loop is [`apply_stream`]: runs of in-bounds PUTs and INCs resolve
+/// from the raw words — this thread is the heap's only read-modify-
+/// writer, so an INC is a load and a store — and only the messages a
+/// run does not recognise are decoded and dispatched one at a time
+/// ([`apply_message`]). Disposed messages count toward quiescence in one batch when
+/// the packet finishes *or* the thread unwinds, and the cursor is exact
+/// whenever control leaves the run, so a panic at any message boundary —
+/// the only place injected chaos fires — loses and double-counts
+/// nothing: the retransmitted packet resumes at the cursor. Batching
+/// never fakes quiescence: replies a handler enqueues inflate
+/// `offloaded` before the batch lands in `applied`, so the counters
+/// cannot balance mid-packet. On completion the whole packet is
+/// appended to the node's replay log (if checkpointing) — before its
+/// last messages are counted, so a quiescent cluster's logs are
+/// complete — and the cursor returns to 0; an interrupted packet is
+/// *not* logged — its completed retransmission will be.
 fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: Option<&ChaosPlan>) {
     let _span = node.tracer.span("net.apply", "apply", node.id);
     if *resume_at == 0 {
         node.packet_latency
             .record(pkt.born.elapsed().as_nanos() as u64);
     }
-    #[cfg(debug_assertions)]
-    {
-        // The borrowing decode and the allocating decode must agree —
-        // `words()` stays the reference semantics (tests, replay).
-        let words = pkt.words();
-        for i in 0..pkt.msg_count() {
-            debug_assert_eq!(
-                pkt.msg_words(i).as_slice(),
-                &words[i * gravel_gq::MSG_ROWS..(i + 1) * gravel_gq::MSG_ROWS],
-                "zero-copy packet decode diverged from Packet::words()"
-            );
-        }
-    }
     let total = pkt.msg_count();
-    if *resume_at == 0 && !pkt.len().is_multiple_of(gravel_gq::MSG_BYTES) {
+    let payload: &[u8] = &pkt.payload;
+    if *resume_at == 0 && !pkt.len().is_multiple_of(MSG_BYTES) {
         // A partial trailing message can only arrive with integrity off
         // (a CRC'd frame with a short tail fails verification first).
         // Quarantine the fragment as evidence; it was never a counted
         // message, so it does not dispose toward quiescence.
-        let mut words = [0u64; gravel_gq::MSG_ROWS];
-        let tail = &pkt.payload[total * gravel_gq::MSG_BYTES..];
-        for (row, chunk) in tail.chunks(8).enumerate() {
-            let mut b = [0u8; 8];
-            b[..chunk.len()].copy_from_slice(chunk);
-            words[row] = u64::from_le_bytes(b);
-        }
-        node.quarantine.push(QuarantinedMessage {
-            src: pkt.src,
-            lane: pkt.lane,
-            seq: pkt.seq,
-            index: total,
-            words,
-            reason: QuarantineReason::PartialPayload,
-        });
+        let tail = &payload[total * MSG_BYTES..];
+        let mut padded = [0u8; MSG_BYTES];
+        padded[..tail.len()].copy_from_slice(tail);
+        let words = msg_words_at(&padded, 0);
+        quarantine(node, pkt, total, words, QuarantineReason::PartialPayload);
     }
-    let mut batch = ApplyGuard { node, done: 0 };
-    while *resume_at < total {
-        if let Some(c) = chaos {
-            if c.net_tick(node.id) {
-                panic!(
-                    "chaos: net thread {} killed at injected apply step",
-                    node.id
-                );
-            }
-        }
-        // Unlike `apply_words` (the replay path, where undecodable words
-        // are skipped uncounted because the log predates validation),
-        // the live path quarantines every poison message — undecodable
-        // command words and semantic rejections alike — and counts it
-        // disposed: it was offloaded as a message, so quiescence must
-        // see it retired exactly once.
-        let words = pkt.msg_words(*resume_at);
-        if let Some(msg) = Message::decode(words) {
-            // Replies consume their pending-table entry instead of
-            // touching the heap; the table itself counts stale and
-            // orphan tokens, so a replayed reply is harmless here.
-            if matches!(msg.command, Command::Reply) {
-                node.rpc.complete(msg.addr, msg.value);
-                batch.done += 1;
-                *resume_at += 1;
-                continue;
-            }
-            // Replying handlers re-enter the node's own Gravel path: the
-            // reply is enqueued like any GPU-initiated message (and
-            // counted for quiescence before this message's batch lands,
-            // so `quiesce` cannot return with replies in flight).
-            match apply(&msg, pkt.src, &node.heap, &node.ams, &mut |m| {
-                if matches!(m.command, Command::Reply) {
-                    node.rpc_replies_sent.add(1);
-                }
-                node.host_send(m)
-            }) {
-                Applied::Done => batch.done += 1,
-                Applied::Rejected(reason) => {
-                    batch.done += 1;
-                    node.quarantine.push(QuarantinedMessage {
-                        src: pkt.src,
-                        lane: pkt.lane,
-                        seq: pkt.seq,
-                        index: *resume_at,
-                        words,
-                        reason,
-                    });
-                }
-                Applied::Shutdown => break,
-            }
-        } else {
-            batch.done += 1;
-            node.quarantine.push(QuarantinedMessage {
-                src: pkt.src,
-                lane: pkt.lane,
-                seq: pkt.seq,
-                index: *resume_at,
-                words,
-                reason: QuarantineReason::BadCommand,
-            });
-        }
-        *resume_at += 1;
+    let batch = ApplyGuard {
+        node,
+        from: *resume_at,
+        cursor: resume_at,
+    };
+    let end = apply_stream(
+        total,
+        |i| msg_words_at(payload, i),
+        batch.cursor,
+        &node.heap,
+        || chaos.is_some_and(|c| c.net_tick(node.id)),
+        |index, words| apply_message(node, pkt, index, words),
+    );
+    if end == StreamEnd::Interrupted {
+        panic!(
+            "chaos: net thread {} killed at injected apply step",
+            node.id
+        );
     }
-    drop(batch);
+    // Log before counting: once `applied` balances, `cut_epoch` may
+    // snapshot the heap and clear the log, and a packet appended after
+    // that clear would be replayed on top of a snapshot that already
+    // holds it.
     if let Some(log) = &node.replay {
         log.append(&pkt.words());
     }
+    drop(batch);
     *resume_at = 0;
 }
 
@@ -490,6 +506,9 @@ pub fn run_with(
         node.net_acks_sent.add(1);
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

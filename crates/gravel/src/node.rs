@@ -189,7 +189,13 @@ impl NodeShared {
         NodeShared {
             id,
             nodes: cfg.nodes,
-            heap: SymmetricHeap::new(cfg.heap_len),
+            // The network thread is the heap's only read-modify-writer
+            // unless the ablation lets GPU lanes `fetch_add` beside it.
+            heap: if cfg.serialize_atomics {
+                SymmetricHeap::new(cfg.heap_len)
+            } else {
+                SymmetricHeap::with_concurrent_atomics(cfg.heap_len)
+            },
             queue: RingPair::with_telemetry(cfg.queue, queue_stats, tracer.clone(), id),
             pool: cfg.buffer_pool.then(|| BufferPool::bound(&registry, &format!("{p}."))),
             ams,

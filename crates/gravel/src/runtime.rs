@@ -632,24 +632,29 @@ impl GravelRuntime {
         let snap = guard
             .as_ref()
             .ok_or_else(|| fail("no epoch checkpoint taken"))?;
-        node.heap.fill_from(&snap.heaps[id]);
-        let words = log.snapshot();
-        // Replayed messages were already counted toward quiescence when
-        // first applied, so the replay itself must not touch the vital
-        // counters — it only redoes heap effects.
-        let _ = gravel_pgas::apply_words(&words, 0, &node.heap, &node.ams, &mut |_| {});
+        {
+            // Refill and replay read-modify-write the heap, which only
+            // the node's network thread may do — or, as here, whoever
+            // holds its receive-state lock: the thread takes that lock
+            // per delivered packet, so it cannot apply one (or leave a
+            // resume cursor behind) between the refill and the reset.
+            let mut recv = self.recv_states[id]
+                .lock()
+                .unwrap_or_else(|p| p.into_inner());
+            node.heap.fill_from(&snap.heaps[id]);
+            let words = log.snapshot();
+            // Replayed messages were already counted toward quiescence
+            // when first applied, so the replay itself must not touch
+            // the vital counters — it only redoes heap effects.
+            let _ = gravel_pgas::apply_words(&words, 0, &node.heap, &node.ams, &mut |_| {});
+            recv.reset_resume_cursors();
+        }
         drop(guard);
         // The node restarted: every reply token it issued before dying
         // is now unanswerable (the sink that would receive it is gone).
         // Bumping the generation fails the old waiters and rejects any
         // late reply carrying a stale token.
         node.rpc.bump_generation();
-        if let Some(state) = self.recv_states.get(id) {
-            state
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .reset_resume_cursors();
-        }
         self.registry.vital_counter("ha.recoveries").inc();
         self.registry
             .vital_counter(&format!("node{id}.ha.recoveries"))
@@ -712,6 +717,7 @@ impl Drop for GravelRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gravel_gq::Message;
     use gravel_net::FaultConfig;
     use gravel_simt::LaneVec;
 
@@ -948,6 +954,46 @@ mod tests {
         for id in 0..2 {
             assert_eq!(rt.node(id).wire_epoch.load(Ordering::Relaxed), 2);
         }
+        rt.shutdown().expect("clean shutdown");
+    }
+
+    /// `recover_node` read-modify-writes a heap whose single writer is
+    /// the node's network thread, so it must hold that thread's
+    /// receive-state lock for the whole refill + replay. A replayed
+    /// active message observes the lock from inside the replay.
+    #[test]
+    fn recovery_replays_under_the_receive_state_lock() {
+        use std::sync::{OnceLock, TryLockError};
+        let state: Arc<OnceLock<Arc<Mutex<RecvState>>>> = Arc::new(OnceLock::new());
+        let (probe, held) = (state.clone(), Arc::new(Mutex::new(Vec::new())));
+        let seen = held.clone();
+        let mut cfg = GravelConfig::small(2, 4);
+        cfg.ha.checkpoint = true;
+        let rt = GravelRuntime::with_handlers(cfg, |reg| {
+            reg.register(Box::new(move |h, a, v| {
+                h.fetch_add(a, v);
+                if let Some(state) = probe.get() {
+                    let held = matches!(state.try_lock(), Err(TryLockError::WouldBlock));
+                    seen.lock().unwrap().push(held);
+                }
+            }));
+        });
+        rt.cut_epoch();
+        rt.node(0).host_send(Message::inc(1, 2, 5));
+        rt.node(0).host_send(Message::active(1, 0, 2, 7));
+        rt.quiesce();
+        assert_eq!(rt.heap(1).load(2), 12);
+        // Only the replay is probed; the live apply above was not.
+        state.set(rt.recv_states[1].clone()).ok().unwrap();
+        rt.heap(1).reset(0);
+        rt.recover_node(1).expect("epoch restore");
+        assert_eq!(rt.heap(1).load(2), 12, "refill + replay is exact");
+        assert_eq!(
+            *held.lock().unwrap(),
+            vec![true],
+            "replay ran under the lock"
+        );
+        assert!(rt.recv_states[1].try_lock().is_ok(), "and released it");
         rt.shutdown().expect("clean shutdown");
     }
 

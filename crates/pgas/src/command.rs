@@ -5,7 +5,7 @@
 //! This module is that resolution step, shared by the live runtime's
 //! network thread and the simulated cluster's receive model.
 
-use gravel_gq::{Command, Message};
+use gravel_gq::{Command, Message, MSG_ROWS};
 
 use crate::am::AmRegistry;
 use crate::heap::SymmetricHeap;
@@ -26,10 +26,13 @@ pub enum Applied {
     Rejected(QuarantineReason),
 }
 
-/// Apply one decoded message to the local heap. Replying active-message
-/// handlers, GETs, and value-returning AM calls emit follow-up messages
-/// through `reply`; `src` is the verified sending node the replies are
-/// addressed to (from the frame header, never from the payload).
+/// Apply one decoded message to the local heap — the general path
+/// [`apply_stream`] takes for whatever its PUT/INC run does not
+/// recognise, and the per-message reference its tests compare the run
+/// against. Replying active-message handlers, GETs, and value-returning
+/// AM calls emit follow-up messages through `reply`; `src` is the
+/// verified sending node the replies are addressed to (from the frame
+/// header, never from the payload).
 ///
 /// A message addressing beyond the heap is *rejected*, not applied: the
 /// network thread must survive corrupted or misrouted traffic (handlers
@@ -55,7 +58,7 @@ pub fn apply(
             if !in_bounds {
                 return Applied::Rejected(QuarantineReason::OutOfRange);
             }
-            heap.fetch_add(msg.addr, msg.value);
+            heap.add(msg.addr, msg.value);
             Applied::Done
         }
         Command::Active(id) => {
@@ -95,6 +98,87 @@ pub fn apply(
     }
 }
 
+/// How [`apply_stream`] stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamEnd {
+    /// Every message was resolved; the cursor equals the message count.
+    Drained,
+    /// `interrupt` fired; the cursor names the message it fired before.
+    Interrupted,
+    /// `other` saw a shutdown sentinel; the cursor names it.
+    Shutdown,
+}
+
+/// Low half of the command word of a PUT (`Command::Put.encode()`).
+const OP_PUT: u32 = 0;
+/// Low half of the command word of an INC. Like [`Command::decode`], the
+/// run below reads only the low half of these two opcodes.
+const OP_INC: u32 = 1;
+
+/// The resolver: apply messages `*cursor..count` of a message-major
+/// stream to `heap`, run-wise. `words_at(i)` reads message `i`'s four
+/// words from wherever the stream lives (packet payload bytes, a replay
+/// log's words).
+///
+/// A packet is overwhelmingly PUTs and INCs to valid addresses, so those
+/// are resolved right here from the raw words — the command word's
+/// opcode compared as an integer, one bounds compare, a store or a
+/// single-writer [`add`](SymmetricHeap::add) — with the position kept in
+/// a register. The first message that is anything else (another
+/// command, an address past the heap, an undecodable word) ends the run:
+/// the cursor is settled and `other(i, words)` disposes of that one
+/// message by the general path ([`Message::decode`] + [`apply`] and
+/// whatever policy the caller has for rejects and replies), returning
+/// `false` to stop the stream at a shutdown sentinel. Then the next run
+/// starts.
+///
+/// `interrupt` is polled before every message, fast or not (the network
+/// thread's injected kills tick per message); when it fires the cursor
+/// is settled first, so the caller may panic and a successor resumes at
+/// exactly that message. `*cursor` is exact whenever control is outside
+/// this function — at return, inside `other`, and in an unwind out of
+/// `other`.
+#[inline]
+pub fn apply_stream(
+    count: usize,
+    words_at: impl Fn(usize) -> [u64; MSG_ROWS],
+    cursor: &mut usize,
+    heap: &SymmetricHeap,
+    mut interrupt: impl FnMut() -> bool,
+    mut other: impl FnMut(usize, [u64; MSG_ROWS]) -> bool,
+) -> StreamEnd {
+    let len = heap.len() as u64;
+    let mut i = *cursor;
+    let end = 'stream: loop {
+        let words = loop {
+            if i >= count {
+                break 'stream StreamEnd::Drained;
+            }
+            if interrupt() {
+                break 'stream StreamEnd::Interrupted;
+            }
+            let words = words_at(i);
+            let (op, addr) = (words[0] as u32, words[2]);
+            if op > OP_INC || addr >= len {
+                break words;
+            }
+            if op == OP_PUT {
+                heap.store(addr, words[3]);
+            } else {
+                heap.add(addr, words[3]);
+            }
+            i += 1;
+        };
+        *cursor = i;
+        if !other(i, words) {
+            break StreamEnd::Shutdown;
+        }
+        i += 1;
+    };
+    *cursor = i;
+    end
+}
+
 /// Apply a packed word stream of messages (message-major, 4 words each) to
 /// the local heap. Returns the number of messages *disposed of* — applied
 /// or rejected; a rejected message still counts, because quiescence
@@ -111,17 +195,22 @@ pub fn apply_words(
     ams: &AmRegistry,
     reply: &mut dyn FnMut(Message),
 ) -> (usize, bool) {
-    let mut disposed = 0;
-    for chunk in words.chunks_exact(gravel_gq::MSG_ROWS) {
-        let Some(msg) = Message::decode([chunk[0], chunk[1], chunk[2], chunk[3]]) else {
-            continue;
-        };
-        match apply(&msg, src, heap, ams, reply) {
-            Applied::Done | Applied::Rejected(_) => disposed += 1,
-            Applied::Shutdown => return (disposed, true),
-        }
-    }
-    (disposed, false)
+    let (mut cursor, mut skipped) = (0, 0);
+    let end = apply_stream(
+        words.len() / MSG_ROWS,
+        |i| std::array::from_fn(|row| words[i * MSG_ROWS + row]),
+        &mut cursor,
+        heap,
+        || false,
+        |_, w| match Message::decode(w) {
+            Some(msg) => apply(&msg, src, heap, ams, reply) != Applied::Shutdown,
+            None => {
+                skipped += 1;
+                true
+            }
+        },
+    );
+    (cursor - skipped, end == StreamEnd::Shutdown)
 }
 
 #[cfg(test)]
@@ -168,6 +257,53 @@ mod tests {
         assert_eq!(applied, 1);
         assert!(shutdown);
         assert_eq!(heap.load(0), 1);
+    }
+
+    #[test]
+    fn the_run_reads_the_codecs_opcodes() {
+        assert_eq!(u64::from(OP_PUT), Command::Put.encode());
+        assert_eq!(u64::from(OP_INC), Command::Inc.encode());
+    }
+
+    #[test]
+    fn stream_settles_the_cursor_wherever_it_stops() {
+        let heap = SymmetricHeap::new(4);
+        let mut words = Vec::new();
+        words.extend(Message::inc(0, 1, 5).encode());
+        words.extend(Message::put(0, 2, 6).encode());
+        words.extend(Message::inc(0, 9, 1).encode()); // past the heap: not the run's
+        words.extend(Message::inc(0, 1, 5).encode());
+        words.extend(Message::shutdown().encode());
+        words.extend(Message::inc(0, 1, 5).encode());
+        let at = |i: usize| std::array::from_fn(|row| words[i * MSG_ROWS + row]);
+
+        // Interrupted before the fourth message: three are behind it.
+        let (mut cursor, mut polls, mut seen) = (0, 0, Vec::new());
+        let end = apply_stream(
+            6,
+            at,
+            &mut cursor,
+            &heap,
+            || {
+                polls += 1;
+                polls == 4
+            },
+            |i, w| {
+                seen.push((i, w[2]));
+                true
+            },
+        );
+        assert_eq!((end, cursor, polls), (StreamEnd::Interrupted, 3, 4));
+        assert_eq!(seen, vec![(2, 9)], "only the out-of-range INC left the run");
+        assert_eq!(heap.snapshot(), vec![0, 5, 6, 0]);
+
+        // Resumed there, it stops on the sentinel and applies nothing after it.
+        let end = apply_stream(6, at, &mut cursor, &heap, || false, |_, w| {
+            Message::decode(w).is_some_and(|m| m.command != Command::Shutdown)
+        });
+        assert_eq!((end, cursor), (StreamEnd::Shutdown, 4));
+        assert_eq!(heap.snapshot(), vec![0, 10, 6, 0]);
+        assert_eq!(apply_stream(4, at, &mut cursor, &heap, || false, |_, _| true), StreamEnd::Drained);
     }
 
     #[test]

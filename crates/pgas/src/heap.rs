@@ -6,18 +6,56 @@
 //! (paper Fig. 4: "There is a slice of A, at the same virtual address, on
 //! each node"). [`SymmetricHeap`] is one node's slice, stored as atomics
 //! because the network thread, the GPU, and helper threads all touch it.
+//!
+//! # Who may read-modify-write
+//!
+//! Many threads *load* a node's heap and several *store* to it, but one
+//! party at a time read-modify-writes it: the node's network thread, or
+//! whoever holds that thread's receive-state lock while it cannot run
+//! (epoch recovery's refill + replay, a process replaying its log before
+//! the thread starts). Every INC and every active message resolves
+//! there (paper §6), so they are atomic with respect to each other by
+//! serialization and [`add`](SymmetricHeap::add) needs no locked
+//! instruction. The other writers — a GPU lane's direct local PUT, a
+//! shard-migration install, `fill_from`/`reset` — are plain stores to
+//! words no in-flight INC or handler may target, by contract: an atomic
+//! is atomic with respect to other atomics, not to a racing PUT of the
+//! same word (OpenSHMEM's rule). The one configuration that breaks the
+//! single-writer rule is the `serialize_atomics = false` ablation, whose
+//! GPU lanes `fetch_add` words the network thread also increments; a
+//! node built for it takes [`with_concurrent_atomics`] and `add` stays
+//! a locked RMW.
+//!
+//! [`with_concurrent_atomics`]: SymmetricHeap::with_concurrent_atomics
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One node's slice of the symmetric heap: `len` 64-bit elements.
 pub struct SymmetricHeap {
     cells: Box<[AtomicU64]>,
+    /// Other threads `fetch_add` words that `add` also targets.
+    concurrent_atomics: bool,
 }
 
 impl SymmetricHeap {
-    /// A zero-initialised heap of `len` elements.
+    /// A zero-initialised heap of `len` elements whose atomics are
+    /// serialized through one thread (see the module docs).
     pub fn new(len: usize) -> Self {
-        SymmetricHeap { cells: (0..len).map(|_| AtomicU64::new(0)).collect() }
+        SymmetricHeap {
+            cells: (0..len).map(|_| AtomicU64::new(0)).collect(),
+            concurrent_atomics: false,
+        }
+    }
+
+    /// A heap whose [`add`](Self::add) must be atomic against concurrent
+    /// [`fetch_add`](Self::fetch_add)s from other threads.
+    pub fn with_concurrent_atomics(len: usize) -> Self {
+        SymmetricHeap { concurrent_atomics: true, ..Self::new(len) }
+    }
+
+    /// True when atomics on this heap are serialized through one thread.
+    pub fn serializes_atomics(&self) -> bool {
+        !self.concurrent_atomics
     }
 
     /// Number of elements.
@@ -46,6 +84,23 @@ impl SymmetricHeap {
     #[inline]
     pub fn fetch_add(&self, offset: u64, value: u64) -> u64 {
         self.cells[offset as usize].fetch_add(value, Ordering::AcqRel)
+    }
+
+    /// INC as the heap's serializing thread resolves it: add `value` to
+    /// `offset`. No other thread read-modify-writes this word (module
+    /// docs), so the old value cannot change between the load and the
+    /// store and no `lock` prefix is paid; the `Release` store publishes
+    /// to the same `Acquire` loads [`store`](Self::store) does. On a
+    /// [`with_concurrent_atomics`](Self::with_concurrent_atomics) heap
+    /// this is `fetch_add`.
+    #[inline]
+    pub fn add(&self, offset: u64, value: u64) {
+        let cell = &self.cells[offset as usize];
+        if self.concurrent_atomics {
+            cell.fetch_add(value, Ordering::AcqRel);
+        } else {
+            cell.store(cell.load(Ordering::Relaxed).wrapping_add(value), Ordering::Release);
+        }
     }
 
     /// Atomic minimum (used by SSSP's relax handler): store
@@ -110,6 +165,44 @@ mod tests {
         assert_eq!(h.fetch_add(1, 5), 0);
         assert_eq!(h.fetch_add(1, 7), 5);
         assert_eq!(h.load(1), 12);
+    }
+
+    #[test]
+    fn add_accumulates_and_wraps_in_both_modes() {
+        for h in [SymmetricHeap::new(2), SymmetricHeap::with_concurrent_atomics(2)] {
+            h.add(1, 5);
+            h.add(1, 7);
+            assert_eq!(h.load(1), 12);
+            h.add(1, u64::MAX);
+            assert_eq!(h.load(1), 11, "wraps like fetch_add");
+            assert_eq!(h.load(0), 0);
+        }
+    }
+
+    #[test]
+    fn add_on_a_concurrent_heap_is_exact_against_racing_fetch_adds() {
+        let h = std::sync::Arc::new(SymmetricHeap::with_concurrent_atomics(1));
+        assert!(!h.serializes_atomics());
+        let start = std::sync::Arc::new(std::sync::Barrier::new(3));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (h, start) = (h.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..20_000 {
+                        h.fetch_add(0, 1);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..20_000 {
+            h.add(0, 1);
+        }
+        for t in handles {
+            t.join().unwrap();
+        }
+        assert_eq!(h.load(0), 60_000);
     }
 
     #[test]

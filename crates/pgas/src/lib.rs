@@ -26,7 +26,7 @@ pub mod quarantine;
 pub mod shard;
 
 pub use am::{relax_min_handler, AmHandler, AmRegistry, AmReturningHandler};
-pub use command::{apply, apply_words, Applied};
+pub use command::{apply, apply_stream, apply_words, Applied, StreamEnd};
 pub use frame::{
     crc32c, open_ack, open_control, open_data_frame, open_frame, open_heartbeat, open_hello,
     open_reject, seal_ack, seal_control, seal_control_into, seal_frame, seal_frame_in,
@@ -37,8 +37,8 @@ pub use frame::{
 pub use heap::SymmetricHeap;
 pub use quarantine::{Quarantine, QuarantineReason, QuarantinedMessage};
 pub use nodeq::{
-    AdaptiveFlush, AggCounters, AggStats, FlushPolicy, NodeQueues, Packet, DEFAULT_QUEUE_BYTES,
-    DEFAULT_TIMEOUT,
+    msg_words_at, AdaptiveFlush, AggCounters, AggStats, FlushPolicy, NodeQueues, Packet,
+    DEFAULT_QUEUE_BYTES, DEFAULT_TIMEOUT,
 };
 pub use partition::{Layout, Partition};
 pub use shard::{Directory, FencedInstall, Route, ShardMap, ShardMove, DEFAULT_SHARDS};

@@ -133,10 +133,9 @@ impl Packet {
 
     /// Decode message `i`'s words straight out of the payload — no
     /// allocation, no bulk copy.
+    #[inline]
     pub fn msg_words(&self, i: usize) -> [u64; gravel_gq::MSG_ROWS] {
-        let at = i * gravel_gq::MSG_BYTES;
-        let b = &self.payload[at..at + gravel_gq::MSG_BYTES];
-        std::array::from_fn(|row| u64::from_le_bytes(b[row * 8..row * 8 + 8].try_into().unwrap()))
+        msg_words_at(&self.payload, i)
     }
 
     /// Borrowing iterator over the packet's messages (word arrays),
@@ -186,6 +185,16 @@ impl Packet {
         };
         Packet { src, dest, lane: 0, seq: 0, born: Instant::now(), payload }
     }
+}
+
+/// Message `i`'s words out of a little-endian, message-major payload:
+/// what [`Packet::msg_words`] reads, for a loop that has already
+/// borrowed the payload bytes.
+#[inline]
+pub fn msg_words_at(payload: &[u8], i: usize) -> [u64; gravel_gq::MSG_ROWS] {
+    let at = i * gravel_gq::MSG_BYTES;
+    let b = &payload[at..at + gravel_gq::MSG_BYTES];
+    std::array::from_fn(|row| u64::from_le_bytes(b[row * 8..row * 8 + 8].try_into().unwrap()))
 }
 
 struct AggBuffer {
@@ -571,6 +580,7 @@ impl NodeQueues {
 mod tests {
     use super::*;
     use bytes::BufMut;
+    use proptest::prelude::*;
 
     fn words(tag: u64) -> [u64; 4] {
         [tag, tag + 1, tag + 2, tag + 3]
@@ -745,6 +755,34 @@ mod tests {
         }
         let via_iter: Vec<u64> = pkt.messages().flatten().collect();
         assert_eq!(via_iter, w);
+    }
+
+    proptest! {
+        /// The borrowing decode agrees with the allocating one on a
+        /// payload of any length: whole messages only, a trailing
+        /// fragment (of whole words or not) ignored by both.
+        #[test]
+        fn msg_words_matches_allocating_decode_at_any_payload_length(
+            bytes in prop::collection::vec(any::<u8>(), 0..400),
+        ) {
+            let pkt = Packet {
+                src: 1,
+                dest: 2,
+                lane: 0,
+                seq: 0,
+                born: Instant::now(),
+                payload: Bytes::from(bytes.clone()),
+            };
+            let w = pkt.words();
+            prop_assert_eq!(pkt.msg_count(), bytes.len() / gravel_gq::MSG_BYTES);
+            prop_assert_eq!(w.len(), bytes.len() / 8);
+            for i in 0..pkt.msg_count() {
+                prop_assert_eq!(pkt.msg_words(i).as_slice(), &w[i * 4..i * 4 + 4]);
+                prop_assert_eq!(msg_words_at(&bytes, i), pkt.msg_words(i));
+            }
+            let via_iter: Vec<u64> = pkt.messages().flatten().collect();
+            prop_assert_eq!(via_iter.as_slice(), &w[..pkt.msg_count() * 4]);
+        }
     }
 
     #[test]

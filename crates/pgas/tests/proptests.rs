@@ -133,24 +133,63 @@ proptest! {
         prop_assert_eq!(heap.snapshot(), expect);
     }
 
-    /// Garbage words never panic the decoder; valid prefixes still apply.
-    #[test]
-    fn apply_words_tolerates_garbage(words in prop::collection::vec(any::<u64>(), 0..64)) {
-        let heap = SymmetricHeap::new(4);
-        let ams = AmRegistry::new();
-        // Mask addresses into range so valid-looking messages don't go out
-        // of bounds (bounds are the runtime's contract, not the codec's).
-        let words: Vec<u64> = words
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| if i % 4 == 2 { w % 4 } else { w })
-            .collect();
-        let _ = apply_words(&words, 0, &heap, &ams, &mut |_| {});
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// A word stream of anything — every opcode with junk above it,
+    /// addresses in and out of range, a shutdown sentinel — replays to
+    /// what one `Message::decode` + `apply` per message leaves: same
+    /// heap, same replies, same disposed count, same stop.
+    #[test]
+    fn apply_words_matches_the_per_message_reference(
+        msgs in prop::collection::vec(
+            (
+                prop_oneof![12 => 0u64..2, 3 => 2u64..8, 1 => Just(3u64), 1 => any::<u64>()],
+                prop_oneof![4 => Just(0u64), 1 => any::<u64>()],
+                prop_oneof![6 => 0u64..4, 1 => any::<u64>()],
+                any::<u64>(),
+            ),
+            0..48,
+        ),
+    ) {
+        use gravel_gq::Message;
+        use gravel_pgas::{apply, Applied};
+        let mut ams = AmRegistry::new();
+        ams.register_replying(Box::new(|h, a, v, reply| {
+            h.fetch_add(a % 4, v);
+            reply(Message::inc(1, a % 4, v));
+        }));
+        ams.register_returning(Box::new(|h, a| h.load(a % 4)));
+        let words: Vec<u64> = msgs
+            .iter()
+            .flat_map(|&(op, high, addr, value)| [op ^ high << 32, 7, addr, value])
+            .collect();
+
+        let heap = SymmetricHeap::new(4);
+        let mut replies = Vec::new();
+        let got = apply_words(&words, 5, &heap, &ams, &mut |m| replies.push(m));
+
+        let reference = SymmetricHeap::new(4);
+        let mut want_replies = Vec::new();
+        let (mut disposed, mut shutdown) = (0, false);
+        for chunk in words.chunks_exact(4) {
+            let Some(msg) = Message::decode([chunk[0], chunk[1], chunk[2], chunk[3]]) else {
+                continue;
+            };
+            match apply(&msg, 5, &reference, &ams, &mut |m| want_replies.push(m)) {
+                Applied::Shutdown => {
+                    shutdown = true;
+                    break;
+                }
+                _ => disposed += 1,
+            }
+        }
+        prop_assert_eq!(got, (disposed, shutdown));
+        prop_assert_eq!(heap.snapshot(), reference.snapshot());
+        prop_assert_eq!(replies, want_replies);
+    }
 
     /// Flipping any single bit anywhere in a sealed data frame —
     /// header, payload, or CRC trailer — must make it fail to open.

@@ -64,6 +64,67 @@ fn many_supersteps_with_barriers() {
     rt.shutdown().expect("clean shutdown");
 }
 
+/// The `serialize_atomics = false` ablation: a node's GPU lanes
+/// `fetch_add` the very words its network thread is incrementing for the
+/// other node, so that thread's INC must stay a locked add (a load and a
+/// store would lose updates here). Both nodes launch at once, half of
+/// every work-group local and half remote, onto four weighted words, and
+/// every count must come out exact. `GRAVEL_FUZZ_CASES` sets the number
+/// of rounds.
+#[test]
+fn concurrent_rmw_ablation_is_bit_exact_against_remote_incs() {
+    let rounds: u64 = std::env::var("GRAVEL_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 256 } else { 4096 });
+    let mut cfg = GravelConfig::small(2, 4);
+    cfg.serialize_atomics = false;
+    let rt = GravelRuntime::new(cfg);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for node in 0..2 {
+            let (rt, start) = (&rt, &start);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..rounds {
+                    rt.dispatch(node, 2, |ctx| {
+                        let n = ctx.wg.wg_size();
+                        let dests = LaneVec::from_fn(n, |l| (l % 2) as u32);
+                        let addrs = LaneVec::from_fn(n, |l| (l / 2 % 4) as u64);
+                        let vals = LaneVec::from_fn(n, |l| 1 + (l / 2 % 4) as u64 * 1000);
+                        ctx.shmem_inc(&dests, &addrs, &vals);
+                    });
+                }
+            });
+        }
+    });
+    rt.quiesce();
+    // Per round and sender: 2 work-groups × 64 lanes, half to each node,
+    // a quarter of those to each word.
+    let per_word = rounds * 2 * 2 * 64 / 2 / 4;
+    for node in 0..2 {
+        for w in 0..4u64 {
+            assert_eq!(
+                rt.heap(node).load(w),
+                per_word * (1 + w * 1000),
+                "node {node} word {w}"
+            );
+        }
+    }
+    let stats = rt.shutdown().expect("clean shutdown");
+    let direct: u64 = stats.nodes.iter().map(|n| n.local_direct).sum();
+    assert_eq!(
+        direct,
+        rounds * 2 * 2 * 64 / 2,
+        "local lanes bypassed the network thread"
+    );
+    assert_eq!(
+        stats.total_applied(),
+        direct,
+        "remote lanes went through it"
+    );
+}
+
 /// A kernel that sends nothing leaves the cluster clean.
 #[test]
 fn empty_kernels_and_empty_quiesce() {
