@@ -27,6 +27,7 @@ use std::time::Duration;
 use gravel_simt::{Mask, WgCtx};
 use gravel_telemetry::Tracer;
 
+use crate::msg::MSG_ROWS;
 use crate::park::WaitCell;
 use crate::stats::QueueStats;
 
@@ -49,7 +50,7 @@ impl QueueConfig {
         QueueConfig {
             slots: 128,
             lane_width: 256,
-            rows: crate::msg::MSG_ROWS,
+            rows: MSG_ROWS,
         }
     }
 
@@ -168,6 +169,11 @@ impl<'a> SlotView<'a> {
     }
 }
 
+/// How long a producer parks on a full ring before it looks again: the
+/// backstop for a wake that never comes (a consumer killed between its
+/// last release and [`GravelQueue::wake_producers`]).
+const PRODUCER_PARK: Duration = Duration::from_micros(100);
+
 /// The Gravel producer/consumer queue.
 pub struct GravelQueue {
     cfg: QueueConfig,
@@ -180,9 +186,14 @@ pub struct GravelQueue {
     /// ring when one consumer drains both
     /// ([`with_shared_waiter`](Self::with_shared_waiter)).
     waiter: Arc<WaitCell>,
-    /// Producers park here when the ring is full; consumers wake them
-    /// after releasing slots (near-free when nobody is parked).
+    /// Producers park here when the ring is full; a consumer wakes them
+    /// once it has released a whole claim
+    /// ([`wake_producers`](Self::wake_producers); near-free when nobody
+    /// is parked).
     prod_waiter: WaitCell,
+    /// Longest a producer parks before it looks at its slot again
+    /// ([`PRODUCER_PARK`]; a test may stretch it).
+    producer_park: Duration,
     /// Synchronization instrumentation.
     pub stats: QueueStats,
     /// Span recorder for slot handoff (`gq.offload`); disabled by default.
@@ -241,6 +252,7 @@ impl GravelQueue {
             closed: AtomicBool::new(false),
             waiter,
             prod_waiter: WaitCell::new(),
+            producer_park: PRODUCER_PARK,
             stats,
             tracer,
             node,
@@ -261,9 +273,10 @@ impl GravelQueue {
 
     /// Wait until the producer owns the slot for `seq`: a short spin
     /// window (the consumer usually frees the wrapped slot within
-    /// microseconds), then park on `prod_waiter` — consumers wake
-    /// producers after every slot release, so a full ring does not cost
-    /// a busy core. Spin iterations are counted in `producer_spins`.
+    /// microseconds), then park on `prod_waiter` — a consumer wakes
+    /// producers each time it is done with a claim, so a full ring does
+    /// not cost a busy core. Spin iterations are counted in
+    /// `producer_spins`.
     fn producer_wait(&self, seq: u64) -> &Slot {
         let (slot, round) = self.slot_ring(seq);
         let ready =
@@ -273,9 +286,11 @@ impl GravelQueue {
             spins += 1;
             std::hint::spin_loop();
             if spins.is_multiple_of(128) {
-                // The timeout is a belt-and-braces bound (see WaitCell);
-                // the release-side notify is the real wakeup.
-                self.prod_waiter.park_timeout(Duration::from_micros(100), ready);
+                // The consumer's notify at the end of its claim is the
+                // real wakeup; the timeout covers a consumer that died
+                // between a release and that notify (its successor
+                // finishes the claim and notifies then).
+                self.prod_waiter.park_timeout(self.producer_park, ready);
             }
         }
         if spins > 0 {
@@ -442,9 +457,40 @@ impl GravelQueue {
         self.publish(slot, count);
     }
 
+    /// [`produce_batch`](Self::produce_batch) for a caller that holds
+    /// messages, not words: message `i` of the slot is `msg(i)`, stored
+    /// as it is produced — no staging copy. Standard four-row slots only.
+    pub fn produce_with(&self, count: usize, mut msg: impl FnMut(usize) -> [u64; MSG_ROWS]) {
+        assert!(
+            count >= 1 && count <= self.cfg.lane_width,
+            "batch of {count} exceeds slot"
+        );
+        assert_eq!(self.cfg.rows, MSG_ROWS, "produce_with fills four-row slots");
+        let seq = self.write_idx.fetch_add(1, Ordering::AcqRel);
+        self.stats.producer_rmws.add(1);
+        let slot = self.producer_wait(seq);
+        // Cut the row slices once, to the live columns; each message is
+        // produced once and its words go to the same column of every
+        // row — the mirror of [`SlotView::messages`].
+        let mut rows = slot.payload.chunks_exact(self.cfg.lane_width).map(|row| &row[..count]);
+        let rows: [&[AtomicU64]; MSG_ROWS] =
+            std::array::from_fn(|_| rows.next().expect("MSG_ROWS rows"));
+        for col in 0..count {
+            for (row, w) in rows.iter().zip(msg(col)) {
+                row[col].store(w, Ordering::Relaxed);
+            }
+        }
+        self.publish(slot, count);
+    }
+
     /// Store message-major `words` into `slot`'s row-major payload, one
     /// message per column from column 0: each row is one pass over its
-    /// own slice, the mirror of [`SlotView::copy_into`].
+    /// own slice, the mirror of [`SlotView::copy_into`]. (One pass over
+    /// the messages, four stores each, reads better in a replay —
+    /// `gq.produce_batch_ns_per_msg` 6.9 → 5.4 — and worse in a running
+    /// pipeline, where the slot's lines come from the consumer's core:
+    /// `gups_simt` 40.8 → 39.3 M msgs/s in six of six pairs;
+    /// EXPERIMENTS.md "Hand-offs (PR 23)".)
     fn write_slot(&self, slot: &Slot, words: &[u64]) {
         let rows = self.cfg.rows;
         for (r, row) in slot.payload.chunks_exact(self.cfg.lane_width).enumerate() {
@@ -511,14 +557,27 @@ impl GravelQueue {
 
     /// Hand claimed slot `seq` back to its next producer (Fig. 7 time ⑤:
     /// clear `F`, bump the current ticket) and count its messages
-    /// consumed.
+    /// consumed. A producer that is spinning for the slot sees it at
+    /// once; one that has parked is woken by
+    /// [`wake_producers`](Self::wake_producers), which the consumer
+    /// calls when it has released its whole claim.
     pub fn release(&self, seq: u64) {
         let (slot, round) = self.slot_ring(seq);
         let count = slot.count.load(Ordering::Relaxed);
         slot.full.store(false, Ordering::Release);
         slot.round.store(round + 1, Ordering::Release);
-        self.prod_waiter.notify_all();
         self.stats.messages_consumed.add(count);
+    }
+
+    /// Wake the producers parked on a full ring: once per claim, after
+    /// its last [`release`](Self::release), so a claim of eight slots
+    /// costs one futex wake and its producers one context switch, not
+    /// eight. Nearly free when nobody is parked; `producer_wakes`
+    /// counts the calls that found somebody.
+    pub fn wake_producers(&self) {
+        if self.prod_waiter.notify_all() {
+            self.stats.producer_wakes.add(1);
+        }
     }
 
     /// Try to drain one slot. On success the slot's messages are appended
@@ -539,6 +598,7 @@ impl GravelQueue {
                     self.claimed(seq).copy_into(out);
                     self.release(seq);
                 }
+                self.wake_producers();
                 Consumed::Batch((out.len() - before) / self.cfg.rows)
             }
             Consumed::Empty => Consumed::Empty,
@@ -594,7 +654,7 @@ mod stepwise;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{Message, MSG_ROWS};
+    use crate::msg::Message;
     use gravel_simt::{Grid, Mask, SimtEngine};
 
     fn small_cfg() -> QueueConfig {
@@ -893,6 +953,72 @@ mod tests {
             2 * 500,
             "each tag exactly once (×2 dups collapsed)"
         );
+    }
+
+    #[test]
+    fn produce_with_fills_the_slot_produce_batch_would() {
+        let msgs: Vec<[u64; MSG_ROWS]> =
+            (0..8u64).map(|i| Message::inc(1, i, 100 + i).encode()).collect();
+        for count in [1, 3, 8] {
+            let (by_words, by_msg) = (GravelQueue::new(small_cfg()), GravelQueue::new(small_cfg()));
+            by_words.produce_batch(msgs[..count].as_flattened(), count);
+            by_msg.produce_with(count, |i| msgs[i]);
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            assert_eq!(by_words.try_consume_into(&mut want), Consumed::Batch(count));
+            assert_eq!(by_msg.try_consume_into(&mut got), Consumed::Batch(count));
+            assert_eq!(got, want);
+            assert_eq!(by_msg.stats.snapshot(), by_words.stats.snapshot());
+        }
+    }
+
+    #[test]
+    fn a_drained_claim_wakes_its_parked_producers_once() {
+        // A full ring of eight slots and eight more producers, one per
+        // slot, parked for good: only a wake gets them out.
+        const SLOTS: u64 = 8;
+        let mut q = GravelQueue::new(QueueConfig { slots: SLOTS as usize, lane_width: 1, rows: 1 });
+        q.producer_park = Duration::from_secs(3600);
+        let q = Arc::new(q);
+        for i in 0..SLOTS {
+            q.produce_batch(&[i], 1);
+        }
+        let wakes = || q.stats.snapshot().producer_wakes;
+        let rounds = (crate::fuzz_cases() / 64).max(1);
+        for round in 0..rounds {
+            let first = round * SLOTS;
+            let producers: Vec<_> = (0..SLOTS)
+                .map(|i| {
+                    let q = q.clone();
+                    std::thread::spawn(move || q.produce_batch(&[first + SLOTS + i], 1))
+                })
+                .collect();
+            while q.prod_waiter.sleepers() < SLOTS {
+                std::thread::yield_now();
+            }
+            assert_eq!(wakes(), round);
+            // Releasing a slot wakes nobody, whoever is parked on it ...
+            let claimed = q.try_claim(SLOTS as usize);
+            assert_eq!(claimed, Consumed::Batch(Claim { first, slots: SLOTS }));
+            let mut got: Vec<u64> = Vec::new();
+            for seq in first..first + SLOTS {
+                q.claimed(seq).copy_into(&mut got);
+                q.release(seq);
+                assert_eq!(wakes(), round, "the release of slot {seq} woke the producers");
+            }
+            // ... the end of the claim wakes everybody, once.
+            q.wake_producers();
+            assert_eq!(wakes(), round + 1);
+            for p in producers {
+                p.join().expect("a woken producer finds its slot free");
+            }
+            got.sort_unstable();
+            assert_eq!(got, (first..first + SLOTS).collect::<Vec<_>>());
+        }
+        // The copying consumer is a claim like any other; nobody is
+        // parked now, so its wake finds nobody and counts nothing.
+        let mut out = Vec::new();
+        assert_eq!(q.try_consume_batch(&mut out, SLOTS as usize), Consumed::Batch(SLOTS as usize));
+        assert_eq!(wakes(), rounds);
     }
 
     #[test]

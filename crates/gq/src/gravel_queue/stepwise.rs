@@ -116,7 +116,7 @@ fn consume_batch(q: &GravelQueue, out: &mut Vec<u64>, max_slots: usize) -> Consu
             slot.round.store(round + 1, Ordering::Release);
             total += count;
         }
-        q.prod_waiter.notify_all();
+        q.wake_producers();
         q.stats.messages_consumed.add(total as u64);
         return Consumed::Batch(total);
     }

@@ -57,3 +57,14 @@ pub use pool::BufferPool;
 pub use replysink::{ReplySink, ReplyState, RpcFailure};
 pub use spsc::SpscQueue;
 pub use stats::{QueueStats, StatsSnapshot};
+
+/// Cases per seeded property in this crate's unit tests: 256 in a debug
+/// build, 4096 in `--release` (CI's `bench-smoke`), or
+/// `GRAVEL_FUZZ_CASES`.
+#[cfg(test)]
+pub(crate) fn fuzz_cases() -> u64 {
+    std::env::var("GRAVEL_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 256 } else { 4096 })
+}

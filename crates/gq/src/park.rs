@@ -43,19 +43,28 @@ impl WaitCell {
 
     /// Wake every parked consumer. Call *after* making data visible
     /// (e.g. after a release-store of a full bit). Nearly free when
-    /// nobody is parked.
-    pub fn notify_all(&self) {
+    /// nobody is parked. Returns whether anybody was (registered to
+    /// sleep, or about to): `false` means the call cost a fence and a
+    /// load.
+    pub fn notify_all(&self) -> bool {
         // Pairs with the consumer's SeqCst fetch_add: if we read 0 here,
         // any later-registering consumer is guaranteed to see the data
         // published before this fence when it re-checks readiness.
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::Relaxed) == 0 {
-            return;
+            return false;
         }
         let mut gen = self.lock.lock().unwrap_or_else(|p| p.into_inner());
         *gen = gen.wrapping_add(1);
         drop(gen);
         self.cv.notify_all();
+        true
+    }
+
+    /// Threads registered to sleep, or about to.
+    #[cfg(test)]
+    pub(crate) fn sleepers(&self) -> u64 {
+        self.sleepers.load(Ordering::SeqCst)
     }
 
     /// Park for up to `timeout` unless `ready()` already holds (it is

@@ -1,197 +1,137 @@
-//! Pooled packet-buffer arena: a size-bucketed, lock-free freelist of
-//! packet buffers recycled across flush / seal / receive instead of
-//! allocated per packet.
+//! Pooled packet-buffer arena: size-classed stacks of packet buffers
+//! recycled across flush / seal / receive instead of allocated per
+//! packet.
 //!
-//! The hot path allocates one buffer per flushed packet (the
-//! aggregation buffer behind the payload) and one per sealed frame
-//! (header + payload + CRC), plus the refcount block that lets
-//! retransmissions share the sealed bytes. At millions of packets per
-//! second that is steady allocator traffic — and for small RPC frames
-//! the malloc/free pair costs more than the memcpy it wraps. The arena
-//! removes *all* of it, refcount block included:
+//! The hot path uses one buffer per packet: the aggregation buffer the
+//! lane fills is opened with room for the frame header in front of the
+//! messages and the CRC trailer behind them, so the sealed frame is the
+//! same buffer (DESIGN.md §17). Only a packet built without that room
+//! is copied into a second buffer when it is sealed. Either way the
+//! buffer comes with the refcount block that lets retransmissions share
+//! the sealed bytes. At millions of packets per second that would be
+//! steady allocator traffic — and for small RPC frames the malloc/free
+//! pair costs more than the memcpy it wraps. The arena removes *all* of
+//! it, refcount block included:
 //!
-//! * Each bucket holds `Arc<Slab>` entries, where a [`Slab`] owns one
+//! * Each class holds `Arc<Slab>` entries, where a [`Slab`] owns one
 //!   `Vec<u8>`. [`BufferPool::take`] hands out the vector (moved out of
 //!   the slab, three words) together with a [`BufTicket`] wrapping the
 //!   slab — no allocation when a recycled slab is available.
 //! * [`BufferPool::seal`] moves the filled vector back into the slab
 //!   and lends it out as immutable [`bytes::Bytes`] via
 //!   `Bytes::from_owner_arc` — again no allocation, and the pool
-//!   retains a clone of the `Arc` in the bucket ring.
+//!   retains a clone of the `Arc` on top of the class's stack.
 //! * Reclamation is by observation, not by drop hook: a retained slab
 //!   whose `Arc::strong_count` has fallen back to 1 has no outstanding
 //!   frame views anywhere (acks arrived, retransmit clones dropped),
-//!   so the next `take` may reuse it exclusively. `take` probes a few
-//!   ring entries, rotating still-lent ones to the back.
+//!   so the next `take` may reuse it exclusively.
+//! * Reuse is **warm-first**: `take` searches its class from the most
+//!   recently sealed slab down and returns the first reclaimable one.
+//!   A packet is in flight for a few packet times, so what rotates is
+//!   about as many slabs as are in flight — a few hundred kB that stay
+//!   in cache — rather than every slab a burst ever left behind.
+//! * What collects at the cold end is surplus. When a reclaimable slab
+//!   has sat below the one `take` chose for [`TRIM_AFTER`] takes in a
+//!   row it is dropped, so the footprint follows the recent peak of
+//!   what was in flight back down after a burst. At most one slab goes
+//!   per `TRIM_AFTER` takes: if demand swings back, at most that share
+//!   of takes is a miss.
 //!
-//! Buckets are power-of-two capacities so a recycled vector can never
-//! need a mid-use realloc (which would both defeat the zero-alloc
-//! guarantee and strand the pool with odd-sized buffers). Each bucket
-//! is a bounded lock-free MPMC ring (slot-sequence protocol, the
-//! classic bounded-queue design) because buffers cross threads: the
-//! aggregator seals, the net thread or a remote node's receiver drops.
+//! A class is a power of two plus [`CLASS_SLACK_BYTES`], so a buffer
+//! for a power-of-two payload *and* its frame header and trailer fits
+//! the payload's own class and a recycled vector can never need a
+//! mid-use realloc (which would both defeat the zero-alloc guarantee
+//! and strand the pool with odd-sized buffers). Each class is a short
+//! mutex-guarded stack. Buffers cross threads — the aggregator seals,
+//! the net thread or a remote node's receiver drops — but dropping a
+//! view touches only the slab's refcount, so the lock is taken by
+//! whoever calls `take` / `seal` / `put` (one lane per node in the
+//! runtime) and is all but uncontended.
 //!
-//! Telemetry: `<prefix>pool.hits`, `<prefix>pool.misses` (counters)
-//! and `<prefix>pool.resident_bytes` (gauge — capacity retained in the
-//! bucket rings; recyclable as soon as the frames referencing it
-//! drop).
+//! Telemetry: `<prefix>pool.hits`, `<prefix>pool.misses`,
+//! `<prefix>pool.trimmed` (counters) and `<prefix>pool.resident_bytes`
+//! (gauge — capacity retained in the stacks; recyclable as soon as the
+//! frames referencing it drop).
 //!
 //! # Safety argument
 //!
-//! A slab's vector is written only by a thread holding an `Arc` whose
-//! `strong_count` is exactly 1 (take-after-reclaim, or a fresh miss) —
-//! no other reference exists, so no concurrent reader can. While lent
-//! (count ≥ 2) the vector is only read. The ring's release/acquire
-//! slot handshake orders the writer's stores before the next claimant's
-//! loads, and observing `strong_count == 1` via an acquire load orders
+//! A slab's vector is moved, resized or dropped only by a thread
+//! holding an `Arc` whose `strong_count` is exactly 1 (take-after-
+//! reclaim, or a fresh miss) — no other reference exists, so no
+//! concurrent reader can. While lent (count ≥ 2) the vector stays where
+//! it is and the bytes a view covers are only read; the bytes *no* view
+//! covers may be written once, through [`ByteOwner::room_ptr`], by
+//! whoever holds the only view over them (`Bytes::fill` states that
+//! contract; the frame seal in `gravel-pgas` is its one caller). The
+//! class mutex orders a sealer's stores before the next taker's loads,
+//! and the acquire fence behind an observed `strong_count == 1` orders
 //! the last dropper's reads before our subsequent writes.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::{ByteOwner, Bytes};
 use gravel_telemetry::{Counter, Gauge, Registry};
 
-/// Smallest bucket capacity. Requests below this are rounded up — a
-/// 1 KiB floor keeps tiny RPC frames (∼100 B) from fragmenting the
-/// bucket space while costing little per resident buffer.
+/// Smallest class, before slack. Requests below this are rounded up —
+/// a 1 KiB floor keeps tiny RPC frames (∼100 B) from fragmenting the
+/// class space while costing little per resident buffer.
 pub const MIN_BUCKET_BYTES: usize = 1 << 10;
 
-/// Largest bucket capacity. A 64 KiB aggregation payload seals into a
-/// frame slightly larger than 64 KiB (header + CRC), so the top bucket
-/// is 128 KiB. Requests beyond this bypass the pool entirely (counted
-/// as misses; their ticket is dropped, not retained).
+/// Largest class, before slack: twice the paper's 64 KiB queue, for
+/// configurations that double it. (The 64 KiB queue's own frame fits
+/// the 64 KiB class, slack included.) Requests beyond this bypass the
+/// pool entirely (counted as misses; their ticket is dropped, not
+/// retained).
 pub const MAX_BUCKET_BYTES: usize = 1 << 17;
 
-/// Ring slots per bucket: the number of slabs (lent + idle) a bucket
-/// can track. In-flight frames beyond this are simply not recycled
-/// (freed on last drop), so the bound trades recycle rate against the
-/// worst-case idle footprint.
-const BUCKET_SLOTS: usize = 256;
+/// What every class holds beyond its power of two: room for a frame
+/// header and trailer around a power-of-two payload (`gravel-pgas`
+/// checks its `FRAME_OVERHEAD` against this), one cache line.
+pub const CLASS_SLACK_BYTES: usize = 64;
 
-/// How many ring entries `take` inspects looking for a reclaimable
-/// (count == 1) slab before giving up and allocating.
-const TAKE_PROBES: usize = 4;
+/// Slabs (lent + idle) a class can track. In-flight frames beyond this
+/// push the coldest entry out (freed on its last drop), so the bound
+/// trades recycle rate against the worst-case idle footprint.
+const CLASS_SLOTS: usize = 256;
+
+/// Takes in a row that must leave a reclaimable slab unused below the
+/// one they chose before the coldest such slab is dropped. At 256 a
+/// traced `put_dense`, whose depth in flight swings with the host's
+/// scheduler, re-allocated what it had just trimmed often enough to
+/// read `pool.hit_frac` 0.995–0.997; a thousand takes is 10–20 ms of
+/// that stream.
+const TRIM_AFTER: u32 = 1024;
 
 const MIN_SHIFT: u32 = MIN_BUCKET_BYTES.trailing_zeros();
 const MAX_SHIFT: u32 = MAX_BUCKET_BYTES.trailing_zeros();
-const NUM_BUCKETS: usize = (MAX_SHIFT - MIN_SHIFT + 1) as usize;
+const NUM_CLASSES: usize = (MAX_SHIFT - MIN_SHIFT + 1) as usize;
 
-// ---------------------------------------------------------------------------
-// Bounded lock-free MPMC ring (slot-sequence protocol).
-// ---------------------------------------------------------------------------
-
-struct Slot<T> {
-    /// Round stamp: `seq == ticket` means "free for the pusher holding
-    /// this ticket"; `seq == ticket + 1` means "full for the popper
-    /// holding it". Advanced by the ring capacity per lap.
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<T>>,
+/// Capacity of class `i`'s buffers.
+const fn class_bytes(i: usize) -> usize {
+    (MIN_BUCKET_BYTES << i) + CLASS_SLACK_BYTES
 }
 
-/// Bounded MPMC queue of owned values. Unlike [`crate::MpmcQueue`]
-/// (which moves fixed-width `u64` rows through atomic payload cells),
-/// this ring moves heap objects, so slots hold `MaybeUninit` values
-/// guarded by the slot-sequence handshake.
-struct Ring<T> {
-    slots: Box<[Slot<T>]>,
-    /// Next push ticket.
-    tail: AtomicUsize,
-    /// Next pop ticket.
-    head: AtomicUsize,
+/// Class serving a *request* for `cap` bytes (round up), or `None` if
+/// the request is above the largest class.
+fn class_for_request(cap: usize) -> Option<usize> {
+    if cap > class_bytes(NUM_CLASSES - 1) {
+        return None;
+    }
+    let pow = cap.saturating_sub(CLASS_SLACK_BYTES).max(MIN_BUCKET_BYTES).next_power_of_two();
+    Some((pow.trailing_zeros() - MIN_SHIFT) as usize)
 }
 
-// SAFETY: slot values are only touched by the thread that won the
-// matching seq CAS, and the Release store on `seq` publishes the write
-// to whoever claims the slot next.
-unsafe impl<T: Send> Send for Ring<T> {}
-unsafe impl<T: Send> Sync for Ring<T> {}
-
-impl<T> Ring<T> {
-    fn new(cap: usize) -> Self {
-        assert!(cap.is_power_of_two());
-        let slots = (0..cap)
-            .map(|i| Slot { seq: AtomicUsize::new(i), val: UnsafeCell::new(MaybeUninit::uninit()) })
-            .collect();
-        Ring { slots, tail: AtomicUsize::new(0), head: AtomicUsize::new(0) }
+/// Class a vector of `capacity` bytes can *serve* (round down), or
+/// `None` if it is too small or too large to recycle.
+fn class_for_return(capacity: usize) -> Option<usize> {
+    if !(class_bytes(0)..=class_bytes(NUM_CLASSES - 1)).contains(&capacity) {
+        return None;
     }
-
-    fn cap(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Push `v`, or hand it back if the ring is full.
-    fn push(&self, v: T) -> Result<(), T> {
-        let mask = self.cap() - 1;
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == tail {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS on `tail` at `seq == tail`
-                        // grants exclusive write access to this slot.
-                        unsafe { (*slot.val.get()).write(v) };
-                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if (seq as isize).wrapping_sub(tail as isize) < 0 {
-                // One full lap behind: the ring is full.
-                return Err(v);
-            } else {
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Pop a value, if any is present.
-    fn pop(&self) -> Option<T> {
-        let mask = self.cap() - 1;
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let want = head.wrapping_add(1);
-            if seq == want {
-                match self.head.compare_exchange_weak(
-                    head,
-                    want,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS on `head` at `seq == head+1`
-                        // grants exclusive read access to the initialized value.
-                        let v = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq.store(head.wrapping_add(self.cap()), Ordering::Release);
-                        return Some(v);
-                    }
-                    Err(h) => head = h,
-                }
-            } else if (seq as isize).wrapping_sub(want as isize) < 0 {
-                // Slot not filled yet for this lap: the ring is empty.
-                return None;
-            } else {
-                head = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
+    let shift = usize::BITS - 1 - (capacity - CLASS_SLACK_BYTES).leading_zeros();
+    Some((shift - MIN_SHIFT) as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -202,26 +142,41 @@ impl<T> Drop for Ring<T> {
 /// shared by every frame view, and the pool reclaims both together.
 struct Slab {
     vec: UnsafeCell<Vec<u8>>,
+    /// Byte 0 of `vec`'s buffer, recorded while `seal` still owned the
+    /// vector by value: the pointer `Bytes::fill` writes through.
+    room: AtomicPtr<u8>,
 }
 
-// SAFETY: see the module-level safety argument — writes happen only at
-// strong_count == 1, reads only while lent out immutably.
+// SAFETY: see the module-level safety argument — the vector is moved
+// only at strong_count == 1 and its viewed bytes are only read while
+// lent.
 unsafe impl Send for Slab {}
 unsafe impl Sync for Slab {}
 
 impl ByteOwner for Slab {
     fn as_slice(&self) -> &[u8] {
-        // SAFETY: called only through a lent-out `Bytes` (count ≥ 2),
-        // during which the vector is never written.
+        // SAFETY: called once, by `Bytes::from_owner_arc` inside
+        // `seal`, on the thread that just moved the vector in.
         unsafe { &*self.vec.get() }
+    }
+
+    fn room_ptr(&self) -> Option<*mut u8> {
+        Some(self.room.load(Ordering::Relaxed))
     }
 }
 
 impl Slab {
+    fn new() -> Arc<Slab> {
+        Arc::new(Slab {
+            vec: UnsafeCell::new(Vec::new()),
+            room: AtomicPtr::new(std::ptr::null_mut()),
+        })
+    }
+
     fn capacity(&self) -> usize {
-        // SAFETY: reading `Vec` metadata; no concurrent writer can
-        // exist while the caller holds any reference (writes require
-        // exclusive count == 1 ownership by the *same* caller).
+        // SAFETY: reading `Vec` metadata, which changes only at
+        // strong_count == 1 in the hands of whoever took the slab off
+        // its stack; callers hold the slab's class lock or its ticket.
         unsafe { (*self.vec.get()).capacity() }
     }
 }
@@ -238,58 +193,93 @@ pub struct BufTicket {
 // The pool.
 // ---------------------------------------------------------------------------
 
+/// One size class: its retained slabs, coldest first.
+struct Class {
+    /// `seal` and `put` push at the back, `take` searches from the
+    /// back. Allocated once at `CLASS_SLOTS`, never grown.
+    stack: VecDeque<Arc<Slab>>,
+    /// Consecutive takes that left a reclaimable slab unused below
+    /// the one they returned.
+    idle_takes: u32,
+}
+
 struct PoolShared {
-    buckets: [Ring<Arc<Slab>>; NUM_BUCKETS],
+    classes: [Mutex<Class>; NUM_CLASSES],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Capacity bytes retained in bucket rings (lent + idle).
+    trimmed: AtomicU64,
+    /// Capacity bytes retained in the stacks (lent + idle).
     resident: AtomicI64,
     /// Registry mirrors; detached when the pool is unbound.
     hits_c: Counter,
     misses_c: Counter,
+    trimmed_c: Counter,
     resident_g: Gauge,
 }
 
 impl PoolShared {
+    fn class(&self, i: usize) -> MutexGuard<'_, Class> {
+        // A stack of `Arc`s is valid at every step of every update.
+        self.classes[i].lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn note_resident(&self, delta: i64) {
         let now = self.resident.fetch_add(delta, Ordering::Relaxed) + delta;
         self.resident_g.set(now);
     }
 
-    /// Retain a slab for future reuse; drops it (our clone of it) if
-    /// its bucket ring is full or its capacity is out of range.
+    /// `slab` left the cold end of its stack unused.
+    fn note_trimmed(&self, slab: Arc<Slab>) {
+        self.note_resident(-(slab.capacity() as i64));
+        self.trimmed.fetch_add(1, Ordering::Relaxed);
+        self.trimmed_c.inc();
+    }
+
+    /// Retain a slab for reuse, warmest of its class; drops it (our
+    /// clone of it) if its capacity fits no class. A full stack loses
+    /// its coldest entry instead.
     fn retain(&self, slab: Arc<Slab>) {
         let cap = slab.capacity();
-        if let Some(b) = bucket_for_return(cap) {
-            if self.buckets[b].push(slab).is_ok() {
-                self.note_resident(cap as i64);
-            }
+        let Some(c) = class_for_return(cap) else { return };
+        let mut class = self.class(c);
+        if class.stack.len() == CLASS_SLOTS {
+            let coldest = class.stack.pop_front().expect("a full stack has a front");
+            self.note_trimmed(coldest);
         }
+        class.stack.push_back(slab);
+        self.note_resident(cap as i64);
+    }
+
+    /// The warmest reclaimable slab of class `c`, off its stack.
+    fn reclaim(&self, c: usize) -> Option<Arc<Slab>> {
+        let mut class = self.class(c);
+        let reclaimable = |slab: &Arc<Slab>| Arc::strong_count(slab) == 1;
+        let at = class.stack.iter().rposition(reclaimable)?;
+        // Exclusive: every frame view is gone, and the stack's own
+        // reference is the one we are taking. The fence orders the
+        // last dropper's reads before the taker's writes.
+        fence(Ordering::Acquire);
+        let slab = class.stack.remove(at).expect("rposition is in range");
+        self.note_resident(-(slab.capacity() as i64));
+        match class.stack.iter().take(at).position(reclaimable) {
+            Some(cold) => {
+                class.idle_takes += 1;
+                if class.idle_takes >= TRIM_AFTER {
+                    class.idle_takes = 0;
+                    let idle = class.stack.remove(cold).expect("position is in range");
+                    self.note_trimmed(idle);
+                }
+            }
+            // Everything below is in flight: the stack is no deeper
+            // than the traffic needs.
+            None => class.idle_takes = 0,
+        }
+        Some(slab)
     }
 }
 
-/// Bucket index serving a *request* for `cap` bytes (round up), or
-/// `None` if the request is above the largest bucket.
-fn bucket_for_request(cap: usize) -> Option<usize> {
-    if cap > MAX_BUCKET_BYTES {
-        return None;
-    }
-    let cap = cap.max(MIN_BUCKET_BYTES).next_power_of_two();
-    Some((cap.trailing_zeros() - MIN_SHIFT) as usize)
-}
-
-/// Bucket index a vector of `capacity` bytes can *serve* (round down),
-/// or `None` if it is too small or too large to recycle.
-fn bucket_for_return(capacity: usize) -> Option<usize> {
-    if !(MIN_BUCKET_BYTES..=MAX_BUCKET_BYTES).contains(&capacity) {
-        return None;
-    }
-    let shift = usize::BITS - 1 - capacity.leading_zeros();
-    Some((shift - MIN_SHIFT) as usize)
-}
-
-/// A shared, lock-free arena of recycled packet buffers. Cheap to
-/// clone (one `Arc`).
+/// A shared arena of recycled packet buffers. Cheap to clone (one
+/// `Arc`).
 #[derive(Clone)]
 pub struct BufferPool {
     shared: Arc<PoolShared>,
@@ -298,29 +288,40 @@ pub struct BufferPool {
 impl BufferPool {
     /// A pool with detached (process-local) telemetry.
     pub fn new() -> Self {
-        Self::build(Counter::detached(), Counter::detached(), Gauge::detached())
+        Self::build(
+            Counter::detached(),
+            Counter::detached(),
+            Counter::detached(),
+            Gauge::detached(),
+        )
     }
 
-    /// A pool whose `pool.hits` / `pool.misses` / `pool.resident_bytes`
-    /// metrics live in `registry` under `prefix` (e.g. `"node0."`).
+    /// A pool whose `pool.hits` / `pool.misses` / `pool.trimmed` /
+    /// `pool.resident_bytes` metrics live in `registry` under `prefix`
+    /// (e.g. `"node0."`).
     pub fn bound(registry: &Registry, prefix: &str) -> Self {
         Self::build(
             registry.counter(&format!("{prefix}pool.hits")),
             registry.counter(&format!("{prefix}pool.misses")),
+            registry.counter(&format!("{prefix}pool.trimmed")),
             registry.gauge(&format!("{prefix}pool.resident_bytes")),
         )
     }
 
-    fn build(hits_c: Counter, misses_c: Counter, resident_g: Gauge) -> Self {
-        let buckets = std::array::from_fn(|_| Ring::new(BUCKET_SLOTS));
+    fn build(hits_c: Counter, misses_c: Counter, trimmed_c: Counter, resident_g: Gauge) -> Self {
+        let classes = std::array::from_fn(|_| {
+            Mutex::new(Class { stack: VecDeque::with_capacity(CLASS_SLOTS), idle_takes: 0 })
+        });
         BufferPool {
             shared: Arc::new(PoolShared {
-                buckets,
+                classes,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
+                trimmed: AtomicU64::new(0),
                 resident: AtomicI64::new(0),
                 hits_c,
                 misses_c,
+                trimmed_c,
                 resident_g,
             }),
         }
@@ -328,51 +329,32 @@ impl BufferPool {
 
     /// An empty vector with capacity ≥ `cap` plus the ticket to return
     /// it through. Recycled (vector *and* refcount block, zero
-    /// allocations) when a reclaimable slab is resident; freshly
-    /// allocated — a miss — otherwise.
+    /// allocations) when a reclaimable slab is resident — the most
+    /// recently sealed one there is; freshly allocated — a miss —
+    /// otherwise.
     pub fn take(&self, cap: usize) -> (Vec<u8>, BufTicket) {
-        if let Some(b) = bucket_for_request(cap) {
-            let ring = &self.shared.buckets[b];
-            for _ in 0..TAKE_PROBES {
-                let Some(slab) = ring.pop() else { break };
-                if Arc::strong_count(&slab) == 1 {
-                    // Exclusive: every frame view is gone. Reclaim.
-                    self.shared.note_resident(-(slab.capacity() as i64));
-                    self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                    self.shared.hits_c.inc();
-                    // SAFETY: count == 1 — we hold the only reference.
-                    let mut vec = unsafe { std::mem::take(&mut *slab.vec.get()) };
-                    vec.clear();
-                    debug_assert!(vec.capacity() >= cap);
-                    return (vec, BufTicket { slab });
-                }
-                // Still lent out; rotate it to the back of the ring.
-                // If the ring refilled meanwhile, drop our clone — the
-                // outstanding frames keep the slab alive and it simply
-                // won't be recycled.
-                if ring.push(Arc::clone(&slab)).is_err() {
-                    self.shared.note_resident(-(slab.capacity() as i64));
-                }
-            }
+        let class = class_for_request(cap);
+        if let Some(slab) = class.and_then(|c| self.shared.reclaim(c)) {
+            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+            self.shared.hits_c.inc();
+            // SAFETY: count == 1 — we hold the only reference.
+            let mut vec = unsafe { std::mem::take(&mut *slab.vec.get()) };
+            vec.clear();
+            debug_assert!(vec.capacity() >= cap);
+            return (vec, BufTicket { slab });
         }
         self.shared.misses.fetch_add(1, Ordering::Relaxed);
         self.shared.misses_c.inc();
-        let cap = if cap > MAX_BUCKET_BYTES {
-            cap
-        } else {
-            cap.max(MIN_BUCKET_BYTES).next_power_of_two()
-        };
-        (
-            Vec::with_capacity(cap),
-            BufTicket { slab: Arc::new(Slab { vec: UnsafeCell::new(Vec::new()) }) },
-        )
+        let cap = class.map_or(cap, class_bytes);
+        (Vec::with_capacity(cap), BufTicket { slab: Slab::new() })
     }
 
     /// Seal a filled vector into immutable [`Bytes`] backed by its
     /// slab, retaining the slab for reuse once every clone and slice
     /// of the returned `Bytes` has dropped. Allocation-free.
-    pub fn seal(&self, vec: Vec<u8>, ticket: BufTicket) -> Bytes {
+    pub fn seal(&self, mut vec: Vec<u8>, ticket: BufTicket) -> Bytes {
         debug_assert_eq!(Arc::strong_count(&ticket.slab), 1, "ticket must be exclusive");
+        ticket.slab.room.store(vec.as_mut_ptr(), Ordering::Relaxed);
         // SAFETY: the ticket holds the only reference to the slab.
         unsafe { *ticket.slab.vec.get() = vec };
         let bytes = Bytes::from_owner_arc(Arc::clone(&ticket.slab) as Arc<dyn ByteOwner>);
@@ -399,7 +381,13 @@ impl BufferPool {
         self.shared.misses.load(Ordering::Relaxed)
     }
 
-    /// Capacity bytes retained in the bucket rings (lent + idle).
+    /// Retained slabs dropped from the cold end of a stack: surplus
+    /// after a burst, or pushed out of a full stack.
+    pub fn trimmed(&self) -> u64 {
+        self.shared.trimmed.load(Ordering::Relaxed)
+    }
+
+    /// Capacity bytes retained in the stacks (lent + idle).
     pub fn resident_bytes(&self) -> i64 {
         self.shared.resident.load(Ordering::Relaxed)
     }
@@ -416,6 +404,7 @@ impl std::fmt::Debug for BufferPool {
         f.debug_struct("BufferPool")
             .field("hits", &self.hits())
             .field("misses", &self.misses())
+            .field("trimmed", &self.trimmed())
             .field("resident_bytes", &self.resident_bytes())
             .finish()
     }
@@ -426,18 +415,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_rounding() {
-        assert_eq!(bucket_for_request(1), Some(0));
-        assert_eq!(bucket_for_request(MIN_BUCKET_BYTES), Some(0));
-        assert_eq!(bucket_for_request(MIN_BUCKET_BYTES + 1), Some(1));
-        assert_eq!(bucket_for_request(MAX_BUCKET_BYTES), Some(NUM_BUCKETS - 1));
-        assert_eq!(bucket_for_request(MAX_BUCKET_BYTES + 1), None);
+    fn class_rounding() {
+        let top = NUM_CLASSES - 1;
+        assert_eq!(class_for_request(1), Some(0));
+        assert_eq!(class_for_request(class_bytes(0)), Some(0));
+        assert_eq!(class_for_request(class_bytes(0) + 1), Some(1));
+        assert_eq!(class_for_request(class_bytes(top)), Some(top));
+        assert_eq!(class_for_request(class_bytes(top) + 1), None);
         // Returns round *down* so a served take never needs realloc.
-        assert_eq!(bucket_for_return(MIN_BUCKET_BYTES - 1), None);
-        assert_eq!(bucket_for_return(MIN_BUCKET_BYTES), Some(0));
-        assert_eq!(bucket_for_return(MIN_BUCKET_BYTES * 2 - 1), Some(0));
-        assert_eq!(bucket_for_return(MAX_BUCKET_BYTES), Some(NUM_BUCKETS - 1));
-        assert_eq!(bucket_for_return(MAX_BUCKET_BYTES + 1), None);
+        assert_eq!(class_for_return(class_bytes(0) - 1), None);
+        assert_eq!(class_for_return(class_bytes(0)), Some(0));
+        assert_eq!(class_for_return(class_bytes(1) - 1), Some(0));
+        assert_eq!(class_for_return(class_bytes(top)), Some(top));
+        assert_eq!(class_for_return(class_bytes(top) + 1), None);
+        for i in 0..NUM_CLASSES {
+            assert_eq!(class_for_request(class_bytes(i)), Some(i));
+            assert_eq!(class_for_return(class_bytes(i)), Some(i));
+        }
+    }
+
+    #[test]
+    fn a_power_of_two_payload_plus_slack_fits_the_payloads_own_class() {
+        // What the packet path asks for: the paper's 64 KiB queue with
+        // a frame header in front and a trailer behind.
+        let pool = BufferPool::new();
+        let want = (64 << 10) + 40;
+        let (v, t) = pool.take(want);
+        assert!(v.capacity() >= want);
+        assert!((v.capacity() as f64) < 1.1 * want as f64, "capacity {}", v.capacity());
+        pool.put(v, t);
+        assert_eq!(pool.resident_bytes(), class_bytes(6) as i64);
+        let (_v, _t) = pool.take(want);
+        assert_eq!((pool.hits(), pool.misses()), (1, 1), "and is found there again");
     }
 
     #[test]
@@ -455,17 +464,90 @@ mod tests {
         assert_eq!(pool.misses(), 2, "lent slab is skipped");
         pool.put(v2, t2);
         drop(b);
-        // Now reclaimable: same allocation comes back, as a hit.
+        // Now reclaimable. The scratch slab went back last, so it is
+        // served first; the original allocation is right below it.
         let (v3, _t3) = pool.take(4096);
         assert_eq!(pool.hits(), 1);
         assert!(v3.is_empty());
-        // Either the first or the scratch slab may be served first;
-        // drain one more to prove the original pointer circulates.
         let (v4, _t4) = pool.take(4096);
-        assert!(
-            v3.as_ptr() == ptr || v4.as_ptr() == ptr,
-            "original allocation was recycled"
-        );
+        assert_eq!(pool.hits(), 2);
+        assert_eq!(v4.as_ptr(), ptr, "original allocation was recycled");
+    }
+
+    #[test]
+    fn take_returns_the_most_recently_sealed_reclaimable_slab() {
+        let pool = BufferPool::new();
+        let taken: Vec<_> = (0..4).map(|_| pool.take(2048)).collect();
+        let ptrs: Vec<_> = taken.iter().map(|(v, _)| v.as_ptr()).collect();
+        let mut views: Vec<_> = taken.into_iter().map(|(v, t)| pool.seal(v, t)).collect();
+        // Sealed 0, 1, 2, 3; 3 is still lent, so 2 is the warmest free.
+        let lent = views.pop().unwrap();
+        drop(views);
+        let (v, _t) = pool.take(2048);
+        assert_eq!(v.as_ptr(), ptrs[2]);
+        let (v, _t) = pool.take(2048);
+        assert_eq!(v.as_ptr(), ptrs[1]);
+        drop(lent);
+        let (v, _t) = pool.take(2048);
+        assert_eq!(v.as_ptr(), ptrs[3], "a slab is warm again the moment its views drop");
+    }
+
+    #[test]
+    fn rotation_follows_what_is_in_flight_and_the_footprint_falls_back_after_a_burst() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::{HashSet, VecDeque};
+        const BURST: usize = 200;
+        for seed in 0..(crate::fuzz_cases() / 256).max(1) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = rng.gen_range(1..=12);
+            let pool = BufferPool::new();
+            let mut held: VecDeque<Bytes> = VecDeque::new();
+            let mut cycle = |held: &mut VecDeque<Bytes>, hold: usize| {
+                let (mut v, t) = pool.take(MIN_BUCKET_BYTES);
+                let ptr = v.as_ptr();
+                assert!(
+                    held.iter().all(|b| b.as_ptr() != ptr),
+                    "take handed out a slab with a live view"
+                );
+                v.push(seed as u8);
+                held.push_back(pool.seal(v, t));
+                while held.len() > hold {
+                    // Mostly the oldest view goes first, as acks do.
+                    let at = if rng.gen_bool(0.8) { 0 } else { rng.gen_range(0..held.len()) };
+                    held.remove(at);
+                }
+                ptr
+            };
+            // A burst: 200 views held at once, then all but k dropped.
+            for _ in 0..BURST {
+                cycle(&mut held, BURST);
+            }
+            held.truncate(k);
+            let peak = pool.resident_bytes();
+            assert_eq!(peak, (BURST * class_bytes(0)) as i64);
+            let mut distinct = HashSet::new();
+            for _ in 0..10_000 {
+                distinct.insert(cycle(&mut held, k));
+            }
+            assert!(
+                distinct.len() <= k + 2,
+                "seed {seed}: {} slabs rotated with {k} views held",
+                distinct.len()
+            );
+            assert_eq!(pool.misses(), BURST as u64, "seed {seed}: nothing after the burst missed");
+            let trimmed = (10_000 / TRIM_AFTER as usize) as i64;
+            assert!(trimmed > 0);
+            assert_eq!(pool.trimmed(), trimmed as u64, "seed {seed}");
+            assert_eq!(pool.resident_bytes(), peak - trimmed * class_bytes(0) as i64);
+            // Left alone the surplus goes entirely: what stays is what
+            // rotates.
+            for _ in 0..(BURST * TRIM_AFTER as usize) {
+                cycle(&mut held, k);
+            }
+            let left = pool.resident_bytes() / class_bytes(0) as i64;
+            assert!(left <= (k + 2) as i64, "seed {seed}: {left} slabs left for {k} held");
+            assert_eq!(pool.misses(), BURST as u64, "seed {seed}: trimming cost no miss");
+        }
     }
 
     #[test]
@@ -516,7 +598,7 @@ mod tests {
         let pool = BufferPool::new();
         let (v, t) = pool.take(MIN_BUCKET_BYTES);
         pool.put(v, t);
-        assert_eq!(pool.resident_bytes(), MIN_BUCKET_BYTES as i64);
+        assert_eq!(pool.resident_bytes(), class_bytes(0) as i64);
         let (_v, _t) = pool.take(MIN_BUCKET_BYTES);
         assert_eq!(pool.hits(), 1);
     }

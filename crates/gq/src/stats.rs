@@ -22,6 +22,10 @@ pub struct QueueStats {
     /// Synchronization loads spent by producers waiting for a slot to
     /// drain (queue-full backpressure).
     pub producer_spins: Counter,
+    /// Times a consumer, done with a claim, found producers parked on
+    /// the full ring and woke them (a futex wake each; a notify that
+    /// finds nobody asleep is not counted).
+    pub producer_wakes: Counter,
     /// RMWs issued by consumers (index CAS).
     pub consumer_rmws: Counter,
     /// Polls by consumers that found nothing ready (the aggregator's
@@ -43,6 +47,7 @@ impl Default for QueueStats {
         QueueStats {
             producer_rmws: Counter::detached(),
             producer_spins: Counter::detached(),
+            producer_wakes: Counter::detached(),
             consumer_rmws: Counter::detached(),
             consumer_empty_polls: Counter::detached(),
             consumer_hits: Counter::detached(),
@@ -63,6 +68,7 @@ impl QueueStats {
         QueueStats {
             producer_rmws: registry.counter(&name("producer_rmws")),
             producer_spins: registry.counter(&name("producer_spins")),
+            producer_wakes: registry.counter(&name("producer_wakes")),
             consumer_rmws: registry.counter(&name("consumer_rmws")),
             consumer_empty_polls: registry.counter(&name("consumer_empty_polls")),
             consumer_hits: registry.counter(&name("consumer_hits")),
@@ -78,6 +84,7 @@ impl QueueStats {
         StatsSnapshot {
             producer_rmws: self.producer_rmws.get(),
             producer_spins: self.producer_spins.get(),
+            producer_wakes: self.producer_wakes.get(),
             consumer_rmws: self.consumer_rmws.get(),
             consumer_empty_polls: self.consumer_empty_polls.get(),
             consumer_hits: self.consumer_hits.get(),
@@ -93,6 +100,7 @@ impl QueueStats {
 pub struct StatsSnapshot {
     pub producer_rmws: u64,
     pub producer_spins: u64,
+    pub producer_wakes: u64,
     pub consumer_rmws: u64,
     pub consumer_empty_polls: u64,
     pub consumer_hits: u64,

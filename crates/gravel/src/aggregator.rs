@@ -13,10 +13,12 @@
 //!
 //! The lane also drains the node's **express ring** (request-reply
 //! traffic, DESIGN.md §15). It polls that ring first on every
-//! iteration — so a GET or reply waits for at most the
-//! one bulk batch in hand — and flushes the express queues the moment
-//! the ring reads empty: whatever accumulated while the lane was busy
-//! leaves as one packet, and nothing ever waits on a flush timer.
+//! iteration, and while it works through a bulk claim it looks at it
+//! after every slot and puts the rest of the claim aside if something
+//! is ready — so a GET or reply waits for at most the one bulk slot in
+//! hand — and flushes the express queues the moment the ring reads
+//! empty: whatever accumulated while the lane was busy leaves as one
+//! packet, and nothing ever waits on a flush timer.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -148,14 +150,20 @@ fn submit_all(node: &NodeShared, scratch: &mut Vec<Packet>, sender: &mut Sender<
 /// appended to the queue its class and destination select, and what
 /// that fills goes to the sender at once. The chaos schedule ticks once
 /// per message, before it is aggregated, so an injected kill leaves the
-/// cursor on exactly the message the successor must start with. Kept a
-/// function: as a closure inside `run_supervised` the per-message loop
-/// measured 2 ns slower.
+/// cursor on exactly the message the successor must start with. With
+/// something ready on `urgent` (the express ring, while this is the
+/// bulk ring's claim) the pass returns at the next slot boundary and
+/// the rest of the claim waits in `cur`: a claim is up to eight slots,
+/// and a request under a storm of bulk would wait for all of them at
+/// the lane of either end. Kept a function: as a closure inside
+/// `run_supervised` the per-message loop measured 2 ns slower.
+#[allow(clippy::too_many_arguments)]
 fn aggregate(
     node: &NodeShared,
     lane: u32,
     chaos: Option<&ChaosPlan>,
     ring: &GravelQueue,
+    urgent: Option<&GravelQueue>,
     cur: &mut Cursor,
     nodeqs: &mut [NodeQueues],
     sender: &mut Sender<'_>,
@@ -199,7 +207,14 @@ fn aggregate(
         cur.claim.first += 1;
         cur.claim.slots -= 1;
         cur.msg = 0;
+        if urgent.is_some_and(|u| u.has_ready() && !u.is_closed()) {
+            // The rest of the claim waits in the cursor.
+            return;
+        }
     }
+    // One wake for the whole claim. A lane killed above leaves the
+    // slots it released unannounced; its successor gets here.
+    ring.wake_producers();
 }
 
 /// [`run`] with lane state hoisted into `state` (so a supervised
@@ -277,7 +292,7 @@ pub fn run_supervised(
         }
         if !fast.is_done() {
             let _span = node.tracer.span("agg.express", "aggregate", node.id);
-            aggregate(&node, lane, chaos.as_deref(), express, fast, nodeqs, &mut sender);
+            aggregate(&node, lane, chaos.as_deref(), express, None, fast, nodeqs, &mut sender);
             // No `idle.reset()`: a requester's next message is a
             // round trip away, far past the spin window, and its
             // publish ends a park anyway. A fresh yield loop per
@@ -298,6 +313,7 @@ pub fn run_supervised(
                 lane,
                 chaos.as_deref(),
                 ring,
+                Some(express),
                 bulk,
                 nodeqs,
                 &mut sender,

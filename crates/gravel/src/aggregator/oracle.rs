@@ -221,6 +221,50 @@ fn arb_traffic() -> impl Strategy<Value = (usize, Vec<Round>)> {
     })
 }
 
+/// A request or a reply waits for the bulk *slot* in hand, not for the
+/// claim: with something ready on the express ring the pass over a bulk
+/// claim returns at the next slot boundary, the rest of the claim stays
+/// in the cursor, and the next call carries on from there.
+#[test]
+fn a_bulk_claim_yields_to_a_ready_express_ring_at_the_next_slot() {
+    let mut cfg = GravelConfig::small(2, 16);
+    cfg.queue = QueueConfig { slots: RING_SLOTS, lane_width: LANE_WIDTH, rows: MSG_ROWS };
+    let node = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
+    let wire = Wire::default();
+    let gauges = FlowGauges::of(&node);
+    let mut flows = Vec::new();
+    let mut nodeqs: Vec<NodeQueues> = (0..NUM_CLASSES)
+        .map(|_| {
+            let policy = FlushPolicy::Fixed(Duration::from_secs(600));
+            NodeQueues::with_policy(0, 2, 1 << 16, policy, node.agg.clone())
+        })
+        .collect();
+    let (ring, express) = (node.queue.ring(0), node.queue.express());
+    for slot in 0..3u64 {
+        let words: Vec<u64> =
+            (0..2).flat_map(|i| Message::inc(1, slot, 10 * slot + i).encode()).collect();
+        ring.produce_batch(&words, 2);
+    }
+    let Consumed::Batch(claim) = ring.try_claim(8) else { panic!("three slots are ready") };
+    let mut cur = Cursor { claim, msg: 0 };
+    let mut sender = Sender::new(&node, 0, &wire, &mut flows, &gauges);
+    let consumed = || node.queue.stats.snapshot().messages_consumed;
+
+    express.produce_batch(&Message::get(1, 0, 0, 1).encode(), 1);
+    aggregate(&node, 0, None, ring, Some(express), &mut cur, &mut nodeqs, &mut sender);
+    assert_eq!((cur.claim.first, cur.claim.slots, cur.msg), (claim.first + 1, 2, 0));
+    assert_eq!(consumed(), 2, "one slot went back to the producers");
+
+    // The lane's loop serves the express ring next ...
+    let Consumed::Batch(urgent) = express.try_claim(8) else { panic!("the GET is ready") };
+    aggregate(&node, 0, None, express, None, &mut Cursor { claim: urgent, msg: 0 }, &mut nodeqs, &mut sender);
+    assert_eq!(consumed(), 3);
+    // ... and with that ring empty the rest of the claim goes in one call.
+    aggregate(&node, 0, None, ring, Some(express), &mut cur, &mut nodeqs, &mut sender);
+    assert!(cur.is_done());
+    assert_eq!(consumed(), 7);
+}
+
 /// Cases per property: CI's `bench-smoke` job runs this in `--release`.
 fn cases() -> u32 {
     std::env::var("GRAVEL_FUZZ_CASES")
@@ -249,7 +293,7 @@ proptest! {
         let one_pass = run_rig(nodes, queue_bytes, &rounds, |node, max, nodeqs, _, sender| {
             let ring = node.queue.ring(0);
             if let Consumed::Batch(claim) = ring.try_claim(max) {
-                aggregate(node, 0, None, ring, &mut Cursor { claim, msg: 0 }, nodeqs, sender);
+                aggregate(node, 0, None, ring, None, &mut Cursor { claim, msg: 0 }, nodeqs, sender);
             }
         });
         let messages: usize = rounds.iter().flat_map(|(slots, _)| slots).map(Vec::len).sum();

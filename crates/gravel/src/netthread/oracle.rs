@@ -147,14 +147,9 @@ fn arb_packet(max: usize) -> impl Strategy<Value = Packet> {
                 .flat_map(|w| w.to_le_bytes())
                 .collect();
             bytes.extend(tail);
-            Packet {
-                src: 1,
-                dest: 0,
-                lane: 3,
-                seq: 9,
-                born: Instant::now(),
-                payload: bytes::Bytes::from(bytes),
-            }
+            let mut pkt = Packet::from_payload(1, 0, bytes::Bytes::from(bytes));
+            (pkt.lane, pkt.seq) = (3, 9);
+            pkt
         },
     )
 }

@@ -160,8 +160,14 @@ pub struct NodeShared {
     /// Packet-buffer arena shared by this node's aggregator flushes,
     /// frame sealing, and socket receive path (`Some` when
     /// `cfg.buffer_pool`; owns the `pool.hits` / `pool.misses` /
-    /// `pool.resident_bytes` metrics). See DESIGN.md §17 "Buffer pooling".
+    /// `pool.trimmed` / `pool.resident_bytes` metrics). See DESIGN.md
+    /// §17 "Buffer pooling".
     pub pool: Option<BufferPool>,
+}
+
+/// The ring a message travels through.
+fn band_of(m: &Message) -> Band {
+    m.command.class().band()
 }
 
 impl NodeShared {
@@ -273,43 +279,34 @@ impl NodeShared {
     /// order given.
     pub fn host_send_batch(&self, msgs: &[Message]) {
         let width = self.queue.config().lane_width;
-        let slot_words = width * gravel_gq::MSG_ROWS;
-        let band = |m: &Message| m.command.class().band();
-        if msgs.iter().all(|m| band(m) == Band::Bulk) {
-            // One ring takes everything: no per-message routing. (The
-            // loop below, and one that routes stretches of one band,
-            // measured 1–2 ns a message slower on this input — a fifth
-            // of what a `put_dense` producer spends per message.)
-            let ring = self.queue.ring(0);
-            let mut words = Vec::with_capacity(slot_words);
-            for chunk in msgs.chunks(width) {
-                words.clear();
-                for m in chunk {
-                    words.extend_from_slice(&m.encode());
-                }
-                ring.produce_batch(&words, chunk.len());
-            }
-        } else {
-            // One slot's worth of staged words per band, flushed when
-            // full and at the end.
-            let mut staged = Band::ALL.map(|_| Vec::with_capacity(slot_words));
-            for m in msgs {
-                let band = band(m);
-                let words = &mut staged[band.index()];
-                words.extend_from_slice(&m.encode());
-                if words.len() == slot_words {
-                    self.queue.band(band).produce_batch(words, width);
-                    words.clear();
-                }
-            }
-            for (band, words) in Band::ALL.into_iter().zip(&staged) {
-                if !words.is_empty() {
-                    let n = words.len() / gravel_gq::MSG_ROWS;
-                    self.queue.band(band).produce_batch(words, n);
-                }
+        let ring = self.queue.ring(0);
+        for chunk in msgs.chunks(width) {
+            if chunk.iter().all(|m| band_of(m) == Band::Bulk) {
+                // One ring takes the whole slot, filled straight from
+                // the messages: no routing, no staged copy.
+                // (EXPERIMENTS.md "Hand-offs (PR 23)" has what the
+                // staging cost.)
+                ring.produce_with(chunk.len(), |i| chunk[i].encode());
+            } else {
+                self.host_send_mixed(chunk);
             }
         }
         self.note_offloaded(msgs.len() as u64);
+    }
+
+    /// At most a slot's worth of messages of both bands: staged per
+    /// band, each band's share produced in the order given.
+    fn host_send_mixed(&self, msgs: &[Message]) {
+        let mut staged = Band::ALL.map(|_| Vec::new());
+        for m in msgs {
+            staged[band_of(m).index()].extend_from_slice(&m.encode());
+        }
+        for (band, words) in Band::ALL.into_iter().zip(&staged) {
+            if !words.is_empty() {
+                let n = words.len() / gravel_gq::MSG_ROWS;
+                self.queue.band(band).produce_batch(words, n);
+            }
+        }
     }
 
     /// Snapshot this node's statistics directly from the live handles.
@@ -409,6 +406,31 @@ mod tests {
     }
 
     #[test]
+    fn hand_off_counters_are_exported_beside_the_ones_they_explain() {
+        let node = make_node(2);
+        let pool = node.pool.as_ref().expect("buffer_pool is on by default");
+        // Two buffers, then a long run of takes that only ever need the
+        // warm one: the cold one is trimmed.
+        let both = [pool.take(100), pool.take(100)];
+        for (v, t) in both {
+            pool.put(v, t);
+        }
+        while pool.trimmed() == 0 {
+            let (v, t) = pool.take(100);
+            pool.put(v, t);
+        }
+        node.queue.stats.producer_wakes.add(3);
+        let snap = node.registry.snapshot();
+        assert_eq!(snap.counter("node0.queue.producer_wakes"), 3);
+        assert_eq!(snap.counter("node0.pool.misses"), 2);
+        assert_eq!(snap.counter("node0.pool.trimmed"), 1);
+        assert_eq!(snap.gauge("node0.pool.resident_bytes"), pool.resident_bytes());
+        assert_eq!(node.stats().queue.producer_wakes, 3);
+        let restored = NodeStats::from_snapshot(0, &snap);
+        assert_eq!(restored.queue.producer_wakes, 3);
+    }
+
+    #[test]
     fn quiescence_counters_survive_telemetry_off() {
         let mut cfg = GravelConfig::small(2, 16);
         cfg.telemetry = gravel_telemetry::TelemetryConfig::Off;
@@ -421,21 +443,23 @@ mod tests {
 
     #[test]
     fn a_mixed_batch_splits_by_class_and_keeps_each_rings_order() {
+        // 64-message slots: two slots' worth that mix bands (the second
+        // only at its start), then one that is all bulk and goes to the
+        // ring straight from the messages.
         let node = make_node(2);
-        let msgs: Vec<Message> = (0..10u64)
-            .map(|i| match i % 3 {
-                0 => Message::get(1, i, i, 1),
-                _ => Message::inc(1, i, 1),
-            })
+        let is_get = |i: u64| i < 70 && i.is_multiple_of(3);
+        let msgs: Vec<Message> = (0..150u64)
+            .map(|i| if is_get(i) { Message::get(1, i, i, 1) } else { Message::inc(1, i, 1) })
             .collect();
         node.host_send_batch(&msgs);
-        assert_eq!(node.offloaded.get(), 10);
+        assert_eq!(node.offloaded.get(), 150);
         let drain = |ring: &gravel_gq::GravelQueue| {
             let mut out = Vec::new();
             while let gravel_gq::Consumed::Batch(_) = ring.try_consume_into(&mut out) {}
             out.chunks(4).map(|w| w[2]).collect::<Vec<u64>>()
         };
-        assert_eq!(drain(node.queue.express()), vec![0, 3, 6, 9]);
-        assert_eq!(drain(node.queue.ring(0)), vec![1, 2, 4, 5, 7, 8]);
+        let (gets, incs): (Vec<u64>, Vec<u64>) = (0..150).partition(|&i| is_get(i));
+        assert_eq!(drain(node.queue.express()), gets);
+        assert_eq!(drain(node.queue.ring(0)), incs);
     }
 }

@@ -174,6 +174,7 @@ impl NodeStats {
             queue: StatsSnapshot {
                 producer_rmws: c("queue.producer_rmws"),
                 producer_spins: c("queue.producer_spins"),
+                producer_wakes: c("queue.producer_wakes"),
                 consumer_rmws: c("queue.consumer_rmws"),
                 consumer_empty_polls: c("queue.consumer_empty_polls"),
                 consumer_hits: c("queue.consumer_hits"),

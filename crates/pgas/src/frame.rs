@@ -19,7 +19,7 @@ use std::time::Instant;
 use bytes::{BufMut, Bytes, BytesMut};
 use gravel_gq::Band;
 
-use crate::nodeq::Packet;
+use crate::nodeq::{FrameRoom, Packet};
 
 /// Frame magic: `b"GRVL"` read as a little-endian `u32`.
 pub const MAGIC: u32 = 0x4C56_5247;
@@ -637,7 +637,9 @@ pub fn seal_frame(head: &FrameHead, payload: &[u8], integrity: WireIntegrity) ->
 /// [`seal_frame`] drawing the frame buffer from a packet-buffer arena:
 /// allocation-free in steady state (the buffer and its refcount block
 /// both recycle once every clone of the frame drops). `None` falls
-/// back to the allocating path.
+/// back to the allocating path. This is the *copying* seal: what a
+/// packet without frame room around its payload pays, and the
+/// reference the in-place seal ([`Packet::seal_in`]) is tested against.
 pub fn seal_frame_in(
     head: &FrameHead,
     payload: &[u8],
@@ -657,6 +659,45 @@ pub fn seal_frame_in(
     };
     buf.put_u32_le(crc);
     pool.seal(buf, ticket)
+}
+
+/// Seal the frame in `whole` — header room, a payload already in
+/// place, trailer room — where it lies: the header and the trailer are
+/// written around the payload and `whole` *is* the frame. Byte for
+/// byte what [`seal_frame`] builds from the same header and payload.
+///
+/// `whole` must come out of a packet's `FrameRoom` (`nodeq.rs`), which
+/// is what makes the two writes sound.
+fn seal_in_place(whole: Bytes, head: &FrameHead, integrity: WireIntegrity) -> Bytes {
+    let body = HEADER_BYTES + head.payload_len as usize;
+    debug_assert_eq!(whole.len(), body + 4);
+    // SAFETY: `Bytes::fill` wants the caller to hold the only view of
+    // the bytes it writes, to be their only writer, and to know the
+    // owner: a `FrameRoom` only ever holds a `BufferPool` slab, whose
+    // `room_ptr` is the sealed vector's own pointer.
+    // *Disjoint room:* a `FrameRoom` is minted (`FrameRoom::lend`) over
+    // a slab the pool has just sealed, together with exactly one other
+    // view of it, the payload at `HEADER_BYTES..body`. Every later view
+    // of the slab is a clone or a sub-slice of that payload — a `Bytes`
+    // only narrows — so no view but `whole` covers `..HEADER_BYTES` or
+    // `body..`, and the pool cannot hand the slab to anyone else while
+    // `whole` lives (it reclaims at `strong_count == 1` only).
+    // *Single writer:* `FrameRoom` is not `Clone`, a cloned packet gets
+    // an empty one, and `take_around` empties it: this call holds the
+    // only `whole` there ever is for this slab's current lending, so
+    // the room is written here, once, and never again — a sealed frame
+    // that retransmission clones share is never touched.
+    // The payload bytes in between are only read (by the CRC, and by
+    // whoever else holds a payload view).
+    unsafe {
+        whole.fill(0..HEADER_BYTES, |room| put_header(&mut ArrayWriter { buf: room, at: 0 }, head));
+        let crc = match integrity {
+            WireIntegrity::Crc32c => crc32c(&whole[..body]),
+            WireIntegrity::Off => 0,
+        };
+        whole.fill(body..body + 4, |room| room.copy_from_slice(&crc.to_le_bytes()));
+    }
+    whole
 }
 
 fn read_u32(b: &[u8], at: usize) -> u32 {
@@ -1078,15 +1119,18 @@ impl DataFrame {
     /// is a zero-copy slice of the frame bytes.
     pub fn open(&self, integrity: WireIntegrity) -> Result<Packet, FrameError> {
         let head = open_data_frame(&self.bytes, integrity)?;
+        let payload = self
+            .bytes
+            .slice(HEADER_BYTES..HEADER_BYTES + head.payload_len as usize);
         Ok(Packet {
             src: head.src,
             dest: head.dest,
             lane: head.lane,
             seq: head.seq,
             born: self.born,
-            payload: self
-                .bytes
-                .slice(HEADER_BYTES..HEADER_BYTES + head.payload_len as usize),
+            payload,
+            // The frame is sealed already; a re-seal copies.
+            room: FrameRoom::none(),
         })
     }
 }
@@ -1098,12 +1142,21 @@ impl Packet {
     /// the CRC is never recomputed. The aggregator keeps packets
     /// class-pure (runs split on class boundaries), so the first
     /// message's class speaks for the whole payload.
+    ///
+    /// A packet whose payload lies in a pooled buffer with room around
+    /// it (a lane's flush, [`Packet::from_words_in`]) is sealed *in
+    /// place* the first time: the header and the CRC trailer go into
+    /// that room and the frame is the buffer the messages were written
+    /// into — no second buffer, no payload copy. Any other seal — a
+    /// clone of that packet, a second seal of it, a packet without
+    /// room — copies the payload into a fresh buffer and leaves the
+    /// first frame's bytes alone.
     pub fn seal(&self, epoch: u32, integrity: WireIntegrity) -> DataFrame {
         self.seal_in(epoch, integrity, None)
     }
 
-    /// [`seal`](Self::seal) drawing the frame buffer from a
-    /// packet-buffer arena (allocation-free in steady state).
+    /// [`seal`](Self::seal) drawing the buffer of a copying seal from
+    /// a packet-buffer arena (allocation-free in steady state).
     pub fn seal_in(
         &self,
         epoch: u32,
@@ -1125,8 +1178,8 @@ impl Packet {
         self.seal_kind_in(epoch, integrity, kind, None)
     }
 
-    /// [`seal_kind`](Self::seal_kind) drawing the frame buffer from a
-    /// packet-buffer arena (allocation-free in steady state).
+    /// [`seal_kind`](Self::seal_kind) drawing the buffer of a copying
+    /// seal from a packet-buffer arena (allocation-free in steady state).
     pub fn seal_kind_in(
         &self,
         epoch: u32,
@@ -1144,12 +1197,16 @@ impl Packet {
             seq: self.seq,
             payload_len: self.payload.len() as u32,
         };
+        let bytes = match self.room.take_around(&self.payload) {
+            Some(whole) => seal_in_place(whole, &head, integrity),
+            None => seal_frame_in(&head, &self.payload, integrity, pool),
+        };
         DataFrame {
             src: self.src,
             dest: self.dest,
             express: kind != FrameKind::Data,
             born: self.born,
-            bytes: seal_frame_in(&head, &self.payload, integrity, pool),
+            bytes,
         }
     }
 }

@@ -9,11 +9,18 @@
 //! add, and is what keeps communication overlapped with computation
 //! (Figure 15's kmeans discussion).
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use gravel_gq::pool::{BufTicket, BufferPool};
+use gravel_gq::pool::{BufTicket, BufferPool, CLASS_SLACK_BYTES};
 use gravel_telemetry::{Counter, Registry};
+
+use crate::frame::{FRAME_OVERHEAD, HEADER_BYTES};
+
+// A pooled buffer for a power-of-two queue, frame overhead included,
+// must fit the queue's own size class.
+const _: () = assert!(FRAME_OVERHEAD <= CLASS_SLACK_BYTES);
 
 /// Default per-node queue size (Table 3).
 pub const DEFAULT_QUEUE_BYTES: usize = 64 * 1024;
@@ -100,9 +107,80 @@ pub struct Packet {
     pub born: Instant,
     /// Message words, little-endian, message-major.
     pub payload: Bytes,
+    /// The buffer around `payload`, if it was filled with room for the
+    /// frame header and trailer: [`seal_in`](Self::seal_in) then seals
+    /// in place.
+    pub(crate) room: FrameRoom,
 }
 
+/// A pooled packet's claim on the frame it will be sealed into: the
+/// one view over the *whole* buffer its messages were written into —
+/// [`HEADER_BYTES`] of room, the payload, room for the CRC trailer.
+///
+/// It is minted in this module, next to the payload view lent from the
+/// middle of the same freshly sealed slab, and those two are the only
+/// views the slab starts with. Views only narrow, so nothing but this
+/// one ever covers the room; it is not `Clone` (a cloned [`Packet`]
+/// gets an empty claim) and sealing takes it out, so the room has one
+/// writer, once. `frame.rs`'s in-place seal rests on exactly that.
+#[derive(Debug)]
+pub(crate) struct FrameRoom(Mutex<Option<Bytes>>);
+
+impl FrameRoom {
+    /// No room: the packet seals by copy.
+    pub(crate) const fn none() -> Self {
+        FrameRoom(Mutex::new(None))
+    }
+
+    /// Lend `vec` — [`HEADER_BYTES`] of room, then the messages — from
+    /// `pool` as a payload view plus the claim on the frame around it.
+    fn lend(pool: &BufferPool, mut vec: Vec<u8>, ticket: BufTicket) -> (Bytes, FrameRoom) {
+        let body = vec.len();
+        vec.extend_from_slice(&[0; FRAME_OVERHEAD - HEADER_BYTES]);
+        let whole = pool.seal(vec, ticket);
+        let payload = whole.slice(HEADER_BYTES..body);
+        (payload, FrameRoom(Mutex::new(Some(whole))))
+    }
+
+    /// Give up the frame buffer — if there is one, and `payload` still
+    /// is the view lent from the middle of it (the field is public).
+    pub(crate) fn take_around(&self, payload: &Bytes) -> Option<Bytes> {
+        // An `Option` is valid whatever a panicking holder did.
+        let mut held = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let whole = held.as_ref()?;
+        let fits = whole.len() == payload.len() + FRAME_OVERHEAD
+            && std::ptr::eq(whole.as_ptr().wrapping_add(HEADER_BYTES), payload.as_ptr());
+        if fits {
+            held.take()
+        } else {
+            None
+        }
+    }
+}
+
+impl Clone for FrameRoom {
+    /// A clone shares the payload, never the right to write around it.
+    fn clone(&self) -> Self {
+        FrameRoom::none()
+    }
+}
+
+impl PartialEq for FrameRoom {
+    /// Where a packet's bytes live is not part of what it says.
+    fn eq(&self, _: &FrameRoom) -> bool {
+        true
+    }
+}
+
+impl Eq for FrameRoom {}
+
 impl Packet {
+    /// A packet around an existing payload (tests, decoders). It has
+    /// no frame room, so it seals by copy.
+    pub fn from_payload(src: u32, dest: u32, payload: Bytes) -> Self {
+        Packet { src, dest, lane: 0, seq: 0, born: Instant::now(), payload, room: FrameRoom::none() }
+    }
+
     /// Payload size in bytes (what Table 5's "average message size"
     /// measures).
     pub fn len(&self) -> usize {
@@ -166,25 +244,32 @@ impl Packet {
     }
 
     /// [`from_words`](Self::from_words) drawing the payload buffer from
-    /// a packet-buffer arena: one copy and no allocation in steady
-    /// state. Senders that packetize outside the aggregator (the
+    /// a packet-buffer arena, with room for the frame around it: one
+    /// copy — this one; the seal is in place — and no allocation in
+    /// steady state. Senders that packetize outside the aggregator (the
     /// `gravel-node` update streams) build their packets with this.
     pub fn from_words_in(src: u32, dest: u32, words: &[u64], pool: Option<&BufferPool>) -> Self {
-        let payload = match pool {
+        let (payload, room) = match pool {
             Some(pool) => {
-                let (vec, ticket) = pool.take(words.len() * 8);
-                let mut buf = BytesMut::from_vec(vec);
+                let (vec, ticket) = pool.take(FRAME_OVERHEAD + words.len() * 8);
+                let mut buf = framed(vec);
                 buf.put_u64_slice_le(words);
-                pool.seal(buf.into_vec(), ticket)
+                FrameRoom::lend(pool, buf.into_vec(), ticket)
             }
             None => {
                 let mut buf = BytesMut::with_capacity(words.len() * 8);
                 buf.put_u64_slice_le(words);
-                buf.freeze()
+                (buf.freeze(), FrameRoom::none())
             }
         };
-        Packet { src, dest, lane: 0, seq: 0, born: Instant::now(), payload }
+        Packet { room, ..Self::from_payload(src, dest, payload) }
     }
+}
+
+/// A pooled vector as a message buffer: [`HEADER_BYTES`] of room first.
+fn framed(mut vec: Vec<u8>) -> BytesMut {
+    vec.resize(HEADER_BYTES, 0);
+    BytesMut::from_vec(vec)
 }
 
 /// Message `i`'s words out of a little-endian, message-major payload:
@@ -198,9 +283,12 @@ pub fn msg_words_at(payload: &[u8], i: usize) -> [u64; gravel_gq::MSG_ROWS] {
 }
 
 struct AggBuffer {
+    /// Empty and unallocated between a flush and the next message.
+    /// With a pool, an open buffer starts with [`HEADER_BYTES`] of
+    /// frame room and has capacity for the trailer behind a full queue.
     buf: BytesMut,
     /// Pool claim on `buf`'s backing vector, when it came from the
-    /// arena; redeemed at flush so the payload recycles.
+    /// arena; redeemed at flush so the buffer recycles.
     ticket: Option<BufTicket>,
     opened_at: Option<Instant>,
     messages: u64,
@@ -212,13 +300,26 @@ struct AggBuffer {
 }
 
 impl AggBuffer {
+    /// Append one message, opening the buffer if need be.
     #[inline]
-    fn append(&mut self, words: &[u64], now: Instant) {
+    fn append(&mut self, words: &[u64], now: Instant, pool: Option<&BufferPool>, queue_bytes: usize) {
         if self.buf.is_empty() {
-            self.opened_at = Some(now);
+            self.open(pool, queue_bytes, now);
         }
         self.buf.put_u64_slice_le(words);
         self.messages += 1;
+    }
+
+    /// Start a packet at `now`: with a pool, in a buffer the sealed
+    /// frame will fit in as well.
+    #[cold]
+    fn open(&mut self, pool: Option<&BufferPool>, queue_bytes: usize, now: Instant) {
+        self.opened_at = Some(now);
+        if let Some(pool) = pool {
+            let (vec, ticket) = pool.take(FRAME_OVERHEAD + queue_bytes);
+            self.buf = framed(vec);
+            self.ticket = Some(ticket);
+        }
     }
 }
 
@@ -324,9 +425,12 @@ pub struct NodeQueues {
     queue_bytes: usize,
     policy: FlushPolicy,
     bufs: Vec<AggBuffer>,
-    /// Buffer arena payload buffers are drawn from and recycled to;
+    /// Buffer arena packet buffers are drawn from and recycled to;
     /// `None` falls back to per-flush allocation.
     pool: Option<BufferPool>,
+    /// Bytes in front of an open buffer's messages: [`HEADER_BYTES`]
+    /// with a pool, none without.
+    head_room: usize,
     /// Aggregation counters (detached unless built via
     /// [`with_policy`](Self::with_policy)).
     counters: AggCounters,
@@ -381,15 +485,18 @@ impl NodeQueues {
                 })
                 .collect(),
             pool: None,
+            head_room: 0,
             counters,
         }
     }
 
-    /// Draw flush payload buffers from `pool` (and recycle them there
-    /// once the frames built on them drop) instead of allocating per
-    /// flush. Builder-style so existing constructors stay untouched.
+    /// Draw packet buffers from `pool` (and recycle them there once
+    /// the frames sealed in them drop) instead of allocating per flush.
+    /// Builder-style so existing constructors stay untouched.
     pub fn with_pool(mut self, pool: BufferPool) -> Self {
+        debug_assert!(self.bufs.iter().all(|b| b.buf.is_empty()), "set the pool first");
         self.pool = Some(pool);
+        self.head_room = HEADER_BYTES;
         self
     }
 
@@ -423,27 +530,20 @@ impl NodeQueues {
     fn flush_dest(&mut self, dest: usize, timed_out: bool) -> Option<Packet> {
         let queue_bytes = self.queue_bytes;
         let policy = self.policy;
-        let pool = self.pool.as_ref();
         let b = &mut self.bufs[dest];
         if b.buf.is_empty() {
             return None;
         }
-        let payload = match pool {
-            Some(pool) => {
-                // Swap in a recycled buffer, seal the filled one into
-                // its slab: the frozen payload is the pooled vector
-                // itself — no allocation, no freeze memcpy — and it
-                // returns to the arena when the last frame view drops.
-                let (next, next_ticket) = pool.take(queue_bytes);
-                let filled = std::mem::replace(&mut b.buf, BytesMut::from_vec(next));
-                match b.ticket.replace(next_ticket) {
-                    Some(t) => pool.seal(filled.into_vec(), t),
-                    // First flush of this destination: the buffer
-                    // predates pooling (warm-up alloc).
-                    None => filled.freeze(),
-                }
-            }
-            None => b.buf.split().freeze(),
+        // The next message opens the next buffer.
+        let filled = b.buf.split();
+        let (payload, room) = match (&self.pool, b.ticket.take()) {
+            // Seal the filled vector into its slab: the payload is a
+            // view of the pooled vector itself — no allocation, no
+            // freeze memcpy — the frame will be sealed around it where
+            // it lies, and the slab returns to the arena when the last
+            // view of either drops.
+            (Some(pool), Some(ticket)) => FrameRoom::lend(pool, filled.into_vec(), ticket),
+            _ => (filled.freeze(), FrameRoom::none()),
         };
         let born = b.opened_at.take().unwrap_or_else(Instant::now);
         if let FlushPolicy::Adaptive(a) = policy {
@@ -467,6 +567,7 @@ impl NodeQueues {
             seq: 0,
             born,
             payload,
+            room,
         })
     }
 
@@ -480,18 +581,21 @@ impl NodeQueues {
         assert!(dest < self.bufs.len(), "destination out of range");
         let bytes = words.len() * 8;
         assert!(bytes <= self.queue_bytes, "message larger than queue");
-        if self.bufs[dest].buf.len() + bytes > self.queue_bytes {
+        // An open buffer is full at `head_room + queue_bytes`; an
+        // unopened one (length 0) takes any message.
+        let full = self.head_room + self.queue_bytes;
+        if self.bufs[dest].buf.len() + bytes > full {
             // Only a capacity that is not a whole number of messages
             // gets here; the flushed buffer was short of full, so this
             // message cannot fill its successor as well.
             let flushed = self.flush_dest(dest, false);
-            self.bufs[dest].append(words, now);
-            debug_assert!(self.bufs[dest].buf.len() < self.queue_bytes);
+            self.bufs[dest].append(words, now, self.pool.as_ref(), self.queue_bytes);
+            debug_assert!(self.bufs[dest].buf.len() < full);
             return flushed;
         }
         let b = &mut self.bufs[dest];
-        b.append(words, now);
-        if b.buf.len() >= self.queue_bytes {
+        b.append(words, now, self.pool.as_ref(), self.queue_bytes);
+        if b.buf.len() >= full {
             return self.flush_dest(dest, false);
         }
         None
@@ -510,7 +614,11 @@ impl NodeQueues {
     ) {
         debug_assert_eq!(words.len() % rows, 0, "partial message in run");
         for msg in words.chunks_exact(rows) {
-            out.extend(self.push(dest, msg, now));
+            // Not `out.extend(..)`: that moves the whole `Option<Packet>`
+            // through an iterator for every message that flushes nothing.
+            if let Some(pkt) = self.push(dest, msg, now) {
+                out.push(pkt);
+            }
         }
     }
 
@@ -572,7 +680,7 @@ impl NodeQueues {
 
     /// Bytes currently buffered for `dest`.
     pub fn pending_bytes(&self, dest: usize) -> usize {
-        self.bufs[dest].buf.len()
+        self.bufs[dest].buf.len().saturating_sub(self.head_room)
     }
 }
 
@@ -688,6 +796,36 @@ mod tests {
     }
 
     #[test]
+    fn a_pooled_queue_uses_one_buffer_per_packet_in_the_frames_own_size_class() {
+        use crate::frame::WireIntegrity;
+        let pool = BufferPool::new();
+        let takes = || pool.hits() + pool.misses();
+        let mut nq = NodeQueues::new(0, 2).with_pool(pool.clone());
+        assert_eq!(takes(), 0, "no buffer before the first message");
+        let now = Instant::now();
+        let per_packet = DEFAULT_QUEUE_BYTES as u64 / 32;
+        let mut flushed = None;
+        for i in 0..per_packet {
+            assert!(flushed.is_none());
+            assert_eq!(nq.pending_bytes(1), i as usize * 32);
+            flushed = nq.push(1, &words(i), now);
+        }
+        let pkt = flushed.expect("the last message fills the queue");
+        assert_eq!(nq.pending_bytes(1), 0);
+        assert_eq!(takes(), 1, "nothing is opened for the next packet yet");
+        let frame = pkt.seal_in(0, WireIntegrity::Crc32c, Some(&pool));
+        assert_eq!(takes(), 1, "sealed in the buffer it was filled in");
+        assert_eq!(frame.len(), DEFAULT_QUEUE_BYTES + FRAME_OVERHEAD);
+        // The one slab behind it is all the pool holds.
+        let slab = pool.resident_bytes() as usize;
+        assert!(slab >= frame.len());
+        assert!((slab as f64) < 1.1 * frame.len() as f64, "a {slab}-byte slab for {}", frame.len());
+        drop((pkt, frame));
+        nq.push(1, &words(0), now);
+        assert_eq!((pool.hits(), pool.misses()), (1, 1), "the next packet reuses it");
+    }
+
+    #[test]
     fn packet_words_roundtrip() {
         let pkt = Packet::from_words(3, 5, &[1, 2, 3]);
         assert_eq!(pkt.src, 3);
@@ -765,14 +903,7 @@ mod tests {
         fn msg_words_matches_allocating_decode_at_any_payload_length(
             bytes in prop::collection::vec(any::<u8>(), 0..400),
         ) {
-            let pkt = Packet {
-                src: 1,
-                dest: 2,
-                lane: 0,
-                seq: 0,
-                born: Instant::now(),
-                payload: Bytes::from(bytes.clone()),
-            };
+            let pkt = Packet::from_payload(1, 2, Bytes::from(bytes.clone()));
             let w = pkt.words();
             prop_assert_eq!(pkt.msg_count(), bytes.len() / gravel_gq::MSG_BYTES);
             prop_assert_eq!(w.len(), bytes.len() / 8);

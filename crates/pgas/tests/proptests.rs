@@ -456,3 +456,122 @@ proptest! {
         ));
     }
 }
+
+/// Case count for the differential oracles: CI's `bench-smoke` job runs
+/// them in `--release`.
+fn oracle_cases() -> u32 {
+    std::env::var("GRAVEL_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 256 } else { 4096 })
+}
+
+/// How a packet with frame room around its payload came to be.
+#[derive(Clone, Copy, Debug)]
+enum Built {
+    /// `Packet::from_words_in` (the `gravel-node` packetizer): any
+    /// whole number of words, a partial last message included.
+    FromWords,
+    /// A lane's `NodeQueues` whose queue these messages fill exactly.
+    LaneFull,
+    /// The same queue flushed short of full (a timeout flush).
+    LanePartial,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// The in-place seal is the copying seal minus the copy: the same
+    /// frame, byte for byte, in the buffer the messages were written
+    /// into; and only the first seal of the one packet that holds the
+    /// room takes it — a clone, a roomless packet and a second seal all
+    /// copy and leave the sealed frame alone.
+    #[test]
+    fn in_place_seal_matches_the_copying_seal_and_happens_once(
+        // 0, one message, partial tails, up to a few messages.
+        words in prop::collection::vec(any::<u64>(), 0..=40),
+        opcode in 0u64..8,
+        src in 0u32..8,
+        dest in 0u32..8,
+        lane: u32,
+        epoch: u32,
+        seq: u64,
+        crc: bool,
+        built in prop_oneof![Just(Built::FromWords), Just(Built::LaneFull), Just(Built::LanePartial)],
+    ) {
+        use gravel_gq::BufferPool;
+        use gravel_pgas::{FRAME_OVERHEAD, HEADER_BYTES};
+        let integrity = if crc { WireIntegrity::Crc32c } else { WireIntegrity::Off };
+        let mut words = words;
+        if let Some(first) = words.first_mut() {
+            // Every class, and opcodes that are none.
+            *first = *first & !0xff | opcode;
+        }
+        let pool = BufferPool::new();
+        let takes = || pool.hits() + pool.misses();
+        let mut roomy = match built {
+            Built::FromWords => Packet::from_words_in(src, dest, &words, Some(&pool)),
+            Built::LaneFull | Built::LanePartial => {
+                // Whole messages only, and at least one.
+                words.resize((words.len() / 4).max(1) * 4, 7);
+                let slack = if matches!(built, Built::LanePartial) { 32 } else { 0 };
+                let mut nq = NodeQueues::with_config(
+                    src,
+                    8,
+                    words.len() * 8 + slack,
+                    Duration::from_secs(3600),
+                )
+                .with_pool(pool.clone());
+                let now = Instant::now();
+                let mut flushed: Vec<Packet> = Vec::new();
+                for msg in words.chunks_exact(4) {
+                    flushed.extend(nq.push(dest as usize, msg, now));
+                }
+                prop_assert_eq!(flushed.len(), if slack == 0 { 1 } else { 0 });
+                flushed.extend(nq.flush_all());
+                prop_assert_eq!(flushed.len(), 1);
+                flushed.pop().unwrap()
+            }
+        };
+        (roomy.lane, roomy.seq) = (lane, seq);
+        prop_assert_eq!(roomy.words(), words.clone());
+        let filled_at = roomy.payload.as_ptr() as usize;
+
+        // The reference: the same packet without room, sealed by copy.
+        let mut bare = Packet::from_words(src, dest, &words);
+        (bare.lane, bare.seq, bare.born) = (lane, seq, roomy.born);
+        let reference = bare.seal(epoch, integrity);
+        prop_assert_eq!(reference.len(), words.len() * 8 + FRAME_OVERHEAD);
+
+        // A clone shares the payload, not the room: it copies.
+        let before = takes();
+        let of_clone = roomy.clone().seal_in(epoch, integrity, Some(&pool));
+        prop_assert_eq!(takes(), before + 1);
+        prop_assert_eq!(&of_clone.bytes, &reference.bytes);
+        prop_assert_ne!(of_clone.bytes.as_ptr() as usize + HEADER_BYTES, filled_at);
+
+        // The packet itself seals where its messages lie: no buffer
+        // taken, the same bytes, the payload where the lane put it.
+        let before = takes();
+        let frame = roomy.seal_in(epoch, integrity, Some(&pool));
+        prop_assert_eq!(takes(), before, "an in-place seal takes no buffer");
+        prop_assert_eq!(&frame.bytes, &reference.bytes);
+        prop_assert_eq!(frame.bytes.as_ptr() as usize + HEADER_BYTES, filled_at);
+        prop_assert_eq!((frame.src, frame.dest, frame.express), (reference.src, reference.dest, reference.express));
+        let opened = frame.open(integrity).expect("an in-place frame verifies");
+        prop_assert_eq!(opened.payload.as_ptr() as usize, filled_at, "open lends the lane's bytes");
+        prop_assert_eq!(&opened, &roomy);
+
+        // A second seal of the same packet copies, and the frame a
+        // retransmission clone still holds keeps every byte.
+        let held = frame.clone();
+        let before = takes();
+        let again = roomy.seal_in(epoch.wrapping_add(1), integrity, Some(&pool));
+        prop_assert_eq!(takes(), before + 1);
+        prop_assert_ne!(again.bytes.as_ptr(), frame.bytes.as_ptr());
+        prop_assert_eq!(&held.bytes, &reference.bytes);
+        prop_assert_eq!(again.open(integrity).expect("the copy verifies").payload, roomy.payload.clone());
+        let epoch_of = |f: &DataFrame| u32::from_le_bytes(f.bytes[20..24].try_into().unwrap());
+        prop_assert_eq!((epoch_of(&held), epoch_of(&again)), (epoch, epoch.wrapping_add(1)));
+    }
+}

@@ -10,28 +10,28 @@
 //! packet (`apply_stream`): PUT/INC runs, and the general path for the
 //! messages between them, allocate nothing.
 //!
-//! Counting is gated on a thread-local flag so only the measured region
-//! on the test thread is counted — the libtest harness allocates from
-//! other threads concurrently and must not pollute the count.
+//! And it pins the send side's packet path: a warm pooled queue fills,
+//! flushes and seals a packet in one recycled buffer, allocating
+//! nothing.
+//!
+//! The count is thread-local and on only inside the measured region, so
+//! neither the libtest harness nor a test running beside this one can
+//! pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 std::thread_local! {
-    static TRACK: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocation count, while it is being counted.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
+struct CountingAlloc;
 
 impl CountingAlloc {
     fn count(&self) {
         // `try_with` so allocations during TLS teardown don't panic.
-        if TRACK.try_with(|t| t.get()).unwrap_or(false) {
-            self.allocs.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
     }
 }
 
@@ -50,19 +50,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Run `f` with this thread's allocations counted; return how many there
 /// were.
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = GLOBAL.allocs.load(Ordering::SeqCst);
-    TRACK.with(|t| t.set(true));
+    COUNT.with(|c| c.set(Some(0)));
     let r = f();
-    TRACK.with(|t| t.set(false));
-    let after = GLOBAL.allocs.load(Ordering::SeqCst);
-    (after - before, r)
+    let allocs = COUNT.with(|c| c.take()).expect("counting was on");
+    (allocs, r)
 }
 
 #[test]
@@ -168,4 +164,48 @@ fn the_run_wise_resolver_does_not_allocate() {
         "only what a run cannot resolve"
     );
     assert_eq!(allocs, 0, "apply_stream must not allocate");
+}
+
+#[test]
+fn a_warm_pooled_queue_flushes_and_seals_in_place_without_allocating() {
+    use gravel_gq::{BufferPool, Message};
+    use gravel_pgas::{NodeQueues, WireIntegrity, FRAME_OVERHEAD};
+    use std::time::{Duration, Instant};
+
+    const PER_PACKET: u64 = 64;
+    let queue_bytes = PER_PACKET as usize * gravel_gq::MSG_BYTES;
+    let pool = BufferPool::new();
+    let mut nq = NodeQueues::with_config(0, 2, queue_bytes, Duration::from_secs(3600))
+        .with_pool(pool.clone());
+    let now = Instant::now();
+    // Fill, flush and seal `packets` packets for each of two
+    // destinations, keeping the last few frames alive as a window of
+    // unacknowledged ones would; returns the bytes sealed.
+    let mut in_flight = std::collections::VecDeque::with_capacity(8);
+    let mut run = |packets: u64| {
+        let mut sealed = 0;
+        for i in 0..packets * PER_PACKET {
+            for dest in 0..2 {
+                let words = Message::inc(dest, i % 512, 1).encode();
+                if let Some(pkt) = nq.push(dest as usize, &words, now) {
+                    let frame = pkt.seal_in(0, WireIntegrity::Crc32c, Some(&pool));
+                    sealed += frame.len();
+                    if in_flight.len() == 4 {
+                        in_flight.pop_front();
+                    }
+                    in_flight.push_back(frame);
+                }
+            }
+        }
+        sealed
+    };
+    run(8);
+    let (warm_misses, warm_takes) = (pool.misses(), pool.hits() + pool.misses());
+    assert_eq!(warm_takes, 2 * 8, "one buffer per packet, none per seal");
+
+    let (allocs, sealed) = counted(|| run(100));
+    assert_eq!(sealed, 2 * 100 * (queue_bytes + FRAME_OVERHEAD));
+    assert_eq!(allocs, 0, "flush + in-place seal + warm take must not allocate");
+    assert_eq!(pool.misses(), warm_misses, "every buffer was a warm one");
+    assert_eq!(pool.hits() + pool.misses(), warm_takes + 2 * 100);
 }

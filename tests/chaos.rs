@@ -84,6 +84,44 @@ fn gups_with_seeded_aggregator_kill_is_bit_exact() {
     assert_eq!(stats.total_offloaded(), stats.total_applied());
 }
 
+/// Producers are woken once per claim, not once per released slot, so a
+/// lane killed inside a claim dies owing a wake for the slots it had
+/// released. Its successor finishes the claim and pays it. A ring of
+/// four slots keeps the producers parked on it for the whole run, and
+/// the kill lands on the first message after one, two and three
+/// releases of the first full claim (and in the middle of a slot):
+/// every producer must get through, and the heaps must come out as if
+/// nothing had happened.
+#[test]
+fn a_lane_killed_mid_claim_leaves_no_producer_parked_and_the_heap_exact() {
+    let input = gups_input();
+    let baseline = baseline_heaps(&input, 2);
+    for at_step in [65, 129, 193, 100] {
+        let mut cfg = GravelConfig::small(2, input.table_len);
+        cfg.queue.slots = 4;
+        cfg.chaos = Some(Arc::new(ChaosPlan::new(vec![ProcessFault::PanicAggregator {
+            node: 0,
+            slot: 0,
+            at_step,
+        }])));
+        let rt = GravelRuntime::new(cfg);
+        // Returns only when every work-group's `wg_produce` has.
+        assert_eq!(gups::run_live(&rt, &input), input.updates as u64);
+        for (i, expect) in baseline.iter().enumerate() {
+            assert_eq!(&rt.heap(i).snapshot(), expect, "kill at {at_step}: heap {i} not bit-exact");
+        }
+        let snap = rt.telemetry_snapshot();
+        assert_eq!(snap.counter("ha.restarts"), 1, "kill at {at_step}");
+        assert_eq!(
+            snap.counter("node0.queue.messages_consumed"),
+            snap.counter("node0.queue.messages_produced"),
+            "kill at {at_step}: every slot went back to the producers"
+        );
+        let stats = rt.shutdown().expect("restart absorbed the kill");
+        assert_eq!(stats.total_offloaded(), stats.total_applied());
+    }
+}
+
 #[test]
 fn gups_with_seeded_netthread_kill_is_bit_exact() {
     let input = gups_input();

@@ -260,4 +260,12 @@ fn a_warm_lane_drains_and_flushes_without_allocating() {
         Some(0),
         "a warm lane allocated while draining and flushing"
     );
+    // One pooled buffer per packet — the frame is sealed in the buffer
+    // the lane filled — and a fresh one only until as many exist as
+    // one claim's packets keep in flight before their acks are read
+    // (eight slots of 256 messages, 32 to a packet).
+    let pool = node.pool.as_ref().expect("buffer_pool is on");
+    assert_eq!(pool.hits() + pool.misses(), stats.packets);
+    let per_claim = 8 * WG as u64 / per_packet;
+    assert!(pool.misses() <= per_claim, "{} of {} buffers were fresh", pool.misses(), stats.packets);
 }
