@@ -11,25 +11,12 @@
 //!   from the node's CPU.
 
 use gravel_bench::report::{bytes_h, f2, Table};
-use gravel_cluster::{
-    hierarchical_trace, simulate, Calibration, NodeStep, OpClass, StepTrace, Style, WorkloadTrace,
-};
+use gravel_cluster::hierarchy::group_size;
+use gravel_cluster::{hierarchical_trace, simulate, Calibration, Style, WorkloadTrace};
 
-/// A GUPS-shaped uniform scatter over `nodes` nodes.
+/// A GUPS-shaped uniform scatter of `total` updates over `nodes` nodes.
 fn uniform(nodes: usize, total: u64) -> WorkloadTrace {
-    let per = total / (nodes as u64 * nodes as u64);
-    let mut t = WorkloadTrace::new("GUPS", nodes);
-    t.push_step(StepTrace {
-        per_node: (0..nodes)
-            .map(|_| NodeStep {
-                gpu_ops: 0,
-                routed: vec![per; nodes],
-                class: OpClass::Atomic,
-                local_pgas: 0,
-            })
-            .collect(),
-    });
-    t
+    WorkloadTrace::uniform("GUPS", nodes, 1, 0, total / (nodes as u64 * nodes as u64))
 }
 
 fn main() {
@@ -46,7 +33,7 @@ fn main() {
     for nodes in [8usize, 16, 32, 64, 128, 256] {
         let flat_tr = uniform(nodes, total);
         let flat = simulate(&flat_tr, &cal, &params);
-        let hier_tr = hierarchical_trace(&flat_tr, 16.min(nodes / 2).max(2));
+        let hier_tr = hierarchical_trace(&flat_tr, group_size(nodes));
         let hier = simulate(&hier_tr, &cal, &params);
         t.row(vec![
             nodes.to_string(),
@@ -63,9 +50,7 @@ fn main() {
     );
 
     // --- §8.1: software vs hardware aggregator -------------------------
-    let mut hw = cal;
-    hw.agg_repack_ns = 0.0; // repack in fixed-function logic
-    hw.cpu_per_packet_ns = 1_000; // NIC-integrated send/recv path
+    let hw = cal.hardware_aggregator();
     let mut t2 = Table::new(
         "ext_hw_aggregator",
         "CPU-side vs hardware aggregator at 8 nodes (speedup of hw over sw)",
@@ -73,22 +58,10 @@ fn main() {
     );
     for (name, trace) in [
         ("uniform scatter (GUPS-like)", uniform(8, total)),
-        ("sparse supersteps (SSSP-like)", {
-            let mut tr = WorkloadTrace::new("sparse", 8);
-            for _ in 0..512 {
-                tr.push_step(StepTrace {
-                    per_node: (0..8)
-                        .map(|_| NodeStep {
-                            gpu_ops: 100,
-                            routed: vec![200; 8],
-                            class: OpClass::Atomic,
-                            local_pgas: 0,
-                        })
-                        .collect(),
-                });
-            }
-            tr
-        }),
+        (
+            "sparse supersteps (SSSP-like)",
+            WorkloadTrace::uniform("sparse", 8, 512, 100, 200),
+        ),
     ] {
         let sw = simulate(&trace, &cal, &Style::Gravel.params(&cal));
         let hwr = simulate(&trace, &hw, &Style::Gravel.params(&hw));

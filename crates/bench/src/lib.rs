@@ -1,7 +1,10 @@
 //! # gravel-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper, plus criterion
-//! microbenchmarks for the queue and divergence studies:
+//! One binary per table/figure of the paper, the fault and chaos sweeps
+//! of the live runtime, plus criterion microbenchmarks for the queue,
+//! divergence, atomics and apply-loop studies. The repository's
+//! end-to-end benchmark is `gbench/` (see `BENCHMARK.json`), not this
+//! crate:
 //!
 //! | Target | Reproduces | Kind |
 //! |---|---|---|
@@ -13,23 +16,28 @@
 //! | `--bin fig15` | Fig. 15 — style comparison at 8 nodes | trace + model |
 //! | `--bin table1` | Table 1 — model criteria (measured) | live + model |
 //! | `--bin table2` | Table 2 — GUPS lines of code | source count |
+//! | `--bin table3_table4` | Tables 3, 4 — configuration and inputs, paper vs. here | descriptive |
 //! | `--bin table5` | Table 5 — network statistics at 8 nodes | trace + model |
 //! | `--bin sec8` | §8.2 — diverged WG-level operations | live SIMT |
 //! | `--bin extensions` | §10 hierarchy + §8.1 hw aggregator (future work) | model |
+//! | `--bin all_experiments` | every generator above, in order | — |
+//! | `--bin fault_sweep` | GUPS vs injected drop / corruption; reshard and failover cells | live runtime + protocol replay |
+//! | `--bin chaos_sweep` | GUPS under seeded aggregator / network-thread kills | live runtime |
 //! | `--bin telemetry_overhead` | telemetry cost: GUPS at off / counters / counters+trace | live runtime |
-//! | `--bin all_experiments` | everything above | — |
 //! | `--bench fig6_wg_sync` | Fig. 6 under criterion | live queues |
 //! | `--bench fig8_queue_tput` | Fig. 8 under criterion | live queues |
 //! | `--bench sec8_diverged` | §8.2 under criterion | live SIMT |
+//! | `--bench ablation_atomics` | serialized vs concurrent local atomics | live runtime |
+//! | `--bench apply_loop` | the network thread's apply loop, 2 × 2 | single thread |
 //!
 //! Each binary prints an aligned table and saves JSON under `results/`
-//! (or `$GRAVEL_RESULTS_DIR`). Binaries accept `--quick` to run at test
-//! scale.
+//! (or `$GRAVEL_RESULTS_DIR`). The paper generators accept `--quick` to
+//! run at test scale; the sweeps and `telemetry_overhead` run at test
+//! scale by default and take `--full` for the full one.
 
 pub mod experiments;
 pub mod queue_bench;
 pub mod report;
 pub mod telemetry_overhead;
-pub mod throughput;
 
 pub use report::Table;

@@ -83,6 +83,14 @@ impl Calibration {
         }
     }
 
+    /// §8.1's future-work aggregator in dedicated hardware (a control
+    /// processor on the GPU or NIC): repack in fixed-function logic and
+    /// a NIC-integrated send/receive path, so the node CPU pays a fifth
+    /// of the per-packet software cost and nothing per message.
+    pub fn hardware_aggregator(self) -> Self {
+        Calibration { agg_repack_ns: 0.0, cpu_per_packet_ns: 1_000, ..self }
+    }
+
     /// Messages that fit one per-node queue.
     pub fn msgs_per_packet(&self) -> u64 {
         (self.node_queue_bytes / self.msg_bytes).max(1) as u64

@@ -20,6 +20,12 @@
 
 use crate::trace::{NodeStep, StepTrace, WorkloadTrace};
 
+/// Group size of a two-level hierarchy over `nodes` nodes: the paper's
+/// 16-node groups, or half the cluster below 32 nodes.
+pub fn group_size(nodes: usize) -> usize {
+    16.min(nodes / 2).max(2)
+}
+
 /// The gateway node that carries traffic from `src` into `dest_group`:
 /// spread across the group by the sender's index so gateway load
 /// balances.
@@ -82,22 +88,9 @@ mod tests {
     use crate::calibration::Calibration;
     use crate::model::simulate;
     use crate::styles::Style;
-    use crate::trace::OpClass;
 
     fn uniform(nodes: usize, total: u64) -> WorkloadTrace {
-        let per = total / (nodes as u64 * nodes as u64);
-        let mut t = WorkloadTrace::new("u", nodes);
-        t.push_step(StepTrace {
-            per_node: (0..nodes)
-                .map(|_| NodeStep {
-                    gpu_ops: 0,
-                    routed: vec![per; nodes],
-                    class: OpClass::Atomic,
-                    local_pgas: 0,
-                })
-                .collect(),
-        });
-        t
+        WorkloadTrace::uniform("u", nodes, 1, 0, total / (nodes as u64 * nodes as u64))
     }
 
     #[test]

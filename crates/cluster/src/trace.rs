@@ -76,6 +76,33 @@ impl WorkloadTrace {
         WorkloadTrace { name: name.into(), nodes, steps: Vec::new() }
     }
 
+    /// `steps` identical supersteps in which every node computes
+    /// `gpu_ops` local operations and sends `per_dest` atomics to every
+    /// node, itself included: one step of `total / nodes²` is a GUPS-like
+    /// firehose, many small ones an SSSP-like sparse superstep loop.
+    pub fn uniform(
+        name: impl Into<String>,
+        nodes: usize,
+        steps: usize,
+        gpu_ops: u64,
+        per_dest: u64,
+    ) -> Self {
+        let mut t = WorkloadTrace::new(name, nodes);
+        for _ in 0..steps {
+            t.push_step(StepTrace {
+                per_node: (0..nodes)
+                    .map(|_| NodeStep {
+                        gpu_ops,
+                        routed: vec![per_dest; nodes],
+                        class: OpClass::Atomic,
+                        local_pgas: 0,
+                    })
+                    .collect(),
+            });
+        }
+        t
+    }
+
     /// Append a superstep; panics if its width disagrees with `nodes`.
     pub fn push_step(&mut self, step: StepTrace) {
         assert_eq!(step.per_node.len(), self.nodes, "step width mismatch");

@@ -250,17 +250,16 @@ pub fn run_supervised(
             // one increment per flush event, so per-slot snapshots can
             // never drift.
             for _ in 0..NUM_CLASSES {
-                let mut nq = NodeQueues::with_policy(
-                    node.id,
-                    node.nodes,
-                    queue_bytes,
-                    policy,
-                    node.agg.clone(),
+                st.nodeqs.push(
+                    NodeQueues::with_policy(
+                        node.id,
+                        node.nodes,
+                        queue_bytes,
+                        policy,
+                        node.agg.clone(),
+                    )
+                    .with_pool(node.pool.clone()),
                 );
-                if let Some(pool) = &node.pool {
-                    nq = nq.with_pool(pool.clone());
-                }
-                st.nodeqs.push(nq);
             }
         }
         let LaneState {

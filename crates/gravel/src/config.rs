@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use gravel_gq::QueueConfig;
 use gravel_net::{ChaosPlan, RetryConfig, TransportKind};
-use gravel_pgas::WireIntegrity;
 use gravel_telemetry::TelemetryConfig;
 
 use crate::ha::HaConfig;
@@ -103,12 +102,6 @@ pub struct GravelConfig {
     /// logs a stuck-pipeline warning (with per-node diagnostics) and
     /// bumps the `ha.quiesce_warnings` counter while it waits.
     pub quiesce_warn_interval: Duration,
-    /// Wire integrity mode: [`WireIntegrity::Crc32c`] (the default)
-    /// seals every data packet and ack in a checksummed frame verified
-    /// before any decode; [`WireIntegrity::Off`] is the throughput
-    /// ablation that skips the CRC (structural header checks still run).
-    /// See DESIGN.md §13.
-    pub wire_integrity: WireIntegrity,
     /// Capacity of each node's poison-message quarantine (dead-letter
     /// buffer for CRC-clean messages failing semantic validation). Past
     /// it the oldest entry is evicted, so a babbling peer cannot OOM the
@@ -117,10 +110,6 @@ pub struct GravelConfig {
     /// Request-reply traffic class: pending-reply table capacity and
     /// the request timeout. See DESIGN.md §15.
     pub rpc: crate::rpc::RpcConfig,
-    /// Recycle packet buffers through the node's lock-free arena
-    /// (aggregator flushes, frame sealing, socket receive) instead of
-    /// allocating per packet. `false` is the allocator ablation.
-    pub buffer_pool: bool,
 }
 
 impl GravelConfig {
@@ -146,10 +135,8 @@ impl GravelConfig {
             ha: HaConfig::default(),
             chaos: None,
             quiesce_warn_interval: Duration::from_secs(5),
-            wire_integrity: WireIntegrity::Crc32c,
             quarantine_capacity: 1024,
             rpc: crate::rpc::RpcConfig::default(),
-            buffer_pool: true,
         }
     }
 
@@ -179,13 +166,11 @@ impl GravelConfig {
             ha: HaConfig::default(),
             chaos: None,
             quiesce_warn_interval: Duration::from_secs(5),
-            wire_integrity: WireIntegrity::Crc32c,
             quarantine_capacity: 64,
             rpc: crate::rpc::RpcConfig {
                 reply_table_cap: 256,
                 timeout: Duration::from_millis(500),
             },
-            buffer_pool: true,
         }
     }
 

@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use gravel_gq::{Band, NUM_BANDS};
 use gravel_net::{RetryConfig, SendStatus, Transport};
-use gravel_pgas::{split_wire_lane, wire_lane, DataFrame, Packet, ACK_MAP_BITS};
+use gravel_pgas::{split_wire_lane, wire_lane, DataFrame, Packet, WireIntegrity, ACK_MAP_BITS};
 use gravel_telemetry::{Counter, Gauge};
 
 use crate::error::RuntimeError;
@@ -363,7 +363,7 @@ impl<'a> Sender<'a> {
                 self.node.net_fast_forwarded.add(1);
                 continue;
             }
-            let frame = pkt.seal_in(epoch, self.node.wire_integrity, self.node.pool.as_ref());
+            let frame = pkt.seal_in(epoch, WireIntegrity::Crc32c, Some(&self.node.pool));
             flow.staged.push_back(frame);
         }
         if !flow.has_room() {
@@ -398,16 +398,17 @@ impl<'a> Sender<'a> {
     /// which restates everything, or the timer covers it.
     pub fn drain_acks(&mut self) {
         while let Some(frame) = self.transport.try_recv_ack(self.node.id, self.lane) {
-            let (ack, map) = match frame.open(self.node.wire_integrity) {
+            let (ack, map) = match frame.open(WireIntegrity::Crc32c) {
                 Ok(ack) => ack,
                 Err(_) => {
                     self.node.net_ack_corrupt_dropped.add(1);
                     continue;
                 }
             };
-            // With integrity off a mangled src or lane can still
-            // verify; never index out of the flow table (or into
-            // another lane's sequence space) on a corrupt header.
+            // A verified header can still name a lane or peer this
+            // sender does not have (a misdelivered ack, a CRC
+            // collision): never index out of the flow table, or into
+            // another lane's sequence space, on one.
             let (lane, band) = split_wire_lane(ack.lane);
             if lane != self.lane || ack.src as usize >= self.node.nodes {
                 self.node.net_ack_corrupt_dropped.add(1);
@@ -550,7 +551,7 @@ mod tests {
 
     use gravel_gq::Message;
     use gravel_net::{Ack, AckFrame, RecvStatus};
-    use gravel_pgas::{AmRegistry, WireIntegrity};
+    use gravel_pgas::AmRegistry;
     use proptest::prelude::*;
 
     use crate::config::GravelConfig;

@@ -45,7 +45,7 @@ use gravel_gq::{Command, Message, MSG_BYTES, MSG_ROWS};
 use gravel_net::{Ack, ChaosPlan, RecvStatus, Transport};
 use gravel_pgas::{
     apply, apply_stream, msg_words_at, Applied, Packet, QuarantineReason, QuarantinedMessage,
-    StreamEnd, ACK_MAP_BITS,
+    StreamEnd, WireIntegrity, ACK_MAP_BITS,
 };
 
 use crate::error::ErrorSlot;
@@ -300,8 +300,8 @@ fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: O
     let total = pkt.msg_count();
     let payload: &[u8] = &pkt.payload;
     if *resume_at == 0 && !pkt.len().is_multiple_of(MSG_BYTES) {
-        // A partial trailing message can only arrive with integrity off
-        // (a CRC'd frame with a short tail fails verification first).
+        // A partial trailing message verifies only if its sender sealed
+        // it that way (a frame cut short in transit fails the CRC).
         // Quarantine the fragment as evidence; it was never a counted
         // message, so it does not dispose toward quiescence.
         let tail = &payload[total * MSG_BYTES..];
@@ -422,7 +422,7 @@ pub fn run_with(
         // dropped: corrupted ≡ lost, and the sender retransmits it.
         // Truncations are classified separately so the fault sweep can
         // tell a cut cable from a scrambled one.
-        let pkt = match frame.open(node.wire_integrity) {
+        let pkt = match frame.open(WireIntegrity::Crc32c) {
             Ok(pkt) => pkt,
             Err(e) => {
                 if e.is_truncation() {
@@ -435,8 +435,8 @@ pub fn run_with(
         };
         // The header's verified (src, dest) outranks the fabric's
         // routing stamp: a frame delivered to the wrong node — or one
-        // naming an impossible peer, which only a CRC-off mangle can
-        // produce — is dropped before it can index any per-peer state.
+        // naming an impossible peer (a CRC collision) — is dropped
+        // before it can index any per-peer state.
         if pkt.dest != node.id || pkt.src as usize >= node.nodes {
             node.net_misrouted.add(1);
             continue;
@@ -500,7 +500,7 @@ pub fn run_with(
             .seal_holding(
                 flow.held_map(),
                 node.wire_epoch.load(Ordering::Relaxed),
-                node.wire_integrity,
+                WireIntegrity::Crc32c,
             ),
         );
         node.net_acks_sent.add(1);
@@ -516,7 +516,7 @@ mod tests {
     use crate::config::GravelConfig;
     use gravel_gq::Message;
     use gravel_net::ChannelTransport;
-    use gravel_pgas::{AmRegistry, DataFrame, WireIntegrity};
+    use gravel_pgas::{AmRegistry, DataFrame};
 
     fn setup(registry: AmRegistry) -> (Arc<NodeShared>, Arc<ChannelTransport>, Arc<ErrorSlot>) {
         let cfg = GravelConfig::small(1, 8);

@@ -20,14 +20,12 @@ use std::sync::Arc;
 
 use gravel_gq::{Band, BufferPool, Message, QueueStats};
 use gravel_net::RetryConfig;
-use gravel_pgas::{
-    AdaptiveFlush, AggCounters, AmRegistry, Quarantine, SymmetricHeap, WireIntegrity,
-};
+use gravel_pgas::{AggCounters, AmRegistry, Quarantine, SymmetricHeap};
 use gravel_telemetry::{Counter, Histogram, Registry, Tracer};
 
 use crate::config::GravelConfig;
 use crate::rings::RingPair;
-use crate::stats::{NetStats, NodeStats};
+use crate::stats::NodeStats;
 
 /// Shared state of one node.
 pub struct NodeShared {
@@ -113,9 +111,6 @@ pub struct NodeShared {
     /// Times an idle runtime thread actually parked (condvar or sleep)
     /// instead of burning a core.
     pub net_spin_parks: Counter,
-    /// Wire integrity mode every frame this node seals/opens uses
-    /// (copied from the config).
-    pub wire_integrity: WireIntegrity,
     /// Checkpoint epoch stamped into outgoing frame headers; advanced by
     /// `cut_epoch` so misdirected cross-epoch traffic is attributable.
     pub wire_epoch: AtomicU32,
@@ -135,9 +130,6 @@ pub struct NodeShared {
     /// validation (owns the `net.quarantined` / `net.quarantine_evicted`
     /// counters).
     pub quarantine: Quarantine,
-    /// Adaptive flush tuning (copied from the config so the aggregator
-    /// lane needs no back-reference to it); `None` = fixed timeout.
-    pub adaptive_flush: Option<AdaptiveFlush>,
     /// Aggregation-open → apply latency of every packet this node's
     /// network thread applied, in nanoseconds.
     pub packet_latency: Histogram,
@@ -158,11 +150,10 @@ pub struct NodeShared {
     /// and AM calls (`rpc.replies_sent`).
     pub rpc_replies_sent: Counter,
     /// Packet-buffer arena shared by this node's aggregator flushes,
-    /// frame sealing, and socket receive path (`Some` when
-    /// `cfg.buffer_pool`; owns the `pool.hits` / `pool.misses` /
-    /// `pool.trimmed` / `pool.resident_bytes` metrics). See DESIGN.md
-    /// §17 "Buffer pooling".
-    pub pool: Option<BufferPool>,
+    /// frame sealing, and socket receive path (owns the `pool.hits` /
+    /// `pool.misses` / `pool.trimmed` / `pool.resident_bytes` metrics).
+    /// See DESIGN.md §17 "Buffer pooling".
+    pub pool: BufferPool,
 }
 
 /// The ring a message travels through.
@@ -203,7 +194,7 @@ impl NodeShared {
                 SymmetricHeap::with_concurrent_atomics(cfg.heap_len)
             },
             queue: RingPair::with_telemetry(cfg.queue, queue_stats, tracer.clone(), id),
-            pool: cfg.buffer_pool.then(|| BufferPool::bound(&registry, &format!("{p}."))),
+            pool: BufferPool::bound(&registry, &format!("{p}.")),
             ams,
             offloaded: registry.vital_counter(&name("offloaded")),
             applied: registry.vital_counter(&name("applied")),
@@ -230,14 +221,12 @@ impl NodeShared {
             net_express_frames: registry.counter(&name("net.express_frames")),
             net_spin_spins: registry.counter(&name("net.spin_spins")),
             net_spin_parks: registry.counter(&name("net.spin_parks")),
-            wire_integrity: cfg.wire_integrity,
             wire_epoch: AtomicU32::new(0),
             net_corrupt_dropped: registry.counter(&name("net.corrupt_dropped")),
             net_truncated: registry.counter(&name("net.truncated")),
             net_misrouted: registry.counter(&name("net.misrouted")),
             net_ack_corrupt_dropped: registry.counter(&name("net.ack_corrupt_dropped")),
             quarantine: Quarantine::bound(&registry, &p, cfg.quarantine_capacity),
-            adaptive_flush: cfg.adaptive_flush,
             packet_latency: registry.histogram(&name("net.packet_latency_ns")),
             replay: cfg.ha.checkpoint.then(crate::ha::ReplayLog::new),
             rpc: crate::rpc::PendingReplies::bound(&registry, &p, cfg.rpc.reply_table_cap),
@@ -309,60 +298,10 @@ impl NodeShared {
         }
     }
 
-    /// Snapshot this node's statistics directly from the live handles.
-    /// Equal to `NodeStats::from_snapshot(self.id, &self.registry.snapshot())`
-    /// on a quiesced cluster (the migration-agreement test asserts it).
+    /// Snapshot this node's statistics: the typed view of its
+    /// `node{id}.*` metrics ([`NodeStats::from_snapshot`]).
     pub fn stats(&self) -> NodeStats {
-        let chan_stalls = self.net_chan_stalls.get();
-        let window_stalls = self.net_window_stalls.get();
-        let rtt = self.rpc.rtt.snapshot();
-        NodeStats {
-            node: self.id,
-            offloaded: self.offloaded.get(),
-            applied: self.applied.get(),
-            local_direct: self.local_direct.get(),
-            local_routed: self.local_routed.get(),
-            remote_routed: self.remote_routed.get(),
-            agg: self.agg.snapshot(),
-            queue: self.queue.stats.snapshot(),
-            agg_express_packets: self.agg_express_packets.get(),
-            agg_polls_empty: self.agg_polls_empty.get(),
-            agg_polls_hit: self.agg_polls_hit.get(),
-            net: NetStats {
-                retransmits: self.net_retransmits.get(),
-                fast_retransmits: self.net_fast_retransmits.get(),
-                rto_retransmits: self.net_rto_retransmits.get(),
-                dups_suppressed: self.net_dups_suppressed.get(),
-                acks_sent: self.net_acks_sent.get(),
-                acks_received: self.net_acks_received.get(),
-                chan_stalls,
-                window_stalls,
-                backpressure_stalls: chan_stalls + window_stalls,
-                ooo_dropped: self.net_ooo_dropped.get(),
-                ooo_parked: self.net_ooo_parked.get(),
-                express_frames: self.net_express_frames.get(),
-                spin_spins: self.net_spin_spins.get(),
-                spin_parks: self.net_spin_parks.get(),
-                corrupt_dropped: self.net_corrupt_dropped.get(),
-                truncated: self.net_truncated.get(),
-                misrouted: self.net_misrouted.get(),
-                ack_corrupt_dropped: self.net_ack_corrupt_dropped.get(),
-                quarantined: self.quarantine.total(),
-                quarantine_evicted: self.quarantine.evicted(),
-            },
-            rpc: crate::stats::RpcStats {
-                issued: self.rpc.issued.get(),
-                completed: self.rpc.completed.get(),
-                timeouts: self.rpc.timeouts.get(),
-                stale_rejected: self.rpc.stale_rejected.get(),
-                orphan_replies: self.rpc.orphan_replies.get(),
-                table_full: self.rpc.table_full.get(),
-                credits_stalled: self.rpc_credits_stalled.get(),
-                replies_sent: self.rpc_replies_sent.get(),
-                rtt_p50_ns: rtt.p50(),
-                rtt_p99_ns: rtt.p99(),
-            },
-        }
+        NodeStats::from_snapshot(self.id, &self.registry.snapshot())
     }
 }
 
@@ -408,7 +347,7 @@ mod tests {
     #[test]
     fn hand_off_counters_are_exported_beside_the_ones_they_explain() {
         let node = make_node(2);
-        let pool = node.pool.as_ref().expect("buffer_pool is on by default");
+        let pool = &node.pool;
         // Two buffers, then a long run of takes that only ever need the
         // warm one: the cold one is trimmed.
         let both = [pool.take(100), pool.take(100)];
@@ -439,6 +378,8 @@ mod tests {
         node.local_direct.add(4);
         assert_eq!(node.offloaded.get(), 4, "vital counter still live");
         assert_eq!(node.local_direct.get(), 0, "observability counter dead");
+        let s = node.stats();
+        assert_eq!((s.offloaded, s.local_direct), (4, 0), "the typed view reads the same");
     }
 
     #[test]

@@ -47,9 +47,8 @@ use crate::error::{ErrorSlot, RuntimeError};
 use crate::ha::{heartbeat, Checkpoint, EpochSnapshot, FailureDetector, Supervisor, WorkerKind};
 use crate::netthread::{self, RecvState};
 use crate::node::NodeShared;
-use crate::stats::{HaStats, RuntimeStats};
+use crate::stats::{HaStats, NodeStats, RuntimeStats};
 
-/// Poll interval of the quiescence loop.
 /// Park cap for quiescence polling (the wait escalates from a short
 /// spin up to this).
 const QUIESCE_POLL: Duration = Duration::from_micros(200);
@@ -435,10 +434,11 @@ impl GravelRuntime {
     pub fn diagnostics(&self) -> String {
         use std::fmt::Write;
         let depths = self.transport.data_depths();
+        let snap = self.registry.snapshot();
         let mut out = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            let s = n.stats();
-            let gauge = |name: &str| self.registry.gauge(&format!("node{i}.agg.{name}")).get();
+            let s = NodeStats::from_snapshot(n.id, &snap);
+            let gauge = |name: &str| snap.gauge(&format!("node{i}.agg.{name}"));
             let _ = writeln!(
                 out,
                 "node {i}: backlog={} offloaded={} applied={} agg_backlog={} in_flight={} \
@@ -552,12 +552,13 @@ impl GravelRuntime {
         }
     }
 
-    /// Snapshot cluster statistics.
+    /// Snapshot cluster statistics (one registry snapshot for every node).
     pub fn stats(&self) -> RuntimeStats {
+        let snap = self.registry.snapshot();
         RuntimeStats {
-            nodes: self.nodes.iter().map(|n| n.stats()).collect(),
+            nodes: self.nodes.iter().map(|n| NodeStats::from_snapshot(n.id, &snap)).collect(),
             faults: self.transport.fault_stats(),
-            ha: HaStats::from_snapshot(&self.registry.snapshot()),
+            ha: HaStats::from_snapshot(&snap),
         }
     }
 

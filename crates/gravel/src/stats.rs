@@ -146,12 +146,12 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Reconstruct node `node`'s statistics from a telemetry
-    /// [`RegistrySnapshot`], reading the `node{N}.*` metric names that
+    /// Node `node`'s statistics from a telemetry [`RegistrySnapshot`],
+    /// reading the `node{N}.*` metric names that
     /// [`NodeShared::with_telemetry`](crate::node::NodeShared::with_telemetry)
-    /// registers. This is the "typed view" direction of the migration:
-    /// `NodeShared::stats()` and this function agree on a quiesced
-    /// cluster (asserted by the migration-agreement test).
+    /// registers. The one mapping from metric names to fields:
+    /// `NodeShared::stats()` and `GravelRuntime::stats()` both read
+    /// through it.
     pub fn from_snapshot(node: u32, snap: &RegistrySnapshot) -> Self {
         let c = |suffix: &str| snap.counter(&format!("node{node}.{suffix}"));
         let chan_stalls = c("net.chan_stalls");

@@ -26,32 +26,40 @@ fn scatter(rt: &GravelRuntime, wgs: usize) {
 fn node_stats_agree_with_registry_snapshot() {
     let rt = GravelRuntime::new(GravelConfig::small(3, 8));
     scatter(&rt, 2);
-    // Quiesced: the typed view over live handles and the view
-    // reconstructed from a registry snapshot must be identical, per
-    // node, field for field. Quiescence stops message flow but not the
-    // background threads, whose idle-poll/park counters keep ticking —
-    // so the two views are read back-to-back and retried a few times if
-    // an idle counter advanced in the window. A genuine mapping bug
-    // diverges on every attempt and still fails.
+    // Quiesced: the node's own view, the cluster view and the view
+    // read from a registry snapshot must be identical, per node, field
+    // for field, and must match the live handles of the counters that
+    // only message flow moves. Quiescence stops message flow but not
+    // the background threads, whose idle-poll/park counters keep
+    // ticking — so the views are read back-to-back and retried a few
+    // times if an idle counter advanced in the window. A genuine
+    // mapping bug diverges on every attempt and still fails.
     for id in 0..rt.nodes() {
-        let (mut live_dbg, mut snap_dbg) = (String::new(), String::new());
-        let mut live_offloaded = 0;
+        let node = rt.node(id);
+        let (mut live_dbg, mut snap_dbg, mut rt_dbg) = (String::new(), String::new(), String::new());
         for _ in 0..64 {
             let snap = rt.telemetry_snapshot();
-            let live = rt.node(id).stats();
-            live_offloaded = live.offloaded;
+            let live = node.stats();
+            let cluster = rt.stats().nodes[id];
             let from_snap = NodeStats::from_snapshot(id as u32, &snap);
-            live_dbg = format!("{live:?}");
-            snap_dbg = format!("{from_snap:?}");
-            if live_dbg == snap_dbg {
+            (live_dbg, snap_dbg, rt_dbg) =
+                (format!("{live:?}"), format!("{from_snap:?}"), format!("{cluster:?}"));
+            if live_dbg == snap_dbg && live_dbg == rt_dbg {
                 break;
             }
         }
+        assert_eq!(live_dbg, snap_dbg, "node {id}: node view and snapshot view diverge");
+        assert_eq!(live_dbg, rt_dbg, "node {id}: node view and cluster view diverge");
+        let s = node.stats();
+        assert!(s.offloaded > 0, "node {id} did work");
+        assert_eq!(s.offloaded, node.offloaded.get());
+        assert_eq!(s.applied, node.applied.get());
+        assert_eq!(s.agg, node.agg.snapshot());
+        let q = node.queue.stats.snapshot();
         assert_eq!(
-            live_dbg, snap_dbg,
-            "node {id}: handle view and snapshot view diverge on every attempt"
+            (s.queue.messages_produced, s.queue.messages_consumed, s.queue.slots_produced),
+            (q.messages_produced, q.messages_consumed, q.slots_produced)
         );
-        assert!(live_offloaded > 0, "node {id} did work");
     }
     rt.shutdown().expect("clean shutdown");
 }

@@ -24,10 +24,10 @@
 //! heartbeat silence feeds the phi-accrual detector exactly as a dead
 //! process should.
 //!
-//! Data-plane frames honor the configured [`WireIntegrity`] (the bench
-//! ablation); the connection control plane (HELLO / REJECT / HEARTBEAT
-//! / CONTROL) is always sealed and verified with CRC32C — membership
-//! and recovery traffic is never run unchecked.
+//! Data-plane frames arrive sealed by their sender and are verified by
+//! the receiving network thread; the connection control plane (HELLO /
+//! REJECT / HEARTBEAT / CONTROL) is sealed and verified here. Both are
+//! CRC32C.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,7 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use gravel_gq::BufferPool;
 use gravel_pgas::frame::{
@@ -99,8 +98,6 @@ pub struct SocketConfig {
     pub lanes: usize,
     /// Listen address per node id; `addrs[node]` is bound locally.
     pub addrs: Vec<SocketAddrSpec>,
-    /// Data-plane integrity (control plane is always CRC32C).
-    pub integrity: WireIntegrity,
     /// Redial policy.
     pub reconnect: ReconnectConfig,
     /// Seed for backoff jitter (deterministic per seed).
@@ -110,8 +107,9 @@ pub struct SocketConfig {
     /// Packet-buffer arena for the data path: inbound data frames are
     /// sealed into recycled buffers and outbound control frames are
     /// sealed in pooled scratch, so the steady-state wire loop
-    /// allocates nothing. `None` (the ablation) allocates per frame.
-    pub pool: Option<BufferPool>,
+    /// allocates nothing. [`new`](Self::new) makes a private one; a
+    /// node process hands in its node's arena.
+    pub pool: BufferPool,
     /// Declarative link chaos (partitions, one-way drops, per-link
     /// delays). Consulted at the single outbound chokepoint, so every
     /// traffic class — data, acks, heartbeats, control — experiences
@@ -127,11 +125,10 @@ impl SocketConfig {
             nodes: addrs.len(),
             lanes: 1,
             addrs,
-            integrity: WireIntegrity::Crc32c,
             reconnect: ReconnectConfig::default(),
             seed: 1,
             ingress_capacity: 4096,
-            pool: None,
+            pool: BufferPool::new(),
             link_chaos: None,
         }
     }
@@ -454,7 +451,6 @@ struct Inner {
     me: NodeId,
     nodes: usize,
     lanes: usize,
-    integrity: WireIntegrity,
     reconnect: ReconnectConfig,
     seed: u64,
     addrs: Vec<SocketAddrSpec>,
@@ -473,7 +469,7 @@ struct Inner {
     event_rx: Mutex<Receiver<PeerEvent>>,
     stats: Counters,
     tcp_port: AtomicU32,
-    pool: Option<BufferPool>,
+    pool: BufferPool,
     link_chaos: Option<Arc<LinkSchedule>>,
     /// Frames held back by a delay fault, drained by the delay pump.
     delayq: Mutex<std::collections::BinaryHeap<DelayedWrite>>,
@@ -555,7 +551,6 @@ impl SocketTransport {
             me: cfg.node,
             nodes: cfg.nodes,
             lanes: cfg.lanes,
-            integrity: cfg.integrity,
             reconnect: cfg.reconnect,
             seed: cfg.seed,
             addrs: cfg.addrs,
@@ -635,13 +630,6 @@ impl SocketTransport {
         self.inner.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// The data-plane integrity this endpoint was configured with
-    /// (callers seal their own data frames; the control plane is
-    /// always CRC32C).
-    pub fn integrity(&self) -> WireIntegrity {
-        self.inner.integrity
-    }
-
     /// Whether the stream to `peer` is currently up.
     pub fn connected(&self, peer: NodeId) -> bool {
         self.inner.peers[peer as usize].lock().writer.is_some()
@@ -687,19 +675,10 @@ impl SocketTransport {
                 .send(ControlMsg { src: inner.me, epoch, words: all })
                 .is_ok();
         }
-        let taken = inner
-            .pool
-            .as_ref()
-            .map(|pool| pool.take(FRAME_OVERHEAD + words.len() * 8 + tail.len()));
-        let (mut frame, ticket) = match taken {
-            Some((v, t)) => (v, Some(t)),
-            None => (Vec::new(), None),
-        };
+        let (mut frame, ticket) = inner.pool.take(FRAME_OVERHEAD + words.len() * 8 + tail.len());
         seal_control_into(&mut frame, inner.me, dest, epoch, words, tail, WireIntegrity::Crc32c);
         let ok = inner.write_to_peer(dest, &frame);
-        if let (Some(pool), Some(t)) = (&inner.pool, ticket) {
-            pool.put(frame, t);
-        }
+        inner.pool.put(frame, ticket);
         ok
     }
 
@@ -1129,17 +1108,12 @@ impl Inner {
             // (GET / AM_CALL / AM_REPLY). The receiver's verified open
             // re-checks the kind against the data-plane set.
             0 | 6 | 7 | 8 => {
-                // Pool on: the frame bytes live in a recycled slab and
-                // the seal allocates nothing. Pool off (or frame too
-                // big for a bucket — take still serves it): plain copy.
-                let bytes = match &self.pool {
-                    Some(pool) => {
-                        let (mut v, ticket) = pool.take(frame.len());
-                        v.extend_from_slice(frame);
-                        pool.seal(v, ticket)
-                    }
-                    None => Bytes::copy_from_slice(frame),
-                };
+                // The frame bytes live in a recycled slab and the seal
+                // allocates nothing (a frame too big for a bucket is
+                // still served, by a fresh allocation).
+                let (mut v, ticket) = self.pool.take(frame.len());
+                v.extend_from_slice(frame);
+                let bytes = self.pool.seal(v, ticket);
                 let df = DataFrame {
                     src: word(8),
                     dest: word(12),

@@ -12,7 +12,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gravel_gq::BufferPool;
 use gravel_net::{RecvStatus, SocketAddrSpec, SocketConfig, SocketTransport, Transport};
 use gravel_pgas::{DataFrame, Packet, WireIntegrity};
 
@@ -72,11 +71,8 @@ fn a_frame_crosses_the_socket_without_allocating() {
     let addrs: Vec<_> = (0..2)
         .map(|i| SocketAddrSpec::Uds(dir.join(format!("n{i}.sock"))))
         .collect();
-    let spawn = |node| {
-        let mut cfg = SocketConfig::new(node, addrs.clone());
-        cfg.pool = Some(BufferPool::new());
-        SocketTransport::spawn(cfg).expect("bind")
-    };
+    // `SocketConfig::new`'s defaults: the zero is what every endpoint gets.
+    let spawn = |node| SocketTransport::spawn(SocketConfig::new(node, addrs.clone())).expect("bind");
     let (t0, t1) = (spawn(0), spawn(1));
     assert!(t0.wait_connected(1, Duration::from_secs(5)));
     assert!(t1.wait_connected(0, Duration::from_secs(5)));

@@ -752,7 +752,7 @@ pub fn run_elastic_sender(
                 node.note_offloaded(1);
             }
             if batch.len() / gravel_gq::MSG_ROWS >= msgs_per_packet {
-                sender.submit(Packet::from_words_in(node.id, dest, batch, node.pool.as_ref()));
+                sender.submit(Packet::from_words_in(node.id, dest, batch, Some(&node.pool)));
                 batch.clear();
                 progressed = true;
             }
@@ -760,7 +760,7 @@ pub fn run_elastic_sender(
         // Flush partial batches — latency over packing at the tail.
         for (dest, words) in batches {
             if !words.is_empty() {
-                sender.submit(Packet::from_words_in(node.id, dest, &words, node.pool.as_ref()));
+                sender.submit(Packet::from_words_in(node.id, dest, &words, Some(&node.pool)));
                 progressed = true;
             }
         }

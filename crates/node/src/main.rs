@@ -34,7 +34,7 @@ use gravel_net::{
     ChaosPlan, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec, SocketConfig,
     SocketTransport, Transport,
 };
-use gravel_pgas::{AmRegistry, FlushPolicy, WireIntegrity};
+use gravel_pgas::{AmRegistry, FlushPolicy};
 use gravel_telemetry::Counter;
 
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
@@ -56,7 +56,6 @@ struct Args {
     updates: usize,
     table: usize,
     seed: u64,
-    integrity: WireIntegrity,
     msgs_per_packet: usize,
     ckpt_every: u64,
     kill_at: Option<u64>,
@@ -93,7 +92,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: gravel-node --node I --nodes N (--dir PATH | --tcp-base PORT) [--updates U] \
-         [--table T] [--seed S] [--integrity crc32c|off] [--msgs-per-packet K] \
+         [--table T] [--seed S] [--msgs-per-packet K] \
          [--ckpt-every P] [--kill-at N] [--deadline-secs D] [--gets G] [--out FILE] \
          [--active M] [--join] [--buddy-wait-ms W] [--evict-grace-ms E] [--kill-on-migrate K] \
          [--kill-on-commit] [--link-chaos SPEC]"
@@ -110,7 +109,6 @@ fn parse_args() -> Args {
         updates: 4096,
         table: 512,
         seed: 42,
-        integrity: WireIntegrity::Crc32c,
         msgs_per_packet: sender::DEFAULT_MSGS_PER_PACKET,
         ckpt_every: 16,
         kill_at: None,
@@ -136,13 +134,6 @@ fn parse_args() -> Args {
             "--updates" => a.updates = val().parse().unwrap_or_else(|_| usage()),
             "--table" => a.table = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => a.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--integrity" => {
-                a.integrity = match val().as_str() {
-                    "crc32c" => WireIntegrity::Crc32c,
-                    "off" => WireIntegrity::Off,
-                    _ => usage(),
-                }
-            }
             "--msgs-per-packet" => a.msgs_per_packet = val().parse().unwrap_or_else(|_| usage()),
             "--ckpt-every" => a.ckpt_every = val().parse().unwrap_or_else(|_| usage()),
             "--kill-at" => a.kill_at = Some(val().parse().unwrap_or_else(|_| usage())),
@@ -180,7 +171,9 @@ fn parse_args() -> Args {
             eprintln!("[gravel-node {}] --gets is not supported in elastic mode", a.node);
             usage();
         }
-    } else if a.join || a.kill_on_migrate.is_some() {
+    } else if a.join || a.kill_on_migrate.is_some() || a.kill_on_commit {
+        // Elastic-only flags: a static cluster has no shard migration
+        // to die in and no coordinator to kill.
         usage();
     }
     if a.out.as_os_str().is_empty() {
@@ -490,7 +483,6 @@ fn run() -> i32 {
         part.local_len(me as usize).max(1)
     };
     let mut cfg = GravelConfig::small(nodes, heap_len);
-    cfg.wire_integrity = args.integrity;
     // Generous RPC deadline: a GET must survive a peer's kill -9 →
     // restart window before it is declared timed out.
     cfg.rpc.timeout = Duration::from_secs(5);
@@ -507,7 +499,6 @@ fn run() -> i32 {
     let node = Arc::new(NodeShared::new(me, &cfg, Arc::new(AmRegistry::new())));
 
     let mut scfg = SocketConfig::new(me, addrs(&args));
-    scfg.integrity = args.integrity;
     scfg.seed = args.seed ^ (me as u64).wrapping_mul(0x9E37_79B9);
     // The wire loops draw frame buffers from the node's arena.
     scfg.pool = node.pool.clone();

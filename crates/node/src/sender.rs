@@ -161,7 +161,7 @@ pub fn run_sender(
                     node.id,
                     plan.dest,
                     words,
-                    node.pool.as_ref(),
+                    Some(&node.pool),
                 ));
                 progressed = true;
             }

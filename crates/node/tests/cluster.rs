@@ -342,3 +342,22 @@ fn sigterm_mid_run_exits_zero_with_graceful_report() {
         assert!(r.graceful, "node {n} graceful flag");
     }
 }
+
+#[test]
+fn usage_errors_exit_64_before_the_node_starts() {
+    // `--kill-on-commit` kills an elastic cluster's coordinator; a
+    // static cluster has none, so accepting it would run a chaos job
+    // with no fault in it. `--integrity` is gone: every frame is CRC32C.
+    // A regression would start a node, so the deadline keeps it short.
+    let dir = std::env::temp_dir().join(format!("gravel_cluster_usage_{}", std::process::id()));
+    for extra in [&["--kill-on-commit"][..], &["--integrity", "off"]] {
+        let out = Command::new(BIN)
+            .args(["--node", "0", "--nodes", "2", "--deadline-secs", "1", "--dir"])
+            .arg(&dir)
+            .args(extra)
+            .output()
+            .expect("run gravel-node");
+        assert_eq!(out.status.code(), Some(64), "{extra:?}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

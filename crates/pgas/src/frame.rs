@@ -10,9 +10,10 @@
 //! the packet (corrupted ≡ lost at the protocol level).
 //!
 //! The header checks (magic, version, length consistency) always run;
-//! the CRC is computed and verified only under
-//! [`WireIntegrity::Crc32c`] (the default). [`WireIntegrity::Off`] is
-//! the ablation knob the throughput bench uses to price the checksum.
+//! the CRC is computed and verified under [`WireIntegrity::Crc32c`],
+//! which is what the runtime and the socket transport always use.
+//! [`WireIntegrity::Off`] is the header-only peek, for a reader that
+//! wants a frame's routing fields without paying for its checksum.
 
 use std::time::Instant;
 
@@ -58,9 +59,9 @@ pub enum WireIntegrity {
     Crc32c,
     /// Skip checksum compute and verification; the trailer is stamped
     /// zero and ignored on receive. Structural header checks (magic,
-    /// version, length) still run. This is the throughput ablation —
-    /// running it over a corrupting fabric forfeits every integrity
-    /// guarantee.
+    /// version, length) still run. For reading a header without paying
+    /// for the CRC (a bench sink, a test); nothing verified this way
+    /// carries any integrity guarantee.
     Off,
 }
 

@@ -31,7 +31,8 @@ pub enum QuarantineReason {
     /// A Put/Inc addressed a heap offset past the local partition.
     OutOfRange,
     /// The packet payload ended mid-message (length not a multiple of
-    /// the message stride) — only reachable with `WireIntegrity::Off`.
+    /// the message stride): a frame that verifies, sealed that way by a
+    /// sender other than the runtime's, which packs whole messages.
     PartialPayload,
     /// The message named a destination node outside the cluster. Caught
     /// by the *sending* aggregator lane before it reaches a queue, so

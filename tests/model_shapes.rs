@@ -3,7 +3,10 @@
 //! validated at bench scale by the figure binaries and EXPERIMENTS.md).
 
 use gravel_apps::{inputs, GraphInputs, Scale};
-use gravel_cluster::{geo_mean, network_stats, simulate, Calibration, Style};
+use gravel_cluster::hierarchy::group_size;
+use gravel_cluster::{
+    geo_mean, hierarchical_trace, network_stats, simulate, Calibration, Style, WorkloadTrace,
+};
 
 fn graphs() -> GraphInputs {
     GraphInputs::generate(Scale::Test, 1)
@@ -95,6 +98,53 @@ fn msg_per_lane_collapses_on_gups() {
     let gravel = simulate(&t8, &cal, &Style::Gravel.params(&cal)).total_ns;
     let mpl = simulate(&t8, &cal, &Style::MsgPerLane.params(&cal)).total_ns;
     assert!(mpl > 30 * gravel, "mpl {mpl} vs gravel {gravel}");
+}
+
+/// `--bin extensions`' GUPS-like firehose: `total` updates, one step.
+fn uniform(nodes: usize, total: u64) -> WorkloadTrace {
+    WorkloadTrace::uniform("GUPS", nodes, 1, 0, total / (nodes as u64 * nodes as u64))
+}
+
+#[test]
+fn hierarchy_pays_only_past_the_crossover() {
+    // EXPERIMENTS.md "Extensions", §10: at the bin's scale the extra hop
+    // is pure overhead at 8 and 64 nodes, wins from 128 on, and doubles
+    // the flat rate at 256 nodes.
+    let cal = Calibration::paper();
+    let params = Style::Gravel.params(&cal);
+    let total = 1u64 << 26;
+    let rates = |nodes: usize| {
+        let flat = uniform(nodes, total);
+        let hier = hierarchical_trace(&flat, group_size(nodes));
+        (
+            simulate(&flat, &cal, &params).ops_per_sec(total),
+            simulate(&hier, &cal, &params).ops_per_sec(total),
+        )
+    };
+    for nodes in [8, 64] {
+        let (flat, hier) = rates(nodes);
+        assert!(flat > hier, "{nodes} nodes: flat {flat:.3e} vs two-level {hier:.3e}");
+    }
+    for nodes in [128, 256] {
+        let (flat, hier) = rates(nodes);
+        assert!(hier > flat, "{nodes} nodes: two-level {hier:.3e} vs flat {flat:.3e}");
+    }
+    let (flat, hier) = rates(256);
+    assert!(hier > 1.8 * flat, "256 nodes: two-level {hier:.3e} vs flat {flat:.3e}");
+}
+
+#[test]
+fn a_hardware_aggregator_is_faster_on_both_trace_shapes() {
+    // EXPERIMENTS.md "Extensions", §8.1: 1.34x on a GUPS-like firehose
+    // and on an SSSP-like sparse-superstep loop, at 8 nodes.
+    let sw = Calibration::paper();
+    let hw = sw.hardware_aggregator();
+    for trace in [uniform(8, 1 << 26), WorkloadTrace::uniform("sparse", 8, 512, 100, 200)] {
+        let t_sw = simulate(&trace, &sw, &Style::Gravel.params(&sw)).total_ns;
+        let t_hw = simulate(&trace, &hw, &Style::Gravel.params(&hw)).total_ns;
+        let speedup = t_sw as f64 / t_hw as f64;
+        assert!(speedup > 1.2, "{}: hw speedup {speedup:.2}", trace.name);
+    }
 }
 
 #[test]

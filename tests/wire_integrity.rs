@@ -9,15 +9,14 @@
 //!   heals it exactly as if it had been lost.
 //! - Every injected fault is **accounted for**: the injector's counters
 //!   reconcile against the receivers' integrity-drop counters.
-//! - Well-formed traffic quarantines **nothing**, with or without the
-//!   CRC, and the `WireIntegrity::Off` ablation still delivers.
+//! - Well-formed traffic quarantines **nothing**.
 
 use std::sync::Arc;
 
 use gravel_apps::graph::{gen, reference};
 use gravel_apps::{gups, pagerank};
 use gravel_core::{
-    ChaosPlan, FaultConfig, GravelConfig, GravelRuntime, ProcessFault, TransportKind, WireIntegrity,
+    ChaosPlan, FaultConfig, GravelConfig, GravelRuntime, ProcessFault, TransportKind,
 };
 
 fn gups_input() -> gups::GupsInput {
@@ -180,21 +179,4 @@ fn clean_traffic_quarantines_nothing() {
     assert_eq!(stats.total_integrity_drops(), 0);
     assert_eq!(stats.total_quarantined(), 0);
     assert!(stats.faults.is_clean());
-}
-
-#[test]
-fn integrity_off_ablation_still_delivers_clean_traffic() {
-    let input = gups_input();
-    let baseline = baseline_heaps(&input, 2);
-    let mut cfg = GravelConfig::small(2, input.table_len);
-    cfg.wire_integrity = WireIntegrity::Off;
-    let rt = GravelRuntime::new(cfg);
-    gups::run_live(&rt, &input);
-    assert!(gups::verify_live(&rt, &input));
-    for (i, expect) in baseline.iter().enumerate() {
-        assert_eq!(&rt.heap(i).snapshot(), expect, "heap {i} not bit-exact");
-    }
-    let stats = rt.shutdown().expect("clean shutdown");
-    assert_eq!(stats.total_integrity_drops(), 0);
-    assert_eq!(stats.total_quarantined(), 0);
 }

@@ -218,7 +218,6 @@ impl Transport for CountingSink {
 #[test]
 fn a_warm_lane_drains_and_flushes_without_allocating() {
     let cfg = GravelConfig::paper(2, 1 << 10);
-    assert!(cfg.buffer_pool, "the lane flushes into pooled buffers");
     // 32 messages a packet: the counted window is 8192 messages, 32 full
     // slots, four claims, 256 size-driven flushes to two destinations.
     let queue_bytes = 1024;
@@ -264,7 +263,7 @@ fn a_warm_lane_drains_and_flushes_without_allocating() {
     // the lane filled — and a fresh one only until as many exist as
     // one claim's packets keep in flight before their acks are read
     // (eight slots of 256 messages, 32 to a packet).
-    let pool = node.pool.as_ref().expect("buffer_pool is on");
+    let pool = &node.pool;
     assert_eq!(pool.hits() + pool.misses(), stats.packets);
     let per_claim = 8 * WG as u64 / per_packet;
     assert!(pool.misses() <= per_claim, "{} of {} buffers were fresh", pool.misses(), stats.packets);

@@ -124,12 +124,10 @@ fn steady_state_packet_path_allocates_zero_per_message() {
         table_len: 512,
         seed: 17,
     };
-    // Defaults carry the configuration under test: buffer_pool on,
-    // tracing off, checkpointing off, one aggregator lane, reliable
-    // in-process transport.
-    let cfg = GravelConfig::small(2, input.table_len);
-    assert!(cfg.buffer_pool, "arena must be on for the zero-alloc gate");
-    let rt = GravelRuntime::new(cfg);
+    // Defaults carry the configuration under test: tracing off,
+    // checkpointing off, one aggregator lane, reliable in-process
+    // transport (the arena is always on).
+    let rt = GravelRuntime::new(GravelConfig::small(2, input.table_len));
 
     // ---- PUT path -----------------------------------------------------
     const PUT_MSGS: usize = 8_000;
