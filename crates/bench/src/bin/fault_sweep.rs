@@ -42,17 +42,12 @@ use gravel_core::{
 use gravel_pgas::{Directory, ShardMap, DEFAULT_SHARDS};
 
 /// One sweep cell's telemetry: the injected fault kind/probability, the
-/// fault-tolerance and wire-integrity headline counters, and the
-/// cluster's complete metric snapshot at quiescence. `restarts`/
-/// `recoveries` stay zero unless a chaos plan is wired in — they are
-/// lifted out of the snapshot so the cell schema lines up with
-/// `chaos_sweep`'s and downstream plots can treat both sweeps uniformly.
+/// wire-integrity and request-reply headline counters, and the
+/// cluster's complete metric snapshot at quiescence.
 #[derive(serde::Serialize)]
 struct TelemetryCell {
     fault_kind: String,
     fault_prob: f64,
-    restarts: u64,
-    recoveries: u64,
     corrupt_dropped: u64,
     truncated: u64,
     misrouted: u64,
@@ -578,8 +573,6 @@ fn main() {
             assert_eq!(rt.node(n).rpc.len(), 0, "node {n} pending table leaked at {kind}={prob}");
         }
         let telemetry = rt.telemetry_snapshot();
-        let restarts = telemetry.counter("ha.restarts");
-        let recoveries = telemetry.counter("ha.recoveries");
         let stats = rt.shutdown().expect("GUPS must survive the fault sweep");
         assert_eq!(
             stats.total_offloaded(),
@@ -591,8 +584,6 @@ fn main() {
         cells.push(TelemetryCell {
             fault_kind: kind.to_string(),
             fault_prob: prob,
-            restarts,
-            recoveries,
             corrupt_dropped: stats.total_corrupt_dropped(),
             truncated,
             misrouted,
@@ -665,8 +656,6 @@ fn main() {
         cells.push(TelemetryCell {
             fault_kind: "reshard".to_string(),
             fault_prob: flips as f64,
-            restarts: 0,
-            recoveries: 0,
             corrupt_dropped: 0,
             truncated: 0,
             misrouted: 0,
@@ -717,8 +706,6 @@ fn main() {
         cells.push(TelemetryCell {
             fault_kind: "failover".to_string(),
             fault_prob: 0.0,
-            restarts: 0,
-            recoveries: 0,
             corrupt_dropped: 0,
             truncated: 0,
             misrouted: 0,

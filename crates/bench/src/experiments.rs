@@ -1,5 +1,7 @@
 //! Shared setup for the model-driven figures (12-15, Table 5).
 
+use std::path::PathBuf;
+
 use gravel_apps::{GraphInputs, Scale};
 use gravel_cluster::{Calibration, WorkloadTrace};
 
@@ -18,12 +20,14 @@ pub fn scale_from_args() -> Scale {
 /// Cached workload traces for a set of cluster sizes.
 ///
 /// Traces are deterministic in (workload, scale, nodes), so they are
-/// memoized on disk under `results/trace_cache/` — the expensive ones
-/// (SSSP on the 16 M-vertex mesh) take a minute to generate and seconds
-/// to reload, and every figure binary shares the cache. Delete the
-/// directory to force regeneration.
+/// memoized on disk under `results/trace_cache/` (or
+/// `$GRAVEL_RESULTS_DIR/trace_cache/`) — the expensive ones (SSSP on the
+/// 16 M-vertex mesh) take a minute to generate and seconds to reload,
+/// and every figure binary shares the cache. Delete the directory to
+/// force regeneration.
 pub struct TraceSet {
     scale: Scale,
+    cache: PathBuf,
     graphs: std::cell::OnceCell<GraphInputs>,
 }
 
@@ -31,14 +35,19 @@ impl TraceSet {
     /// Prepare a trace set; graphs are generated lazily on the first
     /// cache miss.
     pub fn new(scale: Scale) -> Self {
-        TraceSet { scale, graphs: std::cell::OnceCell::new() }
+        let results = std::env::var("GRAVEL_RESULTS_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|_| PathBuf::from("results"));
+        TraceSet::cached_in(scale, results.join("trace_cache"))
     }
 
-    fn cache_path(&self, workload: &str, nodes: usize) -> std::path::PathBuf {
-        let dir = std::env::var("GRAVEL_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|_| std::path::PathBuf::from("results"));
-        dir.join("trace_cache").join(format!("{:?}-{workload}-{nodes}.json", self.scale))
+    /// A trace set whose cache is the directory `cache`.
+    pub fn cached_in(scale: Scale, cache: PathBuf) -> Self {
+        TraceSet { scale, cache, graphs: std::cell::OnceCell::new() }
+    }
+
+    fn cache_path(&self, workload: &str, nodes: usize) -> PathBuf {
+        self.cache.join(format!("{:?}-{workload}-{nodes}.json", self.scale))
     }
 
     /// The trace for `workload` at `nodes` nodes (disk-cached).
@@ -76,10 +85,24 @@ mod tests {
 
     #[test]
     fn trace_set_builds_all_workloads_at_test_scale() {
-        let ts = TraceSet::new(Scale::Test);
+        let dir = std::env::temp_dir().join(format!("gravel-trace-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = TraceSet::cached_in(Scale::Test, dir.clone());
+        let again = TraceSet::cached_in(Scale::Test, dir.clone());
         for w in gravel_apps::WORKLOADS {
-            let t = ts.trace(w, 2);
+            assert!(!first.cache_path(w, 2).exists(), "{w}: cache starts empty");
+            let t = first.trace(w, 2);
             assert_eq!(t.nodes, 2, "{w}");
+            assert!(first.cache_path(w, 2).exists(), "{w}: generated trace is cached");
+            let reloaded = again.trace(w, 2);
+            assert_eq!(
+                serde_json::to_string(&reloaded).unwrap(),
+                serde_json::to_string(&t).unwrap(),
+                "{w}: reload differs from the generated trace"
+            );
         }
+        assert!(first.graphs.get().is_some(), "the first set generated its inputs");
+        assert!(again.graphs.get().is_none(), "the second set only reloaded");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! # gravel-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper, the fault and chaos sweeps
-//! of the live runtime, plus criterion microbenchmarks for the queue,
-//! divergence, atomics and apply-loop studies. The repository's
+//! One binary per table/figure of the paper, the fault sweep of the live
+//! runtime, plus criterion microbenchmarks for the atomics and
+//! apply-loop studies. The repository's
 //! end-to-end benchmark is `gbench/` (see `BENCHMARK.json`), not this
 //! crate:
 //!
@@ -22,22 +22,16 @@
 //! | `--bin extensions` | §10 hierarchy + §8.1 hw aggregator (future work) | model |
 //! | `--bin all_experiments` | every generator above, in order | — |
 //! | `--bin fault_sweep` | GUPS vs injected drop / corruption; reshard and failover cells | live runtime + protocol replay |
-//! | `--bin chaos_sweep` | GUPS under seeded aggregator / network-thread kills | live runtime |
-//! | `--bin telemetry_overhead` | telemetry cost: GUPS at off / counters / counters+trace | live runtime |
-//! | `--bench fig6_wg_sync` | Fig. 6 under criterion | live queues |
-//! | `--bench fig8_queue_tput` | Fig. 8 under criterion | live queues |
-//! | `--bench sec8_diverged` | §8.2 under criterion | live SIMT |
 //! | `--bench ablation_atomics` | serialized vs concurrent local atomics | live runtime |
 //! | `--bench apply_loop` | the network thread's apply loop, 2 × 2 | single thread |
 //!
 //! Each binary prints an aligned table and saves JSON under `results/`
 //! (or `$GRAVEL_RESULTS_DIR`). The paper generators accept `--quick` to
-//! run at test scale; the sweeps and `telemetry_overhead` run at test
-//! scale by default and take `--full` for the full one.
+//! run at test scale; `fault_sweep` runs at test scale by default and
+//! takes `--full` for the full one.
 
 pub mod experiments;
 pub mod queue_bench;
 pub mod report;
-pub mod telemetry_overhead;
 
 pub use report::Table;

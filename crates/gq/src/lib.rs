@@ -59,7 +59,7 @@ pub use spsc::SpscQueue;
 pub use stats::{QueueStats, StatsSnapshot};
 
 /// Cases per seeded property in this crate's unit tests: 256 in a debug
-/// build, 4096 in `--release` (CI's `bench-smoke`), or
+/// build, 4096 in `--release` (CI's `release-oracles`), or
 /// `GRAVEL_FUZZ_CASES`.
 #[cfg(test)]
 pub(crate) fn fuzz_cases() -> u64 {

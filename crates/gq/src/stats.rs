@@ -170,12 +170,4 @@ mod tests {
         let s2 = QueueStats::bound(&r, "node0");
         assert_eq!(s2.messages_produced.get(), 9);
     }
-
-    #[test]
-    fn bound_to_disabled_registry_is_dead() {
-        let r = Registry::disabled();
-        let s = QueueStats::bound(&r, "node0");
-        s.producer_rmws.add(5);
-        assert_eq!(s.snapshot().producer_rmws, 0);
-    }
 }

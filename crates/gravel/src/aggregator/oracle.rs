@@ -265,7 +265,7 @@ fn a_bulk_claim_yields_to_a_ready_express_ring_at_the_next_slot() {
     assert_eq!(consumed(), 7);
 }
 
-/// Cases per property: CI's `bench-smoke` job runs this in `--release`.
+/// Cases per property: CI's `release-oracles` job runs this in `--release`.
 fn cases() -> u32 {
     std::env::var("GRAVEL_FUZZ_CASES")
         .ok()

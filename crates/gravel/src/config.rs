@@ -85,9 +85,7 @@ pub struct GravelConfig {
     /// Observability level (see DESIGN.md §10):
     /// [`TelemetryConfig::Counters`] (the default) keeps the sharded
     /// metric registry live, [`TelemetryConfig::CountersAndTrace`] also
-    /// records spans for chrome://tracing export, and
-    /// [`TelemetryConfig::Off`] disables everything except the vital
-    /// quiescence counters.
+    /// records spans for chrome://tracing export as well.
     pub telemetry: TelemetryConfig,
     /// Node-level fault tolerance: worker restart policy, optional
     /// heartbeat failure detection, and epoch checkpointing (see

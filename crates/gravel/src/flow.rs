@@ -1214,7 +1214,7 @@ mod tests {
         fates
     }
 
-    /// Cases per property: CI's `fault-injection` job runs these in
+    /// Cases per property: CI's `release-oracles` job runs these in
     /// `--release`.
     const CASES: u32 = if cfg!(debug_assertions) { 256 } else { 4096 };
 

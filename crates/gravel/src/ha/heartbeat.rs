@@ -257,7 +257,7 @@ pub fn run(
     beat_seq: Arc<AtomicU64>,
 ) {
     let beats_sent = registry.counter(&format!("node{id}.ha.beats_sent"));
-    let deaths = registry.vital_counter("ha.deaths_declared");
+    let deaths = registry.counter("ha.deaths_declared");
     let phi_gauges: Vec<_> = (0..nodes)
         .map(|peer| registry.gauge(&format!("node{id}.ha.phi.node{peer}")))
         .collect();

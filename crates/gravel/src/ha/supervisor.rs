@@ -241,9 +241,7 @@ fn monitor_loop(
     errors: Arc<ErrorSlot>,
     registry: Arc<Registry>,
 ) {
-    // Restarts are robustness signal, not observability garnish: count
-    // them even under TelemetryConfig::Off.
-    let restarts_total = registry.vital_counter("ha.restarts");
+    let restarts_total = registry.counter("ha.restarts");
     let recovery_ns = registry.histogram("ha.recovery_ns");
     while let Ok(event) = rx.recv() {
         match event {
@@ -272,7 +270,7 @@ fn monitor_loop(
                             std::thread::sleep(backoff);
                             let handle = spawn_worker_thread(&name, id, body, tx.clone());
                             restarts_total.add(1);
-                            registry.vital_counter(&format!("node{node}.ha.restarts")).add(1);
+                            registry.counter(&format!("node{node}.ha.restarts")).add(1);
                             recovery_ns.record(observed.elapsed().as_nanos() as u64);
                             let mut ws = lock_workers(&shared);
                             ws[id].handle = Some(handle);

@@ -63,4 +63,4 @@ pub use gravel_pgas::{
 };
 pub use gravel_simt as simt;
 pub use gravel_telemetry as telemetry;
-pub use gravel_telemetry::{Registry, RegistrySnapshot, Sampler, TelemetryConfig, Tracer};
+pub use gravel_telemetry::{Registry, RegistrySnapshot, TelemetryConfig, Tracer};

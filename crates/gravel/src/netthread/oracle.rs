@@ -198,7 +198,7 @@ fn by_message(pkt: &Packet) -> Outcome {
     outcome(&node, &sink)
 }
 
-/// Cases per property: CI's `bench-smoke` job runs this in `--release`.
+/// Cases per property: CI's `release-oracles` job runs this in `--release`.
 fn cases() -> u32 {
     std::env::var("GRAVEL_FUZZ_CASES")
         .ok()

@@ -10,10 +10,8 @@
 //! DESIGN.md §10 for the naming scheme), so a single
 //! [`Registry::snapshot`] captures the whole cluster and
 //! [`NodeStats`] is just a typed view of it.
-//! The quiescence pair `offloaded`/`applied` is *vital* — registered via
-//! [`Registry::vital_counter`], it keeps counting even under
-//! `TelemetryConfig::Off`, because `quiesce()` is correctness, not
-//! observability.
+//! `quiesce()` reads the pair `offloaded`/`applied`, which is why no
+//! telemetry level turns counters off.
 
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -47,9 +45,9 @@ pub struct NodeShared {
     /// `TelemetryConfig::CountersAndTrace`).
     pub tracer: Tracer,
     /// Messages offloaded into the queue by this node's GPU (and host).
-    /// Vital: drives quiescence even with telemetry off.
+    /// Drives quiescence.
     pub offloaded: Counter,
-    /// Messages applied by this node's network thread. Vital.
+    /// Messages applied by this node's network thread.
     pub applied: Counter,
     /// Local operations short-circuited by the GPU (direct PUT stores).
     pub local_direct: Counter,
@@ -196,8 +194,8 @@ impl NodeShared {
             queue: RingPair::with_telemetry(cfg.queue, queue_stats, tracer.clone(), id),
             pool: BufferPool::bound(&registry, &format!("{p}.")),
             ams,
-            offloaded: registry.vital_counter(&name("offloaded")),
-            applied: registry.vital_counter(&name("applied")),
+            offloaded: registry.counter(&name("offloaded")),
+            applied: registry.counter(&name("applied")),
             local_direct: registry.counter(&name("route.local_direct")),
             local_routed: registry.counter(&name("route.local_routed")),
             remote_routed: registry.counter(&name("route.remote_routed")),
@@ -367,19 +365,6 @@ mod tests {
         assert_eq!(node.stats().queue.producer_wakes, 3);
         let restored = NodeStats::from_snapshot(0, &snap);
         assert_eq!(restored.queue.producer_wakes, 3);
-    }
-
-    #[test]
-    fn quiescence_counters_survive_telemetry_off() {
-        let mut cfg = GravelConfig::small(2, 16);
-        cfg.telemetry = gravel_telemetry::TelemetryConfig::Off;
-        let node = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
-        node.note_offloaded(4);
-        node.local_direct.add(4);
-        assert_eq!(node.offloaded.get(), 4, "vital counter still live");
-        assert_eq!(node.local_direct.get(), 0, "observability counter dead");
-        let s = node.stats();
-        assert_eq!((s.offloaded, s.local_direct), (4, 0), "the typed view reads the same");
     }
 
     #[test]

@@ -257,9 +257,7 @@ impl GravelRuntime {
     }
 
     /// The cluster's metric registry (one per runtime; per-node metrics
-    /// carry a `node{N}.` prefix). Hand it to a
-    /// [`Sampler`](gravel_telemetry::Sampler) for periodic series, or
-    /// snapshot it directly.
+    /// carry a `node{N}.` prefix); snapshot it for the counters.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -381,7 +379,7 @@ impl GravelRuntime {
     }
 
     /// Emit a once-per-`quiesce_warn_interval` stuck-pipeline warning
-    /// (stderr + the `ha.quiesce_warnings` vital counter) while a
+    /// (stderr + the `ha.quiesce_warnings` counter) while a
     /// quiescence wait spins, so an operator watching a wedged run sees
     /// *where* messages are stuck instead of silence.
     fn warn_if_stuck(&self, start: Instant, last_warn: &mut Instant) {
@@ -389,7 +387,7 @@ impl GravelRuntime {
             return;
         }
         *last_warn = Instant::now();
-        self.registry.vital_counter("ha.quiesce_warnings").inc();
+        self.registry.counter("ha.quiesce_warnings").inc();
         eprintln!(
             "gravel: quiesce still waiting after {:?}; pipeline diagnostics:\n{}",
             start.elapsed(),
@@ -605,7 +603,7 @@ impl GravelRuntime {
             node.wire_epoch.store(epoch as u32, Ordering::Release);
         }
         *guard = Some(snap);
-        self.registry.vital_counter("ha.epochs").inc();
+        self.registry.counter("ha.epochs").inc();
         epoch
     }
 
@@ -646,7 +644,7 @@ impl GravelRuntime {
             let words = log.snapshot();
             // Replayed messages were already counted toward quiescence
             // when first applied, so the replay itself must not touch
-            // the vital counters — it only redoes heap effects.
+            // the quiescence counters — it only redoes heap effects.
             let _ = gravel_pgas::apply_words(&words, 0, &node.heap, &node.ams, &mut |_| {});
             recv.reset_resume_cursors();
         }
@@ -656,10 +654,8 @@ impl GravelRuntime {
         // Bumping the generation fails the old waiters and rejects any
         // late reply carrying a stale token.
         node.rpc.bump_generation();
-        self.registry.vital_counter("ha.recoveries").inc();
-        self.registry
-            .vital_counter(&format!("node{id}.ha.recoveries"))
-            .inc();
+        self.registry.counter("ha.recoveries").inc();
+        self.registry.counter(&format!("node{id}.ha.recoveries")).inc();
         self.registry
             .histogram("ha.recovery_ns")
             .record(started.elapsed().as_nanos() as u64);

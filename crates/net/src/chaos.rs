@@ -62,6 +62,19 @@ pub struct ChaosPlan {
     kill_steps: Mutex<HashMap<NodeId, u64>>,
 }
 
+/// SplitMix64 from state `seed + γ`: cheap, stateless, good enough for
+/// schedule derivation.
+fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    move || {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+}
+
 impl ChaosPlan {
     /// A plan executing exactly the given faults.
     pub fn new(faults: Vec<ProcessFault>) -> Self {
@@ -85,18 +98,10 @@ impl ChaosPlan {
     /// a random worker. Same seed + same topology → same schedule.
     pub fn seeded(seed: u64, nodes: usize, slots: usize, horizon: u64) -> Self {
         assert!(nodes > 0 && slots > 0 && horizon > 0, "empty chaos domain");
-        // SplitMix64: cheap, stateless, good enough for schedule derivation.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
+        let mut next = splitmix64(seed);
         let node = (next() % nodes as u64) as NodeId;
         let at_step = 1 + next() % horizon;
-        let fault = if next() % 2 == 0 {
+        let fault = if next().is_multiple_of(2) {
             let slot = (next() % slots as u64) as u32;
             ProcessFault::PanicAggregator { node, slot, at_step }
         } else {
@@ -163,14 +168,7 @@ impl ChaosPlan {
     /// an OS-level SIGKILL.
     pub fn seeded_kill(seed: u64, nodes: usize, horizon: u64) -> Self {
         assert!(nodes > 0 && horizon > 0, "empty chaos domain");
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
+        let mut next = splitmix64(seed);
         let node = (next() % nodes as u64) as NodeId;
         let at_step = 1 + next() % horizon;
         ChaosPlan::new(vec![ProcessFault::KillProcess { node, at_step }])
@@ -298,6 +296,31 @@ mod tests {
         assert!((0..20).any(|s| {
             ChaosPlan::seeded(s, 4, 2, 100).faults() != a.faults()
         }));
+    }
+
+    /// Schedules derived from a seed stay what they were: the sweeps and
+    /// tests that name a seed mean the fault these list.
+    #[test]
+    fn seeded_schedules_are_pinned() {
+        use ProcessFault::{KillProcess, PanicAggregator, PanicNet};
+        let agg = |node, at_step| PanicAggregator { node, slot: 0, at_step };
+        let net = |node, at_step| PanicNet { node, at_step };
+        let want = [agg(0, 80), net(3, 95), agg(2, 48), net(1, 2), agg(0, 96), net(0, 72)];
+        for (seed, fault) in want.into_iter().enumerate() {
+            assert_eq!(ChaosPlan::seeded(seed as u64, 4, 1, 256).faults(), [fault], "seed {seed}");
+        }
+        assert_eq!(
+            ChaosPlan::seeded(9, 4, 2, 100).faults(),
+            [PanicAggregator { node: 2, slot: 1, at_step: 39 }]
+        );
+        let kills = [(0, 30), (3, 41), (2, 2), (1, 30)];
+        for (seed, (node, at_step)) in kills.into_iter().enumerate() {
+            assert_eq!(
+                ChaosPlan::seeded_kill(seed as u64, 4, 50).faults(),
+                [KillProcess { node, at_step }],
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -225,8 +225,8 @@ impl ElasticState {
             moves_out_ctr: registry.counter(&name("moves_out")),
             bytes_migrated: registry.counter(&name("bytes_migrated")),
             topo_fenced: registry.counter(&name("topo_fenced")),
-            takeovers: registry.vital_counter("ha.takeovers"),
-            evictions_vetoed: registry.vital_counter("ha.evictions_vetoed"),
+            takeovers: registry.counter("ha.takeovers"),
+            evictions_vetoed: registry.counter("ha.evictions_vetoed"),
             map_version: registry.gauge(&name("map_version")),
             ha_term: registry.gauge(&format!("node{me}.ha.term")),
             migration_ns: registry.histogram(&name("migration_ns")),

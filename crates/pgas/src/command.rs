@@ -184,7 +184,7 @@ pub fn apply_stream(
 /// or rejected; a rejected message still counts, because quiescence
 /// tracking needs every routed message accounted for exactly once.
 /// Undecodable chunks are skipped without counting (this path also
-/// replays checkpoint journals, which must never perturb the vital
+/// replays checkpoint journals, which must never perturb the quiescence
 /// counters). Stops early on a shutdown sentinel (reported via the
 /// second tuple element). Replies from active-message handlers flow
 /// through `reply`.

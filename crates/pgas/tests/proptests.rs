@@ -457,7 +457,7 @@ proptest! {
     }
 }
 
-/// Case count for the differential oracles: CI's `bench-smoke` job runs
+/// Case count for the differential oracles: CI's `release-oracles` job runs
 /// them in `--release`.
 fn oracle_cases() -> u32 {
     std::env::var("GRAVEL_FUZZ_CASES")

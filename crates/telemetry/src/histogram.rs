@@ -51,7 +51,6 @@ pub fn bucket_high(idx: usize) -> u64 {
 }
 
 pub(crate) struct HistogramCore {
-    enabled: bool,
     buckets: Box<[AtomicU64; BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -59,7 +58,7 @@ pub(crate) struct HistogramCore {
 }
 
 impl HistogramCore {
-    pub(crate) fn new(enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
         // Box the bucket array directly (it is ~4 kB).
         let buckets: Box<[AtomicU64; BUCKETS]> = (0..BUCKETS)
             .map(|_| AtomicU64::new(0))
@@ -67,7 +66,6 @@ impl HistogramCore {
             .try_into()
             .unwrap();
         HistogramCore {
-            enabled,
             buckets,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -94,14 +92,9 @@ impl HistogramCore {
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    /// A histogram not attached to any registry (always live).
+    /// A histogram not attached to any registry.
     pub fn detached() -> Self {
-        Histogram(Arc::new(HistogramCore::new(true)))
-    }
-
-    /// A dead histogram: `record` is a no-op.
-    pub fn disabled() -> Self {
-        Histogram(Arc::new(HistogramCore::new(false)))
+        Histogram(Arc::new(HistogramCore::new()))
     }
 
     pub(crate) fn from_core(core: Arc<HistogramCore>) -> Self {
@@ -112,9 +105,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         let core = &*self.0;
-        if !core.enabled {
-            return;
-        }
         core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(v, Ordering::Relaxed);
@@ -300,14 +290,6 @@ mod tests {
         let p99 = s.p99();
         assert!((980..=1120).contains(&p99), "p99 {p99}");
         assert!((s.mean() - 500.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing() {
-        let h = Histogram::disabled();
-        h.record(42);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().quantile(0.5), 0);
     }
 
     #[test]

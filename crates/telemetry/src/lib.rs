@@ -13,40 +13,29 @@
 //!   and a `chrome://tracing`-compatible JSON exporter; the runtime
 //!   plants spans at queue slot handoff, aggregator drain/flush/
 //!   retransmit, and network-thread apply.
-//! * [`Sampler`] — a periodic thread that snapshots the registry into
-//!   timestamped JSON series, so benches emit trajectories (queue
-//!   depth, window occupancy, aggregation factor over time) instead of
-//!   endpoint numbers.
 //!
-//! Everything is gated by [`TelemetryConfig`]: `Off` hands out dead
-//! handles whose updates compile to a single never-taken branch,
-//! `Counters` (the default) records metrics only, and `CountersAndTrace`
-//! additionally records spans.
+//! Counters are always live: the runtime depends on some of them
+//! functionally (quiescence, supervisor restarts), and the paper's
+//! numbers are read from the rest. [`TelemetryConfig`] only decides
+//! whether spans are recorded as well.
 
 pub mod histogram;
 pub mod registry;
-pub mod sampler;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
-pub use sampler::{Sample, SampleSeries, Sampler};
 pub use trace::{SpanGuard, TraceEvent, Tracer};
 
 /// How much telemetry the runtime records.
 ///
 /// The default is [`Counters`](TelemetryConfig::Counters): the paper's
 /// Table-5 quantities cost a handful of relaxed atomic adds per event
-/// (`benches/telemetry_overhead` holds that under 5 % of GUPS
-/// throughput on the in-process fabric). Tracing is opt-in because span
-/// buffers grow with the run.
+/// (EXPERIMENTS.md "Telemetry levels and harnesses retired" prices them
+/// on `gups_simt`). Tracing is opt-in because span buffers grow with
+/// the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TelemetryConfig {
-    /// No metrics, no tracing. Hot-path telemetry calls reduce to a
-    /// never-taken branch on an immutable flag. Counters the runtime
-    /// *functionally* requires (quiescence offload/apply totals) stay
-    /// live — see [`Registry::vital_counter`].
-    Off,
     /// Counters, gauges, and histograms; no span tracing. The default.
     #[default]
     Counters,
@@ -56,11 +45,6 @@ pub enum TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Whether counters/gauges/histograms record.
-    pub fn counters_enabled(&self) -> bool {
-        !matches!(self, TelemetryConfig::Off)
-    }
-
     /// Whether spans record.
     pub fn trace_enabled(&self) -> bool {
         matches!(self, TelemetryConfig::CountersAndTrace)
@@ -83,8 +67,6 @@ mod tests {
 
     #[test]
     fn config_gates() {
-        assert!(!TelemetryConfig::Off.counters_enabled());
-        assert!(TelemetryConfig::Counters.counters_enabled());
         assert!(!TelemetryConfig::Counters.trace_enabled());
         assert!(TelemetryConfig::CountersAndTrace.trace_enabled());
         assert_eq!(TelemetryConfig::default(), TelemetryConfig::Counters);

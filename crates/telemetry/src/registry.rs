@@ -7,14 +7,10 @@
 //! padded cells so concurrent producers (GPU worker threads hammering
 //! the offload counters) do not serialize on one line.
 //!
-//! Disabled registries (`TelemetryConfig::Off`) hand out *dead* handles:
-//! `Counter::add` starts with one always-taken branch on an immutable
-//! bool, which the optimizer folds to nothing — that is the
-//! zero-overhead-when-off claim, and `benches/telemetry_overhead`
-//! measures it. Metrics the runtime *functionally* depends on
-//! (quiescence tracking) are registered through
-//! [`Registry::vital_counter`], which stays live even when telemetry is
-//! off.
+//! Every handle is live: the runtime depends on some counters
+//! functionally (quiescence offload/apply totals, supervisor restarts),
+//! and the paper's Table-5 quantities are read from the rest, so there
+//! is no level at which they stop counting.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -42,16 +38,12 @@ fn shard_index() -> usize {
     SHARD.with(|s| *s)
 }
 
+#[derive(Default)]
 struct CounterCore {
-    enabled: bool,
     shards: [PaddedU64; COUNTER_SHARDS],
 }
 
 impl CounterCore {
-    fn new(enabled: bool) -> Self {
-        CounterCore { enabled, shards: Default::default() }
-    }
-
     fn sum(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
@@ -64,23 +56,15 @@ impl CounterCore {
 pub struct Counter(Arc<CounterCore>);
 
 impl Counter {
-    /// A counter not attached to any registry (always live). Used by
-    /// components that can run standalone, outside a cluster.
+    /// A counter not attached to any registry. Used by components that
+    /// can run standalone, outside a cluster.
     pub fn detached() -> Self {
-        Counter(Arc::new(CounterCore::new(true)))
-    }
-
-    /// A dead counter: `add` is a no-op, `get` reads zero.
-    pub fn disabled() -> Self {
-        Counter(Arc::new(CounterCore::new(false)))
+        Counter(Arc::default())
     }
 
     /// Add `n` to the counter (relaxed; hot path).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !self.0.enabled {
-            return;
-        }
         self.0.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -94,11 +78,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.sum()
     }
-
-    /// Whether updates are recorded (false for dead handles).
-    pub fn is_enabled(&self) -> bool {
-        self.0.enabled
-    }
 }
 
 impl std::fmt::Debug for Counter {
@@ -107,8 +86,8 @@ impl std::fmt::Debug for Counter {
     }
 }
 
+#[derive(Default)]
 struct GaugeCore {
-    enabled: bool,
     value: AtomicI64,
 }
 
@@ -120,20 +99,12 @@ pub struct Gauge(Arc<GaugeCore>);
 impl Gauge {
     /// A gauge not attached to any registry.
     pub fn detached() -> Self {
-        Gauge(Arc::new(GaugeCore { enabled: true, value: AtomicI64::new(0) }))
-    }
-
-    /// A dead gauge.
-    pub fn disabled() -> Self {
-        Gauge(Arc::new(GaugeCore { enabled: false, value: AtomicI64::new(0) }))
+        Gauge(Arc::default())
     }
 
     /// Record the current value (relaxed; hot path).
     #[inline]
     pub fn set(&self, v: i64) {
-        if !self.0.enabled {
-            return;
-        }
         self.0.value.store(v, Ordering::Relaxed);
     }
 
@@ -171,8 +142,7 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Counter value, or 0 when the metric was never registered (e.g.
-    /// telemetry off).
+    /// Counter value, or 0 when the metric was never registered.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -225,19 +195,15 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A registry honouring `config` (dead handles when `Off`).
+    /// A registry built for `config` (which only decides whether the
+    /// runtime also traces).
     pub fn new(config: TelemetryConfig) -> Self {
         Registry { config, metrics: Mutex::new(BTreeMap::new()) }
     }
 
-    /// A fully enabled registry (counters on, no tracing implied).
+    /// A registry at the default level (counters, no tracing implied).
     pub fn enabled() -> Self {
         Registry::new(TelemetryConfig::Counters)
-    }
-
-    /// A registry whose handles are all dead.
-    pub fn disabled() -> Self {
-        Registry::new(TelemetryConfig::Off)
     }
 
     /// The config this registry was built with.
@@ -245,31 +211,14 @@ impl Registry {
         self.config
     }
 
-    /// Whether counter/gauge/histogram updates are recorded.
-    pub fn counters_enabled(&self) -> bool {
-        self.config.counters_enabled()
-    }
-
     /// Resolve (or create) the counter `name`. Same name → same counter.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counter_impl(name, self.counters_enabled())
-    }
-
-    /// Resolve (or create) a counter that records even when telemetry is
-    /// off. For values the runtime functionally depends on (quiescence
-    /// offload/apply totals) — observability must never be able to turn
-    /// correctness off.
-    pub fn vital_counter(&self, name: &str) -> Counter {
-        self.counter_impl(name, true)
-    }
-
-    fn counter_impl(&self, name: &str, enabled: bool) -> Counter {
         let mut m = self.metrics.lock().unwrap();
         match m.get(name) {
             Some(Metric::Counter(c)) => Counter(c.clone()),
             Some(_) => panic!("metric `{name}` already registered with a different type"),
             None => {
-                let core = Arc::new(CounterCore::new(enabled));
+                let core = Arc::new(CounterCore::default());
                 m.insert(name.to_string(), Metric::Counter(core.clone()));
                 Counter(core)
             }
@@ -283,10 +232,7 @@ impl Registry {
             Some(Metric::Gauge(g)) => Gauge(g.clone()),
             Some(_) => panic!("metric `{name}` already registered with a different type"),
             None => {
-                let core = Arc::new(GaugeCore {
-                    enabled: self.counters_enabled(),
-                    value: AtomicI64::new(0),
-                });
+                let core = Arc::new(GaugeCore::default());
                 m.insert(name.to_string(), Metric::Gauge(core.clone()));
                 Gauge(core)
             }
@@ -300,7 +246,7 @@ impl Registry {
             Some(Metric::Histogram(h)) => Histogram::from_core(h.clone()),
             Some(_) => panic!("metric `{name}` already registered with a different type"),
             None => {
-                let core = Arc::new(HistogramCore::new(self.counters_enabled()));
+                let core = Arc::new(HistogramCore::new());
                 m.insert(name.to_string(), Metric::Histogram(core.clone()));
                 Histogram::from_core(core)
             }
@@ -349,21 +295,6 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 4);
         assert_eq!(r.snapshot().counter("x"), 4);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing_but_vitals() {
-        let r = Registry::disabled();
-        let c = r.counter("dead");
-        let v = r.vital_counter("alive");
-        c.add(10);
-        v.add(10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(v.get(), 10);
-        assert!(!c.is_enabled());
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("dead"), 0);
-        assert_eq!(snap.counter("alive"), 10);
     }
 
     #[test]

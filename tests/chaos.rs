@@ -42,46 +42,53 @@ fn seeded_plan(
         .unwrap()
 }
 
+/// Run GUPS under `cfg`'s seeded kill plan and hold it to the fault-free
+/// `baseline`: bit-exact heaps, one supervised restart per planned kill,
+/// each with a recovery time, and no update lost.
+fn assert_kill_absorbed(cfg: GravelConfig, input: &gups::GupsInput, baseline: &[Vec<u64>], seed: u64) {
+    let kills = cfg.chaos.as_ref().expect("a chaos plan").kills_planned() as u64;
+    let rt = GravelRuntime::new(cfg);
+    assert_eq!(gups::run_live(&rt, input), input.updates as u64);
+    assert!(gups::verify_live(&rt, input), "seed {seed}: histogram wrong");
+    for (i, expect) in baseline.iter().enumerate() {
+        assert_eq!(&rt.heap(i).snapshot(), expect, "seed {seed}: heap {i} not bit-exact");
+    }
+    let snap = rt.telemetry_snapshot();
+    let restarts = snap.counter("ha.restarts");
+    assert_eq!(restarts, kills, "seed {seed}: one supervised restart per planned kill");
+    let timed = snap.histogram("ha.recovery_ns").map_or(0, |h| h.count);
+    assert_eq!(timed, restarts, "seed {seed}: a restart without a recovery time");
+    let stats = rt.shutdown().expect("supervised restart must absorb the kill");
+    assert_eq!(stats.ha.restarts, restarts);
+    assert_eq!(stats.total_offloaded(), stats.total_applied(), "seed {seed}: lost updates");
+}
+
 #[test]
 fn gups_with_seeded_aggregator_kill_is_bit_exact() {
     let input = gups_input();
     let baseline = baseline_heaps(&input, 2);
 
-    // Derive the kill from a seed, like the sweep harness does; keep the
-    // horizon well under the ~3000 messages each aggregator drains so the
-    // fault is guaranteed to fire mid-run.
+    // Keep the horizon well under the ~3000 messages each aggregator
+    // drains so the fault is guaranteed to fire mid-run.
     let (seed, plan) = seeded_plan(2, 64, |f| matches!(f, ProcessFault::PanicAggregator { .. }));
     let mut cfg = GravelConfig::small(2, input.table_len);
     cfg.chaos = Some(Arc::new(plan));
-    let rt = GravelRuntime::new(cfg);
-    let issued = gups::run_live(&rt, &input);
-    assert_eq!(issued, input.updates as u64);
+    assert_kill_absorbed(cfg, &input, &baseline, seed);
+}
 
-    assert!(
-        gups::verify_live(&rt, &input),
-        "seed {seed}: histogram wrong"
-    );
-    for (i, expect) in baseline.iter().enumerate() {
-        assert_eq!(
-            &rt.heap(i).snapshot(),
-            expect,
-            "seed {seed}: heap {i} not bit-exact"
-        );
+/// Six seeds on four nodes, each an aggregator or network-thread kill
+/// inside the first 256 steps of a random node, over small
+/// per-destination queues (4 kB packets).
+#[test]
+fn gups_with_seeded_kills_on_four_nodes_is_bit_exact() {
+    let input = gups::GupsInput { updates: 12_000, table_len: 4096, seed: 7 };
+    let baseline = baseline_heaps(&input, 4);
+    let mut cfg = GravelConfig::small(4, input.table_len);
+    cfg.node_queue_bytes = 4096;
+    for seed in 0..6 {
+        cfg.chaos = Some(Arc::new(ChaosPlan::seeded(seed, 4, 1, 256)));
+        assert_kill_absorbed(cfg.clone(), &input, &baseline, seed);
     }
-
-    let snap = rt.telemetry_snapshot();
-    assert_eq!(
-        snap.counter("ha.restarts"),
-        1,
-        "exactly one supervised restart"
-    );
-    let recovery = snap
-        .histogram("ha.recovery_ns")
-        .expect("recovery latency recorded");
-    assert_eq!(recovery.count, 1);
-    let stats = rt.shutdown().expect("restart absorbed the kill");
-    assert_eq!(stats.ha.restarts, 1);
-    assert_eq!(stats.total_offloaded(), stats.total_applied());
 }
 
 /// Producers are woken once per claim, not once per released slot, so a
@@ -126,26 +133,10 @@ fn a_lane_killed_mid_claim_leaves_no_producer_parked_and_the_heap_exact() {
 fn gups_with_seeded_netthread_kill_is_bit_exact() {
     let input = gups_input();
     let baseline = baseline_heaps(&input, 2);
-
     let (seed, plan) = seeded_plan(2, 64, |f| matches!(f, ProcessFault::PanicNet { .. }));
     let mut cfg = GravelConfig::small(2, input.table_len);
     cfg.chaos = Some(Arc::new(plan));
-    let rt = GravelRuntime::new(cfg);
-    gups::run_live(&rt, &input);
-
-    assert!(
-        gups::verify_live(&rt, &input),
-        "seed {seed}: histogram wrong"
-    );
-    for (i, expect) in baseline.iter().enumerate() {
-        assert_eq!(
-            &rt.heap(i).snapshot(),
-            expect,
-            "seed {seed}: heap {i} not bit-exact"
-        );
-    }
-    let stats = rt.shutdown().expect("restart absorbed the kill");
-    assert_eq!(stats.ha.restarts, 1);
+    assert_kill_absorbed(cfg, &input, &baseline, seed);
 }
 
 #[test]

@@ -289,9 +289,9 @@ fn run_gups(cfg: GravelConfig, supersteps: u64) -> RuntimeStats {
             }
         }
     }
-    for d in 0..nodes {
-        for a in 0..heap as usize {
-            assert_eq!(rt.heap(d).load(a as u64), expect[d][a], "node {d} slot {a}");
+    for (d, row) in expect.iter().enumerate() {
+        for (a, &want) in row.iter().enumerate() {
+            assert_eq!(rt.heap(d).load(a as u64), want, "node {d} slot {a}");
         }
     }
     shutdown_with_ledger(rt)
@@ -330,9 +330,9 @@ fn run_pagerank_push(cfg: GravelConfig, rounds: u64) -> RuntimeStats {
             }
         }
     }
-    for d in 0..nodes {
-        for a in 0..heap as usize {
-            assert_eq!(rt.heap(d).load(a as u64), expect[d][a], "node {d} slot {a}");
+    for (d, row) in expect.iter().enumerate() {
+        for (a, &want) in row.iter().enumerate() {
+            assert_eq!(rt.heap(d).load(a as u64), want, "node {d} slot {a}");
         }
     }
     shutdown_with_ledger(rt)
@@ -476,9 +476,9 @@ fn run_gets_in_a_put_storm(mut cfg: GravelConfig) -> RuntimeStats {
             }
         }
     }
-    for d in 0..nodes {
-        for a in 0..heap as usize {
-            assert_eq!(rt.heap(d).load(a as u64), expect[d][a], "node {d} slot {a}");
+    for (d, row) in expect.iter().enumerate() {
+        for (a, &want) in row.iter().enumerate() {
+            assert_eq!(rt.heap(d).load(a as u64), want, "node {d} slot {a}");
         }
         assert_eq!(rt.node(d).rpc.len(), 0, "node {d} pending table leaked");
     }
