@@ -13,7 +13,7 @@
 //! pair costs more than the memcpy it wraps. The arena removes *all* of
 //! it, refcount block included:
 //!
-//! * Each class holds `Arc<Slab>` entries, where a [`Slab`] owns one
+//! * Each class holds `Arc<Slab>` entries, where a `Slab` owns one
 //!   `Vec<u8>`. [`BufferPool::take`] hands out the vector (moved out of
 //!   the slab, three words) together with a [`BufTicket`] wrapping the
 //!   slab — no allocation when a recycled slab is available.
@@ -31,7 +31,7 @@
 //!   about as many slabs as are in flight — a few hundred kB that stay
 //!   in cache — rather than every slab a burst ever left behind.
 //! * What collects at the cold end is surplus. When a reclaimable slab
-//!   has sat below the one `take` chose for [`TRIM_AFTER`] takes in a
+//!   has sat below the one `take` chose for `TRIM_AFTER` takes in a
 //!   row it is dropped, so the footprint follows the recent peak of
 //!   what was in flight back down after a burst. At most one slab goes
 //!   per `TRIM_AFTER` takes: if demand swings back, at most that share

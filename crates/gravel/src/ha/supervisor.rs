@@ -70,8 +70,9 @@ pub enum WorkerKind {
     /// Heartbeat emitter / failure-detector driver.
     Heartbeat,
     /// Elastic-topology coordinator driver (owns no protocol state —
-    /// that lives in the supervisor's [`Rebalancer`], so a restarted
-    /// driver resumes the in-flight migration exactly).
+    /// that lives in the supervisor's
+    /// [`Rebalancer`](crate::ha::Rebalancer), so a restarted driver
+    /// resumes the in-flight migration exactly).
     Rebalance,
 }
 

@@ -13,12 +13,14 @@ pub enum TransportKind {
     /// dropped, duplicated, or reordered.
     #[default]
     Reliable,
-    /// The reliable fabric wrapped in [`UnreliableTransport`]
+    /// The reliable fabric wrapped in
+    /// [`UnreliableTransport`](crate::UnreliableTransport)
     /// (crate-level docs) with this fault model.
     Unreliable(FaultConfig),
 }
 
-/// Seeded per-link fault model for [`UnreliableTransport`].
+/// Seeded per-link fault model for
+/// [`UnreliableTransport`](crate::UnreliableTransport).
 ///
 /// Each ordered cross-node link `(src, dest)` gets its own RNG derived
 /// from `seed`, so a fixed seed reproduces the exact same fault pattern

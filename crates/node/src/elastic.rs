@@ -22,9 +22,11 @@
 //!   does not *yet* serve (migration still in flight) and bounces them
 //!   to their sender with the current map — the packet's sequence
 //!   number is consumed and acked either way, so the flow never wedges
-//!   and nothing is ever dropped: the sender re-aggregates bounced
-//!   messages under the new map. `reshard.stale_routed` (bounced) and
-//!   `reshard.redelivered` (re-enqueued) reconcile exactly.
+//!   and nothing is ever dropped: [`ElasticState`] is the sender's
+//!   bounce source ([`crate::sender::Bounces`]), and the sender queues
+//!   bounced messages for their new owner. `reshard.stale_routed`
+//!   (bounced) and `reshard.redelivered` (re-enqueued) reconcile
+//!   exactly.
 //! * **Pull-based migration.** A shard's new owner re-requests the
 //!   shard until the words arrive — idempotent, so a kill -9 mid
 //!   -migration heals by re-pulling after recovery. The donor's copy is
@@ -60,7 +62,7 @@
 //! it can drain-leave like anyone else by handing the lease off first.
 //!
 //! Documented limitations (asserted by tests, not hidden): an elastic
-//! *sender's* restart is unsupported (its pending queue is volatile —
+//! *sender's* restart is unsupported (its queues are volatile —
 //! chaos targets joiners mid-migration and drained evictees); a member
 //! evicted while data packets to it are still unacked leaves those
 //! flows probing forever (the harness drains before killing, so the
@@ -77,14 +79,14 @@ use gravel_apps::gups::{self, GupsInput};
 use gravel_core::ha::lease::{successor, LeaseState, VoteLedger};
 use gravel_core::ha::{RebalancePlan, Rebalancer, TopologyChange};
 use gravel_core::netthread::ApplyGate;
-use gravel_core::flow::{FlowGauges, Sender};
-use gravel_core::{ErrorSlot, FailureDetector, NodeShared, PeerStatus};
+use gravel_core::{FailureDetector, NodeShared, PeerStatus};
 use gravel_gq::{Command, Message};
 use gravel_net::{SocketTransport, Transport};
 use gravel_pgas::{Directory, FencedInstall, Packet, ShardMap};
 use gravel_telemetry::{Counter, Gauge, Histogram};
 
 use crate::forward::Forwarder;
+use crate::sender::Bounces;
 use crate::proto::{
     self, BounceMsg, LeaseMsg, MigrateMsg, TopoKind, TopoMsg, OP_BOUNCE, OP_DEATH_VOTE,
     OP_DEATH_VOTE_REQ, OP_JOIN_REQ, OP_LEASE, OP_LEAVE_REQ, OP_MAP_REQ, OP_MIGRATE,
@@ -417,7 +419,7 @@ impl ElasticState {
 
     /// (Re-)request every pending inbound shard. Idempotent by design:
     /// the pump calls this until the words arrive. A non-evict pull
-    /// stalled past [`WARD_FALLBACK`] additionally knocks the donor's
+    /// stalled past `WARD_FALLBACK` additionally knocks the donor's
     /// ward keeper — the donor may have died mid-migration, and the
     /// keeper's reconstruction is then the only surviving copy.
     pub fn request_pending(&self) {
@@ -585,13 +587,13 @@ impl ElasticState {
         self.redelivered.add((quads.len() / 4) as u64);
     }
 
-    /// Drain the bounce queue (sender side).
-    pub fn take_bounced(&self) -> Vec<[u64; 4]> {
-        lock(&self.bounced).drain(..).collect()
-    }
+}
 
-    pub fn bounced_empty(&self) -> bool {
-        lock(&self.bounced).is_empty()
+/// The sender's bounce source: what the gate, or a peer's `OP_BOUNCE`,
+/// handed back, for the sender to route again.
+impl Bounces for ElasticState {
+    fn take_bounced(&self) -> Vec<[u64; 4]> {
+        lock(&self.bounced).drain(..).collect()
     }
 }
 
@@ -684,93 +686,6 @@ pub fn expected_table(input: &GupsInput, capacity: usize, senders: &[u32]) -> Ve
         }
     }
     t
-}
-
-// ---------------------------------------------------------------------
-// Elastic sender
-// ---------------------------------------------------------------------
-
-/// Drive this node's elastic update stream. Unlike the static sender
-/// there is no precomputed packetization: each loop routes the pending
-/// queue through the *current* map, so a map flip (or a bounce) simply
-/// re-aggregates messages toward their new owner, and hands the packets
-/// to the shared flow engine on wire lane 0. Runs until `stop` —
-/// an elastic sender can never declare itself finished (a bounce may
-/// arrive any time another node reshards); instead it continuously
-/// publishes quiescence through `drained`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_sender(
-    transport: &dyn Transport,
-    node: &NodeShared,
-    state: &ElasticState,
-    plan: Vec<(u64, u64)>,
-    msgs_per_packet: usize,
-    errors: &ErrorSlot,
-    stop: &AtomicBool,
-    deadline: Instant,
-    drained: &AtomicBool,
-) {
-    assert!(msgs_per_packet > 0);
-    // (addr, value, fresh): fresh messages count toward `offloaded`
-    // exactly once; redelivered ones were already counted.
-    let mut pending: VecDeque<(u64, u64, bool)> =
-        plan.into_iter().map(|(a, v)| (a, v, true)).collect();
-    let gauges = FlowGauges::of(node);
-    let mut flows = Vec::new();
-    let mut sender = Sender::new(node, 0, transport, &mut flows, &gauges);
-    loop {
-        if stop.load(Ordering::Relaxed) || Instant::now() >= deadline || transport.is_closed() {
-            return;
-        }
-        let mut progressed = false;
-        // Bounced messages re-enter the queue (never dropped).
-        for quad in state.take_bounced() {
-            if let Some(m) = Message::decode(quad) {
-                pending.push_back((m.addr, m.value, false));
-                progressed = true;
-            }
-        }
-        if let Err(e) = sender.service() {
-            errors.set(e);
-            return;
-        }
-        // Route the pending queue through the current map, batching
-        // per destination up to msgs_per_packet; messages for a flow
-        // with no window room wait for the next pass.
-        let map = state.current_map();
-        let mut stash: VecDeque<(u64, u64, bool)> = VecDeque::new();
-        let mut batches: HashMap<u32, Vec<u64>> = HashMap::new();
-        while let Some((addr, value, fresh)) = pending.pop_front() {
-            let dest = map.owner_of(addr);
-            if !sender.has_room(dest as usize) {
-                stash.push_back((addr, value, fresh));
-                continue;
-            }
-            let batch = batches.entry(dest).or_default();
-            batch.extend(Message::inc(dest, addr, value).encode());
-            if fresh {
-                node.note_offloaded(1);
-            }
-            if batch.len() / gravel_gq::MSG_ROWS >= msgs_per_packet {
-                sender.submit(Packet::from_words_in(node.id, dest, batch, Some(&node.pool)));
-                batch.clear();
-                progressed = true;
-            }
-        }
-        // Flush partial batches — latency over packing at the tail.
-        for (dest, words) in batches {
-            if !words.is_empty() {
-                sender.submit(Packet::from_words_in(node.id, dest, &words, Some(&node.pool)));
-                progressed = true;
-            }
-        }
-        pending = stash;
-        let quiescent = pending.is_empty() && state.bounced_empty() && sender.is_drained();
-        drained.store(quiescent, Ordering::SeqCst);
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

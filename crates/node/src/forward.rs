@@ -22,7 +22,7 @@
 //! to the buddy's stream. Epochs are cut on two cadences: every
 //! `--ckpt-every` applied packets, and — whatever that flag says —
 //! before the log the buddy holds could outgrow the single frame a
-//! `RECOVER_RESP` must fit in (see [`log_budget`]).
+//! `RECOVER_RESP` must fit in (see `log_budget`).
 //!
 //! If the buddy is down, forwards are dropped (`send_control` returns
 //! false) and the node's protection degrades — the documented

@@ -14,12 +14,12 @@
 //! * [`store`]  — buddy-side storage of a ward's baseline + replay log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
-//! * [`sender`] — deterministic GUPS packetization, fed to the core
-//!   flow engine (`gravel_core::flow`) on wire lane 0.
+//! * [`sender`] — the one packetizer: a node's update stream routed
+//!   through its directory (fixed or elastic), fed to the core flow
+//!   engine (`gravel_core::flow`) on wire lane 0.
 //! * [`elastic`] — live membership: the versioned shard directory, the
-//!   stale-routing bounce gate, pull-based shard migration, the
-//!   map-routed sender, and the lease-held coordinator (DESIGN.md §16,
-//!   §18).
+//!   stale-routing bounce gate, pull-based shard migration, and the
+//!   lease-held coordinator (DESIGN.md §16, §18).
 //! * [`gets`] — the sentinel GET probes the cluster test verifies
 //!   bit-exact; their requests and replies ride a core aggregator, on
 //!   lane 1's express flows.

@@ -44,7 +44,7 @@ use gravel_node::proto::{
     self, FwdPacket, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP,
 };
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
-use gravel_node::sender;
+use gravel_node::sender::{self, Bounces};
 use gravel_node::signal;
 use gravel_node::store::WardStores;
 
@@ -71,10 +71,6 @@ struct Args {
     /// of the same `--dir`/`--tcp-base` mesh holds the coordinator
     /// lease.
     join: bool,
-    /// How long a starting elastic node waits for its buddy before
-    /// treating startup as a cold boot (a joiner's buddy slot may not
-    /// exist yet).
-    buddy_wait_ms: u64,
     /// Coordinator: evict a member continuously dead this long.
     evict_grace_ms: u64,
     /// Chaos: SIGKILL while installing the Kth migrated shard (words
@@ -94,7 +90,7 @@ fn usage() -> ! {
         "usage: gravel-node --node I --nodes N (--dir PATH | --tcp-base PORT) [--updates U] \
          [--table T] [--seed S] [--msgs-per-packet K] \
          [--ckpt-every P] [--kill-at N] [--deadline-secs D] [--gets G] [--out FILE] \
-         [--active M] [--join] [--buddy-wait-ms W] [--evict-grace-ms E] [--kill-on-migrate K] \
+         [--active M] [--join] [--evict-grace-ms E] [--kill-on-migrate K] \
          [--kill-on-commit] [--link-chaos SPEC]"
     );
     std::process::exit(64);
@@ -117,7 +113,6 @@ fn parse_args() -> Args {
         out: PathBuf::new(),
         active: None,
         join: false,
-        buddy_wait_ms: 2000,
         evict_grace_ms: 1500,
         kill_on_migrate: None,
         kill_on_commit: false,
@@ -142,7 +137,6 @@ fn parse_args() -> Args {
             "--out" => a.out = PathBuf::from(val()),
             "--active" => a.active = Some(val().parse().unwrap_or_else(|_| usage())),
             "--join" => a.join = true,
-            "--buddy-wait-ms" => a.buddy_wait_ms = val().parse().unwrap_or_else(|_| usage()),
             "--evict-grace-ms" => a.evict_grace_ms = val().parse().unwrap_or_else(|_| usage()),
             "--kill-on-migrate" => {
                 a.kill_on_migrate = Some(val().parse().unwrap_or_else(|_| usage()))
@@ -152,7 +146,11 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes || a.msgs_per_packet == 0 {
+    if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes {
+        usage();
+    }
+    // A packet, and its buddy forward, must fit in one socket frame.
+    if !(1..=sender::MAX_MSGS_PER_PACKET).contains(&a.msgs_per_packet) {
         usage();
     }
     if a.dir.is_none() && a.tcp_base.is_none() {
@@ -311,27 +309,33 @@ fn membership_loop(
     }
 }
 
+/// How long a starting elastic node waits for its buddy's link before
+/// treating startup as a cold boot: a joiner's buddy slot may not exist
+/// yet.
+const ELASTIC_BUDDY_WAIT: Duration = Duration::from_secs(2);
+
 /// Ask the buddy for our stored state, retrying the request until a
 /// response arrives (the buddy may still be starting). Uniform across
-/// cold boot and restart: a cold cluster answers "nothing stored".
-/// `buddy_wait` bounds how long we wait for the buddy's link (elastic
-/// mode: a joiner's buddy slot may not exist yet — a bounded wait then
-/// a cold boot, instead of blocking to the deadline).
+/// cold boot and restart: a cold cluster answers "nothing stored". An
+/// elastic node waits at most [`ELASTIC_BUDDY_WAIT`] for the buddy's
+/// link — a bounded wait then a cold boot, instead of blocking to the
+/// deadline.
 fn recover_from_buddy(
     transport: &SocketTransport,
     buddy: u32,
     me: u32,
     resp_rx: &mpsc::Receiver<RecoverResp>,
     deadline: Instant,
-    buddy_wait: Option<Duration>,
+    elastic: bool,
 ) -> Option<RecoverResp> {
-    let wait = buddy_wait
-        .unwrap_or_else(|| deadline.saturating_duration_since(Instant::now()))
-        .min(deadline.saturating_duration_since(Instant::now()));
+    let mut wait = deadline.saturating_duration_since(Instant::now());
+    if elastic {
+        wait = wait.min(ELASTIC_BUDDY_WAIT);
+    }
     if buddy != me && !transport.wait_connected(buddy, wait) {
-        // Elastic (`buddy_wait` set): no buddy yet — nothing can be
-        // stored for us. Static: an unreachable buddy is fatal.
-        return buddy_wait.map(|_| RecoverResp::default());
+        // Elastic: no buddy yet — nothing can be stored for us.
+        // Static: an unreachable buddy is fatal.
+        return elastic.then(RecoverResp::default);
     }
     loop {
         transport.send_control(buddy, &proto::encode_recover_req());
@@ -622,9 +626,8 @@ fn run() -> i32 {
     });
 
     // Recover (or cold-boot) from the buddy before consuming anything.
-    let buddy_wait = args.active.map(|_| Duration::from_millis(args.buddy_wait_ms));
     let Some(recovered) =
-        recover_from_buddy(&transport, buddy, me, &resp_rx, deadline, buddy_wait)
+        recover_from_buddy(&transport, buddy, me, &resp_rx, deadline, args.active.is_some())
     else {
         transport.close();
         if signal::shutdown_requested() {
@@ -744,67 +747,45 @@ fn run() -> i32 {
         move || netthread::run_with(n, t, e, s, None, Some(tap), gate)
     });
 
-    // Sender: deterministic flows through the flow engine until
-    // fully acked. The elastic sender instead routes its queue through
-    // the live map every pass and publishes quiescence continuously
-    // (`sender_done` doubles as the drained flag — a bounce can clear
-    // it again).
+    // Sender: this node's update stream through its directory. A
+    // static node's ends fully acked; an elastic node's runs until
+    // `stop` and republishes `sender_drained` every pass (a bounce can
+    // clear it again).
     let stop = Arc::new(AtomicBool::new(false));
-    let sender_done = Arc::new(AtomicBool::new(false));
-    let snd = if let Some(st) = &elastic_state {
-        std::thread::spawn({
-            let (t, n, e, stop, drained) = (
-                transport.clone(),
-                node.clone(),
-                errors.clone(),
-                stop.clone(),
-                sender_done.clone(),
-            );
-            let st = st.clone();
-            // Only initial members carry update streams; joiners (and
-            // post-drain leavers) route and serve but send nothing —
-            // which is what makes their restart/kill windows safe (an
-            // elastic sender's pending queue is volatile).
-            let plan = if args.join {
-                Vec::new()
-            } else {
-                elastic::elastic_plan(&input, nodes, me)
-            };
-            let msgs_per_packet = args.msgs_per_packet;
-            move || {
-                elastic::run_elastic_sender(
-                    &*t,
-                    &n,
-                    &st,
-                    plan,
-                    msgs_per_packet,
-                    &e,
-                    &stop,
-                    deadline,
-                    &drained,
-                );
+    let sender_drained = Arc::new(AtomicBool::new(false));
+    let snd = std::thread::spawn({
+        let (t, n, e, stop, drained) =
+            (transport.clone(), node.clone(), errors.clone(), stop.clone(), sender_drained.clone());
+        let elastic_state = elastic_state.clone();
+        let (join, msgs_per_packet) = (args.join, args.msgs_per_packet);
+        move || {
+            // Routed on this thread: the main thread counts the inbound
+            // flows' packets meanwhile.
+            let fixed = gups::directory(&input, nodes);
+            let (dir, updates, bounces): (_, Box<dyn Iterator<Item = _>>, Option<&dyn Bounces>) =
+                match &elastic_state {
+                    // Only initial members carry update streams; joiners
+                    // (and post-drain leavers) route and serve but send
+                    // nothing — which is what makes their restart/kill
+                    // windows safe (an elastic sender's queues are
+                    // volatile).
+                    Some(st) if join => (&st.dir, Box::new(std::iter::empty()), Some(&**st)),
+                    Some(st) => {
+                        let plan = elastic::elastic_plan(&input, nodes, me);
+                        (&st.dir, Box::new(plan.into_iter()), Some(&**st))
+                    }
+                    None => {
+                        let stream = gups::update_stream(&input, nodes, me as usize);
+                        (&fixed, Box::new(stream.map(|g| (g as u64, 1))), None)
+                    }
+                };
+            if let Err(err) =
+                sender::run(&*t, &n, dir, updates, bounces, msgs_per_packet, &stop, &drained)
+            {
+                e.set(err);
             }
-        })
-    } else {
-        std::thread::spawn({
-            let (t, n, e, stop, done) = (
-                transport.clone(),
-                node.clone(),
-                errors.clone(),
-                stop.clone(),
-                sender_done.clone(),
-            );
-            let msgs_per_packet = args.msgs_per_packet;
-            move || {
-                // Planned on this thread: the main thread counts the
-                // inbound flows' packets meanwhile.
-                let plans = sender::plan_flows(&input, nodes, me);
-                if sender::run_sender(&*t, &n, &plans, msgs_per_packet, &e, &stop, deadline) {
-                    done.store(true, Ordering::SeqCst);
-                }
-            }
-        })
-    };
+        }
+    });
 
     // Elastic service threads: the migration/membership pump and the
     // HA driver (lease beats / takeover watchdog / quorum voting /
@@ -873,7 +854,7 @@ fn run() -> i32 {
         transport: transport.clone(),
         forwarder: forwarder.clone(),
         elastic: elastic_state.clone(),
-        sender_drained: sender_done.clone(),
+        sender_drained: sender_drained.clone(),
         recovered_from_ckpt,
         recovered_log_packets,
         quarantine: Mutex::new(Vec::new()),
@@ -902,9 +883,9 @@ fn run() -> i32 {
             break 0;
         }
         let locally_done = match &elastic_state {
-            Some(st) => sender_done.load(Ordering::SeqCst) && !st.migrations_pending(),
+            Some(st) => sender_drained.load(Ordering::SeqCst) && !st.migrations_pending(),
             None => {
-                sender_done.load(Ordering::SeqCst)
+                sender_drained.load(Ordering::SeqCst)
                     && gets_done.load(Ordering::SeqCst)
                     && receive_complete(&state, &expected)
             }

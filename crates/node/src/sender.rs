@@ -1,41 +1,59 @@
-//! Deterministic GUPS sender flows over the socket transport.
+//! The node's one packetizer: its update stream, routed through its
+//! [`Directory`], cut into packets per destination and fed to the core
+//! flow engine ([`gravel_core::flow`]) on wire lane 0 — the same engine
+//! the in-process aggregator runs. This module only decides *what* the
+//! packets are; a static and an elastic node differ only in the
+//! directory, the stream and the bounce source they hand to [`run`].
 //!
-//! The update stream is *packetized deterministically*: node `i`'s
-//! updates (a pure function of the seed) are mapped to messages, split
-//! by destination in stream order, and chunked into packets of a fixed
-//! message count. A packet is what the paper's aggregator would hand
-//! the NIC: by default one full per-destination queue,
-//! [`DEFAULT_MSGS_PER_PACKET`] messages = 64 kB, so the sealed frame,
-//! the buddy forward and the ack it costs are paid once per 2048
-//! updates (`--msgs-per-packet` shrinks it for tests that need many
-//! packets to aim a kill at). Packet `k` of flow `i → j` has identical
+//! The stream is routed once, up front, into one queue per destination.
+//! A packet is what the paper's aggregator would hand the NIC: the head
+//! of a destination's queue, by default one full 64 kB queue
+//! ([`DEFAULT_MSGS_PER_PACKET`] messages), so the sealed frame, the
+//! buddy forward and the ack it costs are paid once per 2048 updates
+//! (`--msgs-per-packet` shrinks it for tests that need many packets to
+//! aim a kill at). A queue's short tail goes once nothing more is queued
+//! for that destination.
+//!
+//! Over a fixed directory, packet `k` of flow `i → j` has identical
 //! bytes on every run — which is what makes restart trivial: a
 //! restarted sender re-sends from sequence 0, receivers recognize
 //! already-applied sequences as duplicates, re-ack them, and the window
 //! fast-forwards to where it was. No sender-side durable state at all.
+//! The binary configures the engine with no retry budget: a dead peer
+//! is expected to come back (that is the whole point of this binary),
+//! so the sender retries until it is stopped. The node's own updates
+//! loop back through the transport as a normal sequenced flow — one
+//! delivery path, not two.
 //!
-//! Delivery is the core flow engine ([`gravel_core::flow`]) — the
-//! same one the in-process aggregator runs; this module only decides
-//! *what* the packets are. The binary configures it with no retry
-//! budget: a dead peer is expected to come back (that is the whole
-//! point of this binary), so the sender retries until the run
-//! deadline. The node's own updates loop back through the transport as
-//! a normal sequenced flow — one delivery path, not two.
+//! Over an elastic directory the map can change under the stream
+//! (DESIGN.md §16): whatever is still queued is routed again when the
+//! map version moves, and messages a receiver refused come back through
+//! the bounce source and join their new owner's queue.
 
+use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
-use std::sync::atomic::Ordering::Relaxed;
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::time::Duration;
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::flow::{FlowGauges, Sender};
-use gravel_core::{ErrorSlot, NodeShared};
-use gravel_gq::{Message, MSG_BYTES, MSG_ROWS};
-use gravel_net::Transport;
-use gravel_pgas::{Packet, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES};
+use gravel_core::{NodeShared, RuntimeError};
+use gravel_gq::{Message, MSG_BYTES};
+use gravel_net::{Transport, MAX_FRAME_BYTES};
+use gravel_pgas::{Directory, Packet, Route, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD};
+
+use crate::proto::FWD_HEAD_WORDS;
 
 /// Messages per packet unless `--msgs-per-packet` says otherwise: the
 /// paper's 64 kB per-node queue, full.
 pub const DEFAULT_MSGS_PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
+
+/// The most messages a packet may carry: its buddy forward — the
+/// `OP_FWD` header words and the payload in one control frame, larger
+/// than the data frame itself — still fits in the [`MAX_FRAME_BYTES`]
+/// a socket peer accepts.
+pub const MAX_MSGS_PER_PACKET: usize =
+    (MAX_FRAME_BYTES - FRAME_OVERHEAD - 8 * FWD_HEAD_WORDS) / MSG_BYTES;
 
 /// Update bytes a flow keeps in flight to one destination — on the wire
 /// and not yet reported by the receiver, cumulatively or in an ack's
@@ -55,52 +73,18 @@ const IN_FLIGHT_BYTES: usize = 512 * 1024;
 /// Most packets a flow keeps in flight, however small they are.
 const IN_FLIGHT_PACKETS: usize = 32;
 
-/// The delivery window for flows of `msgs_per_packet`-message packets.
-/// The update streams are bulk flows, whose window is half of it, so
-/// this is twice the packets allowed in flight: [`IN_FLIGHT_BYTES`]
-/// worth, but never more than [`IN_FLIGHT_PACKETS`] (small packets are
-/// bounded by count, as they always were) and never fewer than 2. The
-/// widest window still fits an ack's selective map, which is what
-/// `GravelConfig::validate` asks of any window, and so does the span
-/// of the bulk flows it makes (twice their window: this number again).
+/// The delivery window for flows of `msgs_per_packet`-message packets
+/// (at most [`MAX_MSGS_PER_PACKET`]). The update streams are bulk
+/// flows, whose window is half of it, so this is twice the packets
+/// allowed in flight: `IN_FLIGHT_BYTES` worth, but never more than
+/// `IN_FLIGHT_PACKETS` (small packets are bounded by count, as they
+/// always were) and never fewer than 2. The widest window still fits an
+/// ack's selective map, which is what `GravelConfig::validate` asks of
+/// any window, and so does the span of the bulk flows it makes (twice
+/// their window: this number again).
 pub fn window_for(msgs_per_packet: usize) -> usize {
     const _: () = assert!(2 * IN_FLIGHT_PACKETS <= ACK_MAP_BITS);
     2 * (IN_FLIGHT_BYTES / (msgs_per_packet * MSG_BYTES)).clamp(2, IN_FLIGHT_PACKETS)
-}
-
-/// One destination flow's whole message stream, encoded: `MSG_ROWS`
-/// words per message, in stream order.
-pub struct FlowPlan {
-    pub dest: u32,
-    pub words: Vec<u64>,
-}
-
-impl FlowPlan {
-    /// The flow's packets: the stream in runs of `msgs_per_packet`
-    /// messages (the last one may be short).
-    pub fn packets(&self, msgs_per_packet: usize) -> std::slice::Chunks<'_, u64> {
-        assert!(msgs_per_packet > 0);
-        self.words.chunks(msgs_per_packet * MSG_ROWS)
-    }
-}
-
-/// Deterministically route this node's GUPS update stream: one flow per
-/// destination that receives at least one update, each update encoded
-/// straight into its flow's word buffer in stream order.
-pub fn plan_flows(input: &GupsInput, nodes: usize, me: u32) -> Vec<FlowPlan> {
-    let dir = gups::directory(input, nodes);
-    let updates = gups::update_stream(input, nodes, me as usize);
-    // Uniform scatter: a little over an even share each.
-    let share = (updates.len() / nodes + updates.len() / (8 * nodes) + 16) * MSG_ROWS;
-    let mut plans: Vec<FlowPlan> = (0..nodes as u32)
-        .map(|dest| FlowPlan { dest, words: Vec::with_capacity(share) })
-        .collect();
-    for g in updates {
-        let r = dir.route(g);
-        plans[r.dest as usize].words.extend(Message::inc(r.dest, r.offset, 1).encode());
-    }
-    plans.retain(|p| !p.words.is_empty());
-    plans
 }
 
 /// How many packets each flow `src → dest` carries, indexed by `src` —
@@ -124,57 +108,130 @@ pub fn expected_packets(
         .collect()
 }
 
-/// Drive every flow to full acknowledgement: feed the plans' packets,
-/// in order, to the shared flow engine on wire lane 0 as its
-/// window opens. Returns `true` when every packet is acked; `false` on
-/// stop/deadline/transport-close (or a flow error, left in `errors`).
+/// Where messages a receiver refused come back from, to be routed
+/// again: an elastic node's `ElasticState`.
+pub trait Bounces {
+    /// Every message handed back since the last call, encoded.
+    fn take_bounced(&self) -> Vec<[u64; 4]>;
+}
+
+/// Per destination, the messages routed there and not yet submitted:
+/// `(address, value)`, in stream order.
+type Queues = Vec<VecDeque<(u64, u64)>>;
+
+/// `dir` as one pass routes through it: its map version and a router
+/// that takes no lock — a fixed directory routes as it is, an elastic
+/// one through a single snapshot of its map.
+fn snapshot(dir: &Directory) -> (u64, impl Fn(u64) -> Route + '_) {
+    let map = dir.current_map();
+    let version = map.as_ref().map_or(0, |m| m.version);
+    let route = move |g: u64| match &map {
+        Some(map) => map.route(g),
+        None => dir.route(g as usize),
+    };
+    (version, route)
+}
+
+/// Queue an INC of `value` at global index `g` for its owner.
+fn enqueue(queues: &mut Queues, route: &impl Fn(u64) -> Route, g: u64, value: u64) {
+    let r = route(g);
+    queues[r.dest as usize].push_back((r.offset, value));
+}
+
+/// Encode the next packet for `dest` into `words`: the first
+/// `msgs_per_packet` messages of its queue, or all of them if fewer.
+fn cut(queue: &mut VecDeque<(u64, u64)>, dest: u32, msgs_per_packet: usize, words: &mut Vec<u64>) {
+    words.clear();
+    let n = queue.len().min(msgs_per_packet);
+    for (addr, value) in queue.drain(..n) {
+        words.extend(Message::inc(dest, addr, value).encode());
+    }
+}
+
+/// Send `updates` — `(global index, value)` INCs, in stream order —
+/// routed through `dir`, as packets of up to `msgs_per_packet`
+/// messages, each submitted to its destination's flow as the flow's
+/// window opens. Every pass publishes in `drained` whether everything
+/// is delivered: nothing queued, nothing handed back, every packet
+/// acknowledged.
 ///
-/// A restarted process calls this with the same plan and fresh engine
-/// state: it restamps from sequence 0, the peers' cumulative acks
-/// report how far the previous incarnation got, and the engine retires
-/// everything below that without resending it.
-pub fn run_sender(
+/// Without a bounce source nothing can come back, so the sender returns
+/// once drained. With one (an elastic node) a bounce may arrive whenever
+/// another node reshards, so it runs until `stop` and `drained` may
+/// fall again. Re-routing and bounces read a queued message's address
+/// as its global index: what an elastic directory's offsets are (a
+/// fixed directory never changes, so nothing is routed twice).
+///
+/// A restarted process calls this with the same stream over the same
+/// fixed directory and fresh engine state: it restamps from sequence 0,
+/// the peers' cumulative acks report how far the previous incarnation
+/// got, and the engine retires everything below that without resending
+/// it.
+#[allow(clippy::too_many_arguments)]
+pub fn run(
     transport: &dyn Transport,
     node: &NodeShared,
-    plans: &[FlowPlan],
+    dir: &Directory,
+    updates: impl IntoIterator<Item = (u64, u64)>,
+    bounces: Option<&dyn Bounces>,
     msgs_per_packet: usize,
-    errors: &ErrorSlot,
     stop: &AtomicBool,
-    deadline: Instant,
-) -> bool {
+    drained: &AtomicBool,
+) -> Result<(), RuntimeError> {
+    assert!((1..=MAX_MSGS_PER_PACKET).contains(&msgs_per_packet));
     let gauges = FlowGauges::of(node);
     let mut flows = Vec::new();
     let mut sender = Sender::new(node, 0, transport, &mut flows, &gauges);
-    // Unsubmitted packets of each plan.
-    let mut unsent: Vec<_> = plans.iter().map(|p| p.packets(msgs_per_packet)).collect();
+    let mut queues: Queues = vec![VecDeque::new(); node.nodes];
+    let (mut routed_at, route) = snapshot(dir);
+    let mut offloaded = 0;
+    for (g, value) in updates {
+        enqueue(&mut queues, &route, g, value);
+        offloaded += 1;
+    }
+    // Counted once, here: a bounced message is never offloaded again.
+    node.note_offloaded(offloaded);
+    let mut words = Vec::new();
+    let mut bounced = Vec::new();
     loop {
-        if let Err(e) = sender.service() {
-            errors.set(e);
-            return false;
+        sender.service()?;
+        let (version, route) = snapshot(dir);
+        if version != routed_at {
+            routed_at = version;
+            let queued: Vec<_> = queues.iter_mut().flat_map(|q| q.drain(..)).collect();
+            for (g, value) in queued {
+                enqueue(&mut queues, &route, g, value);
+            }
+        }
+        for quad in bounced.drain(..) {
+            if let Some(m) = Message::decode(quad) {
+                enqueue(&mut queues, &route, m.addr, m.value);
+            }
         }
         let mut progressed = false;
-        for (plan, packets) in plans.iter().zip(&mut unsent) {
-            while sender.has_room(plan.dest as usize) {
-                let Some(words) = packets.next() else { break };
-                node.note_offloaded((words.len() / MSG_ROWS) as u64);
-                sender.submit(Packet::from_words_in(
-                    node.id,
-                    plan.dest,
-                    words,
-                    Some(&node.pool),
-                ));
+        for (dest, queue) in queues.iter_mut().enumerate() {
+            while !queue.is_empty() && sender.has_room(dest) {
+                cut(queue, dest as u32, msgs_per_packet, &mut words);
+                let pkt = Packet::from_words_in(node.id, dest as u32, &words, Some(&node.pool));
+                sender.submit(pkt);
                 progressed = true;
             }
         }
+        // Taken here and routed next pass: a bounce installs its map
+        // before it is queued, so the next snapshot is at least that
+        // new — and `idle` below counts what came back meanwhile.
+        if let Some(source) = bounces {
+            bounced = source.take_bounced();
+        }
         // Checked right behind `service`, before any sleep: the acks
         // for the last packets are usually in by the time they are out.
-        if unsent.iter().all(|p| p.len() == 0) && sender.is_drained() {
-            return true;
+        let idle =
+            bounced.is_empty() && queues.iter().all(VecDeque::is_empty) && sender.is_drained();
+        drained.store(idle, SeqCst);
+        if (idle && bounces.is_none()) || stop.load(Relaxed) || transport.is_closed() {
+            return Ok(());
         }
-        if stop.load(Relaxed) || Instant::now() >= deadline || transport.is_closed() {
-            return false;
-        }
-        if !progressed {
+        if !progressed && bounced.is_empty() {
             std::thread::sleep(Duration::from_micros(500));
         }
     }
@@ -183,15 +240,36 @@ pub fn run_sender(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gravel_gq::MSG_ROWS;
+
+    /// `node`'s GUPS stream over a fixed directory, as [`run`] packs
+    /// it: every destination's packets, in order.
+    fn packets(input: &GupsInput, nodes: usize, node: usize, k: usize) -> Vec<Vec<Vec<u64>>> {
+        let dir = gups::directory(input, nodes);
+        let (_, route) = snapshot(&dir);
+        let mut queues: Queues = vec![VecDeque::new(); nodes];
+        for g in gups::update_stream(input, nodes, node) {
+            enqueue(&mut queues, &route, g as u64, 1);
+        }
+        let mut words = Vec::new();
+        let mut out = vec![Vec::new(); nodes];
+        for (dest, queue) in queues.iter_mut().enumerate() {
+            while !queue.is_empty() {
+                cut(queue, dest as u32, k, &mut words);
+                out[dest].push(words.clone());
+            }
+        }
+        out
+    }
 
     #[test]
     fn a_default_packet_is_the_papers_64_kb_queue() {
         assert_eq!(DEFAULT_MSGS_PER_PACKET * MSG_BYTES, DEFAULT_QUEUE_BYTES);
         assert_eq!(DEFAULT_MSGS_PER_PACKET, 2048);
         let input = GupsInput { updates: 30_000, table_len: 64, seed: 5 };
-        let largest = plan_flows(&input, 3, 0)
+        let largest = packets(&input, 3, 0, DEFAULT_MSGS_PER_PACKET)
             .iter()
-            .flat_map(|f| f.packets(DEFAULT_MSGS_PER_PACKET))
+            .flatten()
             .map(|p| p.len() * 8)
             .max();
         assert_eq!(largest, Some(64 * 1024));
@@ -203,50 +281,54 @@ mod tests {
         assert_eq!(window_for(8), 64);
         // …a default packet is 64 kB, and eight of them are in flight.
         assert_eq!(window_for(DEFAULT_MSGS_PER_PACKET), 16);
-        assert_eq!(window_for(1 << 20), 4, "even one huge packet pipelines");
+        assert_eq!(window_for(MAX_MSGS_PER_PACKET), 4, "even one huge packet pipelines");
     }
 
     #[test]
-    fn plans_are_deterministic_and_cover_every_update() {
+    fn the_largest_packet_and_its_forward_fit_a_frame() {
+        use gravel_pgas::{seal_control_into, WireIntegrity::Crc32c};
+        let words = vec![0; MAX_MSGS_PER_PACKET * MSG_ROWS];
+        let pkt = Packet::from_words(0, 1, &words);
+        // What the buddy forwarder writes for it.
+        let head = crate::proto::fwd_head(0, 0, 0, words.len());
+        let mut fwd = Vec::new();
+        seal_control_into(&mut fwd, 1, 2, 0, &head, &pkt.payload, Crc32c);
+        assert!(pkt.seal(0, Crc32c).len() < fwd.len() && fwd.len() <= MAX_FRAME_BYTES);
+        assert!(fwd.len() + MSG_BYTES > MAX_FRAME_BYTES, "one message more would still fit");
+    }
+
+    /// Packet `k` of flow `i → j` is the `k`-th `msgs_per_packet`-message
+    /// slice of `i`'s stream towards `j` — a pure function of the seed,
+    /// which a restarted sender's fast-forward and `expected_packets`
+    /// both rest on.
+    #[test]
+    fn packets_are_the_streams_slices_per_destination() {
         let input = GupsInput { updates: 1000, table_len: 64, seed: 9 };
-        let a = plan_flows(&input, 3, 1);
-        let b = plan_flows(&input, 3, 1);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.dest, y.dest);
-            assert_eq!(x.words, y.words);
-        }
-        // Every update is in exactly one flow, towards its owner, in
-        // stream order.
         let dir = gups::directory(&input, 3);
-        let mut next = [0usize; 3];
-        for g in gups::node_updates(&input, 3, 1) {
-            let r = dir.route(g);
-            let flow = a.iter().find(|f| f.dest == r.dest).expect("a flow per owner");
-            let at = next[r.dest as usize];
-            next[r.dest as usize] += MSG_ROWS;
-            assert_eq!(flow.words[at..at + MSG_ROWS], Message::inc(r.dest, r.offset, 1).encode());
-        }
-        for f in &a {
-            assert_eq!(f.words.len(), next[f.dest as usize], "flow {} has extra messages", f.dest);
-            let msgs: usize = f.packets(8).map(|p| p.len() / MSG_ROWS).sum();
-            assert_eq!(msgs, f.words.len() / MSG_ROWS);
+        for k in [1, 5, 8] {
+            let got = packets(&input, 3, 1, k);
+            assert_eq!(got, packets(&input, 3, 1, k), "not deterministic");
+            for (dest, flow) in got.iter().enumerate() {
+                let stream: Vec<u64> = gups::node_updates(&input, 3, 1)
+                    .into_iter()
+                    .map(|g| dir.route(g))
+                    .filter(|r| r.dest == dest as u32)
+                    .flat_map(|r| Message::inc(r.dest, r.offset, 1).encode())
+                    .collect();
+                let slices: Vec<Vec<u64>> =
+                    stream.chunks(k * MSG_ROWS).map(<[u64]>::to_vec).collect();
+                assert_eq!(*flow, slices, "flow 1 → {dest} at {k} per packet");
+            }
         }
     }
 
     #[test]
-    fn expected_packets_matches_the_plan() {
+    fn expected_packets_counts_the_packets_sent() {
         let input = GupsInput { updates: 777, table_len: 32, seed: 3 };
-        for dest in 0..3u32 {
-            let planned: Vec<u64> = (0..3u32)
-                .map(|src| {
-                    plan_flows(&input, 3, src)
-                        .iter()
-                        .find(|f| f.dest == dest)
-                        .map_or(0, |f| f.packets(5).count() as u64)
-                })
-                .collect();
-            assert_eq!(expected_packets(&input, 3, dest, 5), planned);
+        for dest in 0..3 {
+            let sent: Vec<u64> =
+                (0..3).map(|src| packets(&input, 3, src, 5)[dest].len() as u64).collect();
+            assert_eq!(expected_packets(&input, 3, dest as u32, 5), sent);
         }
     }
 }

@@ -348,9 +348,17 @@ fn usage_errors_exit_64_before_the_node_starts() {
     // `--kill-on-commit` kills an elastic cluster's coordinator; a
     // static cluster has none, so accepting it would run a chaos job
     // with no fault in it. `--integrity` is gone: every frame is CRC32C.
+    // A packet of 2^59 messages overflows the window arithmetic, and
+    // one of 300 000 (9.6 MB) is over the socket frame ceiling, as its
+    // buddy forward would be: no peer would ever accept it.
     // A regression would start a node, so the deadline keeps it short.
     let dir = std::env::temp_dir().join(format!("gravel_cluster_usage_{}", std::process::id()));
-    for extra in [&["--kill-on-commit"][..], &["--integrity", "off"]] {
+    for extra in [
+        &["--kill-on-commit"][..],
+        &["--integrity", "off"],
+        &["--msgs-per-packet", "576460752303423488"],
+        &["--msgs-per-packet", "300000"],
+    ] {
         let out = Command::new(BIN)
             .args(["--node", "0", "--nodes", "2", "--deadline-secs", "1", "--dir"])
             .arg(&dir)

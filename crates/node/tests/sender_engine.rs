@@ -1,24 +1,28 @@
-//! In-process coverage of the deterministic sender on the shared
-//! flow engine: `plan_flows` → `run_sender` → a seeded lossy
-//! fabric → `netthread`, then a sender "restart" against receivers that
-//! kept their cursors — the path `tests/cluster.rs` only reaches with
-//! real processes, a real `kill -9`, and wall-clock waits.
+//! In-process coverage of `sender::run` on the shared flow engine: a
+//! node's stream, routed through its directory, over a seeded lossy
+//! fabric into `netthread` — then a sender "restart" against receivers
+//! that kept their cursors, and an elastic map flip mid-stream behind a
+//! stale-routing gate. These are the paths `tests/cluster.rs` and
+//! `tests/reshard.rs` only reach with real processes, a real `kill -9`,
+//! and wall-clock waits.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::backoff::wait_for;
-use gravel_core::netthread::{self, RecvState};
+use gravel_core::netthread::{self, ApplyGate, RecvState};
 use gravel_core::{ErrorSlot, GravelConfig, NodeShared};
+use gravel_gq::Message;
 use gravel_net::{
     AckFrame, ChannelTransport, FaultConfig, FaultStats, RecvStatus, RetryConfig, SendStatus,
     Transport, UnreliableTransport,
 };
-use gravel_node::sender::{self, FlowPlan};
-use gravel_pgas::{AmRegistry, DataFrame};
+use gravel_node::elastic;
+use gravel_node::sender::{self, Bounces};
+use gravel_pgas::{AmRegistry, DataFrame, Directory, Packet, ShardMap};
 
 const NODES: usize = 3;
 /// Failsafe only: every wait below ends on a protocol event.
@@ -77,12 +81,18 @@ struct Cluster {
     net: Vec<JoinHandle<()>>,
 }
 
+/// One sender incarnation: its node, its stream and its bounce source.
+type SenderSpec<'a> = (usize, Vec<(u64, u64)>, Option<&'a (dyn Bounces + Sync)>);
+
 impl Cluster {
-    /// Three nodes over one drop + dup + reorder fabric, each with a
-    /// live network thread whose receive state outlives any sender.
-    fn start(input: &GupsInput, seed: u64) -> Cluster {
-        let part = gups::partition(input, NODES);
-        let heap_len = (0..NODES).map(|n| part.local_len(n)).max().unwrap();
+    /// Three nodes of `heap_len` words over one drop + dup + reorder
+    /// fabric, each with a live network thread — behind `gate(node)`,
+    /// if it has one — whose receive state outlives any sender.
+    fn start(
+        heap_len: usize,
+        seed: u64,
+        gate: impl Fn(u32) -> Option<Arc<dyn ApplyGate>>,
+    ) -> Cluster {
         let mut cfg = GravelConfig::small(NODES, heap_len);
         // The node binary's shape (no retry budget), scaled to test time.
         cfg.retry = RetryConfig {
@@ -109,39 +119,35 @@ impl Cluster {
                 let (n, e) = (node.clone(), errors.clone());
                 let t: Arc<dyn Transport> = transport.clone();
                 let state = Arc::new(Mutex::new(RecvState::new()));
-                std::thread::spawn(move || netthread::run_with(n, t, e, state, None, None, None))
+                let g = gate(node.id);
+                std::thread::spawn(move || netthread::run_with(n, t, e, state, None, None, g))
             })
             .collect();
         Cluster { nodes, transport, errors, net }
     }
 
-    /// One sender incarnation per listed node, each with fresh engine
-    /// state, run to full acknowledgement.
-    fn run_senders(&self, input: &GupsInput, msgs_per_packet: usize, who: &[usize]) {
+    /// Run `senders`, each with fresh engine state and routing through
+    /// `dir`, until every one reads drained.
+    fn run_senders(&self, dir: &Directory, msgs_per_packet: usize, senders: Vec<SenderSpec>) {
         let stop = AtomicBool::new(false);
-        let deadline = Instant::now() + LIMIT;
+        let drained: Vec<AtomicBool> = senders.iter().map(|_| AtomicBool::new(false)).collect();
         std::thread::scope(|s| {
-            let handles: Vec<_> = who
-                .iter()
-                .map(|&me| {
-                    let plans = plans(input, me);
-                    let (node, stop) = (&self.nodes[me], &stop);
-                    s.spawn(move || {
-                        sender::run_sender(
-                            &*self.transport,
-                            node,
-                            &plans,
-                            msgs_per_packet,
-                            &self.errors,
-                            stop,
-                            deadline,
-                        )
-                    })
-                })
-                .collect();
-            for (h, me) in handles.into_iter().zip(who) {
-                assert!(h.join().unwrap(), "sender {me} did not drain before the failsafe");
+            for ((me, updates, bounces), done) in senders.into_iter().zip(&drained) {
+                let (node, stop) = (&self.nodes[me], &stop);
+                s.spawn(move || {
+                    let bounces = bounces.map(|b| b as &dyn Bounces);
+                    let t = &*self.transport;
+                    if let Err(e) =
+                        sender::run(t, node, dir, updates, bounces, msgs_per_packet, stop, done)
+                    {
+                        self.errors.set(e);
+                    }
+                });
             }
+            let all = wait_for(LIMIT, || drained.iter().all(|d| d.load(SeqCst)));
+            // The failsafe's way out for a sender that never drains.
+            stop.store(true, SeqCst);
+            assert!(all, "a sender did not drain before the failsafe");
         });
         assert!(!self.errors.is_set(), "flow error: {:?}", self.errors.take());
     }
@@ -179,8 +185,9 @@ impl Cluster {
     }
 }
 
-fn plans(input: &GupsInput, me: usize) -> Vec<FlowPlan> {
-    sender::plan_flows(input, NODES, me as u32)
+/// `node`'s GUPS stream: one INC of 1 per update.
+fn gups_stream(input: &GupsInput, node: usize) -> Vec<(u64, u64)> {
+    gups::node_updates(input, NODES, node).into_iter().map(|g| (g as u64, 1)).collect()
 }
 
 /// The sequential truth, laid out as per-node heaps.
@@ -198,12 +205,15 @@ fn expected_heaps(input: &GupsInput, heap_len: usize) -> Vec<Vec<u64>> {
 /// Deliver `input` over the lossy fabric in packets of
 /// `msgs_per_packet` messages, then restart node 0's sender.
 fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
-    let cluster = Cluster::start(&input, 0xFA57);
-    let everyone: Vec<usize> = (0..NODES).collect();
+    let part = gups::partition(&input, NODES);
+    let heap_len = (0..NODES).map(|n| part.local_len(n)).max().unwrap();
+    let cluster = Cluster::start(heap_len, 0xFA57, |_| None);
+    let dir = gups::directory(&input, NODES);
+    let streams = |who: &[usize]| who.iter().map(|&n| (n, gups_stream(&input, n), None)).collect();
 
-    cluster.run_senders(&input, msgs_per_packet, &everyone);
+    cluster.run_senders(&dir, msgs_per_packet, streams(&[0, 1, 2]));
     let heaps = cluster.heaps();
-    assert_eq!(heaps, expected_heaps(&input, heaps[0].len()), "heap not bit-exact");
+    assert_eq!(heaps, expected_heaps(&input, heap_len), "heap not bit-exact");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
     assert!(
         cluster.total(|n| n.net_retransmits.get()) > 0,
@@ -211,14 +221,15 @@ fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     );
     assert_eq!(cluster.total(|n| n.net_fast_forwarded.get()), 0, "nothing restarted yet");
 
-    // "kill -9 + restart" of node 0's sender: the same plan restamped
+    // "kill -9 + restart" of node 0's sender: the same stream restamped
     // from sequence 0 by fresh engine state, against receivers that
     // already hold the whole stream.
-    let packets: usize =
-        plans(&input, 0).iter().map(|p| p.packets(msgs_per_packet).count()).sum();
+    let packets: u64 = (0..NODES as u32)
+        .map(|dest| sender::expected_packets(&input, NODES, dest, msgs_per_packet)[0])
+        .sum();
     cluster.run_dry(0);
     let dups_before = cluster.total(|n| n.net_dups_suppressed.get());
-    cluster.run_senders(&input, msgs_per_packet, &[0]);
+    cluster.run_senders(&dir, msgs_per_packet, streams(&[0]));
 
     assert_eq!(cluster.heaps(), heaps, "a restarted sender double-applied");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
@@ -229,18 +240,18 @@ fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     assert!(resent > 0, "the restarted sender must probe each peer at least once");
     let skipped = cluster.nodes[0].net_fast_forwarded.get();
     assert!(
-        skipped > packets as u64 / 2,
+        skipped > packets / 2,
         "only {skipped} of {packets} packets were retired by cumulative ack"
     );
     assert!(
-        resent < packets as u64 / 4,
+        resent < packets / 4,
         "restart re-sent {resent} of {packets} packets instead of fast-forwarding"
     );
     cluster.stop();
 }
 
 #[test]
-fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards() {
+fn routed_streams_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards() {
     bit_exact_then_restart(GupsInput { updates: 6000, table_len: 96, seed: 29 }, 4);
 }
 
@@ -250,4 +261,119 @@ fn planned_flows_are_bit_exact_over_a_lossy_fabric_and_a_restart_fast_forwards()
 fn default_64_kb_packets_are_bit_exact_and_fast_forward_too() {
     let input = GupsInput { updates: 720_000, table_len: 4096, seed: 31 };
     bit_exact_then_restart(input, sender::DEFAULT_MSGS_PER_PACKET);
+}
+
+/// Messages a receiver handed back to one sender: its bounce source.
+#[derive(Default)]
+struct Returned {
+    queue: Mutex<Vec<[u64; 4]>>,
+    stripped: AtomicU64,
+    redelivered: AtomicU64,
+}
+
+impl Bounces for Returned {
+    fn take_bounced(&self) -> Vec<[u64; 4]> {
+        let quads = std::mem::take(&mut *self.queue.lock().unwrap());
+        self.redelivered.fetch_add(quads.len() as u64, SeqCst);
+        quads
+    }
+}
+
+/// The elastic stale-routing gate in miniature, shared by every node's
+/// network thread: a receiver keeps the messages the current map
+/// assigns it and hands every other one back to the packet's sender.
+/// The packet whose arrival brings the cluster past `flip_at` messages
+/// first installs `next` — so it, and everything still in flight under
+/// the old map, is refused.
+struct StaleGate {
+    dir: Arc<Directory>,
+    next: ShardMap,
+    flip_at: u64,
+    seen: AtomicU64,
+    returned: [Returned; NODES],
+}
+
+struct NodeGate {
+    me: u32,
+    gate: Arc<StaleGate>,
+}
+
+impl ApplyGate for NodeGate {
+    fn filter(&self, pkt: &Packet) -> Option<Packet> {
+        let g = &self.gate;
+        let n = pkt.msg_count() as u64;
+        let seen = g.seen.fetch_add(n, SeqCst);
+        if seen < g.flip_at && seen + n >= g.flip_at {
+            assert!(g.dir.install(g.next.clone()), "the map flips once");
+        }
+        let map = g.dir.current_map().expect("an elastic directory");
+        let (mut kept, mut refused) = (Vec::new(), Vec::new());
+        for i in 0..pkt.msg_count() {
+            let words = pkt.msg_words(i);
+            match Message::decode(words) {
+                Some(m) if map.owner_of(m.addr) != self.me => refused.push(words),
+                _ => kept.extend(words),
+            }
+        }
+        if refused.is_empty() {
+            return None;
+        }
+        let back = &g.returned[pkt.src as usize];
+        back.stripped.fetch_add(refused.len() as u64, SeqCst);
+        back.queue.lock().unwrap().extend(refused);
+        let mut repl = Packet::from_words(pkt.src, pkt.dest, &kept);
+        (repl.lane, repl.seq) = (pkt.lane, pkt.seq);
+        Some(repl)
+    }
+}
+
+/// An elastic cluster's map changes under its streams: every shard
+/// moves once a third of the messages has arrived. Messages queued at
+/// the senders are routed again, and those already on the wire under
+/// the old map are refused, handed back and redelivered to their new
+/// owner — none lost, none applied twice.
+#[test]
+fn a_map_flip_mid_stream_reroutes_the_queues_and_redelivers_every_bounce() {
+    let input = GupsInput { updates: 6000, table_len: 96, seed: 37 };
+    let everyone = [0, 1, 2];
+    let first = ShardMap::initial(&everyone, 8);
+    let next = ShardMap {
+        version: first.version + 1,
+        owners: first.owners.iter().map(|&o| (o + 1) % NODES as u32).collect(),
+        members: first.members.clone(),
+    };
+    let streams: Vec<Vec<(u64, u64)>> =
+        (0..NODES as u32).map(|n| elastic::elastic_plan(&input, NODES, n)).collect();
+    let messages: u64 = streams.iter().map(|s| s.len() as u64).sum();
+    let gate = Arc::new(StaleGate {
+        dir: Arc::new(Directory::elastic(input.table_len, first)),
+        next,
+        flip_at: messages / 3,
+        seen: AtomicU64::new(0),
+        returned: Default::default(),
+    });
+    let cluster = Cluster::start(input.table_len, 0xE1A5, |me| {
+        Some(Arc::new(NodeGate { me, gate: gate.clone() }))
+    });
+
+    let senders = streams
+        .into_iter()
+        .enumerate()
+        .map(|(n, s)| (n, s, Some(&gate.returned[n] as &(dyn Bounces + Sync))))
+        .collect();
+    cluster.run_senders(&gate.dir, 4, senders);
+
+    assert_eq!(gate.dir.version(), 2, "the map never flipped");
+    let heaps = cluster.heaps();
+    let total: Vec<u64> = (0..input.table_len).map(|g| heaps.iter().map(|h| h[g]).sum()).collect();
+    assert_eq!(total, elastic::expected_table(&input, NODES, &everyone), "heap not exact");
+    let stripped: u64 = gate.returned.iter().map(|r| r.stripped.load(SeqCst)).sum();
+    let redelivered: u64 = gate.returned.iter().map(|r| r.redelivered.load(SeqCst)).sum();
+    assert!(stripped > 0, "no message was in flight across the flip");
+    // Only what was on the wire at the flip comes back: a queue routed
+    // under the old map would send about two thirds of the stream to
+    // the wrong owner.
+    assert!(stripped < messages / 10, "{stripped} of {messages} messages were refused");
+    assert_eq!(stripped, redelivered, "a refused message was lost or delivered twice");
+    cluster.stop();
 }

@@ -1173,8 +1173,8 @@ impl Packet {
         self.seal_kind_in(epoch, integrity, kind, pool)
     }
 
-    /// Seal with an explicit frame kind (the class-derived [`seal`]
-    /// is the normal path).
+    /// Seal with an explicit frame kind (the class-derived
+    /// [`seal`](Self::seal) is the normal path).
     pub fn seal_kind(&self, epoch: u32, integrity: WireIntegrity, kind: FrameKind) -> DataFrame {
         self.seal_kind_in(epoch, integrity, kind, None)
     }

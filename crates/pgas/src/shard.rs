@@ -92,6 +92,12 @@ impl ShardMap {
         self.owners[self.shard_of(g) as usize]
     }
 
+    /// Route global index `g` under this map: to its owner, at offset
+    /// `g` (elastic heaps are addressed by global index).
+    pub fn route(&self, g: u64) -> Route {
+        Route { dest: self.owner_of(g), offset: g }
+    }
+
     /// The member owning shard `s`.
     pub fn owner_of_shard(&self, s: u32) -> u32 {
         self.owners[s as usize]
@@ -269,8 +275,7 @@ impl Directory {
             DirInner::Fixed(p) => Route { dest: p.owner(g) as u32, offset: p.local_offset(g) },
             DirInner::Elastic { total, map, .. } => {
                 debug_assert!(g < *total, "global index {g} out of {total}");
-                let map = map.read().unwrap_or_else(|p| p.into_inner());
-                Route { dest: map.owner_of(g as u64), offset: g as u64 }
+                map.read().unwrap_or_else(|p| p.into_inner()).route(g as u64)
             }
         }
     }
