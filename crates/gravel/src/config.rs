@@ -213,7 +213,7 @@ impl GravelConfig {
         const _: () = assert!(gravel_pgas::ACK_MAP_BITS <= crate::netthread::OOO_BUFFER_CAP);
         assert!(self.retry.max_retries > 0, "need at least one retry");
         if let TransportKind::Unreliable(faults) = &self.transport {
-            faults.validate();
+            faults.validate(self.nodes);
         }
         assert!(
             !self.quiesce_warn_interval.is_zero(),

@@ -474,12 +474,13 @@ impl GravelRuntime {
         let f = self.transport.fault_stats();
         let _ = writeln!(
             out,
-            "faults: dropped={} dup={} delayed={} link_down={} acks_dropped={} \
+            "faults: dropped={} dup={} delayed={} partition={} oneway={} acks_dropped={} \
              corrupted={} truncated={} garbage={} misrouted={} ack_corrupted={}",
             f.dropped_data,
             f.duplicated,
             f.delayed,
-            f.link_down_drops,
+            f.partition_drops,
+            f.oneway_drops,
             f.dropped_acks,
             f.corrupted_data,
             f.truncated_data,

@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::NodeId;
+use crate::{splitmix, NodeId, GAMMA};
 
 /// One scheduled process fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,14 +65,8 @@ pub struct ChaosPlan {
 /// SplitMix64 from state `seed + γ`: cheap, stateless, good enough for
 /// schedule derivation.
 fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    move || {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
+    let mut z = seed.wrapping_add(GAMMA);
+    move || splitmix(&mut z)
 }
 
 impl ChaosPlan {

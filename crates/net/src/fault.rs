@@ -20,12 +20,16 @@ pub enum TransportKind {
 }
 
 /// Seeded per-link fault model for
-/// [`UnreliableTransport`](crate::UnreliableTransport).
+/// [`UnreliableTransport`](crate::UnreliableTransport): per-frame
+/// probabilities, plus the [`LinkFault`]s that take links down or slow
+/// them.
 ///
 /// Each ordered cross-node link `(src, dest)` gets its own RNG derived
 /// from `seed`, so a fixed seed reproduces the exact same fault pattern
 /// for a given traffic order on each link regardless of cluster size or
-/// scheduling of other links.
+/// scheduling of other links. A data frame draws drop, duplicate,
+/// reorder (and its jitter), then at most one corruption; an ack draws
+/// drop then a bit flip; a heartbeat draws drop.
 #[derive(Clone, Debug)]
 pub struct FaultConfig {
     /// Base seed for all per-link RNGs.
@@ -37,15 +41,8 @@ pub struct FaultConfig {
     /// Probability a data packet is held back (delayed past later
     /// packets on the same link — the reordering mechanism).
     pub reorder: f64,
-    /// Maximum extra latency for held-back packets; also the jitter
-    /// bound applied to every delayed delivery.
+    /// Maximum extra latency for packets held back by `reorder`.
     pub jitter: Duration,
-    /// If nonzero, every link independently goes down once per period
-    /// (phase-shifted per link so outages do not align cluster-wide).
-    pub link_down_period: Duration,
-    /// Length of each link-down window; packets and acks sent into a
-    /// down link are dropped.
-    pub link_down_len: Duration,
     /// Probability a data frame has 1–3 random bits flipped in flight.
     /// Also the probability an ack frame is bit-flipped on the reverse
     /// path.
@@ -58,16 +55,10 @@ pub struct FaultConfig {
     /// Probability a data frame's *routing stamp* is rewritten so it
     /// lands at the wrong node with its contents (and CRC) intact.
     pub misroute: f64,
-    /// Probability a data packet is held back by `delay` +
-    /// seeded jitter in `[0, jitter)` — a latency fault, independent of
-    /// the `reorder` knob (which injects jitter-only holds).
-    pub delay_prob: f64,
-    /// Base extra latency for `delay_prob` holds.
-    pub delay: Duration,
-    /// Declarative connectivity faults (symmetric partitions, one-way
-    /// drops, per-link delays) evaluated against time since the
-    /// transport was built — see [`LinkFault`]. These affect every
-    /// traffic class: data, acks, and heartbeats.
+    /// Outages and delays: symmetric partitions and one-way drops (on
+    /// data, acks and heartbeats) and per-link delays (on data frames),
+    /// evaluated against time since the transport was built — see
+    /// [`LinkFault`].
     pub link_faults: Vec<LinkFault>,
 }
 
@@ -85,14 +76,10 @@ impl FaultConfig {
             duplicate: 0.0,
             reorder: 0.0,
             jitter: Duration::from_micros(300),
-            link_down_period: Duration::ZERO,
-            link_down_len: Duration::ZERO,
             corrupt: 0.0,
             truncate: 0.0,
             garbage: 0.0,
             misroute: 0.0,
-            delay_prob: 0.0,
-            delay: Duration::ZERO,
             link_faults: Vec::new(),
         }
     }
@@ -122,8 +109,9 @@ impl FaultConfig {
         }
     }
 
-    /// Validate probability ranges; panics on nonsense.
-    pub fn validate(&self) {
+    /// Validate probability ranges and each link fault on a
+    /// `nodes`-node cluster ([`LinkFault::check`]); panics on nonsense.
+    pub fn validate(&self, nodes: usize) {
         for (name, p) in [
             ("drop", self.drop),
             ("duplicate", self.duplicate),
@@ -132,21 +120,13 @@ impl FaultConfig {
             ("truncate", self.truncate),
             ("garbage", self.garbage),
             ("misroute", self.misroute),
-            ("delay_prob", self.delay_prob),
         ] {
             assert!((0.0..=1.0).contains(&p), "fault probability `{name}` = {p} out of [0, 1]");
         }
-        if !self.link_down_period.is_zero() {
-            assert!(
-                self.link_down_len < self.link_down_period,
-                "link_down_len must be shorter than link_down_period"
-            );
-        }
-        if self.delay_prob > 0.0 {
-            assert!(
-                !self.delay.is_zero() || !self.jitter.is_zero(),
-                "delay_prob without a delay or jitter bound does nothing"
-            );
+        for f in &self.link_faults {
+            if let Err(why) = f.check(nodes) {
+                panic!("link fault {f:?}: {why}");
+            }
         }
     }
 }
@@ -191,7 +171,11 @@ impl Default for RetryConfig {
     }
 }
 
-/// Counters of faults an unreliable transport actually injected.
+/// Counters of faults a transport actually injected: the one ledger.
+/// [`UnreliableTransport`](crate::UnreliableTransport) fills every
+/// field; a [`SocketTransport`](crate::SocketTransport) fills the three
+/// its [`LinkSchedule`](crate::LinkSchedule) counts (`partition_drops`,
+/// `oneway_drops`, `delayed`). Each injected event is counted once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Data packets silently dropped (probability faults).
@@ -203,10 +187,9 @@ pub struct FaultStats {
     pub dropped_heartbeats: u64,
     /// Data packets delivered twice.
     pub duplicated: u64,
-    /// Data packets held back for jittered delivery.
+    /// Frames held back for later delivery (a `reorder` roll, a
+    /// [`LinkFault::Delay`], or both: one count per frame).
     pub delayed: u64,
-    /// Frames dropped because their link was in a down window.
-    pub link_down_drops: u64,
     /// Data frames delivered with 1–3 bits flipped. Corruption counters
     /// count frames that *reached* a receiver mangled (the fabric
     /// accepted them), so they reconcile exactly against the receiver's
@@ -222,7 +205,8 @@ pub struct FaultStats {
     /// corrupted ack may additionally die in a full mailbox, so
     /// receivers reconcile `<=` against this).
     pub corrupted_acks: u64,
-    /// Frames (any plane) dropped by a symmetric partition window.
+    /// Frames (any plane) dropped by a symmetric partition window, at
+    /// send or when released from a hold.
     pub partition_drops: u64,
     /// Frames (any plane) dropped by a one-way link fault.
     pub oneway_drops: u64,
@@ -231,7 +215,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total injected data-plane losses.
     pub fn total_losses(&self) -> u64 {
-        self.dropped_data + self.link_down_drops + self.partition_drops + self.oneway_drops
+        self.dropped_data + self.partition_drops + self.oneway_drops
     }
 
     /// Total data frames delivered mangled in some way (excludes
@@ -252,31 +236,30 @@ mod tests {
 
     #[test]
     fn validation_accepts_sane_models() {
-        FaultConfig::quiet(1).validate();
-        FaultConfig::drop_only(1, 0.1).validate();
-        FaultConfig::mixed(1, 0.1).validate();
-        FaultConfig::corrupting(1, 0.1).validate();
+        FaultConfig::quiet(1).validate(2);
+        FaultConfig::drop_only(1, 0.1).validate(2);
+        FaultConfig::mixed(1, 0.1).validate(2);
+        FaultConfig::corrupting(1, 0.1).validate(2);
     }
 
     #[test]
     #[should_panic(expected = "out of [0, 1]")]
     fn validation_rejects_bad_corruption_probability() {
-        FaultConfig { corrupt: -0.5, ..FaultConfig::quiet(1) }.validate();
+        FaultConfig { corrupt: -0.5, ..FaultConfig::quiet(1) }.validate(2);
     }
 
     #[test]
     #[should_panic(expected = "out of [0, 1]")]
     fn validation_rejects_bad_probability() {
-        FaultConfig::drop_only(1, 1.5).validate();
+        FaultConfig::drop_only(1, 1.5).validate(2);
     }
 
     #[test]
-    #[should_panic(expected = "shorter than")]
-    fn validation_rejects_always_down_link() {
-        let mut f = FaultConfig::quiet(1);
-        f.link_down_period = Duration::from_millis(5);
-        f.link_down_len = Duration::from_millis(5);
-        f.validate();
+    #[should_panic(expected = "outside the 2-node cluster")]
+    fn validation_rejects_a_link_fault_off_the_cluster() {
+        let until = Duration::from_millis(5);
+        let oneway = LinkFault::OneWay { src: 0, dest: 2, from: Duration::ZERO, until };
+        FaultConfig { link_faults: vec![oneway], ..FaultConfig::quiet(1) }.validate(2);
     }
 
     #[test]
@@ -284,7 +267,7 @@ mod tests {
         let mut s = FaultStats::default();
         assert!(s.is_clean());
         s.dropped_data = 3;
-        s.link_down_drops = 2;
+        s.partition_drops = 2;
         assert_eq!(s.total_losses(), 5);
         assert!(!s.is_clean());
         s.corrupted_data = 4;

@@ -8,9 +8,13 @@
 //!   with **bounded** per-node ingress channels so senders experience
 //!   real backpressure instead of unbounded queue growth.
 //! - [`UnreliableTransport`] — a decorator that injects seeded,
-//!   per-link faults (drop, duplication, latency jitter / reordering,
-//!   transient link-down windows) on the data plane, plus ack drops on
-//!   the reverse path.
+//!   per-link faults (drop, duplication, reordering jitter, corruption)
+//!   on the data plane, plus ack and heartbeat drops.
+//!
+//! Outages and delays are [`LinkFault`]s only: one [`LinkSchedule`]
+//! decides, holds and counts them for the in-process decorator and the
+//! [`SocketTransport`] alike, and [`FaultStats`] is the one ledger of
+//! what any fabric injected.
 //!
 //! Delivery *semantics* (sequence numbers, selective acks,
 //! retransmission, duplicate suppression) live above this crate, in the
@@ -38,7 +42,7 @@ mod unreliable;
 pub use channel::ChannelTransport;
 pub use chaos::{ChaosPlan, ProcessFault};
 pub use fault::{FaultConfig, FaultStats, RetryConfig, TransportKind};
-pub use partition::{LinkFault, LinkSchedule, LinkScheduleStats};
+pub use partition::{LinkFault, LinkSchedule};
 pub use socket::{
     ControlMsg, PeerEvent, ReconnectConfig, SocketAddrSpec, SocketConfig, SocketStats,
     SocketTransport, StreamDecoder, MAX_FRAME_BYTES,
@@ -52,6 +56,24 @@ use gravel_pgas::{split_wire_lane, DataFrame, FrameError, WireIntegrity};
 
 /// Node identifier on the fabric.
 pub type NodeId = u32;
+
+/// SplitMix64's increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's finalizer: the one mixer behind every seeded choice in
+/// this crate (per-link RNG seeds, delay jitter, chaos plans, redial
+/// jitter).
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: advance `state` by the increment and mix it.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GAMMA);
+    mix(*state)
+}
 
 /// The cumulative part of an acknowledgement on the reverse path.
 ///

@@ -48,8 +48,8 @@ use gravel_pgas::{
     HEADER_BYTES,
 };
 
-use crate::partition::LinkSchedule;
-use crate::{AckFrame, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
+use crate::partition::{HoldQueue, LinkSchedule};
+use crate::{splitmix, AckFrame, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
 
 /// Hard ceiling on a single frame's size on the wire. A length prefix
 /// beyond this is a protocol violation and drops the connection, so the
@@ -113,7 +113,8 @@ pub struct SocketConfig {
     /// Declarative link chaos (partitions, one-way drops, per-link
     /// delays). Consulted at the single outbound chokepoint, so every
     /// traffic class — data, acks, heartbeats, control — experiences
-    /// the fault like a pulled cable. Armed at [`SocketTransport::spawn`].
+    /// the fault like a pulled cable. Armed at [`SocketTransport::spawn`];
+    /// what it injects is [`SocketTransport`]'s `fault_stats()`.
     pub link_chaos: Option<Arc<LinkSchedule>>,
 }
 
@@ -180,13 +181,6 @@ pub struct SocketStats {
     /// Inbound bytes that were not a decodable frame (bad length
     /// prefix, unknown kind, failed control-plane verification).
     pub garbage_frames: u64,
-    /// Outbound frames swallowed by a symmetric partition window of
-    /// the configured link-chaos schedule.
-    pub partition_drops: u64,
-    /// Outbound frames swallowed by a one-way link fault.
-    pub oneway_drops: u64,
-    /// Outbound frames held back by a per-link delay fault.
-    pub chaos_delayed: u64,
 }
 
 /// One live stream, UDS or TCP, unified behind Read/Write.
@@ -472,35 +466,7 @@ struct Inner {
     pool: BufferPool,
     link_chaos: Option<Arc<LinkSchedule>>,
     /// Frames held back by a delay fault, drained by the delay pump.
-    delayq: Mutex<std::collections::BinaryHeap<DelayedWrite>>,
-    delay_id: AtomicU64,
-}
-
-/// One outbound frame held back by a link-chaos delay fault.
-struct DelayedWrite {
-    due: Instant,
-    /// Tiebreak so the heap is a total order.
-    id: u64,
-    peer: NodeId,
-    frame: Vec<u8>,
-}
-
-impl PartialEq for DelayedWrite {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.id == other.id
-    }
-}
-impl Eq for DelayedWrite {}
-impl PartialOrd for DelayedWrite {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedWrite {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-due-first.
-        other.due.cmp(&self.due).then(other.id.cmp(&self.id))
-    }
+    held: HoldQueue<Vec<u8>>,
 }
 
 /// The socket-backed [`Transport`]. One instance per OS process (one
@@ -516,14 +482,6 @@ const HEARTBEAT_MAILBOX_CAPACITY: usize = 256;
 const POLL: Duration = Duration::from_millis(10);
 /// Read timeout on established streams, so readers notice `close()`.
 const READ_TICK: Duration = Duration::from_millis(100);
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl SocketTransport {
     /// Bind the listener, start the accept and redial supervisors, and
@@ -590,16 +548,15 @@ impl SocketTransport {
             tcp_port: AtomicU32::new(tcp_port as u32),
             pool: cfg.pool,
             link_chaos: cfg.link_chaos,
-            delayq: Mutex::new(std::collections::BinaryHeap::new()),
-            delay_id: AtomicU64::new(0),
+            held: HoldQueue::new(),
         });
         if let Some(sched) = &inner.link_chaos {
             sched.arm();
             if sched.has_delays() {
-                let inner = Arc::clone(&inner);
+                let (inner, sched) = (Arc::clone(&inner), Arc::clone(sched));
                 std::thread::Builder::new()
                     .name(format!("gravel-delay-{}", inner.me))
-                    .spawn(move || inner.delay_pump())
+                    .spawn(move || inner.delay_pump(sched))
                     .expect("spawn delay pump");
             }
         }
@@ -705,12 +662,6 @@ impl SocketTransport {
     /// Counter snapshot.
     pub fn stats(&self) -> SocketStats {
         let c = &self.inner.stats;
-        let chaos = self
-            .inner
-            .link_chaos
-            .as_ref()
-            .map(|s| s.stats())
-            .unwrap_or_default();
         SocketStats {
             handshakes: c.handshakes.load(Ordering::Relaxed),
             reconnects: c.reconnects.load(Ordering::Relaxed),
@@ -721,9 +672,6 @@ impl SocketTransport {
             oversize_drops: c.oversize_drops.load(Ordering::Relaxed),
             mailbox_drops: c.mailbox_drops.load(Ordering::Relaxed),
             garbage_frames: c.garbage_frames.load(Ordering::Relaxed),
-            partition_drops: chaos.partition_drops,
-            oneway_drops: chaos.oneway_drops,
-            chaos_delayed: chaos.delayed,
         }
     }
 }
@@ -772,44 +720,21 @@ impl Inner {
                 return true; // swallowed by the partition
             }
             if let Some(hold) = sched.delay(self.me, peer) {
-                self.delayq.lock().unwrap().push(DelayedWrite {
-                    due: Instant::now() + hold,
-                    id: self.delay_id.fetch_add(1, Ordering::Relaxed),
-                    peer,
-                    frame: frame.to_vec(),
-                });
+                sched.hold(&self.held, self.me, peer, hold, frame.to_vec());
                 return true;
             }
         }
         self.write_now(peer, frame)
     }
 
-    /// The delay pump: deliver held-back frames when they come due.
-    /// Blocked windows are re-checked at delivery time, so a frame
-    /// delayed into a partition window still dies like a real queue
-    /// drained onto a dead link.
-    fn delay_pump(self: Arc<Self>) {
+    /// The delay pump: write held-back frames when they come due. The
+    /// schedule judges each link again on release, so a frame delayed
+    /// into a partition window still dies like a real queue drained
+    /// onto a dead link.
+    fn delay_pump(self: Arc<Self>, sched: Arc<LinkSchedule>) {
         while !self.closed.load(Ordering::Relaxed) {
-            loop {
-                let next = {
-                    let mut q = self.delayq.lock().unwrap();
-                    match q.peek() {
-                        Some(d) if d.due <= Instant::now() => q.pop(),
-                        _ => None,
-                    }
-                };
-                match next {
-                    Some(d) => {
-                        let blocked = self
-                            .link_chaos
-                            .as_ref()
-                            .is_some_and(|s| s.blocked(self.me, d.peer));
-                        if !blocked {
-                            self.write_now(d.peer, &d.frame);
-                        }
-                    }
-                    None => break,
-                }
+            while let (Some((peer, frame)), _) = sched.release(&self.held, Instant::now(), false) {
+                self.write_now(peer, &frame);
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1314,10 +1239,10 @@ impl Transport for SocketTransport {
         self.inner.closed.load(Ordering::Relaxed)
     }
 
+    /// What the link-chaos schedule injected (all zero without one);
+    /// real link losses show up in [`stats`](SocketTransport::stats).
     fn fault_stats(&self) -> FaultStats {
-        // The socket fabric injects nothing; real link losses show up
-        // in `stats()` instead.
-        FaultStats::default()
+        self.inner.link_chaos.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
     fn data_depths(&self) -> Vec<usize> {

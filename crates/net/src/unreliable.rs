@@ -1,7 +1,5 @@
 //! The fault-injecting decorator.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -12,15 +10,10 @@ use gravel_pgas::DataFrame;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::partition::LinkSchedule;
-use crate::{AckFrame, FaultConfig, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
-
-/// SplitMix64-style finalizer for deriving per-link seeds.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::partition::{HoldQueue, LinkSchedule};
+use crate::{
+    mix, AckFrame, FaultConfig, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport,
+};
 
 /// Pick 1–3 *distinct* `(byte, bit-mask)` flips for a frame of `len`
 /// bytes. Distinctness matters: two identical flips would cancel and
@@ -37,62 +30,28 @@ fn roll_flips(rng: &mut StdRng, len: usize) -> Vec<(usize, u8)> {
     flips
 }
 
-struct LinkState {
-    rng: StdRng,
-    /// Phase offset of this link's down windows within the period.
-    down_phase: Duration,
-}
-
-/// A frame held back for jittered (reordering) delivery.
-struct Delayed {
-    due: Instant,
-    /// Tiebreak so the heap is a total order.
-    id: u64,
-    frame: DataFrame,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.id == other.id
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // BinaryHeap is a max-heap; invert for earliest-due-first.
-        other.due.cmp(&self.due).then(other.id.cmp(&self.id))
-    }
-}
-
 /// Decorator that injects seeded per-link faults into an inner
 /// transport (see crate docs for the model). Cross-node data packets
-/// may be dropped, duplicated, or held back; acks may be dropped.
-/// Loopback (`src == dest`) traffic passes through untouched.
+/// may be dropped, duplicated, held back or mangled; acks may be
+/// dropped or flipped, heartbeats dropped. Only data frames are ever
+/// held: a [`LinkFault::Delay`](crate::LinkFault::Delay) slows the data
+/// plane of its link, not its acks or heartbeats. Loopback
+/// (`src == dest`) traffic passes through untouched.
 pub struct UnreliableTransport<T: Transport> {
     inner: T,
     cfg: FaultConfig,
-    /// Declarative connectivity faults (partitions, one-way drops,
-    /// per-link delays) built from `cfg.link_faults`, armed at
-    /// construction.
+    /// Outages and delays built from `cfg.link_faults`, armed at
+    /// construction; it also holds and counts every held frame.
     schedule: LinkSchedule,
-    /// Row-major `[src][dest]` link states (unused diagonal included to
-    /// keep indexing trivial).
-    links: Vec<Mutex<LinkState>>,
-    /// Held-back frames awaiting their jittered due time, per dest.
-    delayed: Vec<Mutex<BinaryHeap<Delayed>>>,
-    epoch: Instant,
-    next_delay_id: AtomicU64,
+    /// Row-major `[src][dest]` per-link RNGs (unused diagonal included
+    /// to keep indexing trivial).
+    links: Vec<Mutex<StdRng>>,
+    /// Held-back data frames awaiting their due time, per dest.
+    held: Vec<HoldQueue<DataFrame>>,
     dropped_data: AtomicU64,
     dropped_acks: AtomicU64,
     dropped_heartbeats: AtomicU64,
     duplicated: AtomicU64,
-    delayed_count: AtomicU64,
-    link_down_drops: AtomicU64,
     corrupted_data: AtomicU64,
     truncated_data: AtomicU64,
     garbage_data: AtomicU64,
@@ -116,36 +75,27 @@ enum Mangle {
 impl<T: Transport> UnreliableTransport<T> {
     /// Wrap `inner` with the given fault model.
     pub fn new(inner: T, cfg: FaultConfig) -> Self {
-        cfg.validate();
         let nodes = inner.nodes();
+        cfg.validate(nodes);
         let links = (0..nodes * nodes)
             .map(|i| {
                 let (src, dest) = (i / nodes, i % nodes);
                 let seed = mix(cfg.seed ^ mix((src as u64) << 32 | dest as u64));
-                let down_phase = if cfg.link_down_period.is_zero() {
-                    Duration::ZERO
-                } else {
-                    Duration::from_nanos(seed % cfg.link_down_period.as_nanos() as u64)
-                };
-                Mutex::new(LinkState { rng: StdRng::seed_from_u64(seed), down_phase })
+                Mutex::new(StdRng::seed_from_u64(seed))
             })
             .collect();
         let schedule = LinkSchedule::new(cfg.seed, cfg.link_faults.clone());
         schedule.arm();
         UnreliableTransport {
-            delayed: (0..nodes).map(|_| Mutex::new(BinaryHeap::new())).collect(),
+            held: (0..nodes).map(|_| HoldQueue::new()).collect(),
             links,
             inner,
             schedule,
             cfg,
-            epoch: Instant::now(),
-            next_delay_id: AtomicU64::new(0),
             dropped_data: AtomicU64::new(0),
             dropped_acks: AtomicU64::new(0),
             dropped_heartbeats: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
-            delayed_count: AtomicU64::new(0),
-            link_down_drops: AtomicU64::new(0),
             corrupted_data: AtomicU64::new(0),
             truncated_data: AtomicU64::new(0),
             garbage_data: AtomicU64::new(0),
@@ -191,32 +141,9 @@ impl<T: Transport> UnreliableTransport<T> {
         None
     }
 
-    fn link(&self, src: NodeId, dest: NodeId) -> &Mutex<LinkState> {
+    /// The `(src, dest)` link's RNG.
+    fn link(&self, src: NodeId, dest: NodeId) -> &Mutex<StdRng> {
         &self.links[src as usize * self.inner.nodes() + dest as usize]
-    }
-
-    /// Is the `(src, dest)` link inside one of its down windows?
-    fn link_down(&self, phase: Duration) -> bool {
-        if self.cfg.link_down_period.is_zero() {
-            return false;
-        }
-        let period = self.cfg.link_down_period.as_nanos() as u64;
-        let pos = (self.epoch.elapsed().as_nanos() as u64 + phase.as_nanos() as u64) % period;
-        pos < self.cfg.link_down_len.as_nanos() as u64
-    }
-
-    /// Pop a due delayed frame for `node`, and report the next due time.
-    fn pop_delayed(&self, node: NodeId, now: Instant, ignore_due: bool) -> (Option<DataFrame>, Option<Instant>) {
-        let mut heap = self.delayed[node as usize].lock().unwrap();
-        match heap.peek() {
-            Some(d) if ignore_due || d.due <= now => {
-                let frame = heap.pop().unwrap().frame;
-                let next = heap.peek().map(|d| d.due);
-                (Some(frame), next)
-            }
-            Some(d) => (None, Some(d.due)),
-            None => (None, None),
-        }
     }
 
     /// Deliver a mangled variant of `frame` and count it — but only if
@@ -270,40 +197,24 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
         if self.schedule.blocked(frame.src, frame.dest) {
             return SendStatus::Sent; // swallowed by the partition
         }
-        let (down, drop, dup, delay, mangle) = {
-            let mut link = self.link(frame.src, frame.dest).lock().unwrap();
-            let down = self.link_down(link.down_phase);
-            let drop = self.cfg.drop > 0.0 && link.rng.gen_bool(self.cfg.drop);
-            let dup = self.cfg.duplicate > 0.0 && link.rng.gen_bool(self.cfg.duplicate);
-            let mut delay = if self.cfg.reorder > 0.0 && link.rng.gen_bool(self.cfg.reorder) {
+        let (drop, dup, delay, mangle) = {
+            let mut rng = self.link(frame.src, frame.dest).lock().unwrap();
+            let drop = self.cfg.drop > 0.0 && rng.gen_bool(self.cfg.drop);
+            let dup = self.cfg.duplicate > 0.0 && rng.gen_bool(self.cfg.duplicate);
+            let delay = if self.cfg.reorder > 0.0 && rng.gen_bool(self.cfg.reorder) {
                 let jitter_ns = (self.cfg.jitter.as_nanos() as u64).max(1);
-                Some(Duration::from_nanos(link.rng.next_u64() % jitter_ns))
+                Some(Duration::from_nanos(rng.next_u64() % jitter_ns))
             } else {
                 None
             };
-            // The latency knob: a base hold plus jitter, stacking on top
-            // of (not replacing) a reorder hold rolled above.
-            if self.cfg.delay_prob > 0.0 && link.rng.gen_bool(self.cfg.delay_prob) {
-                let jitter_ns = self.cfg.jitter.as_nanos() as u64;
-                let extra = if jitter_ns == 0 {
-                    Duration::ZERO
-                } else {
-                    Duration::from_nanos(link.rng.next_u64() % jitter_ns)
-                };
-                delay = Some(delay.unwrap_or(Duration::ZERO).max(self.cfg.delay + extra));
-            }
-            let mangle = self.roll_mangle(&mut link.rng, frame.bytes.len(), frame.dest);
-            (down, drop, dup, delay, mangle)
+            let mangle = self.roll_mangle(&mut rng, frame.bytes.len(), frame.dest);
+            (drop, dup, delay, mangle)
         };
-        // Declarative per-link delay faults stack on whatever was rolled.
+        // A link's delay fault stacks on whatever was rolled.
         let delay = match self.schedule.delay(frame.src, frame.dest) {
             Some(d) => Some(delay.unwrap_or(Duration::ZERO) + d),
             None => delay,
         };
-        if down {
-            self.link_down_drops.fetch_add(1, Ordering::Relaxed);
-            return SendStatus::Sent; // swallowed by the dead link
-        }
         if drop {
             self.dropped_data.fetch_add(1, Ordering::Relaxed);
             return SendStatus::Sent;
@@ -325,13 +236,8 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
             return SendStatus::Sent;
         }
         if let Some(extra) = delay {
-            self.delayed_count.fetch_add(1, Ordering::Relaxed);
-            let dest = frame.dest as usize;
-            self.delayed[dest].lock().unwrap().push(Delayed {
-                due: Instant::now() + extra,
-                id: self.next_delay_id.fetch_add(1, Ordering::Relaxed),
-                frame,
-            });
+            let (src, dest) = (frame.src, frame.dest);
+            self.schedule.hold(&self.held[dest as usize], src, dest, extra, frame);
             return SendStatus::Sent;
         }
         self.inner.send_data(frame, timeout)
@@ -339,10 +245,11 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
 
     fn recv_data(&self, node: NodeId, timeout: Duration) -> RecvStatus<DataFrame> {
         let deadline = Instant::now() + timeout;
+        let held = &self.held[node as usize];
         loop {
             let now = Instant::now();
-            let (due, next_due) = self.pop_delayed(node, now, false);
-            if let Some(frame) = due {
+            let (due, next_due) = self.schedule.release(held, now, false);
+            if let Some((_, frame)) = due {
                 return RecvStatus::Msg(frame);
             }
             let mut wait = deadline.saturating_duration_since(now);
@@ -354,8 +261,8 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
                 RecvStatus::Closed => {
                     // Fabric closed: flush held-back frames immediately so
                     // nothing accepted before close() is lost.
-                    return match self.pop_delayed(node, now, true).0 {
-                        Some(frame) => RecvStatus::Msg(frame),
+                    return match self.schedule.release(held, now, true).0 {
+                        Some((_, frame)) => RecvStatus::Msg(frame),
                         None => RecvStatus::Closed,
                     };
                 }
@@ -363,8 +270,8 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
                     if Instant::now() >= deadline {
                         // One last chance for a frame that came due during
                         // the inner wait.
-                        return match self.pop_delayed(node, Instant::now(), false).0 {
-                            Some(frame) => RecvStatus::Msg(frame),
+                        return match self.schedule.release(held, Instant::now(), false).0 {
+                            Some((_, frame)) => RecvStatus::Msg(frame),
                             None => RecvStatus::TimedOut,
                         };
                     }
@@ -378,21 +285,16 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
             if self.schedule.blocked(ack.src, ack.dest) {
                 return; // swallowed by the partition
             }
-            let (down, drop, flips) = {
-                let mut link = self.link(ack.src, ack.dest).lock().unwrap();
-                let down = self.link_down(link.down_phase);
-                let drop = self.cfg.drop > 0.0 && link.rng.gen_bool(self.cfg.drop);
-                let flips = if self.cfg.corrupt > 0.0 && link.rng.gen_bool(self.cfg.corrupt) {
-                    Some(roll_flips(&mut link.rng, ack.bytes.len()))
+            let (drop, flips) = {
+                let mut rng = self.link(ack.src, ack.dest).lock().unwrap();
+                let drop = self.cfg.drop > 0.0 && rng.gen_bool(self.cfg.drop);
+                let flips = if self.cfg.corrupt > 0.0 && rng.gen_bool(self.cfg.corrupt) {
+                    Some(roll_flips(&mut rng, ack.bytes.len()))
                 } else {
                     None
                 };
-                (down, drop, flips)
+                (drop, flips)
             };
-            if down {
-                self.link_down_drops.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
             if drop {
                 self.dropped_acks.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -421,18 +323,10 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
             if self.schedule.blocked(hb.src, hb.dest) {
                 return; // swallowed by the partition
             }
-            let (down, drop) = {
-                let mut link = self.link(hb.src, hb.dest).lock().unwrap();
-                let down = self.link_down(link.down_phase);
-                let drop = self.cfg.drop > 0.0 && link.rng.gen_bool(self.cfg.drop);
-                (down, drop)
-            };
-            // Either way the beat dies silently — heartbeats are the
-            // least reliable traffic class by design.
-            if down {
-                self.link_down_drops.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+            let drop = self.cfg.drop > 0.0
+                && self.link(hb.src, hb.dest).lock().unwrap().gen_bool(self.cfg.drop);
+            // The beat dies silently — heartbeats are the least reliable
+            // traffic class by design.
             if drop {
                 self.dropped_heartbeats.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -455,29 +349,25 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
 
     fn fault_stats(&self) -> FaultStats {
         let inner = self.inner.fault_stats();
-        let sched = self.schedule.stats();
         FaultStats {
             dropped_data: self.dropped_data.load(Ordering::Relaxed),
             dropped_acks: self.dropped_acks.load(Ordering::Relaxed) + inner.dropped_acks,
             dropped_heartbeats: self.dropped_heartbeats.load(Ordering::Relaxed)
                 + inner.dropped_heartbeats,
             duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed_count.load(Ordering::Relaxed),
-            link_down_drops: self.link_down_drops.load(Ordering::Relaxed),
             corrupted_data: self.corrupted_data.load(Ordering::Relaxed),
             truncated_data: self.truncated_data.load(Ordering::Relaxed),
             garbage_data: self.garbage_data.load(Ordering::Relaxed),
             misrouted_data: self.misrouted_data.load(Ordering::Relaxed),
             corrupted_acks: self.corrupted_acks.load(Ordering::Relaxed),
-            partition_drops: sched.partition_drops,
-            oneway_drops: sched.oneway_drops,
+            ..self.schedule.stats()
         }
     }
 
     fn data_depths(&self) -> Vec<usize> {
         let mut depths = self.inner.data_depths();
-        for (d, heap) in self.delayed.iter().enumerate() {
-            depths[d] += heap.lock().unwrap().len();
+        for (d, held) in self.held.iter().enumerate() {
+            depths[d] += held.len();
         }
         depths
     }
@@ -541,6 +431,68 @@ mod tests {
         assert_eq!(a, count_drops(7), "same seed, same faults");
         assert!((100..350).contains(&a), "~20% of 1000, got {a}");
         assert_ne!(a, count_drops(8), "different seed, different pattern");
+    }
+
+    /// The fault each of the first 256 data frames on link 0 → 1 met,
+    /// read off the ledger one send at a time: a letter per frame (bit
+    /// 0 dropped, 1 duplicated, 2 held, 3..6 the corruption kind:
+    /// flip, truncate, garbage, misroute), and after every fourth a
+    /// digit for the ack and heartbeat that followed it on the same
+    /// link (bit 0 ack dropped, 1 ack flipped, 2 heartbeat dropped).
+    fn decisions(cfg: FaultConfig) -> String {
+        const CODE: &[u8; 64] = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ-_";
+        let t = UnreliableTransport::new(ChannelTransport::new(2, 1, 4096), cfg);
+        let ledger = || {
+            let s = t.fault_stats();
+            [s.dropped_data, s.duplicated, s.delayed, s.corrupted_data, s.truncated_data,
+             s.garbage_data, s.misrouted_data, s.dropped_acks, s.corrupted_acks,
+             s.dropped_heartbeats]
+        };
+        let mut was = ledger();
+        let mut moved = || {
+            let now = ledger();
+            let m: Vec<usize> = was.iter().zip(&now).map(|(a, b)| usize::from(b > a)).collect();
+            was = now;
+            m
+        };
+        let mut out = String::new();
+        for i in 0..256 {
+            t.send_data(pkt(0, 1, i), T);
+            let m = moved();
+            let kind = m[3..7].iter().position(|&b| b == 1).map_or(0, |k| k + 1);
+            out.push(CODE[m[0] | m[1] << 1 | m[2] << 2 | kind << 3] as char);
+            if i % 4 == 3 {
+                let ack = Ack { src: 0, dest: 1, lane: 0, cum_seq: i };
+                t.send_ack(ack.seal(0, WireIntegrity::Crc32c));
+                t.send_heartbeat(Heartbeat { src: 0, dest: 1, seq: i });
+                let m = moved();
+                out.push(CODE[m[7] | m[8] << 1 | m[9] << 2] as char);
+            }
+        }
+        out
+    }
+
+    /// Recorded before the link-down and delay knobs left `FaultConfig`:
+    /// the surviving knobs draw from each link's RNG in the same order,
+    /// so every seeded pattern replays bit for bit.
+    #[test]
+    fn seeded_fault_decisions_are_pinned() {
+        let mixed = concat!(
+            "1004040000000001004004000100100440500400004110044100000000144400",
+            "1100000420020414020150010120200400000000110011011000004014010101",
+            "4004204020040010002014004201014100040404411240000060000050040511",
+            "0050400001440210204001414010211401404044210100040001001021101000",
+            "0444200100044404014200200040042000411010402100010221441102000000",
+        );
+        let corrupting = concat!(
+            "00000o00000o00000080o008000002000w200080oo00000o028g0020g0000o00",
+            "0000808000000000g00o200o000000008000gg880o00g000og0g08800w002888",
+            "0008o02088g00gg020008200000o0o0000002000000g8g08oo000o8o0w0o00gg",
+            "og00o000000w00o800ogog0gg802oo000o800008go0000020w0o0w00o000g020",
+            "8o80g00o28880080go0go0g000g0208800000o0o0000o000080o008o0g208002",
+        );
+        assert_eq!(decisions(FaultConfig::mixed(7, 0.2)), mixed);
+        assert_eq!(decisions(FaultConfig::corrupting(7, 0.2)), corrupting);
     }
 
     #[test]
@@ -635,26 +587,6 @@ mod tests {
         // Loopback beats (a node observing itself) are never faulted.
         t.send_heartbeat(Heartbeat { src: 0, dest: 0, seq: 1 });
         assert_eq!(t.try_recv_heartbeat(0), Some(Heartbeat { src: 0, dest: 0, seq: 1 }));
-    }
-
-    #[test]
-    fn link_down_windows_swallow_traffic() {
-        let t = UnreliableTransport::new(
-            ChannelTransport::new(2, 1, 4096),
-            FaultConfig {
-                link_down_period: Duration::from_millis(10),
-                link_down_len: Duration::from_millis(5),
-                ..FaultConfig::quiet(13)
-            },
-        );
-        // Spread sends across several periods: some must hit a window.
-        for i in 0..40 {
-            t.send_data(pkt(0, 1, i), T);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let drops = t.fault_stats().link_down_drops;
-        assert!(drops > 0, "no send hit a down window");
-        assert!(drops < 40, "link was never up");
     }
 
     #[test]
@@ -852,42 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_knob_holds_frames_for_at_least_the_base() {
-        let t = UnreliableTransport::new(
-            ChannelTransport::new(2, 1, 256),
-            FaultConfig {
-                delay_prob: 1.0,
-                delay: Duration::from_millis(30),
-                jitter: Duration::from_millis(5),
-                ..FaultConfig::quiet(7)
-            },
-        );
-        let sent_at = Instant::now();
-        for i in 0..10 {
-            t.send_data(pkt(0, 1, i), T);
-        }
-        // Nothing may surface before the base delay has elapsed.
-        assert!(matches!(t.recv_data(1, Duration::from_millis(5)), RecvStatus::TimedOut));
-        let mut got = 0;
-        while let RecvStatus::Msg(f) = t.recv_data(1, Duration::from_millis(100)) {
-            assert!(
-                sent_at.elapsed() >= Duration::from_millis(30),
-                "frame {:?} surfaced before its base delay",
-                words(&f)
-            );
-            got += 1;
-            if got == 10 {
-                break;
-            }
-        }
-        // Injected-vs-observed reconciliation: every frame was held
-        // exactly once and every held frame was eventually delivered.
-        assert_eq!(got, 10);
-        assert_eq!(t.fault_stats().delayed, 10);
-        assert!(!t.fault_stats().is_clean() && t.fault_stats().total_losses() == 0);
-    }
-
-    #[test]
     fn declarative_per_link_delay_applies_to_one_direction() {
         use crate::partition::LinkFault;
         let t = UnreliableTransport::new(
@@ -903,19 +799,65 @@ mod tests {
             },
         );
         let sent_at = Instant::now();
-        t.send_data(pkt(0, 1, 1), T);
-        t.send_data(pkt(1, 0, 2), T);
+        for i in 0..10 {
+            t.send_data(pkt(0, 1, i), T);
+        }
+        t.send_data(pkt(1, 0, 99), T);
         // Reverse direction is undelayed and arrives immediately.
         match t.recv_data(0, Duration::from_millis(200)) {
-            RecvStatus::Msg(f) => assert_eq!(words(&f), vec![2]),
+            RecvStatus::Msg(f) => assert_eq!(words(&f), vec![99]),
             other => panic!("{other:?}"),
         }
-        match t.recv_data(1, Duration::from_millis(500)) {
-            RecvStatus::Msg(f) => assert_eq!(words(&f), vec![1]),
-            other => panic!("{other:?}"),
+        // Nothing may surface before the base delay has elapsed.
+        assert!(matches!(t.recv_data(1, Duration::from_millis(5)), RecvStatus::TimedOut));
+        let mut got = 0;
+        while let RecvStatus::Msg(f) = t.recv_data(1, Duration::from_millis(100)) {
+            assert!(
+                sent_at.elapsed() >= Duration::from_millis(25),
+                "frame {:?} surfaced before its base delay",
+                words(&f)
+            );
+            got += 1;
+            if got == 10 {
+                break;
+            }
         }
-        assert!(sent_at.elapsed() >= Duration::from_millis(25), "delayed direction was held");
-        assert_eq!(t.fault_stats().delayed, 1);
+        // Injected-vs-observed reconciliation: every frame was held
+        // exactly once and every held frame was eventually delivered.
+        assert_eq!(got, 10);
+        let s = t.fault_stats();
+        assert_eq!(s.delayed, 10);
+        assert!(!s.is_clean() && s.total_losses() == 0);
+    }
+
+    #[test]
+    fn a_frame_held_into_a_partition_dies_on_release() {
+        use crate::partition::LinkFault;
+        let t = UnreliableTransport::new(
+            ChannelTransport::new(2, 1, 256),
+            FaultConfig {
+                link_faults: vec![
+                    LinkFault::Delay {
+                        src: 0,
+                        dest: 1,
+                        base: Duration::from_millis(40),
+                        jitter: Duration::ZERO,
+                    },
+                    LinkFault::Partition {
+                        island: vec![0],
+                        from: Duration::from_millis(10),
+                        until: Duration::from_secs(60),
+                    },
+                ],
+                ..FaultConfig::quiet(3)
+            },
+        );
+        // Sent before the window opens, due after it has.
+        t.send_data(pkt(0, 1, 5), T);
+        assert!(matches!(t.recv_data(1, Duration::from_millis(100)), RecvStatus::TimedOut));
+        let s = t.fault_stats();
+        assert_eq!((s.delayed, s.partition_drops, s.total_losses()), (1, 1, 1));
+        assert_eq!(t.data_depths(), vec![0, 0], "nothing is left held");
     }
 
     #[test]

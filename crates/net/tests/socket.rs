@@ -655,8 +655,9 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
     assert_eq!(hb.seq, 9);
     assert!(t1.try_recv_heartbeat(1).is_none(), "nothing crossed 0 -> 1");
     assert!(matches!(t1.recv_control(Duration::from_millis(50)), RecvStatus::TimedOut));
-    let s = t0.stats();
+    let s = t0.fault_stats();
     assert!(s.partition_drops >= 3, "all three planes were swallowed: {s:?}");
+    assert_eq!(s.total_losses(), s.partition_drops, "the schedule is the only injector");
 
     // After the window heals, frames flow again — via the delay fault,
     // so they arrive late but intact and in order.
@@ -672,7 +673,8 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
         sent_at.elapsed() >= Duration::from_millis(10),
         "the healed link still carries the delay fault"
     );
-    assert!(t0.stats().chaos_delayed >= 1);
+    assert!(t0.fault_stats().delayed >= 1);
+    assert!(t1.fault_stats().is_clean(), "node 1 runs no schedule");
     t0.close();
     t1.close();
 }

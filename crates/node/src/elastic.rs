@@ -293,14 +293,6 @@ impl ElasticState {
         !lock(&self.moves_in).is_empty()
     }
 
-    pub fn stale_routed_count(&self) -> u64 {
-        self.stale_routed.get()
-    }
-
-    pub fn redelivered_count(&self) -> u64 {
-        self.redelivered.get()
-    }
-
     /// The highest coordinator term this node has accepted.
     pub fn ha_term(&self) -> u64 {
         self.lease.term()

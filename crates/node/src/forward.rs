@@ -36,7 +36,7 @@
 //! potentially before the ack left.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use gravel_core::netthread::{PacketTap, RecvState};
@@ -94,7 +94,6 @@ pub struct Forwarder {
     ckpt_every: u64,
     chaos: Option<Arc<ChaosPlan>>,
     state: Mutex<FwdState>,
-    rebaseline_wanted: AtomicBool,
     /// Elastic mode: supplies the checkpoint's ready-shard set (the
     /// shards this node is serving, as recorded *in* each cut — see
     /// [`CkptImage::ready`]). Static clusters leave it unset (empty).
@@ -128,7 +127,6 @@ impl Forwarder {
                 log_budget: log_budget(0),
                 epoch: 0,
             }),
-            rebaseline_wanted: AtomicBool::new(false),
             ready_provider: Mutex::new(None),
             fwd_sent: registry.counter(&name("fwd.sent")),
             fwd_dropped: registry.counter(&name("fwd.dropped")),
@@ -157,12 +155,6 @@ impl Forwarder {
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
         self.lock().epoch
-    }
-
-    /// Ask for a full checkpoint at the next applied packet (cheap,
-    /// lock-free; used from the membership thread on buddy rejoin).
-    pub fn request_rebaseline(&self) {
-        self.rebaseline_wanted.store(true, Ordering::Relaxed);
     }
 
     /// Cut a full checkpoint *now*, even with no traffic flowing.
@@ -226,9 +218,7 @@ impl PacketTap for Forwarder {
         }
         st.cursors.insert((pkt.src, pkt.lane), pkt.seq + 1);
         st.since_cut += 1;
-        let wanted = self.rebaseline_wanted.swap(false, Ordering::Relaxed);
-        if wanted
-            || (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every)
+        if (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every)
             || st.log_bytes >= st.log_budget
         {
             self.cut_locked(&mut st);

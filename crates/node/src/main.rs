@@ -31,8 +31,8 @@ use gravel_core::{
     aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared,
 };
 use gravel_net::{
-    ChaosPlan, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec, SocketConfig,
-    SocketTransport, Transport,
+    ChaosPlan, LinkSchedule, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec,
+    SocketConfig, SocketTransport, Transport,
 };
 use gravel_pgas::{AmRegistry, FlushPolicy};
 use gravel_telemetry::Counter;
@@ -81,8 +81,9 @@ struct Args {
     /// mid-shard-migration (the failover acceptance window).
     kill_on_commit: bool,
     /// Chaos: a declarative link-fault schedule, e.g.
-    /// `part:0|1|2:500:2500;oneway:2:3:100:900;delay:0:1:5:3`.
-    link_chaos: Option<String>,
+    /// `part:0|1|2:500:2500;oneway:2:3:100:900;delay:0:1:5:3`, parsed
+    /// and checked against `--nodes` before anything starts.
+    link_chaos: Option<Arc<LinkSchedule>>,
 }
 
 fn usage() -> ! {
@@ -118,6 +119,7 @@ fn parse_args() -> Args {
         kill_on_commit: false,
         link_chaos: None,
     };
+    let mut chaos_spec = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
@@ -142,12 +144,23 @@ fn parse_args() -> Args {
                 a.kill_on_migrate = Some(val().parse().unwrap_or_else(|_| usage()))
             }
             "--kill-on-commit" => a.kill_on_commit = true,
-            "--link-chaos" => a.link_chaos = Some(val()),
+            "--link-chaos" => chaos_spec = Some(val()),
             _ => usage(),
         }
     }
     if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes {
         usage();
+    }
+    if let Some(spec) = chaos_spec {
+        // Same seed on every node: symmetric faults really are
+        // symmetric, and the partition islands agree across processes.
+        match LinkSchedule::parse(a.seed, &spec, a.nodes) {
+            Ok(sched) => a.link_chaos = Some(Arc::new(sched)),
+            Err(e) => {
+                eprintln!("[gravel-node {}] bad --link-chaos spec: {e}", a.node);
+                usage();
+            }
+        }
     }
     // A packet, and its buddy forward, must fit in one socket frame.
     if !(1..=sender::MAX_MSGS_PER_PACKET).contains(&a.msgs_per_packet) {
@@ -511,19 +524,7 @@ fn run() -> i32 {
         // request-reply traffic (its own ack mailbox).
         scfg.lanes = 2;
     }
-    if let Some(spec) = &args.link_chaos {
-        // Same seed on every node: symmetric faults really are
-        // symmetric, and the partition islands agree across processes.
-        let sched = match gravel_net::LinkSchedule::parse(args.seed, spec) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("[gravel-node {me}] bad --link-chaos spec: {e}");
-                return 64;
-            }
-        };
-        sched.arm();
-        scfg.link_chaos = Some(Arc::new(sched));
-    }
+    scfg.link_chaos = args.link_chaos.clone();
     let transport = match SocketTransport::spawn(scfg) {
         Ok(t) => t,
         Err(e) => {

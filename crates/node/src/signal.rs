@@ -47,11 +47,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Pretend a signal arrived (tests of the shutdown path).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
 /// Whether a SIGUSR1 drain/leave request has arrived since startup.
 pub fn leave_requested() -> bool {
     LEAVE.load(Ordering::SeqCst)

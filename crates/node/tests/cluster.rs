@@ -351,6 +351,9 @@ fn usage_errors_exit_64_before_the_node_starts() {
     // A packet of 2^59 messages overflows the window arithmetic, and
     // one of 300 000 (9.6 MB) is over the socket frame ceiling, as its
     // buddy forward would be: no peer would ever accept it.
+    // A `--link-chaos` spec is checked against the cluster before
+    // anything starts: a loopback link, an inverted window, a zero
+    // delay and a node outside `--nodes` are usage errors, not panics.
     // A regression would start a node, so the deadline keeps it short.
     let dir = std::env::temp_dir().join(format!("gravel_cluster_usage_{}", std::process::id()));
     for extra in [
@@ -358,6 +361,10 @@ fn usage_errors_exit_64_before_the_node_starts() {
         &["--integrity", "off"],
         &["--msgs-per-packet", "576460752303423488"],
         &["--msgs-per-packet", "300000"],
+        &["--link-chaos", "oneway:1:1:0:10"],
+        &["--link-chaos", "part:0:2000:1000"],
+        &["--link-chaos", "delay:0:1:0:0"],
+        &["--link-chaos", "oneway:0:9:0:10"],
     ] {
         let out = Command::new(BIN)
             .args(["--node", "0", "--nodes", "2", "--deadline-secs", "1", "--dir"])
@@ -366,6 +373,10 @@ fn usage_errors_exit_64_before_the_node_starts() {
             .output()
             .expect("run gravel-node");
         assert_eq!(out.status.code(), Some(64), "{extra:?}: {out:?}");
+        if extra[0] == "--link-chaos" {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(&format!("`{}`", extra[1])), "names the entry: {err}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,14 +44,6 @@ impl Grid {
         }
     }
 
-    /// Override the wavefront width (used by the Fig. 6 work-group-size
-    /// sweep, which compares 1-, 2- and 4-wavefront work-groups).
-    pub fn with_wf_width(mut self, wf_width: usize) -> Self {
-        assert!(wf_width > 0, "wavefront width must be positive");
-        self.wf_width = wf_width;
-        self
-    }
-
     /// Total work-items in the dispatch.
     pub fn total_work_items(&self) -> usize {
         self.wg_count * self.wg_size

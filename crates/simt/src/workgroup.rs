@@ -217,19 +217,6 @@ impl WgCtx {
         target.fetch_add(add, Ordering::AcqRel)
     }
 
-    /// Spin until `pred(load)` holds on `target`; charges one atomic per
-    /// retry. Used by the queue's ticket protocol.
-    pub fn atomic_wait(&mut self, target: &AtomicU64, pred: impl Fn(u64) -> bool) -> u64 {
-        loop {
-            let v = target.load(Ordering::Acquire);
-            self.counters.atomics += 1;
-            if pred(v) {
-                return v;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
     // ---- structured divergence ------------------------------------------
 
     /// SIMT `if`: run `then_body` with the active mask restricted to lanes
