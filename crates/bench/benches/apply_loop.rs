@@ -11,14 +11,15 @@
 //! tables), 100 k (L2) and 4 Mi (DRAM: the misses dominate every cell).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gravel_gq::{Message, MSG_BYTES};
+use gravel_gq::Message;
 use gravel_pgas::{
-    apply, apply_stream, msg_words_at, AmRegistry, Applied, Packet, SymmetricHeap,
-    DEFAULT_QUEUE_BYTES,
+    apply, apply_stream, AmRegistry, Applied, Packet, SymmetricHeap, DEFAULT_QUEUE_BYTES,
+    PAIR_BYTES, RUN_HEADER_BYTES,
 };
 
 const PACKETS: usize = 16;
-const PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
+/// INC records in a full queue.
+const PER_PACKET: usize = (DEFAULT_QUEUE_BYTES - RUN_HEADER_BYTES) / PAIR_BYTES;
 
 fn packets(heap_len: usize) -> Vec<Packet> {
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -52,8 +53,8 @@ fn by_message(pkt: &Packet, heap: &SymmetricHeap, ams: &AmRegistry) {
 fn run_wise(pkt: &Packet, heap: &SymmetricHeap, ams: &AmRegistry) {
     let payload: &[u8] = &pkt.payload;
     apply_stream(
-        pkt.msg_count(),
-        |i| msg_words_at(payload, i),
+        payload,
+        pkt.dest,
         &mut 0,
         heap,
         || false,

@@ -494,11 +494,11 @@ mod tests {
             })
         };
         let p1 = recv(&transport, 1);
-        assert_eq!(p1.words().len(), 5 * 4);
+        assert_eq!(p1.msg_count(), 5);
         assert_eq!((p1.lane, p1.seq), (0, 0));
         send_ack(&transport, 1, 0, 0, 0);
         let p2 = recv(&transport, 2);
-        assert_eq!(p2.words().len(), 4);
+        assert_eq!(p2.msg_count(), 1);
         send_ack(&transport, 2, 0, 0, 0);
         handle.join().unwrap();
         assert!(!errors.is_set());
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn full_queue_flushes_before_close() {
         let (node, transport, errors) = spawn_node(2);
-        // node_queue of 64 bytes → 2 messages per packet.
+        // A run header and two INC records fill a 40-byte queue.
         let agg = {
             let (node, transport, errors) = (node.clone(), transport.clone(), errors.clone());
             std::thread::spawn(move || {
@@ -519,7 +519,7 @@ mod tests {
                     node,
                     0,
                     transport,
-                    64,
+                    40,
                     FlushPolicy::Fixed(Duration::from_secs(10)),
                     errors,
                 )
@@ -532,8 +532,8 @@ mod tests {
         // with consecutive sequence numbers.
         let a = recv(&transport, 1);
         let b = recv(&transport, 1);
-        assert_eq!((a.len(), a.seq), (64, 0));
-        assert_eq!((b.len(), b.seq), (64, 1));
+        assert_eq!((a.len(), a.msg_count(), a.seq), (40, 2, 0));
+        assert_eq!((b.len(), b.msg_count(), b.seq), (40, 2, 1));
         send_ack(&transport, 1, 0, 0, 1);
         node.queue.close();
         agg.join().unwrap();
@@ -558,7 +558,7 @@ mod tests {
         node.host_send(Message::inc(1, 0, 1));
         // One lone message must arrive via the timeout path.
         let p = recv(&transport, 1);
-        assert_eq!(p.words().len(), 4);
+        assert_eq!(p.msg_count(), 1);
         send_ack(&transport, 1, 0, 0, p.seq);
         node.queue.close();
         agg.join().unwrap();
@@ -661,7 +661,7 @@ mod tests {
         // sequence number before checking delivery.
         let uniq: std::collections::BTreeMap<u64, usize> = pkts
             .iter()
-            .map(|p| (p.seq, p.words().len() / 4))
+            .map(|p| (p.seq, p.msg_count()))
             .collect();
         let msgs: usize = uniq.values().sum();
         assert_eq!(msgs, 500);
@@ -953,14 +953,14 @@ mod tests {
         }
         assert_eq!(node.queue.ring(0).backlog(), 2 * batch as u64);
         node.queue.close();
-        // Two messages per packet, and an effective timeout of zero:
+        // Two INC records per packet, and an effective timeout of zero:
         // due at the first poll after the buffer opened.
         let dense_packets = dense.len() / 2;
         let log = run_logged(
             &node,
             &transport,
             &errors,
-            64,
+            40,
             FlushPolicy::Fixed(Duration::ZERO),
             dense_packets as u64 + 1,
         );

@@ -279,11 +279,12 @@ proptest! {
     #[test]
     fn one_pass_aggregation_puts_the_copy_out_paths_packets_on_the_wire(
         traffic in arb_traffic(),
-        // One message per packet; two; a capacity that is not a whole
-        // number of messages (flush-before-append); sizes a slot fills
-        // mid-way and exactly; one nothing here fills.
+        // One whole message or two records per packet; three records;
+        // a capacity that is not a whole number of records
+        // (flush-before-append); sizes a slot fills mid-way and exactly;
+        // one nothing here fills.
         queue_bytes in prop_oneof![
-            Just(32usize), Just(64), Just(104), Just(160), Just(256), Just(1 << 16)
+            Just(40usize), Just(56), Just(100), Just(160), Just(264), Just(1 << 16)
         ],
     ) {
         let (nodes, rounds) = traffic;

@@ -185,7 +185,10 @@ impl GravelConfig {
             gravel_gq::MSG_ROWS,
             "runtime messages are 4 words"
         );
-        assert!(self.node_queue_bytes >= 32, "node queue below one message");
+        assert!(
+            self.node_queue_bytes >= gravel_pgas::MIN_QUEUE_BYTES,
+            "node queue below one message"
+        );
         assert!(
             self.wf_width > 0 && self.wg_size.is_multiple_of(self.wf_width),
             "wg/wf mismatch"

@@ -44,7 +44,9 @@ pub struct EpochSnapshot {
     pub app: Vec<u64>,
 }
 
-/// Words applied by one node since the last epoch cut, in apply order.
+/// The payloads of the packets one node applied since the last epoch
+/// cut, in apply order and end to end: a stream of runs, which
+/// `gravel_pgas::apply_words` replays.
 ///
 /// Appended by the network thread on *packet completion* (a packet
 /// interrupted by a mid-apply panic is not logged — its retransmission
@@ -60,9 +62,12 @@ impl ReplayLog {
         ReplayLog::default()
     }
 
-    /// Append a fully-applied packet's message words.
-    pub fn append(&self, words: &[u64]) {
-        self.lock().extend_from_slice(words);
+    /// Append a fully-applied packet's payload: its runs, as
+    /// little-endian bytes (whole words).
+    pub fn append(&self, payload: &[u8]) {
+        debug_assert!(payload.len().is_multiple_of(8), "a payload's runs are whole words");
+        self.lock()
+            .extend(payload.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())));
     }
 
     /// Forget everything (called at each epoch cut).
@@ -96,8 +101,9 @@ mod tests {
     fn replay_log_appends_in_order_and_clears() {
         let log = ReplayLog::new();
         assert_eq!(log.len_words(), 0);
-        log.append(&[1, 2, 3]);
-        log.append(&[4]);
+        let bytes = |words: &[u64]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>();
+        log.append(&bytes(&[1, 2, 3]));
+        log.append(&bytes(&[4]));
         assert_eq!(log.snapshot(), vec![1, 2, 3, 4]);
         assert_eq!(log.len_words(), 4);
         log.clear();

@@ -41,11 +41,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Command, Message, MSG_BYTES, MSG_ROWS};
+use gravel_gq::{Command, Message, MSG_ROWS};
 use gravel_net::{Ack, ChaosPlan, RecvStatus, Transport};
 use gravel_pgas::{
-    apply, apply_stream, msg_words_at, Applied, Packet, QuarantineReason, QuarantinedMessage,
-    StreamEnd, WireIntegrity, ACK_MAP_BITS,
+    apply, apply_stream, runs, Applied, Packet, QuarantineReason, QuarantinedMessage, StreamEnd,
+    WireIntegrity, ACK_MAP_BITS,
 };
 
 use crate::error::ErrorSlot;
@@ -227,8 +227,8 @@ fn quarantine(
 
 /// Dispose of message `index` of `pkt` by the general path: decode it
 /// and dispatch on the command. This is what every message went through
-/// until PR 22; now it is what [`apply_stream`] hands the messages a
-/// PUT/INC run does not recognise (and, applied to every message, the
+/// until PR 22; now it is what [`apply_stream`] hands the messages its
+/// PUT/INC loop does not resolve (and, applied to every message, the
 /// reference `oracle.rs` holds the runs to). Returns `false` at a
 /// shutdown sentinel.
 ///
@@ -275,66 +275,67 @@ fn apply_message(node: &NodeShared, pkt: &Packet, index: usize, words: [u64; MSG
 /// byte payload (no intermediate `Vec` — this loop is the receive hot
 /// path, see `crates/pgas/tests/zero_alloc.rs`).
 ///
-/// The loop is [`apply_stream`]: runs of in-bounds PUTs and INCs resolve
-/// from the raw words — this thread is the heap's only read-modify-
-/// writer, so an INC is a load and a store — and only the messages a
-/// run does not recognise are decoded and dispatched one at a time
-/// ([`apply_message`]). Disposed messages count toward quiescence in one batch when
-/// the packet finishes *or* the thread unwinds, and the cursor is exact
-/// whenever control leaves the run, so a panic at any message boundary —
-/// the only place injected chaos fires — loses and double-counts
-/// nothing: the retransmitted packet resumes at the cursor. Batching
-/// never fakes quiescence: replies a handler enqueues inflate
-/// `offloaded` before the batch lands in `applied`, so the counters
-/// cannot balance mid-packet. On completion the whole packet is
-/// appended to the node's replay log (if checkpointing) — before its
-/// last messages are counted, so a quiescent cluster's logs are
-/// complete — and the cursor returns to 0; an interrupted packet is
-/// *not* logged — its completed retransmission will be.
+/// The loop is [`apply_stream`]: the payload's runs of in-bounds PUT
+/// and INC records resolve from the raw words — this thread is the
+/// heap's only read-modify-writer, so an INC is a load and a store —
+/// and only the messages it does not resolve are decoded and dispatched
+/// one at a time ([`apply_message`]). A malformed run ends the packet:
+/// the rest of the payload goes to the quarantine as one
+/// `PartialPayload` entry (evidence, never a counted message), and the
+/// messages before it stand. Disposed messages count toward quiescence
+/// in one batch when the packet finishes *or* the thread unwinds, and
+/// the cursor — a message index — is exact whenever control leaves the
+/// loop, so a panic at any message boundary — the only place injected
+/// chaos fires — loses and double-counts nothing: the retransmitted
+/// packet resumes at the cursor. Batching never fakes quiescence:
+/// replies a handler enqueues inflate `offloaded` before the batch
+/// lands in `applied`, so the counters cannot balance mid-packet. On
+/// completion the packet's well-formed payload is appended to the
+/// node's replay log (if checkpointing) — before its last messages are
+/// counted, so a quiescent cluster's logs are complete — and the cursor
+/// returns to 0; an interrupted packet is *not* logged — its completed
+/// retransmission will be.
 fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: Option<&ChaosPlan>) {
     let _span = node.tracer.span("net.apply", "apply", node.id);
     if *resume_at == 0 {
         node.packet_latency
             .record(pkt.born.elapsed().as_nanos() as u64);
     }
-    let total = pkt.msg_count();
     let payload: &[u8] = &pkt.payload;
-    if *resume_at == 0 && !pkt.len().is_multiple_of(MSG_BYTES) {
-        // A partial trailing message verifies only if its sender sealed
-        // it that way (a frame cut short in transit fails the CRC).
-        // Quarantine the fragment as evidence; it was never a counted
-        // message, so it does not dispose toward quiescence.
-        let tail = &payload[total * MSG_BYTES..];
-        let mut padded = [0u8; MSG_BYTES];
-        padded[..tail.len()].copy_from_slice(tail);
-        let words = msg_words_at(&padded, 0);
-        quarantine(node, pkt, total, words, QuarantineReason::PartialPayload);
-    }
     let batch = ApplyGuard {
         node,
         from: *resume_at,
         cursor: resume_at,
     };
     let end = apply_stream(
-        total,
-        |i| msg_words_at(payload, i),
+        payload,
+        pkt.dest,
         batch.cursor,
         &node.heap,
         || chaos.is_some_and(|c| c.net_tick(node.id)),
         |index, words| apply_message(node, pkt, index, words),
     );
-    if end == StreamEnd::Interrupted {
-        panic!(
+    let applied = match end {
+        StreamEnd::Interrupted => panic!(
             "chaos: net thread {} killed at injected apply step",
             node.id
-        );
-    }
+        ),
+        StreamEnd::Malformed { at } => {
+            // It verifies only if its sender sealed it that way (a frame
+            // cut short in transit fails the CRC).
+            let words = runs::fragment(payload, at);
+            quarantine(node, pkt, *batch.cursor, words, QuarantineReason::PartialPayload);
+            &payload[..at * 8]
+        }
+        StreamEnd::Drained | StreamEnd::Shutdown => payload,
+    };
     // Log before counting: once `applied` balances, `cut_epoch` may
     // snapshot the heap and clear the log, and a packet appended after
     // that clear would be replayed on top of a snapshot that already
-    // holds it.
+    // holds it. Only whole runs go in, so the log stays a stream of
+    // runs.
     if let Some(log) = &node.replay {
-        log.append(&pkt.words());
+        log.append(applied);
     }
     drop(batch);
     *resume_at = 0;
@@ -723,6 +724,37 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_payload_applies_its_runs_and_logs_only_them() {
+        use gravel_pgas::runs::{run_header, RunKind};
+        let mut cfg = GravelConfig::small(1, 8);
+        cfg.ha.checkpoint = true;
+        let node = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
+        let msgs = [Message::inc(0, 1, 5).encode(), Message::put(0, 2, 6).encode()];
+        let good = Packet::from_words(0, 0, msgs.as_flattened());
+        // An INC run that claims nine records and carries one.
+        let torn = [run_header(RunKind::Inc, 9), 3, 4];
+        let mut bytes = good.payload.to_vec();
+        bytes.extend(torn.iter().flat_map(|w| w.to_le_bytes()));
+        let pkt = Packet::from_payload(0, 0, bytes.into());
+        let mut cursor = 0;
+        apply_packet(&node, &pkt, &mut cursor, None);
+        assert_eq!((cursor, node.applied.get()), (0, 2));
+        assert_eq!(node.heap.snapshot()[..3], [0, 5, 6]);
+        let q = node.quarantine.drain();
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            (q[0].reason, q[0].index, q[0].words),
+            (QuarantineReason::PartialPayload, 2, [torn[0], 3, 4, 0])
+        );
+        // The log holds the runs that applied, so a replay is exact.
+        let log = node.replay.as_ref().expect("checkpointing").snapshot();
+        assert_eq!(log, good.words());
+        let replayed = gravel_pgas::SymmetricHeap::new(8);
+        gravel_pgas::apply_words(&log, 0, &replayed, &node.ams, &mut |_| {});
+        assert_eq!(replayed.snapshot(), node.heap.snapshot());
+    }
+
+    #[test]
     fn exits_on_close() {
         let (node, transport, errors) = setup(AmRegistry::new());
         let handle = spawn(&node, &transport, &errors);
@@ -809,8 +841,10 @@ mod tests {
                 run_with(node, transport, errors, state, None, Some(tap), None)
             })
         };
+        // The thread acks a packet after counting it applied: wait for
+        // the last ack too, or closing the transport can drop it.
         assert!(crate::backoff::wait_for(Duration::from_secs(5), || {
-            node.applied.get() == 1 + 3 * K
+            node.applied.get() == 1 + 3 * K && node.net_acks_sent.get() == 1 + K
         }));
         transport.close();
         handle.join().unwrap();

@@ -827,7 +827,7 @@ mod tests {
     #[test]
     fn stats_capture_packet_sizes() {
         let mut cfg = GravelConfig::small(2, 4);
-        cfg.node_queue_bytes = 128; // 4 messages per packet
+        cfg.node_queue_bytes = 72; // a run header and 4 INC records per packet
         let rt = GravelRuntime::new(cfg);
         rt.dispatch(0, 1, |ctx| {
             let n = ctx.wg.wg_size();
@@ -841,7 +841,7 @@ mod tests {
         let n0 = &stats.nodes[0];
         assert_eq!(n0.agg.messages, 64);
         assert!(n0.agg.packets >= 16, "64 msgs / 4 per packet");
-        assert!(stats.avg_packet_bytes() <= 128.0);
+        assert!(stats.avg_packet_bytes() <= 72.0);
     }
 
     #[test]

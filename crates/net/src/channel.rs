@@ -244,7 +244,8 @@ mod tests {
     /// A one-word bulk frame (sealed as DATA whatever opcode the tag
     /// happens to look like).
     fn frame(src: u32, dest: u32, tag: u64) -> DataFrame {
-        Packet::from_words(src, dest, &[tag]).seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
+        Packet::from_payload(src, dest, tag.to_le_bytes().to_vec().into())
+            .seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {
@@ -301,8 +302,10 @@ mod tests {
         assert_eq!(t.data_depths(), vec![0, 7]);
         let mut order = Vec::new();
         while let RecvStatus::Msg(f) = t.recv_data(1, Duration::ZERO) {
-            let w = words(&f);
-            order.push(if f.express { w[3] } else { w[0] });
+            // A GET's token is its message's value word; a bulk frame's
+            // tag its one payload word.
+            let pkt = f.open(WireIntegrity::Crc32c).expect("fabric is reliable");
+            order.push(if f.express { pkt.messages().next().unwrap()[3] } else { pkt.words()[0] });
         }
         // Both GETs first (token order), then the bulk frames in theirs.
         assert_eq!(order, vec![100, 101, 10, 11, 12, 13, 14]);

@@ -389,7 +389,8 @@ mod tests {
     /// as the packet's command word, and a tag that happens to be an RPC
     /// opcode must not turn the frame express and jump the FIFO.
     fn pkt(src: u32, dest: u32, tag: u64) -> DataFrame {
-        Packet::from_words(src, dest, &[tag]).seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
+        Packet::from_payload(src, dest, tag.to_le_bytes().to_vec().into())
+            .seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {

@@ -471,9 +471,8 @@ fn reply_frames_split_at_read_boundaries_reach_the_data_plane() {
         assert_eq!(head.kind, want, "frame {i} kind survived the byte-dripped stream");
         let back = got.open(WireIntegrity::Crc32c).expect("opens on the data plane");
         assert_eq!((back.lane, back.seq), (1, i as u64));
-        let words: [u64; gravel_gq::MSG_ROWS] =
-            back.words().try_into().expect("one message per RPC packet");
-        assert_eq!(gravel_gq::Message::decode(words), Some(*msg));
+        let words: Vec<_> = back.messages().collect();
+        assert_eq!(words, [msg.encode()], "one message per RPC packet");
     }
     t0.close();
 }
@@ -647,7 +646,7 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
     // the stream stays up, the bytes just never arrive.
     t0.send_heartbeat(Heartbeat { src: 0, dest: 1, seq: 1 });
     assert!(t0.send_control(1, &[1, 2, 3]), "partition looks like a sent frame");
-    let pkt = Packet::from_words(0, 1, &[77]);
+    let pkt = Packet::from_payload(0, 1, 77u64.to_le_bytes().to_vec().into());
     t0.send_data(pkt.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
     // The reverse direction (1 -> 0) is clean: node 1 has no schedule.
     t1.send_heartbeat(Heartbeat { src: 1, dest: 0, seq: 9 });
@@ -689,7 +688,10 @@ fn frames_far_larger_than_the_socket_buffer_arrive_intact_and_in_order() {
     const BURST: u64 = 48;
     let (t0, t1) = spawn_pair("bigframes");
     let ctrl: Vec<u64> = (0..512 * 1024).map(|i| i ^ 0xC0DE).collect();
+    // Opaque 64 kB payloads: the transport never decodes them.
     let payload = |seq: u64| -> Vec<u64> { (0..8 * 1024).map(|i| i * 31 + seq).collect() };
+    let bytes =
+        |words: Vec<u64>| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
     let writer = std::thread::spawn({
         let (t1, ctrl) = (t1.clone(), ctrl.clone());
         move || {
@@ -697,7 +699,7 @@ fn frames_far_larger_than_the_socket_buffer_arrive_intact_and_in_order() {
                 if seq == BURST {
                     assert!(t1.send_control(0, &ctrl), "control frame reached the stream");
                 }
-                let mut pkt = Packet::from_words(1, 0, &payload(seq));
+                let mut pkt = Packet::from_payload(1, 0, bytes(payload(seq)).into());
                 pkt.seq = seq;
                 t1.send_data(pkt.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
             }

@@ -600,8 +600,7 @@ impl ApplyGate for ElasticState {
         let mut refused: Vec<u64> = Vec::new();
         {
             let serving = lock(&self.serving);
-            for i in 0..pkt.msg_count() {
-                let words = pkt.msg_words(i);
+            for words in pkt.messages() {
                 let keep = match Message::decode(words) {
                     Some(m) if matches!(m.command, Command::Put | Command::Inc) => {
                         map.owner_of(m.addr) == self.me && serving.contains(&map.shard_of(m.addr))

@@ -308,9 +308,10 @@ mod tests {
             }
         });
 
-        let words: Vec<u64> = (0..8 * 1024).collect();
+        // Opaque 64 kB payloads: the forwarder never decodes them.
+        let bytes: Vec<u8> = (0..8 * 1024u64).flat_map(|w| w.to_le_bytes()).collect();
         for seq in 0..PACKETS {
-            let mut pkt = Packet::from_words(1, 0, &words);
+            let mut pkt = Packet::from_payload(1, 0, bytes.clone().into());
             pkt.seq = seq;
             fwd.on_packet_applied(&pkt);
         }

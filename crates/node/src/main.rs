@@ -151,6 +151,10 @@ fn parse_args() -> Args {
     if a.node == u32::MAX || a.nodes == 0 || a.node as usize >= a.nodes {
         usage();
     }
+    // The update streams draw indices from `0..table`.
+    if a.table == 0 {
+        usage();
+    }
     if let Some(spec) = chaos_spec {
         // Same seed on every node: symmetric faults really are
         // symmetric, and the partition islands agree across processes.

@@ -98,7 +98,7 @@ pub const OP_DEATH_VOTE: u64 = 16;
 /// `[OP_FWD, src, lane, seq, nwords]`.
 pub const FWD_HEAD_WORDS: usize = 5;
 
-/// The head of the `FWD` op for a packet of `nwords` message words.
+/// The head of the `FWD` op for a packet of `nwords` payload words.
 /// The forwarder seals it in front of the applied packet's payload
 /// bytes — the op never exists as a word vector on the sending side.
 pub fn fwd_head(src: u32, lane: u32, seq: u64, nwords: usize) -> [u64; FWD_HEAD_WORDS] {
@@ -106,7 +106,8 @@ pub fn fwd_head(src: u32, lane: u32, seq: u64, nwords: usize) -> [u64; FWD_HEAD_
 }
 
 /// One applied packet as forwarded to the buddy: the flow coordinates
-/// the receiver applied it under, plus the raw message words. Kept as
+/// the receiver applied it under, plus its payload words (runs, as they
+/// travelled). Kept as
 /// the `FWD` op it arrived in, so the buddy logs the control message's
 /// own word vector instead of copying the packet out of it.
 #[derive(Clone, Debug, PartialEq, Eq)]

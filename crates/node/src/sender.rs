@@ -5,14 +5,15 @@
 //! packets are; a static and an elastic node differ only in the
 //! directory, the stream and the bounce source they hand to [`run`].
 //!
-//! The stream is routed once, up front, into one queue per destination.
-//! A packet is what the paper's aggregator would hand the NIC: the head
-//! of a destination's queue, by default one full 64 kB queue
-//! ([`DEFAULT_MSGS_PER_PACKET`] messages), so the sealed frame, the
-//! buddy forward and the ack it costs are paid once per 2048 updates
-//! (`--msgs-per-packet` shrinks it for tests that need many packets to
-//! aim a kill at). A queue's short tail goes once nothing more is queued
-//! for that destination.
+//! The stream is routed once, up front, into one queue per destination
+//! of `(offset, value)` pairs. A packet is what the paper's aggregator
+//! would hand the NIC: the head of a destination's queue written
+//! straight into one run of INC records, by default one full 64 kB
+//! queue ([`DEFAULT_MSGS_PER_PACKET`] messages), so the sealed frame,
+//! the buddy forward and the ack it costs are paid once per 4095
+//! updates (`--msgs-per-packet` shrinks it for tests that need many
+//! packets to aim a kill at). A queue's short tail goes once nothing
+//! more is queued for that destination.
 //!
 //! Over a fixed directory, packet `k` of flow `i → j` has identical
 //! bytes on every run — which is what makes restart trivial: a
@@ -38,22 +39,25 @@ use std::time::Duration;
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::flow::{FlowGauges, Sender};
 use gravel_core::{NodeShared, RuntimeError};
-use gravel_gq::{Message, MSG_BYTES};
+use gravel_gq::Message;
 use gravel_net::{Transport, MAX_FRAME_BYTES};
-use gravel_pgas::{Directory, Packet, Route, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD};
+use gravel_pgas::{
+    Directory, Packet, Route, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD, PAIR_BYTES,
+    RUN_HEADER_BYTES,
+};
 
 use crate::proto::FWD_HEAD_WORDS;
 
 /// Messages per packet unless `--msgs-per-packet` says otherwise: the
-/// paper's 64 kB per-node queue, full.
-pub const DEFAULT_MSGS_PER_PACKET: usize = DEFAULT_QUEUE_BYTES / MSG_BYTES;
+/// paper's 64 kB per-node queue, full of INC records.
+pub const DEFAULT_MSGS_PER_PACKET: usize = (DEFAULT_QUEUE_BYTES - RUN_HEADER_BYTES) / PAIR_BYTES;
 
 /// The most messages a packet may carry: its buddy forward — the
 /// `OP_FWD` header words and the payload in one control frame, larger
 /// than the data frame itself — still fits in the [`MAX_FRAME_BYTES`]
 /// a socket peer accepts.
 pub const MAX_MSGS_PER_PACKET: usize =
-    (MAX_FRAME_BYTES - FRAME_OVERHEAD - 8 * FWD_HEAD_WORDS) / MSG_BYTES;
+    (MAX_FRAME_BYTES - FRAME_OVERHEAD - 8 * FWD_HEAD_WORDS - RUN_HEADER_BYTES) / PAIR_BYTES;
 
 /// Update bytes a flow keeps in flight to one destination — on the wire
 /// and not yet reported by the receiver, cumulatively or in an ack's
@@ -84,7 +88,7 @@ const IN_FLIGHT_PACKETS: usize = 32;
 /// their window: this number again).
 pub fn window_for(msgs_per_packet: usize) -> usize {
     const _: () = assert!(2 * IN_FLIGHT_PACKETS <= ACK_MAP_BITS);
-    2 * (IN_FLIGHT_BYTES / (msgs_per_packet * MSG_BYTES)).clamp(2, IN_FLIGHT_PACKETS)
+    2 * (IN_FLIGHT_BYTES / (msgs_per_packet * PAIR_BYTES)).clamp(2, IN_FLIGHT_PACKETS)
 }
 
 /// How many packets each flow `src → dest` carries, indexed by `src` —
@@ -138,14 +142,18 @@ fn enqueue(queues: &mut Queues, route: &impl Fn(u64) -> Route, g: u64, value: u6
     queues[r.dest as usize].push_back((r.offset, value));
 }
 
-/// Encode the next packet for `dest` into `words`: the first
-/// `msgs_per_packet` messages of its queue, or all of them if fewer.
-fn cut(queue: &mut VecDeque<(u64, u64)>, dest: u32, msgs_per_packet: usize, words: &mut Vec<u64>) {
-    words.clear();
+/// The next packet from `src` to `dest`: the first `msgs_per_packet`
+/// pairs of its queue, or all of them if fewer, as one run of INC
+/// records in a buffer from `pool`.
+fn cut(
+    queue: &mut VecDeque<(u64, u64)>,
+    src: u32,
+    dest: u32,
+    msgs_per_packet: usize,
+    pool: Option<&gravel_gq::BufferPool>,
+) -> Packet {
     let n = queue.len().min(msgs_per_packet);
-    for (addr, value) in queue.drain(..n) {
-        words.extend(Message::inc(dest, addr, value).encode());
-    }
+    Packet::from_incs_in(src, dest, queue.drain(..n), pool)
 }
 
 /// Send `updates` — `(global index, value)` INCs, in stream order —
@@ -191,7 +199,6 @@ pub fn run(
     }
     // Counted once, here: a bounced message is never offloaded again.
     node.note_offloaded(offloaded);
-    let mut words = Vec::new();
     let mut bounced = Vec::new();
     loop {
         sender.service()?;
@@ -211,9 +218,7 @@ pub fn run(
         let mut progressed = false;
         for (dest, queue) in queues.iter_mut().enumerate() {
             while !queue.is_empty() && sender.has_room(dest) {
-                cut(queue, dest as u32, msgs_per_packet, &mut words);
-                let pkt = Packet::from_words_in(node.id, dest as u32, &words, Some(&node.pool));
-                sender.submit(pkt);
+                sender.submit(cut(queue, node.id, dest as u32, msgs_per_packet, Some(&node.pool)));
                 progressed = true;
             }
         }
@@ -240,39 +245,39 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gravel_gq::MSG_ROWS;
+    use gravel_pgas::runs::run_header;
+    use gravel_pgas::RunKind;
 
     /// `node`'s GUPS stream over a fixed directory, as [`run`] packs
     /// it: every destination's packets, in order.
-    fn packets(input: &GupsInput, nodes: usize, node: usize, k: usize) -> Vec<Vec<Vec<u64>>> {
+    fn packets(input: &GupsInput, nodes: usize, node: usize, k: usize) -> Vec<Vec<Packet>> {
         let dir = gups::directory(input, nodes);
         let (_, route) = snapshot(&dir);
         let mut queues: Queues = vec![VecDeque::new(); nodes];
         for g in gups::update_stream(input, nodes, node) {
             enqueue(&mut queues, &route, g as u64, 1);
         }
-        let mut words = Vec::new();
         let mut out = vec![Vec::new(); nodes];
         for (dest, queue) in queues.iter_mut().enumerate() {
             while !queue.is_empty() {
-                cut(queue, dest as u32, k, &mut words);
-                out[dest].push(words.clone());
+                out[dest].push(cut(queue, node as u32, dest as u32, k, None));
             }
         }
         out
     }
 
     #[test]
-    fn a_default_packet_is_the_papers_64_kb_queue() {
-        assert_eq!(DEFAULT_MSGS_PER_PACKET * MSG_BYTES, DEFAULT_QUEUE_BYTES);
-        assert_eq!(DEFAULT_MSGS_PER_PACKET, 2048);
-        let input = GupsInput { updates: 30_000, table_len: 64, seed: 5 };
+    fn a_default_packet_fills_the_papers_64_kb_queue_with_inc_records() {
+        assert_eq!(DEFAULT_MSGS_PER_PACKET, 4095);
+        let input = GupsInput { updates: 60_000, table_len: 64, seed: 5 };
         let largest = packets(&input, 3, 0, DEFAULT_MSGS_PER_PACKET)
             .iter()
             .flatten()
-            .map(|p| p.len() * 8)
-            .max();
-        assert_eq!(largest, Some(64 * 1024));
+            .map(Packet::len)
+            .max()
+            .unwrap();
+        assert!(largest <= DEFAULT_QUEUE_BYTES, "a {largest}-byte payload");
+        assert!(largest + PAIR_BYTES > DEFAULT_QUEUE_BYTES, "one more INC would still fit");
     }
 
     #[test]
@@ -287,37 +292,45 @@ mod tests {
     #[test]
     fn the_largest_packet_and_its_forward_fit_a_frame() {
         use gravel_pgas::{seal_control_into, WireIntegrity::Crc32c};
-        let words = vec![0; MAX_MSGS_PER_PACKET * MSG_ROWS];
-        let pkt = Packet::from_words(0, 1, &words);
+        let pairs = std::iter::repeat_n((0, 0), MAX_MSGS_PER_PACKET);
+        let pkt = Packet::from_incs_in(0, 1, pairs, None);
         // What the buddy forwarder writes for it.
-        let head = crate::proto::fwd_head(0, 0, 0, words.len());
+        let head = crate::proto::fwd_head(0, 0, 0, pkt.len() / 8);
         let mut fwd = Vec::new();
         seal_control_into(&mut fwd, 1, 2, 0, &head, &pkt.payload, Crc32c);
         assert!(pkt.seal(0, Crc32c).len() < fwd.len() && fwd.len() <= MAX_FRAME_BYTES);
-        assert!(fwd.len() + MSG_BYTES > MAX_FRAME_BYTES, "one message more would still fit");
+        assert!(fwd.len() + PAIR_BYTES > MAX_FRAME_BYTES, "one message more would still fit");
     }
 
     /// Packet `k` of flow `i → j` is the `k`-th `msgs_per_packet`-message
-    /// slice of `i`'s stream towards `j` — a pure function of the seed,
-    /// which a restarted sender's fast-forward and `expected_packets`
-    /// both rest on.
+    /// slice of `i`'s stream towards `j`, as one run of INC records — a
+    /// pure function of the seed, which a restarted sender's
+    /// fast-forward and `expected_packets` both rest on.
     #[test]
     fn packets_are_the_streams_slices_per_destination() {
         let input = GupsInput { updates: 1000, table_len: 64, seed: 9 };
         let dir = gups::directory(&input, 3);
         for k in [1, 5, 8] {
             let got = packets(&input, 3, 1, k);
-            assert_eq!(got, packets(&input, 3, 1, k), "not deterministic");
+            let payloads = |flows: &[Vec<Packet>]| -> Vec<Vec<_>> {
+                flows.iter().map(|f| f.iter().map(|p| p.payload.clone()).collect()).collect()
+            };
+            assert_eq!(payloads(&got), payloads(&packets(&input, 3, 1, k)), "not deterministic");
             for (dest, flow) in got.iter().enumerate() {
-                let stream: Vec<u64> = gups::node_updates(&input, 3, 1)
+                let stream: Vec<[u64; 4]> = gups::node_updates(&input, 3, 1)
                     .into_iter()
                     .map(|g| dir.route(g))
                     .filter(|r| r.dest == dest as u32)
-                    .flat_map(|r| Message::inc(r.dest, r.offset, 1).encode())
+                    .map(|r| Message::inc(r.dest, r.offset, 1).encode())
                     .collect();
-                let slices: Vec<Vec<u64>> =
-                    stream.chunks(k * MSG_ROWS).map(<[u64]>::to_vec).collect();
-                assert_eq!(*flow, slices, "flow 1 → {dest} at {k} per packet");
+                let slices: Vec<Vec<[u64; 4]>> = stream.chunks(k).map(<[_]>::to_vec).collect();
+                let sent: Vec<Vec<[u64; 4]>> =
+                    flow.iter().map(|p| p.messages().collect()).collect();
+                assert_eq!(sent, slices, "flow 1 → {dest} at {k} per packet");
+                for p in flow {
+                    let one_run = run_header(RunKind::Inc, p.msg_count() as u32);
+                    assert_eq!(p.words()[0], one_run, "one INC run");
+                }
             }
         }
     }

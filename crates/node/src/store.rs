@@ -84,10 +84,10 @@ impl WardStores {
         let ckpt = st.ckpt.as_ref()?;
         let mut heap = ckpt.heap.clone();
         for pkt in &st.log {
-            for quad in pkt.words().chunks_exact(gravel_gq::MSG_ROWS) {
-                let Some(msg) = gravel_gq::Message::decode(
-                    quad.try_into().expect("chunks_exact yields MSG_ROWS"),
-                ) else {
+            // The log holds payloads as they arrived: runs. The ward's
+            // own id is every message's destination.
+            for quad in gravel_pgas::runs::messages(pkt.words(), ward) {
+                let Some(msg) = gravel_gq::Message::decode(quad) else {
                     continue;
                 };
                 let Some(slot) = heap.get_mut(msg.addr as usize) else {
@@ -143,12 +143,13 @@ mod tests {
             CkptImage { epoch: 1, cursors: vec![], heap: vec![10, 0, 0, 3], ready: vec![0] },
         );
         let mut words = Vec::new();
-        words.extend(Message::inc(0, 0, 5).encode());
-        words.extend(Message::put(0, 2, 77).encode());
-        words.extend(Message::inc(0, 3, 1).encode());
+        words.extend(Message::inc(2, 0, 5).encode());
+        words.extend(Message::put(2, 2, 77).encode());
+        words.extend(Message::inc(2, 3, 1).encode());
         words.extend([u64::MAX, 0, 0, 0]); // undecodable: skipped
-        words.extend(Message::inc(0, 999, 1).encode()); // out of range: skipped
-        s.on_fwd(2, FwdPacket::new(1, 0, 0, &words));
+        words.extend(Message::inc(2, 999, 1).encode()); // out of range: skipped
+        let payload = gravel_pgas::Packet::from_words(1, 2, &words).words();
+        s.on_fwd(2, FwdPacket::new(1, 0, 0, &payload));
         assert_eq!(s.reconstruct_heap(2), Some(vec![15, 0, 77, 4]));
     }
 }

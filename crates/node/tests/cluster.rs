@@ -242,9 +242,10 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
 fn kill9_mid_run_at_the_default_packet_size_recovers_and_fast_forwards() {
     let input = GupsInput { updates: 2_400_000, table_len: 4096, seed: 17 };
     let cluster = Cluster::new("kill9_64k", input, 3);
-    // ~390 packets reach each member; die after applying the 200th.
+    // ~195 packets of 4 095 INCs reach each member; die after applying
+    // the 100th.
     const VICTIM: usize = 1;
-    let kill = ["--kill-at".to_string(), "200".to_string()];
+    let kill = ["--kill-at".to_string(), "100".to_string()];
     let mut children: Vec<Child> = (0..3)
         .map(|n| cluster.spawn_default_packets(n, if n == VICTIM { &kill } else { &[] }))
         .collect();
@@ -349,8 +350,9 @@ fn usage_errors_exit_64_before_the_node_starts() {
     // static cluster has none, so accepting it would run a chaos job
     // with no fault in it. `--integrity` is gone: every frame is CRC32C.
     // A packet of 2^59 messages overflows the window arithmetic, and
-    // one of 300 000 (9.6 MB) is over the socket frame ceiling, as its
-    // buddy forward would be: no peer would ever accept it.
+    // one of 600 000 (9.6 MB of INC records) is over the socket frame
+    // ceiling, as its buddy forward would be: no peer would ever accept
+    // it. The update streams draw from an empty table of `--table 0`.
     // A `--link-chaos` spec is checked against the cluster before
     // anything starts: a loopback link, an inverted window, a zero
     // delay and a node outside `--nodes` are usage errors, not panics.
@@ -360,7 +362,8 @@ fn usage_errors_exit_64_before_the_node_starts() {
         &["--kill-on-commit"][..],
         &["--integrity", "off"],
         &["--msgs-per-packet", "576460752303423488"],
-        &["--msgs-per-packet", "300000"],
+        &["--msgs-per-packet", "600000"],
+        &["--table", "0"],
         &["--link-chaos", "oneway:1:1:0:10"],
         &["--link-chaos", "part:0:2000:1000"],
         &["--link-chaos", "delay:0:1:0:0"],

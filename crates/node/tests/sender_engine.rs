@@ -308,8 +308,7 @@ impl ApplyGate for NodeGate {
         }
         let map = g.dir.current_map().expect("an elastic directory");
         let (mut kept, mut refused) = (Vec::new(), Vec::new());
-        for i in 0..pkt.msg_count() {
-            let words = pkt.msg_words(i);
+        for words in pkt.messages() {
             match Message::decode(words) {
                 Some(m) if map.owner_of(m.addr) != self.me => refused.push(words),
                 _ => kept.extend(words),

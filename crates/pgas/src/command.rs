@@ -10,6 +10,7 @@ use gravel_gq::{Command, Message, MSG_ROWS};
 use crate::am::AmRegistry;
 use crate::heap::SymmetricHeap;
 use crate::quarantine::QuarantineReason;
+use crate::runs::{next_run, Next, PayloadWords, RunKind};
 
 /// Outcome of applying one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,87 +108,124 @@ pub enum StreamEnd {
     Interrupted,
     /// `other` saw a shutdown sentinel; the cursor names it.
     Shutdown,
+    /// Every message before word `at` was resolved, and the payload
+    /// from there on is malformed ([`runs`](crate::runs)); the cursor
+    /// is the message count.
+    Malformed {
+        /// The word the malformed rest starts at.
+        at: usize,
+    },
 }
 
 /// Low half of the command word of a PUT (`Command::Put.encode()`).
 const OP_PUT: u32 = 0;
-/// Low half of the command word of an INC. Like [`Command::decode`], the
-/// run below reads only the low half of these two opcodes.
+/// Low half of the command word of an INC. Like [`Command::decode`], a
+/// raw record is recognised by the low half of these two opcodes only.
 const OP_INC: u32 = 1;
 
-/// The resolver: apply messages `*cursor..count` of a message-major
-/// stream to `heap`, run-wise. `words_at(i)` reads message `i`'s four
-/// words from wherever the stream lives (packet payload bytes, a replay
-/// log's words).
+/// The resolver: apply messages `*cursor..` of `payload` — a packet's
+/// runs ([`runs`](crate::runs)), or packets' payloads placed end to end
+/// — to `heap`. `dest` is the node the payload was sent to, the
+/// destination word of the messages its PUT and INC records stand for.
 ///
-/// A packet is overwhelmingly PUTs and INCs to valid addresses, so those
-/// are resolved right here from the raw words — the command word's
-/// opcode compared as an integer, one bounds compare, a store or a
+/// A packet is overwhelmingly PUT and INC records to valid addresses,
+/// so those are resolved right here, one run at a time — the run's
+/// kind decided once, one bounds compare per record, a store or a
 /// single-writer [`add`](SymmetricHeap::add) — with the position kept in
-/// a register. The first message that is anything else (another
-/// command, an address past the heap, an undecodable word) ends the run:
-/// the cursor is settled and `other(i, words)` disposes of that one
-/// message by the general path ([`Message::decode`] + [`apply`] and
-/// whatever policy the caller has for rejects and replies), returning
-/// `false` to stop the stream at a shutdown sentinel. Then the next run
-/// starts.
+/// a register; a raw record whose command word is a PUT or an INC
+/// takes the same path. Anything else (another command, an address
+/// past the heap, an undecodable word) is handed, as its four message
+/// words, to `other(i, words)`, with the cursor settled: it disposes of
+/// that one message by the general path ([`Message::decode`] +
+/// [`apply`] and whatever policy the caller has for rejects and
+/// replies), returning `false` to stop the stream at a shutdown
+/// sentinel. The stream also stops at a malformed run, which nothing
+/// past it is read of.
 ///
 /// `interrupt` is polled before every message, fast or not (the network
 /// thread's injected kills tick per message); when it fires the cursor
 /// is settled first, so the caller may panic and a successor resumes at
 /// exactly that message. `*cursor` is exact whenever control is outside
 /// this function — at return, inside `other`, and in an unwind out of
-/// `other`.
+/// `other` — and a resumed call finds its message by walking the run
+/// headers before it.
 #[inline]
-pub fn apply_stream(
-    count: usize,
-    words_at: impl Fn(usize) -> [u64; MSG_ROWS],
+pub fn apply_stream<P: PayloadWords + ?Sized>(
+    payload: &P,
+    dest: u32,
     cursor: &mut usize,
     heap: &SymmetricHeap,
     mut interrupt: impl FnMut() -> bool,
     mut other: impl FnMut(usize, [u64; MSG_ROWS]) -> bool,
 ) -> StreamEnd {
     let len = heap.len() as u64;
-    let mut i = *cursor;
+    let dest = u64::from(dest);
+    let (mut i, mut at, mut skip) = (*cursor, 0, *cursor);
     let end = 'stream: loop {
-        let words = loop {
-            if i >= count {
-                break 'stream StreamEnd::Drained;
-            }
-            if interrupt() {
-                break 'stream StreamEnd::Interrupted;
-            }
-            let words = words_at(i);
-            let (op, addr) = (words[0] as u32, words[2]);
-            if op > OP_INC || addr >= len {
-                break words;
-            }
-            if op == OP_PUT {
-                heap.store(addr, words[3]);
-            } else {
-                heap.add(addr, words[3]);
-            }
-            i += 1;
+        let run = match next_run(payload, at) {
+            Next::Run(run) => run,
+            Next::End => break StreamEnd::Drained,
+            Next::Malformed(at) => break StreamEnd::Malformed { at },
         };
-        *cursor = i;
-        if !other(i, words) {
-            break StreamEnd::Shutdown;
+        at = run.end();
+        if skip >= run.count {
+            skip -= run.count;
+            continue;
         }
-        i += 1;
+        // One loop per record shape, so neither pays for the other's
+        // branches.
+        let first = std::mem::take(&mut skip);
+        if run.kind == RunKind::Raw {
+            for words in payload.records::<MSG_ROWS>(run.at + first * MSG_ROWS, run.count - first) {
+                if interrupt() {
+                    break 'stream StreamEnd::Interrupted;
+                }
+                match words[0] as u32 {
+                    OP_PUT if words[2] < len => heap.store(words[2], words[3]),
+                    OP_INC if words[2] < len => heap.add(words[2], words[3]),
+                    _ => {
+                        *cursor = i;
+                        if !other(i, words) {
+                            break 'stream StreamEnd::Shutdown;
+                        }
+                    }
+                }
+                i += 1;
+            }
+        } else {
+            let inc = run.kind == RunKind::Inc;
+            for [addr, value] in payload.records::<2>(run.at + first * 2, run.count - first) {
+                if interrupt() {
+                    break 'stream StreamEnd::Interrupted;
+                }
+                if addr >= len {
+                    *cursor = i;
+                    let op = if inc { OP_INC } else { OP_PUT };
+                    if !other(i, [u64::from(op), dest, addr, value]) {
+                        break 'stream StreamEnd::Shutdown;
+                    }
+                } else if inc {
+                    heap.add(addr, value);
+                } else {
+                    heap.store(addr, value);
+                }
+                i += 1;
+            }
+        }
     };
     *cursor = i;
     end
 }
 
-/// Apply a packed word stream of messages (message-major, 4 words each) to
-/// the local heap. Returns the number of messages *disposed of* — applied
-/// or rejected; a rejected message still counts, because quiescence
-/// tracking needs every routed message accounted for exactly once.
-/// Undecodable chunks are skipped without counting (this path also
-/// replays checkpoint journals, which must never perturb the quiescence
-/// counters). Stops early on a shutdown sentinel (reported via the
-/// second tuple element). Replies from active-message handlers flow
-/// through `reply`.
+/// Apply a word stream of packet payloads placed end to end (a replay
+/// log, a buddy's forward log) to the local heap. Returns the number of messages *disposed of* —
+/// applied or rejected; a rejected message still counts, because
+/// quiescence tracking needs every routed message accounted for exactly
+/// once. Undecodable messages are skipped without counting (this path
+/// also replays checkpoint journals, which must never perturb the
+/// quiescence counters), and so is a malformed rest of the stream.
+/// Stops early on a shutdown sentinel (reported via the second tuple
+/// element). Replies from active-message handlers flow through `reply`.
 pub fn apply_words(
     words: &[u64],
     src: u32,
@@ -196,26 +234,29 @@ pub fn apply_words(
     reply: &mut dyn FnMut(Message),
 ) -> (usize, bool) {
     let (mut cursor, mut skipped) = (0, 0);
-    let end = apply_stream(
-        words.len() / MSG_ROWS,
-        |i| std::array::from_fn(|row| words[i * MSG_ROWS + row]),
-        &mut cursor,
-        heap,
-        || false,
-        |_, w| match Message::decode(w) {
+    // `apply` reads no message's destination word.
+    let end = apply_stream(words, 0, &mut cursor, heap, || false, |_, w| {
+        match Message::decode(w) {
             Some(msg) => apply(&msg, src, heap, ams, reply) != Applied::Shutdown,
             None => {
                 skipped += 1;
                 true
             }
-        },
-    );
+        }
+    });
     (cursor - skipped, end == StreamEnd::Shutdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::{run_header, RunKind};
+
+    /// `msgs` as a packet's payload words for node 0.
+    fn payload(msgs: &[Message]) -> Vec<u64> {
+        let words: Vec<u64> = msgs.iter().flat_map(Message::encode).collect();
+        crate::Packet::from_words(1, 0, &words).words()
+    }
 
     #[test]
     fn put_and_inc() {
@@ -249,10 +290,11 @@ mod tests {
     fn word_stream_application_stops_at_shutdown() {
         let heap = SymmetricHeap::new(4);
         let ams = AmRegistry::new();
-        let mut words = Vec::new();
-        words.extend(Message::inc(0, 0, 1).encode());
-        words.extend(Message::shutdown().encode());
-        words.extend(Message::inc(0, 0, 1).encode()); // after shutdown: ignored
+        let words = payload(&[
+            Message::inc(0, 0, 1),
+            Message::shutdown(),
+            Message::inc(0, 0, 1), // after shutdown: ignored
+        ]);
         let (applied, shutdown) = apply_words(&words, 0, &heap, &ams, &mut |_| {});
         assert_eq!(applied, 1);
         assert!(shutdown);
@@ -268,20 +310,21 @@ mod tests {
     #[test]
     fn stream_settles_the_cursor_wherever_it_stops() {
         let heap = SymmetricHeap::new(4);
-        let mut words = Vec::new();
-        words.extend(Message::inc(0, 1, 5).encode());
-        words.extend(Message::put(0, 2, 6).encode());
-        words.extend(Message::inc(0, 9, 1).encode()); // past the heap: not the run's
-        words.extend(Message::inc(0, 1, 5).encode());
-        words.extend(Message::shutdown().encode());
-        words.extend(Message::inc(0, 1, 5).encode());
-        let at = |i: usize| std::array::from_fn(|row| words[i * MSG_ROWS + row]);
+        let words = payload(&[
+            Message::inc(0, 1, 5),
+            Message::put(0, 2, 6),
+            Message::inc(0, 9, 1), // past the heap: not the run's
+            Message::inc(0, 1, 5),
+            Message::shutdown(),
+            Message::inc(0, 1, 5),
+        ]);
+        let at = words.as_slice();
 
         // Interrupted before the fourth message: three are behind it.
         let (mut cursor, mut polls, mut seen) = (0, 0, Vec::new());
         let end = apply_stream(
-            6,
             at,
+            0,
             &mut cursor,
             &heap,
             || {
@@ -298,12 +341,21 @@ mod tests {
         assert_eq!(heap.snapshot(), vec![0, 5, 6, 0]);
 
         // Resumed there, it stops on the sentinel and applies nothing after it.
-        let end = apply_stream(6, at, &mut cursor, &heap, || false, |_, w| {
+        let end = apply_stream(at, 0, &mut cursor, &heap, || false, |_, w| {
             Message::decode(w).is_some_and(|m| m.command != Command::Shutdown)
         });
         assert_eq!((end, cursor), (StreamEnd::Shutdown, 4));
         assert_eq!(heap.snapshot(), vec![0, 10, 6, 0]);
-        assert_eq!(apply_stream(4, at, &mut cursor, &heap, || false, |_, _| true), StreamEnd::Drained);
+        let end = apply_stream(at, 0, &mut cursor, &heap, || false, |_, _| true);
+        assert_eq!((end, cursor), (StreamEnd::Drained, 6));
+        assert_eq!(heap.snapshot(), vec![0, 15, 6, 0]);
+
+        // A malformed run stops the stream behind the messages before it.
+        let torn = [&words[..], &[run_header(RunKind::Inc, 2), 1, 1]].concat();
+        let mut cursor = 5;
+        let end = apply_stream(torn.as_slice(), 0, &mut cursor, &heap, || false, |_, _| true);
+        assert_eq!((end, cursor), (StreamEnd::Malformed { at: words.len() }, 6));
+        assert_eq!(heap.snapshot(), vec![0, 20, 6, 0]);
     }
 
     #[test]
@@ -397,7 +449,7 @@ mod tests {
     fn malformed_words_skipped() {
         let heap = SymmetricHeap::new(1);
         let ams = AmRegistry::new();
-        let words = [u64::MAX, 0, 0, 0];
+        let words = [run_header(RunKind::Raw, 1), u64::MAX, 0, 0, 0];
         let (applied, shutdown) = apply_words(&words, 0, &heap, &ams, &mut |_| {});
         assert_eq!(applied, 0);
         assert!(!shutdown);

@@ -26,9 +26,10 @@ use crate::nodeq::{FrameRoom, Packet};
 pub const MAGIC: u32 = 0x4C56_5247;
 
 /// Wire-format version this build speaks. Version 2 gave the ack frame
-/// its selective map ([`ACK_MAP_BITS`]); a version-1 ack fails
-/// verification like any other alien frame.
-pub const VERSION: u16 = 2;
+/// its selective map ([`ACK_MAP_BITS`]); version 3 made a data payload
+/// runs of records ([`runs`](crate::runs)). A frame of an older version
+/// fails verification like any other alien frame.
+pub const VERSION: u16 = 3;
 
 /// Fixed header size in bytes (see the layout table in DESIGN.md §13).
 pub const HEADER_BYTES: usize = 36;
@@ -68,7 +69,7 @@ pub enum WireIntegrity {
 /// What a frame claims to carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// An aggregated data packet (payload = packed messages).
+    /// An aggregated data packet (payload = runs of records).
     Data,
     /// An acknowledgement: `seq` is the cumulative point, the payload
     /// the selective map of what is held beyond it.
@@ -87,7 +88,7 @@ pub enum FrameKind {
     /// Cluster control plane: checkpoint shipping, replay forwarding,
     /// recovery requests. Payload is op-specific `u64` words.
     Control,
-    /// A packet of one-sided GET requests (payload = packed GET
+    /// A packet of one-sided GET requests (payload = a run of GET
     /// messages). Travels the data plane but advertises the LATENCY
     /// band so receivers and schedulers can prioritize without
     /// decoding the payload.
@@ -1145,7 +1146,7 @@ impl Packet {
     /// message's class speaks for the whole payload.
     ///
     /// A packet whose payload lies in a pooled buffer with room around
-    /// it (a lane's flush, [`Packet::from_words_in`]) is sealed *in
+    /// it (a lane's flush, [`Packet::from_incs_in`]) is sealed *in
     /// place* the first time: the header and the CRC trailer go into
     /// that room and the frame is the buffer the messages were written
     /// into — no second buffer, no payload copy. Any other seal — a
@@ -1263,7 +1264,8 @@ mod tests {
         let pkt = packet();
         let frame = pkt.seal(7, WireIntegrity::Crc32c);
         assert_eq!(frame.dest, 5);
-        assert_eq!(frame.len(), FRAME_OVERHEAD + 64);
+        // An INC run of one record, a raw run of one whole message.
+        assert_eq!(frame.len(), FRAME_OVERHEAD + (8 + 16) + (8 + 32));
         let back = frame.open(WireIntegrity::Crc32c).expect("clean frame");
         assert_eq!(back, pkt);
         // The decoded payload borrows the frame's buffer (zero copy).
@@ -1430,6 +1432,22 @@ mod tests {
             let mut buf = vec![0x5a; 7];
             seal_control_into(&mut buf, 4, 5, 6, &words[..5], &tail, integrity);
             assert_eq!(buf, seal_control(4, 5, 6, &words, integrity).to_vec());
+        }
+    }
+
+    #[test]
+    fn a_version_2_data_frame_is_refused_as_alien() {
+        // The same packet sealed by a build that carried whole 32-byte
+        // messages: a correct CRC over version 2 does not make it ours.
+        let frame = packet().seal(0, WireIntegrity::Crc32c);
+        let mut old = frame.bytes.to_vec();
+        old[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let tail = old.len() - 4;
+        let crc = crc32c(&old[..tail]);
+        old[tail..].copy_from_slice(&crc.to_le_bytes());
+        let alien = DataFrame { bytes: Bytes::from(old), ..frame };
+        for integrity in [WireIntegrity::Crc32c, WireIntegrity::Off] {
+            assert_eq!(alien.open(integrity), Err(FrameError::BadVersion { got: 2 }));
         }
     }
 

@@ -13,6 +13,8 @@
 //! * [`command`] — applying received messages as local memory operations.
 //! * [`frame`] — the checksummed wire frame (CRC32C header + trailer)
 //!   every packet and ack travels in.
+//! * [`runs`] — the packet payload: runs of `(addr, value)` PUT and INC
+//!   records, and whole messages for everything else.
 //! * [`quarantine`] — the bounded dead-letter buffer for CRC-clean but
 //!   semantically poisonous messages.
 
@@ -23,6 +25,7 @@ pub mod heap;
 pub mod nodeq;
 pub mod partition;
 pub mod quarantine;
+pub mod runs;
 pub mod shard;
 
 pub use am::{relax_min_handler, AmHandler, AmRegistry, AmReturningHandler};
@@ -37,8 +40,9 @@ pub use frame::{
 pub use heap::SymmetricHeap;
 pub use quarantine::{Quarantine, QuarantineReason, QuarantinedMessage};
 pub use nodeq::{
-    msg_words_at, AdaptiveFlush, AggCounters, AggStats, FlushPolicy, NodeQueues, Packet,
-    DEFAULT_QUEUE_BYTES, DEFAULT_TIMEOUT,
+    AdaptiveFlush, AggCounters, AggStats, FlushPolicy, NodeQueues, Packet, DEFAULT_QUEUE_BYTES,
+    DEFAULT_TIMEOUT, MIN_QUEUE_BYTES,
 };
+pub use runs::{Messages, PayloadWords, RunKind, PAIR_BYTES, RUN_HEADER_BYTES};
 pub use partition::{Layout, Partition};
 pub use shard::{Directory, FencedInstall, Route, ShardMap, ShardMove, DEFAULT_SHARDS};

@@ -14,9 +14,13 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use gravel_gq::pool::{BufTicket, BufferPool, CLASS_SLACK_BYTES};
+use gravel_gq::{TrafficClass, MSG_ROWS};
 use gravel_telemetry::{Counter, Registry};
 
 use crate::frame::{FRAME_OVERHEAD, HEADER_BYTES};
+use crate::runs::{
+    self, encoded_len, next_run, Messages, Next, RunKind, RunWriter, PAIR_BYTES, RUN_HEADER_BYTES,
+};
 
 // A pooled buffer for a power-of-two queue, frame overhead included,
 // must fit the queue's own size class.
@@ -24,6 +28,9 @@ const _: () = assert!(FRAME_OVERHEAD <= CLASS_SLACK_BYTES);
 
 /// Default per-node queue size (Table 3).
 pub const DEFAULT_QUEUE_BYTES: usize = 64 * 1024;
+
+/// The smallest queue: one run header and one whole message.
+pub const MIN_QUEUE_BYTES: usize = RUN_HEADER_BYTES + gravel_gq::MSG_BYTES;
 
 /// Default flush timeout (Table 3).
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_micros(125);
@@ -105,7 +112,8 @@ pub struct Packet {
     /// into the end-to-end aggregate→apply latency histogram; in-process
     /// nodes share a clock, so the difference is meaningful.
     pub born: Instant,
-    /// Message words, little-endian, message-major.
+    /// The messages as runs of records, little-endian words
+    /// ([`runs`]).
     pub payload: Bytes,
     /// The buffer around `payload`, if it was filled with room for the
     /// frame header and trailer: [`seal_in`](Self::seal_in) then seals
@@ -192,11 +200,10 @@ impl Packet {
         self.payload.is_empty()
     }
 
-    /// Decode the payload back into `u64` words.
+    /// The payload's `u64` words as they travel: run headers and
+    /// records ([`messages`](Self::messages) decodes them).
     ///
-    /// Allocates a fresh `Vec`; the apply hot path iterates the payload
-    /// in place via [`messages`](Self::messages) instead and keeps this
-    /// for tests and the model code.
+    /// Allocates a fresh `Vec`; for tests, logs and the model code.
     pub fn words(&self) -> Vec<u64> {
         self.payload
             .chunks_exact(8)
@@ -204,61 +211,94 @@ impl Packet {
             .collect()
     }
 
-    /// Number of whole messages in the payload.
+    /// Number of messages before the payload's end or its first
+    /// malformed run: a walk over the run headers.
     pub fn msg_count(&self) -> usize {
-        self.payload.len() / gravel_gq::MSG_BYTES
+        runs::message_count(&self.payload[..])
     }
 
-    /// Decode message `i`'s words straight out of the payload — no
-    /// allocation, no bulk copy.
-    #[inline]
-    pub fn msg_words(&self, i: usize) -> [u64; gravel_gq::MSG_ROWS] {
-        msg_words_at(&self.payload, i)
-    }
-
-    /// Borrowing iterator over the packet's messages (word arrays),
-    /// decoding each lazily from the payload. The receive path's
-    /// zero-copy apply loop: nothing is allocated per message or per
-    /// packet.
-    pub fn messages(&self) -> impl Iterator<Item = [u64; gravel_gq::MSG_ROWS]> + '_ {
-        (0..self.msg_count()).map(|i| self.msg_words(i))
+    /// Borrowing iterator over the packet's messages as four words each,
+    /// `[command, dest, addr, value]` — a PUT or INC record's `dest` is
+    /// this packet's — decoded lazily from the payload, nothing
+    /// allocated. It stops at a malformed run
+    /// ([`Messages::malformed_at`] says where).
+    pub fn messages(&self) -> Messages<'_, [u8]> {
+        runs::messages(&self.payload[..], self.dest)
     }
 
     /// Traffic class of the packet, decoded from the first message's
     /// command word. The aggregator keeps one queue set per class, so
     /// every packet it emits is class-pure and the first message speaks
-    /// for all of them. An empty (or garbage) payload classifies as
-    /// BULK — the conservative band.
-    pub fn class(&self) -> gravel_gq::TrafficClass {
-        match self.payload.get(0..8) {
-            Some(b) => gravel_gq::TrafficClass::of_command_word(u64::from_le_bytes(
-                b.try_into().unwrap(),
-            )),
-            None => gravel_gq::TrafficClass::Bulk,
+    /// for all of them. A payload that opens with a PUT or INC run, or
+    /// with nothing well formed, classifies as BULK — the conservative
+    /// band.
+    pub fn class(&self) -> TrafficClass {
+        match next_run(&self.payload[..], 0) {
+            Next::Run(run) if run.kind == RunKind::Raw => {
+                let [cmd] = runs::PayloadWords::words_at::<1>(&self.payload[..], run.at);
+                TrafficClass::of_command_word(cmd)
+            }
+            _ => TrafficClass::Bulk,
         }
     }
 
-    /// Build a packet from words (test/model helper).
+    /// Build a packet from four-word messages, encoded as runs (tests,
+    /// model code, re-packed packets). It has no frame room, so it
+    /// seals by copy.
     pub fn from_words(src: u32, dest: u32, words: &[u64]) -> Self {
-        Self::from_words_in(src, dest, words, None)
+        assert!(words.len().is_multiple_of(MSG_ROWS), "a packet carries whole messages");
+        Self::encode_in(src, dest, encoded_len(words), None, |buf| {
+            let mut run = RunWriter::new();
+            for msg in words.chunks_exact(MSG_ROWS) {
+                run.push(buf, RunKind::of_message(msg), msg);
+            }
+            run.close(buf);
+        })
     }
 
-    /// [`from_words`](Self::from_words) drawing the payload buffer from
-    /// a packet-buffer arena, with room for the frame around it: one
-    /// copy — this one; the seal is in place — and no allocation in
-    /// steady state. Senders that packetize outside the aggregator (the
-    /// `gravel-node` update streams) build their packets with this.
-    pub fn from_words_in(src: u32, dest: u32, words: &[u64], pool: Option<&BufferPool>) -> Self {
+    /// A packet of INCs for `dest`, one `(addr, value)` record each, in
+    /// one run. With a pool the payload buffer comes from that
+    /// packet-buffer arena with room for the frame around it: one copy
+    /// — this one; the seal is in place — and no allocation in steady
+    /// state. The `gravel-node` update streams packetize with this.
+    pub fn from_incs_in(
+        src: u32,
+        dest: u32,
+        incs: impl ExactSizeIterator<Item = (u64, u64)>,
+        pool: Option<&BufferPool>,
+    ) -> Self {
+        let len = match incs.len() {
+            0 => 0,
+            n => RUN_HEADER_BYTES + n * PAIR_BYTES,
+        };
+        Self::encode_in(src, dest, len, pool, |buf| {
+            let mut run = RunWriter::new();
+            for (addr, value) in incs {
+                run.push_inc(buf, addr, value);
+            }
+            run.close(buf);
+        })
+    }
+
+    /// A packet whose `len` payload bytes `write` appends.
+    fn encode_in(
+        src: u32,
+        dest: u32,
+        len: usize,
+        pool: Option<&BufferPool>,
+        write: impl FnOnce(&mut BytesMut),
+    ) -> Self {
         let (payload, room) = match pool {
             Some(pool) => {
-                let (vec, ticket) = pool.take(FRAME_OVERHEAD + words.len() * 8);
+                let (vec, ticket) = pool.take(FRAME_OVERHEAD + len);
                 let mut buf = framed(vec);
-                buf.put_u64_slice_le(words);
+                write(&mut buf);
+                debug_assert_eq!(buf.len(), HEADER_BYTES + len);
                 FrameRoom::lend(pool, buf.into_vec(), ticket)
             }
             None => {
-                let mut buf = BytesMut::with_capacity(words.len() * 8);
-                buf.put_u64_slice_le(words);
+                let mut buf = BytesMut::with_capacity(len);
+                write(&mut buf);
                 (buf.freeze(), FrameRoom::none())
             }
         };
@@ -272,21 +312,13 @@ fn framed(mut vec: Vec<u8>) -> BytesMut {
     BytesMut::from_vec(vec)
 }
 
-/// Message `i`'s words out of a little-endian, message-major payload:
-/// what [`Packet::msg_words`] reads, for a loop that has already
-/// borrowed the payload bytes.
-#[inline]
-pub fn msg_words_at(payload: &[u8], i: usize) -> [u64; gravel_gq::MSG_ROWS] {
-    let at = i * gravel_gq::MSG_BYTES;
-    let b = &payload[at..at + gravel_gq::MSG_BYTES];
-    std::array::from_fn(|row| u64::from_le_bytes(b[row * 8..row * 8 + 8].try_into().unwrap()))
-}
-
 struct AggBuffer {
     /// Empty and unallocated between a flush and the next message.
     /// With a pool, an open buffer starts with [`HEADER_BYTES`] of
     /// frame room and has capacity for the trailer behind a full queue.
     buf: BytesMut,
+    /// The run the next message may extend.
+    run: RunWriter,
     /// Pool claim on `buf`'s backing vector, when it came from the
     /// arena; redeemed at flush so the buffer recycles.
     ticket: Option<BufTicket>,
@@ -300,13 +332,21 @@ struct AggBuffer {
 }
 
 impl AggBuffer {
-    /// Append one message, opening the buffer if need be.
+    /// Append message `words` — a record of `kind` — in a run of its
+    /// own, opening the buffer if need be.
     #[inline]
-    fn append(&mut self, words: &[u64], now: Instant, pool: Option<&BufferPool>, queue_bytes: usize) {
+    fn append(
+        &mut self,
+        words: &[u64],
+        kind: RunKind,
+        now: Instant,
+        pool: Option<&BufferPool>,
+        queue_bytes: usize,
+    ) {
         if self.buf.is_empty() {
             self.open(pool, queue_bytes, now);
         }
-        self.buf.put_u64_slice_le(words);
+        self.run.push(&mut self.buf, kind, words);
         self.messages += 1;
     }
 
@@ -408,16 +448,20 @@ impl AggStats {
 /// One node's set of per-destination aggregation queues.
 ///
 /// ```
+/// use gravel_gq::Message;
 /// use gravel_pgas::NodeQueues;
 /// use std::time::{Duration, Instant};
 ///
-/// // 64-byte queues hold two 32-byte messages each.
-/// let mut nq = NodeQueues::with_config(0, 4, 64, Duration::from_micros(125));
+/// // A 56-byte queue holds a run header and three 16-byte INC records.
+/// let mut nq = NodeQueues::with_config(0, 4, 56, Duration::from_micros(125));
 /// let now = Instant::now();
-/// assert!(nq.push(2, &[1, 2, 3, 4], now).is_none()); // buffered
-/// let pkt = nq.push(2, &[5, 6, 7, 8], now).expect("second message fills it");
+/// let inc = |addr| Message::inc(2, addr, 1).encode();
+/// assert!(nq.push(2, &inc(10), now).is_none()); // buffered
+/// assert!(nq.push(2, &inc(11), now).is_none());
+/// let pkt = nq.push(2, &inc(12), now).expect("the third INC fills it");
 /// assert_eq!(pkt.dest, 2);
-/// assert_eq!(pkt.words(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+/// assert_eq!(pkt.len(), 56);
+/// assert_eq!(pkt.messages().collect::<Vec<_>>(), [inc(10), inc(11), inc(12)]);
 /// ```
 pub struct NodeQueues {
     my_node: u32,
@@ -464,7 +508,7 @@ impl NodeQueues {
         policy: FlushPolicy,
         counters: AggCounters,
     ) -> Self {
-        assert!(queue_bytes >= 32, "queue must hold at least one message");
+        assert!(queue_bytes >= MIN_QUEUE_BYTES, "queue must hold at least one message");
         if let FlushPolicy::Adaptive(a) = &policy {
             a.validate();
         }
@@ -477,6 +521,7 @@ impl NodeQueues {
             bufs: (0..nodes)
                 .map(|_| AggBuffer {
                     buf: BytesMut::new(),
+                    run: RunWriter::new(),
                     ticket: None,
                     opened_at: None,
                     messages: 0,
@@ -535,6 +580,7 @@ impl NodeQueues {
             return None;
         }
         // The next message opens the next buffer.
+        b.run.close(&mut b.buf);
         let filled = b.buf.split();
         let (payload, room) = match (&self.pool, b.ticket.take()) {
             // Seal the filled vector into its slab: the payload is a
@@ -571,31 +617,62 @@ impl NodeQueues {
         })
     }
 
-    /// Append one message (as words) to destination `dest`'s queue,
-    /// encoded straight into the destination's buffer. Returns a packet
-    /// when the queue filled: flushed first if this message would
-    /// overflow it, or right after if the message filled it exactly.
-    /// This is the aggregator's per-message scatter.
+    /// Append one message (four words) to destination `dest`'s queue,
+    /// encoded straight into the destination's buffer: a PUT or INC as
+    /// an `(addr, value)` record of the open run of its kind, anything
+    /// else whole. Returns a packet when the queue filled: flushed
+    /// first if this message would overflow it, or right after if
+    /// another one like it would. This is the aggregator's per-message
+    /// scatter.
     #[inline]
     pub fn push(&mut self, dest: usize, words: &[u64], now: Instant) -> Option<Packet> {
         assert!(dest < self.bufs.len(), "destination out of range");
-        let bytes = words.len() * 8;
-        assert!(bytes <= self.queue_bytes, "message larger than queue");
-        // An open buffer is full at `head_room + queue_bytes`; an
-        // unopened one (length 0) takes any message.
+        assert_eq!(words.len(), MSG_ROWS, "a message is four words");
+        // An open buffer is full at `head_room + queue_bytes`.
         let full = self.head_room + self.queue_bytes;
-        if self.bufs[dest].buf.len() + bytes > full {
-            // Only a capacity that is not a whole number of messages
-            // gets here; the flushed buffer was short of full, so this
-            // message cannot fill its successor as well.
-            let flushed = self.flush_dest(dest, false);
-            self.bufs[dest].append(words, now, self.pool.as_ref(), self.queue_bytes);
-            debug_assert!(self.bufs[dest].buf.len() < full);
-            return flushed;
-        }
         let b = &mut self.bufs[dest];
-        b.append(words, now, self.pool.as_ref(), self.queue_bytes);
-        if b.buf.len() >= full {
+        if b.run.takes_pair(words[0]) {
+            // Another PUT or INC for the open run of its kind — a bulk
+            // stream's every message but a packet's first. An open run
+            // always has room for one more of its records: the buffer
+            // flushed, or the run closed, when it had none.
+            b.run.put_pair(&mut b.buf, words[2], words[3]);
+            b.messages += 1;
+            if b.buf.len() + PAIR_BYTES > full {
+                return self.flush_dest(dest, false);
+            }
+            return None;
+        }
+        self.push_record(dest, words, now)
+    }
+
+    /// [`push`](Self::push) for a message that is not another PUT or
+    /// INC record for the open run: a whole message, or the first record
+    /// of a run.
+    fn push_record(&mut self, dest: usize, words: &[u64], now: Instant) -> Option<Packet> {
+        let kind = RunKind::of_message(words);
+        let record = kind.record_bytes();
+        let full = self.head_room + self.queue_bytes;
+        let b = &mut self.bufs[dest];
+        if b.run.extends(kind) {
+            b.run.extend(&mut b.buf, kind, words);
+            b.messages += 1;
+        } else if !b.buf.is_empty() && b.buf.len() + RUN_HEADER_BYTES + record > full {
+            // No room for a run of another kind. The message opens the
+            // next buffer, which it cannot fill in a queue of at least
+            // two records; if it would, its run closes and the buffer
+            // waits for the next message or the timeout.
+            let flushed = self.flush_dest(dest, false);
+            let b = &mut self.bufs[dest];
+            b.append(words, kind, now, self.pool.as_ref(), self.queue_bytes);
+            if b.buf.len() + record > full {
+                b.run.close(&mut b.buf);
+            }
+            return flushed;
+        } else {
+            b.append(words, kind, now, self.pool.as_ref(), self.queue_bytes);
+        }
+        if b.buf.len() + record > full {
             return self.flush_dest(dest, false);
         }
         None
@@ -687,111 +764,127 @@ impl NodeQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
+    use gravel_gq::Message;
     use proptest::prelude::*;
 
-    fn words(tag: u64) -> [u64; 4] {
-        [tag, tag + 1, tag + 2, tag + 3]
+    fn inc(dest: u32, addr: u64) -> [u64; 4] {
+        Message::inc(dest, addr, addr + 100).encode()
+    }
+
+    /// A queue of `n` INC records for one run.
+    fn incs_fit(n: usize) -> usize {
+        RUN_HEADER_BYTES + n * PAIR_BYTES
     }
 
     #[test]
     fn push_fills_and_flushes_at_capacity() {
-        // 128-byte queue holds 4 × 32-byte messages.
-        let mut nq = NodeQueues::with_config(0, 2, 128, DEFAULT_TIMEOUT);
+        let mut nq = NodeQueues::with_config(0, 2, incs_fit(4), DEFAULT_TIMEOUT);
         let now = Instant::now();
         for i in 0..3 {
-            assert!(nq.push(1, &words(i), now).is_none());
+            assert!(nq.push(1, &inc(1, i), now).is_none());
         }
-        let pkt = nq
-            .push(1, &words(3), now)
-            .expect("fourth message fills the queue");
+        let pkt = nq.push(1, &inc(1, 3), now).expect("fourth INC fills the queue");
         assert_eq!(pkt.dest, 1);
-        assert_eq!(pkt.len(), 128);
-        assert_eq!(pkt.words().len(), 16);
+        assert_eq!(pkt.len(), incs_fit(4));
+        let want: Vec<_> = (0..4).map(|i| inc(1, i)).collect();
+        assert_eq!(pkt.messages().collect::<Vec<_>>(), want);
+        assert_eq!(pkt.words()[0], runs::run_header(RunKind::Inc, 4));
         assert_eq!(nq.pending_bytes(1), 0);
         assert_eq!(nq.stats().full_flushes, 1);
     }
 
-    /// `push_run` as it stood while the aggregator fed it scanned runs:
-    /// one staged copy per buffer-sized chunk of the run. The reference
-    /// the per-message `push` is held to.
-    fn push_run_chunked(
-        nq: &mut NodeQueues,
-        dest: usize,
-        words: &[u64],
-        rows: usize,
-        now: Instant,
-        out: &mut Vec<Packet>,
-    ) {
-        let msg_bytes = rows * 8;
-        let queue_bytes = nq.queue_bytes;
-        let mut rest = words;
-        while !rest.is_empty() {
-            let room = queue_bytes - nq.bufs[dest].buf.len();
-            let fit = (room / msg_bytes).min(rest.len() / rows);
-            if fit == 0 {
-                out.extend(nq.flush_dest(dest, false));
-                continue;
-            }
-            let take = fit * rows;
-            let b = &mut nq.bufs[dest];
-            if b.buf.is_empty() {
-                b.opened_at = Some(now);
-            }
-            for w in &rest[..take] {
-                b.buf.put_u64_le(*w);
-            }
-            b.messages += fit as u64;
-            rest = &rest[take..];
-            if nq.bufs[dest].buf.len() >= queue_bytes {
-                out.extend(nq.flush_dest(dest, false));
-            }
-        }
+    #[test]
+    fn a_default_queue_holds_4095_incs() {
+        let mut nq = NodeQueues::new(0, 2);
+        let now = Instant::now();
+        let flushed: Vec<Packet> = (0..5000).filter_map(|i| nq.push(1, &inc(1, i), now)).collect();
+        assert_eq!(flushed.len(), 1);
+        assert_eq!((flushed[0].msg_count(), flushed[0].len()), (4095, DEFAULT_QUEUE_BYTES - 8));
     }
 
-    #[test]
-    fn push_and_push_run_match_the_chunked_reference() {
-        // Runs of every length, against a queue whose capacity (104 B)
-        // is deliberately NOT a multiple of the 32-byte message, so the
-        // run straddles flush boundaries mid-chunk, and against one that
-        // messages fill exactly.
-        for (run_len, queue_bytes) in [1usize, 2, 3, 5, 8, 13, 40]
-            .into_iter()
-            .flat_map(|n| [(n, 104), (n, 96)])
-        {
-            let case = format!("run_len={run_len} queue_bytes={queue_bytes}");
-            let mut nqs =
-                [(); 3].map(|()| NodeQueues::with_config(0, 2, queue_bytes, DEFAULT_TIMEOUT));
-            let [by_one, by_run, chunked] = &mut nqs;
+    /// The packets a queue of `queue_bytes` cuts `msgs` for `dest` into,
+    /// read off the stateless [`encoded_len`]: a message goes in the
+    /// open packet if the encoding still fits, and a packet closes as
+    /// soon as a repeat of its last message would not fit — unless that
+    /// message closed the packet before it (one push returns one
+    /// packet), when it waits for the next message.
+    fn cut_reference(msgs: &[[u64; 4]], queue_bytes: usize) -> Vec<Vec<[u64; 4]>> {
+        let len = |p: &[[u64; 4]]| encoded_len(p.as_flattened());
+        let mut out = vec![Vec::new()];
+        for m in msgs {
+            let open = out.last_mut().unwrap();
+            let displaced =
+                !open.is_empty() && len(&[open.as_slice(), &[*m]].concat()) > queue_bytes;
+            if displaced {
+                out.push(Vec::new());
+            }
+            let open = out.last_mut().unwrap();
+            open.push(*m);
+            if !displaced && len(&[open.as_slice(), &[*m]].concat()) > queue_bytes {
+                out.push(Vec::new());
+            }
+        }
+        out.retain(|p| !p.is_empty());
+        out
+    }
+
+    proptest! {
+        /// `push` and `push_run` cut a stream of PUTs, INCs and other
+        /// messages into the reference's packets, whatever the queue
+        /// size, and every packet decodes back to its messages.
+        #[test]
+        fn push_and_push_run_cut_the_reference_packets(
+            kinds in prop::collection::vec(0u8..5, 1..120),
+            queue_bytes in MIN_QUEUE_BYTES..400,
+        ) {
+            let msgs: Vec<[u64; 4]> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, k)| match k {
+                    0 => inc(1, i as u64),
+                    1 => Message::put(1, i as u64, 7).encode(),
+                    2 => Message::active(1, 3, i as u64, 7).encode(),
+                    3 => [u64::MAX, 1, i as u64, 7], // no command at all
+                    _ => {
+                        let mut odd = inc(1, i as u64);
+                        odd[0] |= 1 << 40; // bits above the opcode: whole
+                        odd
+                    }
+                })
+                .collect();
+            let want = cut_reference(&msgs, queue_bytes);
             let now = Instant::now();
-            let run: Vec<u64> = (0..run_len as u64).flat_map(|i| words(i * 10)).collect();
-
-            let mut one = Vec::new();
-            for msg in run.chunks(4) {
-                one.extend(by_one.push(1, msg, now));
-            }
+            let mut by_one = NodeQueues::with_config(0, 2, queue_bytes, DEFAULT_TIMEOUT);
             let mut got = Vec::new();
-            by_run.push_run(1, &run, 4, now, &mut got);
-            let mut expect = Vec::new();
-            push_run_chunked(chunked, 1, &run, 4, now, &mut expect);
+            for m in &msgs {
+                got.extend(by_one.push(1, m, now));
+            }
+            got.extend(by_one.flush_all());
+            let mut by_run = NodeQueues::with_config(0, 2, queue_bytes, DEFAULT_TIMEOUT);
+            let mut run_got = Vec::new();
+            by_run.push_run(1, msgs.as_flattened(), 4, now, &mut run_got);
+            run_got.extend(by_run.flush_all());
+            let payloads = |ps: &[Packet]| ps.iter().map(|p| p.payload.clone()).collect::<Vec<_>>();
+            prop_assert_eq!(payloads(&got), payloads(&run_got));
+            let view: Vec<Vec<[u64; 4]>> = got.iter().map(|p| p.messages().collect()).collect();
+            prop_assert_eq!(view, want.clone());
+            for (p, msgs) in got.iter().zip(&want) {
+                prop_assert!(p.len() <= queue_bytes);
+                prop_assert_eq!(&p.payload, &Packet::from_words(0, 1, msgs.as_flattened()).payload);
+            }
+            prop_assert_eq!(by_one.stats().messages, msgs.len() as u64);
+            prop_assert_eq!(by_one.stats().packets, want.len() as u64);
+        }
 
-            for nq in [by_one, by_run] {
-                assert_eq!(nq.pending_bytes(1), chunked.pending_bytes(1), "{case}");
-                assert_eq!(nq.stats(), chunked.stats(), "{case}");
-            }
-            // Residue must drain identically too.
-            expect.extend(chunked.flush_all());
-            one.extend(nqs[0].flush_all());
-            got.extend(nqs[1].flush_all());
-            assert_eq!(expect.len(), run_len.div_ceil(queue_bytes / 32), "{case}");
-            for flushed in [one, got] {
-                let view = |p: &Packet| (p.dest, p.words());
-                assert_eq!(
-                    flushed.iter().map(view).collect::<Vec<_>>(),
-                    expect.iter().map(view).collect::<Vec<_>>(),
-                    "{case}"
-                );
-            }
+        /// Whatever the payload, the message walk, the count and the
+        /// class read it without a panic and agree with each other.
+        #[test]
+        fn any_payload_decodes_without_panicking(
+            bytes in prop::collection::vec(any::<u8>(), 0..400),
+        ) {
+            let pkt = Packet::from_payload(1, 2, Bytes::from(bytes));
+            prop_assert_eq!(pkt.messages().count(), pkt.msg_count());
+            let _ = pkt.class();
         }
     }
 
@@ -803,47 +896,60 @@ mod tests {
         let mut nq = NodeQueues::new(0, 2).with_pool(pool.clone());
         assert_eq!(takes(), 0, "no buffer before the first message");
         let now = Instant::now();
-        let per_packet = DEFAULT_QUEUE_BYTES as u64 / 32;
+        let per_packet = (DEFAULT_QUEUE_BYTES - RUN_HEADER_BYTES) / PAIR_BYTES;
         let mut flushed = None;
         for i in 0..per_packet {
             assert!(flushed.is_none());
-            assert_eq!(nq.pending_bytes(1), i as usize * 32);
-            flushed = nq.push(1, &words(i), now);
+            assert_eq!(nq.pending_bytes(1), if i == 0 { 0 } else { incs_fit(i) });
+            flushed = nq.push(1, &inc(1, i as u64), now);
         }
         let pkt = flushed.expect("the last message fills the queue");
         assert_eq!(nq.pending_bytes(1), 0);
         assert_eq!(takes(), 1, "nothing is opened for the next packet yet");
         let frame = pkt.seal_in(0, WireIntegrity::Crc32c, Some(&pool));
         assert_eq!(takes(), 1, "sealed in the buffer it was filled in");
-        assert_eq!(frame.len(), DEFAULT_QUEUE_BYTES + FRAME_OVERHEAD);
+        assert_eq!(frame.len(), incs_fit(per_packet) + FRAME_OVERHEAD);
         // The one slab behind it is all the pool holds.
         let slab = pool.resident_bytes() as usize;
         assert!(slab >= frame.len());
         assert!((slab as f64) < 1.1 * frame.len() as f64, "a {slab}-byte slab for {}", frame.len());
         drop((pkt, frame));
-        nq.push(1, &words(0), now);
+        nq.push(1, &inc(1, 0), now);
         assert_eq!((pool.hits(), pool.misses()), (1, 1), "the next packet reuses it");
     }
 
     #[test]
-    fn packet_words_roundtrip() {
-        let pkt = Packet::from_words(3, 5, &[1, 2, 3]);
-        assert_eq!(pkt.src, 3);
-        assert_eq!(pkt.dest, 5);
-        assert_eq!(pkt.words(), vec![1, 2, 3]);
-        assert_eq!(pkt.len(), 24);
+    fn packet_from_words_encodes_runs_and_from_incs_matches_it() {
+        let msgs = [inc(5, 1), inc(5, 2)];
+        let pkt = Packet::from_words(3, 5, msgs.as_flattened());
+        assert_eq!((pkt.src, pkt.dest, pkt.len()), (3, 5, incs_fit(2)));
+        assert_eq!(pkt.words(), [runs::run_header(RunKind::Inc, 2), 1, 101, 2, 102]);
+        let pairs = [(1, 101), (2, 102)];
+        assert_eq!(Packet::from_incs_in(3, 5, pairs.into_iter(), None).payload, pkt.payload);
+        let pool = BufferPool::new();
+        assert_eq!(Packet::from_incs_in(3, 5, pairs.into_iter(), Some(&pool)).payload, pkt.payload);
+        assert!(Packet::from_incs_in(3, 5, std::iter::empty(), None).is_empty());
+    }
+
+    #[test]
+    fn the_first_message_classifies_the_packet() {
+        let get = Message::get(1, 7, 42, 250).encode();
+        assert_eq!(Packet::from_words(0, 1, &get).class(), TrafficClass::Get);
+        assert_eq!(Packet::from_words(0, 1, &inc(1, 0)).class(), TrafficClass::Bulk);
+        let junk = Packet::from_payload(0, 1, Bytes::from(vec![0xff; 16]));
+        assert_eq!(junk.class(), TrafficClass::Bulk);
     }
 
     #[test]
     fn timeout_flushes_partial_queue() {
         let mut nq = NodeQueues::with_config(0, 2, 1024, Duration::from_millis(1));
         let t0 = Instant::now();
-        nq.push(1, &words(0), t0);
+        nq.push(1, &inc(1, 0), t0);
         assert!(nq.poll_timeouts(t0).is_empty(), "not yet expired");
         let later = t0 + Duration::from_millis(2);
         let pkts = nq.poll_timeouts(later);
         assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].len(), 32);
+        assert_eq!(pkts[0].len(), incs_fit(1));
         assert_eq!(nq.stats().timeout_flushes, 1);
     }
 
@@ -851,14 +957,14 @@ mod tests {
     fn separate_destinations_do_not_mix() {
         let mut nq = NodeQueues::with_config(0, 3, 1024, DEFAULT_TIMEOUT);
         let now = Instant::now();
-        nq.push(1, &words(10), now);
-        nq.push(2, &words(20), now);
+        nq.push(1, &inc(1, 10), now);
+        nq.push(2, &inc(2, 20), now);
         let pkts = nq.flush_all();
         assert_eq!(pkts.len(), 2);
         assert_eq!(pkts[0].dest, 1);
-        assert_eq!(pkts[0].words()[0], 10);
+        assert_eq!(pkts[0].messages().collect::<Vec<_>>(), [inc(1, 10)]);
         assert_eq!(pkts[1].dest, 2);
-        assert_eq!(pkts[1].words()[0], 20);
+        assert_eq!(pkts[1].messages().collect::<Vec<_>>(), [inc(2, 20)]);
     }
 
     #[test]
@@ -869,51 +975,14 @@ mod tests {
 
     #[test]
     fn stats_track_average_packet_size() {
-        let mut nq = NodeQueues::with_config(0, 2, 64, DEFAULT_TIMEOUT);
+        let mut nq = NodeQueues::with_config(0, 2, incs_fit(3), DEFAULT_TIMEOUT);
         let now = Instant::now();
-        for i in 0..4 {
-            nq.push(1, &words(i), now); // flushes every 2 messages
+        for i in 0..6 {
+            nq.push(1, &inc(1, i), now); // flushes every 3 messages
         }
         assert_eq!(nq.stats().packets, 2);
-        assert!((nq.stats().avg_packet_bytes() - 64.0).abs() < 1e-9);
-        assert_eq!(nq.stats().messages, 4);
-    }
-
-    #[test]
-    fn msg_words_matches_allocating_decode() {
-        let mut all = Vec::new();
-        for tag in 0..5 {
-            all.extend_from_slice(&words(tag * 10));
-        }
-        let pkt = Packet::from_words(1, 2, &all);
-        assert_eq!(pkt.msg_count(), 5);
-        let w = pkt.words();
-        for i in 0..pkt.msg_count() {
-            assert_eq!(pkt.msg_words(i).as_slice(), &w[i * 4..i * 4 + 4]);
-        }
-        let via_iter: Vec<u64> = pkt.messages().flatten().collect();
-        assert_eq!(via_iter, w);
-    }
-
-    proptest! {
-        /// The borrowing decode agrees with the allocating one on a
-        /// payload of any length: whole messages only, a trailing
-        /// fragment (of whole words or not) ignored by both.
-        #[test]
-        fn msg_words_matches_allocating_decode_at_any_payload_length(
-            bytes in prop::collection::vec(any::<u8>(), 0..400),
-        ) {
-            let pkt = Packet::from_payload(1, 2, Bytes::from(bytes.clone()));
-            let w = pkt.words();
-            prop_assert_eq!(pkt.msg_count(), bytes.len() / gravel_gq::MSG_BYTES);
-            prop_assert_eq!(w.len(), bytes.len() / 8);
-            for i in 0..pkt.msg_count() {
-                prop_assert_eq!(pkt.msg_words(i).as_slice(), &w[i * 4..i * 4 + 4]);
-                prop_assert_eq!(msg_words_at(&bytes, i), pkt.msg_words(i));
-            }
-            let via_iter: Vec<u64> = pkt.messages().flatten().collect();
-            prop_assert_eq!(via_iter.as_slice(), &w[..pkt.msg_count() * 4]);
-        }
+        assert!((nq.stats().avg_packet_bytes() - incs_fit(3) as f64).abs() < 1e-9);
+        assert_eq!(nq.stats().messages, 6);
     }
 
     #[test]
@@ -922,17 +991,19 @@ mod tests {
             min: Duration::from_micros(25),
             max: Duration::from_micros(500),
         };
-        // 128-byte queues: 4 messages fill one.
-        let mut nq =
-            NodeQueues::with_policy(0, 2, 128, FlushPolicy::Adaptive(a), AggCounters::default());
+        let mut nq = NodeQueues::with_policy(
+            0,
+            2,
+            incs_fit(4),
+            FlushPolicy::Adaptive(a),
+            AggCounters::default(),
+        );
         let mid = nq.effective_timeout(1);
         assert!(mid > a.min && mid < a.max, "starts mid-range: {mid:?}");
         // Repeated full flushes walk dest 1's timeout toward max.
         let now = Instant::now();
-        for round in 0..12 {
-            for i in 0..4 {
-                nq.push(1, &words(round * 4 + i), now);
-            }
+        for i in 0..48 {
+            nq.push(1, &inc(1, i), now);
         }
         let dense = nq.effective_timeout(1);
         assert!(
@@ -940,11 +1011,11 @@ mod tests {
             "dense dest grows toward max: {dense:?}"
         );
         // Repeated near-empty timeout flushes walk a sparse destination's
-        // timeout toward min (roomier queue so one message is ~3% fill).
+        // timeout toward min (roomier queue so one message is ~2% fill).
         let mut sq =
             NodeQueues::with_policy(0, 2, 1024, FlushPolicy::Adaptive(a), AggCounters::default());
         for _ in 0..12 {
-            sq.push(0, &words(0), now);
+            sq.push(0, &inc(0, 0), now);
             let later = now + Duration::from_secs(1);
             assert_eq!(sq.poll_timeouts(later).len(), 1);
         }
@@ -964,7 +1035,7 @@ mod tests {
         let mut nq = NodeQueues::with_config(0, 2, 64, Duration::from_millis(3));
         let now = Instant::now();
         for i in 0..4 {
-            nq.push(1, &words(i), now);
+            nq.push(1, &inc(1, i), now);
         }
         assert_eq!(nq.effective_timeout(0), Duration::from_millis(3));
         assert_eq!(nq.effective_timeout(1), Duration::from_millis(3));
@@ -975,7 +1046,7 @@ mod tests {
         let mut nq = NodeQueues::with_config(0, 3, 1024, Duration::from_millis(1));
         let t0 = Instant::now();
         assert_eq!(nq.next_deadline(t0), None, "nothing buffered");
-        nq.push(1, &words(0), t0);
+        nq.push(1, &inc(1, 0), t0);
         let d = nq.next_deadline(t0).unwrap();
         assert!(
             d <= Duration::from_millis(1) && d > Duration::from_micros(500),
@@ -988,12 +1059,17 @@ mod tests {
     }
 
     #[test]
-    fn oversized_message_rejected() {
-        let mut nq = NodeQueues::with_config(0, 1, 32, DEFAULT_TIMEOUT);
+    fn a_message_is_four_words_and_a_queue_holds_one() {
+        let mut nq = NodeQueues::with_config(0, 1, MIN_QUEUE_BYTES, DEFAULT_TIMEOUT);
         let big = vec![0u64; 5];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             nq.push(0, &big, Instant::now());
         }));
         assert!(r.is_err());
+        let get = Message::get(0, 7, 42, 250).encode();
+        let pkt = nq.push(0, &get, Instant::now()).expect("one whole message fills it");
+        assert_eq!(pkt.len(), MIN_QUEUE_BYTES);
+        let r = std::panic::catch_unwind(|| NodeQueues::with_config(0, 1, 32, DEFAULT_TIMEOUT));
+        assert!(r.is_err(), "32 bytes hold no run header and message");
     }
 }

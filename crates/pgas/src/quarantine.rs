@@ -30,9 +30,12 @@ pub enum QuarantineReason {
     UnknownHandler,
     /// A Put/Inc addressed a heap offset past the local partition.
     OutOfRange,
-    /// The packet payload ended mid-message (length not a multiple of
-    /// the message stride): a frame that verifies, sealed that way by a
-    /// sender other than the runtime's, which packs whole messages.
+    /// The rest of the packet payload is not runs of records: a run
+    /// header of unknown kind, with no records or with more records
+    /// than bytes, or bytes short of a header after the last run
+    /// ([`runs`](crate::runs)). A frame that verifies, sealed that way
+    /// by a sender other than the runtime's; one entry holds the first
+    /// four words of the rest, and the runs before it apply.
     PartialPayload,
     /// The message named a destination node outside the cluster. Caught
     /// by the *sending* aggregator lane before it reaches a queue, so
@@ -66,6 +69,7 @@ pub struct QuarantinedMessage {
     /// Message index inside the packet.
     pub index: usize,
     /// The raw message words, zero-padded if the payload ended early.
+    /// A PUT or INC record's words carry the packet's destination.
     pub words: [u64; MSG_ROWS],
     /// Why it was refused.
     pub reason: QuarantineReason,

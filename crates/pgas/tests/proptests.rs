@@ -10,6 +10,11 @@ use gravel_pgas::{
 };
 use proptest::prelude::*;
 
+/// `words` as little-endian bytes: an opaque payload.
+fn le_bytes(words: &[u64]) -> bytes::Bytes {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>().into()
+}
+
 /// Case count for the wire-fuzz properties below. The default keeps CI
 /// fast; the nightly-style fuzz job raises it via `GRAVEL_FUZZ_CASES`.
 fn fuzz_cases() -> u32 {
@@ -76,7 +81,8 @@ proptest! {
     #[test]
     fn nodeq_conserves_messages(
         dests in prop::collection::vec(0usize..6, 1..300),
-        queue_msgs in 1usize..16,
+        // A queue holds at least a run header and one whole message.
+        queue_msgs in 2usize..16,
     ) {
         let queue_bytes = queue_msgs * 32;
         let mut nq = NodeQueues::with_config(0, 6, queue_bytes, Duration::from_secs(3600));
@@ -92,7 +98,7 @@ proptest! {
         // Every message appears exactly once, tagged by its index.
         let mut tags: Vec<u64> = packets
             .iter()
-            .flat_map(|p| p.words().chunks_exact(4).map(|c| c[0]).collect::<Vec<_>>())
+            .flat_map(|p| p.messages().map(|m| m[0]).collect::<Vec<_>>())
             .collect();
         tags.sort_unstable();
         prop_assert_eq!(tags, (0..dests.len() as u64).collect::<Vec<_>>());
@@ -101,7 +107,7 @@ proptest! {
             let per_dest: Vec<u64> = packets
                 .iter()
                 .filter(|p| p.dest == d)
-                .flat_map(|p| p.words().chunks_exact(4).map(|c| c[0]).collect::<Vec<_>>())
+                .flat_map(|p| p.messages().map(|m| m[0]).collect::<Vec<_>>())
                 .collect();
             prop_assert!(per_dest.windows(2).all(|w| w[0] < w[1]), "dest {}", d);
         }
@@ -119,10 +125,11 @@ proptest! {
     ) {
         let heap = SymmetricHeap::new(32);
         let ams = AmRegistry::new();
-        let mut words = Vec::new();
+        let mut msgs = Vec::new();
         for &a in &addrs {
-            words.extend(gravel_gq::Message::inc(0, a, 1).encode());
+            msgs.extend(gravel_gq::Message::inc(0, a, 1).encode());
         }
+        let words = Packet::from_words(1, 0, &msgs).words();
         let (applied, shutdown) = apply_words(&words, 0, &heap, &ams, &mut |_| {});
         prop_assert_eq!(applied, addrs.len());
         prop_assert!(!shutdown);
@@ -154,41 +161,12 @@ proptest! {
             0..48,
         ),
     ) {
-        use gravel_gq::Message;
-        use gravel_pgas::{apply, Applied};
-        let mut ams = AmRegistry::new();
-        ams.register_replying(Box::new(|h, a, v, reply| {
-            h.fetch_add(a % 4, v);
-            reply(Message::inc(1, a % 4, v));
-        }));
-        ams.register_returning(Box::new(|h, a| h.load(a % 4)));
         let words: Vec<u64> = msgs
             .iter()
             .flat_map(|&(op, high, addr, value)| [op ^ high << 32, 7, addr, value])
             .collect();
-
-        let heap = SymmetricHeap::new(4);
-        let mut replies = Vec::new();
-        let got = apply_words(&words, 5, &heap, &ams, &mut |m| replies.push(m));
-
-        let reference = SymmetricHeap::new(4);
-        let mut want_replies = Vec::new();
-        let (mut disposed, mut shutdown) = (0, false);
-        for chunk in words.chunks_exact(4) {
-            let Some(msg) = Message::decode([chunk[0], chunk[1], chunk[2], chunk[3]]) else {
-                continue;
-            };
-            match apply(&msg, 5, &reference, &ams, &mut |m| want_replies.push(m)) {
-                Applied::Shutdown => {
-                    shutdown = true;
-                    break;
-                }
-                _ => disposed += 1,
-            }
-        }
-        prop_assert_eq!(got, (disposed, shutdown));
-        prop_assert_eq!(heap.snapshot(), reference.snapshot());
-        prop_assert_eq!(replies, want_replies);
+        let payload = Packet::from_words(5, 7, &words).words();
+        prop_assert_eq!(Replayed::of_payload(&payload), Replayed::of_messages(&words));
     }
 
     /// Flipping any single bit anywhere in a sealed data frame —
@@ -204,7 +182,7 @@ proptest! {
         at in any::<usize>(),
         bit in 0u32..8,
     ) {
-        let mut pkt = Packet::from_words(src, dest, &words);
+        let mut pkt = Packet::from_payload(src, dest, le_bytes(&words));
         pkt.seq = seq;
         let frame = pkt.seal(0, WireIntegrity::Crc32c);
         prop_assert!(frame.open(WireIntegrity::Crc32c).is_ok());
@@ -240,8 +218,8 @@ proptest! {
                 // If something structurally valid slipped through with
                 // the CRC off, decoding its messages must not panic
                 // either.
-                for i in 0..pkt.msg_count() {
-                    let _ = gravel_gq::Message::decode(pkt.msg_words(i));
+                for words in pkt.messages() {
+                    let _ = gravel_gq::Message::decode(words);
                 }
             }
         }
@@ -285,9 +263,8 @@ proptest! {
         prop_assert!(open_frame(&frame.bytes, FrameKind::Data, WireIntegrity::Crc32c).is_err());
         // Payload round-trips bit-exact.
         let opened = frame.open(WireIntegrity::Crc32c).unwrap();
-        for (i, m) in msgs.iter().enumerate() {
-            prop_assert_eq!(gravel_gq::Message::decode(opened.msg_words(i)), Some(*m));
-        }
+        let back: Vec<_> = opened.messages().map(gravel_gq::Message::decode).collect();
+        prop_assert_eq!(back, msgs.iter().copied().map(Some).collect::<Vec<_>>());
         // Any single-bit flip fails verification.
         let mut mangled = frame.bytes.to_vec();
         let i = at % mangled.len();
@@ -304,7 +281,7 @@ proptest! {
         words in prop::collection::vec(any::<u64>(), 1..40),
         cut in any::<usize>(),
     ) {
-        let pkt = Packet::from_words(0, 1, &words);
+        let pkt = Packet::from_payload(0, 1, le_bytes(&words));
         let frame = pkt.seal(0, WireIntegrity::Crc32c);
         let n = cut % frame.bytes.len(); // 0..len-1: strictly shorter
         let short = DataFrame {
@@ -457,6 +434,259 @@ proptest! {
     }
 }
 
+/// What replaying a word stream leaves: heap, replies, disposed count,
+/// whether it stopped at a shutdown sentinel.
+#[derive(Debug, PartialEq)]
+struct Replayed {
+    heap: Vec<u64>,
+    replies: Vec<gravel_gq::Message>,
+    got: (usize, bool),
+}
+
+impl Replayed {
+    /// A replying and a returning handler over a four-word heap.
+    fn handlers() -> AmRegistry {
+        let mut ams = AmRegistry::new();
+        ams.register_replying(Box::new(|h, a, v, reply| {
+            h.fetch_add(a % 4, v);
+            reply(gravel_gq::Message::inc(1, a % 4, v));
+        }));
+        ams.register_returning(Box::new(|h, a| h.load(a % 4)));
+        ams
+    }
+
+    /// `apply_words` over payload words (runs) from node 5.
+    fn of_payload(payload: &[u64]) -> Replayed {
+        let heap = SymmetricHeap::new(4);
+        let mut replies = Vec::new();
+        let got = apply_words(payload, 5, &heap, &Self::handlers(), &mut |m| replies.push(m));
+        Replayed { heap: heap.snapshot(), replies, got }
+    }
+
+    /// The reference: one `Message::decode` + `apply` per four-word
+    /// message of `msgs`.
+    fn of_messages(msgs: &[u64]) -> Replayed {
+        use gravel_pgas::{apply, Applied};
+        let (heap, ams) = (SymmetricHeap::new(4), Self::handlers());
+        let mut replies = Vec::new();
+        let (mut disposed, mut shutdown) = (0, false);
+        for chunk in msgs.chunks_exact(4) {
+            let Some(msg) = gravel_gq::Message::decode(chunk.try_into().unwrap()) else {
+                continue;
+            };
+            match apply(&msg, 5, &heap, &ams, &mut |m| replies.push(m)) {
+                Applied::Shutdown => {
+                    shutdown = true;
+                    break;
+                }
+                _ => disposed += 1,
+            }
+        }
+        Replayed { heap: heap.snapshot(), replies, got: (disposed, shutdown) }
+    }
+}
+
+/// One message as words, for a packet to node `dest`: PUTs and INCs
+/// (records, whatever their destination word), PUTs and INCs with bits
+/// above the opcode (whole messages), every other command and junk.
+fn arb_message(dest: u32) -> impl Strategy<Value = [u64; 4]> {
+    let cmd = prop_oneof![
+        8 => 0u64..2,
+        1 => (0u64..2, 1u64..u64::from(u32::MAX)).prop_map(|(op, high)| op | high << 32),
+        3 => 2u64..8,
+        1 => any::<u64>(),
+    ];
+    let to = prop_oneof![6 => Just(u64::from(dest)), 1 => any::<u64>()];
+    let addr = prop_oneof![6 => 0u64..4, 1 => any::<u64>()];
+    (cmd, to, addr, any::<u64>()).prop_map(|(cmd, to, addr, value)| [cmd, to, addr, value])
+}
+
+/// `msgs` as a packet for `dest` gives them back: a PUT or INC record
+/// carries the packet's destination, not the message's.
+fn as_sent(msgs: &[[u64; 4]], dest: u32) -> Vec<[u64; 4]> {
+    msgs.iter()
+        .map(|&[cmd, to, addr, value]| {
+            let to = if cmd < 2 { u64::from(dest) } else { to };
+            [cmd, to, addr, value]
+        })
+        .collect()
+}
+
+/// A word that is often a plausible run header: a known kind with a
+/// small count.
+fn arb_payload_word() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => (0u64..5, 0u64..6).prop_map(|(kind, count)| kind | count << 32),
+        4 => 0u64..8,
+        3 => any::<u64>(),
+    ]
+}
+
+/// How the rest of a payload stops making sense.
+#[derive(Clone, Copy, Debug)]
+enum Torn {
+    /// A header whose kind is none of PUT, INC and RAW.
+    UnknownKind,
+    /// A known kind with a count of zero.
+    ZeroCount,
+    /// More records than there are words left.
+    Overrun,
+    /// One to seven bytes, short of a header.
+    Ragged,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// Random payloads, sealed into a frame and opened again so the
+    /// payload is a view into the middle of the frame's bytes, decode
+    /// without a panic and from their own bytes only: the message walk,
+    /// the count, a decode of an owned copy and `apply_stream` agree on
+    /// every message and on where the payload stopped making sense,
+    /// which is inside it.
+    #[test]
+    fn run_decode_of_a_random_payload_never_panics_or_reads_past_it(
+        words in prop::collection::vec(arb_payload_word(), 0..64),
+        ragged in prop::collection::vec(any::<u8>(), 0..8),
+        dest in 0u32..4,
+    ) {
+        use gravel_pgas::{apply_stream, runs, StreamEnd};
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.extend(&ragged);
+        let frame =
+            Packet::from_payload(1, dest, bytes.clone().into()).seal(0, WireIntegrity::Crc32c);
+        let pkt = frame.open(WireIntegrity::Crc32c).unwrap();
+        let payload_at = frame.bytes.as_ptr() as usize + gravel_pgas::HEADER_BYTES;
+        prop_assert_eq!(pkt.payload.as_ptr() as usize, payload_at);
+
+        let mut walk = pkt.messages();
+        let msgs: Vec<[u64; 4]> = walk.by_ref().collect();
+        let stopped = walk.malformed_at();
+        prop_assert_eq!(msgs.len(), pkt.msg_count());
+        let mut copy = runs::messages(bytes.as_slice(), dest);
+        prop_assert_eq!(copy.by_ref().collect::<Vec<_>>(), msgs.clone());
+        prop_assert_eq!(copy.malformed_at(), stopped);
+        // Bytes short of a word never decode.
+        prop_assert!(ragged.is_empty() || stopped.is_some());
+        if let Some(at) = stopped {
+            prop_assert!(at * 8 <= bytes.len());
+        }
+
+        let heap = SymmetricHeap::new(4);
+        let (mut cursor, mut others) = (0, Vec::new());
+        let payload: &[u8] = &pkt.payload;
+        let end = apply_stream(payload, dest, &mut cursor, &heap, || false, |i, w| {
+            others.push((i, w));
+            true
+        });
+        prop_assert_eq!(cursor, msgs.len());
+        prop_assert_eq!(end, stopped.map_or(StreamEnd::Drained, |at| StreamEnd::Malformed { at }));
+        for (i, w) in others {
+            prop_assert_eq!(msgs[i], w);
+        }
+    }
+
+    /// Every shape of malformed header, behind any well-formed runs:
+    /// the stream applies exactly the messages before it and reports
+    /// it once — from the call that reaches it, however often the
+    /// stream was interrupted and resumed on the way.
+    #[test]
+    fn run_decode_stops_once_at_a_malformed_header_behind_the_runs_before_it(
+        prefix in prop::collection::vec(arb_message(0), 0..12),
+        torn in prop_oneof![
+            Just(Torn::UnknownKind),
+            Just(Torn::ZeroCount),
+            Just(Torn::Overrun),
+            Just(Torn::Ragged),
+        ],
+        code in any::<u32>(),
+        kind in 1u32..4,
+        junk in prop::collection::vec(any::<u64>(), 0..6),
+        short in 1usize..8,
+        // At least one poll between kills, so every call makes progress.
+        kill_every in 2usize..6,
+    ) {
+        use gravel_pgas::{apply_stream, runs::run_header, RunKind, StreamEnd};
+        let flat: Vec<u64> = prefix.iter().flatten().copied().collect();
+        let good = Packet::from_words(1, 0, &flat);
+        let kind = RunKind::of_code(kind).unwrap();
+        let header = match torn {
+            Torn::UnknownKind => {
+                let code = if (1..=3).contains(&code) { code + 3 } else { code };
+                Some(u64::from(code) | (junk.len() as u64) << 32)
+            }
+            Torn::ZeroCount => Some(run_header(kind, 0)),
+            Torn::Overrun => {
+                Some(run_header(kind, (junk.len() / kind.record_words()) as u32 + 1))
+            }
+            Torn::Ragged => None,
+        };
+        let mut bytes = good.payload.to_vec();
+        match header {
+            Some(h) => {
+                bytes.extend(h.to_le_bytes());
+                bytes.extend(junk.iter().flat_map(|w| w.to_le_bytes()));
+            }
+            None => bytes.extend(&junk.first().unwrap_or(&0).to_le_bytes()[..short]),
+        }
+        let torn_pkt = Packet::from_payload(1, 0, bytes.into());
+        let mut walk = torn_pkt.messages();
+        prop_assert_eq!(walk.by_ref().collect::<Vec<_>>(), as_sent(&prefix, 0));
+        let at = good.len() / 8;
+        prop_assert_eq!(walk.malformed_at(), Some(at));
+
+        // Only the prefix, run to its end.
+        let want = SymmetricHeap::new(4);
+        let mut cursor = 0;
+        let whole: &[u8] = &good.payload;
+        apply_stream(whole, 0, &mut cursor, &want, || false, |_, _| true);
+
+        // The torn payload, interrupted every few messages and resumed.
+        let heap = SymmetricHeap::new(4);
+        let payload: &[u8] = &torn_pkt.payload;
+        let (mut cursor, mut polls, mut ends) = (0, 0, Vec::new());
+        loop {
+            let end = apply_stream(payload, 0, &mut cursor, &heap, || {
+                polls += 1;
+                polls % kill_every == 0
+            }, |_, _| true);
+            ends.push(end);
+            if end != StreamEnd::Interrupted {
+                break;
+            }
+        }
+        prop_assert_eq!(cursor, prefix.len());
+        prop_assert_eq!(ends.last(), Some(&StreamEnd::Malformed { at }));
+        let reported = ends.iter().filter(|e| matches!(e, StreamEnd::Malformed { .. })).count();
+        prop_assert_eq!(reported, 1);
+        prop_assert_eq!(heap.snapshot(), want.snapshot());
+    }
+
+    /// Encode → decode round-trips any mix of commands exactly, and two
+    /// payloads placed end to end — a replay log — decode, and replay,
+    /// as the messages of both in order.
+    #[test]
+    fn run_decode_round_trips_any_mix_and_payloads_end_to_end(
+        a in prop::collection::vec(arb_message(3), 0..40),
+        b in prop::collection::vec(arb_message(3), 0..40),
+    ) {
+        let [pa, pb] = [&a, &b].map(|m| Packet::from_words(0, 3, m.as_flattened()));
+        for (pkt, msgs) in [(&pa, &a), (&pb, &b)] {
+            let mut walk = pkt.messages();
+            prop_assert_eq!(walk.by_ref().collect::<Vec<_>>(), as_sent(msgs, 3));
+            prop_assert_eq!(walk.malformed_at(), None);
+            prop_assert_eq!(pkt.msg_count(), msgs.len());
+            prop_assert!(pkt.len() <= msgs.len() * (8 + 32));
+        }
+        let log = [pa.words(), pb.words()].concat();
+        let both = [a.clone(), b.clone()].concat();
+        let mut walk = gravel_pgas::runs::messages(log.as_slice(), 3);
+        prop_assert_eq!(walk.by_ref().collect::<Vec<_>>(), as_sent(&both, 3));
+        prop_assert_eq!(walk.malformed_at(), None);
+        prop_assert_eq!(Replayed::of_payload(&log), Replayed::of_messages(both.as_flattened()));
+    }
+}
+
 /// Case count for the differential oracles: CI's `release-oracles` job runs
 /// them in `--release`.
 fn oracle_cases() -> u32 {
@@ -469,9 +699,9 @@ fn oracle_cases() -> u32 {
 /// How a packet with frame room around its payload came to be.
 #[derive(Clone, Copy, Debug)]
 enum Built {
-    /// `Packet::from_words_in` (the `gravel-node` packetizer): any
-    /// whole number of words, a partial last message included.
-    FromWords,
+    /// `Packet::from_incs_in` (the `gravel-node` packetizer): any
+    /// number of INCs.
+    FromIncs,
     /// A lane's `NodeQueues` whose queue these messages fill exactly.
     LaneFull,
     /// The same queue flushed short of full (a timeout flush).
@@ -488,7 +718,7 @@ proptest! {
     /// copy and leave the sealed frame alone.
     #[test]
     fn in_place_seal_matches_the_copying_seal_and_happens_once(
-        // 0, one message, partial tails, up to a few messages.
+        // 0, one message, up to a few messages.
         words in prop::collection::vec(any::<u64>(), 0..=40),
         opcode in 0u64..8,
         src in 0u32..8,
@@ -497,28 +727,43 @@ proptest! {
         epoch: u32,
         seq: u64,
         crc: bool,
-        built in prop_oneof![Just(Built::FromWords), Just(Built::LaneFull), Just(Built::LanePartial)],
+        built in prop_oneof![Just(Built::FromIncs), Just(Built::LaneFull), Just(Built::LanePartial)],
     ) {
         use gravel_gq::BufferPool;
         use gravel_pgas::{FRAME_OVERHEAD, HEADER_BYTES};
         let integrity = if crc { WireIntegrity::Crc32c } else { WireIntegrity::Off };
         let mut words = words;
-        if let Some(first) = words.first_mut() {
-            // Every class, and opcodes that are none.
-            *first = *first & !0xff | opcode;
+        words.truncate(words.len() / 4 * 4);
+        if !matches!(built, Built::FromIncs) {
+            // At least two messages, all with the first one's command
+            // word: a queue they fill exactly flushes behind the last.
+            words.resize((words.len() / 4).max(2) * 4, 7);
+            let cmd = words[0];
+            words.chunks_exact_mut(4).for_each(|msg| msg[0] = cmd);
+        }
+        for msg in words.chunks_exact_mut(4) {
+            // Every class, and opcodes that are none; PUT and INC
+            // records (an exact command word) as well as whole messages.
+            msg[0] = match built {
+                Built::FromIncs => 1,
+                _ if opcode < 2 && msg[0] % 2 == 0 => opcode,
+                _ => msg[0] & !0xff | opcode,
+            };
         }
         let pool = BufferPool::new();
         let takes = || pool.hits() + pool.misses();
+        let encoded = Packet::from_words(src, dest, &words).len();
         let mut roomy = match built {
-            Built::FromWords => Packet::from_words_in(src, dest, &words, Some(&pool)),
+            Built::FromIncs => {
+                let incs = words.chunks_exact(4).map(|m| (m[2], m[3]));
+                Packet::from_incs_in(src, dest, incs, Some(&pool))
+            }
             Built::LaneFull | Built::LanePartial => {
-                // Whole messages only, and at least one.
-                words.resize((words.len() / 4).max(1) * 4, 7);
                 let slack = if matches!(built, Built::LanePartial) { 32 } else { 0 };
                 let mut nq = NodeQueues::with_config(
                     src,
                     8,
-                    words.len() * 8 + slack,
+                    encoded + slack,
                     Duration::from_secs(3600),
                 )
                 .with_pool(pool.clone());
@@ -534,14 +779,16 @@ proptest! {
             }
         };
         (roomy.lane, roomy.seq) = (lane, seq);
-        prop_assert_eq!(roomy.words(), words.clone());
+        let sent: Vec<[u64; 4]> = words.chunks_exact(4).map(|m| m.try_into().unwrap()).collect();
+        prop_assert_eq!(roomy.messages().collect::<Vec<_>>(), as_sent(&sent, dest));
+        prop_assert_eq!(roomy.len(), encoded);
         let filled_at = roomy.payload.as_ptr() as usize;
 
         // The reference: the same packet without room, sealed by copy.
         let mut bare = Packet::from_words(src, dest, &words);
         (bare.lane, bare.seq, bare.born) = (lane, seq, roomy.born);
         let reference = bare.seal(epoch, integrity);
-        prop_assert_eq!(reference.len(), words.len() * 8 + FRAME_OVERHEAD);
+        prop_assert_eq!(reference.len(), encoded + FRAME_OVERHEAD);
 
         // A clone shares the payload, not the room: it copies.
         let before = takes();

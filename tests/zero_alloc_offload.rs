@@ -218,10 +218,11 @@ impl Transport for CountingSink {
 #[test]
 fn a_warm_lane_drains_and_flushes_without_allocating() {
     let cfg = GravelConfig::paper(2, 1 << 10);
-    // 32 messages a packet: the counted window is 8192 messages, 32 full
-    // slots, four claims, 256 size-driven flushes to two destinations.
-    let queue_bytes = 1024;
-    let per_packet = (queue_bytes / gravel_gq::MSG_BYTES) as u64;
+    // 32 INC records a packet: the counted window is 8192 messages, 32
+    // full slots, four claims, 256 size-driven flushes to two
+    // destinations.
+    let per_packet = 32;
+    let queue_bytes = gravel_pgas::RUN_HEADER_BYTES + per_packet as usize * gravel_pgas::PAIR_BYTES;
     let messages = (WARM_PACKETS + COUNTED_PACKETS + 8) * per_packet;
     let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
     let sink = Arc::new(CountingSink {
