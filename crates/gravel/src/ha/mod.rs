@@ -24,19 +24,19 @@
 //!    original panic through the runtime's [`ErrorSlot`](crate::ErrorSlot).
 //!
 //! 3. **Epoch checkpointing** ([`checkpoint`]) — the runtime
-//!    periodically cuts a consistent epoch (a quiesce-lite barrier),
-//!    snapshots every node's PGAS heap plus app progress (via the
-//!    [`Checkpoint`] trait), and keeps a per-node replay log of
-//!    messages applied since. A node declared dead is restored from the
-//!    epoch snapshot and the log is replayed, reproducing the exact
-//!    pre-death heap.
+//!    periodically cuts a consistent epoch (a quiesce-lite barrier)
+//!    into each node's [`RecoveryLog`]: a baseline of its PGAS heap,
+//!    flow cursors and app progress (via the [`Checkpoint`] trait),
+//!    then every packet it applies. A node declared dead is restored
+//!    by replaying its log, reproducing the exact pre-death heap.
 //!
 //! A fourth mechanism builds on the first three: **elastic
 //! rebalancing** ([`rebalance`]) — the coordinator-side state machine
 //! that commits JOIN/LEAVE/EVICT proposals one at a time at epoch
-//! boundaries and tracks the resulting shard migration; the supervisor
-//! owns it so the driver thread can be restarted around intact
-//! protocol state (DESIGN.md §16).
+//! boundaries and tracks the resulting shard migration. Only
+//! `gravel-node` drives it: every process holds one behind a mutex
+//! outside its control-plane threads, and whoever wins the coordinator
+//! lease ticks it (DESIGN.md §16).
 //!
 //! A fifth makes the coordinator *role* itself survivable: **lease +
 //! fencing + quorum** ([`lease`]) — a monotonically increasing term
@@ -62,7 +62,7 @@ pub mod lease;
 pub mod rebalance;
 pub mod supervisor;
 
-pub use checkpoint::{Checkpoint, EpochSnapshot, ReplayLog};
+pub use checkpoint::{Baseline, Checkpoint, LoggedPacket, RecoveryLog, ReplayError, Replayed};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 pub use lease::{quorum, successor, LeaseState, VoteLedger, INITIAL_TERM};
 pub use rebalance::{RebalancePlan, Rebalancer, TopologyChange};
@@ -79,7 +79,7 @@ pub struct HaConfig {
     /// default) spawns no heartbeat threads — detection costs one thread
     /// per node, which short-lived test clusters don't want.
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Keep per-node replay logs so [`cut_epoch`](crate::GravelRuntime::cut_epoch)
+    /// Keep per-node recovery logs so [`cut_epoch`](crate::GravelRuntime::cut_epoch)
     /// / [`recover_node`](crate::GravelRuntime::recover_node) can restore
     /// a dead node exactly. Off by default: the log grows with traffic
     /// between epoch cuts.

@@ -69,11 +69,6 @@ pub enum WorkerKind {
     Net,
     /// Heartbeat emitter / failure-detector driver.
     Heartbeat,
-    /// Elastic-topology coordinator driver (owns no protocol state —
-    /// that lives in the supervisor's
-    /// [`Rebalancer`](crate::ha::Rebalancer), so a restarted driver
-    /// resumes the in-flight migration exactly).
-    Rebalance,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,12 +115,6 @@ pub struct Supervisor {
     shared: Arc<Shared>,
     tx: Sender<Event>,
     monitor: Option<JoinHandle<()>>,
-    /// Coordinator-side topology-change state (queued proposals, the
-    /// in-flight migration). Owned here — outside any worker thread —
-    /// for the same reason `LaneState`/`RecvState` are: a supervised
-    /// restart of the [`WorkerKind::Rebalance`] driver must resume the
-    /// protocol exactly where its predecessor died.
-    rebalancer: Arc<Mutex<super::rebalance::Rebalancer>>,
 }
 
 impl Supervisor {
@@ -147,14 +136,7 @@ impl Supervisor {
             shared,
             tx,
             monitor: Some(monitor),
-            rebalancer: Arc::new(Mutex::new(super::rebalance::Rebalancer::new())),
         }
-    }
-
-    /// The supervisor-owned topology-change state machine; clone the
-    /// handle into a [`WorkerKind::Rebalance`] driver body.
-    pub fn rebalancer(&self) -> Arc<Mutex<super::rebalance::Rebalancer>> {
-        self.rebalancer.clone()
     }
 
     /// Spawn a supervised worker. `body` must be re-runnable: all state

@@ -49,6 +49,7 @@ use gravel_pgas::{
 };
 
 use crate::error::ErrorSlot;
+use crate::ha::{LoggedPacket, RecoveryLog};
 use crate::node::NodeShared;
 
 /// Receive poll interval; bounds how quickly the thread notices shutdown
@@ -95,12 +96,17 @@ impl FlowState {
 /// buffers, and mid-packet resume cursors all survive the thread.
 pub struct RecvState {
     flows: HashMap<(u32, u32), FlowState>,
+    /// The node's recovery log, when it keeps one (`cfg.ha.checkpoint`):
+    /// every packet [`accept`](Self::accept) fully applies is appended,
+    /// under the same lock as the cursors it advances.
+    pub(crate) log: Option<RecoveryLog>,
 }
 
 impl RecvState {
     pub fn new() -> Self {
         RecvState {
             flows: HashMap::new(),
+            log: None,
         }
     }
 
@@ -137,6 +143,49 @@ impl RecvState {
         flow.expected = expected;
         flow.resume_at = 0;
         flow.ooo.clear();
+    }
+
+    /// Take one verified packet addressed to `node`: count a duplicate,
+    /// park an early one, or gate, apply and tap it and then every
+    /// parked successor it uncovers. Returns what the flow's ack
+    /// restates: the next expected sequence number and the held map.
+    pub(crate) fn accept(
+        &mut self,
+        node: &NodeShared,
+        pkt: Packet,
+        chaos: Option<&ChaosPlan>,
+        gate: Option<&Arc<dyn ApplyGate>>,
+        tap: Option<&Arc<dyn PacketTap>>,
+    ) -> (u64, u64) {
+        let RecvState { flows, log } = self;
+        let flow = flows.entry((pkt.src, pkt.lane)).or_default();
+        if pkt.seq < flow.expected || flow.ooo.contains_key(&pkt.seq) {
+            // Duplicate (injected, a retransmission of an applied packet
+            // whose ack was lost, or a second copy of a parked one).
+            // Re-ack so the sender advances.
+            node.net_dups_suppressed.add(1);
+        } else if pkt.seq > flow.expected {
+            // Out of order: park it if the buffer has room (the sender
+            // retransmits it otherwise), then ack what we actually have.
+            if flow.ooo.len() < OOO_BUFFER_CAP {
+                node.net_ooo_parked.add(1);
+                flow.ooo.insert(pkt.seq, pkt);
+            } else {
+                node.net_ooo_dropped.add(1);
+            }
+        } else {
+            gate_apply_tap(node, &pkt, &mut flow.resume_at, log.as_mut(), chaos, gate, tap);
+            flow.expected += 1;
+            // Drain any buffered successors the gap was hiding. A panic
+            // mid-drain loses the popped packet but not its messages:
+            // `expected` was not yet advanced past it and the next ack's
+            // map no longer reports it, so the sender re-sends it.
+            while let Some(next) = flow.ooo.remove(&flow.expected) {
+                gate_apply_tap(node, &next, &mut flow.resume_at, log.as_mut(), chaos, gate, tap);
+                flow.expected += 1;
+            }
+        }
+        (flow.expected, flow.held_map())
     }
 }
 
@@ -291,11 +340,17 @@ fn apply_message(node: &NodeShared, pkt: &Packet, index: usize, words: [u64; MSG
 /// replies a handler enqueues inflate `offloaded` before the batch
 /// lands in `applied`, so the counters cannot balance mid-packet. On
 /// completion the packet's well-formed payload is appended to the
-/// node's replay log (if checkpointing) — before its last messages are
+/// node's recovery log (`log`, if checkpointing) — before its last messages are
 /// counted, so a quiescent cluster's logs are complete — and the cursor
 /// returns to 0; an interrupted packet is *not* logged — its completed
 /// retransmission will be.
-fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: Option<&ChaosPlan>) {
+fn apply_packet(
+    node: &NodeShared,
+    pkt: &Packet,
+    resume_at: &mut usize,
+    log: Option<&mut RecoveryLog>,
+    chaos: Option<&ChaosPlan>,
+) {
     let _span = node.tracer.span("net.apply", "apply", node.id);
     if *resume_at == 0 {
         node.packet_latency
@@ -330,12 +385,11 @@ fn apply_packet(node: &NodeShared, pkt: &Packet, resume_at: &mut usize, chaos: O
         StreamEnd::Drained | StreamEnd::Shutdown => payload,
     };
     // Log before counting: once `applied` balances, `cut_epoch` may
-    // snapshot the heap and clear the log, and a packet appended after
-    // that clear would be replayed on top of a snapshot that already
-    // holds it. Only whole runs go in, so the log stays a stream of
-    // runs.
-    if let Some(log) = &node.replay {
-        log.append(applied);
+    // rebase the log on a heap image, and a packet appended after that
+    // would be replayed on top of an image that already holds it. Only
+    // whole runs go in, so an entry stays a stream of runs.
+    if let Some(log) = log {
+        log.packets.push(LoggedPacket::new(pkt.src, pkt.lane, pkt.seq, applied));
     }
     drop(batch);
     *resume_at = 0;
@@ -357,19 +411,20 @@ fn gate_apply_tap(
     node: &NodeShared,
     pkt: &Packet,
     resume_at: &mut usize,
+    log: Option<&mut RecoveryLog>,
     chaos: Option<&ChaosPlan>,
     gate: Option<&Arc<dyn ApplyGate>>,
     tap: Option<&Arc<dyn PacketTap>>,
 ) {
     match gate.and_then(|g| g.filter(pkt)) {
         Some(repl) => {
-            apply_packet(node, &repl, resume_at, chaos);
+            apply_packet(node, &repl, resume_at, log, chaos);
             if let Some(t) = tap {
                 t.on_packet_applied(&repl);
             }
         }
         None => {
-            apply_packet(node, pkt, resume_at, chaos);
+            apply_packet(node, pkt, resume_at, log, chaos);
             if let Some(t) = tap {
                 t.on_packet_applied(pkt);
             }
@@ -444,47 +499,8 @@ pub fn run_with(
         }
         let (src, lane) = (pkt.src, pkt.lane);
         let mut st = lock_recv(&state);
-        let flow = st.flows.entry((src, lane)).or_default();
-        if pkt.seq < flow.expected || flow.ooo.contains_key(&pkt.seq) {
-            // Duplicate (injected, a retransmission of an applied packet
-            // whose ack was lost, or a second copy of a parked one).
-            // Re-ack so the sender advances.
-            node.net_dups_suppressed.add(1);
-        } else if pkt.seq > flow.expected {
-            // Out of order: park it if the buffer has room (the sender
-            // retransmits it otherwise), then ack what we actually have.
-            if flow.ooo.len() < OOO_BUFFER_CAP {
-                node.net_ooo_parked.add(1);
-                flow.ooo.insert(pkt.seq, pkt);
-            } else {
-                node.net_ooo_dropped.add(1);
-            }
-        } else {
-            gate_apply_tap(
-                &node,
-                &pkt,
-                &mut flow.resume_at,
-                chaos.as_deref(),
-                gate.as_ref(),
-                tap.as_ref(),
-            );
-            flow.expected += 1;
-            // Drain any buffered successors the gap was hiding. A panic
-            // mid-drain loses the popped packet but not its messages:
-            // `expected` was not yet advanced past it and the next ack's
-            // map no longer reports it, so the sender re-sends it.
-            while let Some(next) = flow.ooo.remove(&flow.expected) {
-                gate_apply_tap(
-                    &node,
-                    &next,
-                    &mut flow.resume_at,
-                    chaos.as_deref(),
-                    gate.as_ref(),
-                    tap.as_ref(),
-                );
-                flow.expected += 1;
-            }
-        }
+        let (expected, held) =
+            st.accept(&node, pkt, chaos.as_deref(), gate.as_ref(), tap.as_ref());
         // Everything below `expected` is applied, and the map says what
         // is parked beyond it — before anything is in order too, or a
         // lost first packet would go unreported. Acks are best-effort
@@ -496,13 +512,9 @@ pub fn run_with(
                 src: node.id,
                 dest: src,
                 lane,
-                cum_seq: flow.expected.wrapping_sub(1),
+                cum_seq: expected.wrapping_sub(1),
             }
-            .seal_holding(
-                flow.held_map(),
-                node.wire_epoch.load(Ordering::Relaxed),
-                WireIntegrity::Crc32c,
-            ),
+            .seal_holding(held, node.wire_epoch.load(Ordering::Relaxed), WireIntegrity::Crc32c),
         );
         node.net_acks_sent.add(1);
     }
@@ -726,9 +738,7 @@ mod tests {
     #[test]
     fn a_torn_payload_applies_its_runs_and_logs_only_them() {
         use gravel_pgas::runs::{run_header, RunKind};
-        let mut cfg = GravelConfig::small(1, 8);
-        cfg.ha.checkpoint = true;
-        let node = NodeShared::new(0, &cfg, Arc::new(AmRegistry::new()));
+        let node = NodeShared::new(0, &GravelConfig::small(1, 8), Arc::new(AmRegistry::new()));
         let msgs = [Message::inc(0, 1, 5).encode(), Message::put(0, 2, 6).encode()];
         let good = Packet::from_words(0, 0, msgs.as_flattened());
         // An INC run that claims nine records and carries one.
@@ -736,8 +746,8 @@ mod tests {
         let mut bytes = good.payload.to_vec();
         bytes.extend(torn.iter().flat_map(|w| w.to_le_bytes()));
         let pkt = Packet::from_payload(0, 0, bytes.into());
-        let mut cursor = 0;
-        apply_packet(&node, &pkt, &mut cursor, None);
+        let (mut cursor, mut log) = (0, RecoveryLog::default());
+        apply_packet(&node, &pkt, &mut cursor, Some(&mut log), None);
         assert_eq!((cursor, node.applied.get()), (0, 2));
         assert_eq!(node.heap.snapshot()[..3], [0, 5, 6]);
         let q = node.quarantine.drain();
@@ -747,10 +757,10 @@ mod tests {
             (QuarantineReason::PartialPayload, 2, [torn[0], 3, 4, 0])
         );
         // The log holds the runs that applied, so a replay is exact.
-        let log = node.replay.as_ref().expect("checkpointing").snapshot();
-        assert_eq!(log, good.words());
+        assert_eq!(log.packets.len(), 1);
+        assert_eq!(log.packets[0].words(), good.words());
         let replayed = gravel_pgas::SymmetricHeap::new(8);
-        gravel_pgas::apply_words(&log, 0, &replayed, &node.ams, &mut |_| {});
+        log.replay(&replayed, &node.ams).expect("no baseline to refuse");
         assert_eq!(replayed.snapshot(), node.heap.snapshot());
     }
 

@@ -131,10 +131,6 @@ pub struct NodeShared {
     /// Aggregation-open → apply latency of every packet this node's
     /// network thread applied, in nanoseconds.
     pub packet_latency: Histogram,
-    /// Epoch replay log (`Some` when `cfg.ha.checkpoint`): every packet
-    /// this node's network thread fully applies since the last epoch cut,
-    /// in apply order. See DESIGN.md §11.
-    pub replay: Option<crate::ha::ReplayLog>,
     /// Pending-reply table: tokens of this node's outstanding GETs and
     /// AM calls, completed by the network thread (reply interception,
     /// timeout sweep). See DESIGN.md §15.
@@ -226,7 +222,6 @@ impl NodeShared {
             net_ack_corrupt_dropped: registry.counter(&name("net.ack_corrupt_dropped")),
             quarantine: Quarantine::bound(&registry, &p, cfg.quarantine_capacity),
             packet_latency: registry.histogram(&name("net.packet_latency_ns")),
-            replay: cfg.ha.checkpoint.then(crate::ha::ReplayLog::new),
             rpc: crate::rpc::PendingReplies::bound(&registry, &p, cfg.rpc.reply_table_cap),
             rpc_timeout: cfg.rpc.timeout,
             rpc_credits_stalled: registry.counter(&name("rpc.credits_stalled")),

@@ -44,7 +44,9 @@ use crate::aggregator::{self, LaneState};
 use crate::config::GravelConfig;
 use crate::ctx::GravelCtx;
 use crate::error::{ErrorSlot, RuntimeError};
-use crate::ha::{heartbeat, Checkpoint, EpochSnapshot, FailureDetector, Supervisor, WorkerKind};
+use crate::ha::{
+    heartbeat, Baseline, Checkpoint, FailureDetector, RecoveryLog, Supervisor, WorkerKind,
+};
 use crate::netthread::{self, RecvState};
 use crate::node::NodeShared;
 use crate::stats::{HaStats, NodeStats, RuntimeStats};
@@ -68,10 +70,9 @@ pub struct GravelRuntime {
     /// Per-node failure detectors; empty unless `cfg.ha.heartbeat`.
     detectors: Vec<Arc<FailureDetector>>,
     /// Per-node receiver state, shared with the (restartable) network
-    /// threads so recovery can reset mid-packet cursors.
+    /// threads so epoch cuts can read the flow cursors and recovery can
+    /// reset mid-packet ones.
     recv_states: Vec<Arc<Mutex<RecvState>>>,
-    /// The most recent epoch checkpoint (`cfg.ha.checkpoint` only).
-    epoch: Mutex<Option<EpochSnapshot>>,
     shut_down: bool,
 }
 
@@ -124,7 +125,11 @@ impl GravelRuntime {
 
         // Network threads (receivers) first, then aggregators (senders).
         let recv_states: Vec<Arc<Mutex<RecvState>>> = (0..cfg.nodes)
-            .map(|_| Arc::new(Mutex::new(RecvState::new())))
+            .map(|_| {
+                let mut state = RecvState::new();
+                state.log = cfg.ha.checkpoint.then(RecoveryLog::default);
+                Arc::new(Mutex::new(state))
+            })
             .collect();
         for (node, state) in nodes.iter().zip(&recv_states) {
             let (node, transport, errors, state, chaos) = (
@@ -231,7 +236,6 @@ impl GravelRuntime {
             supervisor: Some(supervisor),
             detectors,
             recv_states,
-            epoch: Mutex::new(None),
             shut_down: false,
         }
     }
@@ -573,9 +577,10 @@ impl GravelRuntime {
         self.cut_epoch_with(None)
     }
 
-    /// Cut a consistent epoch: quiesce, snapshot every node's heap (plus
-    /// `app`'s progress words, if given), and clear the per-node replay
-    /// logs. Returns the new epoch number (first cut = 1).
+    /// Cut a consistent epoch: quiesce, then rebase every node's
+    /// recovery log on its heap image and flow cursors (plus `app`'s
+    /// progress words, if given). Returns the new epoch number (first
+    /// cut = 1).
     ///
     /// Must be called *between supersteps* — after the dispatching code
     /// has stopped issuing messages — because the quiesce-then-snapshot
@@ -587,34 +592,39 @@ impl GravelRuntime {
             "cut_epoch requires GravelConfig.ha.checkpoint = true"
         );
         self.quiesce();
-        let mut guard = self.epoch.lock().unwrap_or_else(|p| p.into_inner());
-        let epoch = guard.as_ref().map_or(0, |e| e.epoch) + 1;
-        let snap = EpochSnapshot {
-            epoch,
-            heaps: self.nodes.iter().map(|n| n.heap.snapshot()).collect(),
-            app: app.map_or_else(Vec::new, |a| a.save()),
-        };
-        for node in &self.nodes {
-            if let Some(log) = &node.replay {
-                log.clear();
-            }
+        let app = app.map_or_else(Vec::new, |a| a.save());
+        let lock = |id: usize| self.recv_states[id].lock().unwrap_or_else(|p| p.into_inner());
+        let last = lock(0).log.as_ref().and_then(|l| l.baseline.as_ref()).map_or(0, |b| b.epoch);
+        let epoch = last + 1;
+        for (id, node) in self.nodes.iter().enumerate() {
+            // Under the receive-state lock the network thread applies
+            // and appends under: heap image and cursors are one
+            // consistent pair.
+            let mut recv = lock(id);
+            let baseline = Baseline {
+                epoch,
+                cursors: recv.flow_cursors(),
+                heap: node.heap.snapshot(),
+                app: app.clone(),
+            };
+            recv.log.as_mut().expect("checkpointing keeps a log").rebase(baseline);
             // Stamp the new epoch into every frame sealed from here on;
             // the cluster is quiescent, so no in-flight frame still
             // carries the old number.
             node.wire_epoch.store(epoch as u32, Ordering::Release);
         }
-        *guard = Some(snap);
         self.registry.counter("ha.epochs").inc();
         epoch
     }
 
-    /// Restore node `id` from the last epoch checkpoint: refill its heap
-    /// from the epoch snapshot, then replay every message the node fully
-    /// applied since the cut (in original apply order, with replies
-    /// suppressed — they were already delivered and logged at their own
-    /// destinations) and reset any mid-packet resume cursor. On a
-    /// quiescent cluster this reproduces the pre-death heap exactly.
-    pub fn recover_node(&self, id: usize) -> Result<(), RuntimeError> {
+    /// Restore node `id` from its recovery log: refill its heap from the
+    /// last cut's baseline, replay every packet the node fully applied
+    /// since (in original apply order, with replies suppressed — they
+    /// were already delivered and logged at their own destinations) and
+    /// reset any mid-packet resume cursor. On a quiescent cluster this
+    /// reproduces the pre-death heap exactly. Returns the progress words
+    /// the cut saved from its [`Checkpoint`] (empty without one).
+    pub fn recover_node(&self, id: usize) -> Result<Vec<u64>, RuntimeError> {
         let started = Instant::now();
         let fail = |reason: &str| RuntimeError::RecoveryFailed {
             node: id as u32,
@@ -624,32 +634,24 @@ impl GravelRuntime {
             .nodes
             .get(id)
             .ok_or_else(|| fail("node id out of range"))?;
-        let log = node
-            .replay
-            .as_ref()
-            .ok_or_else(|| fail("checkpointing disabled"))?;
-        let guard = self.epoch.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = guard
-            .as_ref()
-            .ok_or_else(|| fail("no epoch checkpoint taken"))?;
-        {
-            // Refill and replay read-modify-write the heap, which only
-            // the node's network thread may do — or, as here, whoever
-            // holds its receive-state lock: the thread takes that lock
-            // per delivered packet, so it cannot apply one (or leave a
+        let app = {
+            // The replay read-modify-writes the heap, which only the
+            // node's network thread may do — or, as here, whoever holds
+            // its receive-state lock: the thread takes that lock per
+            // delivered packet, so it cannot apply one (or leave a
             // resume cursor behind) between the refill and the reset.
             let mut recv = self.recv_states[id]
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
-            node.heap.fill_from(&snap.heaps[id]);
-            let words = log.snapshot();
+            let log = recv.log.as_ref().ok_or_else(|| fail("checkpointing disabled"))?;
+            let baseline = log.baseline.as_ref().ok_or_else(|| fail("no epoch checkpoint taken"))?;
             // Replayed messages were already counted toward quiescence
-            // when first applied, so the replay itself must not touch
-            // the quiescence counters — it only redoes heap effects.
-            let _ = gravel_pgas::apply_words(&words, 0, &node.heap, &node.ams, &mut |_| {});
+            // when first applied: the disposed count goes nowhere.
+            log.replay(&node.heap, &node.ams).map_err(|e| fail(&e.to_string()))?;
+            let app = baseline.app.clone();
             recv.reset_resume_cursors();
-        }
-        drop(guard);
+            app
+        };
         // The node restarted: every reply token it issued before dying
         // is now unanswerable (the sink that would receive it is gone).
         // Bumping the generation fails the old waiters and rejects any
@@ -660,7 +662,7 @@ impl GravelRuntime {
         self.registry
             .histogram("ha.recovery_ns")
             .record(started.elapsed().as_nanos() as u64);
-        Ok(())
+        Ok(app)
     }
 
     fn shutdown_impl(&mut self) -> Result<RuntimeStats, RuntimeError> {

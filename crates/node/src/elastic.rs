@@ -241,7 +241,7 @@ impl ElasticState {
 
     /// Mark shards as served *and* checkpoint-ready (startup: a cold
     /// initial member's dealt shards, or a restarted node's recovered
-    /// `CkptImage::ready` set).
+    /// ready set: its baseline's app words).
     pub fn seed_ready(&self, shards: &[u32]) {
         let mut serving = lock(&self.serving);
         let mut ckpt = lock(&self.ckpt_ready);
@@ -252,9 +252,10 @@ impl ElasticState {
     }
 
     /// The checkpoint provider: shards whose words are guaranteed
-    /// present in any heap snapshot taken from now on.
-    pub fn ckpt_ready_shards(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = lock(&self.ckpt_ready).iter().copied().collect();
+    /// present in any heap snapshot taken from now on, as a baseline's
+    /// app words.
+    pub fn ckpt_ready_shards(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = lock(&self.ckpt_ready).iter().map(|&s| u64::from(s)).collect();
         v.sort_unstable();
         v
     }

@@ -39,13 +39,14 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
+use gravel_core::ha::Baseline;
 use gravel_core::netthread::{PacketTap, RecvState};
 use gravel_core::NodeShared;
 use gravel_net::{ChaosPlan, SocketTransport, MAX_FRAME_BYTES};
 use gravel_pgas::{Packet, FRAME_OVERHEAD};
 use gravel_telemetry::Counter;
 
-use crate::proto::{self, CkptImage, FWD_HEAD_WORDS};
+use crate::proto::{self, FWD_HEAD_WORDS};
 
 /// How many bytes of forwards the buddy may log on top of a baseline of
 /// `ckpt_words` encoded words before the next cut. A restarting node
@@ -75,9 +76,9 @@ struct FwdState {
     epoch: u64,
 }
 
-/// Supplies the ready-shard set recorded in each epoch cut (elastic
-/// mode; see [`Forwarder::set_ready_provider`]).
-pub type ReadyProvider = Arc<dyn Fn() -> Vec<u32> + Send + Sync>;
+/// Supplies the app words of each epoch cut: the ready-shard set
+/// (elastic mode; see [`Forwarder::set_ready_provider`]).
+pub type ReadyProvider = Arc<dyn Fn() -> Vec<u64> + Send + Sync>;
 
 /// Streams applied packets to the buddy and cuts epochs.
 pub struct Forwarder {
@@ -95,8 +96,8 @@ pub struct Forwarder {
     chaos: Option<Arc<ChaosPlan>>,
     state: Mutex<FwdState>,
     /// Elastic mode: supplies the checkpoint's ready-shard set (the
-    /// shards this node is serving, as recorded *in* each cut — see
-    /// [`CkptImage::ready`]). Static clusters leave it unset (empty).
+    /// shards this node is serving, as recorded *in* each cut) as the
+    /// baseline's app words. Static clusters leave it unset (empty).
     ready_provider: Mutex<Option<ReadyProvider>>,
     fwd_sent: Counter,
     fwd_dropped: Counter,
@@ -174,14 +175,14 @@ impl Forwarder {
         let mut cursors: Vec<(u32, u32, u64)> =
             st.cursors.iter().map(|(&(s, l), &e)| (s, l, e)).collect();
         cursors.sort_unstable();
-        let ready = self
+        let app = self
             .ready_provider
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .as_ref()
             .map_or_else(Vec::new, |f| f());
-        let image = CkptImage { epoch: st.epoch, cursors, heap: self.node.heap.snapshot(), ready };
-        let ckpt = proto::encode_ckpt(&image);
+        let heap = self.node.heap.snapshot();
+        let ckpt = proto::encode_ckpt(&Baseline { epoch: st.epoch, cursors, heap, app });
         st.log_bytes = 0;
         st.log_budget = log_budget(ckpt.len());
         self.transport.send_control(self.buddy, &ckpt);
@@ -249,7 +250,7 @@ mod tests {
     use gravel_pgas::AmRegistry;
 
     use super::*;
-    use crate::proto::{FwdPacket, OP_CKPT, OP_FWD};
+    use crate::proto::{OP_CKPT, OP_FWD};
     use crate::store::WardStores;
 
     /// What `WardStores::recover` would put on the wire for ward 0.
@@ -283,7 +284,7 @@ mod tests {
         let buddy = std::thread::spawn({
             let t1 = t1.clone();
             move || {
-                let stores = WardStores::new();
+                let stores = WardStores::default();
                 let (mut fwds, mut cuts, mut largest) = (0, 0, 0);
                 let until = Instant::now() + Duration::from_secs(60);
                 while fwds < PACKETS {
@@ -293,7 +294,7 @@ mod tests {
                     };
                     match msg.words.first().copied() {
                         Some(OP_FWD) => {
-                            stores.on_fwd(0, FwdPacket::decode(msg.words).expect("a forward"));
+                            stores.on_fwd(0, proto::decode_fwd(msg.words).expect("a forward"));
                             fwds += 1;
                         }
                         Some(OP_CKPT) => {

@@ -11,7 +11,7 @@
 //!
 //! * [`proto`]  — control-plane word codec (FWD / CKPT / RECOVER and
 //!   the elastic TOPO / MIGRATE / BOUNCE family).
-//! * [`store`]  — buddy-side storage of a ward's baseline + replay log.
+//! * [`store`]  — buddy-side storage of a ward's recovery log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
 //! * [`sender`] — the one packetizer: a node's update stream routed

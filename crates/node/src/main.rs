@@ -10,13 +10,15 @@
 //! and continuously protect each other: every applied packet is
 //! forwarded to the next node in the ring before it is acked, and
 //! epoch checkpoints truncate the forwarded log. A member killed with
-//! `kill -9` and restarted with the *same* command line recovers its
-//! heap, replay log, and flow cursors from its buddy over the socket
-//! and rejoins — the final cluster heap is bit-exact with a no-fault
-//! run (asserted by `tests/cluster.rs`).
+//! `kill -9` and restarted with the *same* command line replays its
+//! recovery log (baseline + forwarded packets) from its buddy over the
+//! socket, restoring heap and flow cursors, and rejoins — the final
+//! cluster heap is bit-exact with a no-fault run (asserted by
+//! `tests/cluster.rs`).
 //!
 //! Exit codes: 0 success (including graceful SIGTERM/SIGINT shutdown),
-//! 2 deadline expired before completion, 3 cluster error, 64 usage.
+//! 2 deadline expired before completion, 3 cluster error (a buddy-held
+//! baseline of another heap size among them), 64 usage.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -25,7 +27,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::heartbeat;
+use gravel_core::ha::{heartbeat, RecoveryLog};
 use gravel_core::netthread::{self, PacketTap, RecvState};
 use gravel_core::{
     aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared,
@@ -40,9 +42,7 @@ use gravel_telemetry::Counter;
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
 use gravel_node::forward::Forwarder;
 use gravel_node::gets::{self, RPC_LANE};
-use gravel_node::proto::{
-    self, FwdPacket, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP,
-};
+use gravel_node::proto::{self, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
 use gravel_node::sender::{self, Bounces};
 use gravel_node::signal;
@@ -221,7 +221,7 @@ struct Membership {
 fn ctrl_loop(
     transport: Arc<SocketTransport>,
     stores: Arc<WardStores>,
-    resp_tx: mpsc::Sender<RecoverResp>,
+    resp_tx: mpsc::Sender<RecoveryLog>,
     errors: Arc<ErrorSlot>,
     elastic: Option<Arc<ElasticCtx>>,
 ) {
@@ -244,7 +244,7 @@ fn ctrl_loop(
         match msg.words.first().copied() {
             Some(OP_FWD) => {
                 // The message's own word vector becomes the log entry.
-                if let Some(p) = FwdPacket::decode(msg.words) {
+                if let Some(p) = proto::decode_fwd(msg.words) {
                     stores.on_fwd(msg.src, p);
                 }
             }
@@ -341,10 +341,10 @@ fn recover_from_buddy(
     transport: &SocketTransport,
     buddy: u32,
     me: u32,
-    resp_rx: &mpsc::Receiver<RecoverResp>,
+    resp_rx: &mpsc::Receiver<RecoveryLog>,
     deadline: Instant,
     elastic: bool,
-) -> Option<RecoverResp> {
+) -> Option<RecoveryLog> {
     let mut wait = deadline.saturating_duration_since(Instant::now());
     if elastic {
         wait = wait.min(ELASTIC_BUDDY_WAIT);
@@ -352,7 +352,7 @@ fn recover_from_buddy(
     if buddy != me && !transport.wait_connected(buddy, wait) {
         // Elastic: no buddy yet — nothing can be stored for us.
         // Static: an unreachable buddy is fatal.
-        return elastic.then(RecoverResp::default);
+        return elastic.then(RecoveryLog::default);
     }
     loop {
         transport.send_control(buddy, &proto::encode_recover_req());
@@ -539,7 +539,7 @@ fn run() -> i32 {
 
     let errors = Arc::new(ErrorSlot::default());
     let state = Arc::new(Mutex::new(RecvState::new()));
-    let stores = Arc::new(WardStores::new());
+    let stores = Arc::new(WardStores::default());
     let buddy = ((me as usize + 1) % nodes) as u32;
     let chaos = args
         .kill_at
@@ -642,44 +642,36 @@ fn run() -> i32 {
         eprintln!("[gravel-node {me}] no recovery response from node {buddy} before deadline");
         return 2;
     };
-    let recovered_from_ckpt = recovered.ckpt.is_some();
-    let recovered_log_packets = recovered.log.len() as u64;
-    let mut cursors: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut epoch = 0;
-    if let Some(c) = &recovered.ckpt {
-        if c.heap.len() == node.heap.len() {
-            node.heap.fill_from(&c.heap);
-        } else {
-            eprintln!(
-                "[gravel-node {me}] buddy checkpoint heap is {} words, expected {} — ignoring",
-                c.heap.len(),
-                node.heap.len()
-            );
+    let recovered_from_ckpt = recovered.baseline.is_some();
+    let recovered_log_packets = recovered.packets.len() as u64;
+    // A baseline of another heap size (a restart with another --table,
+    // or --gets toggled) is refused whole: restoring its cursors without
+    // its heap would dup-suppress every packet it covers.
+    let replayed = match recovered.replay(&node.heap, &node.ams) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("[gravel-node {me}] refusing buddy {buddy}'s checkpoint: {e}");
+            transport.close();
+            return 3;
         }
-        epoch = c.epoch;
-        for &(src, lane, expected) in &c.cursors {
-            cursors.insert((src, lane), expected);
-        }
-    }
-    for p in &recovered.log {
-        let (disposed, _) =
-            gravel_pgas::apply_words(p.words(), p.src(), &node.heap, &node.ams, &mut |_reply| {});
-        node.note_applied(disposed as u64);
-        let cur = cursors.entry((p.src(), p.lane())).or_insert(0);
-        *cur = (*cur).max(p.seq() + 1);
-    }
+    };
+    node.note_applied(replayed.disposed);
     {
         let mut st = state.lock().unwrap_or_else(|p| p.into_inner());
-        for (&(src, lane), &expected) in &cursors {
+        for &(src, lane, expected) in &replayed.cursors {
             st.seed_flow(src, lane, expected);
         }
     }
+    let epoch = recovered.baseline.as_ref().map_or(0, |b| b.epoch);
     if let Some(st) = &elastic_state {
-        match &recovered.ckpt {
+        match &recovered.baseline {
             // Restart: exactly the shards the last cut proved. A shard
             // migrated in but never cut is *absent* here and will be
             // re-pulled; the heap image just restored matches.
-            Some(c) => st.seed_ready(&c.ready),
+            Some(b) => {
+                let ready: Vec<u32> = b.app.iter().filter_map(|&w| u32::try_from(w).ok()).collect();
+                st.seed_ready(&ready);
+            }
             // Cold boot: an initial member starts serving its dealt
             // shards; a joiner serves nothing until migration.
             None => {
@@ -689,9 +681,7 @@ fn run() -> i32 {
             }
         }
     }
-    let triples: Vec<(u32, u32, u64)> =
-        cursors.iter().map(|(&(s, l), &e)| (s, l, e)).collect();
-    forwarder.seed(&triples, epoch);
+    forwarder.seed(&replayed.cursors, epoch);
     // Recovery done: membership-event rebaselines are safe from here.
     started.store(true, Ordering::SeqCst);
     // Baseline cut: truncates the buddy's (possibly stale) log so the

@@ -9,17 +9,21 @@
 //!
 //! Ops:
 //!
+//! The first three carry a [`RecoveryLog`] (`gravel_core::ha`), the
+//! one recovery state the in-process runtime keeps too:
+//!
 //! * `FWD`  — one fully applied packet, forwarded by its receiver to
 //!   that receiver's buddy *before* the cumulative ack leaves (see
-//!   [`gravel_core::netthread::PacketTap`]). The buddy appends it to
-//!   its replay log for the forwarding node.
-//! * `CKPT` — the forwarding node's epoch cut: its heap image plus its
-//!   per-flow receive cursors, taken under the receive-state lock. The
-//!   buddy replaces its stored baseline and clears the log. Because
-//!   `FWD` and `CKPT` travel the same FIFO stream, the cut is exact:
-//!   every forward that precedes the cut is in the log it truncates.
+//!   [`gravel_core::netthread::PacketTap`]). The buddy adopts the op
+//!   as a [`LoggedPacket`] of its log for the forwarding node.
+//! * `CKPT` — the forwarding node's epoch cut, a [`Baseline`]: its heap
+//!   image, per-flow receive cursors (taken under the receive-state
+//!   lock) and app words (the elastic ready-shard set). The buddy
+//!   rebases the log on it. Because `FWD` and `CKPT` travel the same
+//!   FIFO stream, the cut is exact: every forward that precedes the
+//!   cut is in the log it truncates.
 //! * `RECOVER_REQ`  — a (re)starting node asks its buddy for its state.
-//! * `RECOVER_RESP` — baseline + log in one frame (empty on cold boot,
+//! * `RECOVER_RESP` — the whole log in one frame (empty on cold boot,
 //!   so the restart path and the cold-boot path are the same code).
 //!
 //! Elastic-membership ops (DESIGN.md §16) ride the same plane:
@@ -56,15 +60,17 @@
 //!   membership votes the suspect dead, which is what keeps a minority
 //!   partition from evicting the other side or forking the map.
 
+use gravel_core::ha::checkpoint::ENTRY_HEAD_WORDS;
+use gravel_core::ha::{Baseline, LoggedPacket, RecoveryLog};
 use gravel_pgas::{ShardMap, ShardMove};
 
 /// Applied-packet forward (receiver → its buddy).
 pub const OP_FWD: u64 = 1;
-/// Epoch cut: heap image + receive cursors (receiver → its buddy).
+/// Epoch cut: heap image + receive cursors + app words (receiver → its buddy).
 pub const OP_CKPT: u64 = 2;
 /// Recovery request (restarting node → its buddy).
 pub const OP_RECOVER_REQ: u64 = 3;
-/// Recovery response: stored baseline + log (buddy → restarting node).
+/// Recovery response: the stored log (buddy → restarting node).
 pub const OP_RECOVER_RESP: u64 = 4;
 /// Topology broadcast: new shard map + outstanding moves.
 pub const OP_TOPO: u64 = 5;
@@ -94,9 +100,10 @@ pub const OP_DEATH_VOTE_REQ: u64 = 15;
 /// Ballot reply carrying the voter's verdict (peer → requester).
 pub const OP_DEATH_VOTE: u64 = 16;
 
-/// Words of a `FWD` op ahead of the packet's message words:
-/// `[OP_FWD, src, lane, seq, nwords]`.
-pub const FWD_HEAD_WORDS: usize = 5;
+/// Words of a `FWD` op ahead of the packet's payload words:
+/// `[OP_FWD, src, lane, seq, nwords]` — a [`LoggedPacket`]'s head, its
+/// free word holding the opcode.
+pub const FWD_HEAD_WORDS: usize = ENTRY_HEAD_WORDS;
 
 /// The head of the `FWD` op for a packet of `nwords` payload words.
 /// The forwarder seals it in front of the applied packet's payload
@@ -105,109 +112,38 @@ pub fn fwd_head(src: u32, lane: u32, seq: u64, nwords: usize) -> [u64; FWD_HEAD_
     [OP_FWD, src as u64, lane as u64, seq, nwords as u64]
 }
 
-/// One applied packet as forwarded to the buddy: the flow coordinates
-/// the receiver applied it under, plus its payload words (runs, as they
-/// travelled). Kept as
-/// the `FWD` op it arrived in, so the buddy logs the control message's
-/// own word vector instead of copying the packet out of it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FwdPacket {
-    /// `[OP_FWD, src, lane, seq, nwords, words…]`, validated.
-    op: Vec<u64>,
+/// Adopt a received control message as a logged packet, without
+/// copying it; `None` unless it is a well-formed `FWD` op.
+pub fn decode_fwd(op: Vec<u64>) -> Option<LoggedPacket> {
+    if op.first() != Some(&OP_FWD) {
+        return None;
+    }
+    LoggedPacket::adopt(op)
 }
 
-impl FwdPacket {
-    /// The forward of `words` applied under flow `src:lane` at `seq`.
-    pub fn new(src: u32, lane: u32, seq: u64, words: &[u64]) -> Self {
-        let mut op = Vec::with_capacity(FWD_HEAD_WORDS + words.len());
-        op.extend(fwd_head(src, lane, seq, words.len()));
-        op.extend_from_slice(words);
-        FwdPacket { op }
-    }
-
-    /// Adopt a received control message as a forward; `None` unless it
-    /// is a well-formed `FWD` op.
-    pub fn decode(op: Vec<u64>) -> Option<Self> {
-        if op.len() < FWD_HEAD_WORDS || op[0] != OP_FWD {
-            return None;
-        }
-        u32::try_from(op[1]).ok()?;
-        u32::try_from(op[2]).ok()?;
-        let n = usize::try_from(op[4]).ok()?;
-        (op.len() == n.checked_add(FWD_HEAD_WORDS)?).then_some(FwdPacket { op })
-    }
-
-    /// The op as it travels: what [`decode`](Self::decode) accepts.
-    pub fn op(&self) -> &[u64] {
-        &self.op
-    }
-
-    /// Original sender of the packet.
-    pub fn src(&self) -> u32 {
-        self.op[1] as u32
-    }
-
-    /// Sender lane.
-    pub fn lane(&self) -> u32 {
-        self.op[2] as u32
-    }
-
-    /// Per-flow sequence number.
-    pub fn seq(&self) -> u64 {
-        self.op[3]
-    }
-
-    /// Message words (4 per message).
-    pub fn words(&self) -> &[u64] {
-        &self.op[FWD_HEAD_WORDS..]
-    }
-}
-
-/// An epoch cut: everything a restarted process needs to resume as if
-/// it had applied exactly the packets covered by the cut.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CkptImage {
-    /// Monotonic epoch number (first cut = 1).
-    pub epoch: u64,
-    /// Per-flow next-expected sequence numbers `(src, lane, expected)`.
-    pub cursors: Vec<(u32, u32, u64)>,
-    /// The forwarding node's full heap image at the cut.
-    pub heap: Vec<u64>,
-    /// Shards the forwarding node was serving at the cut (elastic mode;
-    /// empty in a static cluster). A restarted node treats exactly
-    /// these as migrated-and-ready — a shard whose words were written
-    /// but never checkpointed is *not* here, so it is safely
-    /// re-requested, and a shard that is here has its post-migration
-    /// traffic in the ward log on top of a baseline that includes it.
-    pub ready: Vec<u32>,
-}
-
-/// Stored recovery state returned by a buddy: the last baseline (if
-/// any) plus every packet forwarded since it, in apply order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoverResp {
-    /// Last epoch cut, `None` before the first (cold boot).
-    pub ckpt: Option<CkptImage>,
-    /// Packets applied (and forwarded) since the baseline.
-    pub log: Vec<FwdPacket>,
-}
-
-/// Append a checkpoint body (everything but the opcode) to `out`.
-fn push_ckpt_body(out: &mut Vec<u64>, c: &CkptImage) {
-    out.push(c.epoch);
-    out.push(c.cursors.len() as u64);
-    for &(src, lane, expected) in &c.cursors {
+/// Append a baseline (everything but the opcode) to `out`. The app
+/// words travel where the elastic ready-shard set always has.
+fn push_baseline(out: &mut Vec<u64>, b: &Baseline) {
+    out.push(b.epoch);
+    out.push(b.cursors.len() as u64);
+    for &(src, lane, expected) in &b.cursors {
         out.extend([src as u64, lane as u64, expected]);
     }
-    out.push(c.heap.len() as u64);
-    out.extend_from_slice(&c.heap);
-    out.push(c.ready.len() as u64);
-    out.extend(c.ready.iter().map(|&s| s as u64));
+    out.push(b.heap.len() as u64);
+    out.extend_from_slice(&b.heap);
+    out.push(b.app.len() as u64);
+    out.extend_from_slice(&b.app);
 }
 
-/// Decode a checkpoint body starting at `words[at]`; returns the image
-/// and the index one past it.
-fn pop_ckpt_body(words: &[u64], at: usize) -> Option<(CkptImage, usize)> {
+/// `n` words from `words[at]` on, and the index one past them.
+fn pop_words(words: &[u64], at: usize, n: u64) -> Option<(Vec<u64>, usize)> {
+    let end = at.checked_add(usize::try_from(n).ok()?)?;
+    Some((words.get(at..end)?.to_vec(), end))
+}
+
+/// Decode a baseline starting at `words[at]`; returns it and the index
+/// one past it.
+fn pop_baseline(words: &[u64], at: usize) -> Option<(Baseline, usize)> {
     let epoch = *words.get(at)?;
     let ncur = usize::try_from(*words.get(at + 1)?).ok()?;
     let mut i = at + 2;
@@ -219,80 +155,67 @@ fn pop_ckpt_body(words: &[u64], at: usize) -> Option<(CkptImage, usize)> {
         cursors.push((src, lane, expected));
         i += 3;
     }
-    let hlen = usize::try_from(*words.get(i)?).ok()?;
-    i += 1;
-    let end = i.checked_add(hlen)?;
-    let heap = words.get(i..end)?.to_vec();
-    i = end;
-    let nready = usize::try_from(*words.get(i)?).ok()?;
-    i += 1;
-    let mut ready = Vec::with_capacity(nready.min(1024));
-    for _ in 0..nready {
-        ready.push(u32::try_from(*words.get(i)?).ok()?);
-        i += 1;
-    }
-    Some((CkptImage { epoch, cursors, heap, ready }, i))
+    let (heap, i) = pop_words(words, i + 1, *words.get(i)?)?;
+    let (app, i) = pop_words(words, i + 1, *words.get(i)?)?;
+    Some((Baseline { epoch, cursors, heap, app }, i))
 }
 
-pub fn encode_ckpt(c: &CkptImage) -> Vec<u64> {
+pub fn encode_ckpt(b: &Baseline) -> Vec<u64> {
     let mut w = vec![OP_CKPT];
-    push_ckpt_body(&mut w, c);
+    push_baseline(&mut w, b);
     w
 }
 
-pub fn decode_ckpt(words: &[u64]) -> Option<CkptImage> {
+pub fn decode_ckpt(words: &[u64]) -> Option<Baseline> {
     if words.first() != Some(&OP_CKPT) {
         return None;
     }
-    let (c, end) = pop_ckpt_body(words, 1)?;
-    (end == words.len()).then_some(c)
+    let (b, end) = pop_baseline(words, 1)?;
+    (end == words.len()).then_some(b)
 }
 
 pub fn encode_recover_req() -> Vec<u64> {
     vec![OP_RECOVER_REQ]
 }
 
-pub fn encode_recover_resp(r: &RecoverResp) -> Vec<u64> {
-    let mut w = vec![OP_RECOVER_RESP, u64::from(r.ckpt.is_some())];
-    if let Some(c) = &r.ckpt {
-        push_ckpt_body(&mut w, c);
+/// A ward's whole log in one frame: `[OP_RECOVER_RESP, has_baseline,
+/// baseline?, npackets, entries…]`, each entry a [`LoggedPacket::wire`].
+pub fn encode_recover_resp(log: &RecoveryLog) -> Vec<u64> {
+    let mut w = vec![OP_RECOVER_RESP, u64::from(log.baseline.is_some())];
+    if let Some(b) = &log.baseline {
+        push_baseline(&mut w, b);
     }
-    w.push(r.log.len() as u64);
-    for p in &r.log {
-        // A log entry is the forward's op minus its opcode.
-        w.extend_from_slice(&p.op()[1..]);
+    w.push(log.packets.len() as u64);
+    for p in &log.packets {
+        w.extend_from_slice(p.wire());
     }
     w
 }
 
-pub fn decode_recover_resp(words: &[u64]) -> Option<RecoverResp> {
+pub fn decode_recover_resp(words: &[u64]) -> Option<RecoveryLog> {
     if words.first() != Some(&OP_RECOVER_RESP) {
         return None;
     }
-    let has_ckpt = *words.get(1)?;
-    if has_ckpt > 1 {
-        return None;
-    }
-    let (ckpt, mut i) = if has_ckpt == 1 {
-        let (c, end) = pop_ckpt_body(words, 2)?;
-        (Some(c), end)
-    } else {
-        (None, 2)
+    let (baseline, mut i) = match *words.get(1)? {
+        0 => (None, 2),
+        1 => {
+            let (b, end) = pop_baseline(words, 2)?;
+            (Some(b), end)
+        }
+        _ => return None,
     };
-    let nlog = usize::try_from(*words.get(i)?).ok()?;
+    let npackets = usize::try_from(*words.get(i)?).ok()?;
     i += 1;
-    let mut log = Vec::with_capacity(nlog.min(4096));
-    for _ in 0..nlog {
-        let src = u32::try_from(*words.get(i)?).ok()?;
-        let lane = u32::try_from(*words.get(i + 1)?).ok()?;
-        let seq = *words.get(i + 2)?;
+    let mut packets = Vec::with_capacity(npackets.min(4096));
+    for _ in 0..npackets {
         let n = usize::try_from(*words.get(i + 3)?).ok()?;
-        i += 4;
-        let end = i.checked_add(n)?;
-        log.push(FwdPacket::new(src, lane, seq, words.get(i..end)?));
+        let end = (i + 4).checked_add(n)?;
+        let mut op = vec![0];
+        op.extend_from_slice(words.get(i..end)?);
+        packets.push(LoggedPacket::adopt(op)?);
         i = end;
     }
-    (i == words.len()).then_some(RecoverResp { ckpt, log })
+    (i == words.len()).then_some(RecoveryLog { baseline, packets })
 }
 
 /// What kind of topology change a `TOPO` frame announces.
@@ -556,16 +479,24 @@ pub fn decode_bounce(words: &[u64]) -> Option<BounceMsg> {
 mod tests {
     use super::*;
 
-    fn fwd(seq: u64) -> FwdPacket {
-        FwdPacket::new(2, 0, seq, &[10, 20, 30, 40, 50, 60, 70, 80])
+    use gravel_gq::Message;
+
+    fn fwd(seq: u64) -> LoggedPacket {
+        let words = [10, 20, 30, 40, 50, 60, 70, 80];
+        decode_fwd([&fwd_head(2, 0, seq, words.len())[..], &words].concat()).expect("a forward")
     }
 
-    fn ckpt() -> CkptImage {
-        CkptImage {
+    /// The `FWD` op that carried `p`.
+    fn fwd_op(p: &LoggedPacket) -> Vec<u64> {
+        [&[OP_FWD][..], p.wire()].concat()
+    }
+
+    fn baseline() -> Baseline {
+        Baseline {
             epoch: 3,
             cursors: vec![(0, 0, 5), (2, 0, 9)],
             heap: vec![7, 0, 0, 11],
-            ready: vec![1, 5, 12],
+            app: vec![1, 5, 12],
         }
     }
 
@@ -574,45 +505,155 @@ mod tests {
         let p = fwd(4);
         assert_eq!((p.src(), p.lane(), p.seq()), (2, 0, 4));
         assert_eq!(p.words(), [10, 20, 30, 40, 50, 60, 70, 80]);
-        assert_eq!(p.op()[..FWD_HEAD_WORDS], fwd_head(2, 0, 4, 8));
-        assert_eq!(FwdPacket::decode(p.op().to_vec()), Some(p));
+        assert_eq!(fwd_op(&p)[..FWD_HEAD_WORDS], fwd_head(2, 0, 4, 8));
+        assert_eq!(decode_fwd(fwd_op(&p)), Some(p));
     }
 
     #[test]
     fn ckpt_roundtrips() {
-        let c = ckpt();
-        assert_eq!(decode_ckpt(&encode_ckpt(&c)), Some(c));
+        let b = baseline();
+        assert_eq!(decode_ckpt(&encode_ckpt(&b)), Some(b));
     }
 
     #[test]
     fn recover_resp_roundtrips_with_and_without_baseline() {
-        let full = RecoverResp { ckpt: Some(ckpt()), log: vec![fwd(9), fwd(10)] };
+        let full = RecoveryLog { baseline: Some(baseline()), packets: vec![fwd(9), fwd(10)] };
         assert_eq!(decode_recover_resp(&encode_recover_resp(&full)), Some(full));
-        let cold = RecoverResp::default();
+        let cold = RecoveryLog::default();
         assert_eq!(decode_recover_resp(&encode_recover_resp(&cold)), Some(cold));
     }
 
     #[test]
     fn truncated_and_mangled_encodings_decode_to_none() {
-        let w = encode_recover_resp(&RecoverResp { ckpt: Some(ckpt()), log: vec![fwd(1)] });
+        let w = encode_recover_resp(&RecoveryLog {
+            baseline: Some(baseline()),
+            packets: vec![fwd(1)],
+        });
         for cut in 0..w.len() {
             assert_eq!(decode_recover_resp(&w[..cut]), None, "cut at {cut}");
         }
         let mut extra = w.clone();
         extra.push(0);
         assert_eq!(decode_recover_resp(&extra), None, "trailing junk refused");
-        assert_eq!(FwdPacket::decode(encode_ckpt(&ckpt())), None, "wrong opcode refused");
+        assert_eq!(decode_fwd(encode_ckpt(&baseline())), None, "wrong opcode refused");
         // A length word claiming more payload than present must not panic.
-        let mut lying = fwd(0).op().to_vec();
+        let mut lying = fwd_op(&fwd(0));
         lying[4] = u64::MAX;
-        assert_eq!(FwdPacket::decode(lying), None);
-        let op = fwd(0).op().to_vec();
+        assert_eq!(decode_fwd(lying), None);
+        let op = fwd_op(&fwd(0));
         for cut in 0..op.len() {
-            assert_eq!(FwdPacket::decode(op[..cut].to_vec()), None, "cut at {cut}");
+            assert_eq!(decode_fwd(op[..cut].to_vec()), None, "cut at {cut}");
         }
-        let mut wide_src = op;
-        wide_src[1] = u64::MAX;
-        assert_eq!(FwdPacket::decode(wide_src), None, "ids must fit their fields");
+        let mut long = op.clone();
+        long.push(0);
+        assert_eq!(decode_fwd(long), None, "trailing words refused");
+        for field in [1, 2] {
+            let mut wide = op.clone();
+            wide[field] = u64::MAX;
+            assert_eq!(decode_fwd(wide), None, "ids must fit their fields");
+        }
+    }
+
+    /// One fixed log: a baseline with app words, a packet of PUT/INC
+    /// runs and a RAW record on lane 1, and a second flow's packet.
+    fn pinned_log() -> RecoveryLog {
+        let payload = |src: u32, msgs: &[Message]| -> Vec<u8> {
+            let words: Vec<u64> = msgs.iter().flat_map(Message::encode).collect();
+            gravel_pgas::Packet::from_words(src, 1, &words).payload.to_vec()
+        };
+        let first = [
+            Message::inc(1, 0, 5),
+            Message::inc(1, 2, 1),
+            Message::put(1, 3, 9),
+            Message::active(1, 0, 2, 7),
+        ];
+        RecoveryLog {
+            baseline: Some(Baseline {
+                epoch: 3,
+                cursors: vec![(0, 0, 5), (2, 1, 9)],
+                heap: vec![7, 0, 0, 11],
+                app: vec![1, 5, 12],
+            }),
+            packets: vec![
+                LoggedPacket::new(2, 1, 9, &payload(2, &first)),
+                LoggedPacket::new(0, 0, 5, &payload(0, &[Message::put(1, 1, 4)])),
+            ],
+        }
+    }
+
+    #[rustfmt::skip]
+    const PINNED_FWD: [u64; 18] = [
+        1, 2, 1, 9, 13, // OP_FWD, src, lane, seq, nwords
+        8589934594, 0, 5, 2, 1, // INC run of 2: (0, 5), (2, 1)
+        4294967297, 3, 9, // PUT run of 1: (3, 9)
+        4294967299, 2, 1, 2, 7, // RAW run of 1: the active message
+    ];
+    #[rustfmt::skip]
+    const PINNED_CKPT: [u64; 18] = [
+        2, 3, // OP_CKPT, epoch
+        2, 0, 0, 5, 2, 1, 9, // cursors
+        4, 7, 0, 0, 11, // heap
+        3, 1, 5, 12, // app words (ready shards)
+    ];
+    #[rustfmt::skip]
+    const PINNED_RECOVER_RESP: [u64; 44] = [
+        4, 1, // OP_RECOVER_RESP, has a baseline
+        3, 2, 0, 0, 5, 2, 1, 9, 4, 7, 0, 0, 11, 3, 1, 5, 12, // the CKPT body
+        2, // packets
+        2, 1, 9, 13, 8589934594, 0, 5, 2, 1, 4294967297, 3, 9, 4294967299, 2, 1, 2, 7,
+        0, 0, 5, 3, 4294967297, 1, 4,
+    ];
+
+    /// The `FWD`, `CKPT` and `RECOVER_RESP` words of [`pinned_log`], as
+    /// the codec produced them before the log became one type: the
+    /// forwarder's cut budget (`forward.rs::log_budget`) and every peer
+    /// of another build read exactly these.
+    #[test]
+    fn the_log_encodings_are_pinned() {
+        let log = pinned_log();
+        let b = log.baseline.as_ref().unwrap();
+        let p = &log.packets[0];
+        let mut fwd = fwd_head(p.src(), p.lane(), p.seq(), p.words().len()).to_vec();
+        fwd.extend_from_slice(p.words());
+        assert_eq!(fwd, PINNED_FWD);
+        assert_eq!(decode_fwd(fwd).as_ref(), Some(p));
+        assert_eq!(encode_ckpt(b), PINNED_CKPT);
+        assert_eq!(encode_recover_resp(&log), PINNED_RECOVER_RESP);
+        assert_eq!(decode_recover_resp(&PINNED_RECOVER_RESP), Some(log));
+    }
+
+    /// Every word of every encoding of [`pinned_log`], with one bit
+    /// flipped: decodes to `None` or to a log that re-encodes to exactly
+    /// the flipped words, never panics. Every truncation is `None`.
+    #[test]
+    fn every_truncated_or_flipped_word_decodes_safely() {
+        let log = pinned_log();
+        let b = log.baseline.clone().unwrap();
+        let encodings =
+            [fwd_op(&log.packets[0]), encode_ckpt(&b), encode_recover_resp(&log)];
+        let reencode = |w: &[u64]| -> Option<Vec<u64>> {
+            match w.first() {
+                Some(&OP_FWD) => decode_fwd(w.to_vec()).map(|p| fwd_op(&p)),
+                Some(&OP_CKPT) => decode_ckpt(w).map(|b| encode_ckpt(&b)),
+                Some(&OP_RECOVER_RESP) => decode_recover_resp(w).map(|l| encode_recover_resp(&l)),
+                _ => None,
+            }
+        };
+        for w in &encodings {
+            assert_eq!(reencode(w).as_ref(), Some(w), "decode is the inverse of encode");
+            for cut in 0..w.len() {
+                assert_eq!(reencode(&w[..cut]), None, "cut at {cut} of {w:?}");
+            }
+            for i in 0..w.len() {
+                for bit in [0, 1, 7, 31, 32, 63] {
+                    let mut v = w.clone();
+                    v[i] ^= 1 << bit;
+                    if let Some(again) = reencode(&v) {
+                        assert_eq!(again, v, "word {i} bit {bit}: decode is not canonical");
+                    }
+                }
+            }
+        }
     }
 
     fn topo() -> TopoMsg {
@@ -675,9 +716,9 @@ mod tests {
         assert_eq!(decode_lease(&wide_holder), None);
     }
 
-    /// Seeded byte-level fuzz over the failover-frame decoders: random
-    /// word soups and bit-mutated valid encodings must decode to `None`
-    /// or a well-formed message, never panic. Nightly CI widens the
+    /// Seeded byte-level fuzz over the failover-frame and log
+    /// decoders: random word soups and bit-mutated valid encodings must
+    /// decode to `None` or a well-formed message, never panic. Nightly CI widens the
     /// corpus via `GRAVEL_FUZZ_CASES`.
     #[test]
     fn fuzz_failover_frames_never_panic() {
@@ -695,6 +736,9 @@ mod tests {
             z ^ (z >> 31)
         };
         let decode_all = |w: &[u64]| {
+            let _ = decode_fwd(w.to_vec());
+            let _ = decode_ckpt(w);
+            let _ = decode_recover_resp(w);
             let _ = decode_topo(w);
             let _ = decode_lease(w);
             let _ = decode_death_vote_req(w);
@@ -705,8 +749,15 @@ mod tests {
             let len = (next() % 40) as usize;
             let mut w: Vec<u64> = (0..len).map(|_| next()).collect();
             if case % 3 == 0 && !w.is_empty() {
-                w[0] = [OP_TOPO, OP_LEASE, OP_DEATH_VOTE_REQ, OP_DEATH_VOTE]
-                    [(next() % 4) as usize];
+                w[0] = [
+                    OP_TOPO,
+                    OP_LEASE,
+                    OP_DEATH_VOTE_REQ,
+                    OP_DEATH_VOTE,
+                    OP_FWD,
+                    OP_CKPT,
+                    OP_RECOVER_RESP,
+                ][(next() % 7) as usize];
             }
             decode_all(&w);
             // A valid frame with one word bit-flipped: decodes to None

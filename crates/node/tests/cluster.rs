@@ -233,6 +233,46 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
     }
 }
 
+/// A restarted member whose heap is not the size of the baseline its
+/// buddy holds — here it comes back with another `--table` — must
+/// refuse to start. Seeding the cursors of a checkpoint it did not
+/// restore would dup-suppress, and so silently lose, every update the
+/// cut covers.
+#[test]
+fn a_restart_with_another_table_size_exits_3() {
+    let input = GupsInput { updates: 1600, table_len: 128, seed: 11 };
+    let cluster = Cluster::new("resized", input, 3);
+    const VICTIM: usize = 1;
+    let kill = ["--kill-at".to_string(), "40".to_string()];
+    let mut children: Vec<Child> = (0..3)
+        .map(|n| cluster.spawn(n, if n == VICTIM { &kill } else { &[] }))
+        .collect();
+    let status = children[VICTIM].wait().unwrap();
+    assert!(!status.success(), "victim must die by SIGKILL, got {status:?}");
+
+    let resized = ["--table", "256", "--deadline-secs", "20"].map(String::from);
+    children[VICTIM] = cluster.spawn(VICTIM, &resized);
+    let deadline = Instant::now() + Duration::from_secs(40);
+    let status = loop {
+        if let Some(status) = children[VICTIM].try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    for c in &mut children {
+        c.kill().ok();
+        c.wait().ok();
+    }
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(3),
+        "the resized restart must refuse its buddy's checkpoint"
+    );
+}
+
 /// The same scenario at the binary's defaults: 64 kB packets, eight in
 /// flight per flow, an epoch every 16 of them. The victim dies about
 /// half-way through its inbound streams; its restarted sender restamps

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use gravel_apps::graph::{gen, reference};
 use gravel_apps::{gups, pagerank, sssp};
 use gravel_core::{
-    ChaosPlan, FaultConfig, GravelConfig, GravelRuntime, ProcessFault, TransportKind,
+    ChaosPlan, Checkpoint, FaultConfig, GravelConfig, GravelRuntime, ProcessFault, TransportKind,
 };
 use gravel_simt::LaneVec;
 
@@ -158,8 +158,16 @@ fn epoch_checkpoint_recovers_a_reset_node_exactly() {
         before,
         "reset visibly destroyed state"
     );
-    rt.recover_node(1).expect("epoch restore");
+    let app = rt.recover_node(1).expect("epoch restore");
     assert_eq!(rt.heap(1).snapshot(), before, "recovery is exact");
+    assert!(gups::verify_live(&rt, &input));
+
+    // The cut saved the run's progress too: a run resumed from it
+    // knows every stream is dispatched and issues nothing twice.
+    let mut resumed = gups::GupsProgress::default();
+    resumed.restore(&app);
+    assert_eq!(resumed, progress);
+    assert_eq!(gups::run_live_checkpointed(&rt, &input, &mut resumed), 0);
     assert!(gups::verify_live(&rt, &input));
 
     let stats = rt.shutdown().expect("clean shutdown");
