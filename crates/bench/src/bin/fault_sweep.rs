@@ -53,12 +53,14 @@ struct TelemetryCell {
     misrouted: u64,
     quarantined: u64,
     /// Request-reply ledger for the cell's GET probe stream (DESIGN.md
-    /// §15): every probe ends as a completion or a deterministic
-    /// timeout — `rpc_issued == rpc_completed + rpc_timeouts` is
-    /// asserted before the cell is recorded.
+    /// §15): every probe ends as a completion, a deterministic timeout
+    /// or a restart failure — `rpc_issued == rpc_completed +
+    /// rpc_timeouts + rpc_restarted` is asserted before the cell is
+    /// recorded.
     rpc_issued: u64,
     rpc_completed: u64,
     rpc_timeouts: u64,
+    rpc_restarted: u64,
     rpc_replies_sent: u64,
     rpc_credits_stalled: u64,
     /// Present only on the reshard cells: the directory-churn axis and
@@ -562,10 +564,11 @@ fn main() {
         let rpc_issued: u64 = node_stats.iter().map(|s| s.rpc.issued).sum();
         let rpc_completed: u64 = node_stats.iter().map(|s| s.rpc.completed).sum();
         let rpc_timeouts: u64 = node_stats.iter().map(|s| s.rpc.timeouts).sum();
+        let rpc_restarted: u64 = node_stats.iter().map(|s| s.rpc.restarted).sum();
         assert_eq!(rpc_issued, 32, "probe count off at {kind}={prob}");
         assert_eq!(
             rpc_issued,
-            rpc_completed + rpc_timeouts,
+            rpc_completed + rpc_timeouts + rpc_restarted,
             "rpc ledger out of balance at {kind}={prob}"
         );
         assert_eq!(rpc_completed, gets_ok, "completions != observed Oks at {kind}={prob}");
@@ -591,6 +594,7 @@ fn main() {
             rpc_issued,
             rpc_completed,
             rpc_timeouts,
+            rpc_restarted,
             rpc_replies_sent: stats.nodes.iter().map(|n| n.rpc.replies_sent).sum(),
             rpc_credits_stalled: stats.nodes.iter().map(|n| n.rpc.credits_stalled).sum(),
             reshard: None,
@@ -663,6 +667,7 @@ fn main() {
             rpc_issued: 0,
             rpc_completed: 0,
             rpc_timeouts: 0,
+            rpc_restarted: 0,
             rpc_replies_sent: 0,
             rpc_credits_stalled: 0,
             reshard: Some(rs),
@@ -713,6 +718,7 @@ fn main() {
             rpc_issued: 0,
             rpc_completed: 0,
             rpc_timeouts: 0,
+            rpc_restarted: 0,
             rpc_replies_sent: 0,
             rpc_credits_stalled: 0,
             reshard: None,

@@ -19,11 +19,21 @@
 //! hand — and flushes the express queues the moment the ring reads
 //! empty: whatever accumulated while the lane was busy leaves as one
 //! packet, and nothing ever waits on a flush timer.
+//!
+//! That express pass is one function, [`express_pass`], and the lane
+//! thread is not its only caller: whoever publishes express traffic —
+//! a host requester, the network thread that just enqueued replies —
+//! runs it too, through [`Lane::try_express_pass`], whenever the lane's
+//! state is free. A request then reaches the wire without waking the
+//! lane thread at either end.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Claim, Consumed, GravelQueue, TrafficClass, MSG_ROWS, NUM_CLASSES};
+use gravel_gq::{
+    Claim, Consumed, GravelQueue, Message, ReplySink, ReplyState, RpcFailure, TrafficClass,
+    MSG_ROWS, NUM_CLASSES,
+};
 use gravel_net::{ChaosPlan, Transport};
 use gravel_pgas::{FlushPolicy, NodeQueues, Packet, QuarantineReason, QuarantinedMessage};
 
@@ -70,16 +80,16 @@ impl Cursor {
 /// Restartable state of one aggregator lane, hoisted out of the thread
 /// so a supervised restart resumes exactly where the predecessor died:
 /// the per-destination aggregation queues, the sender's flows, and the
-/// cursors into partially aggregated ring claims. Only the owning lane
-/// thread locks it (per loop iteration), so the lock is uncontended; a
-/// panic mid-iteration leaves it poisoned, which the restarted thread
-/// recovers from — injected chaos only panics at message boundaries,
-/// where the state is consistent by construction.
-#[derive(Default)]
-pub struct LaneState {
+/// cursors into partially aggregated ring claims. The lane thread locks
+/// it once per loop iteration and an inline express pass
+/// ([`Lane::try_express_pass`]) only when it is free, so the lock never
+/// makes anyone wait long; a panic mid-iteration leaves it poisoned,
+/// which the restarted thread recovers from — injected chaos only
+/// panics at message boundaries, where the state is consistent by
+/// construction.
+struct LaneState {
     /// Per-destination aggregation queues, one set per traffic class
-    /// (index = [`TrafficClass::index`]). Empty until the lane first
-    /// runs.
+    /// (index = [`TrafficClass::index`]).
     nodeqs: Vec<NodeQueues>,
     flows: Vec<Flow>,
     /// The current bulk-ring claim.
@@ -92,9 +102,128 @@ pub struct LaneState {
     scratch: Vec<Packet>,
 }
 
-impl LaneState {
-    pub fn new() -> Self {
-        LaneState::default()
+/// One aggregator lane: what its thread needs, and what an inline
+/// express pass needs to stand in for it. Built once per lane and
+/// shared (`Arc`) by the lane thread — across supervised restarts —
+/// and by whoever publishes express traffic on the node.
+pub struct Lane {
+    node: Arc<NodeShared>,
+    /// The lane's id on the wire: the sequence space its flows number
+    /// in and the ack mailbox they are acknowledged through.
+    slot: u32,
+    transport: Arc<dyn Transport>,
+    errors: Arc<ErrorSlot>,
+    gauges: FlowGauges,
+    state: Mutex<LaneState>,
+}
+
+impl Lane {
+    /// Lane `slot` of `node` over `transport`: per-destination queues of
+    /// `queue_bytes` flushed by `policy` (bulk; the express queues flush
+    /// when the express ring reads empty), failures reported to
+    /// `errors`. `slot` is 0 unless the node's transport carries another
+    /// sender beside this one (`gravel-node`'s bulk packetizer is lane
+    /// 0, its RPC lane 1).
+    pub fn new(
+        node: Arc<NodeShared>,
+        slot: usize,
+        transport: Arc<dyn Transport>,
+        queue_bytes: usize,
+        policy: FlushPolicy,
+        errors: Arc<ErrorSlot>,
+    ) -> Self {
+        // One queue set per traffic class, so packets stay class-pure.
+        // Every set shares the node's `AggCounters`: one increment per
+        // flush event, so per-slot snapshots can never drift.
+        let nodeqs = (0..NUM_CLASSES)
+            .map(|_| {
+                NodeQueues::with_policy(node.id, node.nodes, queue_bytes, policy, node.agg.clone())
+                    .with_pool(node.pool.clone())
+            })
+            .collect();
+        Lane {
+            gauges: FlowGauges::of(&node),
+            state: Mutex::new(LaneState {
+                nodeqs,
+                flows: Vec::new(),
+                bulk: Cursor::default(),
+                express: Cursor::default(),
+                scratch: Vec::new(),
+            }),
+            node,
+            slot: slot as u32,
+            transport,
+            errors,
+        }
+    }
+
+    /// The node this lane drains.
+    pub fn node(&self) -> &Arc<NodeShared> {
+        &self.node
+    }
+
+    /// Run [`express_pass`] on the calling thread if the lane's state is
+    /// free: take in the lane's acks, claim and aggregate the express
+    /// ring until it reads empty, flush the express queues, and seal and
+    /// send through the lane's own express flows. Called by whoever has
+    /// just published express traffic. If the state is busy — the lane
+    /// thread mid-iteration, or another publisher's pass — nothing is
+    /// left waiting: the lane thread runs the pass at the top of every
+    /// iteration, and the publish has already ended any park of it (both
+    /// rings share its wait cell, and its park checks the express ring).
+    /// Passes made here do not tick the lane's `ChaosPlan`: injected
+    /// aggregator kills fire on the lane thread only.
+    pub fn try_express_pass(&self) {
+        // A frame of replies publishes nothing at the requester: no
+        // lock, no empty claim.
+        if !self.node.queue.express().has_ready() {
+            return;
+        }
+        let mut st = match self.state.try_lock() {
+            Ok(st) => st,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        let LaneState {
+            nodeqs,
+            flows,
+            express,
+            scratch,
+            ..
+        } = &mut *st;
+        let (node, transport) = (&*self.node, self.transport.as_ref());
+        let mut sender = Sender::new(node, self.slot, transport, flows, &self.gauges);
+        // The acks of earlier passes free their frames (and pooled
+        // buffers) now, not at the lane thread's next look.
+        sender.drain_acks();
+        express_pass(node, self.slot, None, express, nodeqs, scratch, &mut sender);
+    }
+
+    /// Issue one blocking request from this lane's node — a GET or
+    /// value-returning AM call that `build` makes from its token and
+    /// deadline — and run the express pass that puts it on the wire.
+    /// Returns the reply's value, or the failure the pending-reply
+    /// table assigned (timeout, restart, table full).
+    pub fn host_rpc(&self, build: impl FnOnce(u64, u16) -> Message) -> Result<u64, RpcFailure> {
+        let node = &self.node;
+        let sink = Arc::new(ReplySink::new(1));
+        let deadline = Instant::now() + node.rpc_timeout;
+        let token = node
+            .rpc
+            .register(sink.clone(), 0, deadline)
+            .map_err(|_| RpcFailure::TableFull)?;
+        let deadline_ms = node.rpc_timeout.as_millis().min(u128::from(u16::MAX)) as u16;
+        node.host_send(build(token, deadline_ms));
+        self.try_express_pass();
+        // The pending-table sweep enforces the real deadline (it fails
+        // the slot as TimedOut); the wait bound here is a generous
+        // backstop so a wedged cluster cannot park the caller forever.
+        sink.wait_all(node.rpc_timeout * 2 + Duration::from_secs(1));
+        match sink.get(0) {
+            ReplyState::Ok(v) => Ok(v),
+            ReplyState::Failed(f) => Err(f),
+            ReplyState::Pending => Err(RpcFailure::TimedOut),
+        }
     }
 }
 
@@ -104,10 +233,7 @@ fn lock_state(state: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
 
 /// Run the aggregation loop until the queue is closed and every flow is
 /// drained (or the cluster failed). This is the body of each node's
-/// aggregator thread. `slot` is the lane's id on the wire — the sequence
-/// space its flows number in and its acks come back on — and 0 unless
-/// the node's transport carries another sender beside this one
-/// (`gravel-node`'s bulk packetizer is lane 0, this lane 1).
+/// aggregator thread; see [`Lane::new`] for the arguments.
 pub fn run(
     node: Arc<NodeShared>,
     slot: usize,
@@ -116,17 +242,8 @@ pub fn run(
     policy: FlushPolicy,
     errors: Arc<ErrorSlot>,
 ) {
-    let state = Arc::new(Mutex::new(LaneState::new()));
-    run_supervised(
-        node,
-        slot,
-        transport,
-        queue_bytes,
-        policy,
-        errors,
-        state,
-        None,
-    );
+    let lane = Lane::new(node, slot, transport, queue_bytes, policy, errors);
+    run_supervised(Arc::new(lane), None);
 }
 
 /// `pkt` leaves through `sender`.
@@ -217,51 +334,67 @@ fn aggregate(
     ring.wake_producers();
 }
 
-/// [`run`] with lane state hoisted into `state` (so a supervised
-/// restart resumes the predecessor's flows and claim cursors exactly)
-/// and optional process-fault injection from `chaos`. Chaos panics fire
-/// at the drain-step boundary *before* the message at the cursor is
-/// aggregated, which is what makes restart-resume exact: the restarted
-/// lane re-processes precisely that message.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
-    node: Arc<NodeShared>,
-    slot: usize,
-    transport: Arc<dyn Transport>,
-    queue_bytes: usize,
-    policy: FlushPolicy,
-    errors: Arc<ErrorSlot>,
-    state: Arc<Mutex<LaneState>>,
-    chaos: Option<Arc<ChaosPlan>>,
-) {
-    let lane = slot as u32;
-    let gauges = FlowGauges::of(&node);
+/// The express pass: claim and aggregate the express ring (`cur` holds
+/// the claim, fresh or inherited mid-way) until it reads empty, then
+/// flush the express queues, so whatever accumulated leaves as one
+/// packet per destination and class. The lane thread runs it at the
+/// top of every iteration and a publisher through
+/// [`Lane::try_express_pass`]; this is the only express code path.
+/// Returns `false` once the express ring is closed and drained, leaving
+/// the final flush to the lane's shutdown.
+fn express_pass(
+    node: &NodeShared,
+    lane: u32,
+    chaos: Option<&ChaosPlan>,
+    cur: &mut Cursor,
+    nodeqs: &mut [NodeQueues],
+    scratch: &mut Vec<Packet>,
+    sender: &mut Sender<'_>,
+) -> bool {
+    let express = node.queue.express();
+    loop {
+        if cur.is_done() {
+            match express.try_claim(DRAIN_BATCH_SLOTS) {
+                Consumed::Batch(claim) => *cur = Cursor { claim, msg: 0 },
+                Consumed::Empty => break,
+                Consumed::Closed => return false,
+            }
+        }
+        let _span = node.tracer.span("agg.express", "aggregate", node.id);
+        aggregate(node, lane, chaos, express, None, cur, nodeqs, sender);
+    }
+    for nodeq in nodeqs[..BULK].iter_mut() {
+        scratch.clear();
+        nodeq.flush_all_into(scratch);
+        submit_all(node, scratch, sender);
+    }
+    true
+}
+
+/// [`run`] on a [`Lane`] built by the caller (so a supervised restart
+/// resumes the predecessor's flows and claim cursors exactly, and the
+/// caller can hand the same lane to the node's express publishers),
+/// with optional process-fault injection from `chaos`. Chaos panics
+/// fire at the drain-step boundary *before* the message at the cursor
+/// is aggregated, which is what makes restart-resume exact: the
+/// restarted lane re-processes precisely that message.
+pub fn run_supervised(lane: Arc<Lane>, chaos: Option<Arc<ChaosPlan>>) {
+    let Lane {
+        node,
+        slot,
+        transport,
+        errors,
+        gauges,
+        state,
+    } = &*lane;
+    let (node, slot, chaos) = (&**node, *slot, chaos.as_deref());
     let ring = node.queue.ring(0);
     let express = node.queue.express();
     let mut idle = Backoff::new(Duration::from_millis(1));
     loop {
-        // One short uncontended lock per iteration; the only other
-        // holder this lane's state can ever have is a successor after
-        // this thread dies.
-        let mut st = lock_state(&state);
-        if st.nodeqs.is_empty() {
-            // One queue set per traffic class, so packets stay
-            // class-pure. Every set shares the node's `AggCounters`:
-            // one increment per flush event, so per-slot snapshots can
-            // never drift.
-            for _ in 0..NUM_CLASSES {
-                st.nodeqs.push(
-                    NodeQueues::with_policy(
-                        node.id,
-                        node.nodes,
-                        queue_bytes,
-                        policy,
-                        node.agg.clone(),
-                    )
-                    .with_pool(node.pool.clone()),
-                );
-            }
-        }
+        // One short lock per iteration, never held while parked; an
+        // inline express pass only ever try-locks it.
+        let mut st = lock_state(state);
         let LaneState {
             nodeqs,
             flows,
@@ -269,7 +402,7 @@ pub fn run_supervised(
             express: fast,
             scratch,
         } = &mut *st;
-        let mut sender = Sender::new(&node, lane, transport.as_ref(), flows, &gauges);
+        let mut sender = Sender::new(node, slot, transport.as_ref(), flows, gauges);
         sender.drain_acks();
         if let Err(e) = sender.poll_retransmits() {
             errors.set(e);
@@ -280,50 +413,22 @@ pub fn run_supervised(
         }
         // Express lane first. Strict priority cannot starve bulk: what
         // the express ring can hold is bounded by the pending-reply
-        // table and by requesters that wait for their replies.
-        let mut express_closed = false;
-        if fast.is_done() {
-            match express.try_claim(DRAIN_BATCH_SLOTS) {
-                Consumed::Batch(claim) => *fast = Cursor { claim, msg: 0 },
-                Consumed::Empty => {}
-                Consumed::Closed => express_closed = true,
-            }
-        }
-        if !fast.is_done() {
-            let _span = node.tracer.span("agg.express", "aggregate", node.id);
-            aggregate(&node, lane, chaos.as_deref(), express, None, fast, nodeqs, &mut sender);
-            // No `idle.reset()`: a requester's next message is a
-            // round trip away, far past the spin window, and its
-            // publish ends a park anyway. A fresh yield loop per
-            // GET cost a third of the bulk rate beside it.
-            continue;
-        }
-        // The ring reads empty: everything aggregated since it last
-        // did leaves now.
-        for nodeq in nodeqs[..BULK].iter_mut() {
-            scratch.clear();
-            nodeq.flush_all_into(scratch);
-            submit_all(&node, scratch, &mut sender);
-        }
+        // table and by requesters that wait for their replies. No
+        // `idle.reset()` for express work: a requester's next message
+        // is a round trip away, far past the spin window, and its
+        // publish ends a park anyway. A fresh yield loop per GET cost a
+        // third of the bulk rate beside it.
+        let express_open = express_pass(node, slot, chaos, fast, nodeqs, scratch, &mut sender);
         if !bulk.is_done() {
             let _span = node.tracer.span("agg.drain", "aggregate", node.id);
-            aggregate(
-                &node,
-                lane,
-                chaos.as_deref(),
-                ring,
-                Some(express),
-                bulk,
-                nodeqs,
-                &mut sender,
-            );
+            aggregate(node, slot, chaos, ring, Some(express), bulk, nodeqs, &mut sender);
             // Once per batch, not only when the ring runs empty: a lone
             // message for a sparse destination must not wait for as
             // long as a dense stream elsewhere keeps the ring busy.
             let now = Instant::now();
             scratch.clear();
             nodeqs[BULK].poll_timeouts_into(now, scratch);
-            submit_all(&node, scratch, &mut sender);
+            submit_all(node, scratch, &mut sender);
             continue;
         }
         match ring.try_claim(DRAIN_BATCH_SLOTS) {
@@ -341,7 +446,7 @@ pub fn run_supervised(
                 nodeqs[BULK].poll_timeouts_into(now, scratch);
                 if !scratch.is_empty() {
                     let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                    submit_all(&node, scratch, &mut sender);
+                    submit_all(node, scratch, &mut sender);
                 }
                 // Idle: spin briefly (work usually arrives within
                 // microseconds on the hot path), then park on the ring's
@@ -377,7 +482,7 @@ pub fn run_supervised(
                 }
             }
             Consumed::Closed => {
-                if !express_closed {
+                if express_open {
                     // `close()` shuts the express ring first, so it is
                     // closed by now; go round until it reads drained.
                     continue;
@@ -387,7 +492,7 @@ pub fn run_supervised(
                     nodeq.flush_all_into(scratch);
                     if !scratch.is_empty() {
                         let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                        submit_all(&node, scratch, &mut sender);
+                        submit_all(node, scratch, &mut sender);
                     }
                 }
                 // Drain phase: hold the thread until every flow is
@@ -420,7 +525,6 @@ mod tests {
     use super::*;
     use crate::config::GravelConfig;
     use crate::error::RuntimeError;
-    use gravel_gq::Message;
     use gravel_net::{ChannelTransport, RecvStatus, RetryConfig, SendStatus};
     use gravel_pgas::{AmRegistry, WireIntegrity};
 
@@ -845,6 +949,36 @@ mod tests {
         );
     }
 
+    /// A GET's first hand-off is to the wire, not to the lane thread:
+    /// with no lane thread (and no network thread) running, the frame
+    /// is there only if the requester's own express pass sent it.
+    #[test]
+    fn a_host_get_with_no_lane_thread_is_put_on_the_wire_by_its_caller() {
+        let (node, transport, errors) = logged_node(2);
+        let policy = FlushPolicy::Fixed(Duration::from_secs(600));
+        let lane = Arc::new(Lane::new(node.clone(), 0, transport.clone(), 1 << 20, policy, errors));
+        let caller = {
+            let lane = lane.clone();
+            std::thread::spawn(move || lane.host_rpc(|token, dl| Message::get(1, 3, token, dl)))
+        };
+        let get = recv(&transport.inner, 1);
+        assert_eq!((get.class(), get.msg_count()), (TrafficClass::Get, 1));
+        assert_eq!(
+            (gravel_pgas::split_wire_lane(get.lane), get.seq),
+            ((0, gravel_gq::Band::Express), 0)
+        );
+        let words = get.messages().next().expect("one message");
+        let req = Message::decode(words).expect("a GET");
+        assert_eq!((req.dest, req.addr), (1, 3));
+        assert_eq!(node.queue.express().backlog(), 0, "the caller claimed it");
+        assert_eq!(node.agg_express_packets.get(), 1);
+        assert_eq!(transport.sent.lock().unwrap().len(), 1);
+        // Complete it as the network thread would on the REPLY frame.
+        assert!(node.rpc.complete(req.value, 555));
+        assert_eq!(caller.join().unwrap(), Ok(555));
+        assert_eq!((node.rpc.issued.get(), node.rpc.completed.get()), (1, 1));
+    }
+
     /// A kill at every message of a three-slot claim: the lane dies with
     /// the slots before the cursor released and the rest still claimed,
     /// and its successor delivers every message exactly once.
@@ -874,27 +1008,22 @@ mod tests {
                 node.host_send_batch(slot);
             }
             node.queue.close();
-            let state = Arc::new(Mutex::new(LaneState::new()));
+            let lane = Arc::new(Lane::new(
+                node.clone(),
+                0,
+                transport.clone(),
+                64,
+                FlushPolicy::Fixed(Duration::from_secs(600)),
+                errors.clone(),
+            ));
             let chaos = Arc::new(ChaosPlan::new(vec![ProcessFault::PanicAggregator {
                 node: 0,
                 slot: 0,
                 at_step: kill_at as u64,
             }]));
             let spawn_lane = || {
-                let (node, transport, errors) = (node.clone(), transport.clone(), errors.clone());
-                let (state, chaos) = (state.clone(), chaos.clone());
-                std::thread::spawn(move || {
-                    run_supervised(
-                        node,
-                        0,
-                        transport,
-                        64,
-                        FlushPolicy::Fixed(Duration::from_secs(600)),
-                        errors,
-                        state,
-                        Some(chaos),
-                    )
-                })
+                let (lane, chaos) = (lane.clone(), chaos.clone());
+                std::thread::spawn(move || run_supervised(lane, Some(chaos)))
             };
             assert!(spawn_lane().join().is_err(), "kill {kill_at} fired");
             // The ledger: exactly the slots whose every message was

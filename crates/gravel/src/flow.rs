@@ -3,7 +3,7 @@
 //!
 //! This is the **only** sender-side reliability implementation in the
 //! tree. The aggregator lane runs it in-process, and `gravel-node` runs
-//! it over sockets — the RPC lane through [`crate::aggregator::run`]
+//! it over sockets — the RPC lane through [`crate::aggregator::Lane`]
 //! itself, the deterministic GUPS and elastic senders by submitting the
 //! packets they build. Packets are stamped with `(wire lane, seq)`,
 //! sealed exactly once and kept until the receiving network thread has
@@ -157,15 +157,18 @@ pub struct Flow {
 
 impl Flow {
     fn new(retry: &RetryConfig, band: Band) -> Self {
+        let window = band_window(band, retry.window);
         Flow {
             band,
-            window: band_window(band, retry.window),
+            window,
             next_seq: 0,
             base: 0,
             peer_next: 0,
             queued: VecDeque::new(),
             staged: VecDeque::new(),
-            unacked: VecDeque::new(),
+            // Its bound, reserved up front: a burst deeper than any
+            // before it must not grow it mid-run.
+            unacked: VecDeque::with_capacity(span_for(window)),
             held: 0,
             last_activity: Instant::now(),
             backoff: retry.backoff,

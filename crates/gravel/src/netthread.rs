@@ -48,6 +48,7 @@ use gravel_pgas::{
     WireIntegrity, ACK_MAP_BITS,
 };
 
+use crate::aggregator::Lane;
 use crate::error::ErrorSlot;
 use crate::ha::{LoggedPacket, RecoveryLog};
 use crate::node::NodeShared;
@@ -399,7 +400,7 @@ fn apply_packet(
 /// cluster fails). This is the body of each node's network thread.
 pub fn run(node: Arc<NodeShared>, transport: Arc<dyn Transport>, errors: Arc<ErrorSlot>) {
     let state = Arc::new(Mutex::new(RecvState::new()));
-    run_with(node, transport, errors, state, None, None, None);
+    run_with(node, transport, errors, state, None, None, None, None);
 }
 
 /// Gate (if any), apply, then tap (if any) — one accepted in-sequence
@@ -433,14 +434,19 @@ fn gate_apply_tap(
 }
 
 /// [`run`] with receiver state hoisted into `state` for supervised
-/// restart, and three optional hooks: process-fault injection from
+/// restart, and four optional hooks: process-fault injection from
 /// `chaos`; a [`PacketTap`] observing every fully applied packet before
 /// its ack leaves (the multi-process runtime forwards packets to a
 /// buddy node there); an [`ApplyGate`] filtering every accepted packet
 /// before it applies (the elastic reshard layer bounces
-/// no-longer-owned messages there). The receive wait happens *without*
-/// the state lock (recovery and diagnostics may inspect the state while
-/// the thread idles); the lock is taken per delivered packet.
+/// no-longer-owned messages there); and the node's express [`Lane`],
+/// whose express pass the thread runs itself after acking an express
+/// frame, so the replies that frame's requests just enqueued go out
+/// without waking the lane thread (DESIGN.md §15). The receive wait
+/// happens *without* the state lock (recovery and diagnostics may
+/// inspect the state while the thread idles); the lock is taken per
+/// delivered packet.
+#[allow(clippy::too_many_arguments)]
 pub fn run_with(
     node: Arc<NodeShared>,
     transport: Arc<dyn Transport>,
@@ -449,6 +455,7 @@ pub fn run_with(
     chaos: Option<Arc<ChaosPlan>>,
     tap: Option<Arc<dyn PacketTap>>,
     gate: Option<Arc<dyn ApplyGate>>,
+    lane: Option<Arc<Lane>>,
 ) {
     let mut last_sweep = Instant::now();
     loop {
@@ -471,7 +478,8 @@ pub fn run_with(
             }
             RecvStatus::Closed => return,
         };
-        if frame.express {
+        let express = frame.express;
+        if express {
             node.net_express_frames.add(1);
         }
         // Verify before decoding a single byte. A frame that fails is
@@ -497,7 +505,7 @@ pub fn run_with(
             node.net_misrouted.add(1);
             continue;
         }
-        let (src, lane) = (pkt.src, pkt.lane);
+        let (src, src_lane) = (pkt.src, pkt.lane);
         let mut st = lock_recv(&state);
         let (expected, held) =
             st.accept(&node, pkt, chaos.as_deref(), gate.as_ref(), tap.as_ref());
@@ -511,12 +519,19 @@ pub fn run_with(
             Ack {
                 src: node.id,
                 dest: src,
-                lane,
+                lane: src_lane,
                 cum_seq: expected.wrapping_sub(1),
             }
             .seal_holding(held, node.wire_epoch.load(Ordering::Relaxed), WireIntegrity::Crc32c),
         );
         node.net_acks_sent.add(1);
+        drop(st);
+        // Outside the receive-state lock, once per express packet and
+        // never per reply: a work-group's replies leave together. Bulk
+        // frames never get here.
+        if let (true, Some(lane)) = (express, &lane) {
+            lane.try_express_pass();
+        }
     }
 }
 
@@ -784,6 +799,62 @@ mod tests {
         assert!(!transport.is_closed());
     }
 
+    /// The server's second hand-off is to the wire, not to its lane
+    /// thread: with none running, a frame of GETs is answered on the
+    /// wire only if the network thread's own express pass sent the
+    /// replies — all of them as one packet, since the pass runs once
+    /// per frame, not per reply.
+    #[test]
+    fn a_frame_of_gets_is_answered_by_the_network_threads_own_express_pass() {
+        use crate::aggregator::Lane;
+        use gravel_gq::{Band, TrafficClass};
+        use gravel_pgas::{split_wire_lane, wire_lane, FlushPolicy};
+
+        const GETS: u64 = 4;
+        let mut cfg = GravelConfig::small(2, 8);
+        // Each reply is a slot of its own: with no lane thread to drain
+        // it, the express ring must hold them all.
+        cfg.queue.slots = 8 * GETS as usize;
+        let node = Arc::new(NodeShared::new(0, &cfg, Arc::new(AmRegistry::new())));
+        for addr in 0..GETS {
+            node.heap.store(addr, 500 + addr);
+        }
+        let transport = Arc::new(ChannelTransport::new(2, 1, 64));
+        let errors = Arc::new(ErrorSlot::default());
+        let policy = FlushPolicy::Fixed(Duration::from_secs(600));
+        let lane = Lane::new(node.clone(), 0, transport.clone(), 1 << 20, policy, errors.clone());
+        let handle = {
+            let (node, transport, errors) = (node.clone(), transport.clone(), errors.clone());
+            let (state, lane) = (Arc::new(Mutex::new(RecvState::new())), Some(Arc::new(lane)));
+            std::thread::spawn(move || {
+                run_with(node, transport, errors, state, None, None, None, lane)
+            })
+        };
+        let gets: Vec<u64> = (0..GETS).flat_map(|a| Message::get(0, a, 40 + a, 1).encode()).collect();
+        let mut get = Packet::from_words(1, 0, &gets);
+        get.lane = wire_lane(0, Band::Express);
+        get.seq = 0;
+        transport.send_data(get.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
+
+        let reply = match transport.recv_data(1, Duration::from_secs(5)) {
+            RecvStatus::Msg(f) => {
+                assert!(f.express);
+                f.open(WireIntegrity::Crc32c).expect("frame verifies")
+            }
+            other => panic!("expected the REPLY frame, got {other:?}"),
+        };
+        assert_eq!((reply.class(), reply.src, reply.dest), (TrafficClass::Reply, 0, 1));
+        assert_eq!((split_wire_lane(reply.lane), reply.seq), ((0, Band::Express), 0));
+        let replies: Vec<Option<Message>> = reply.messages().map(Message::decode).collect();
+        let want: Vec<Option<Message>> =
+            (0..GETS).map(|a| Some(Message::reply(1, 40 + a, 500 + a))).collect();
+        assert_eq!(replies, want);
+        transport.close();
+        handle.join().unwrap();
+        assert_eq!(node.queue.express().backlog(), 0);
+        assert_eq!((node.rpc_replies_sent.get(), node.agg_express_packets.get()), (GETS, 1));
+    }
+
     /// K bulk frames are already queued in the node's ingress when a GET
     /// arrives. The GET is served first — its reply is in the express
     /// ring before a single bulk message has applied — and nothing is
@@ -848,7 +919,7 @@ mod tests {
                 (node.clone(), transport.clone(), errors.clone(), tap.clone());
             let state = Arc::new(Mutex::new(RecvState::new()));
             std::thread::spawn(move || {
-                run_with(node, transport, errors, state, None, Some(tap), None)
+                run_with(node, transport, errors, state, None, Some(tap), None, None)
             })
         };
         // The thread acks a packet after counting it applied: wait for

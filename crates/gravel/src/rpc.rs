@@ -19,7 +19,11 @@
 //!   ([`bump_generation`](PendingReplies::bump_generation)), so a reply
 //!   that raced a restart is rejected (`rpc.stale_rejected`) instead of
 //!   completing a recycled entry. Outstanding requests at the bump fail
-//!   with [`RpcFailure::Restarted`].
+//!   with [`RpcFailure::Restarted`] and count `rpc.restarted`.
+//!
+//! Every registered request leaves the table through exactly one of
+//! those three columns, so once every sink has resolved the ledger
+//! `issued == completed + timeouts + restarted` holds.
 //! * **orphan-counting** — a reply whose token names no entry (already
 //!   timed out, or duplicated by retransmission upstream of the dedupe
 //!   window) bumps `rpc.orphan_replies` and is dropped.
@@ -93,6 +97,8 @@ pub struct PendingReplies {
     pub completed: Counter,
     /// Requests evicted as timed out.
     pub timeouts: Counter,
+    /// Requests failed because their node restarted before the reply.
+    pub restarted: Counter,
     /// Replies rejected by the generation guard (arrived after a
     /// restart).
     pub stale_rejected: Counter,
@@ -120,6 +126,7 @@ impl PendingReplies {
             issued: registry.counter(&name("issued")),
             completed: registry.counter(&name("completed")),
             timeouts: registry.counter(&name("timeouts")),
+            restarted: registry.counter(&name("restarted")),
             stale_rejected: registry.counter(&name("stale_rejected")),
             orphan_replies: registry.counter(&name("orphan_replies")),
             table_full: registry.counter(&name("table_full")),
@@ -181,7 +188,7 @@ impl PendingReplies {
             Some(e) => {
                 // Count before waking the sink: a waiter released by
                 // `complete` must already see this completion in the
-                // ledger (`issued == completed + timeouts`).
+                // ledger (`issued == completed + timeouts + restarted`).
                 self.completed.add(1);
                 self.rtt.record_duration(e.issued.elapsed());
                 e.sink.complete(e.slot, value);
@@ -237,6 +244,9 @@ impl PendingReplies {
             inner.entries.drain().map(|(_, e)| e).collect()
         };
         let n = drained.len();
+        // Count before waking the sinks (same ordering contract as
+        // `complete`).
+        self.restarted.add(n as u64);
         for e in drained {
             e.sink.fail(e.slot, RpcFailure::Restarted);
         }
@@ -320,6 +330,7 @@ mod tests {
         assert_eq!(t.bump_generation(), 1);
         assert_eq!(sink.get(0), ReplyState::Failed(RpcFailure::Restarted));
         assert_eq!(t.len(), 0);
+        assert_eq!(t.restarted.get(), 1);
         // The old-generation reply is stale, and the entry is gone.
         assert!(!t.complete(tok, 7));
         assert_eq!(t.stale_rejected.get(), 1);

@@ -40,7 +40,7 @@ use gravel_pgas::{AmRegistry, FlushPolicy, QuarantinedMessage, SymmetricHeap};
 use gravel_simt::{DispatchResult, Grid, SimtEngine};
 use gravel_telemetry::{Registry, RegistrySnapshot, Tracer};
 
-use crate::aggregator::{self, LaneState};
+use crate::aggregator::{self, Lane};
 use crate::config::GravelConfig;
 use crate::ctx::GravelCtx;
 use crate::error::{ErrorSlot, RuntimeError};
@@ -73,6 +73,9 @@ pub struct GravelRuntime {
     /// threads so epoch cuts can read the flow cursors and recovery can
     /// reset mid-packet ones.
     recv_states: Vec<Arc<Mutex<RecvState>>>,
+    /// Per-node aggregator lanes, shared with the (restartable) lane
+    /// threads so host requesters can run the express pass themselves.
+    lanes: Vec<Arc<Lane>>,
     shut_down: bool,
 }
 
@@ -123,6 +126,20 @@ impl GravelRuntime {
             Supervisor::new(cfg.ha.supervisor.clone(), errors.clone(), registry.clone());
         let chaos = cfg.chaos.clone();
 
+        // Adaptive flush when configured; the paper's fixed timeout
+        // otherwise.
+        let policy = cfg
+            .adaptive_flush
+            .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
+        let lanes: Vec<Arc<Lane>> = nodes
+            .iter()
+            .map(|node| {
+                let (node, transport) = (node.clone(), transport.clone());
+                let lane = Lane::new(node, 0, transport, cfg.node_queue_bytes, policy, errors.clone());
+                Arc::new(lane)
+            })
+            .collect();
+
         // Network threads (receivers) first, then aggregators (senders).
         let recv_states: Vec<Arc<Mutex<RecvState>>> = (0..cfg.nodes)
             .map(|_| {
@@ -131,13 +148,14 @@ impl GravelRuntime {
                 Arc::new(Mutex::new(state))
             })
             .collect();
-        for (node, state) in nodes.iter().zip(&recv_states) {
-            let (node, transport, errors, state, chaos) = (
+        for ((node, state), lane) in nodes.iter().zip(&recv_states).zip(&lanes) {
+            let (node, transport, errors, state, chaos, lane) = (
                 node.clone(),
                 transport.clone(),
                 errors.clone(),
                 state.clone(),
                 chaos.clone(),
+                lane.clone(),
             );
             supervisor.spawn(
                 format!("gravel-net-{}", node.id),
@@ -152,40 +170,18 @@ impl GravelRuntime {
                         chaos.clone(),
                         None,
                         None,
+                        Some(lane.clone()),
                     )
                 }),
             );
         }
-        // Adaptive flush when configured; the paper's fixed timeout
-        // otherwise.
-        let policy = cfg
-            .adaptive_flush
-            .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
-        let queue_bytes = cfg.node_queue_bytes;
-        for node in &nodes {
-            let state = Arc::new(Mutex::new(LaneState::new()));
-            let (node, transport, errors, chaos) = (
-                node.clone(),
-                transport.clone(),
-                errors.clone(),
-                chaos.clone(),
-            );
+        for lane in &lanes {
+            let (lane, chaos) = (lane.clone(), chaos.clone());
             supervisor.spawn(
-                format!("gravel-agg-{}", node.id),
+                format!("gravel-agg-{}", lane.node().id),
                 WorkerKind::Aggregator,
-                node.id,
-                Arc::new(move || {
-                    aggregator::run_supervised(
-                        node.clone(),
-                        0,
-                        transport.clone(),
-                        queue_bytes,
-                        policy,
-                        errors.clone(),
-                        state.clone(),
-                        chaos.clone(),
-                    )
-                }),
+                lane.node().id,
+                Arc::new(move || aggregator::run_supervised(lane.clone(), chaos.clone())),
             );
         }
 
@@ -236,6 +232,7 @@ impl GravelRuntime {
             supervisor: Some(supervisor),
             detectors,
             recv_states,
+            lanes,
             shut_down: false,
         }
     }
@@ -534,25 +531,14 @@ impl GravelRuntime {
         src: usize,
         build: impl FnOnce(u64, u16) -> gravel_gq::Message,
     ) -> Result<u64, gravel_gq::RpcFailure> {
-        use gravel_gq::{ReplySink, ReplyState, RpcFailure};
-        let node = &self.nodes[src];
-        let sink = Arc::new(ReplySink::new(1));
-        let deadline = Instant::now() + node.rpc_timeout;
-        let token = node
-            .rpc
-            .register(sink.clone(), 0, deadline)
-            .map_err(|_| RpcFailure::TableFull)?;
-        let deadline_ms = node.rpc_timeout.as_millis().min(u128::from(u16::MAX)) as u16;
-        node.host_send(build(token, deadline_ms));
-        // The pending-table sweep enforces the real deadline (it fails
-        // the slot as TimedOut); the wait bound here is a generous
-        // backstop so a wedged cluster cannot park the caller forever.
-        sink.wait_all(node.rpc_timeout * 2 + Duration::from_secs(1));
-        match sink.get(0) {
-            ReplyState::Ok(v) => Ok(v),
-            ReplyState::Failed(f) => Err(f),
-            ReplyState::Pending => Err(RpcFailure::TimedOut),
-        }
+        self.lanes[src].host_rpc(build)
+    }
+
+    /// Node `id`'s aggregator lane. A host thread that publishes express
+    /// traffic without waiting for it (tests, harnesses) calls its
+    /// [`Lane::try_express_pass`] to put it on the wire itself.
+    pub fn lane(&self, id: usize) -> &Arc<Lane> {
+        &self.lanes[id]
     }
 
     /// Snapshot cluster statistics (one registry snapshot for every node).

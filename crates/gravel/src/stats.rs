@@ -85,8 +85,8 @@ impl NetStats {
 
 /// Request-reply counters of one node (the rpc ledger: see DESIGN.md
 /// §15). The invariant the chaos acceptance reconciles is
-/// `issued == completed + timeouts` after every sink resolves, with the
-/// pending-reply table empty.
+/// `issued == completed + timeouts + restarted` after every sink
+/// resolves, with the pending-reply table empty.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RpcStats {
     /// GETs + value-returning AM calls this node issued.
@@ -96,6 +96,9 @@ pub struct RpcStats {
     /// Requests evicted as timed out (surfaced to the caller as a
     /// deterministic completion error).
     pub timeouts: u64,
+    /// Requests failed because their node restarted (`recover_node`)
+    /// before the reply arrived.
+    pub restarted: u64,
     /// Replies rejected by the post-restart generation guard.
     pub stale_rejected: u64,
     /// Replies whose token named no pending entry.
@@ -211,6 +214,7 @@ impl NodeStats {
                 issued: c("rpc.issued"),
                 completed: c("rpc.completed"),
                 timeouts: c("rpc.timeouts"),
+                restarted: c("rpc.restarted"),
                 stale_rejected: c("rpc.stale_rejected"),
                 orphan_replies: c("rpc.orphan_replies"),
                 table_full: c("rpc.table_full"),

@@ -2,11 +2,11 @@
 //! AM calls, deterministic timeouts, the post-restart generation guard,
 //! and the chaos acceptance run (DESIGN.md §15).
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use gravel_core::{ChaosPlan, GravelConfig, GravelRuntime, ProcessFault};
-use gravel_gq::{ReplySink, ReplyState, RpcFailure};
+use gravel_gq::{Message, ReplySink, ReplyState, RpcFailure};
 use gravel_net::{FaultConfig, TransportKind};
 use gravel_simt::LaneVec;
 
@@ -112,7 +112,48 @@ fn generation_guard_rejects_replies_from_before_a_restart() {
     // Post-restart requests work normally under the new generation.
     rt.heap(1).store(2, 77);
     assert_eq!(rt.host_get(0, 1, 2), Ok(77));
+    // Both requests are in the ledger: one completed, one failed by
+    // the restart.
+    let rpc = rt.stats().nodes[0].rpc;
+    assert_eq!((rpc.issued, rpc.completed, rpc.timeouts, rpc.restarted), (2, 1, 0, 1));
+    assert_eq!(rpc.issued, rpc.completed + rpc.timeouts + rpc.restarted, "rpc ledger");
     rt.shutdown().expect("clean run after recovery");
+}
+
+/// A lane thread and inline express passes race on node 0's express
+/// ring — the producer runs the pass after two of every three calls,
+/// and the lane thread picks up whatever it finds — and still one
+/// producer's AM_CALLs reach the server's handler in the order they
+/// were published.
+#[test]
+fn inline_express_passes_never_reorder_one_producers_am_calls() {
+    const CALLS: usize = 1_500;
+    let seen = Arc::new(Mutex::new(Vec::with_capacity(CALLS)));
+    let mut cfg = GravelConfig::small(2, 8);
+    cfg.rpc.reply_table_cap = CALLS;
+    let rt = GravelRuntime::with_handlers(cfg, |reg| {
+        let seen = seen.clone();
+        reg.register_returning(Box::new(move |_heap, arg| {
+            seen.lock().unwrap().push(arg);
+            arg * 2
+        }));
+    });
+    let node = rt.node(0);
+    let sink = Arc::new(ReplySink::new(CALLS));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for i in 0..CALLS {
+        let token = node.rpc.register(sink.clone(), i, deadline).expect("the table has room");
+        node.host_send(Message::am_call(1, 0, i as u64, token, u16::MAX));
+        if i % 3 != 0 {
+            rt.lane(0).try_express_pass();
+        }
+    }
+    assert!(sink.wait_all(Duration::from_secs(60)), "calls never completed");
+    for i in 0..CALLS {
+        assert_eq!(sink.get(i), ReplyState::Ok(2 * i as u64), "call {i}");
+    }
+    assert_eq!(*seen.lock().unwrap(), (0..CALLS as u64).collect::<Vec<_>>());
+    rt.shutdown().expect("clean run");
 }
 
 /// Run a mixed PUT+GET workload and return each GET's outcome along
@@ -242,7 +283,7 @@ fn chaos_gets_are_bit_exact_or_deterministic_timeouts() {
         assert_eq!(node.rpc.len(), 0, "node {id} pending table leaked");
         assert_eq!(
             node.rpc.issued.get(),
-            node.rpc.completed.get() + node.rpc.timeouts.get(),
+            node.rpc.completed.get() + node.rpc.timeouts.get() + node.rpc.restarted.get(),
             "node {id} rpc ledger out of balance"
         );
     }

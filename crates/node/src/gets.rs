@@ -2,10 +2,13 @@
 //!
 //! Request-reply traffic takes the same path as in the in-process
 //! runtime: the binary runs one core aggregator lane
-//! (`gravel_core::aggregator::run`) that drains the node's offload
+//! (`gravel_core::aggregator::Lane`) that drains the node's offload
 //! queue — GET requests issued locally *and* reply messages the network
 //! thread enqueues while serving peers — onto wire lane [`RPC_LANE`],
-//! keeping the deterministic GUPS flows on lane 0 untouched.
+//! keeping the deterministic GUPS flows on lane 0 untouched. As in the
+//! runtime, whoever publishes the requests or replies runs the lane's
+//! express pass itself ([`Lane::try_express_pass`]) when the lane
+//! thread is not in it.
 //!
 //! Each node owns a *sentinel* heap word just past its GUPS
 //! partition, holding a value that is a pure function of `(seed, node)`
@@ -19,6 +22,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gravel_core::aggregator::Lane;
 use gravel_core::NodeShared;
 use gravel_gq::{Message, ReplySink, ReplyState, RpcFailure};
 use gravel_telemetry::Counter;
@@ -48,11 +52,12 @@ pub struct GetsOutcome {
 
 /// Issue `gets` sentinel GET probes round-robin across the cluster
 /// (self included — loopback exercises the same path) and verify each
-/// reply bit-exact against [`sentinel_value`]. Returns the ledger;
-/// `issued == ok + timed_out + failed` by construction.
+/// reply bit-exact against [`sentinel_value`]. Each batch of requests
+/// goes out through `lane`'s express pass on this thread. Returns the
+/// ledger; `issued == ok + timed_out + failed` by construction.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gets(
-    node: &NodeShared,
+    lane: &Lane,
     nodes: usize,
     gets: usize,
     seed: u64,
@@ -61,6 +66,7 @@ pub fn run_gets(
     deadline: Instant,
     counters: &GetsCounters,
 ) -> GetsOutcome {
+    let node = lane.node();
     let mut out = GetsOutcome::default();
     let deadline_ms = node.rpc_timeout.as_millis().min(u128::from(u16::MAX)) as u16;
     const BATCH: usize = 16;
@@ -86,6 +92,7 @@ pub fn run_gets(
                 }
             }
         }
+        lane.try_express_pass();
         out.issued += n as u64;
         sink.wait_all(node.rpc_timeout * 2 + Duration::from_secs(1));
         for (slot, &dest) in dests.iter().enumerate() {

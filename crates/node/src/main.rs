@@ -730,6 +730,27 @@ fn run() -> i32 {
         }
     }
 
+    // Request-reply plane: with `--gets`, one core aggregator lane
+    // drains the offload queue (GETs we issue + replies the netthread
+    // enqueues for peers) onto lane 1's express flows — class-pure
+    // packets flushed as soon as the express ring reads empty, the same
+    // flow engine. Only RPC classes flow there, so the bulk flush
+    // policy is never consulted. Built before the receiver, which runs
+    // its express pass after every express frame.
+    let rpc_lane = (args.gets > 0).then(|| {
+        let t: Arc<dyn Transport> = transport.clone();
+        let policy = FlushPolicy::Fixed(cfg.flush_timeout);
+        let lane = aggregator::Lane::new(
+            node.clone(),
+            RPC_LANE as usize,
+            t,
+            cfg.node_queue_bytes,
+            policy,
+            errors.clone(),
+        );
+        Arc::new(lane)
+    });
+
     // Receiver: the shared netthread body, with the forwarder tapping
     // every applied packet before its ack — and, in elastic mode, the
     // stale-routing gate filtering each accepted packet first.
@@ -739,7 +760,8 @@ fn run() -> i32 {
         let gate = elastic_state
             .clone()
             .map(|st| st as Arc<dyn netthread::ApplyGate>);
-        move || netthread::run_with(n, t, e, s, None, Some(tap), gate)
+        let lane = rpc_lane.clone();
+        move || netthread::run_with(n, t, e, s, None, Some(tap), gate, lane)
     });
 
     // Sender: this node's update stream through its directory. A
@@ -800,31 +822,25 @@ fn run() -> i32 {
         }));
     }
 
-    // Request-reply plane: the core aggregator draining the offload
-    // queue (GETs we issue + replies the netthread enqueues for peers)
-    // onto lane 1's express flows — class-pure packets flushed as soon
-    // as the express ring reads empty, the same flow engine — and
-    // a probe stream GETting every peer's sentinel.
+    // The RPC lane's thread, and a probe stream GETting every peer's
+    // sentinel through it.
     let gets_done = Arc::new(AtomicBool::new(args.gets == 0));
     let mut rpc_threads = Vec::new();
     let mut agg = None;
-    if args.gets > 0 {
+    if let Some(lane) = &rpc_lane {
         agg = Some(std::thread::spawn({
-            let (n, e) = (node.clone(), errors.clone());
-            let t: Arc<dyn Transport> = transport.clone();
-            // Only RPC classes flow here, through the express ring, which
-            // flushes on empty; the bulk policy is never consulted.
-            let policy = FlushPolicy::Fixed(cfg.flush_timeout);
-            move || aggregator::run(n, RPC_LANE as usize, t, cfg.node_queue_bytes, policy, e)
+            let lane = lane.clone();
+            move || aggregator::run_supervised(lane, None)
         }));
         rpc_threads.push(std::thread::spawn({
-            let (n, stop, done) = (node.clone(), stop.clone(), gets_done.clone());
+            let (lane, stop, done) = (lane.clone(), stop.clone(), gets_done.clone());
             let (gets, seed, input) = (args.gets, args.seed, input);
             move || {
-                let counters = gets::GetsCounters::bound(&n);
+                let n = lane.node();
+                let counters = gets::GetsCounters::bound(n);
                 let part = gups::partition(&input, nodes);
                 let out = gets::run_gets(
-                    &n,
+                    &lane,
                     nodes,
                     gets,
                     seed,

@@ -120,7 +120,7 @@ impl Cluster {
                 let t: Arc<dyn Transport> = transport.clone();
                 let state = Arc::new(Mutex::new(RecvState::new()));
                 let g = gate(node.id);
-                std::thread::spawn(move || netthread::run_with(n, t, e, state, None, None, g))
+                std::thread::spawn(move || netthread::run_with(n, t, e, state, None, None, g, None))
             })
             .collect();
         Cluster { nodes, transport, errors, net }

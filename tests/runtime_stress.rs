@@ -501,7 +501,12 @@ fn run_gets_in_a_put_storm(mut cfg: GravelConfig) -> RuntimeStats {
     let stats = shutdown_with_ledger(rt);
     let (mut issued, mut timeouts) = (0, 0);
     for n in &stats.nodes {
-        assert_eq!(n.rpc.issued, n.rpc.completed + n.rpc.timeouts, "node {} ledger", n.node);
+        assert_eq!(
+            n.rpc.issued,
+            n.rpc.completed + n.rpc.timeouts + n.rpc.restarted,
+            "node {} ledger",
+            n.node
+        );
         issued += n.rpc.issued;
         timeouts += n.rpc.timeouts;
     }
