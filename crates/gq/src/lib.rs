@@ -50,7 +50,7 @@ pub mod stats;
 
 pub use gravel_queue::{Claim, Consumed, GravelQueue, QueueConfig, SlotView};
 pub use mpmc::MpmcQueue;
-pub use msg::{Band, Command, Message, TrafficClass, MSG_BYTES, MSG_ROWS, NUM_BANDS, NUM_CLASSES};
+pub use msg::{Band, Command, Message, MSG_BYTES, MSG_ROWS, NUM_BANDS};
 pub use pad::CachePad;
 pub use park::WaitCell;
 pub use pool::BufferPool;

@@ -11,7 +11,7 @@
 
 /// Network commands a message can carry (paper §6: PUT, atomic increment,
 /// and a primitive active-message API), extended with the request-reply
-/// traffic class (GET, value-returning active messages, replies).
+/// band (GET, value-returning active messages, replies).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Command {
     /// PGAS store: write `value` to `addr` on `dest`.
@@ -100,17 +100,6 @@ impl Command {
             _ => None,
         }
     }
-
-    /// The traffic class this command travels in.
-    #[inline]
-    pub fn class(&self) -> TrafficClass {
-        match self {
-            Command::Get { .. } => TrafficClass::Get,
-            Command::Reply => TrafficClass::Reply,
-            Command::AmCall { .. } => TrafficClass::AmCall,
-            _ => TrafficClass::Bulk,
-        }
-    }
 }
 
 /// The two lanes a message can take through the pipeline (SNIPPETS.md
@@ -136,65 +125,23 @@ impl Band {
 
     /// Index into per-band arrays (service order).
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             Band::Express => 0,
             Band::Bulk => 1,
         }
     }
-}
 
-/// The four traffic classes an aggregated packet can carry. Packets are
-/// class-pure (the aggregator keeps one queue set per class) so the
-/// wire frame kind advertises the class and the sender can schedule
-/// whole packets by priority.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TrafficClass {
-    /// One-sided reads.
-    Get,
-    /// Replies to GETs and AM calls.
-    Reply,
-    /// Value-returning active-message calls.
-    AmCall,
-    /// Everything fire-and-forget (PUT, INC, plain AMs).
-    Bulk,
-}
-
-/// Number of traffic classes.
-pub const NUM_CLASSES: usize = 4;
-
-impl TrafficClass {
-    /// Index into per-class queue arrays (priority order).
+    /// The band of a message, from its raw command word (no full
+    /// decode): one mask and compare per message, made once, where the
+    /// aggregator picks the message's queue set. GET, REPLY and AM_CALL
+    /// are express; everything else — invalid opcodes included, which
+    /// the receiver's full decode rejects — is bulk.
     #[inline]
-    pub const fn index(self) -> usize {
-        match self {
-            TrafficClass::Get => 0,
-            TrafficClass::Reply => 1,
-            TrafficClass::AmCall => 2,
-            TrafficClass::Bulk => 3,
-        }
-    }
-
-    /// The band this class travels in.
-    #[inline]
-    pub fn band(self) -> Band {
-        match self {
-            TrafficClass::Bulk => Band::Bulk,
-            _ => Band::Express,
-        }
-    }
-
-    /// Cheap classifier from a raw command word (no full decode): used
-    /// by the aggregator's scatter, one mask + compare per message.
-    /// Invalid opcodes classify as `Bulk` and are rejected by the
-    /// receiver's full decode.
-    #[inline]
-    pub fn of_command_word(word: u64) -> TrafficClass {
+    pub fn of_command_word(word: u64) -> Band {
         match word & 0xff {
-            4 => TrafficClass::Get,
-            5 => TrafficClass::Reply,
-            6 => TrafficClass::AmCall,
-            _ => TrafficClass::Bulk,
+            4..=6 => Band::Express,
+            _ => Band::Bulk,
         }
     }
 }
@@ -319,29 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn classes_and_bands() {
-        assert_eq!(Command::Put.class(), TrafficClass::Bulk);
-        assert_eq!(Command::Get { deadline_ms: 1 }.class(), TrafficClass::Get);
-        assert_eq!(Command::Reply.class(), TrafficClass::Reply);
-        let am = Command::AmCall { handler: 2, deadline_ms: 1 };
-        assert_eq!(am.class(), TrafficClass::AmCall);
-        assert_eq!(TrafficClass::Get.band(), Band::Express);
-        assert_eq!(TrafficClass::Reply.band(), Band::Express);
-        assert_eq!(TrafficClass::AmCall.band(), Band::Express);
-        assert_eq!(TrafficClass::Bulk.band(), Band::Bulk);
-        for c in [TrafficClass::Get, TrafficClass::Reply, TrafficClass::AmCall, TrafficClass::Bulk] {
-            assert_eq!(TrafficClass::of_command_word(Message {
-                command: match c {
-                    TrafficClass::Get => Command::Get { deadline_ms: 9 },
-                    TrafficClass::Reply => Command::Reply,
-                    TrafficClass::AmCall => Command::AmCall { handler: 3, deadline_ms: 9 },
-                    TrafficClass::Bulk => Command::Put,
-                },
-                dest: 0,
-                addr: 0,
-                value: 0,
-            }.encode()[0]), c);
-        }
+    fn request_reply_opcodes_are_express() {
+        let band = |m: Message| Band::of_command_word(m.encode()[0]);
+        assert_eq!(band(Message::get(1, 0, 0, 9)), Band::Express);
+        assert_eq!(band(Message::reply(1, 0, 0)), Band::Express);
+        assert_eq!(band(Message::am_call(1, 3, 0, 0, 9)), Band::Express);
+        assert_eq!(band(Message::put(1, 0, 0)), Band::Bulk);
+        assert_eq!(band(Message::inc(1, 0, 0)), Band::Bulk);
+        assert_eq!(band(Message::active(1, 5, 0, 0)), Band::Bulk);
+        assert_eq!(Band::of_command_word(99), Band::Bulk);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! empty: whatever accumulated while the lane was busy leaves as one
 //! packet, and nothing ever waits on a flush timer.
 //!
-//! That express pass is one function, [`express_pass`], and the lane
+//! That express pass is one function, `express_pass`, and the lane
 //! thread is not its only caller: whoever publishes express traffic —
 //! a host requester, the network thread that just enqueued replies —
 //! runs it too, through [`Lane::try_express_pass`], whenever the lane's
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use gravel_gq::{
-    Claim, Consumed, GravelQueue, Message, ReplySink, ReplyState, RpcFailure, TrafficClass,
-    MSG_ROWS, NUM_CLASSES,
+    Band, Claim, Consumed, GravelQueue, Message, ReplySink, ReplyState, RpcFailure, MSG_ROWS,
+    NUM_BANDS,
 };
 use gravel_net::{ChaosPlan, Transport};
 use gravel_pgas::{FlushPolicy, NodeQueues, Packet, QuarantineReason, QuarantinedMessage};
@@ -58,8 +58,9 @@ const MIN_PARK: Duration = Duration::from_micros(5);
 /// reservation amortizes the producer's.
 const DRAIN_BATCH_SLOTS: usize = 8;
 
-/// Index of the bulk queue set in [`LaneState::nodeqs`].
-const BULK: usize = TrafficClass::Bulk.index();
+/// Index of the express and the bulk queue set in [`LaneState::nodeqs`].
+const EXPRESS: usize = Band::Express.index();
+const BULK: usize = Band::Bulk.index();
 
 /// The slots a lane still holds claimed on one ring — each goes back to
 /// the producers, and out of the claim, when its last message is in a
@@ -88,8 +89,8 @@ impl Cursor {
 /// panics at message boundaries, where the state is consistent by
 /// construction.
 struct LaneState {
-    /// Per-destination aggregation queues, one set per traffic class
-    /// (index = [`TrafficClass::index`]).
+    /// Per-destination aggregation queues, one set per band (index =
+    /// [`Band::index`]).
     nodeqs: Vec<NodeQueues>,
     flows: Vec<Flow>,
     /// The current bulk-ring claim.
@@ -132,10 +133,10 @@ impl Lane {
         policy: FlushPolicy,
         errors: Arc<ErrorSlot>,
     ) -> Self {
-        // One queue set per traffic class, so packets stay class-pure.
-        // Every set shares the node's `AggCounters`: one increment per
-        // flush event, so per-slot snapshots can never drift.
-        let nodeqs = (0..NUM_CLASSES)
+        // One queue set per band: a packet's band is its set's. Every
+        // set shares the node's `AggCounters`: one increment per flush
+        // event, so per-slot snapshots can never drift.
+        let nodeqs = (0..NUM_BANDS)
             .map(|_| {
                 NodeQueues::with_policy(node.id, node.nodes, queue_bytes, policy, node.agg.clone())
                     .with_pool(node.pool.clone())
@@ -162,7 +163,7 @@ impl Lane {
         &self.node
     }
 
-    /// Run [`express_pass`] on the calling thread if the lane's state is
+    /// Run `express_pass` on the calling thread if the lane's state is
     /// free: take in the lane's acks, claim and aggregate the express
     /// ring until it reads empty, flush the express queues, and seal and
     /// send through the lane's own express flows. Called by whoever has
@@ -246,25 +247,26 @@ pub fn run(
     run_supervised(Arc::new(lane), None);
 }
 
-/// `pkt` leaves through `sender`.
-fn submit(node: &NodeShared, pkt: Packet, sender: &mut Sender<'_>) {
-    if pkt.class() != TrafficClass::Bulk {
+/// `pkt`, flushed from `band`'s queue set, leaves through `sender`.
+fn submit(node: &NodeShared, band: Band, pkt: Packet, sender: &mut Sender<'_>) {
+    if band == Band::Express {
         node.agg_express_packets.add(1);
     }
-    sender.submit(pkt);
+    sender.submit(band, pkt);
 }
 
-/// The packets waiting in `scratch` leave through `sender`.
-fn submit_all(node: &NodeShared, scratch: &mut Vec<Packet>, sender: &mut Sender<'_>) {
+/// The packets waiting in `scratch`, flushed from `band`'s queue set,
+/// leave through `sender`.
+fn submit_all(node: &NodeShared, band: Band, scratch: &mut Vec<Packet>, sender: &mut Sender<'_>) {
     for pkt in scratch.drain(..) {
-        submit(node, pkt, sender);
+        submit(node, band, pkt, sender);
     }
 }
 
 /// Aggregate `cur`'s claim on `ring` from its cursor to the end (fresh,
 /// or inherited mid-way from a predecessor that panicked at the cursor)
 /// in one pass: each message is read where the producer wrote it and
-/// appended to the queue its class and destination select, and what
+/// appended to the queue its band and destination select, and what
 /// that fills goes to the sender at once. The chaos schedule ticks once
 /// per message, before it is aggregated, so an injected kill leaves the
 /// cursor on exactly the message the successor must start with. With
@@ -297,12 +299,11 @@ fn aggregate(
             }
             let dest = words[1] as usize;
             if dest < node.nodes {
-                // One queue set per class keeps packets class-pure (the
-                // wire kind advertises the class and the express stamp
-                // follows from it).
-                let qi = TrafficClass::of_command_word(words[0]).index();
-                if let Some(pkt) = nodeqs[qi].push(dest, &words, now) {
-                    submit(node, pkt, sender);
+                // The band picks the queue set; from here on only the
+                // flow's lane bit records it.
+                let band = Band::of_command_word(words[0]);
+                if let Some(pkt) = nodeqs[band.index()].push(dest, &words, now) {
+                    submit(node, band, pkt, sender);
                 }
             } else {
                 // No such node: as with a bad address at the receiver,
@@ -336,8 +337,9 @@ fn aggregate(
 
 /// The express pass: claim and aggregate the express ring (`cur` holds
 /// the claim, fresh or inherited mid-way) until it reads empty, then
-/// flush the express queues, so whatever accumulated leaves as one
-/// packet per destination and class. The lane thread runs it at the
+/// flush the express queue set, so whatever accumulated leaves as one
+/// packet per destination — GETs, replies and AM calls together, in
+/// publish order. The lane thread runs it at the
 /// top of every iteration and a publisher through
 /// [`Lane::try_express_pass`]; this is the only express code path.
 /// Returns `false` once the express ring is closed and drained, leaving
@@ -363,11 +365,9 @@ fn express_pass(
         let _span = node.tracer.span("agg.express", "aggregate", node.id);
         aggregate(node, lane, chaos, express, None, cur, nodeqs, sender);
     }
-    for nodeq in nodeqs[..BULK].iter_mut() {
-        scratch.clear();
-        nodeq.flush_all_into(scratch);
-        submit_all(node, scratch, sender);
-    }
+    scratch.clear();
+    nodeqs[EXPRESS].flush_all_into(scratch);
+    submit_all(node, Band::Express, scratch, sender);
     true
 }
 
@@ -428,7 +428,7 @@ pub fn run_supervised(lane: Arc<Lane>, chaos: Option<Arc<ChaosPlan>>) {
             let now = Instant::now();
             scratch.clear();
             nodeqs[BULK].poll_timeouts_into(now, scratch);
-            submit_all(node, scratch, &mut sender);
+            submit_all(node, Band::Bulk, scratch, &mut sender);
             continue;
         }
         match ring.try_claim(DRAIN_BATCH_SLOTS) {
@@ -446,7 +446,7 @@ pub fn run_supervised(lane: Arc<Lane>, chaos: Option<Arc<ChaosPlan>>) {
                 nodeqs[BULK].poll_timeouts_into(now, scratch);
                 if !scratch.is_empty() {
                     let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                    submit_all(node, scratch, &mut sender);
+                    submit_all(node, Band::Bulk, scratch, &mut sender);
                 }
                 // Idle: spin briefly (work usually arrives within
                 // microseconds on the hot path), then park on the ring's
@@ -487,12 +487,12 @@ pub fn run_supervised(lane: Arc<Lane>, chaos: Option<Arc<ChaosPlan>>) {
                     // closed by now; go round until it reads drained.
                     continue;
                 }
-                for nodeq in nodeqs.iter_mut() {
+                for band in Band::ALL {
                     scratch.clear();
-                    nodeq.flush_all_into(scratch);
+                    nodeqs[band.index()].flush_all_into(scratch);
                     if !scratch.is_empty() {
                         let _span = node.tracer.span("agg.flush", "aggregate", node.id);
-                        submit_all(node, scratch, &mut sender);
+                        submit_all(node, band, scratch, &mut sender);
                     }
                 }
                 // Drain phase: hold the thread until every flow is
@@ -901,7 +901,6 @@ mod tests {
         );
         assert_eq!(log.len(), 2, "one GET packet, one bulk packet");
         let (get, bulk) = (&log[0], &log[1]);
-        assert_eq!(get.class(), TrafficClass::Get);
         assert_eq!(get.msg_count(), 1);
         assert_eq!(
             (gravel_pgas::split_wire_lane(get.lane), get.seq),
@@ -909,7 +908,6 @@ mod tests {
         );
         // The bulk flow numbers its packets on its own, from 0, on the
         // plain lane number.
-        assert_eq!(bulk.class(), TrafficClass::Bulk);
         assert_eq!((bulk.lane, bulk.seq, bulk.msg_count()), (0, 0, 12));
         assert_eq!(node.agg_express_packets.get(), 1);
         assert_eq!(
@@ -939,8 +937,8 @@ mod tests {
         );
         assert_eq!(log.len(), 1);
         assert_eq!(
-            (log[0].class(), log[0].msg_count()),
-            (TrafficClass::Get, 40)
+            (gravel_pgas::split_wire_lane(log[0].lane).1, log[0].msg_count()),
+            (Band::Express, 40)
         );
         assert_eq!(
             node.stats().agg.timeout_flushes,
@@ -962,7 +960,7 @@ mod tests {
             std::thread::spawn(move || lane.host_rpc(|token, dl| Message::get(1, 3, token, dl)))
         };
         let get = recv(&transport.inner, 1);
-        assert_eq!((get.class(), get.msg_count()), (TrafficClass::Get, 1));
+        assert_eq!(get.msg_count(), 1);
         assert_eq!(
             (gravel_pgas::split_wire_lane(get.lane), get.seq),
             ((0, gravel_gq::Band::Express), 0)
@@ -977,6 +975,69 @@ mod tests {
         assert!(node.rpc.complete(req.value, 555));
         assert_eq!(caller.join().unwrap(), Ok(555));
         assert_eq!((node.rpc.issued.get(), node.rpc.completed.get()), (1, 1));
+    }
+
+    /// One express pass that finds a GET, a REPLY and an AM_CALL for the
+    /// same destination puts one packet on the wire — the three in
+    /// publish order, on the express flow — and the receiver serves
+    /// each of them.
+    #[test]
+    fn an_express_pass_sends_a_get_a_reply_and_an_am_call_as_one_packet() {
+        use crate::netthread::{run_with, RecvState};
+        let (node, transport, errors) = logged_node(2);
+        // The receiver: node 1, with a returning handler and a pending
+        // request for the REPLY to complete.
+        let mut ams = AmRegistry::new();
+        let double = ams.register_returning(Box::new(|h, a| 2 * h.load(a)));
+        let peer = Arc::new(NodeShared::new(1, &GravelConfig::small(2, 16), Arc::new(ams)));
+        peer.heap.store(3, 21);
+        peer.heap.store(4, 50);
+        let sink = Arc::new(ReplySink::new(1));
+        let far = Instant::now() + Duration::from_secs(600);
+        let token = peer.rpc.register(sink.clone(), 0, far).expect("room");
+        let sent = [
+            Message::get(1, 3, 70, 1),
+            Message::reply(1, token, 99),
+            Message::am_call(1, double, 4, 71, 1),
+        ];
+        // One slot: the express ring of this node holds two.
+        node.host_send_batch(&sent);
+        let policy = FlushPolicy::Fixed(Duration::from_secs(600));
+        let lane = Lane::new(node.clone(), 0, transport.clone(), 1 << 20, policy, errors.clone());
+        lane.try_express_pass();
+        let log = transport.sent.lock().unwrap().clone();
+        assert_eq!(log.len(), 1, "one packet for the whole pass");
+        let pkt = &log[0];
+        assert_eq!(
+            (gravel_pgas::split_wire_lane(pkt.lane), pkt.seq),
+            ((0, Band::Express), 0)
+        );
+        let got: Vec<Option<Message>> = pkt.messages().map(Message::decode).collect();
+        assert_eq!(got, sent.map(Some));
+        assert_eq!(node.agg_express_packets.get(), 1);
+
+        let handle = {
+            let (peer, transport) = (peer.clone(), transport.clone());
+            let state = Arc::new(Mutex::new(RecvState::new()));
+            std::thread::spawn(move || {
+                run_with(peer, transport, errors, state, None, None, None, None)
+            })
+        };
+        assert!(crate::backoff::wait_for(Duration::from_secs(5), || {
+            peer.net_acks_sent.get() == 1
+        }));
+        transport.close();
+        handle.join().unwrap();
+        assert_eq!(sink.get(0), ReplyState::Ok(99), "the REPLY completed its request");
+        let mut out = Vec::new();
+        while let Consumed::Batch(_) = peer.queue.express().try_consume_into(&mut out) {}
+        let replies: Vec<Option<Message>> =
+            out.chunks_exact(MSG_ROWS).map(|w| Message::decode(w.try_into().unwrap())).collect();
+        assert_eq!(
+            replies,
+            [Some(Message::reply(0, 70, 21)), Some(Message::reply(0, 71, 100))],
+            "the GET and the AM_CALL answered, in order"
+        );
     }
 
     /// A kill at every message of a three-slot claim: the lane dies with

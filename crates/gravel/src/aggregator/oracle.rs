@@ -3,12 +3,13 @@
 //! Until PR 17 a lane drained in three passes: `try_consume_batch`
 //! transposed the claimed slots into a vector, a scan cut the vector into
 //! runs of one destination and class, and `push_run` packed each run.
-//! [`aggregate_by_runs`] is that path, word for word. The property below
+//! [`aggregate_by_runs`] is that path, with the class now a band. The
+//! property below
 //! holds the one-pass [`aggregate`](super::aggregate) to it on a
 //! single-threaded rig — same ring traffic, same claims — and demands the
-//! same packets on the wire in the same order (flow, sequence number,
-//! class, payload bytes), the same flush-reason counters and the same
-//! queue statistics.
+//! same packets on the wire in the same order (flow — the wire lane, band
+//! bit and all — sequence number, payload bytes), the same flush-reason
+//! counters and the same queue statistics.
 
 use std::collections::VecDeque;
 
@@ -41,17 +42,17 @@ fn aggregate_by_runs(
     let mut pos = 0;
     while pos < pending.len() {
         let dest = pending[pos + 1] as usize;
-        let qi = TrafficClass::of_command_word(pending[pos]).index();
+        let band = Band::of_command_word(pending[pos]);
         let mut end = pos;
         while end < pending.len()
             && pending[end + 1] as usize == dest
-            && TrafficClass::of_command_word(pending[end]).index() == qi
+            && Band::of_command_word(pending[end]) == band
         {
             end += rows;
         }
         scratch.clear();
-        nodeqs[qi].push_run(dest, &pending[pos..end], rows, now, scratch);
-        submit_all(node, scratch, sender);
+        nodeqs[band.index()].push_run(dest, &pending[pos..end], rows, now, scratch);
+        submit_all(node, band, scratch, sender);
         pos = end;
     }
 }
@@ -107,13 +108,9 @@ impl Transport for Wire {
 /// One ring slot's messages, then how many slots the lane may claim.
 type Round = (Vec<Vec<Message>>, usize);
 
-/// What a run leaves behind: the wire log (flow, sequence number, class,
+/// What a run leaves behind: the wire log (flow, sequence number,
 /// payload) and both statistics blocks.
-type Outcome = (
-    Vec<(u32, u32, u64, TrafficClass, Vec<u8>)>,
-    AggStats,
-    StatsSnapshot,
-);
+type Outcome = (Vec<(u32, u32, u64, Vec<u8>)>, AggStats, StatsSnapshot);
 
 const LANE_WIDTH: usize = 8;
 const RING_SLOTS: usize = 8;
@@ -144,7 +141,7 @@ fn run_rig(
     let gauges = FlowGauges::of(&node);
     let mut flows = Vec::new();
     let mut scratch = Vec::new();
-    let mut nodeqs: Vec<NodeQueues> = (0..NUM_CLASSES)
+    let mut nodeqs: Vec<NodeQueues> = (0..NUM_BANDS)
         .map(|_| {
             NodeQueues::with_policy(
                 0,
@@ -157,8 +154,8 @@ fn run_rig(
         .collect();
     let ring = node.queue.ring(0);
     for (slots, max_slots) in rounds {
-        // Every class through the one ring: the lane's pass is the same
-        // function for both rings, and a slot of mixed classes is its
+        // Both bands through the one ring: the lane's pass is the same
+        // function for both rings, and a slot of mixed bands is its
         // hardest input.
         for slot in slots {
             let words: Vec<u64> = slot.iter().flat_map(|m| m.encode()).collect();
@@ -171,10 +168,10 @@ fn run_rig(
         }
     }
     let mut sender = Sender::new(&node, 0, &wire, &mut flows, &gauges);
-    for nodeq in nodeqs.iter_mut() {
+    for band in Band::ALL {
         scratch.clear();
-        nodeq.flush_all_into(&mut scratch);
-        submit_all(&node, &mut scratch, &mut sender);
+        nodeqs[band.index()].flush_all_into(&mut scratch);
+        submit_all(&node, band, &mut scratch, &mut sender);
     }
     while !sender.is_drained() {
         sender.service().expect("nothing is lost");
@@ -184,7 +181,7 @@ fn run_rig(
         .lock()
         .unwrap()
         .iter()
-        .map(|p| (p.dest, p.lane, p.seq, p.class(), p.payload.to_vec()))
+        .map(|p| (p.dest, p.lane, p.seq, p.payload.to_vec()))
         .collect();
     (log, node.agg.snapshot(), node.queue.stats.snapshot())
 }
@@ -233,7 +230,7 @@ fn a_bulk_claim_yields_to_a_ready_express_ring_at_the_next_slot() {
     let wire = Wire::default();
     let gauges = FlowGauges::of(&node);
     let mut flows = Vec::new();
-    let mut nodeqs: Vec<NodeQueues> = (0..NUM_CLASSES)
+    let mut nodeqs: Vec<NodeQueues> = (0..NUM_BANDS)
         .map(|_| {
             let policy = FlushPolicy::Fixed(Duration::from_secs(600));
             NodeQueues::with_policy(0, 2, 1 << 16, policy, node.agg.clone())

@@ -105,7 +105,7 @@ pub struct GravelConfig {
     /// it the oldest entry is evicted, so a babbling peer cannot OOM the
     /// receiver.
     pub quarantine_capacity: usize,
-    /// Request-reply traffic class: pending-reply table capacity and
+    /// Request-reply traffic: pending-reply table capacity and
     /// the request timeout. See DESIGN.md §15.
     pub rpc: crate::rpc::RpcConfig,
 }

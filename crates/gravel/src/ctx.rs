@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gravel_gq::{Message, ReplySink, RpcFailure, TrafficClass};
+use gravel_gq::{Band, Message, ReplySink, RpcFailure};
 use gravel_simt::{LaneVec, Mask, WgCtx};
 
 use crate::node::NodeShared;
@@ -85,21 +85,20 @@ impl<'a> GravelCtx<'a> {
 
     /// Offload one message per lane of `mask` in one work-group
     /// reservation, whatever the lanes' destinations. All of a call's
-    /// messages are one operation, so one `class` speaks for them:
-    /// request-reply classes go to the node's express ring, bulk to the
-    /// bulk ring.
+    /// messages are one operation, so one `band` speaks for them and
+    /// picks the node's ring.
     fn offload(
         &mut self,
         mask: &Mask,
         dests: &LaneVec<u32>,
-        class: TrafficClass,
+        band: Band,
         make: impl Fn(usize) -> Message,
     ) {
         if mask.is_empty() {
             return;
         }
         let node = self.node;
-        let ring = node.queue.band(class.band());
+        let ring = node.queue.band(band);
         let count = mask.count() as u64;
         let local = mask.iter().filter(|&l| dests.get(l) == node.id).count() as u64;
         self.wg.with_mask(mask.clone(), |wg| {
@@ -129,7 +128,7 @@ impl<'a> GravelCtx<'a> {
         }
         // Remote lanes: offload.
         let remote = self.wg.active().and_not(&local);
-        self.offload(&remote, dests, TrafficClass::Bulk, |lane| {
+        self.offload(&remote, dests, Band::Bulk, |lane| {
             Message::put(dests.get(lane), addrs.get(lane), vals.get(lane))
         });
     }
@@ -141,7 +140,7 @@ impl<'a> GravelCtx<'a> {
             // Everything — local included — routes through the network
             // thread (§6).
             let mask = self.wg.active().clone();
-            self.offload(&mask, dests, TrafficClass::Bulk, |lane| {
+            self.offload(&mask, dests, Band::Bulk, |lane| {
                 Message::inc(dests.get(lane), addrs.get(lane), vals.get(lane))
             });
         } else {
@@ -157,7 +156,7 @@ impl<'a> GravelCtx<'a> {
                 self.node.local_direct.add(local.count() as u64);
             }
             let remote = self.wg.active().and_not(&local);
-            self.offload(&remote, dests, TrafficClass::Bulk, |lane| {
+            self.offload(&remote, dests, Band::Bulk, |lane| {
                 Message::inc(dests.get(lane), addrs.get(lane), vals.get(lane))
             });
         }
@@ -172,7 +171,7 @@ impl<'a> GravelCtx<'a> {
     /// the group, the WG-amortized analogue of the offload queue's
     /// single reservation.
     pub fn shmem_get(&mut self, dests: &LaneVec<u32>, addrs: &LaneVec<u64>) -> Arc<ReplySink> {
-        self.rpc_offload(dests, TrafficClass::Get, |lane, token, dl| {
+        self.rpc_offload(dests, |lane, token, dl| {
             Message::get(dests.get(lane), addrs.get(lane), token, dl)
         })
     }
@@ -187,7 +186,7 @@ impl<'a> GravelCtx<'a> {
         dests: &LaneVec<u32>,
         args: &LaneVec<u64>,
     ) -> Arc<ReplySink> {
-        self.rpc_offload(dests, TrafficClass::AmCall, |lane, token, dl| {
+        self.rpc_offload(dests, |lane, token, dl| {
             Message::am_call(dests.get(lane), handler, args.get(lane), token, dl)
         })
     }
@@ -195,7 +194,6 @@ impl<'a> GravelCtx<'a> {
     fn rpc_offload(
         &mut self,
         dests: &LaneVec<u32>,
-        class: TrafficClass,
         make: impl Fn(usize, u64, u16) -> Message,
     ) -> Arc<ReplySink> {
         let mask = self.wg.active().clone();
@@ -220,7 +218,7 @@ impl<'a> GravelCtx<'a> {
                 }
             }
         }
-        self.offload(&send, dests, class, |lane| {
+        self.offload(&send, dests, Band::Express, |lane| {
             make(lane, tokens[lane], deadline_ms)
         });
         self.wg.give_words(tokens);
@@ -238,7 +236,7 @@ impl<'a> GravelCtx<'a> {
         vals: &LaneVec<u64>,
     ) {
         let mask = self.wg.active().clone();
-        self.offload(&mask, dests, TrafficClass::Bulk, |lane| {
+        self.offload(&mask, dests, Band::Bulk, |lane| {
             Message::active(dests.get(lane), handler, addrs.get(lane), vals.get(lane))
         });
     }
@@ -379,9 +377,7 @@ mod tests {
             Consumed::Batch(8)
         );
         let m = Message::decode([out[0], out[1], out[2], out[3]]).unwrap();
-        assert_eq!(
-            (m.command.class(), m.dest, m.addr),
-            (TrafficClass::Get, 1, 0)
-        );
+        assert!(matches!(m.command, gravel_gq::Command::Get { .. }));
+        assert_eq!((m.dest, m.addr), (1, 0));
     }
 }

@@ -295,10 +295,12 @@ impl<'a> Sender<'a> {
         self.gauges.backlog.set(backlog as i64);
     }
 
-    /// Queue a packet on the flow of its destination and band, and pump
-    /// that flow.
-    pub fn submit(&mut self, pkt: Packet) {
-        let idx = self.flow_index(pkt.class().band(), pkt.dest as usize);
+    /// Queue a packet on the flow of its destination and `band` — the
+    /// band of the queue set that flushed it — and pump that flow. The
+    /// flow stamps the band into the packet's wire lane, which is all
+    /// that records it from here on.
+    pub fn submit(&mut self, band: Band, pkt: Packet) {
+        let idx = self.flow_index(band, pkt.dest as usize);
         self.flows[idx].queued.push_back(pkt);
         self.pump(idx);
     }
@@ -789,7 +791,7 @@ mod tests {
     /// that drains its mailbox every iteration), then settle.
     fn stream(sender: &mut Sender<'_>, wire: &ScriptedWire, n: u64) -> bool {
         for i in 0..n {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
             sender.drain_acks();
         }
         settle(sender, wire)
@@ -877,7 +879,7 @@ mod tests {
             &[((1, 0), Fate::Drop), ((3, 0), Fate::Drop)]
         );
         for i in 0..6 {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         assert!(settle(&mut sender, &wire));
         assert_delivered(&node, &wire, 6);
@@ -912,7 +914,7 @@ mod tests {
         rig!(node, wire, sender, HOUR, &twice);
         let n = 2 * WINDOW + 4;
         for i in 0..n {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         assert_eq!(
             wire.state().sent.len() as u64,
@@ -1016,7 +1018,7 @@ mod tests {
         let hole = [((2, 0), Fate::Drop), ((2, 1), Fate::Drop)];
         rig!(node, wire, sender, Duration::from_millis(2), &hole);
         for i in 0..5 {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         assert!(
             !settle(&mut sender, &wire),
@@ -1051,7 +1053,7 @@ mod tests {
             &[((1, 0), Fate::Drop)]
         );
         for i in 0..6 {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         assert_eq!(wire.state().parked.len(), 4);
         wire.state().parked.clear();
@@ -1094,8 +1096,8 @@ mod tests {
         let gauges = FlowGauges::of(&node);
         let mut flows = Vec::new();
         let mut sender = Sender::new(&node, 0, &wire, &mut flows, &gauges);
-        sender.submit(packet(0));
-        sender.submit(packet(1));
+        sender.submit(Band::Bulk, packet(0));
+        sender.submit(Band::Bulk, packet(1));
         let mut died = None;
         assert!(crate::backoff::wait_for(Duration::from_secs(30), || {
             died = sender.service().err();
@@ -1125,7 +1127,7 @@ mod tests {
     fn a_refused_retransmission_is_not_counted() {
         rig!(node, wire, sender, Duration::from_micros(200), &[]);
         wire.state().lost_acks = (0..1000).collect();
-        sender.submit(packet(0));
+        sender.submit(Band::Bulk, packet(0));
         wire.state().refuse = true;
         let expiries = |s: &Sender<'_>| s.flows[s.flow_index(Band::Bulk, 1)].retries;
         assert!(crate::backoff::wait_for(Duration::from_secs(30), || {
@@ -1143,7 +1145,7 @@ mod tests {
     fn a_refused_repair_is_timed_from_the_ack_that_exposed_the_hole() {
         rig!(node, wire, sender, HOUR, &[((1, 0), Fate::Drop)]);
         for i in 0..4 {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         // Packet 0's ack waits, then packet 2's and packet 3's, both
         // naming the gap. The first of those is read into a full channel.
@@ -1172,7 +1174,7 @@ mod tests {
         let never: Vec<_> = (0..50).map(|a| ((0, a), Fate::Drop)).collect();
         rig!(node, wire, sender, HOUR, &never);
         for i in 0..4 * WINDOW {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
             sender.drain_acks();
         }
         assert!(!settle(&mut sender, &wire), "the hole is still open");
@@ -1186,7 +1188,7 @@ mod tests {
         rig!(node, wire, sender, HOUR, &[]);
         wire.state().lost_acks = (0..1000).collect();
         for i in 0..WINDOW + 3 {
-            sender.submit(packet(i));
+            sender.submit(Band::Bulk, packet(i));
         }
         let snap = node.registry.snapshot();
         assert_eq!(snap.gauge("node0.agg.in_flight"), WINDOW as i64);

@@ -51,7 +51,7 @@ pub use stats::{HaStats, NetStats, NodeStats, RpcStats, RuntimeStats};
 
 // Re-export the layers callers routinely need alongside the runtime.
 pub use gravel_gq as gq;
-pub use gravel_gq::{Band, ReplySink, ReplyState, RpcFailure, TrafficClass};
+pub use gravel_gq::{Band, ReplySink, ReplyState, RpcFailure};
 pub use gravel_net as net;
 pub use gravel_net::{
     ChaosPlan, FaultConfig, FaultStats, ProcessFault, RetryConfig, TransportKind,

@@ -478,7 +478,7 @@ pub fn run_with(
             }
             RecvStatus::Closed => return,
         };
-        let express = frame.express;
+        let express = frame.is_express();
         if express {
             node.net_express_frames.add(1);
         }
@@ -807,7 +807,7 @@ mod tests {
     #[test]
     fn a_frame_of_gets_is_answered_by_the_network_threads_own_express_pass() {
         use crate::aggregator::Lane;
-        use gravel_gq::{Band, TrafficClass};
+        use gravel_gq::Band;
         use gravel_pgas::{split_wire_lane, wire_lane, FlushPolicy};
 
         const GETS: u64 = 4;
@@ -838,12 +838,12 @@ mod tests {
 
         let reply = match transport.recv_data(1, Duration::from_secs(5)) {
             RecvStatus::Msg(f) => {
-                assert!(f.express);
+                assert!(f.is_express());
                 f.open(WireIntegrity::Crc32c).expect("frame verifies")
             }
             other => panic!("expected the REPLY frame, got {other:?}"),
         };
-        assert_eq!((reply.class(), reply.src, reply.dest), (TrafficClass::Reply, 0, 1));
+        assert_eq!((reply.src, reply.dest), (0, 1));
         assert_eq!((split_wire_lane(reply.lane), reply.seq), ((0, Band::Express), 0));
         let replies: Vec<Option<Message>> = reply.messages().map(Message::decode).collect();
         let want: Vec<Option<Message>> =
@@ -861,20 +861,20 @@ mod tests {
     /// out of order about that: it is the first packet of its own flow.
     #[test]
     fn a_get_is_served_ahead_of_the_bulk_frames_queued_before_it() {
-        use gravel_gq::{Band, TrafficClass};
-        use gravel_pgas::wire_lane;
+        use gravel_gq::Band;
+        use gravel_pgas::{split_wire_lane, wire_lane};
 
         struct Tap {
             node: Arc<NodeShared>,
-            /// Per applied packet: class, seq, and the node's applied
+            /// Per applied packet: band, seq, and the node's applied
             /// and offloaded totals right after it.
-            seen: Mutex<Vec<(TrafficClass, u64, u64, u64)>>,
+            seen: Mutex<Vec<(Band, u64, u64, u64)>>,
         }
         impl PacketTap for Tap {
             fn on_packet_applied(&self, pkt: &Packet) {
                 let n = &self.node;
                 self.seen.lock().unwrap().push((
-                    pkt.class(),
+                    split_wire_lane(pkt.lane).1,
                     pkt.seq,
                     n.applied.get(),
                     n.offloaded.get(),
@@ -906,7 +906,7 @@ mod tests {
             0,
             &Message::get(0, 5, 42, 1).encode(),
         );
-        assert!(get.express);
+        assert!(get.is_express());
         transport.send_data(get, Duration::from_secs(1));
 
         // Only now does the network thread start.
@@ -933,12 +933,12 @@ mod tests {
         let seen = tap.seen.lock().unwrap().clone();
         assert_eq!(
             seen[0],
-            (TrafficClass::Get, 0, 1, 1),
+            (Band::Express, 0, 1, 1),
             "GET applied first, its reply offloaded, no bulk message applied yet"
         );
         let bulk: Vec<_> = seen[1..].iter().map(|s| (s.0, s.1, s.2)).collect();
         let want: Vec<_> = (0..K)
-            .map(|k| (TrafficClass::Bulk, k, 1 + 3 * (k + 1)))
+            .map(|k| (Band::Bulk, k, 1 + 3 * (k + 1)))
             .collect();
         assert_eq!(bulk, want, "then the bulk frames, in their own order");
         assert_eq!(node.heap.load(2), 3 * K);

@@ -101,7 +101,7 @@ pub struct NodeShared {
     /// each band is its own flow, so an express frame overtaking bulk
     /// frames never waits for them here.
     pub net_ooo_parked: Counter,
-    /// Inbound data frames that carried the express stamp.
+    /// Inbound data frames whose lane carried the express bit.
     pub net_express_frames: Counter,
     /// Busy-spin iterations in the runtime's idle loops (aggregator
     /// drain waits, quiesce polls) before parking.
@@ -152,7 +152,7 @@ pub struct NodeShared {
 
 /// The ring a message travels through.
 fn band_of(m: &Message) -> Band {
-    m.command.class().band()
+    Band::of_command_word(m.command.encode())
 }
 
 impl NodeShared {
@@ -256,8 +256,8 @@ impl NodeShared {
 
     /// Inject a batch of messages from the host CPU with one slot
     /// reservation per full slot (bench harnesses, bulk control paths).
-    /// Messages may mix destinations and classes: bulk goes to the bulk
-    /// ring, request-reply classes to the express ring, each in the
+    /// Messages may mix destinations and bands: bulk goes to the bulk
+    /// ring, request-reply messages to the express ring, each in the
     /// order given.
     pub fn host_send_batch(&self, msgs: &[Message]) {
         let width = self.queue.config().lane_width;

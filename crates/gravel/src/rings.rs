@@ -4,8 +4,8 @@
 //!
 //! * the **bulk ring**, with the configured slot budget, for PUTs,
 //!   increments and one-way active messages;
-//! * one small **express ring** for request-reply traffic (every
-//!   [`TrafficClass`] but `Bulk`), so a GET or a reply never queues
+//! * one small **express ring** for request-reply traffic (GET, REPLY,
+//!   AM_CALL: [`Band::Express`]), so a GET or a reply never queues
 //!   behind a ring full of PUTs. The lane drains it before every bulk
 //!   batch, and the two rings share a wait cell so a publish on either
 //!   wakes that one thread (DESIGN.md §15).
@@ -16,7 +16,7 @@
 //! everything a node sends to one destination in one band travels one
 //! ring, one lane and one sequence space.
 
-use gravel_gq::{Band, GravelQueue, QueueConfig, QueueStats, TrafficClass};
+use gravel_gq::{Band, GravelQueue, QueueConfig, QueueStats};
 use gravel_telemetry::Tracer;
 
 /// One node's bulk and express rings, sharing one telemetry surface.
@@ -92,11 +92,10 @@ impl RingPair {
         self.bulk.close();
     }
 
-    /// Produce one message (as words) into the ring its class selects
-    /// (host paths).
+    /// Produce one message (as words) into the ring of its band (host
+    /// paths).
     pub fn produce_one(&self, words: &[u64]) {
-        let class = TrafficClass::of_command_word(words[0]);
-        self.band(class.band()).produce_batch(words, 1);
+        self.band(Band::of_command_word(words[0])).produce_batch(words, 1);
     }
 }
 
@@ -111,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn request_reply_classes_take_the_express_ring() {
+    fn request_reply_messages_take_the_express_ring() {
         let small = pair(8);
         assert_eq!(small.config().slots, 8, "the bulk ring keeps the full budget");
         assert_eq!(small.express().config().slots, 2, "floor of two slots");

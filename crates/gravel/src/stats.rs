@@ -49,7 +49,7 @@ pub struct NetStats {
     /// Packets parked in a reorder buffer, ahead of their own flow's
     /// next sequence number (never behind another band's).
     pub ooo_parked: u64,
-    /// Inbound data frames that carried the express stamp.
+    /// Inbound data frames whose lane carried the express bit.
     pub express_frames: u64,
     /// Busy-spin iterations in the runtime's idle loops before parking.
     pub spin_spins: u64,

@@ -109,7 +109,7 @@ impl Transport for ChannelTransport {
         let mut q = ingress.lock();
         let mut deadline = None;
         loop {
-            let fifo = if frame.express { &mut q.express } else { &mut q.bulk };
+            let fifo = if frame.is_express() { &mut q.express } else { &mut q.bulk };
             if fifo.len() < self.capacity {
                 fifo.push_back(frame);
                 break;
@@ -239,13 +239,13 @@ impl Transport for ChannelTransport {
 mod tests {
     use super::*;
     use crate::Ack;
-    use gravel_pgas::{FrameKind, Packet, WireIntegrity};
+    use gravel_gq::{Band, Message};
+    use gravel_pgas::{wire_lane, Packet, WireIntegrity};
 
-    /// A one-word bulk frame (sealed as DATA whatever opcode the tag
-    /// happens to look like).
+    /// A one-word frame on bulk lane 0.
     fn frame(src: u32, dest: u32, tag: u64) -> DataFrame {
         Packet::from_payload(src, dest, tag.to_le_bytes().to_vec().into())
-            .seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
+            .seal(0, WireIntegrity::Crc32c)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {
@@ -285,9 +285,11 @@ mod tests {
         assert_eq!(t.data_depths(), vec![0, 1]);
     }
 
-    fn get_frame(src: u32, dest: u32, token: u64) -> DataFrame {
-        let get = gravel_gq::Message::get(dest, 0, token, 1);
-        Packet::from_words(src, dest, &get.encode()).seal(0, WireIntegrity::Crc32c)
+    /// A GET for `token` on `band`'s flow of lane 0.
+    fn get_frame(src: u32, dest: u32, token: u64, band: Band) -> DataFrame {
+        let mut pkt = Packet::from_words(src, dest, &Message::get(dest, 0, token, 1).encode());
+        pkt.lane = wire_lane(0, band);
+        pkt.seal(0, WireIntegrity::Crc32c)
     }
 
     #[test]
@@ -296,19 +298,23 @@ mod tests {
         for tag in 10..14 {
             assert_eq!(t.send_data(frame(0, 1, tag), T), SendStatus::Sent);
         }
-        assert_eq!(t.send_data(get_frame(0, 1, 100), T), SendStatus::Sent);
+        assert_eq!(t.send_data(get_frame(0, 1, 100, Band::Express), T), SendStatus::Sent);
         assert_eq!(t.send_data(frame(0, 1, 14), T), SendStatus::Sent);
-        assert_eq!(t.send_data(get_frame(0, 1, 101), T), SendStatus::Sent);
-        assert_eq!(t.data_depths(), vec![0, 7]);
+        // A GET on a bulk lane is bulk: the band is the lane's, not the
+        // payload's.
+        assert_eq!(t.send_data(get_frame(0, 1, 15, Band::Bulk), T), SendStatus::Sent);
+        assert_eq!(t.send_data(get_frame(0, 1, 101, Band::Express), T), SendStatus::Sent);
+        assert_eq!(t.data_depths(), vec![0, 8]);
         let mut order = Vec::new();
         while let RecvStatus::Msg(f) = t.recv_data(1, Duration::ZERO) {
-            // A GET's token is its message's value word; a bulk frame's
-            // tag its one payload word.
+            // A GET's token is its message's value word; a one-word
+            // frame's tag its one payload word.
             let pkt = f.open(WireIntegrity::Crc32c).expect("fabric is reliable");
-            order.push(if f.express { pkt.messages().next().unwrap()[3] } else { pkt.words()[0] });
+            order.push(if pkt.len() == 8 { pkt.words()[0] } else { pkt.messages().next().unwrap()[3] });
         }
-        // Both GETs first (token order), then the bulk frames in theirs.
-        assert_eq!(order, vec![100, 101, 10, 11, 12, 13, 14]);
+        // Both express GETs first (token order), then the bulk frames
+        // in theirs.
+        assert_eq!(order, vec![100, 101, 10, 11, 12, 13, 14, 15]);
     }
 
     #[test]
@@ -316,11 +322,12 @@ mod tests {
         let t = ChannelTransport::new(2, 1, 1);
         assert_eq!(t.send_data(frame(0, 1, 1), T), SendStatus::Sent);
         assert_eq!(t.send_data(frame(0, 1, 2), Duration::ZERO), SendStatus::TimedOut);
-        assert_eq!(t.send_data(get_frame(0, 1, 7), Duration::ZERO), SendStatus::Sent);
+        assert_eq!(t.send_data(get_frame(0, 1, 7, Band::Express), Duration::ZERO), SendStatus::Sent);
         // The express queue has its own bound.
-        assert_eq!(t.send_data(get_frame(0, 1, 8), Duration::ZERO), SendStatus::TimedOut);
-        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if f.express));
-        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if !f.express));
+        let second = get_frame(0, 1, 8, Band::Express);
+        assert_eq!(t.send_data(second, Duration::ZERO), SendStatus::TimedOut);
+        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if f.is_express()));
+        assert!(matches!(t.recv_data(1, T), RecvStatus::Msg(f) if !f.is_express()));
     }
 
     #[test]

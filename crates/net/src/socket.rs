@@ -742,7 +742,10 @@ impl Inner {
 
     /// Write one length-delimited frame to `peer`'s stream. On any
     /// failure the connection is torn down (the redial supervisor or
-    /// the peer's own dialer brings it back) and the frame is dropped.
+    /// the peer's own dialer brings it back), the frame is dropped, and
+    /// the drop is announced as a [`PeerEvent::Down`] — here, because
+    /// the reader of the same stream, which would otherwise announce
+    /// it, now finds its generation gone and stays silent.
     fn write_now(&self, peer: NodeId, frame: &[u8]) -> bool {
         if frame.len() > MAX_FRAME_BYTES {
             // The peer's decoder would take the prefix for lost framing
@@ -766,6 +769,8 @@ impl Inner {
             self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
             let gen = p.generation.load(Ordering::SeqCst);
             self.drop_conn(p, &mut slot, gen);
+            drop(slot);
+            self.note_down(peer);
             return false;
         }
         true
@@ -1029,10 +1034,9 @@ impl Inner {
             u32::from_le_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
         };
         match kind {
-            // All data-plane kinds: DATA plus the request-reply frames
-            // (GET / AM_CALL / AM_REPLY). The receiver's verified open
-            // re-checks the kind against the data-plane set.
-            0 | 6 | 7 | 8 => {
+            // DATA, bulk or express (the lane's band bit travels in the
+            // bytes). The receiver's verified open re-checks the kind.
+            0 => {
                 // The frame bytes live in a recycled slab and the seal
                 // allocates nothing (a frame too big for a bucket is
                 // still served, by a fresh allocation).
@@ -1042,7 +1046,6 @@ impl Inner {
                 let df = DataFrame {
                     src: word(8),
                     dest: word(12),
-                    express: kind != 0,
                     born: Instant::now(),
                     bytes,
                 };

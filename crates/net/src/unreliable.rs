@@ -383,14 +383,12 @@ impl<T: Transport> Transport for UnreliableTransport<T> {
 mod tests {
     use super::*;
     use crate::{Ack, ChannelTransport};
-    use gravel_pgas::{FrameError, FrameKind, Packet, WireIntegrity};
+    use gravel_pgas::{FrameError, Packet, WireIntegrity};
 
-    /// A one-word bulk frame. Sealed as DATA explicitly: the tag doubles
-    /// as the packet's command word, and a tag that happens to be an RPC
-    /// opcode must not turn the frame express and jump the FIFO.
+    /// A one-word frame on bulk lane 0.
     fn pkt(src: u32, dest: u32, tag: u64) -> DataFrame {
         Packet::from_payload(src, dest, tag.to_le_bytes().to_vec().into())
-            .seal_kind(0, WireIntegrity::Crc32c, FrameKind::Data)
+            .seal(0, WireIntegrity::Crc32c)
     }
 
     fn words(f: &DataFrame) -> Vec<u64> {

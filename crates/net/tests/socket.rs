@@ -196,15 +196,15 @@ fn version_mismatch_is_rejected_with_a_frame() {
     ];
     let t0 = SocketTransport::spawn(SocketConfig::new(0, addrs)).expect("bind");
 
-    // Craft a HELLO from "node 1" and stamp an alien wire version,
-    // re-sealing the CRC so only the version check can fail.
+    // Craft a HELLO from "node 1" and stamp the previous wire version
+    // (3: bands told by frame kind), re-sealing the CRC so only the
+    // version check can fail.
     let hello = seal_hello(
         &HelloInfo { node: 1, peer: 0, nodes: 2, lanes: 1, epoch: 0 },
         WireIntegrity::Crc32c,
     );
     let mut alien = hello.to_vec();
-    alien[4] = 0x2a;
-    alien[5] = 0;
+    alien[4..6].copy_from_slice(&3u16.to_le_bytes());
     let tail = alien.len() - 4;
     let crc = crc32c(&alien[..tail]);
     alien[tail..].copy_from_slice(&crc.to_le_bytes());
@@ -221,7 +221,7 @@ fn version_mismatch_is_rejected_with_a_frame() {
     let (src, reason, detail) = open_reject(&reply, WireIntegrity::Crc32c).expect("REJECT");
     assert_eq!(src, 0);
     assert_eq!(reason, RejectReason::Version);
-    assert_eq!(detail, 0x2a);
+    assert_eq!(detail, 3);
 
     // The stream is closed after the rejection.
     let n = raw.read(&mut len).unwrap_or(0);
@@ -329,15 +329,20 @@ fn push_frame(stream: &mut Vec<u8>, frames: &mut Vec<Vec<u8>>, bytes: Vec<u8>) {
 /// Satellite: stream reassembly split at *every* byte offset. A valid
 /// multi-frame byte stream cut into two arbitrary reads must reassemble
 /// into the identical frame sequence. The stream mixes every plane the
-/// wire carries, including the request-reply kinds (GET and AM_REPLY),
-/// so a reply split across two kernel reads is covered at each offset.
+/// wire carries, including express frames (a GET and its REPLY), so a
+/// reply split across two kernel reads is covered at each offset.
 #[test]
 fn reassembly_survives_a_split_at_every_offset() {
     let mut stream = Vec::new();
     let mut frames = Vec::new();
     let pkt = Packet::from_words(1, 0, &[11, 22, 33, 44, 55, 66, 77, 88]);
-    let get = Packet::from_words(1, 0, &gravel_gq::Message::get(0, 5, 0xAB, 250).encode());
-    let rep = Packet::from_words(0, 1, &gravel_gq::Message::reply(1, 0xAB, 0x5EED).encode());
+    let express = |m: gravel_gq::Message, src: u32, dest: u32| {
+        let mut p = Packet::from_words(src, dest, &m.encode());
+        p.lane = gravel_pgas::wire_lane(0, gravel_gq::Band::Express);
+        p
+    };
+    let get = express(gravel_gq::Message::get(0, 5, 0xAB, 250), 1, 0);
+    let rep = express(gravel_gq::Message::reply(1, 0xAB, 0x5EED), 0, 1);
     for bytes in [
         pkt.seal(1, WireIntegrity::Crc32c).bytes.to_vec(),
         get.seal(1, WireIntegrity::Crc32c).bytes.to_vec(),
@@ -356,20 +361,14 @@ fn reassembly_survives_a_split_at_every_offset() {
         assert_eq!(got, frames, "split at byte {cut}");
         assert_eq!(dec.pending(), 0, "split at byte {cut}");
     }
-    // The reassembled request-reply frames still advertise their kind.
-    let kinds: Vec<gravel_pgas::FrameKind> = frames
+    // The reassembled request-reply frames still carry their band.
+    let bands: Vec<gravel_gq::Band> = frames
         .iter()
         .filter_map(|f| gravel_pgas::open_data_frame(f, WireIntegrity::Crc32c).ok())
-        .map(|h| h.kind)
+        .map(|h| gravel_pgas::split_wire_lane(h.lane).1)
         .collect();
-    assert_eq!(
-        kinds,
-        vec![
-            gravel_pgas::FrameKind::Data,
-            gravel_pgas::FrameKind::Get,
-            gravel_pgas::FrameKind::AmReply
-        ]
-    );
+    use gravel_gq::Band::{Bulk, Express};
+    assert_eq!(bands, vec![Bulk, Express, Express]);
     // And the ack comes out whole: header, selective map, trailer.
     assert_eq!(frames[3].len(), gravel_pgas::ACK_FRAME_BYTES);
     let (head, held) = gravel_pgas::open_ack(&frames[3], WireIntegrity::Crc32c).expect("ack");
@@ -408,7 +407,7 @@ fn reassembly_is_invariant_under_the_size_of_a_read() {
     }
 }
 
-/// End-to-end on a real socket: GET and AM_REPLY frames dripped through
+/// End-to-end on a real socket: express GET and REPLY frames dripped through
 /// a raw stream one byte per write — after a genuine HELLO handshake —
 /// must reassemble and route to the data plane intact. This is the
 /// requester's view of a server's reply split at arbitrary kernel read
@@ -439,7 +438,8 @@ fn reply_frames_split_at_read_boundaries_reach_the_data_plane() {
     let mut answer = vec![0u8; u32::from_le_bytes(len) as usize];
     raw.read_exact(&mut answer).unwrap();
 
-    // A GET request and the AM_REPLY answering it, on the RPC lane.
+    // A GET request and the REPLY answering it, on the RPC lane's
+    // express flow.
     let msgs = [
         gravel_gq::Message::get(0, 5, 0xAB, 250),
         gravel_gq::Message::reply(0, 0xAB, 0x5EED),
@@ -447,7 +447,7 @@ fn reply_frames_split_at_read_boundaries_reach_the_data_plane() {
     let mut sent = Vec::new();
     for (seq, msg) in msgs.iter().enumerate() {
         let mut pkt = Packet::from_words(1, 0, &msg.encode());
-        pkt.lane = 1;
+        pkt.lane = gravel_pgas::wire_lane(1, gravel_gq::Band::Express);
         pkt.seq = seq as u64;
         sent.push(pkt.seal(9, WireIntegrity::Crc32c));
     }
@@ -465,15 +465,49 @@ fn reply_frames_split_at_read_boundaries_reach_the_data_plane() {
                 _ => None,
             }
         });
-        let head =
-            gravel_pgas::open_data_frame(&got.bytes, WireIntegrity::Crc32c).expect("clean frame");
-        let want = if i == 0 { gravel_pgas::FrameKind::Get } else { gravel_pgas::FrameKind::AmReply };
-        assert_eq!(head.kind, want, "frame {i} kind survived the byte-dripped stream");
+        assert!(got.is_express(), "frame {i} band survived the byte-dripped stream");
         let back = got.open(WireIntegrity::Crc32c).expect("opens on the data plane");
-        assert_eq!((back.lane, back.seq), (1, i as u64));
+        let lane = gravel_pgas::split_wire_lane(back.lane);
+        assert_eq!((lane, back.seq), ((1, gravel_gq::Band::Express), i as u64));
         let words: Vec<_> = back.messages().collect();
         assert_eq!(words, [msg.encode()], "one message per RPC packet");
     }
+    t0.close();
+}
+
+/// A link whose death a write finds first — the peer stopped reading,
+/// and the reader on this side has seen nothing yet — is announced
+/// Down all the same: the failed write tears the stream down, and the
+/// reader that would have announced it then finds its generation gone.
+#[test]
+fn a_link_a_write_finds_dead_is_announced_down() {
+    let path = temp_path("write-dead-listener");
+    let addrs = vec![
+        SocketAddrSpec::Uds(path.clone()),
+        SocketAddrSpec::Uds(temp_path("write-dead-ghost")),
+    ];
+    let t0 = SocketTransport::spawn(SocketConfig::new(0, addrs)).expect("bind");
+    let mut raw = UnixStream::connect(&path).expect("dial listener");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let hello = seal_hello(
+        &HelloInfo { node: 1, peer: 0, nodes: 2, lanes: 1, epoch: 0 },
+        WireIntegrity::Crc32c,
+    );
+    raw.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&hello).unwrap();
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).expect("listener answers with its own HELLO");
+    let mut answer = vec![0u8; u32::from_le_bytes(len) as usize];
+    raw.read_exact(&mut answer).unwrap();
+    assert_eq!(t0.poll_event(Duration::from_secs(5)), Some(PeerEvent::Up(1)));
+
+    // The stream stays open, so this side's reader sees no EOF; only a
+    // write can find out.
+    raw.shutdown(std::net::Shutdown::Read).unwrap();
+    let frame = Packet::from_words(0, 1, &[1, 1, 2, 3]).seal(0, WireIntegrity::Crc32c);
+    t0.send_data(frame, Duration::from_secs(1));
+    assert_eq!(t0.poll_event(Duration::from_secs(5)), Some(PeerEvent::Down(1)));
+    assert!(t0.stats().link_drops >= 1);
     t0.close();
 }
 
@@ -561,7 +595,7 @@ proptest! {
 
     /// Over a real stream and over loopback alike, an ack for any band
     /// of a lane lands in that lane's mailbox with its wire lane intact,
-    /// and a request-reply frame arrives carrying the express stamp.
+    /// and a data frame arrives in the band its lane was stamped with.
     #[test]
     fn acks_of_every_band_reach_the_owning_lanes_mailbox(
         acks in prop::collection::vec((0u32..3, any::<bool>(), 0u64..1000, any::<bool>()), 1..24),
@@ -592,17 +626,17 @@ proptest! {
                 prop_assert!(t0.try_recv_ack(0, other).is_none());
             }
         }
-        // The express stamp does not cross the wire; the receiving
-        // endpoint restores it from the frame kind.
-        for (msg, express) in [(Message::get(0, 1, 2, 3), true), (Message::inc(0, 1, 2), false)] {
-            let frame = Packet::from_words(1, 0, &msg.encode()).seal(0, WireIntegrity::Crc32c);
-            prop_assert_eq!(frame.express, express);
-            t1.send_data(frame, Duration::from_secs(1));
+        // The band crosses the wire in the frame's lane, whatever the
+        // payload opens with.
+        for band in Band::ALL {
+            let mut pkt = Packet::from_words(1, 0, &Message::get(0, 1, 2, 3).encode());
+            pkt.lane = wire_lane(0, band);
+            t1.send_data(pkt.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
             let got = poll(Duration::from_secs(5), || match t0.recv_data(0, Duration::from_millis(50)) {
                 RecvStatus::Msg(f) => Some(f),
                 _ => None,
             });
-            prop_assert_eq!(got.express, express);
+            prop_assert_eq!(got.is_express(), band == Band::Express);
         }
         t0.close();
         t1.close();

@@ -732,9 +732,9 @@ fn run() -> i32 {
 
     // Request-reply plane: with `--gets`, one core aggregator lane
     // drains the offload queue (GETs we issue + replies the netthread
-    // enqueues for peers) onto lane 1's express flows — class-pure
-    // packets flushed as soon as the express ring reads empty, the same
-    // flow engine. Only RPC classes flow there, so the bulk flush
+    // enqueues for peers) onto lane 1's express flows — packets
+    // flushed as soon as the express ring reads empty, the same flow
+    // engine. Only express messages flow there, so the bulk flush
     // policy is never consulted. Built before the receiver, which runs
     // its express pass after every express frame.
     let rpc_lane = (args.gets > 0).then(|| {

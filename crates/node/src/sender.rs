@@ -39,7 +39,7 @@ use std::time::Duration;
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::flow::{FlowGauges, Sender};
 use gravel_core::{NodeShared, RuntimeError};
-use gravel_gq::Message;
+use gravel_gq::{Band, Message};
 use gravel_net::{Transport, MAX_FRAME_BYTES};
 use gravel_pgas::{
     Directory, Packet, Route, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD, PAIR_BYTES,
@@ -218,7 +218,8 @@ pub fn run(
         let mut progressed = false;
         for (dest, queue) in queues.iter_mut().enumerate() {
             while !queue.is_empty() && sender.has_room(dest) {
-                sender.submit(cut(queue, node.id, dest as u32, msgs_per_packet, Some(&node.pool)));
+                let pkt = cut(queue, node.id, dest as u32, msgs_per_packet, Some(&node.pool));
+                sender.submit(Band::Bulk, pkt);
                 progressed = true;
             }
         }

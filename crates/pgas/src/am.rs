@@ -28,9 +28,9 @@ pub type AmHandler = Box<dyn Fn(&SymmetricHeap, u64, u64) + Send + Sync>;
 pub type AmReplyHandler =
     Box<dyn Fn(&SymmetricHeap, u64, u64, &mut dyn FnMut(Message)) + Send + Sync>;
 
-/// A value-returning handler for the AM_CALL traffic class: runs at the
+/// A value-returning handler for AM_CALL messages: runs at the
 /// destination against `(heap, arg)` and its return value travels back
-/// to the requester in an AM_REPLY. A separate id space from
+/// to the requester in a REPLY. A separate id space from
 /// [`AmReplyHandler`] — a call naming a returning id must get a reply or
 /// a deterministic timeout, so the two tables never alias.
 pub type AmReturningHandler = Box<dyn Fn(&SymmetricHeap, u64) -> u64 + Send + Sync>;

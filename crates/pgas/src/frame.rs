@@ -27,9 +27,10 @@ pub const MAGIC: u32 = 0x4C56_5247;
 
 /// Wire-format version this build speaks. Version 2 gave the ack frame
 /// its selective map ([`ACK_MAP_BITS`]); version 3 made a data payload
-/// runs of records ([`runs`](crate::runs)). A frame of an older version
-/// fails verification like any other alien frame.
-pub const VERSION: u16 = 3;
+/// runs of records ([`runs`](crate::runs)); version 4 left DATA the one
+/// data-plane kind, its band in the lane ([`wire_lane`]). A frame of an
+/// older version fails verification like any other alien frame.
+pub const VERSION: u16 = 4;
 
 /// Fixed header size in bytes (see the layout table in DESIGN.md §13).
 pub const HEADER_BYTES: usize = 36;
@@ -69,7 +70,8 @@ pub enum WireIntegrity {
 /// What a frame claims to carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// An aggregated data packet (payload = runs of records).
+    /// An aggregated data packet (payload = runs of records), bulk or
+    /// express by its lane's band bit ([`wire_lane`]).
     Data,
     /// An acknowledgement: `seq` is the cumulative point, the payload
     /// the selective map of what is held beyond it.
@@ -88,16 +90,6 @@ pub enum FrameKind {
     /// Cluster control plane: checkpoint shipping, replay forwarding,
     /// recovery requests. Payload is op-specific `u64` words.
     Control,
-    /// A packet of one-sided GET requests (payload = a run of GET
-    /// messages). Travels the data plane but advertises the LATENCY
-    /// band so receivers and schedulers can prioritize without
-    /// decoding the payload.
-    Get,
-    /// A packet of value-returning active-message calls (NORMAL band).
-    AmCall,
-    /// A packet of replies — GET values or AM return values — headed
-    /// back to the requester (LATENCY band).
-    AmReply,
 }
 
 impl FrameKind {
@@ -109,9 +101,6 @@ impl FrameKind {
             FrameKind::Reject => 3,
             FrameKind::Heartbeat => 4,
             FrameKind::Control => 5,
-            FrameKind::Get => 6,
-            FrameKind::AmCall => 7,
-            FrameKind::AmReply => 8,
         }
     }
 
@@ -123,21 +112,8 @@ impl FrameKind {
             3 => Some(FrameKind::Reject),
             4 => Some(FrameKind::Heartbeat),
             5 => Some(FrameKind::Control),
-            6 => Some(FrameKind::Get),
-            7 => Some(FrameKind::AmCall),
-            8 => Some(FrameKind::AmReply),
             _ => None,
         }
-    }
-
-    /// True for the four kinds that carry packed messages over the data
-    /// plane (sequenced, acked, retransmitted by the flow engine). The
-    /// other kinds each have their own opener.
-    pub fn is_data_plane(self) -> bool {
-        matches!(
-            self,
-            FrameKind::Data | FrameKind::Get | FrameKind::AmCall | FrameKind::AmReply
-        )
     }
 }
 
@@ -219,6 +195,9 @@ pub struct FrameHead {
 
 /// Bit of a wire lane number that marks the express band.
 const EXPRESS_LANE_BIT: u32 = 1 << 31;
+
+/// Byte offset of the lane in the header.
+const LANE_AT: usize = 16;
 
 /// The lane number a flow carries on the wire. Each band of an
 /// aggregator lane is its own flow with its own sequence
@@ -715,22 +694,6 @@ pub fn open_frame(
     expect: FrameKind,
     integrity: WireIntegrity,
 ) -> Result<FrameHead, FrameError> {
-    open_frame_where(bytes, |k| k == expect, integrity)
-}
-
-/// Verify `bytes` as one whole frame of any data-plane kind (DATA, GET,
-/// AM_CALL, AM_REPLY — see [`FrameKind::is_data_plane`]) and return its
-/// header. The receive path uses this so request-reply traffic shares
-/// the sequenced, acknowledged plane with bulk data.
-pub fn open_data_frame(bytes: &[u8], integrity: WireIntegrity) -> Result<FrameHead, FrameError> {
-    open_frame_where(bytes, FrameKind::is_data_plane, integrity)
-}
-
-fn open_frame_where(
-    bytes: &[u8],
-    accept: impl Fn(FrameKind) -> bool,
-    integrity: WireIntegrity,
-) -> Result<FrameHead, FrameError> {
     if bytes.len() < HEADER_BYTES {
         return Err(FrameError::TooShort { have: bytes.len() });
     }
@@ -743,7 +706,7 @@ fn open_frame_where(
         return Err(FrameError::BadVersion { got: version });
     }
     let kind = FrameKind::decode(bytes[6]).ok_or(FrameError::WrongKind { got: bytes[6] })?;
-    if !accept(kind) {
+    if kind != expect {
         return Err(FrameError::WrongKind { got: bytes[6] });
     }
     let payload_len = read_u32(bytes, 32);
@@ -766,11 +729,17 @@ fn open_frame_where(
         flags: bytes[7],
         src: read_u32(bytes, 8),
         dest: read_u32(bytes, 12),
-        lane: read_u32(bytes, 16),
+        lane: read_u32(bytes, LANE_AT),
         epoch: read_u32(bytes, 20),
         seq: u64::from_le_bytes(bytes[24..32].try_into().unwrap()),
         payload_len,
     })
+}
+
+/// Verify `bytes` as one whole DATA frame — bulk or express, the lane
+/// says which — and return its header.
+pub fn open_data_frame(bytes: &[u8], integrity: WireIntegrity) -> Result<FrameHead, FrameError> {
+    open_frame(bytes, FrameKind::Data, integrity)
 }
 
 /// Seal an ack frame into a fixed array (no allocation — acks are small
@@ -1084,10 +1053,7 @@ pub fn open_control(
 /// frame bytes plus out-of-band stamps. `dest` is the *routing*
 /// stamp the fabric switches on — corruption injection may rewrite it
 /// (a misroute), which is exactly why the receiver re-checks the
-/// header's `dest` against its own id. `express` lets a fabric serve
-/// request-reply frames ahead of queued bulk without parsing them; it
-/// only ever reorders *across* flows, so a wrong stamp costs latency,
-/// never correctness. `born` is telemetry metadata
+/// header's `dest` against its own id. `born` is telemetry metadata
 /// (aggregation-open time for the latency histogram), not protocol
 /// state; it never crosses a real wire and injection never touches it.
 #[derive(Clone, Debug)]
@@ -1097,8 +1063,6 @@ pub struct DataFrame {
     pub src: u32,
     /// Fabric routing stamp (which ingress channel the frame lands in).
     pub dest: u32,
-    /// Priority stamp, set at seal time: any kind but DATA.
-    pub express: bool,
     /// When the aggregation buffer behind the payload was opened.
     pub born: Instant,
     /// The complete frame: header, payload, CRC trailer.
@@ -1116,9 +1080,18 @@ impl DataFrame {
         self.bytes.is_empty()
     }
 
-    /// Verify the frame and decode it back into a [`Packet`]. Accepts
-    /// any data-plane kind (DATA, GET, AM_CALL, AM_REPLY); the payload
-    /// is a zero-copy slice of the frame bytes.
+    /// Whether the header's lane is an express flow's ([`wire_lane`]),
+    /// read unverified so a fabric can serve request-reply frames ahead
+    /// of queued bulk without opening them. It only ever reorders
+    /// *across* flows, so a damaged lane costs latency, never
+    /// correctness; a frame too short to hold a lane reads as bulk.
+    pub fn is_express(&self) -> bool {
+        self.bytes.len() >= LANE_AT + 4
+            && split_wire_lane(read_u32(&self.bytes, LANE_AT)).1 == Band::Express
+    }
+
+    /// Verify the frame and decode it back into a [`Packet`]; the
+    /// payload is a zero-copy slice of the frame bytes.
     pub fn open(&self, integrity: WireIntegrity) -> Result<Packet, FrameError> {
         let head = open_data_frame(&self.bytes, integrity)?;
         let payload = self
@@ -1138,12 +1111,10 @@ impl DataFrame {
 }
 
 impl Packet {
-    /// Seal this packet into a wire frame, advertising its traffic
-    /// class as the frame kind. Called once per packet at submit time;
-    /// retransmissions clone the sealed frame (refcounted bytes), so
-    /// the CRC is never recomputed. The aggregator keeps packets
-    /// class-pure (runs split on class boundaries), so the first
-    /// message's class speaks for the whole payload.
+    /// Seal this packet into a DATA frame. Called once per packet at
+    /// submit time; retransmissions clone the sealed frame (refcounted
+    /// bytes), so the CRC is never recomputed. The packet's band is
+    /// its lane's, stamped by its flow ([`wire_lane`]).
     ///
     /// A packet whose payload lies in a pooled buffer with room around
     /// it (a lane's flush, [`Packet::from_incs_in`]) is sealed *in
@@ -1165,32 +1136,8 @@ impl Packet {
         integrity: WireIntegrity,
         pool: Option<&gravel_gq::BufferPool>,
     ) -> DataFrame {
-        let kind = match self.class() {
-            gravel_gq::TrafficClass::Get => FrameKind::Get,
-            gravel_gq::TrafficClass::Reply => FrameKind::AmReply,
-            gravel_gq::TrafficClass::AmCall => FrameKind::AmCall,
-            gravel_gq::TrafficClass::Bulk => FrameKind::Data,
-        };
-        self.seal_kind_in(epoch, integrity, kind, pool)
-    }
-
-    /// Seal with an explicit frame kind (the class-derived
-    /// [`seal`](Self::seal) is the normal path).
-    pub fn seal_kind(&self, epoch: u32, integrity: WireIntegrity, kind: FrameKind) -> DataFrame {
-        self.seal_kind_in(epoch, integrity, kind, None)
-    }
-
-    /// [`seal_kind`](Self::seal_kind) drawing the buffer of a copying
-    /// seal from a packet-buffer arena (allocation-free in steady state).
-    pub fn seal_kind_in(
-        &self,
-        epoch: u32,
-        integrity: WireIntegrity,
-        kind: FrameKind,
-        pool: Option<&gravel_gq::BufferPool>,
-    ) -> DataFrame {
         let head = FrameHead {
-            kind,
+            kind: FrameKind::Data,
             flags: 0,
             src: self.src,
             dest: self.dest,
@@ -1206,7 +1153,6 @@ impl Packet {
         DataFrame {
             src: self.src,
             dest: self.dest,
-            express: kind != FrameKind::Data,
             born: self.born,
             bytes,
         }
@@ -1327,7 +1273,6 @@ mod tests {
         let junk = DataFrame {
             src: 0,
             dest: 1,
-            express: false,
             born: Instant::now(),
             bytes: Bytes::from(vec![0x13u8; 64]),
         };
@@ -1375,16 +1320,17 @@ mod tests {
         assert_eq!(open_hello(&bytes, WireIntegrity::Crc32c).unwrap(), hello);
         // A HELLO from a build speaking a different wire version is
         // classified as BadVersion so the accept side can REJECT it.
-        let mut alien = bytes.to_vec();
-        alien[4] = 9;
-        alien[5] = 0;
-        let tail = alien.len() - 4;
-        let crc = crc32c(&alien[..tail]);
-        alien[tail..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            open_hello(&alien, WireIntegrity::Crc32c),
-            Err(FrameError::BadVersion { got: 9 })
-        ));
+        for version in [3u16, 9] {
+            let mut alien = bytes.to_vec();
+            alien[4..6].copy_from_slice(&version.to_le_bytes());
+            let tail = alien.len() - 4;
+            let crc = crc32c(&alien[..tail]);
+            alien[tail..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                open_hello(&alien, WireIntegrity::Crc32c),
+                Err(FrameError::BadVersion { got: version })
+            );
+        }
     }
 
     #[test]
@@ -1435,20 +1381,62 @@ mod tests {
         }
     }
 
+    /// `frame`'s bytes with header byte `at` rewritten and the CRC
+    /// restamped, so only the rewrite can make it fail.
+    fn restamped(frame: &DataFrame, at: usize, bytes: &[u8]) -> DataFrame {
+        let mut v = frame.bytes.to_vec();
+        v[at..at + bytes.len()].copy_from_slice(bytes);
+        let tail = v.len() - 4;
+        let crc = crc32c(&v[..tail]);
+        v[tail..].copy_from_slice(&crc.to_le_bytes());
+        DataFrame { bytes: Bytes::from(v), ..frame.clone() }
+    }
+
     #[test]
     fn a_version_2_data_frame_is_refused_as_alien() {
         // The same packet sealed by a build that carried whole 32-byte
-        // messages: a correct CRC over version 2 does not make it ours.
+        // messages (2), or that told its band by the frame kind (3): a
+        // correct CRC over an older version does not make it ours.
         let frame = packet().seal(0, WireIntegrity::Crc32c);
-        let mut old = frame.bytes.to_vec();
-        old[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let tail = old.len() - 4;
-        let crc = crc32c(&old[..tail]);
-        old[tail..].copy_from_slice(&crc.to_le_bytes());
-        let alien = DataFrame { bytes: Bytes::from(old), ..frame };
-        for integrity in [WireIntegrity::Crc32c, WireIntegrity::Off] {
-            assert_eq!(alien.open(integrity), Err(FrameError::BadVersion { got: 2 }));
+        for old in [2u16, 3] {
+            let alien = restamped(&frame, 4, &old.to_le_bytes());
+            for integrity in [WireIntegrity::Crc32c, WireIntegrity::Off] {
+                assert_eq!(alien.open(integrity), Err(FrameError::BadVersion { got: old }));
+            }
         }
+    }
+
+    #[test]
+    fn data_headers_are_pinned_and_the_band_is_the_lane_bit() {
+        let mut pkt = packet();
+        let bulk = pkt.seal(7, WireIntegrity::Crc32c);
+        pkt.lane = wire_lane(2, Band::Express);
+        let express = pkt.seal(7, WireIntegrity::Crc32c);
+        #[rustfmt::skip]
+        let head = |lane_hi: u8| [
+            b'G', b'R', b'V', b'L', 4, 0, 0, 0, // magic, version 4, kind DATA, flags
+            3, 0, 0, 0, 5, 0, 0, 0,             // src, dest
+            2, 0, 0, lane_hi, 7, 0, 0, 0,       // lane (band bit on top), epoch
+            99, 0, 0, 0, 0, 0, 0, 0,            // seq
+            64, 0, 0, 0,                        // payload bytes
+        ];
+        assert_eq!(bulk.bytes[..HEADER_BYTES], head(0));
+        assert_eq!(express.bytes[..HEADER_BYTES], head(0x80));
+        let payload = HEADER_BYTES..bulk.len() - 4;
+        assert_eq!(bulk.bytes[payload.clone()], express.bytes[payload]);
+        assert!(!bulk.is_express() && express.is_express());
+        // The kind bytes that once carried a band are no kind at all.
+        for kind in [6u8, 7, 8] {
+            let alien = restamped(&express, 6, &[kind]);
+            assert_eq!(
+                open_data_frame(&alien.bytes, WireIntegrity::Crc32c),
+                Err(FrameError::WrongKind { got: kind })
+            );
+        }
+        // Too short to hold a lane: bulk, and the open says why.
+        let cut = DataFrame { bytes: express.bytes.slice(0..LANE_AT + 3), ..express };
+        assert!(!cut.is_express());
+        assert!(cut.open(WireIntegrity::Off).unwrap_err().is_truncation());
     }
 
     #[test]

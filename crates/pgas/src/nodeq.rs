@@ -14,12 +14,12 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use gravel_gq::pool::{BufTicket, BufferPool, CLASS_SLACK_BYTES};
-use gravel_gq::{TrafficClass, MSG_ROWS};
+use gravel_gq::MSG_ROWS;
 use gravel_telemetry::{Counter, Registry};
 
 use crate::frame::{FRAME_OVERHEAD, HEADER_BYTES};
 use crate::runs::{
-    self, encoded_len, next_run, Messages, Next, RunKind, RunWriter, PAIR_BYTES, RUN_HEADER_BYTES,
+    self, encoded_len, Messages, RunKind, RunWriter, PAIR_BYTES, RUN_HEADER_BYTES,
 };
 
 // A pooled buffer for a power-of-two queue, frame overhead included,
@@ -224,22 +224,6 @@ impl Packet {
     /// ([`Messages::malformed_at`] says where).
     pub fn messages(&self) -> Messages<'_, [u8]> {
         runs::messages(&self.payload[..], self.dest)
-    }
-
-    /// Traffic class of the packet, decoded from the first message's
-    /// command word. The aggregator keeps one queue set per class, so
-    /// every packet it emits is class-pure and the first message speaks
-    /// for all of them. A payload that opens with a PUT or INC run, or
-    /// with nothing well formed, classifies as BULK — the conservative
-    /// band.
-    pub fn class(&self) -> TrafficClass {
-        match next_run(&self.payload[..], 0) {
-            Next::Run(run) if run.kind == RunKind::Raw => {
-                let [cmd] = runs::PayloadWords::words_at::<1>(&self.payload[..], run.at);
-                TrafficClass::of_command_word(cmd)
-            }
-            _ => TrafficClass::Bulk,
-        }
     }
 
     /// Build a packet from four-word messages, encoded as runs (tests,
@@ -876,15 +860,14 @@ mod tests {
             prop_assert_eq!(by_one.stats().packets, want.len() as u64);
         }
 
-        /// Whatever the payload, the message walk, the count and the
-        /// class read it without a panic and agree with each other.
+        /// Whatever the payload, the message walk and the count read it
+        /// without a panic and agree with each other.
         #[test]
         fn any_payload_decodes_without_panicking(
             bytes in prop::collection::vec(any::<u8>(), 0..400),
         ) {
             let pkt = Packet::from_payload(1, 2, Bytes::from(bytes));
             prop_assert_eq!(pkt.messages().count(), pkt.msg_count());
-            let _ = pkt.class();
         }
     }
 
@@ -929,15 +912,6 @@ mod tests {
         let pool = BufferPool::new();
         assert_eq!(Packet::from_incs_in(3, 5, pairs.into_iter(), Some(&pool)).payload, pkt.payload);
         assert!(Packet::from_incs_in(3, 5, std::iter::empty(), None).is_empty());
-    }
-
-    #[test]
-    fn the_first_message_classifies_the_packet() {
-        let get = Message::get(1, 7, 42, 250).encode();
-        assert_eq!(Packet::from_words(0, 1, &get).class(), TrafficClass::Get);
-        assert_eq!(Packet::from_words(0, 1, &inc(1, 0)).class(), TrafficClass::Bulk);
-        let junk = Packet::from_payload(0, 1, Bytes::from(vec![0xff; 16]));
-        assert_eq!(junk.class(), TrafficClass::Bulk);
     }
 
     #[test]

@@ -43,12 +43,15 @@ proptest! {
             }
         }
         prop_assert_eq!(wire_lane(lane, Band::Bulk), lane);
-        let mut pkt = Packet::from_words(0, 1, &Message::get(1, 0, 0, 1).encode());
-        pkt.lane = wire_lane(lane, pkt.class().band());
-        let frame = pkt.seal(0, WireIntegrity::Crc32c);
-        prop_assert!(frame.express);
-        let opened = frame.open(WireIntegrity::Crc32c).unwrap();
-        prop_assert_eq!(split_wire_lane(opened.lane), (lane, Band::Express));
+        for band in Band::ALL {
+            // The lane says the band, whatever the payload opens with.
+            let mut pkt = Packet::from_words(0, 1, &Message::get(1, 0, 0, 1).encode());
+            pkt.lane = wire_lane(lane, band);
+            let frame = pkt.seal(0, WireIntegrity::Crc32c);
+            prop_assert_eq!(frame.is_express(), band == Band::Express);
+            let opened = frame.open(WireIntegrity::Crc32c).unwrap();
+            prop_assert_eq!(split_wire_lane(opened.lane), (lane, band));
+        }
     }
 
     /// owner/local_offset/global round-trips and partitions cover the
@@ -210,7 +213,6 @@ proptest! {
             let frame = DataFrame {
                 src: 0,
                 dest: 0,
-                express: false,
                 born: Instant::now(),
                 bytes: bytes::Bytes::from(junk.clone()),
             };
@@ -225,12 +227,12 @@ proptest! {
         }
     }
 
-    /// Request-reply frames round-trip: a class-pure packet of GET,
-    /// REPLY, or AM_CALL messages seals to the matching frame kind,
-    /// opens through the shared data-plane opener, and decodes back to
-    /// the identical messages — and any single-bit flip is rejected.
+    /// Request-reply frames round-trip: an express packet of GET,
+    /// REPLY, or AM_CALL messages seals to a DATA frame, opens through
+    /// the data-plane opener, and decodes back to the identical
+    /// messages — and any single-bit flip is rejected.
     #[test]
-    fn rpc_frame_kinds_roundtrip_and_reject_flips(
+    fn rpc_frames_roundtrip_and_reject_flips(
         which in 0u8..3,
         n in 1usize..32,
         addrs in prop::collection::vec(any::<u64>(), 32),
@@ -248,19 +250,12 @@ proptest! {
             })
             .collect();
         let words: Vec<u64> = msgs.iter().flat_map(|m| m.encode()).collect();
-        let pkt = Packet::from_words(0, 1, &words);
+        let mut pkt = Packet::from_words(0, 1, &words);
+        pkt.lane = wire_lane(0, gravel_gq::Band::Express);
         let frame = pkt.seal(0, WireIntegrity::Crc32c);
-        // The frame kind advertises the class without decoding payload.
+        prop_assert!(frame.is_express());
         let head = gravel_pgas::open_data_frame(&frame.bytes, WireIntegrity::Crc32c).unwrap();
-        let expect_kind = match which {
-            0 => FrameKind::Get,
-            1 => FrameKind::AmReply,
-            _ => FrameKind::AmCall,
-        };
-        prop_assert_eq!(head.kind, expect_kind);
-        // A data-plane opener pinned to DATA must refuse it (kind
-        // confusion is corruption).
-        prop_assert!(open_frame(&frame.bytes, FrameKind::Data, WireIntegrity::Crc32c).is_err());
+        prop_assert_eq!(head.kind, FrameKind::Data);
         // Payload round-trips bit-exact.
         let opened = frame.open(WireIntegrity::Crc32c).unwrap();
         let back: Vec<_> = opened.messages().map(gravel_gq::Message::decode).collect();
@@ -723,7 +718,8 @@ proptest! {
         opcode in 0u64..8,
         src in 0u32..8,
         dest in 0u32..8,
-        lane: u32,
+        lane in 0u32..(1 << 31),
+        band in prop_oneof![Just(gravel_gq::Band::Express), Just(gravel_gq::Band::Bulk)],
         epoch: u32,
         seq: u64,
         crc: bool,
@@ -742,7 +738,7 @@ proptest! {
             words.chunks_exact_mut(4).for_each(|msg| msg[0] = cmd);
         }
         for msg in words.chunks_exact_mut(4) {
-            // Every class, and opcodes that are none; PUT and INC
+            // Every opcode, and opcodes that are none; PUT and INC
             // records (an exact command word) as well as whole messages.
             msg[0] = match built {
                 Built::FromIncs => 1,
@@ -778,6 +774,7 @@ proptest! {
                 flushed.pop().unwrap()
             }
         };
+        let lane = wire_lane(lane, band);
         (roomy.lane, roomy.seq) = (lane, seq);
         let sent: Vec<[u64; 4]> = words.chunks_exact(4).map(|m| m.try_into().unwrap()).collect();
         prop_assert_eq!(roomy.messages().collect::<Vec<_>>(), as_sent(&sent, dest));
@@ -804,7 +801,8 @@ proptest! {
         prop_assert_eq!(takes(), before, "an in-place seal takes no buffer");
         prop_assert_eq!(&frame.bytes, &reference.bytes);
         prop_assert_eq!(frame.bytes.as_ptr() as usize + HEADER_BYTES, filled_at);
-        prop_assert_eq!((frame.src, frame.dest, frame.express), (reference.src, reference.dest, reference.express));
+        prop_assert_eq!((frame.src, frame.dest), (reference.src, reference.dest));
+        prop_assert_eq!(frame.is_express(), band == gravel_gq::Band::Express);
         let opened = frame.open(integrity).expect("an in-place frame verifies");
         prop_assert_eq!(opened.payload.as_ptr() as usize, filled_at, "open lends the lane's bytes");
         prop_assert_eq!(&opened, &roomy);
