@@ -34,10 +34,11 @@ use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_bench::report::{f2, Table};
-use gravel_core::ha::{successor, Rebalancer, TopologyChange};
+use gravel_core::ha::sim::{self, Fault, Scenario};
+use gravel_core::ha::{Rebalancer, TopologyChange};
+use gravel_core::net::LinkFault;
 use gravel_core::{
-    FailureDetector, FaultConfig, GravelConfig, GravelRuntime, HeartbeatConfig, LeaseState,
-    PeerStatus, Registry, RegistrySnapshot, RpcFailure, TransportKind, VoteLedger,
+    FaultConfig, GravelConfig, GravelRuntime, Registry, RegistrySnapshot, RpcFailure, TransportKind,
 };
 use gravel_pgas::{Directory, ShardMap, DEFAULT_SHARDS};
 
@@ -77,7 +78,7 @@ struct TelemetryCell {
 /// One failover cell's outcome: how fast (virtual time) the successor
 /// won the lease after the holder died, and how the quorum gate held
 /// under partitions and one-way drops.
-#[derive(Clone, serde::Serialize)]
+#[derive(Clone, Default, serde::Serialize)]
 struct FailoverStats {
     scenario: String,
     members: u64,
@@ -87,8 +88,9 @@ struct FailoverStats {
     /// Eviction rounds denied by a majority that still heard the
     /// suspect (one-way cells: at least one per trial).
     evictions_vetoed: u64,
-    /// Distinct map versions observed across the membership at the end
-    /// of the cell — must be 1 (nobody forked the map).
+    /// Distinct `(term, holder)` views among the live members once a
+    /// trial has settled, the most of any trial — 1 unless the lease
+    /// forked.
     forked_maps: u64,
     /// Virtual kill → takeover latency (detector latch + quorum).
     takeover_p50_ns: u64,
@@ -97,7 +99,7 @@ struct FailoverStats {
 
 /// One reshard cell's outcome: how much the directory churned, what the
 /// churn moved, and what it cost the senders that raced it.
-#[derive(serde::Serialize)]
+#[derive(Default, serde::Serialize)]
 struct ReshardStats {
     /// Topology changes committed (map flips) — the cell's sweep axis.
     flips: u64,
@@ -115,6 +117,29 @@ struct ReshardStats {
     /// Per-shard migration latency (timed copy of the strided words).
     migration_p50_ns: u64,
     migration_p99_ns: u64,
+}
+
+impl TelemetryCell {
+    /// A model-level cell: no wire, no GET probes.
+    fn model(kind: &str, prob: f64, telemetry: RegistrySnapshot) -> Self {
+        TelemetryCell {
+            fault_kind: kind.to_string(),
+            fault_prob: prob,
+            corrupt_dropped: 0,
+            truncated: 0,
+            misrouted: 0,
+            quarantined: 0,
+            rpc_issued: 0,
+            rpc_completed: 0,
+            rpc_timeouts: 0,
+            rpc_restarted: 0,
+            rpc_replies_sent: 0,
+            rpc_credits_stalled: 0,
+            reshard: None,
+            failover: None,
+            telemetry,
+        }
+    }
 }
 
 /// Write the per-cell snapshots next to the tabular report.
@@ -166,7 +191,7 @@ fn run_reshard_cell(input: &GupsInput, flips: u64) -> (ReshardStats, RegistrySna
     let members: Vec<u32> = (0..senders as u32).collect();
     let dir = Directory::elastic(input.table_len, ShardMap::initial(&members, nshards));
     let mut heaps: Vec<Vec<u64>> = vec![vec![0u64; input.table_len]; capacity];
-    let mut reb = Rebalancer::new();
+    let mut reb = Rebalancer::default();
     let registry = Registry::enabled();
     let migration_ns = registry.histogram("bench.reshard.migration_ns");
 
@@ -187,16 +212,7 @@ fn run_reshard_cell(input: &GupsInput, flips: u64) -> (ReshardStats, RegistrySna
         })
         .collect();
 
-    let mut stats = ReshardStats {
-        flips: 0,
-        map_version: 0,
-        moves: 0,
-        words_moved: 0,
-        stale_routed: 0,
-        redelivered: 0,
-        migration_p50_ns: 0,
-        migration_p99_ns: 0,
-    };
+    let mut stats = ReshardStats::default();
 
     // Commit the next queued change and migrate its shards: a timed
     // strided copy per move, donor → new owner, then cut the map.
@@ -295,191 +311,48 @@ fn run_reshard_cell(input: &GupsInput, flips: u64) -> (ReshardStats, RegistrySna
     (stats, telemetry, issued, wall)
 }
 
-/// One failover cell: replay the coordinator-failover protocol
-/// (DESIGN.md §18) over the real `FailureDetector`/`LeaseState`/
-/// `VoteLedger` machinery in *virtual* time — explicit `Instant`s, no
-/// sleeping — so the measured takeover latency is the protocol's
-/// (detector latch + quorum round), not the harness's.
-///
-/// Scenarios:
-/// * `coordinator-kill` — the term-1 holder goes silent; every
-///   survivor's detector must latch it, the successor collects a
-///   corroborating quorum and asserts term 2. Per-trial latency feeds
-///   the takeover histogram; seeded beat jitter spreads the trials.
-/// * `partition` — a symmetric 3/3 split: each side latches the far
-///   side dead, but 3 corroborating votes can never reach quorum(6)=4,
-///   so no eviction and no takeover on either side; after the heal the
-///   resumed beats clear every latch.
-/// * `one-way` — one node stops hearing the holder; the majority still
-///   does, so its eviction round is *denied* (vetoed) and the lease
-///   never moves.
-fn run_failover_cell(scenario: &str, trials: u64) -> (FailoverStats, RegistrySnapshot) {
-    let cfg = HeartbeatConfig {
-        interval: Duration::from_millis(5),
-        suspect_phi: 3.0,
-        dead_phi: 8.0,
-        min_samples: 3,
-    };
-    let beat = cfg.interval;
-    let registry = Registry::enabled();
-    let takeover_ns = registry.histogram("bench.failover.takeover_ns");
-    let vetoed_ctr = registry.counter("bench.failover.evictions_vetoed");
-
-    let n: usize = match scenario {
-        "partition" => 6,
-        "one-way" => 4,
-        _ => 5,
-    };
-    let members: Vec<u32> = (0..n as u32).collect();
-    let mut stats = FailoverStats {
-        scenario: scenario.to_string(),
-        members: n as u64,
-        trials,
-        takeovers: 0,
-        evictions_vetoed: 0,
-        forked_maps: 1,
-        takeover_p50_ns: 0,
-        takeover_p99_ns: 0,
-    };
-
-    // SplitMix64: seeded per-trial beat jitter so the latency histogram
-    // sees a spread, not one deterministic point.
-    let mut rng_state = 0xFA11_0E4A_F417_0BADu64;
-    let mut rng = move || {
-        rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-
-    for _ in 0..trials {
-        let base = Instant::now();
-        let detectors: Vec<FailureDetector> =
-            (0..n).map(|_| FailureDetector::new(cfg.clone())).collect();
-        // `hears(i, peer, t_ms)`: does observer i receive peer's beat at
-        // virtual time t? Warmup (all links up) runs 0..500ms; the
-        // scenario's fault window opens at 500ms and heals at 2500ms.
-        let fault = |i: usize, peer: usize, t_ms: u64| -> bool {
-            if !(500..2500).contains(&t_ms) {
-                return false;
+/// One failover cell: `trials` runs of the HA machine in virtual time
+/// (`gravel_core::ha::sim`, the suite's harness), so the takeover
+/// latency is the protocol's — detector latch plus vote rounds. Trial
+/// k of K faults at 400 + 600·k/K ms, across four vote-round cycles;
+/// control frames are never lost.
+/// * `coordinator-kill` — node 0 of 5, the holder, dies.
+/// * `partition` — a 3/3 split of 6 for 2 s: 3 votes never reach
+///   quorum(6) = 4, so nobody takes the lease or evicts.
+/// * `one-way` — node 3 of 4 stops hearing node 0 for 2 s; the
+///   majority that still hears node 0 vetoes its suspicion.
+fn run_failover_cell(scenario: &str, trials: u64) -> FailoverStats {
+    let mut stats = FailoverStats { scenario: scenario.to_string(), trials, ..Default::default() };
+    let mut latencies = Vec::new();
+    for seed in 0..trials {
+        let from = Duration::from_millis(400 + 600 * seed / trials);
+        let until = from + Duration::from_secs(2);
+        let (n, fault) = match scenario {
+            "coordinator-kill" => (5, Fault::Kill { node: 0, at: from }),
+            "partition" => {
+                (6, Fault::Cut(LinkFault::Partition { island: vec![0, 1, 2], from, until }))
             }
-            match scenario {
-                "coordinator-kill" => peer == 0, // the holder is dead
-                "partition" => (i < 3) != (peer < 3),
-                "one-way" => i == n - 1 && peer == 0,
-                other => unreachable!("unknown failover scenario {other:?}"),
-            }
+            "one-way" => (4, Fault::Cut(LinkFault::OneWay { src: 0, dest: 3, from, until })),
+            other => unreachable!("unknown failover scenario {other:?}"),
         };
-        let lease = LeaseState::new(1, 0); // the successor's view
-        let votes = VoteLedger::new();
-        let mut vetoed_this_trial = false;
-        let mut took_over_at: Option<u64> = None;
-        let mut t_ms = 0u64;
-        while t_ms < 3500 {
-            t_ms += beat.as_millis() as u64;
-            let jitter = Duration::from_micros(rng() % 1500);
-            let now = base + Duration::from_millis(t_ms) + jitter;
-            for (i, det) in detectors.iter().enumerate() {
-                for peer in 0..n {
-                    if i != peer && !fault(i, peer, t_ms) {
-                        det.note_beat(peer as u32, now);
-                    }
-                }
-            }
-            // The HA tick (every 25ms of virtual time): vote rounds at
-            // every live member, then the successor's takeover check.
-            if !t_ms.is_multiple_of(25) {
-                continue;
-            }
-            for (i, det) in detectors.iter().enumerate().skip(1) {
-                for &suspect in &members {
-                    if suspect == i as u32 {
-                        continue;
-                    }
-                    let verdict = det.status(suspect, now) == PeerStatus::Dead;
-                    votes.record(suspect, i as u32, verdict);
-                }
-            }
-            for &suspect in &members {
-                if votes.denied(suspect, &members)
-                    && votes.yes_count(suspect) > 0
-                    && votes.note_veto(suspect)
-                {
-                    stats.evictions_vetoed += 1;
-                    vetoed_this_trial = true;
-                    vetoed_ctr.inc();
-                }
-            }
-            // Node 1 steps up only once the quorum-confirmed dead set
-            // makes it the lowest live member — exactly `run_ha`'s rule.
-            let confirmed: Vec<u32> = members
-                .iter()
-                .copied()
-                .filter(|&p| votes.confirmed(p, &members))
-                .collect();
-            if took_over_at.is_none()
-                && confirmed.contains(&lease.holder())
-                && successor(&members, &confirmed) == Some(1)
-            {
-                lease.assert_takeover();
-                took_over_at = Some(t_ms);
-                stats.takeovers += 1;
-                takeover_ns.record((t_ms - 500) * 1_000_000);
-                break;
-            }
-        }
-        match scenario {
-            "coordinator-kill" => assert!(
-                took_over_at.is_some(),
-                "successor never took over after the holder died"
-            ),
-            "partition" | "one-way" => {
-                assert!(
-                    took_over_at.is_none(),
-                    "{scenario}: a minority view moved the lease"
-                );
-                assert_eq!(lease.term(), 1, "{scenario}: term moved");
-            }
-            _ => unreachable!(),
-        }
-        if scenario == "one-way" {
-            assert!(vetoed_this_trial, "one-way suspicion was never vetoed");
-        }
-        // Heal check (non-takeover scenarios): beats resumed after
-        // 2500ms, so every latched verdict clears via the revive rule
-        // (small silence on a latched-dead peer).
-        if took_over_at.is_none() {
-            let now = base + Duration::from_millis(3600);
-            for (i, d) in detectors.iter().enumerate() {
-                for peer in 0..n {
-                    if i == peer {
-                        continue;
-                    }
-                    if d.status(peer as u32, now) == PeerStatus::Dead {
-                        let silence = d
-                            .silence(peer as u32, now)
-                            .expect("tracked peer has a silence");
-                        assert!(
-                            silence < cfg.interval * 40,
-                            "{scenario}: peer {peer} never resumed at observer {i}"
-                        );
-                        d.reset_peer(peer as u32, now);
-                    }
-                }
-                for &suspect in &members {
-                    votes.clear(suspect);
-                }
-            }
-        }
+        stats.members = n as u64;
+        let grace = Duration::from_millis(1500);
+        let sc = Scenario { n, fault, jitter_us: 1500, loss: 0.0, evict_grace: grace, seed };
+        let out = sim::run(&sc).unwrap_or_else(|e| panic!("failover cell {scenario}: {e}"));
+        stats.takeovers += out.takeovers;
+        stats.evictions_vetoed += out.vetoes;
+        stats.forked_maps = stats.forked_maps.max(out.forked_maps as u64);
+        latencies.extend(out.takeover_after.map(|d| d.as_nanos() as u64));
     }
-
-    let telemetry = registry.snapshot();
-    if let Some(h) = telemetry.histogram("bench.failover.takeover_ns") {
-        stats.takeover_p50_ns = h.p50();
-        stats.takeover_p99_ns = h.p99();
-    }
-    (stats, telemetry)
+    // Exact ranks: a registry histogram's buckets are ~12 % wide.
+    latencies.sort_unstable();
+    let rank = |q: f64| {
+        let i = (q * latencies.len() as f64).ceil() as usize;
+        latencies.get(i.clamp(1, latencies.len().max(1)) - 1).copied().unwrap_or(0)
+    };
+    stats.takeover_p50_ns = rank(0.50);
+    stats.takeover_p99_ns = rank(0.99);
+    stats
 }
 
 fn main() {
@@ -658,21 +531,8 @@ fn main() {
             rs.migration_p99_ns.to_string(),
         ]);
         cells.push(TelemetryCell {
-            fault_kind: "reshard".to_string(),
-            fault_prob: flips as f64,
-            corrupt_dropped: 0,
-            truncated: 0,
-            misrouted: 0,
-            quarantined: 0,
-            rpc_issued: 0,
-            rpc_completed: 0,
-            rpc_timeouts: 0,
-            rpc_restarted: 0,
-            rpc_replies_sent: 0,
-            rpc_credits_stalled: 0,
             reshard: Some(rs),
-            failover: None,
-            telemetry,
+            ..TelemetryCell::model("reshard", flips as f64, telemetry)
         });
     }
     rt.emit();
@@ -683,7 +543,7 @@ fn main() {
     // under partitions and one-way drops.
     let mut ft = Table::new(
         "failover_sweep",
-        "Coordinator failover and partition tolerance (model-level, virtual time)",
+        "Coordinator failover and partition tolerance (HA machine, virtual time)",
         &[
             "scenario",
             "members",
@@ -697,7 +557,7 @@ fn main() {
     );
     let trials = if scale { 200 } else { 50 };
     for scenario in ["coordinator-kill", "partition", "one-way"] {
-        let (fs, telemetry) = run_failover_cell(scenario, trials);
+        let fs = run_failover_cell(scenario, trials);
         ft.row(vec![
             fs.scenario.clone(),
             fs.members.to_string(),
@@ -709,21 +569,8 @@ fn main() {
             f2(fs.takeover_p99_ns as f64 / 1e6),
         ]);
         cells.push(TelemetryCell {
-            fault_kind: "failover".to_string(),
-            fault_prob: 0.0,
-            corrupt_dropped: 0,
-            truncated: 0,
-            misrouted: 0,
-            quarantined: 0,
-            rpc_issued: 0,
-            rpc_completed: 0,
-            rpc_timeouts: 0,
-            rpc_restarted: 0,
-            rpc_replies_sent: 0,
-            rpc_credits_stalled: 0,
-            reshard: None,
             failover: Some(fs),
-            telemetry,
+            ..TelemetryCell::model("failover", 0.0, RegistrySnapshot::default())
         });
     }
     ft.emit();

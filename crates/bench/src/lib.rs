@@ -21,7 +21,7 @@
 //! | `--bin sec8` | §8.2 — diverged WG-level operations | live SIMT |
 //! | `--bin extensions` | §10 hierarchy + §8.1 hw aggregator (future work) | model |
 //! | `--bin all_experiments` | every generator above, in order | — |
-//! | `--bin fault_sweep` | GUPS vs injected drop / corruption; reshard and failover cells | live runtime + protocol replay |
+//! | `--bin fault_sweep` | GUPS vs injected drop / corruption; reshard and failover cells | live runtime, reshard replay, HA machine (`ha::sim`) |
 //! | `--bench ablation_atomics` | serialized vs concurrent local atomics | live runtime |
 //! | `--bench apply_loop` | the network thread's apply loop, 2 × 2 | single thread |
 //!

@@ -1,37 +1,16 @@
-//! Coordinator lease, fencing terms, and quorum-gated death
-//! corroboration.
+//! The pieces of the coordinator lease the [`HaMachine`](super::HaMachine)
+//! decides with (DESIGN.md §18):
 //!
-//! PR 8's elastic membership had one load-bearing caveat: node 0 was a
-//! *fixed* coordinator. This module makes the role itself fault
-//! tolerant with three small, separately testable pieces:
-//!
-//! - [`LeaseState`] — a monotonically increasing **term** (fencing
-//!   token) paired with the node currently holding the coordinator
-//!   lease for that term. Every TOPO/MAP control frame is stamped with
-//!   the sender's term; receivers [`observe`](LeaseState::observe) the
-//!   claim and **reject stale terms**, so a resurrected old coordinator
-//!   cannot clobber a newer map no matter how fast it comes back.
-//! - [`successor`] — the deterministic election rule: the next
-//!   coordinator is the **lowest-id live member** of the last-committed
-//!   membership. No randomized leader election, no extra round trips —
-//!   every correct observer computes the same answer from the same map.
-//! - [`VoteLedger`] + [`quorum`] — death corroboration. A node only
-//!   acts on a phi-accrual death verdict (evicting the peer, or
-//!   asserting a takeover term) once a **majority of the last-committed
-//!   membership** has corroborated the death. A minority partition can
-//!   therefore never evict the other side or fork the map: its vote
-//!   rounds starve below quorum and the partition *freezes* (stale
-//!   traffic keeps NACK-bouncing) until connectivity heals.
-//!
-//! Term collisions — two candidates asserting the same term — are
-//! resolved deterministically to the **lower node id**; with the
-//! all-lower-ranks-quorum-dead candidacy rule two live candidates can
-//! only collide when a majority simultaneously misjudges one of them,
-//! and the loser demotes itself on first contact with the winner's
-//! beat.
+//! - [`LeaseState`] — the highest accepted **term** (fencing token) and
+//!   its holder; [`observe`](LeaseState::observe) rejects stale terms
+//!   and breaks equal-term collisions toward the lower node id.
+//! - [`successor`] — the next holder is the **lowest-id live member**
+//!   of the last-committed map: every observer computes the same one.
+//! - [`VoteLedger`] + [`quorum`] — death corroboration: an eviction or
+//!   a takeover needs a **majority of the current members**, so a
+//!   minority partition freezes instead of forking the map.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
 
 /// The first term of a cluster's life, held by the lowest initial
 /// member. Every node boots agreeing on this, so fencing works from
@@ -41,33 +20,19 @@ pub const INITIAL_TERM: u64 = 1;
 /// One node's view of the coordinator lease: the highest term it has
 /// accepted and who holds it.
 pub struct LeaseState {
-    me: u32,
-    state: Mutex<(u64, u32)>,
+    term: u64,
+    holder: u32,
 }
 
 impl LeaseState {
     /// Boot view: `initial_holder` holds [`INITIAL_TERM`].
-    pub fn new(me: u32, initial_holder: u32) -> Self {
-        LeaseState { me, state: Mutex::new((INITIAL_TERM, initial_holder)) }
+    pub fn new(initial_holder: u32) -> Self {
+        LeaseState { term: INITIAL_TERM, holder: initial_holder }
     }
 
     /// `(term, holder)` as currently accepted.
     pub fn current(&self) -> (u64, u32) {
-        *self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    pub fn term(&self) -> u64 {
-        self.current().0
-    }
-
-    pub fn holder(&self) -> u32 {
-        self.current().1
-    }
-
-    /// Does this node hold the lease right now?
-    pub fn is_holder(&self) -> bool {
-        let (_, holder) = self.current();
-        holder == self.me
+        (self.term, self.holder)
     }
 
     /// Observe a `(term, holder)` claim carried by a control frame.
@@ -79,42 +44,21 @@ impl LeaseState {
     /// holder is fine; the known term with a *different* holder
     /// resolves to the lower node id (deterministic collision
     /// tie-break); a lower term is fenced off.
-    pub fn observe(&self, term: u64, holder: u32) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        match term.cmp(&st.0) {
-            std::cmp::Ordering::Greater => {
-                *st = (term, holder);
-                true
-            }
-            std::cmp::Ordering::Equal => {
-                if holder == st.1 {
-                    true
-                } else if holder < st.1 {
-                    st.1 = holder;
-                    true
-                } else {
-                    false
-                }
-            }
-            std::cmp::Ordering::Less => false,
+    pub fn observe(&mut self, term: u64, holder: u32) -> bool {
+        if term > self.term || (term == self.term && holder <= self.holder) {
+            (self.term, self.holder) = (term, holder);
+            true
+        } else {
+            false
         }
     }
 
-    /// Take over: bump to a fresh term held by this node. Callers must
-    /// have quorum-confirmed the previous holder's death first.
-    /// Returns the asserted term.
-    pub fn assert_takeover(&self) -> u64 {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        *st = (st.0 + 1, self.me);
-        st.0
-    }
-
-    /// Voluntary handoff (drain-leave of the holder): bump to a fresh
-    /// term held by `successor`. Returns the new term.
-    pub fn handoff(&self, successor: u32) -> u64 {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        *st = (st.0 + 1, successor);
-        st.0
+    /// Bump to a fresh term held by `holder`: this node after a
+    /// quorum-confirmed takeover, or its successor on a drain-leave
+    /// handoff. Returns the new term.
+    pub fn bump(&mut self, holder: u32) -> u64 {
+        (self.term, self.holder) = (self.term + 1, holder);
+        self.term
     }
 }
 
@@ -142,41 +86,25 @@ struct Round {
 /// last-committed membership.
 #[derive(Default)]
 pub struct VoteLedger {
-    rounds: Mutex<HashMap<u32, Round>>,
+    rounds: HashMap<u32, Round>,
 }
 
 impl VoteLedger {
-    pub fn new() -> Self {
-        VoteLedger::default()
-    }
-
     /// Record `voter`'s verdict on `suspect`. A voter flipping its
     /// verdict (a revived peer's beats resumed mid-round) moves
     /// between the tallies rather than double counting.
-    pub fn record(&self, suspect: u32, voter: u32, dead: bool) {
-        let mut rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        let r = rounds.entry(suspect).or_default();
-        if dead {
-            r.no.remove(&voter);
-            r.yes.insert(voter);
-        } else {
-            r.yes.remove(&voter);
-            r.no.insert(voter);
-        }
-    }
-
-    /// Corroborating (dead) votes so far.
-    pub fn yes_count(&self, suspect: u32) -> usize {
-        let rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        rounds.get(&suspect).map_or(0, |r| r.yes.len())
+    pub fn record(&mut self, suspect: u32, voter: u32, dead: bool) {
+        let r = self.rounds.entry(suspect).or_default();
+        let (to, from) = if dead { (&mut r.yes, &mut r.no) } else { (&mut r.no, &mut r.yes) };
+        from.remove(&voter);
+        to.insert(voter);
     }
 
     /// Has a majority of `members` corroborated the death? Only votes
     /// from current members count — a stale voter that was itself
     /// evicted cannot help form a quorum.
     pub fn confirmed(&self, suspect: u32, members: &[u32]) -> bool {
-        let rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        rounds.get(&suspect).is_some_and(|r| {
+        self.rounds.get(&suspect).is_some_and(|r| {
             r.yes.iter().filter(|v| members.contains(v)).count() >= quorum(members.len())
         })
     }
@@ -184,8 +112,7 @@ impl VoteLedger {
     /// Has the death been *denied* — so many live "not dead" replies
     /// that a confirming quorum can no longer form?
     pub fn denied(&self, suspect: u32, members: &[u32]) -> bool {
-        let rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        rounds.get(&suspect).is_some_and(|r| {
+        self.rounds.get(&suspect).is_some_and(|r| {
             let no = r.no.iter().filter(|v| members.contains(v)).count();
             members.len() - no < quorum(members.len())
         })
@@ -193,19 +120,15 @@ impl VoteLedger {
 
     /// Latch the round as vetoed; true exactly once per round (for the
     /// `ha.evictions_vetoed` counter).
-    pub fn note_veto(&self, suspect: u32) -> bool {
-        let mut rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        let r = rounds.entry(suspect).or_default();
-        let first = !r.vetoed;
-        r.vetoed = true;
-        first
+    pub fn note_veto(&mut self, suspect: u32) -> bool {
+        let r = self.rounds.entry(suspect).or_default();
+        !std::mem::replace(&mut r.vetoed, true)
     }
 
     /// Forget the round (the suspect revived, was evicted, or the
     /// veto backoff expired and suspicion should restart clean).
-    pub fn clear(&self, suspect: u32) {
-        let mut rounds = self.rounds.lock().unwrap_or_else(|p| p.into_inner());
-        rounds.remove(&suspect);
+    pub fn clear(&mut self, suspect: u32) {
+        self.rounds.remove(&suspect);
     }
 }
 
@@ -215,16 +138,12 @@ mod tests {
 
     #[test]
     fn boot_state_agrees_everywhere() {
-        for me in 0..4 {
-            let l = LeaseState::new(me, 0);
-            assert_eq!(l.current(), (INITIAL_TERM, 0));
-            assert_eq!(l.is_holder(), me == 0);
-        }
+        assert_eq!(LeaseState::new(0).current(), (INITIAL_TERM, 0));
     }
 
     #[test]
     fn observe_fences_stale_terms() {
-        let l = LeaseState::new(3, 0);
+        let mut l = LeaseState::new(0);
         assert!(l.observe(1, 0), "the known claim is fine");
         assert!(l.observe(2, 1), "a higher term wins");
         assert_eq!(l.current(), (2, 1));
@@ -236,23 +155,20 @@ mod tests {
 
     #[test]
     fn equal_term_collisions_resolve_to_the_lower_id() {
-        let l = LeaseState::new(5, 0);
+        let mut l = LeaseState::new(0);
         assert!(l.observe(2, 2), "first claim of term 2 accepted");
         assert!(!l.observe(2, 3), "higher-id twin rejected");
-        assert_eq!(l.holder(), 2);
+        assert_eq!(l.current(), (2, 2));
         assert!(l.observe(2, 1), "lower-id twin wins the collision");
         assert_eq!(l.current(), (2, 1));
     }
 
     #[test]
     fn takeover_and_handoff_bump_the_term() {
-        let l = LeaseState::new(1, 0);
-        assert!(!l.is_holder());
-        assert_eq!(l.assert_takeover(), 2);
-        assert!(l.is_holder());
+        let mut l = LeaseState::new(0);
+        assert_eq!(l.bump(1), 2);
         assert_eq!(l.current(), (2, 1));
-        assert_eq!(l.handoff(3), 3);
-        assert!(!l.is_holder());
+        assert_eq!(l.bump(3), 3);
         assert_eq!(l.current(), (3, 3));
         // The old holder's own frames are now stale by its own rules.
         assert!(!l.observe(2, 1));
@@ -280,14 +196,13 @@ mod tests {
     #[test]
     fn votes_accumulate_to_quorum() {
         let members = [0u32, 1, 2, 3, 4, 5];
-        let v = VoteLedger::new();
+        let mut v = VoteLedger::default();
         v.record(9, 0, true);
         v.record(9, 1, true);
         v.record(9, 2, true);
         assert!(!v.confirmed(9, &members), "3 of 6 is not a majority");
         v.record(9, 3, true);
         assert!(v.confirmed(9, &members), "4 of 6 confirms");
-        assert_eq!(v.yes_count(9), 4);
     }
 
     #[test]
@@ -295,7 +210,7 @@ mod tests {
         // A 3/3 split: the island {0,1,2} can only gather its own three
         // votes on the deaths it perceives — never a majority of 6.
         let members = [0u32, 1, 2, 3, 4, 5];
-        let v = VoteLedger::new();
+        let mut v = VoteLedger::default();
         for voter in [0, 1, 2] {
             v.record(3, voter, true);
         }
@@ -306,21 +221,22 @@ mod tests {
     #[test]
     fn live_replies_deny_the_death() {
         let members = [0u32, 1, 2, 3];
-        let v = VoteLedger::new();
+        let mut v = VoteLedger::default();
         v.record(2, 0, true);
         v.record(2, 1, false);
         v.record(2, 3, false);
         // Two live denials leave at most 2 possible yes votes < quorum 3.
         assert!(v.denied(2, &members));
         assert!(!v.confirmed(2, &members));
-        // A flipped verdict moves between tallies instead of doubling.
+        // A flipped verdict moves between tallies instead of doubling:
+        // two yes of four is neither denied nor confirmed.
         v.record(2, 1, true);
-        assert_eq!(v.yes_count(2), 2);
+        assert!(!v.denied(2, &members) && !v.confirmed(2, &members));
     }
 
     #[test]
     fn veto_latches_once_and_clear_resets() {
-        let v = VoteLedger::new();
+        let mut v = VoteLedger::default();
         v.record(7, 0, false);
         assert!(v.note_veto(7), "first veto counts");
         assert!(!v.note_veto(7), "second does not");
@@ -330,7 +246,7 @@ mod tests {
 
     #[test]
     fn evicted_voters_do_not_count_towards_quorum() {
-        let v = VoteLedger::new();
+        let mut v = VoteLedger::default();
         for voter in [7, 8, 9] {
             v.record(1, voter, true);
         }

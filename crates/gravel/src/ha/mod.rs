@@ -33,18 +33,19 @@
 //! A fourth mechanism builds on the first three: **elastic
 //! rebalancing** ([`rebalance`]) — the coordinator-side state machine
 //! that commits JOIN/LEAVE/EVICT proposals one at a time at epoch
-//! boundaries and tracks the resulting shard migration. Only
-//! `gravel-node` drives it: every process holds one behind a mutex
-//! outside its control-plane threads, and whoever wins the coordinator
-//! lease ticks it (DESIGN.md §16).
+//! boundaries and tracks the resulting shard migration; every node's
+//! HA machine holds one and drives it while it holds the lease
+//! (DESIGN.md §16).
 //!
 //! A fifth makes the coordinator *role* itself survivable: **lease +
 //! fencing + quorum** ([`lease`]) — a monotonically increasing term
 //! stamped into every topology frame fences off resurrected stale
-//! coordinators, a deterministic lowest-live-member rule elects the
-//! successor, and a death-vote quorum over the last-committed
-//! membership prevents a minority partition from evicting anyone or
-//! forking the map (DESIGN.md §18).
+//! coordinators, the lowest live member succeeds a dead holder, and a
+//! death-vote quorum over the last-committed membership keeps a
+//! minority partition from evicting anyone or forking the map. Every
+//! decision the lease, the votes and the rebalancer drive is one pure
+//! state machine ([`machine`]); [`sim`] runs N of them in seeded
+//! virtual time (DESIGN.md §18).
 //!
 //! The chaos side — *injecting* the process faults these mechanisms
 //! absorb — lives in `gravel-net`'s [`ChaosPlan`](gravel_net::ChaosPlan),
@@ -59,12 +60,15 @@
 pub mod checkpoint;
 pub mod heartbeat;
 pub mod lease;
+pub mod machine;
 pub mod rebalance;
+pub mod sim;
 pub mod supervisor;
 
 pub use checkpoint::{Baseline, Checkpoint, LoggedPacket, RecoveryLog, ReplayError, Replayed};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 pub use lease::{quorum, successor, LeaseState, VoteLedger, INITIAL_TERM};
+pub use machine::{Action, Event, HaMachine};
 pub use rebalance::{RebalancePlan, Rebalancer, TopologyChange};
 pub use supervisor::{Supervisor, SupervisorConfig, WorkerKind};
 

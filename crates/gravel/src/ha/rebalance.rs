@@ -21,14 +21,10 @@
 //!   installs it, and [`Directory::install`](gravel_pgas::Directory::install)
 //!   refuses regressions independently.
 //!
-//! The caller (gravel-node's coordinator loop) turns a committed
-//! [`RebalancePlan`] into control frames: broadcast the new map, wait
-//! for the `from` side of each move to stream its shard, collect
-//! per-shard acks back into [`note_shard_ready`](Rebalancer::note_shard_ready),
-//! and declare the topology change complete when the machine returns to
-//! idle. For an EVICT the `from` nodes are dead; the plan's `change`
-//! tells the caller to source those shards from the dead node's buddy
-//! ward instead.
+//! The [`HaMachine`](super::HaMachine) owns one and commits only while
+//! it holds the lease; its caller broadcasts each committed
+//! [`RebalancePlan`] and feeds the per-shard acks back. For an EVICT
+//! the `from` nodes are dead and their shards come from the buddy ward.
 
 use gravel_pgas::{ShardMap, ShardMove};
 use std::collections::VecDeque;
@@ -44,15 +40,6 @@ pub enum TopologyChange {
     /// its shards are reconstructed from its buddy's ward (checkpoint
     /// + forwarded replay log), not streamed from the node itself.
     Evict(u32),
-}
-
-impl TopologyChange {
-    /// The node whose membership changes.
-    pub fn node(&self) -> u32 {
-        match *self {
-            TopologyChange::Join(n) | TopologyChange::Leave(n) | TopologyChange::Evict(n) => n,
-        }
-    }
 }
 
 /// A committed topology change: the next map plus the minimal set of
@@ -76,14 +63,9 @@ struct InFlight {
 pub struct Rebalancer {
     pending: VecDeque<TopologyChange>,
     in_flight: Option<InFlight>,
-    committed: u64,
 }
 
 impl Rebalancer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Queue a proposal. Duplicates of a queued or in-flight change are
     /// refused (a flapping detector may propose the same EVICT many
     /// times before the boundary arrives). Returns whether it queued.
@@ -120,7 +102,6 @@ impl Rebalancer {
                 continue; // moot under the live map
             };
             let plan = RebalancePlan { change, map, moves };
-            self.committed += 1;
             if !plan.moves.is_empty() {
                 self.in_flight = Some(InFlight {
                     outstanding: plan.moves.iter().map(|m| m.shard).collect(),
@@ -140,21 +121,12 @@ impl Rebalancer {
     /// term — destinations re-register their pulls idempotently and
     /// re-ack already-served shards to the sender — and then collects
     /// acks through [`note_shard_ready`](Self::note_shard_ready)
-    /// exactly like an uninterrupted migration. Shards in `already_acked`
-    /// (acks the successor happened to observe before the takeover) are
-    /// pre-cleared. No-op if a migration is somehow already in flight.
-    pub fn seed_in_flight(&mut self, plan: RebalancePlan, already_acked: &[u32]) {
-        if self.in_flight.is_some() {
-            return;
-        }
-        let outstanding: Vec<u32> = plan
-            .moves
-            .iter()
-            .map(|m| m.shard)
-            .filter(|s| !already_acked.contains(s))
-            .collect();
-        self.committed += 1;
-        if !outstanding.is_empty() {
+    /// exactly like an uninterrupted migration — its own served shards
+    /// included, which it re-acks to itself. No-op if a migration is
+    /// somehow already in flight.
+    pub fn seed_in_flight(&mut self, plan: RebalancePlan) {
+        if self.in_flight.is_none() && !plan.moves.is_empty() {
+            let outstanding = plan.moves.iter().map(|m| m.shard).collect();
             self.in_flight = Some(InFlight { plan, outstanding });
         }
     }
@@ -189,12 +161,6 @@ impl Rebalancer {
     pub fn is_quiescent(&self) -> bool {
         self.in_flight.is_none() && self.pending.is_empty()
     }
-
-    /// Total proposals committed since construction (`reshard.moves`
-    /// feeds from the plans themselves; this counts map flips).
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +173,7 @@ mod tests {
 
     #[test]
     fn commits_one_proposal_per_boundary_and_serializes_migrations() {
-        let mut r = Rebalancer::new();
+        let mut r = Rebalancer::default();
         assert!(r.propose(TopologyChange::Join(4)));
         assert!(r.propose(TopologyChange::Join(5)));
         assert!(!r.propose(TopologyChange::Join(4)), "duplicate refused");
@@ -237,12 +203,11 @@ mod tests {
         let plan2 = r.boundary_tick(&plan.map).expect("second join commits");
         assert_eq!(plan2.change, TopologyChange::Join(5));
         assert_eq!(plan2.map.version, 3);
-        assert_eq!(r.committed(), 2);
     }
 
     #[test]
     fn moot_proposals_are_skipped_at_commit_time() {
-        let mut r = Rebalancer::new();
+        let mut r = Rebalancer::default();
         r.propose(TopologyChange::Join(2)); // already a member
         r.propose(TopologyChange::Leave(9)); // never a member
         r.propose(TopologyChange::Leave(3)); // viable
@@ -253,7 +218,7 @@ mod tests {
 
     #[test]
     fn evict_plans_like_leave_but_keeps_its_identity() {
-        let mut r = Rebalancer::new();
+        let mut r = Rebalancer::default();
         r.propose(TopologyChange::Evict(1));
         let plan = r.boundary_tick(&map4()).unwrap();
         assert_eq!(plan.change, TopologyChange::Evict(1));
@@ -264,41 +229,37 @@ mod tests {
     #[test]
     fn takeover_seeds_the_interrupted_migration() {
         // Old coordinator committed a join, broadcast the plan, died.
-        let mut old = Rebalancer::new();
+        let mut old = Rebalancer::default();
         old.propose(TopologyChange::Join(4));
         let plan = old.boundary_tick(&map4()).unwrap();
         assert!(plan.moves.len() >= 2, "want a multi-move plan to split acks over");
 
-        // Successor observed one ack before the takeover, then seeds.
-        let seen = plan.moves[0].shard;
-        let mut next = Rebalancer::new();
-        next.seed_in_flight(plan.clone(), &[seen]);
-        assert_eq!(next.committed(), 1);
-        assert_eq!(next.outstanding().len(), plan.moves.len() - 1);
-        assert!(!next.outstanding().contains(&seen));
+        // The successor seeds it whole; every move is outstanding.
+        let mut next = Rebalancer::default();
+        next.seed_in_flight(plan.clone());
+        assert_eq!(next.outstanding().len(), plan.moves.len());
         assert!(
             next.boundary_tick(&plan.map).is_none(),
             "seeded migration blocks further commits like a native one"
         );
 
-        // The remaining acks drain it to idle.
-        for mv in &plan.moves[1..] {
-            next.note_shard_ready(mv.shard);
+        // The acks drain it to idle; the last one reports completion.
+        let (last, rest) = plan.moves.split_last().unwrap();
+        for mv in rest {
+            assert!(!next.note_shard_ready(mv.shard));
         }
-        assert!(next.migrating().is_none());
+        assert!(next.note_shard_ready(last.shard));
         assert!(next.is_quiescent());
 
-        // Seeding with every shard already acked is an immediate no-op.
-        let mut all_done = Rebalancer::new();
-        let all: Vec<u32> = plan.moves.iter().map(|m| m.shard).collect();
-        all_done.seed_in_flight(plan, &all);
-        assert!(all_done.is_quiescent());
-        assert_eq!(all_done.committed(), 1, "the map flip still counts");
+        // A plan without moves seeds nothing.
+        let mut idle = Rebalancer::default();
+        idle.seed_in_flight(RebalancePlan { moves: Vec::new(), ..plan });
+        assert!(idle.is_quiescent());
     }
 
     #[test]
     fn quiescent_when_empty_and_unknown_acks_are_ignored() {
-        let mut r = Rebalancer::new();
+        let mut r = Rebalancer::default();
         assert!(r.is_quiescent());
         assert!(!r.note_shard_ready(3), "no migration in flight");
         assert!(r.boundary_tick(&map4()).is_none());

@@ -40,8 +40,8 @@ pub use config::GravelConfig;
 pub use ctx::GravelCtx;
 pub use error::{ErrorSlot, RuntimeError};
 pub use ha::{
-    Checkpoint, FailureDetector, HaConfig, HeartbeatConfig, LeaseState, PeerStatus, RecoveryLog,
-    Supervisor, SupervisorConfig, VoteLedger, WorkerKind,
+    Checkpoint, FailureDetector, HaConfig, HeartbeatConfig, PeerStatus, RecoveryLog, Supervisor,
+    SupervisorConfig, WorkerKind,
 };
 pub use node::NodeShared;
 pub use rings::RingPair;

@@ -70,7 +70,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// One SplitMix64 step: advance `state` by the increment and mix it.
-fn splitmix(state: &mut u64) -> u64 {
+pub fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GAMMA);
     mix(*state)
 }

@@ -56,6 +56,20 @@ pub enum LinkFault {
 }
 
 impl LinkFault {
+    /// Does this fault drop a `src → dest` frame `at` into the run?
+    /// Delays never do.
+    pub fn cuts(&self, src: NodeId, dest: NodeId, at: Duration) -> bool {
+        match self {
+            LinkFault::Partition { island, from, until } => {
+                (*from..*until).contains(&at) && island.contains(&src) != island.contains(&dest)
+            }
+            LinkFault::OneWay { src: s, dest: d, from, until } => {
+                *s == src && *d == dest && (*from..*until).contains(&at)
+            }
+            LinkFault::Delay { .. } => false,
+        }
+    }
+
     /// Why this fault cannot be scheduled on a `nodes`-node cluster, if
     /// it cannot: an empty island, a loopback link, a node id outside
     /// `0..nodes`, an empty or inverted window, or a zero delay.
@@ -174,27 +188,15 @@ impl LinkSchedule {
             return false;
         }
         let now = self.elapsed();
-        for f in &self.faults {
-            match f {
-                LinkFault::Partition { island, from, until } => {
-                    if now >= *from
-                        && now < *until
-                        && island.contains(&src) != island.contains(&dest)
-                    {
-                        self.partition_drops.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                }
-                LinkFault::OneWay { src: s, dest: d, from, until } => {
-                    if *s == src && *d == dest && now >= *from && now < *until {
-                        self.oneway_drops.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                }
-                LinkFault::Delay { .. } => {}
-            }
-        }
-        false
+        let Some(f) = self.faults.iter().find(|f| f.cuts(src, dest, now)) else {
+            return false;
+        };
+        let counter = match f {
+            LinkFault::OneWay { .. } => &self.oneway_drops,
+            _ => &self.partition_drops,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Extra latency to impose on a `src → dest` frame, if a delay

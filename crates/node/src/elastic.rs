@@ -49,17 +49,11 @@
 //! histogram; [`expected_table`] is the sequential truth the acceptance
 //! suite compares against bit-exactly.
 //!
-//! The coordinator role itself is fault tolerant (DESIGN.md §18): a
-//! lease with a monotonically increasing **term** names the acting
-//! coordinator, every TOPO/MAP frame is term-stamped and fenced at the
-//! receiver, the lowest live member takes over when the holder's
-//! phi-accrual lease expires *and a majority of the last-committed
-//! membership corroborates the death*, and an interrupted shard
-//! migration is reconstructed on the successor from the cached last
-//! TOPO broadcast. The same quorum gates every EVICT, so a minority
-//! partition freezes (stale traffic NACK-bounces, nothing forks) until
-//! connectivity heals. The boot holder is the lowest initial member;
-//! it can drain-leave like anyone else by handing the lease off first.
+//! The coordinator role is a fenced lease (DESIGN.md §18): every
+//! lease, vote, takeover, eviction and commit decision is the
+//! [`HaMachine`]'s; [`run_ha`] and [`handle_ctrl`] only feed it what the
+//! detector, the map and the control frames say and perform what it
+//! returns.
 //!
 //! Documented limitations (asserted by tests, not hidden): an elastic
 //! *sender's* restart is unsupported (its queues are volatile —
@@ -76,8 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::lease::{successor, LeaseState, VoteLedger};
-use gravel_core::ha::{RebalancePlan, Rebalancer, TopologyChange};
+use gravel_core::ha::{Action, Event, HaMachine, RebalancePlan, TopologyChange};
 use gravel_core::netthread::ApplyGate;
 use gravel_core::{FailureDetector, NodeShared, PeerStatus};
 use gravel_gq::{Command, Message};
@@ -88,25 +81,12 @@ use gravel_telemetry::{Counter, Gauge, Histogram};
 use crate::forward::Forwarder;
 use crate::sender::Bounces;
 use crate::proto::{
-    self, BounceMsg, LeaseMsg, MigrateMsg, TopoKind, TopoMsg, OP_BOUNCE, OP_DEATH_VOTE,
+    self, BounceMsg, MigrateMsg, TopoMsg, OP_BOUNCE, OP_DEATH_VOTE,
     OP_DEATH_VOTE_REQ, OP_JOIN_REQ, OP_LEASE, OP_LEAVE_REQ, OP_MAP_REQ, OP_MIGRATE,
     OP_MIGRATE_ACK, OP_MIGRATE_REQ, OP_TOPO, OP_WARD_MIGRATE_REQ,
 };
 use crate::store::WardStores;
 
-/// How often the lease holder broadcasts its beat.
-const LEASE_BEAT_EVERY: Duration = Duration::from_millis(100);
-/// How often latched deaths are (re-)submitted to the vote quorum.
-const VOTE_ROUND_EVERY: Duration = Duration::from_millis(150);
-/// A node that just became (or booted believing itself) the holder
-/// waits this long before committing topology changes, so a live
-/// higher-term holder's beats can demote it first. Lease beats and
-/// MAP_REQ answers are not delayed — stale ones are fenced by term.
-const HOLDER_STABILIZE: Duration = Duration::from_millis(300);
-/// Consecutive HA ticks a latched-dead peer's beats must have resumed
-/// before the revive sweep clears the latch (partition heal: the TCP
-/// stream never dropped, so no reconnect event will do it for us).
-const REVIVE_STREAK: u32 = 2;
 /// A pending (non-evict) shard pull that has gone unanswered this long
 /// escalates: the destination *also* knocks the donor's ward keeper.
 /// Covers a donor that died mid-migration (e.g. the old coordinator) —
@@ -135,7 +115,7 @@ struct MoveIn {
 }
 
 /// Everything the elastic data plane shares between the gate (network
-/// thread), the control loop, the migration pump, and the sender.
+/// thread), the control loop, the HA loop, and the sender.
 pub struct ElasticState {
     pub me: u32,
     /// Fixed process-slot count (`--nodes`); active membership is a
@@ -163,15 +143,8 @@ pub struct ElasticState {
     /// migrated shard, after its words land but before the epoch cut —
     /// the adversarial mid-migration window.
     kill_on_migrate: Mutex<Option<u64>>,
-    /// Coordinator lease: highest accepted (term, holder).
-    lease: LeaseState,
-    /// Death-corroboration ballots observed by this node.
-    pub votes: VoteLedger,
-    /// Last accepted lease beat (the lease renewal clock).
-    lease_beat: Mutex<Instant>,
-    /// Last TOPO frame accepted with moves attached — the takeover
-    /// coordinator's seed for an interrupted migration.
-    last_topo: Mutex<Option<TopoMsg>>,
+    /// The HA state machine: lease, votes, rebalancer and timers.
+    ha: Mutex<HaMachine>,
     stale_routed: Counter,
     redelivered: Counter,
     bounce_dropped: Counter,
@@ -194,15 +167,12 @@ impl ElasticState {
         table: usize,
         initial: ShardMap,
         kill_on_migrate: Option<u64>,
+        ha: HaMachine,
     ) -> Arc<Self> {
         let me = node.id;
         let name = |s: &str| format!("node{me}.reshard.{s}");
         let registry = node.registry.clone();
         let version = initial.version;
-        // Every node boots agreeing: the lowest initial member holds
-        // term 1. No handshake needed before fencing works.
-        let boot_holder =
-            initial.members.iter().copied().min().expect("initial map has members");
         let st = ElasticState {
             me,
             capacity,
@@ -214,12 +184,9 @@ impl ElasticState {
             moves_in: Mutex::new(HashMap::new()),
             moves_out: Mutex::new(HashMap::new()),
             bounced: Mutex::new(VecDeque::new()),
-            topo_seen: AtomicBool::new(me == boot_holder),
+            topo_seen: AtomicBool::new(ha.is_holder()),
             kill_on_migrate: Mutex::new(kill_on_migrate),
-            lease: LeaseState::new(me, boot_holder),
-            votes: VoteLedger::new(),
-            lease_beat: Mutex::new(Instant::now()),
-            last_topo: Mutex::new(None),
+            ha: Mutex::new(ha),
             stale_routed: registry.counter(&name("stale_routed")),
             redelivered: registry.counter(&name("redelivered")),
             bounce_dropped: registry.counter(&name("bounce_dropped")),
@@ -235,7 +202,7 @@ impl ElasticState {
             node,
         };
         st.map_version.set(version as i64);
-        st.ha_term.set(st.lease.term() as i64);
+        st.ha_term.set(gravel_core::ha::INITIAL_TERM as i64);
         Arc::new(st)
     }
 
@@ -294,27 +261,22 @@ impl ElasticState {
         !lock(&self.moves_in).is_empty()
     }
 
-    /// The highest coordinator term this node has accepted.
-    pub fn ha_term(&self) -> u64 {
-        self.lease.term()
-    }
-
-    /// Who this node believes holds the coordinator lease.
-    pub fn ha_holder(&self) -> u32 {
-        self.lease.holder()
+    /// The coordinator lease as this node accepted it: `(term, holder)`.
+    pub fn lease(&self) -> (u64, u32) {
+        lock(&self.ha).lease()
     }
 
     /// Whether this node currently holds the lease.
     pub fn is_lease_holder(&self) -> bool {
-        self.lease.is_holder()
+        lock(&self.ha).is_holder()
     }
 
-    pub fn takeovers_count(&self) -> u64 {
-        self.takeovers.get()
-    }
-
-    pub fn evictions_vetoed_count(&self) -> u64 {
-        self.evictions_vetoed.get()
+    /// Feed the HA machine one event; returns what to perform.
+    pub fn step(&self, now: Instant, event: Event<'_>) -> Vec<Action> {
+        let mut ha = lock(&self.ha);
+        let actions = ha.step(now, event);
+        self.ha_term.set(ha.lease().0 as i64);
+        actions
     }
 
     /// Fenced map install (the only install path for TOPO frames).
@@ -349,14 +311,12 @@ impl ElasticState {
         if self.install_map(&t.map, t.term) == FencedInstall::Stale {
             return;
         }
-        // The frame is current, so its issuer's lease claim is too.
-        self.lease.observe(t.term, from);
-        self.ha_term.set(self.lease.term() as i64);
-        if !t.moves.is_empty() {
-            *lock(&self.last_topo) = Some(t.clone());
-        }
+        let plan = t.change.filter(|_| !t.moves.is_empty());
+        let plan =
+            plan.map(|change| RebalancePlan { change, map: t.map.clone(), moves: t.moves.clone() });
+        self.step(Instant::now(), Event::Topo { term: t.term, from, plan });
         let map = self.current_map();
-        let evict = t.kind == TopoKind::Evict;
+        let evict = matches!(t.change, Some(TopologyChange::Evict(_)));
         {
             let serving = lock(&self.serving);
             let mut moves_in = lock(&self.moves_in);
@@ -393,25 +353,8 @@ impl ElasticState {
         self.request_pending();
     }
 
-    /// Handle a lease beat from `from`. A fenced (stale-term) beat is
-    /// ignored; an accepted one renews the lease clock — and if the
-    /// holder's map is ahead of ours, returns `true` so the pump knocks
-    /// with `MAP_REQ` (the same resync path a restarted node uses).
-    pub fn on_lease(&self, l: &LeaseMsg, from: u32) -> bool {
-        // A beat claims the lease for `l.holder`; `from` relays it
-        // (they are the same node in practice — holders beat for
-        // themselves — but trust the frame body, it is what's fenced).
-        let _ = from;
-        if !self.lease.observe(l.term, l.holder) {
-            return false;
-        }
-        self.ha_term.set(self.lease.term() as i64);
-        *lock(&self.lease_beat) = Instant::now();
-        l.map_version > self.version()
-    }
-
     /// (Re-)request every pending inbound shard. Idempotent by design:
-    /// the pump calls this until the words arrive. A non-evict pull
+    /// [`run_ha`] calls this until the words arrive. A non-evict pull
     /// stalled past `WARD_FALLBACK` additionally knocks the donor's
     /// ward keeper — the donor may have died mid-migration, and the
     /// keeper's reconstruction is then the only surviving copy.
@@ -448,7 +391,7 @@ impl ElasticState {
         if lock(&self.serving).contains(&m.shard) {
             // Duplicate delivery (our ack raced a re-request): re-ack.
             self.transport
-                .send_control(self.lease.holder(), &proto::encode_migrate_ack(map.version, m.shard));
+                .send_control(self.lease().1, &proto::encode_migrate_ack(map.version, m.shard));
             return;
         }
         if !lock(&self.moves_in).contains_key(&m.shard)
@@ -478,7 +421,7 @@ impl ElasticState {
         self.bytes_migrated.add(m.words.len() as u64 * 8);
         // 5. Tell whoever holds the lease (the migration's coordinator).
         self.transport
-            .send_control(self.lease.holder(), &proto::encode_migrate_ack(map.version, m.shard));
+            .send_control(self.lease().1, &proto::encode_migrate_ack(map.version, m.shard));
         eprintln!(
             "[gravel-node {}] reshard: installed shard {} ({} words) v{}",
             self.me,
@@ -506,21 +449,22 @@ impl ElasticState {
     /// while the donor registry names the requester — any other copy of
     /// this shard we might hold is potentially stale.
     pub fn serve_migrate_req(&self, version: u64, shard: u32, to: u32) {
-        if lock(&self.moves_out).get(&shard) != Some(&to) {
-            return;
+        if lock(&self.moves_out).get(&shard) == Some(&to) {
+            self.ship(to, version, shard, |g| self.node.heap.load(g as u64));
         }
-        let map = self.current_map();
-        let stride = map.nshards() as u64;
-        let words: Vec<u64> = (0..shard_words(self.table, map.nshards(), shard))
-            .map(|k| self.node.heap.load(shard as u64 + k as u64 * stride))
+    }
+
+    /// Send `shard`'s strided words, read from `word(global index)`.
+    fn ship(&self, to: u32, version: u64, shard: u32, word: impl Fn(usize) -> u64) {
+        let stride = self.current_map().nshards();
+        let words: Vec<u64> = (0..shard_words(self.table, stride, shard))
+            .map(|k| word(shard as usize + k * stride))
             .collect();
-        let n = words.len();
-        if self
-            .transport
-            .send_control(to, &proto::encode_migrate(&MigrateMsg { version, shard, words }))
-        {
+        let n = words.len() as u64;
+        let frame = proto::encode_migrate(&MigrateMsg { version, shard, words });
+        if self.transport.send_control(to, &frame) {
             self.moves_out_ctr.inc();
-            self.bytes_migrated.add(n as u64 * 8);
+            self.bytes_migrated.add(n * 8);
         }
     }
 
@@ -542,23 +486,8 @@ impl ElasticState {
         if (map.is_member(ward) && !ward_dead) || map.owner_of_shard(shard) != to {
             return;
         }
-        let Some(heap) = stores.reconstruct_heap(ward) else {
-            return;
-        };
-        if heap.len() != self.table {
-            return;
-        }
-        let stride = map.nshards();
-        let words: Vec<u64> = (0..shard_words(self.table, stride, shard))
-            .map(|k| heap[shard as usize + k * stride])
-            .collect();
-        let n = words.len();
-        if self
-            .transport
-            .send_control(to, &proto::encode_migrate(&MigrateMsg { version, shard, words }))
-        {
-            self.moves_out_ctr.inc();
-            self.bytes_migrated.add(n as u64 * 8);
+        if let Some(heap) = stores.reconstruct_heap(ward).filter(|h| h.len() == self.table) {
+            self.ship(to, version, shard, |g| heap[g]);
         }
     }
 
@@ -681,7 +610,7 @@ pub fn expected_table(input: &GupsInput, capacity: usize, senders: &[u32]) -> Ve
 }
 
 // ---------------------------------------------------------------------
-// Control-plane dispatch, pumps, coordinator
+// Control-plane dispatch and the HA loop
 // ---------------------------------------------------------------------
 
 /// Shared wiring the elastic control paths need.
@@ -690,9 +619,6 @@ pub struct ElasticCtx {
     pub forwarder: Arc<Forwarder>,
     pub stores: Arc<WardStores>,
     pub transport: Arc<SocketTransport>,
-    /// Every node carries a rebalancer now: any node may become the
-    /// lease holder, and a takeover seeds this from the cached TOPO.
-    pub rebalancer: Arc<Mutex<Rebalancer>>,
     pub detector: Arc<FailureDetector>,
     pub is_joiner: bool,
     /// Set once startup recovery has restored the heap. Until then this
@@ -703,46 +629,40 @@ pub struct ElasticCtx {
     pub started: Arc<AtomicBool>,
 }
 
-fn change_kind(c: &TopologyChange) -> TopoKind {
-    match c {
-        TopologyChange::Join(_) => TopoKind::Join,
-        TopologyChange::Leave(_) => TopoKind::Leave,
-        TopologyChange::Evict(_) => TopoKind::Evict,
-    }
+/// `plan` as the TOPO frame that commits it under `term`.
+fn plan_topo(term: u64, plan: &RebalancePlan) -> TopoMsg {
+    TopoMsg { term, change: Some(plan.change), map: plan.map.clone(), moves: plan.moves.clone() }
 }
 
 /// The lease holder's answer to `MAP_REQ`/`JOIN_REQ`: the current map
 /// plus — if a change is mid-migration — its kind and still-outstanding
 /// moves, so a restarted participant resumes exactly where the plan
 /// stands. Stamped with the holder's term so fencing applies.
-fn snapshot_topo(ctx: &ElasticCtx) -> TopoMsg {
-    let map = (*ctx.state.current_map()).clone();
-    let term = ctx.state.ha_term();
-    {
-        let rb = lock(&ctx.rebalancer);
-        if let Some(plan) = rb.migrating() {
-            let outstanding: HashSet<u32> = rb.outstanding().iter().copied().collect();
-            return TopoMsg {
-                term,
-                kind: change_kind(&plan.change),
-                node: plan.change.node(),
-                map,
-                moves: plan
-                    .moves
-                    .iter()
-                    .filter(|m| outstanding.contains(&m.shard))
-                    .copied()
-                    .collect(),
-            };
-        }
+fn snapshot_topo(state: &ElasticState) -> TopoMsg {
+    let map = (*state.current_map()).clone();
+    let ha = lock(&state.ha);
+    let term = ha.lease().0;
+    let rb = ha.rebalancer();
+    match rb.migrating() {
+        Some(plan) => TopoMsg {
+            moves: plan
+                .moves
+                .iter()
+                .filter(|m| rb.outstanding().contains(&m.shard))
+                .copied()
+                .collect(),
+            map,
+            ..plan_topo(term, plan)
+        },
+        None => TopoMsg { term, change: None, map, moves: Vec::new() },
     }
-    TopoMsg { term, kind: TopoKind::Snapshot, node: 0, map, moves: Vec::new() }
 }
 
 /// Dispatch one control frame's elastic ops. Returns `false` for ops
 /// this layer does not own (the caller's static protocol handles them).
 pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
     let state = &ctx.state;
+    let now = Instant::now();
     match words.first().copied() {
         Some(OP_TOPO) => {
             if let Some(t) = proto::decode_topo(words) {
@@ -763,8 +683,7 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
         Some(OP_MIGRATE | OP_MIGRATE_REQ) => {}
         Some(OP_WARD_MIGRATE_REQ) => {
             if let Some((v, shard, ward)) = proto::decode_ward_migrate_req(words) {
-                let ward_dead =
-                    ctx.detector.status(ward, Instant::now()) == PeerStatus::Dead;
+                let ward_dead = ctx.detector.status(ward, now) == PeerStatus::Dead;
                 state.serve_ward_migrate_req(v, shard, ward, src, &ctx.stores, ward_dead);
             }
         }
@@ -772,37 +691,24 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
             // Always fed: a takeover holder's seeded rebalancer needs
             // these, and a non-holder's idle rebalancer ignores them.
             if let Some((_, shard)) = proto::decode_migrate_ack(words) {
-                if lock(&ctx.rebalancer).note_shard_ready(shard) {
-                    eprintln!(
-                        "[gravel-node {}] reshard: topology change complete (v{})",
-                        state.me,
-                        state.version()
-                    );
-                }
+                perform(ctx, state.step(now, Event::MigrateAck(shard)), false);
             }
         }
         Some(OP_JOIN_REQ) => {
             if state.is_lease_holder() {
                 if let Some(n) = proto::decode_join_req(words) {
                     if (n as usize) < state.capacity {
-                        lock(&ctx.rebalancer).propose(TopologyChange::Join(n));
+                        state.step(now, Event::Propose(TopologyChange::Join(n)));
                     }
                     // Answer with the current topology either way: an
                     // already-admitted joiner learns it is a member.
-                    ctx.transport.send_control(src, &proto::encode_topo(&snapshot_topo(ctx)));
+                    ctx.transport.send_control(src, &proto::encode_topo(&snapshot_topo(state)));
                 }
             }
         }
         Some(OP_LEAVE_REQ) => {
-            if state.is_lease_holder() {
-                if let Some(n) = proto::decode_leave_req(words) {
-                    // The holder cannot coordinate its own removal; it
-                    // hands the lease off first (run_ha) and the new
-                    // holder processes the re-sent request.
-                    if n != state.me {
-                        lock(&ctx.rebalancer).propose(TopologyChange::Leave(n));
-                    }
-                }
+            if let Some(n) = proto::decode_leave_req(words) {
+                state.step(now, Event::Propose(TopologyChange::Leave(n)));
             }
         }
         Some(OP_BOUNCE) => {
@@ -816,88 +722,30 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
             // staying silent keeps the requester knocking at the right
             // door once a lease beat reaches it.
             if state.is_lease_holder() {
-                ctx.transport.send_control(src, &proto::encode_topo(&snapshot_topo(ctx)));
+                ctx.transport.send_control(src, &proto::encode_topo(&snapshot_topo(state)));
             }
         }
         Some(OP_LEASE) => {
-            if let Some(l) = proto::decode_lease(words) {
-                if state.on_lease(&l, src) {
-                    // The holder's map is ahead of ours: resync.
-                    ctx.transport.send_control(state.ha_holder(), &proto::encode_map_req());
-                }
+            if let Some((term, holder, map_version)) = proto::decode_lease(words) {
+                let beat = Event::Lease { term, holder, map_version, mine: state.version() };
+                perform(ctx, state.step(now, beat), false);
             }
         }
         Some(OP_DEATH_VOTE_REQ) => {
             if let Some((term, suspect)) = proto::decode_death_vote_req(words) {
-                // Corroborate only what our own detector has latched.
-                // Votes are advisory (the requester applies quorum), so
-                // no term fencing beyond echoing what we were asked.
-                let dead = suspect != state.me
-                    && ctx.detector.status(suspect, Instant::now()) == PeerStatus::Dead;
-                ctx.transport
-                    .send_control(src, &proto::encode_death_vote(term, suspect, dead));
+                let latched = ctx.detector.status(suspect, now) == PeerStatus::Dead;
+                let ask = Event::VoteRequest { from: src, term, suspect, latched };
+                perform(ctx, state.step(now, ask), false);
             }
         }
         Some(OP_DEATH_VOTE) => {
             if let Some((_, suspect, dead)) = proto::decode_death_vote(words) {
-                state.votes.record(suspect, src, dead);
+                state.step(now, Event::Vote { from: src, suspect, dead });
             }
         }
         _ => return false,
     }
     true
-}
-
-/// The membership pump every elastic node runs: keep re-requesting
-/// pending migrations, keep a joiner knocking until admitted, turn a
-/// SIGUSR1 into a LEAVE proposal, and resync the map after a restart.
-pub fn run_elastic_pump(ctx: &ElasticCtx, stop: &AtomicBool, deadline: Instant) {
-    let state = &ctx.state;
-    let mut last_req = Instant::now() - Duration::from_secs(1);
-    let mut last_knock = last_req;
-    while !stop.load(Ordering::Relaxed)
-        && !ctx.transport.is_closed()
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(25));
-        if last_req.elapsed() >= Duration::from_millis(100) {
-            last_req = Instant::now();
-            state.request_pending();
-        }
-        if last_knock.elapsed() >= Duration::from_millis(250) {
-            last_knock = Instant::now();
-            let holder = state.ha_holder();
-            if !state.is_lease_holder() && !state.topo_seen() {
-                ctx.transport.send_control(holder, &proto::encode_map_req());
-            }
-            // A joiner knocks until admitted — but never again once a
-            // leave was requested, or its own knock would re-admit it
-            // right after the LEAVE commits (a join/leave oscillation).
-            if ctx.is_joiner
-                && state.topo_seen()
-                && !state.is_member()
-                && !crate::signal::leave_requested()
-            {
-                ctx.transport.send_control(holder, &proto::encode_join_req(state.me));
-            }
-            // A leaving holder first hands the lease off (run_ha), then
-            // this clause fires at the successor.
-            if crate::signal::leave_requested() && state.is_member() && !state.is_lease_holder() {
-                ctx.transport.send_control(holder, &proto::encode_leave_req(state.me));
-            }
-        }
-    }
-}
-
-/// Invert a moves-carrying TOPO's kind back into the change it
-/// committed (a takeover re-seeds the rebalancer from this).
-fn kind_change(kind: TopoKind, node: u32) -> Option<TopologyChange> {
-    match kind {
-        TopoKind::Join => Some(TopologyChange::Join(node)),
-        TopoKind::Leave => Some(TopologyChange::Leave(node)),
-        TopoKind::Evict => Some(TopologyChange::Evict(node)),
-        TopoKind::Snapshot => None,
-    }
 }
 
 fn broadcast(ctx: &ElasticCtx, words: &[u64]) {
@@ -910,302 +758,122 @@ fn broadcast(ctx: &ElasticCtx, words: &[u64]) {
     }
 }
 
-fn lease_beat_words(state: &ElasticState) -> Vec<u64> {
-    proto::encode_lease(&LeaseMsg {
-        term: state.ha_term(),
-        holder: state.me,
-        map_version: state.version(),
-    })
-}
-
-/// The HA driver **every** elastic node runs: lease beats and the
-/// epoch-boundary commit loop while holding the lease, the takeover
-/// watchdog while not, and quorum death-voting plus the revive sweep
-/// on both sides. Replaces the old fixed-coordinator `run_coordinator`.
-pub fn run_ha(
-    ctx: &ElasticCtx,
-    evict_grace: Duration,
-    kill_on_commit: bool,
-    stop: &AtomicBool,
-    deadline: Instant,
-) {
-    let state = &ctx.state;
-    let detector = &ctx.detector;
-    let mut dead_since: HashMap<u32, Instant> = HashMap::new();
-    let mut revive_streak: HashMap<u32, u32> = HashMap::new();
-    let mut holder_since: Option<Instant> =
-        state.is_lease_holder().then(Instant::now);
-    let mut last_beat = Instant::now() - LEASE_BEAT_EVERY;
-    let mut last_vote_round = Instant::now() - VOTE_ROUND_EVERY;
-    let mut handed_off = false;
-    // "Beats resumed" = silence shorter than a few detector intervals.
-    let revive_thresh = detector.config().interval * 3;
-    while !stop.load(Ordering::Relaxed)
-        && !ctx.transport.is_closed()
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(25));
-        let now = Instant::now();
-        let map = state.current_map();
-        let members = map.members.clone();
-        let i_am_member = map.is_member(state.me);
-
-        // -- Holder-transition tracking. Commits, evictions and
-        // handoff wait out HOLDER_STABILIZE after we become holder, so
-        // a live higher-term holder's beats can demote a stale
-        // restarted claimant before it acts. Beats and MAP_REQ answers
-        // are not delayed — they are fenced anyway.
-        if state.is_lease_holder() {
-            if holder_since.is_none() {
-                holder_since = Some(now);
-            }
-        } else {
-            holder_since = None;
-            handed_off = false;
-        }
-        let stable =
-            holder_since.is_some_and(|t| now.duration_since(t) >= HOLDER_STABILIZE);
-
-        // -- Revive sweep. A socket partition swallows frames but the
-        // TCP stream stays ESTABLISHED, so no reconnect ever resets the
-        // latched-dead verdict; when beats resume (small silence) for
-        // REVIVE_STREAK consecutive ticks, un-latch. Safe: eviction is
-        // quorum-gated, so a premature un-latch only delays it.
-        let mut dead: HashSet<u32> = detector.dead_peers().into_iter().collect();
-        let mut revived: Vec<u32> = Vec::new();
-        for &peer in &dead {
-            let recent =
-                detector.silence(peer, now).is_some_and(|s| s < revive_thresh);
-            let streak = revive_streak.entry(peer).or_insert(0);
-            *streak = if recent { *streak + 1 } else { 0 };
-            if *streak >= REVIVE_STREAK {
-                revived.push(peer);
-            }
-        }
-        for peer in revived {
-            eprintln!(
-                "[gravel-node {}] ha: node {peer} beats resumed — clearing \
-                 latched death (partition healed?)",
-                state.me
-            );
-            detector.reset_peer(peer, now);
-            state.votes.clear(peer);
-            dead_since.remove(&peer);
-            revive_streak.remove(&peer);
-            dead.remove(&peer);
-        }
-        revive_streak.retain(|p, _| dead.contains(p));
-        dead_since.retain(|p, _| dead.contains(p));
-
-        // -- Death-vote rounds: tally our own verdict and poll the
-        // membership. Replies land in `state.votes` via `handle_ctrl`.
-        if i_am_member && last_vote_round.elapsed() >= VOTE_ROUND_EVERY {
-            last_vote_round = now;
-            for &peer in &dead {
-                if !map.is_member(peer) {
-                    continue;
+/// Perform what the HA machine decided, in order.
+fn perform(ctx: &ElasticCtx, actions: Vec<Action>, kill_on_commit: bool) {
+    let (state, me) = (&ctx.state, ctx.state.me);
+    let send = |to: u32, words: Vec<u64>| {
+        ctx.transport.send_control(to, &words);
+    };
+    let log = |what: String| eprintln!("[gravel-node {me}] {what}");
+    for action in actions {
+        match action {
+            Action::Beat { term, holder } => {
+                if holder != me {
+                    log(format!("ha: handing lease to node {holder} (term {term}) before leaving"));
                 }
-                state.votes.record(peer, state.me, true);
-                let req = proto::encode_death_vote_req(state.ha_term(), peer);
-                for &m in &members {
-                    if m != state.me && m != peer && !dead.contains(&m) {
-                        ctx.transport.send_control(m, &req);
-                    }
-                }
-                // A denied round (so many live "not dead" replies that
-                // a quorum can never form) is a vetoed eviction: our
-                // link to the suspect is down, not the suspect.
-                if state.votes.denied(peer, &members) && state.votes.note_veto(peer) {
-                    state.evictions_vetoed.inc();
-                    eprintln!(
-                        "[gravel-node {}] ha: eviction of node {peer} VETOED \
-                         (majority still hears it — one-way or local fault)",
-                        state.me
-                    );
-                }
+                broadcast(ctx, &proto::encode_lease(term, holder, state.version()));
             }
-        }
-
-        // -- Takeover watchdog (non-holders). We step up only if the
-        // quorum-confirmed dead set makes *us* the lowest live member:
-        // an unconfirmed lower-ranked candidate keeps us waiting
-        // rather than racing it for the lease.
-        if !state.is_lease_holder() && i_am_member {
-            let holder = state.ha_holder();
-            let confirmed_dead: Vec<u32> = dead
-                .iter()
-                .copied()
-                .filter(|&p| state.votes.confirmed(p, &members))
-                .collect();
-            if confirmed_dead.contains(&holder)
-                && successor(&members, &confirmed_dead) == Some(state.me)
-            {
-                let term = state.lease.assert_takeover();
+            Action::AskVote { to, term, suspect } => {
+                send(to, proto::encode_death_vote_req(term, suspect))
+            }
+            Action::Vote { to, term, suspect, dead } => {
+                send(to, proto::encode_death_vote(term, suspect, dead))
+            }
+            Action::RequestMap { to } => send(to, proto::encode_map_req()),
+            Action::Revive { peer } => {
+                log(format!(
+                    "ha: node {peer} beats resumed — clearing latched death (partition healed?)"
+                ));
+                ctx.detector.reset_peer(peer, Instant::now());
+            }
+            Action::TookOver { term, from } => {
                 state.takeovers.inc();
-                state.ha_term.set(term as i64);
-                holder_since = Some(now);
-                eprintln!(
-                    "[gravel-node {}] ha: TAKEOVER — holder {holder} confirmed \
-                     dead by quorum, asserting term {term}",
-                    state.me
-                );
-                broadcast(ctx, &lease_beat_words(state));
-                // Reconstruct the in-flight migration (if any) from the
-                // cached last TOPO: re-broadcast it under the new term
-                // and seed the rebalancer. Destinations already serving
-                // re-ack to us; the rest re-pull from their donors.
-                let cached = lock(&state.last_topo).clone();
-                if let Some(t) = cached {
-                    if t.map.version == map.version && !t.moves.is_empty() {
-                        if let Some(change) = kind_change(t.kind, t.node) {
-                            let already: Vec<u32> = {
-                                let serving = lock(&state.serving);
-                                t.moves
-                                    .iter()
-                                    .filter(|m| {
-                                        m.to == state.me && serving.contains(&m.shard)
-                                    })
-                                    .map(|m| m.shard)
-                                    .collect()
-                            };
-                            let plan = RebalancePlan {
-                                change,
-                                map: t.map.clone(),
-                                moves: t.moves.clone(),
-                            };
-                            lock(&ctx.rebalancer).seed_in_flight(plan, &already);
-                            let t2 = TopoMsg { term, ..t };
-                            broadcast(ctx, &proto::encode_topo(&t2));
-                            eprintln!(
-                                "[gravel-node {}] ha: re-driving interrupted \
-                                 migration v{} under term {term}",
-                                state.me, t2.map.version
-                            );
-                        }
-                    }
-                }
+                log(format!(
+                    "ha: TAKEOVER — holder {from} confirmed dead by quorum, asserting term {term}"
+                ));
             }
-        }
-
-        if !state.is_lease_holder() {
-            continue;
-        }
-
-        // -- Holder duty: lease beats, never stabilization-gated.
-        if last_beat.elapsed() >= LEASE_BEAT_EVERY {
-            last_beat = now;
-            broadcast(ctx, &lease_beat_words(state));
-        }
-        if !stable {
-            continue;
-        }
-
-        // -- Holder duty: quorum-gated evict scan. A member
-        // continuously dead past the grace window is expelled once a
-        // majority of the membership corroborates the death. Minority
-        // side of a partition can never clear this bar: it freezes.
-        for &peer in &dead {
-            if peer == state.me || !map.is_member(peer) {
-                continue;
+            Action::Vetoed { suspect } => {
+                state.evictions_vetoed.inc();
+                log(format!(
+                    "ha: eviction of node {suspect} VETOED (majority still hears it — one-way \
+                     or local fault)"
+                ));
             }
-            let since = *dead_since.entry(peer).or_insert(now);
-            if now.duration_since(since) < evict_grace
-                || !state.votes.confirmed(peer, &members)
-            {
-                continue;
-            }
-            let mut rbl = lock(&ctx.rebalancer);
-            // Never evict a node participating in the in-flight plan:
-            // the plan must complete (or the node recover) first.
-            let entangled = rbl
-                .migrating()
-                .is_some_and(|p| p.moves.iter().any(|m| m.from == peer || m.to == peer));
-            if !entangled && rbl.propose(TopologyChange::Evict(peer)) {
-                eprintln!(
-                    "[gravel-node {}] reshard: proposing EVICT of node {peer} \
-                     (dead past grace, quorum-confirmed)",
-                    state.me
-                );
-            }
-        }
-
-        // -- Holder duty: lease handoff for our own drain-leave. The
-        // holder cannot coordinate its own removal, so once quiescent
-        // it hands the lease to the successor and re-sends LEAVE_REQ
-        // there (the pump's leave clause fires once we are demoted).
-        if crate::signal::leave_requested() && !handed_off && members.len() > 1 {
-            let quiescent = {
-                let rbl = lock(&ctx.rebalancer);
-                rbl.migrating().is_none() && rbl.is_quiescent()
-            };
-            if quiescent {
-                if let Some(succ) = successor(&members, &[state.me]) {
-                    let term = state.lease.handoff(succ);
-                    state.ha_term.set(term as i64);
-                    handed_off = true;
-                    eprintln!(
-                        "[gravel-node {}] ha: handing lease to node {succ} \
-                         (term {term}) before leaving",
-                        state.me
-                    );
-                    broadcast(
-                        ctx,
-                        &proto::encode_lease(&LeaseMsg {
-                            term,
-                            holder: succ,
-                            map_version: state.version(),
-                        }),
-                    );
-                    continue;
-                }
-            }
-        }
-
-        // -- Holder duty: epoch-boundary commit, at most one change in
-        // flight.
-        let plan = {
-            let mut rbl = lock(&ctx.rebalancer);
-            if rbl.migrating().is_some() || rbl.is_quiescent() {
-                None
-            } else {
+            Action::Evicting { peer } => log(format!(
+                "reshard: proposing EVICT of node {peer} (dead past grace, quorum-confirmed)"
+            )),
+            Action::Commit { term, plan } => {
                 // The boundary ritual: cut first, so the change lands
                 // between epochs, then flip the map.
                 ctx.forwarder.rebaseline();
-                rbl.boundary_tick(&state.current_map())
+                let t = plan_topo(term, &plan);
+                broadcast(ctx, &proto::encode_topo(&t));
+                let (change, v, moves) = (plan.change, t.map.version, t.moves.len());
+                if kill_on_commit && moves > 0 {
+                    log(format!(
+                        "chaos: SIGKILL right after committing {change:?} v{v} ({moves} moves \
+                         outstanding)"
+                    ));
+                    crate::signal::kill_self_hard();
+                }
+                state.on_topo(&t, me);
+                log(format!("reshard: committed {change:?} v{v} ({moves} moves)"));
             }
-        };
-        if let Some(plan) = plan {
-            let t = TopoMsg {
-                term: state.ha_term(),
-                kind: change_kind(&plan.change),
-                node: plan.change.node(),
-                map: plan.map.clone(),
-                moves: plan.moves.clone(),
-            };
-            broadcast(ctx, &proto::encode_topo(&t));
-            if kill_on_commit && !t.moves.is_empty() {
-                eprintln!(
-                    "[gravel-node {}] chaos: SIGKILL right after committing \
-                     {:?} v{} ({} moves outstanding)",
-                    state.me,
-                    plan.change,
-                    t.map.version,
-                    t.moves.len()
-                );
-                crate::signal::kill_self_hard();
+            Action::Redrive { term, plan } => {
+                // Destinations already serving re-ack to us (our own
+                // through the loopback); the rest re-pull from donors.
+                let t = plan_topo(term, &plan);
+                broadcast(ctx, &proto::encode_topo(&t));
+                state.on_topo(&t, me);
+                let v = t.map.version;
+                log(format!("ha: re-driving interrupted migration v{v} under term {term}"));
             }
-            state.on_topo(&t, state.me);
-            if let TopologyChange::Evict(n) = plan.change {
-                state.votes.clear(n);
-                dead_since.remove(&n);
+            Action::Migrated => {
+                log(format!("reshard: topology change complete (v{})", state.version()))
             }
-            eprintln!(
-                "[gravel-node {}] reshard: committed {:?} v{} ({} moves)",
-                state.me,
-                plan.change,
-                plan.map.version,
-                plan.moves.len()
-            );
+        }
+    }
+}
+
+/// The control loop **every** elastic node runs. Every 25 ms it
+/// steps the HA machine with the detector's latched peers, the
+/// installed map and the leave signal, and performs what it returns;
+/// every 100 ms it re-requests pending shard pulls; every 250 ms it
+/// knocks at the holder — MAP_REQ until a topology arrives, JOIN_REQ
+/// until a joiner is admitted, LEAVE_REQ once leaving (a holder hands
+/// the lease off first, so this fires at its successor).
+pub fn run_ha(ctx: &ElasticCtx, kill_on_commit: bool, stop: &AtomicBool, deadline: Instant) {
+    let (state, detector) = (&ctx.state, &ctx.detector);
+    let mut last_req = Instant::now() - Duration::from_secs(1);
+    let mut last_knock = last_req;
+    while !stop.load(Ordering::Relaxed) && !ctx.transport.is_closed() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(25));
+        let now = Instant::now();
+        let map = state.current_map();
+        let silence = |p| (p, detector.silence(p, now).unwrap_or(Duration::MAX));
+        let dead: Vec<(u32, Duration)> = detector.dead_peers().into_iter().map(silence).collect();
+        let leave = crate::signal::leave_requested();
+        let tick = Event::Tick { map: &map, dead: &dead, leave };
+        perform(ctx, state.step(now, tick), kill_on_commit);
+        if now.duration_since(last_req) >= Duration::from_millis(100) {
+            last_req = now;
+            state.request_pending();
+        }
+        if now.duration_since(last_knock) >= Duration::from_millis(250) {
+            last_knock = now;
+            let (holder, member) = (state.lease().1, state.is_member());
+            let knock = |words: Vec<u64>| ctx.transport.send_control(holder, &words);
+            if holder != state.me && !state.topo_seen() {
+                knock(proto::encode_map_req());
+            }
+            // Never again once leaving, or the knock would re-admit the
+            // node right after its LEAVE commits.
+            if ctx.is_joiner && state.topo_seen() && !member && !leave {
+                knock(proto::encode_join_req(state.me));
+            }
+            if leave && member && holder != state.me {
+                knock(proto::encode_leave_req(state.me));
+            }
         }
     }
 }

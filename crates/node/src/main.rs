@@ -27,7 +27,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::{heartbeat, RecoveryLog};
+use gravel_core::ha::{heartbeat, HaMachine, RecoveryLog};
 use gravel_core::netthread::{self, PacketTap, RecvState};
 use gravel_core::{
     aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared,
@@ -455,11 +455,8 @@ impl Reporter {
                 reshard_moves_in: snap.counter(&n("reshard.moves_in")),
                 reshard_moves_out: snap.counter(&n("reshard.moves_out")),
                 reshard_bytes_migrated: snap.counter(&n("reshard.bytes_migrated")),
-                ha_takeovers: self.elastic.as_ref().map_or(0, |st| st.takeovers_count()),
-                ha_evictions_vetoed: self
-                    .elastic
-                    .as_ref()
-                    .map_or(0, |st| st.evictions_vetoed_count()),
+                ha_takeovers: snap.counter("ha.takeovers"),
+                ha_evictions_vetoed: snap.counter("ha.evictions_vetoed"),
             },
             quarantine,
             map_version: self.elastic.as_ref().map_or(0, |st| st.version()),
@@ -469,8 +466,8 @@ impl Reporter {
                 .as_ref()
                 .map_or_else(Vec::new, |st| st.shard_owners()),
             sender_drained: self.sender_drained.load(Ordering::SeqCst),
-            ha_term: self.elastic.as_ref().map_or(0, |st| st.ha_term()),
-            ha_holder: self.elastic.as_ref().map_or(0, |st| st.ha_holder()),
+            ha_term: self.elastic.as_ref().map_or(0, |st| st.lease().0),
+            ha_holder: self.elastic.as_ref().map_or(0, |st| st.lease().1),
         };
         if let Err(e) = write_report(&self.args.out, &report) {
             eprintln!("[gravel-node {me}] failed to write {}: {e}", self.args.out.display());
@@ -553,6 +550,20 @@ fn run() -> i32 {
         chaos,
     ));
 
+    // Liveness: heartbeats over the wire into a phi-accrual detector.
+    // The interval is wider than the in-process default — N processes
+    // share cores here, and a falsely latched peer stays dead until
+    // its next handshake. Built before the elastic wiring: the HA
+    // machine's revive threshold follows its interval, and death votes
+    // are answered from its verdicts.
+    let hb_cfg = HeartbeatConfig {
+        interval: Duration::from_millis(15),
+        suspect_phi: 4.0,
+        dead_phi: 8.0,
+        min_samples: 3,
+    };
+    let detector = Arc::new(FailureDetector::new(hb_cfg.clone()));
+
     // Elastic mode: the shard directory and bounce gate. The
     // checkpoint provider must be installed before the first cut so
     // every baseline carries its ready-shard set.
@@ -567,24 +578,14 @@ fn run() -> i32 {
             args.table,
             initial,
             args.kill_on_migrate,
+            // Every node boots agreeing: the lowest initial member, 0,
+            // holds the initial term, so fencing needs no handshake.
+            HaMachine::new(me, 0, Duration::from_millis(args.evict_grace_ms), hb_cfg.interval),
         );
         let provider = st.clone();
         forwarder.set_ready_provider(Arc::new(move || provider.ckpt_ready_shards()));
         st
     });
-    // Liveness: heartbeats over the wire into a phi-accrual detector.
-    // The interval is wider than the in-process default — N processes
-    // share cores here, and a falsely latched peer stays dead until
-    // its next handshake. Built before the elastic wiring: the HA
-    // driver corroborates death votes against this detector.
-    let hb_cfg = HeartbeatConfig {
-        interval: Duration::from_millis(15),
-        suspect_phi: 4.0,
-        dead_phi: 8.0,
-        min_samples: 3,
-    };
-    let detector = Arc::new(FailureDetector::new(hb_cfg.clone()));
-
     // Raised once startup recovery has restored (or cold-booted) the
     // heap; the membership loop and the shard-migration ops wait for it.
     let started = Arc::new(AtomicBool::new(false));
@@ -594,8 +595,6 @@ fn run() -> i32 {
             forwarder: forwarder.clone(),
             stores: stores.clone(),
             transport: transport.clone(),
-            // Every node carries one: whoever wins the lease drives it.
-            rebalancer: Arc::new(Mutex::new(gravel_core::ha::Rebalancer::new())),
             detector: detector.clone(),
             is_joiner: args.join,
             started: started.clone(),
@@ -724,7 +723,7 @@ fn run() -> i32 {
             }
             if last.elapsed() >= Duration::from_millis(200) {
                 last = Instant::now();
-                transport.send_control(st.ha_holder(), &proto::encode_map_req());
+                transport.send_control(st.lease().1, &proto::encode_map_req());
             }
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -804,23 +803,13 @@ fn run() -> i32 {
         }
     });
 
-    // Elastic service threads: the migration/membership pump and the
-    // HA driver (lease beats / takeover watchdog / quorum voting /
-    // epoch commits) on EVERY node — any node may end up holding the
+    // Elastic: the control loop (HA machine, shard pulls, knocks at
+    // the holder) on EVERY node — any node may end up holding the
     // coordinator lease.
-    let mut elastic_threads = Vec::new();
-    if let Some(ctx) = &elastic_ctx {
-        elastic_threads.push(std::thread::spawn({
-            let (ctx, stop) = (ctx.clone(), stop.clone());
-            move || elastic::run_elastic_pump(&ctx, &stop, deadline)
-        }));
-        elastic_threads.push(std::thread::spawn({
-            let (ctx, stop) = (ctx.clone(), stop.clone());
-            let grace = Duration::from_millis(args.evict_grace_ms);
-            let kill_on_commit = args.kill_on_commit;
-            move || elastic::run_ha(&ctx, grace, kill_on_commit, &stop, deadline)
-        }));
-    }
+    let elastic_thread = elastic_ctx.as_ref().map(|ctx| {
+        let (ctx, stop, kill_on_commit) = (ctx.clone(), stop.clone(), args.kill_on_commit);
+        std::thread::spawn(move || elastic::run_ha(&ctx, kill_on_commit, &stop, deadline))
+    });
 
     // The RPC lane's thread, and a probe stream GETting every peer's
     // sentinel through it.
@@ -929,7 +918,7 @@ fn run() -> i32 {
     for h in [ctrl, hb, memb, net, snd]
         .into_iter()
         .chain(rpc_threads)
-        .chain(elastic_threads)
+        .chain(elastic_thread)
     {
         let _ = h.join();
     }

@@ -61,7 +61,7 @@
 //!   partition from evicting the other side or forking the map.
 
 use gravel_core::ha::checkpoint::ENTRY_HEAD_WORDS;
-use gravel_core::ha::{Baseline, LoggedPacket, RecoveryLog};
+use gravel_core::ha::{Baseline, LoggedPacket, RecoveryLog, TopologyChange};
 use gravel_pgas::{ShardMap, ShardMove};
 
 /// Applied-packet forward (receiver → its buddy).
@@ -218,45 +218,11 @@ pub fn decode_recover_resp(words: &[u64]) -> Option<RecoveryLog> {
     (i == words.len()).then_some(RecoveryLog { baseline, packets })
 }
 
-/// What kind of topology change a `TOPO` frame announces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopoKind {
-    /// A new member was admitted; moves stream from live old owners.
-    Join,
-    /// A member is draining out; moves stream from the (live) leaver.
-    Leave,
-    /// A member was declared dead; moves stream from its buddy's ward.
-    Evict,
-    /// No change — the current map + outstanding moves, answering a
-    /// `MAP_REQ` or `JOIN_REQ` (a restarted node resynchronizing).
-    Snapshot,
-}
-
-impl TopoKind {
-    fn encode(self) -> u64 {
-        match self {
-            TopoKind::Join => 0,
-            TopoKind::Leave => 1,
-            TopoKind::Evict => 2,
-            TopoKind::Snapshot => 3,
-        }
-    }
-
-    fn decode(w: u64) -> Option<Self> {
-        Some(match w {
-            0 => TopoKind::Join,
-            1 => TopoKind::Leave,
-            2 => TopoKind::Evict,
-            3 => TopoKind::Snapshot,
-            _ => return None,
-        })
-    }
-}
-
-/// A topology broadcast: the map every receiver must install plus the
-/// shard moves still outstanding under it. `evict` tells a move's new
-/// owner where to pull from: the old owner's live heap, or (evict) the
-/// old owner's buddy's ward reconstruction.
+/// A topology broadcast: the map every receiver must install, the
+/// change it commits — `None` for a snapshot of the current map and
+/// outstanding moves, answering `MAP_REQ` or `JOIN_REQ` — and the
+/// shard moves still outstanding under it. An EVICT's new owners pull
+/// from the dead owner's buddy's ward reconstruction.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopoMsg {
     /// Fencing term of the coordinator lease that issued this frame.
@@ -264,15 +230,21 @@ pub struct TopoMsg {
     /// [`Directory::install_fenced`](gravel_pgas::Directory::install_fenced):
     /// a term below their observed floor marks the whole frame stale.
     pub term: u64,
-    pub kind: TopoKind,
-    /// The node whose membership changed (ignored for `Snapshot`).
-    pub node: u32,
+    pub change: Option<TopologyChange>,
     pub map: ShardMap,
     pub moves: Vec<ShardMove>,
 }
 
 pub fn encode_topo(t: &TopoMsg) -> Vec<u64> {
-    let mut w = vec![OP_TOPO, t.term, t.kind.encode(), t.node as u64];
+    // The change as a kind word (JOIN 0, LEAVE 1, EVICT 2, snapshot 3)
+    // and its node.
+    let (kind, node) = match t.change {
+        Some(TopologyChange::Join(n)) => (0, n),
+        Some(TopologyChange::Leave(n)) => (1, n),
+        Some(TopologyChange::Evict(n)) => (2, n),
+        None => (3, 0),
+    };
+    let mut w = vec![OP_TOPO, t.term, kind, node.into()];
     w.extend(t.map.encode_words());
     w.push(t.moves.len() as u64);
     for m in &t.moves {
@@ -286,8 +258,14 @@ pub fn decode_topo(words: &[u64]) -> Option<TopoMsg> {
         return None;
     }
     let term = *words.get(1)?;
-    let kind = TopoKind::decode(*words.get(2)?)?;
     let node = u32::try_from(*words.get(3)?).ok()?;
+    let change = match *words.get(2)? {
+        0 => Some(TopologyChange::Join(node)),
+        1 => Some(TopologyChange::Leave(node)),
+        2 => Some(TopologyChange::Evict(node)),
+        3 => None,
+        _ => return None,
+    };
     let (map, mut i) = ShardMap::decode_words(words, 4)?;
     let nmoves = usize::try_from(*words.get(i)?).ok()?;
     i += 1;
@@ -302,32 +280,21 @@ pub fn decode_topo(words: &[u64]) -> Option<TopoMsg> {
         moves.push(ShardMove { shard, from, to });
         i += 3;
     }
-    (i == words.len()).then_some(TopoMsg { term, kind, node, map, moves })
+    (i == words.len()).then_some(TopoMsg { term, change, map, moves })
 }
 
-/// The holder's periodic lease beat. `map_version` lets a follower
-/// whose directory lags the holder's detect the gap and knock with
-/// `MAP_REQ` — the same resync path a restarted node uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseMsg {
-    pub term: u64,
-    pub holder: u32,
-    pub map_version: u64,
+/// The holder's periodic lease beat for `(term, holder)`. `map_version`
+/// lets a follower whose directory lags the holder's detect the gap and
+/// knock with `MAP_REQ` — the same resync path a restarted node uses.
+pub fn encode_lease(term: u64, holder: u32, map_version: u64) -> Vec<u64> {
+    vec![OP_LEASE, term, holder as u64, map_version]
 }
 
-pub fn encode_lease(l: &LeaseMsg) -> Vec<u64> {
-    vec![OP_LEASE, l.term, l.holder as u64, l.map_version]
-}
-
-pub fn decode_lease(words: &[u64]) -> Option<LeaseMsg> {
+pub fn decode_lease(words: &[u64]) -> Option<(u64, u32, u64)> {
     if words.len() != 4 || words[0] != OP_LEASE {
         return None;
     }
-    Some(LeaseMsg {
-        term: words[1],
-        holder: u32::try_from(words[2]).ok()?,
-        map_version: words[3],
-    })
+    Some((words[1], u32::try_from(words[2]).ok()?, words[3]))
 }
 
 /// Ask a peer to corroborate `suspect`'s death as observed under
@@ -659,14 +626,15 @@ mod tests {
     fn topo() -> TopoMsg {
         let map = ShardMap::initial(&[0, 1, 2, 3], 8);
         let (map, moves) = map.rebalance_join(4).unwrap();
-        TopoMsg { term: 3, kind: TopoKind::Join, node: 4, map, moves }
+        TopoMsg { term: 3, change: Some(TopologyChange::Join(4)), map, moves }
     }
 
     #[test]
     fn topo_roundtrips_for_every_kind() {
-        for kind in [TopoKind::Join, TopoKind::Leave, TopoKind::Evict, TopoKind::Snapshot] {
+        use TopologyChange::{Evict, Join, Leave};
+        for change in [Some(Join(4)), Some(Leave(4)), Some(Evict(4)), None] {
             for term in [1, 7, u64::MAX] {
-                let t = TopoMsg { term, kind, ..topo() };
+                let t = TopoMsg { term, change, ..topo() };
                 assert_eq!(decode_topo(&encode_topo(&t)), Some(t));
             }
         }
@@ -684,8 +652,8 @@ mod tests {
 
     #[test]
     fn lease_and_death_vote_roundtrip() {
-        let l = LeaseMsg { term: 9, holder: 2, map_version: 14 };
-        assert_eq!(decode_lease(&encode_lease(&l)), Some(l));
+        let l = encode_lease(9, 2, 14);
+        assert_eq!(decode_lease(&l), Some((9, 2, 14)));
         assert_eq!(decode_death_vote_req(&encode_death_vote_req(9, 5)), Some((9, 5)));
         for dead in [true, false] {
             assert_eq!(
@@ -695,7 +663,7 @@ mod tests {
         }
         // Cut loops: every truncation of every new frame decodes to None.
         for w in [
-            encode_lease(&l),
+            l.clone(),
             encode_death_vote_req(9, 5),
             encode_death_vote(9, 5, true),
         ] {
@@ -707,11 +675,11 @@ mod tests {
         }
         // Cross-op confusion and out-of-range fields are refused.
         assert_eq!(decode_lease(&encode_death_vote(9, 5, true)), None);
-        assert_eq!(decode_death_vote(&encode_lease(&l)), None);
+        assert_eq!(decode_death_vote(&l), None);
         let mut bad_verdict = encode_death_vote(9, 5, true);
         bad_verdict[3] = 2;
         assert_eq!(decode_death_vote(&bad_verdict), None);
-        let mut wide_holder = encode_lease(&l);
+        let mut wide_holder = l.clone();
         wide_holder[2] = u64::MAX;
         assert_eq!(decode_lease(&wide_holder), None);
     }

@@ -6,137 +6,22 @@
 //! SIGKILL, and a real restart that must recover its state over the
 //! wire from its buddy and converge to the exact no-fault heap.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use gravel_apps::gups::{self, GupsInput};
+use common::{Cluster, BIN};
+use gravel_apps::gups::GupsInput;
 use gravel_net::ChaosPlan;
 use gravel_node::report::{read_report, OutReport};
 use gravel_node::signal::{send_signal, SIGTERM};
 
-const BIN: &str = env!("CARGO_BIN_EXE_gravel-node");
-
-struct Cluster {
-    dir: PathBuf,
-    input: GupsInput,
-    nodes: usize,
-}
-
-impl Cluster {
-    fn new(tag: &str, input: GupsInput, nodes: usize) -> Cluster {
-        let dir = std::env::temp_dir().join(format!("gravel_cluster_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        Cluster { dir, input, nodes }
-    }
-
-    fn out_path(&self, node: usize) -> PathBuf {
-        self.dir.join(format!("node{node}.json"))
-    }
-
-    /// Spawn member `node` shipping 8-message packets, so that the
-    /// small inputs below still make hundreds of packets to aim
-    /// `--kill-at` at; `extra` appends flags.
-    fn spawn(&self, node: usize, extra: &[String]) -> Child {
-        let small = ["--msgs-per-packet", "8", "--ckpt-every", "4"].map(String::from);
-        self.spawn_default_packets(node, &[&small[..], extra].concat())
-    }
-
-    /// Spawn member `node` with the binary's own packet size and epoch
-    /// cadence; `extra` appends flags (e.g. `--kill-at`).
-    fn spawn_default_packets(&self, node: usize, extra: &[String]) -> Child {
-        Command::new(BIN)
-            .args([
-                "--node",
-                &node.to_string(),
-                "--nodes",
-                &self.nodes.to_string(),
-                "--dir",
-                self.dir.to_str().unwrap(),
-                "--updates",
-                &self.input.updates.to_string(),
-                "--table",
-                &self.input.table_len.to_string(),
-                "--seed",
-                &self.input.seed.to_string(),
-                "--out",
-                self.out_path(node).to_str().unwrap(),
-            ])
-            .args(extra)
-            .spawn()
-            .expect("spawn gravel-node")
-    }
-
-    /// Poll the out files until every member reports `completed`.
-    fn wait_all_completed(&self, timeout: Duration) -> Vec<OutReport> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let reports: Vec<OutReport> = (0..self.nodes)
-                .filter_map(|n| read_report(&self.out_path(n)).ok())
-                .filter(|r| r.completed)
-                .collect();
-            if reports.len() == self.nodes {
-                let mut reports = reports;
-                reports.sort_by_key(|r| r.node);
-                return reports;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "cluster did not complete: {}/{} reports",
-                reports.len(),
-                self.nodes
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-
-    /// The bit-exactness assertion: the union of the per-node heap
-    /// slices must equal the sequential histogram of every node's
-    /// update stream — the same heap a no-fault run produces.
-    fn assert_bit_exact(&self, reports: &[OutReport]) {
-        let part = gups::partition(&self.input, self.nodes);
-        let mut expect = vec![0u64; self.input.table_len];
-        for node in 0..self.nodes {
-            for g in gups::node_updates(&self.input, self.nodes, node) {
-                expect[g] += 1;
-            }
-        }
-        for (g, &want) in expect.iter().enumerate() {
-            let owner = part.owner(g);
-            let off = part.local_offset(g) as usize;
-            assert_eq!(
-                reports[owner].heap[off], want,
-                "heap mismatch at global index {g} (owner {owner}, offset {off})"
-            );
-        }
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn sigterm_and_reap(children: &mut [Child], path_of: impl Fn(usize) -> PathBuf) -> Vec<OutReport> {
-    for c in children.iter() {
-        assert!(send_signal(c.id(), SIGTERM), "SIGTERM delivery");
-    }
-    let mut finals = Vec::new();
-    for (i, c) in children.iter_mut().enumerate() {
-        let status = c.wait().unwrap();
-        assert!(status.success(), "node {i} exit status {status:?}");
-        finals.push(read_report(&path_of(i)).unwrap());
-    }
-    finals
-}
-
 #[test]
 fn no_fault_cluster_is_bit_exact_and_sigterm_is_graceful() {
     let input = GupsInput { updates: 900, table_len: 96, seed: 7 };
-    let cluster = Cluster::new("nofault", input, 3);
-    let mut children: Vec<Child> = (0..3).map(|n| cluster.spawn(n, &[])).collect();
+    let cluster = Cluster::new("cluster_nofault", input, 3);
+    let children: Vec<Child> = (0..3).map(|n| cluster.spawn(n, &[])).collect();
 
     let reports = cluster.wait_all_completed(Duration::from_secs(45));
     cluster.assert_bit_exact(&reports);
@@ -148,7 +33,8 @@ fn no_fault_cluster_is_bit_exact_and_sigterm_is_graceful() {
     }
 
     // Graceful teardown: SIGTERM → final epoch cut → exit 0.
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let mut children: Vec<(usize, Child)> = children.into_iter().enumerate().collect();
+    let finals = cluster.sigterm_and_reap(&mut children);
     for r in &finals {
         assert!(r.graceful && r.completed, "node {} final report", r.node);
     }
@@ -158,7 +44,7 @@ fn no_fault_cluster_is_bit_exact_and_sigterm_is_graceful() {
 #[test]
 fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
     let input = GupsInput { updates: 1600, table_len: 128, seed: 11 };
-    let cluster = Cluster::new("kill9", input, 4);
+    let cluster = Cluster::new("cluster_kill9", input, 4);
 
     // Pick the victim and the kill step from the same seeded plan the
     // victim process will execute with --kill-at.
@@ -226,7 +112,8 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
         );
     }
 
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let mut children: Vec<(usize, Child)> = children.into_iter().enumerate().collect();
+    let finals = cluster.sigterm_and_reap(&mut children);
     cluster.assert_bit_exact(&finals);
     for r in &finals {
         assert!(r.graceful, "node {} tore down gracefully after recovery", r.node);
@@ -241,7 +128,7 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
 #[test]
 fn a_restart_with_another_table_size_exits_3() {
     let input = GupsInput { updates: 1600, table_len: 128, seed: 11 };
-    let cluster = Cluster::new("resized", input, 3);
+    let cluster = Cluster::new("cluster_resized", input, 3);
     const VICTIM: usize = 1;
     let kill = ["--kill-at".to_string(), "40".to_string()];
     let mut children: Vec<Child> = (0..3)
@@ -281,7 +168,7 @@ fn a_restart_with_another_table_size_exits_3() {
 #[test]
 fn kill9_mid_run_at_the_default_packet_size_recovers_and_fast_forwards() {
     let input = GupsInput { updates: 2_400_000, table_len: 4096, seed: 17 };
-    let cluster = Cluster::new("kill9_64k", input, 3);
+    let cluster = Cluster::new("cluster_kill9_64k", input, 3);
     // ~195 packets of 4 095 INCs reach each member; die after applying
     // the 100th.
     const VICTIM: usize = 1;
@@ -309,7 +196,8 @@ fn kill9_mid_run_at_the_default_packet_size_recovers_and_fast_forwards() {
         let packets = r.stats.fwd_sent + r.stats.fwd_dropped;
         assert!(packets < 1000, "node {} applied {packets} packets: not 64 kB ones", r.node);
     }
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let mut children: Vec<(usize, Child)> = children.into_iter().enumerate().collect();
+    let finals = cluster.sigterm_and_reap(&mut children);
     cluster.assert_bit_exact(&finals);
 }
 
@@ -322,10 +210,10 @@ fn cluster_gets_complete_bit_exact_across_members() {
     // target's (seed, node)-derived sentinel word — so a reply is
     // verified bit-exact, not just received.
     let input = GupsInput { updates: 1200, table_len: 96, seed: 13 };
-    let cluster = Cluster::new("gets", input, 4);
+    let cluster = Cluster::new("cluster_gets", input, 4);
     const GETS: u64 = 32;
     let extra = vec!["--gets".to_string(), GETS.to_string()];
-    let mut children: Vec<Child> = (0..4).map(|n| cluster.spawn(n, &extra)).collect();
+    let children: Vec<Child> = (0..4).map(|n| cluster.spawn(n, &extra)).collect();
 
     let reports = cluster.wait_all_completed(Duration::from_secs(60));
     cluster.assert_bit_exact(&reports);
@@ -344,7 +232,8 @@ fn cluster_gets_complete_bit_exact_across_members() {
         assert_eq!(r.stats.quarantined, 0, "node {} quarantined frames", r.node);
         assert!(r.quarantine.is_empty(), "node {} quarantine report", r.node);
     }
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let mut children: Vec<(usize, Child)> = children.into_iter().enumerate().collect();
+    let finals = cluster.sigterm_and_reap(&mut children);
     cluster.assert_bit_exact(&finals);
     for r in &finals {
         assert!(r.graceful && r.completed, "node {} final report", r.node);
@@ -363,7 +252,7 @@ fn cluster_gets_complete_bit_exact_across_members() {
 fn sigterm_mid_run_exits_zero_with_graceful_report() {
     // A workload big enough that SIGTERM lands mid-stream.
     let input = GupsInput { updates: 60_000, table_len: 256, seed: 5 };
-    let cluster = Cluster::new("sigterm", input, 2);
+    let cluster = Cluster::new("cluster_sigterm", input, 2);
     let mut children: Vec<Child> = (0..2).map(|n| cluster.spawn(n, &[])).collect();
 
     // Past startup recovery (cold boot over local UDS is milliseconds),

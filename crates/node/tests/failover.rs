@@ -18,169 +18,21 @@
 //! * The boot coordinator drain-leaves: it hands the lease to its
 //!   successor (term 2) and the new holder commits the LEAVE.
 
-use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+mod common;
 
+use std::process::Child;
+use std::sync::Mutex;
+use std::time::Duration;
+
+use common::Cluster;
 use gravel_apps::gups::GupsInput;
 use gravel_node::elastic;
-use gravel_node::report::{read_report, OutReport};
-use gravel_node::signal::{send_signal, SIGTERM, SIGUSR1};
-
-const BIN: &str = env!("CARGO_BIN_EXE_gravel-node");
+use gravel_node::signal::{send_signal, SIGUSR1};
 
 /// One cluster of real processes at a time: these tests stress timing
 /// (partitions, lease beats, takeover latency) and stay deterministic
 /// only without a sibling cluster stealing their cores.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-struct Cluster {
-    dir: PathBuf,
-    input: GupsInput,
-    capacity: usize,
-    active: usize,
-}
-
-impl Cluster {
-    fn new(tag: &str, input: GupsInput, capacity: usize, active: usize) -> Cluster {
-        let dir = std::env::temp_dir().join(format!("gravel_failover_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        Cluster { dir, input, capacity, active }
-    }
-
-    fn out_path(&self, node: usize) -> PathBuf {
-        self.dir.join(format!("node{node}.json"))
-    }
-
-    fn spawn(&self, node: usize, extra: &[String]) -> Child {
-        let mut args = vec![
-            "--node".into(),
-            node.to_string(),
-            "--nodes".into(),
-            self.capacity.to_string(),
-            "--dir".into(),
-            self.dir.to_str().unwrap().to_string(),
-            "--updates".into(),
-            self.input.updates.to_string(),
-            "--table".into(),
-            self.input.table_len.to_string(),
-            "--seed".into(),
-            self.input.seed.to_string(),
-            "--ckpt-every".into(),
-            "4".to_string(),
-            // Small packets on purpose: the kill switches and update
-            // counts below assume hundreds of packets per stream.
-            "--msgs-per-packet".into(),
-            "8".to_string(),
-            "--deadline-secs".into(),
-            "120".to_string(),
-            "--out".into(),
-            self.out_path(node).to_str().unwrap().to_string(),
-            "--active".into(),
-            self.active.to_string(),
-        ];
-        if node >= self.active {
-            args.push("--join".into());
-        }
-        Command::new(BIN).args(&args).args(extra).spawn().expect("spawn gravel-node")
-    }
-
-    /// Poll `slots`' reports until `pred` holds for all, *stays* true
-    /// across a 600ms re-check, and (when given) the assembled table is
-    /// bit-exact. See `tests/reshard.rs` for why a single observation
-    /// is not a settlement.
-    fn wait_settled(
-        &self,
-        slots: &[usize],
-        timeout: Duration,
-        what: &str,
-        expected: Option<&[u64]>,
-        pred: impl Fn(&OutReport) -> bool,
-    ) -> Vec<OutReport> {
-        let deadline = Instant::now() + timeout;
-        let read_all = |pred: &dyn Fn(&OutReport) -> bool| -> Option<Vec<OutReport>> {
-            let reports: Vec<OutReport> = slots
-                .iter()
-                .filter_map(|&n| read_report(&self.out_path(n)).ok())
-                .collect();
-            (reports.len() == slots.len() && reports.iter().all(pred)).then_some(reports)
-        };
-        let exact = |reports: &[OutReport]| match expected {
-            None => true,
-            Some(want) => self.try_assemble(reports).is_some_and(|got| got == want),
-        };
-        loop {
-            if read_all(&pred).filter(|r| exact(r)).is_some() {
-                std::thread::sleep(Duration::from_millis(600));
-                if let Some(reports) = read_all(&pred).filter(|r| exact(r)) {
-                    return reports;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "timed out waiting for {what}; reports: {:?}",
-                slots
-                    .iter()
-                    .map(|&n| read_report(&self.out_path(n)).ok().map(|r| (
-                        r.node,
-                        r.completed,
-                        r.sender_drained,
-                        r.map_version,
-                        r.ha_term,
-                        r.ha_holder,
-                        r.members.clone()
-                    )))
-                    .collect::<Vec<_>>()
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-
-    /// Assemble the authoritative table from owner heaps; `None` while
-    /// reports disagree on ownership or an owner's report is missing.
-    fn try_assemble(&self, reports: &[OutReport]) -> Option<Vec<u64>> {
-        let owners = &reports.first()?.shard_owners;
-        if owners.is_empty() || reports.iter().any(|r| &r.shard_owners != owners) {
-            return None;
-        }
-        (0..self.input.table_len)
-            .map(|g| {
-                let owner = owners[g % owners.len()];
-                let r = reports.iter().find(|r| r.node == owner as u64)?;
-                r.heap.get(g).copied()
-            })
-            .collect()
-    }
-
-    fn assemble(&self, reports: &[OutReport]) -> Vec<u64> {
-        self.try_assemble(reports)
-            .expect("settled reports must agree on shard ownership")
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn sigterm_and_reap(
-    children: &mut [(usize, Child)],
-    path_of: impl Fn(usize) -> PathBuf,
-) -> Vec<OutReport> {
-    for (_, c) in children.iter() {
-        assert!(send_signal(c.id(), SIGTERM), "SIGTERM delivery");
-    }
-    let mut finals = Vec::new();
-    for (slot, c) in children.iter_mut() {
-        let status = c.wait().unwrap();
-        assert!(status.success(), "node {slot} exit status {status:?}");
-        finals.push(read_report(&path_of(*slot)).unwrap());
-    }
-    finals
-}
 
 #[test]
 fn coordinator_killed_mid_migration_successor_completes_it() {
@@ -189,7 +41,7 @@ fn coordinator_killed_mid_migration_successor_completes_it() {
     let senders: Vec<u32> = (0..4).collect();
     let expected = elastic::expected_table(&input, 5, &senders);
 
-    let cluster = Cluster::new("coordkill", input, 5, 4);
+    let cluster = Cluster::elastic("failover_coordkill", input, 5, 4);
     let grace = vec!["--evict-grace-ms".to_string(), "800".to_string()];
     // The boot coordinator arms the chaos switch: SIGKILL itself right
     // after broadcasting its next moves-carrying TOPO — which will be
@@ -248,7 +100,7 @@ fn coordinator_killed_mid_migration_successor_completes_it() {
     let joiner = settled.iter().find(|r| r.node == 4).unwrap();
     assert!(joiner.stats.reshard_moves_in > 0, "the joiner pulled its shards");
 
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut children);
     assert_eq!(cluster.assemble(&finals), expected, "post-teardown table");
 }
 
@@ -259,7 +111,7 @@ fn symmetric_partition_minority_freezes_and_heals() {
     let senders: Vec<u32> = (0..6).collect();
     let expected = elastic::expected_table(&input, 6, &senders);
 
-    let cluster = Cluster::new("partition", input, 6, 6);
+    let cluster = Cluster::elastic("failover_partition", input, 6, 6);
     // A 3/3 split 1.2s in, healed 3s later. The evict grace (600ms) is
     // far shorter than the partition: without the quorum gate every
     // node would have evicted the far side long before the heal.
@@ -301,7 +153,7 @@ fn symmetric_partition_minority_freezes_and_heals() {
         assert_eq!(r.stats.ha_takeovers, 0, "node {} asserted a takeover", r.node);
     }
 
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut children);
     for r in &finals {
         assert_eq!(r.map_version, 1, "node {} forked the shard map", r.node);
     }
@@ -315,7 +167,7 @@ fn one_way_link_is_vetoed_not_escalated() {
     let senders: Vec<u32> = (0..4).collect();
     let expected = elastic::expected_table(&input, 4, &senders);
 
-    let cluster = Cluster::new("oneway", input, 4, 4);
+    let cluster = Cluster::elastic("failover_oneway", input, 4, 4);
     // Node 3 stops hearing node 0 (beats and data both) for 2.4s; the
     // reverse direction stays up. Node 3's suspicion must be vetoed by
     // the majority that still hears node 0 — never an eviction, never
@@ -357,7 +209,7 @@ fn one_way_link_is_vetoed_not_escalated() {
         "node 3's one-sided suspicion was never vetoed"
     );
 
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut children);
     assert_eq!(cluster.assemble(&finals), expected, "post-teardown table");
 }
 
@@ -368,7 +220,7 @@ fn holder_drain_leave_hands_off_the_lease() {
     let senders: Vec<u32> = (0..4).collect();
     let expected = elastic::expected_table(&input, 4, &senders);
 
-    let cluster = Cluster::new("handoff", input, 4, 4);
+    let cluster = Cluster::elastic("failover_handoff", input, 4, 4);
     // Huge grace: nothing here should ever look like a death.
     let extra = vec!["--evict-grace-ms".to_string(), "60000".to_string()];
     let mut children: Vec<(usize, Child)> =
@@ -413,6 +265,6 @@ fn holder_drain_leave_hands_off_the_lease() {
 
     // The departed holder keeps serving as a non-member until teardown,
     // and every process — including it — exits gracefully.
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut children);
     assert_eq!(cluster.assemble(&finals), expected, "post-teardown table");
 }

@@ -9,176 +9,16 @@
 //! truth *and* against a static-membership run of the same streams, and
 //! the stale-routing ledger must reconcile.
 
-use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::process::Child;
+use std::time::Duration;
+
+use common::Cluster;
 use gravel_apps::gups::GupsInput;
 use gravel_node::elastic;
-use gravel_node::report::{read_report, OutReport};
-use gravel_node::signal::{send_signal, SIGKILL, SIGTERM, SIGUSR1};
-
-const BIN: &str = env!("CARGO_BIN_EXE_gravel-node");
-
-struct ElasticCluster {
-    dir: PathBuf,
-    input: GupsInput,
-    /// `--nodes`: the slot capacity (every process must agree on it —
-    /// the deterministic streams are split across *capacity*, not the
-    /// live membership).
-    capacity: usize,
-    /// `--active`: the initial membership is `0..active`.
-    active: usize,
-}
-
-impl ElasticCluster {
-    fn new(tag: &str, input: GupsInput, capacity: usize, active: usize) -> ElasticCluster {
-        let dir = std::env::temp_dir().join(format!("gravel_reshard_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        ElasticCluster { dir, input, capacity, active }
-    }
-
-    fn out_path(&self, node: usize) -> PathBuf {
-        self.dir.join(format!("node{node}.json"))
-    }
-
-    /// Spawn slot `node`; slots `>= active` must pass `--join`.
-    fn spawn(&self, node: usize, extra: &[String]) -> Child {
-        let mut args = vec![
-            "--node".into(),
-            node.to_string(),
-            "--nodes".into(),
-            self.capacity.to_string(),
-            "--dir".into(),
-            self.dir.to_str().unwrap().to_string(),
-            "--updates".into(),
-            self.input.updates.to_string(),
-            "--table".into(),
-            self.input.table_len.to_string(),
-            "--seed".into(),
-            self.input.seed.to_string(),
-            "--ckpt-every".into(),
-            "4".to_string(),
-            // Small packets on purpose: the kill switches and update
-            // counts below assume hundreds of packets per stream.
-            "--msgs-per-packet".into(),
-            "8".to_string(),
-            "--deadline-secs".into(),
-            "120".to_string(),
-            "--out".into(),
-            self.out_path(node).to_str().unwrap().to_string(),
-            "--active".into(),
-            self.active.to_string(),
-        ];
-        if node >= self.active {
-            args.push("--join".into());
-        }
-        Command::new(BIN)
-            .args(&args)
-            .args(extra)
-            .spawn()
-            .expect("spawn gravel-node")
-    }
-
-    /// Poll `slots`' reports (rewritten every 250ms by live nodes) until
-    /// `pred` holds for all of them, *stays* true across a re-check
-    /// 600ms later, and — when `expected` is given — the assembled
-    /// table is bit-exact. A drain can transiently flip back under a
-    /// late bounce, so a single observation is not a settlement; and a
-    /// sender can look drained while a bounce is still in flight toward
-    /// it (the bounce acked the original flow), so on a loaded host the
-    /// last redeliveries may land *after* every per-node flag settles —
-    /// convergence is only proven by the heap contents themselves.
-    fn wait_settled(
-        &self,
-        slots: &[usize],
-        timeout: Duration,
-        what: &str,
-        expected: Option<&[u64]>,
-        pred: impl Fn(&OutReport) -> bool,
-    ) -> Vec<OutReport> {
-        let deadline = Instant::now() + timeout;
-        let read_all = |pred: &dyn Fn(&OutReport) -> bool| -> Option<Vec<OutReport>> {
-            let reports: Vec<OutReport> = slots
-                .iter()
-                .filter_map(|&n| read_report(&self.out_path(n)).ok())
-                .collect();
-            (reports.len() == slots.len() && reports.iter().all(pred)).then_some(reports)
-        };
-        let exact = |reports: &[OutReport]| match expected {
-            None => true,
-            Some(want) => self.try_assemble(reports).is_some_and(|got| got == want),
-        };
-        loop {
-            if read_all(&pred).filter(|r| exact(r)).is_some() {
-                std::thread::sleep(Duration::from_millis(600));
-                if let Some(reports) = read_all(&pred).filter(|r| exact(r)) {
-                    return reports;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "timed out waiting for {what}; reports: {:?}",
-                slots
-                    .iter()
-                    .map(|&n| read_report(&self.out_path(n)).ok().map(|r| (
-                        r.node,
-                        r.completed,
-                        r.sender_drained,
-                        r.map_version,
-                        r.members.clone()
-                    )))
-                    .collect::<Vec<_>>()
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-
-    /// Assemble the authoritative table: for every global index, the
-    /// word held by the shard's owner under the installed map. `None`
-    /// while the reports disagree on ownership (a flip mid-broadcast)
-    /// or an owner's report is missing.
-    fn try_assemble(&self, reports: &[OutReport]) -> Option<Vec<u64>> {
-        let owners = &reports.first()?.shard_owners;
-        if owners.is_empty() || reports.iter().any(|r| &r.shard_owners != owners) {
-            return None;
-        }
-        (0..self.input.table_len)
-            .map(|g| {
-                let owner = owners[g % owners.len()];
-                let r = reports.iter().find(|r| r.node == owner as u64)?;
-                r.heap.get(g).copied()
-            })
-            .collect()
-    }
-
-    /// [`try_assemble`](Self::try_assemble) on reports that must be
-    /// settled (post-teardown finals): disagreement is a failure.
-    fn assemble(&self, reports: &[OutReport]) -> Vec<u64> {
-        self.try_assemble(reports)
-            .expect("settled reports must agree on shard ownership")
-    }
-}
-
-impl Drop for ElasticCluster {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn sigterm_and_reap(children: &mut [(usize, Child)], path_of: impl Fn(usize) -> PathBuf) -> Vec<OutReport> {
-    for (_, c) in children.iter() {
-        assert!(send_signal(c.id(), SIGTERM), "SIGTERM delivery");
-    }
-    let mut finals = Vec::new();
-    for (slot, c) in children.iter_mut() {
-        let status = c.wait().unwrap();
-        assert!(status.success(), "node {slot} exit status {status:?}");
-        finals.push(read_report(&path_of(*slot)).unwrap());
-    }
-    finals
-}
+use gravel_node::report::OutReport;
+use gravel_node::signal::{send_signal, SIGKILL, SIGUSR1};
 
 /// Cluster-wide exactly-once ledger over a set of final (quiesced)
 /// reports: every bounce was either re-enqueued at its sender or
@@ -206,7 +46,7 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
     // nobody joins or leaves. This is the "static-N run" the chaos
     // run's final heap must match bit for bit.
     let static_table = {
-        let cluster = ElasticCluster::new("static", input, 6, 4);
+        let cluster = Cluster::elastic("reshard_static", input, 6, 4);
         let mut children: Vec<(usize, Child)> =
             (0..4).map(|n| (n, cluster.spawn(n, &[]))).collect();
         let settled = cluster.wait_settled(
@@ -217,7 +57,7 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
             |r| r.completed && r.sender_drained && r.members == vec![0, 1, 2, 3],
         );
         let table = cluster.assemble(&settled);
-        let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+        let finals = cluster.sigterm_and_reap(&mut children);
         // No topology changes: the gate never bounced anything.
         let (stale, redel, dropped) = ledger(&finals);
         assert_eq!((stale, redel, dropped), (0, 0, 0), "static run must not bounce");
@@ -230,7 +70,7 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
 
     // ---- Chaos run: grow 4 → 6 (one joiner killed mid-migration and
     // restarted), then shrink back to 4 via SIGUSR1 leaves.
-    let cluster = ElasticCluster::new("chaos", input, 6, 4);
+    let cluster = Cluster::elastic("reshard_chaos", input, 6, 4);
     // A huge evict grace: the mid-migration corpse must be *recovered*,
     // not evicted — eviction has its own test below.
     let grace = vec!["--evict-grace-ms".to_string(), "60000".to_string()];
@@ -308,7 +148,7 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
     assert_eq!(chaos_table, expected, "chaos table vs sequential truth");
     assert_eq!(chaos_table, static_table, "chaos grow/shrink vs static-N run");
 
-    let finals = sigterm_and_reap(&mut children, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut children);
     assert_eq!(cluster.assemble(&finals), expected, "post-teardown table");
 
     // Ledger: every bounce was re-enqueued; no sender died, so nothing
@@ -334,7 +174,7 @@ fn dead_member_is_evicted_and_its_shards_recovered_from_ward() {
     let senders: Vec<u32> = (0..4).collect();
     let expected = elastic::expected_table(&input, 4, &senders);
 
-    let cluster = ElasticCluster::new("evict", input, 4, 4);
+    let cluster = Cluster::elastic("reshard_evict", input, 4, 4);
     let extra = vec!["--evict-grace-ms".to_string(), "700".to_string()];
     let mut spawned: Vec<(usize, Child)> =
         (0..4).map(|n| (n, cluster.spawn(n, &extra))).collect();
@@ -392,7 +232,7 @@ fn dead_member_is_evicted_and_its_shards_recovered_from_ward() {
     // not resent (the victim is gone for good).
     assert_eq!(cluster.assemble(&settled), expected, "post-evict table");
 
-    let finals = sigterm_and_reap(&mut spawned, |n| cluster.out_path(n));
+    let finals = cluster.sigterm_and_reap(&mut spawned);
     assert_eq!(cluster.assemble(&finals), expected, "post-teardown table");
     let (stale, redel, dropped) = ledger(&finals);
     assert_eq!(dropped, 0, "survivors' bounces all found their senders");
