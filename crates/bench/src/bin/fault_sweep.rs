@@ -95,6 +95,11 @@ struct FailoverStats {
     /// Virtual kill → takeover latency (detector latch + quorum).
     takeover_p50_ns: u64,
     takeover_p99_ns: u64,
+    /// Trials whose first migration after the kill (the corpse's EVICT,
+    /// or the JOIN it cut short) completed, and kill → completion.
+    migrated: u64,
+    migrated_p50_ns: u64,
+    migrated_p99_ns: u64,
 }
 
 /// One reshard cell's outcome: how much the directory churned, what the
@@ -321,9 +326,13 @@ fn run_reshard_cell(input: &GupsInput, flips: u64) -> (ReshardStats, RegistrySna
 ///   quorum(6) = 4, so nobody takes the lease or evicts.
 /// * `one-way` — node 3 of 4 stops hearing node 0 for 2 s; the
 ///   majority that still hears node 0 vetoes its suspicion.
+/// * `join-holder-kill` — a fifth slot JOINs 4 members and the holder
+///   dies right after committing it (the kill comes with the commit,
+///   so only tick phases and jitter vary); the successor re-drives the
+///   migration, pulling the dead donor's shards from its ward.
 fn run_failover_cell(scenario: &str, trials: u64) -> FailoverStats {
     let mut stats = FailoverStats { scenario: scenario.to_string(), trials, ..Default::default() };
-    let mut latencies = Vec::new();
+    let (mut latencies, mut migrations) = (Vec::new(), Vec::new());
     for seed in 0..trials {
         let from = Duration::from_millis(400 + 600 * seed / trials);
         let until = from + Duration::from_secs(2);
@@ -333,6 +342,7 @@ fn run_failover_cell(scenario: &str, trials: u64) -> FailoverStats {
                 (6, Fault::Cut(LinkFault::Partition { island: vec![0, 1, 2], from, until }))
             }
             "one-way" => (4, Fault::Cut(LinkFault::OneWay { src: 0, dest: 3, from, until })),
+            "join-holder-kill" => (4, Fault::JoinHolderKilled),
             other => unreachable!("unknown failover scenario {other:?}"),
         };
         stats.members = n as u64;
@@ -343,15 +353,20 @@ fn run_failover_cell(scenario: &str, trials: u64) -> FailoverStats {
         stats.evictions_vetoed += out.vetoes;
         stats.forked_maps = stats.forked_maps.max(out.forked_maps as u64);
         latencies.extend(out.takeover_after.map(|d| d.as_nanos() as u64));
+        migrations.extend(out.migrated_after.map(|d| d.as_nanos() as u64));
     }
     // Exact ranks: a registry histogram's buckets are ~12 % wide.
-    latencies.sort_unstable();
-    let rank = |q: f64| {
-        let i = (q * latencies.len() as f64).ceil() as usize;
-        latencies.get(i.clamp(1, latencies.len().max(1)) - 1).copied().unwrap_or(0)
+    let ranks = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        let rank = |q: f64| {
+            let i = (q * v.len() as f64).ceil() as usize;
+            v.get(i.clamp(1, v.len().max(1)) - 1).copied().unwrap_or(0)
+        };
+        (rank(0.50), rank(0.99))
     };
-    stats.takeover_p50_ns = rank(0.50);
-    stats.takeover_p99_ns = rank(0.99);
+    stats.migrated = migrations.len() as u64;
+    (stats.takeover_p50_ns, stats.takeover_p99_ns) = ranks(latencies);
+    (stats.migrated_p50_ns, stats.migrated_p99_ns) = ranks(migrations);
     stats
 }
 
@@ -553,10 +568,13 @@ fn main() {
             "forked maps",
             "takeover p50 ms",
             "takeover p99 ms",
+            "migrated",
+            "migrated p50 ms",
+            "migrated p99 ms",
         ],
     );
     let trials = if scale { 200 } else { 50 };
-    for scenario in ["coordinator-kill", "partition", "one-way"] {
+    for scenario in ["coordinator-kill", "partition", "one-way", "join-holder-kill"] {
         let fs = run_failover_cell(scenario, trials);
         ft.row(vec![
             fs.scenario.clone(),
@@ -567,6 +585,9 @@ fn main() {
             fs.forked_maps.to_string(),
             f2(fs.takeover_p50_ns as f64 / 1e6),
             f2(fs.takeover_p99_ns as f64 / 1e6),
+            fs.migrated.to_string(),
+            f2(fs.migrated_p50_ns as f64 / 1e6),
+            f2(fs.migrated_p99_ns as f64 / 1e6),
         ]);
         cells.push(TelemetryCell {
             failover: Some(fs),

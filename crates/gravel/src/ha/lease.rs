@@ -109,12 +109,15 @@ impl VoteLedger {
         })
     }
 
-    /// Has the death been *denied* — so many live "not dead" replies
-    /// that a confirming quorum can no longer form?
-    pub fn denied(&self, suspect: u32, members: &[u32]) -> bool {
+    /// Has the death been *denied*: so many live "not dead" replies
+    /// that a confirming quorum can no longer form, or a "not dead"
+    /// from every member `asked`? The second rule decides a one-way
+    /// cut at N = 3, where the one other voter cannot outvote a quorum.
+    pub fn denied(&self, suspect: u32, members: &[u32], asked: &[u32]) -> bool {
         self.rounds.get(&suspect).is_some_and(|r| {
             let no = r.no.iter().filter(|v| members.contains(v)).count();
             members.len() - no < quorum(members.len())
+                || (!asked.is_empty() && asked.iter().all(|v| r.no.contains(v)))
         })
     }
 
@@ -215,7 +218,7 @@ mod tests {
             v.record(3, voter, true);
         }
         assert!(!v.confirmed(3, &members));
-        assert!(!v.denied(3, &members), "absent votes are not denials");
+        assert!(!v.denied(3, &members, &[]), "absent votes are not denials");
     }
 
     #[test]
@@ -226,12 +229,27 @@ mod tests {
         v.record(2, 1, false);
         v.record(2, 3, false);
         // Two live denials leave at most 2 possible yes votes < quorum 3.
-        assert!(v.denied(2, &members));
+        assert!(v.denied(2, &members, &[]));
         assert!(!v.confirmed(2, &members));
         // A flipped verdict moves between tallies instead of doubling:
         // two yes of four is neither denied nor confirmed.
         v.record(2, 1, true);
-        assert!(!v.denied(2, &members) && !v.confirmed(2, &members));
+        assert!(!v.denied(2, &members, &[]) && !v.confirmed(2, &members));
+    }
+
+    #[test]
+    fn at_three_members_the_one_voter_asked_denies_alone() {
+        // Node 2 stops hearing node 0 and asks node 1, the only other
+        // voter: one "no" of three leaves two possible yes votes, a
+        // quorum, so only the asked-all-alive rule decides the round.
+        let members = [0u32, 1, 2];
+        let mut v = VoteLedger::default();
+        v.record(0, 2, true);
+        assert!(!v.denied(0, &members, &[1]), "no reply yet");
+        v.record(0, 1, false);
+        assert!(!v.denied(0, &members, &[]), "the quorum arithmetic alone cannot deny");
+        assert!(v.denied(0, &members, &[1]));
+        assert!(!v.confirmed(0, &members));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod supervisor;
 pub use checkpoint::{Baseline, Checkpoint, LoggedPacket, RecoveryLog, ReplayError, Replayed};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 pub use lease::{quorum, successor, LeaseState, VoteLedger, INITIAL_TERM};
-pub use machine::{Action, Event, HaMachine};
+pub use machine::{Action, Event, HaMachine, Topo};
 pub use rebalance::{RebalancePlan, Rebalancer, TopologyChange};
 pub use supervisor::{Supervisor, SupervisorConfig, WorkerKind};
 

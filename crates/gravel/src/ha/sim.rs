@@ -4,13 +4,17 @@
 //!
 //! Each node has a real [`FailureDetector`] fed explicit instants (15 ms
 //! beats, seeded jitter), ticks its machine every 25 ms at a seeded
-//! phase, and installs maps through a fenced [`Directory`]. The control
-//! frames `gravel-node` sends — beats, votes, TOPO, map requests and
-//! migration acks (a migration is reduced to its ack) — are lost with
-//! the scenario's probability and otherwise land 5 or 10 ms later.
-//! After every step: no term goes down, one member set per map version,
-//! a takeover only on a quorum of members that had latched the holder,
-//! no takeover or EVICT from a partition side below quorum.
+//! phase, installs maps through a fenced [`Directory`] and keeps the
+//! shards its data plane serves and has marked ready — sets, not words:
+//! a migration here is every frame `gravel-node` sends for it (pull,
+//! ward pull, the words' count, ack) and every install step, but no
+//! heap. A ward keeper is the next slot, as in `gravel-node`. Control
+//! frames are lost with the scenario's probability and otherwise land
+//! 5 or 10 ms later. After every step: no term goes down, one map per
+//! version, a takeover only on a quorum of members that had latched the
+//! holder, no takeover or EVICT from a partition side below quorum, no
+//! shard served before it was marked ready, and no shard served by two
+//! live nodes at one map version.
 
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -20,8 +24,8 @@ use gravel_pgas::{Directory, FencedInstall, ShardMap};
 
 use super::heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 use super::lease::{quorum, INITIAL_TERM};
-use super::machine::{Action, Event, HaMachine};
-use super::rebalance::{RebalancePlan, TopologyChange};
+use super::machine::{Action, Event, HaMachine, Topo, WARD_FALLBACK};
+use super::rebalance::TopologyChange;
 
 /// A killed holder is succeeded within this much virtual time: the
 /// detector's latch (~300 ms of silence) plus 150 ms vote rounds that
@@ -29,9 +33,18 @@ use super::rebalance::{RebalancePlan, TopologyChange};
 pub const TAKEOVER_BOUND: Duration = Duration::from_millis(1500);
 /// Virtual time after the heal (or the eviction) before the end.
 const SETTLE_MS: u64 = 2000;
+/// How much longer a run may take to finish its migrations and install
+/// their maps: evictions queued during a cut commit one by one after
+/// the heal.
+const MIGRATE_MS: u64 = 5000;
+/// A JOIN family's kill comes with the JOIN's commit, this late at most.
+const JOIN_BY: Duration = Duration::from_millis(2000);
 const STEP_MS: u64 = 5;
 const BEAT_MS: u64 = 15;
 const TICK_MS: u64 = 25;
+/// The table: `gravel-node`'s 64 shards, of 4 words.
+const SHARDS: usize = 64;
+const TABLE: usize = 256;
 
 /// The one fault a scenario injects.
 #[derive(Clone, Debug)]
@@ -40,11 +53,19 @@ pub enum Fault {
     Kill { node: u32, at: Duration },
     /// A partition or one-way [`LinkFault`] over its window.
     Cut(LinkFault),
+    /// A spare slot, `n`, boots outside the map and JOINs; the holder
+    /// dies right after broadcasting that JOIN's commit (`gravel-node
+    /// --kill-on-commit`).
+    JoinHolderKilled,
+    /// A spare slot JOINs; the first donor other than the holder to
+    /// install that JOIN dies right then, before it ships a shard.
+    JoinDonorKilled,
 }
 
 /// One schedule: N machines, one fault, beat jitter and frame loss.
 #[derive(Clone, Debug)]
 pub struct Scenario {
+    /// Members of the boot map, slots `0..n`; a JOIN fault adds slot `n`.
     pub n: usize,
     pub fault: Fault,
     /// Beat arrival jitter, uniform in `[0, jitter_us)` µs.
@@ -57,15 +78,18 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// When the fault strikes and when it heals — for a kill, by when
-    /// the corpse should be evicted.
-    fn window(&self) -> (Duration, Duration) {
+    /// When a cut strikes and heals.
+    fn window(&self) -> Option<(Duration, Duration)> {
         match &self.fault {
-            Fault::Kill { at, .. } => (*at, *at + TAKEOVER_BOUND + self.evict_grace),
             Fault::Cut(LinkFault::Partition { from, until, .. })
-            | Fault::Cut(LinkFault::OneWay { from, until, .. }) => (*from, *until),
-            Fault::Cut(LinkFault::Delay { .. }) => (Duration::ZERO, Duration::ZERO),
+            | Fault::Cut(LinkFault::OneWay { from, until, .. }) => Some((*from, *until)),
+            _ => None,
         }
+    }
+
+    /// Process slots: the members plus a JOIN fault's spare.
+    pub fn slots(&self) -> usize {
+        self.n + matches!(self.fault, Fault::JoinHolderKilled | Fault::JoinDonorKilled) as usize
     }
 
     /// Is `node` on a partition side smaller than a quorum at `t`?
@@ -84,6 +108,8 @@ pub struct Outcome {
     pub takeovers: u64,
     /// From the fault to the first takeover.
     pub takeover_after: Option<Duration>,
+    /// From the kill to the first migration completed after it.
+    pub migrated_after: Option<Duration>,
     pub vetoes: u64,
     pub evictions: u64,
     /// Distinct `(term, holder)` views among the live nodes.
@@ -94,8 +120,18 @@ pub struct Outcome {
     pub latches: usize,
     /// The highest term a live node holds.
     pub term: u64,
+    /// The node the fault killed, if it struck.
+    pub victim: Option<u32>,
     /// Whether every live node's map has dropped the killed node.
     pub victim_evicted: bool,
+    /// Whether every live node's map holds a JOIN fault's spare.
+    pub joined: bool,
+    /// Shards of a live node's map that their owner does not serve,
+    /// summed over the live nodes.
+    pub unserved: usize,
+    /// Live nodes still migrating: a plan in flight or queued, or a
+    /// pull pending.
+    pub busy: usize,
 }
 
 #[derive(Clone)]
@@ -103,9 +139,13 @@ enum Frame {
     Lease { term: u64, holder: u32, version: u64 },
     AskVote { term: u64, suspect: u32 },
     Vote { suspect: u32, dead: bool },
-    Topo { term: u64, map: ShardMap, plan: Option<RebalancePlan> },
+    Topo(Topo),
     MapReq,
-    Ack(u32),
+    JoinReq,
+    LeaveReq,
+    Pull { shard: u32, ward: Option<u32> },
+    Words { shard: u32, words: usize },
+    Ack { shard: u32, version: u64 },
 }
 
 struct Node {
@@ -114,6 +154,10 @@ struct Node {
     dir: Directory,
     term: u64,
     phase: u64,
+    /// The shards the data plane serves, and those marked ready for
+    /// the next cut: bit `s` is shard `s`.
+    served: u64,
+    ready: u64,
 }
 
 /// A scenario in flight.
@@ -125,18 +169,28 @@ pub struct Sim<'a> {
     nodes: Vec<Node>,
     /// `(deliver at, from, to, frame)`.
     wire: Vec<(u64, u32, u32, Frame)>,
-    /// The member set of every map version installed anywhere.
-    maps: HashMap<u64, Vec<u32>>,
+    /// Every map version installed anywhere.
+    maps: HashMap<u64, ShardMap>,
     /// `ever[i][p]`: node `i`'s detector has latched `p` dead.
     ever: Vec<Vec<bool>>,
+    /// The node the fault killed, and when (ms).
+    killed: Option<(u32, u64)>,
+    /// A served set or a map changed this step.
+    moved: bool,
     out: Outcome,
 }
 
 /// Run `sc` to its end; `Err` names the first broken invariant.
 pub fn run(sc: &Scenario) -> Result<Outcome, String> {
     let mut sim = Sim::new(sc);
-    sim.run_until(sc.window().1.as_millis() as u64 + SETTLE_MS)?;
+    while sim.t < sim.end() || (sim.settling() && sim.t < sim.end() + MIGRATE_MS) {
+        sim.run_until(sim.t + STEP_MS)?;
+    }
     Ok(sim.outcome())
+}
+
+fn bits(shards: &[u32]) -> u64 {
+    shards.iter().fold(0, |b, &s| b | 1 << s)
 }
 
 impl<'a> Sim<'a> {
@@ -147,18 +201,33 @@ impl<'a> Sim<'a> {
         let hb =
             HeartbeatConfig { interval: beat, suspect_phi: 4.0, dead_phi: 8.0, min_samples: 3 };
         let members: Vec<u32> = (0..sc.n as u32).collect();
+        let boot = ShardMap::initial(&members, SHARDS);
+        let slots = sc.slots();
         let node = |me: u32, phase: u64| {
             let detector = FailureDetector::new(hb.clone());
-            members.iter().filter(|&&p| p != me).for_each(|&p| detector.track(p, base));
-            let dir = Directory::elastic(64, ShardMap::initial(&members, 16));
-            let machine = HaMachine::new(me, 0, sc.evict_grace, beat);
-            Node { machine, detector, dir, term: INITIAL_TERM, phase }
+            (0..slots as u32).filter(|&p| p != me).for_each(|p| detector.track(p, base));
+            let dir = Directory::elastic(TABLE, boot.clone());
+            let machine = HaMachine::new(me, &boot, slots, TABLE, sc.evict_grace, beat);
+            let served = bits(&boot.shards_of(me));
+            Node { machine, detector, dir, term: INITIAL_TERM, phase, served, ready: served }
         };
-        let nodes = (0..sc.n as u32)
+        let nodes = (0..slots as u32)
             .map(|me| node(me, splitmix(&mut rng) % (TICK_MS / STEP_MS) * STEP_MS))
             .collect();
-        let (maps, ever) = (HashMap::from([(1, members.clone())]), vec![vec![false; sc.n]; sc.n]);
-        Sim { sc, base, rng, t: 0, nodes, wire: Vec::new(), maps, ever, out: Outcome::default() }
+        let (maps, ever) = (HashMap::from([(1, boot.clone())]), vec![vec![false; slots]; slots]);
+        Sim {
+            sc,
+            base,
+            rng,
+            t: 0,
+            nodes,
+            wire: Vec::new(),
+            maps,
+            ever,
+            killed: None,
+            moved: false,
+            out: Outcome::default(),
+        }
     }
 
     /// Step virtual time up to `end` ms.
@@ -170,6 +239,22 @@ impl<'a> Sim<'a> {
         Ok(())
     }
 
+    /// When the run ends: the settle time past the heal, or past the
+    /// kill's takeover, migration and eviction bounds.
+    fn end(&self) -> u64 {
+        let sc = self.sc;
+        let ms = |d: Duration| d.as_millis() as u64;
+        let evicted = ms(TAKEOVER_BOUND + sc.evict_grace);
+        SETTLE_MS
+            + match &sc.fault {
+                Fault::Kill { at, .. } => ms(*at) + evicted,
+                Fault::Cut(_) => sc.window().map_or(0, |w| ms(w.1)),
+                Fault::JoinHolderKilled | Fault::JoinDonorKilled => {
+                    self.killed.map_or(ms(JOIN_BY), |k| k.1) + ms(WARD_FALLBACK) + evicted
+                }
+            }
+    }
+
     /// The end state as it stands.
     pub fn outcome(&self) -> Outcome {
         let live: Vec<&Node> =
@@ -177,18 +262,38 @@ impl<'a> Sim<'a> {
         let views: BTreeSet<(u64, u32)> = live.iter().map(|n| n.machine.lease()).collect();
         let versions: BTreeSet<u64> = live.iter().map(|n| n.dir.version()).collect();
         let latched = live.iter().flat_map(|n| n.detector.dead_peers());
-        let map = |n: &&Node| n.dir.current_map().expect("elastic");
+        let maps: Vec<_> = live.iter().map(|n| n.dir.current_map().expect("elastic")).collect();
+        let spare = self.sc.n as u32;
+        let victim = self.killed.map(|k| k.0);
+        let unserved = |map: &ShardMap| {
+            let serves = |s: u32, o| self.alive(o) && self.nodes[o as usize].served & 1 << s != 0;
+            (0..map.nshards() as u32).filter(|&s| !serves(s, map.owner_of_shard(s))).count()
+        };
         Outcome {
             forked_maps: views.len(),
             versions: versions.len(),
             latches: latched.filter(|&p| self.alive(p)).count(),
             term: views.iter().map(|v| v.0).max().unwrap_or(0),
-            victim_evicted: match self.sc.fault {
-                Fault::Kill { node, .. } => live.iter().all(|n| !map(n).is_member(node)),
-                Fault::Cut(_) => false,
-            },
+            victim,
+            victim_evicted: victim.is_some_and(|v| maps.iter().all(|m| !m.is_member(v))),
+            joined: self.sc.slots() > self.sc.n && maps.iter().all(|m| m.is_member(spare)),
+            unserved: maps.iter().map(|m| unserved(m)).sum(),
+            busy: self.busy(),
             ..self.out.clone()
         }
+    }
+
+    /// Live nodes with a plan in flight or queued, or a pull pending.
+    fn busy(&self) -> usize {
+        let busy = |n: &Node| !n.machine.rebalancer().is_quiescent() || n.machine.pulling();
+        (0..self.nodes.len()).filter(|&i| self.alive(i as u32) && busy(&self.nodes[i])).count()
+    }
+
+    /// Still migrating, or live nodes on different map versions.
+    fn settling(&self) -> bool {
+        let live = (0..self.nodes.len() as u32).filter(|&i| self.alive(i));
+        let versions: BTreeSet<u64> = live.map(|i| self.nodes[i as usize].dir.version()).collect();
+        self.busy() > 0 || versions.len() > 1
     }
 
     fn now(&self) -> Instant {
@@ -196,8 +301,7 @@ impl<'a> Sim<'a> {
     }
 
     fn alive(&self, node: u32) -> bool {
-        let t = Duration::from_millis(self.t);
-        !matches!(self.sc.fault, Fault::Kill { node: v, at } if v == node && t >= at)
+        self.killed.is_none_or(|(v, _)| v != node)
     }
 
     fn up(&self, from: u32, to: u32) -> bool {
@@ -206,8 +310,23 @@ impl<'a> Sim<'a> {
         self.alive(from) && self.alive(to) && !cut
     }
 
+    fn kill(&mut self, node: u32) {
+        self.killed = Some((node, self.t));
+    }
+
+    /// Virtual time since the fault struck, if it has.
+    fn since_fault(&self) -> Option<Duration> {
+        let struck = self.sc.window().map(|w| w.0.as_millis() as u64).or(self.killed.map(|k| k.1));
+        struck.map(|s| Duration::from_millis(self.t.saturating_sub(s)))
+    }
+
     fn step(&mut self) -> Result<(), String> {
         let (t, now) = (self.t, self.now());
+        if let Fault::Kill { node, at } = self.sc.fault {
+            if self.killed.is_none() && Duration::from_millis(t) >= at {
+                self.kill(node);
+            }
+        }
         let (due, later) = std::mem::take(&mut self.wire).into_iter().partition(|w| w.0 <= t);
         self.wire = later;
         for (_, from, to, frame) in due {
@@ -215,7 +334,7 @@ impl<'a> Sim<'a> {
                 self.deliver(to, from, frame)?;
             }
         }
-        let live: Vec<u32> = (0..self.sc.n as u32).filter(|&i| self.alive(i)).collect();
+        let live: Vec<u32> = (0..self.nodes.len() as u32).filter(|&i| self.alive(i)).collect();
         for &i in &live {
             let phase = self.nodes[i as usize].phase;
             if (t + phase).is_multiple_of(BEAT_MS) {
@@ -229,13 +348,27 @@ impl<'a> Sim<'a> {
                     self.ever[i as usize][p as usize] = true;
                 }
             }
-            if (t + phase).is_multiple_of(TICK_MS) {
+            if (t + phase).is_multiple_of(TICK_MS) && self.alive(i) {
                 let det = &self.nodes[i as usize].detector;
                 let silence = |p| (p, det.silence(p, now).unwrap_or(Duration::MAX));
                 let dead: Vec<(u32, Duration)> =
                     det.dead_peers().into_iter().map(silence).collect();
                 let map = self.nodes[i as usize].dir.current_map().expect("elastic");
                 self.feed(i, Event::Tick { map: &map, dead: &dead, leave: false })?;
+            }
+        }
+        if std::mem::take(&mut self.moved) {
+            // One owner per shard and map version among the live nodes.
+            let mut seen: Vec<(u64, u64)> = Vec::new();
+            for (i, n) in self.nodes.iter().enumerate().filter(|(i, _)| self.alive(*i as u32)) {
+                let v = n.dir.version();
+                match seen.iter_mut().find(|s| s.0 == v) {
+                    Some(s) if s.1 & n.served != 0 => {
+                        return Err(format!("node {i} serves a shard another serves at v{v}"))
+                    }
+                    Some(s) => s.1 |= n.served,
+                    None => seen.push((v, n.served)),
+                }
             }
         }
         Ok(())
@@ -251,9 +384,10 @@ impl<'a> Sim<'a> {
     fn deliver(&mut self, to: u32, from: u32, frame: Frame) -> Result<(), String> {
         let now = self.now();
         let node = &mut self.nodes[to as usize];
+        let map = node.dir.current_map().expect("elastic");
         let event = match frame {
             Frame::Lease { term, holder, version } => {
-                Event::Lease { term, holder, map_version: version, mine: node.dir.version() }
+                Event::Lease { term, holder, map_version: version, mine: map.version }
             }
             Frame::AskVote { term, suspect } => {
                 let latched = node.detector.status(suspect, now) == PeerStatus::Dead;
@@ -261,31 +395,56 @@ impl<'a> Sim<'a> {
                 Event::VoteRequest { from, term, suspect, latched }
             }
             Frame::Vote { suspect, dead } => Event::Vote { from, suspect, dead },
-            Frame::Topo { term, map, plan } => {
-                if node.dir.install_fenced(map.clone(), term) == FencedInstall::Stale {
-                    return Ok(());
-                }
-                let members = self.maps.entry(map.version).or_insert_with(|| map.members.clone());
-                if *members != map.members {
-                    return Err(format!("two maps at version {}", map.version));
-                }
-                let moves = plan.iter().flat_map(|p| &p.moves);
-                let acks: Vec<u32> = moves.filter(|m| m.to == to).map(|m| m.shard).collect();
-                self.feed(to, Event::Topo { term, from, plan })?;
-                acks.into_iter().for_each(|shard| self.send(to, from, Frame::Ack(shard)));
-                return Ok(());
+            Frame::Topo(topo) => return self.on_topo(to, from, topo),
+            Frame::MapReq => Event::MapRequest { from, join: None, map: &map },
+            Frame::JoinReq => Event::MapRequest { from, join: Some(from), map: &map },
+            Frame::LeaveReq => Event::Propose(TopologyChange::Leave(from)),
+            Frame::Pull { shard, ward: None } => Event::Pull { from, shard },
+            Frame::Pull { shard, ward: Some(ward) } => {
+                let latched = node.detector.status(ward, now) == PeerStatus::Dead;
+                self.ever[to as usize][ward as usize] |= latched;
+                Event::WardPull { from, shard, ward, latched, map: &map }
             }
-            Frame::MapReq => {
-                if node.machine.is_holder() {
-                    let map = (*node.dir.current_map().expect("elastic")).clone();
-                    let term = node.machine.lease().0;
-                    self.send(to, from, Frame::Topo { term, map, plan: None });
-                }
-                return Ok(());
+            Frame::Words { shard, words } => {
+                let served = node.served & 1 << shard != 0;
+                Event::Words { shard, words, served, map: &map }
             }
-            Frame::Ack(shard) => Event::MigrateAck(shard),
+            Frame::Ack { shard, version } => Event::MigrateAck { shard, version },
         };
         self.feed(to, event)
+    }
+
+    /// Install a TOPO through the fence, hold it to the one map of its
+    /// version, prune the served set to the new map, and step.
+    fn on_topo(&mut self, to: u32, from: u32, topo: Topo) -> Result<(), String> {
+        let node = &mut self.nodes[to as usize];
+        let installed = node.dir.install_fenced(topo.map.clone(), topo.term);
+        if installed == FencedInstall::Stale {
+            return Ok(());
+        }
+        if *self.maps.entry(topo.map.version).or_insert_with(|| topo.map.clone()) != topo.map {
+            return Err(format!("two maps at version {}", topo.map.version));
+        }
+        if installed == FencedInstall::Installed {
+            let mine = bits(&topo.map.shards_of(to));
+            (node.served, node.ready) = (node.served & mine, node.ready & mine);
+            self.moved = true;
+        }
+        let donor = topo.moves.iter().any(|m| m.from == to);
+        let join = topo.change == Some(TopologyChange::Join(self.sc.n as u32));
+        if matches!(self.sc.fault, Fault::JoinDonorKilled)
+            && self.killed.is_none()
+            && join
+            && donor
+            && to != from
+        {
+            self.kill(to);
+            return Ok(());
+        }
+        let node = &self.nodes[to as usize];
+        let map = node.dir.current_map().expect("elastic");
+        let served: Vec<u32> = (0..SHARDS as u32).filter(|&s| node.served & 1 << s != 0).collect();
+        self.feed(to, Event::Topo { from, topo: &topo, map: &map, served: &served })
     }
 
     /// Step node `i`'s machine with `event`, check its term, perform
@@ -302,11 +461,16 @@ impl<'a> Sim<'a> {
     }
 
     fn perform(&mut self, i: u32, action: Action) -> Result<(), String> {
-        let others: Vec<u32> = (0..self.sc.n as u32).filter(|&j| j != i).collect();
+        let (now, slots) = (self.now(), self.nodes.len() as u32);
+        // A node killed mid-step does nothing more.
+        if !self.alive(i) {
+            return Ok(());
+        }
+        let node = &mut self.nodes[i as usize];
         match action {
             Action::Beat { term, holder } => {
-                let version = self.nodes[i as usize].dir.version();
-                for j in others {
+                let version = node.dir.version();
+                for j in (0..slots).filter(|&j| j != i) {
                     self.send(i, j, Frame::Lease { term, holder, version });
                 }
             }
@@ -317,29 +481,71 @@ impl<'a> Sim<'a> {
                 self.send(i, to, Frame::Vote { suspect, dead })
             }
             Action::RequestMap { to } => self.send(i, to, Frame::MapReq),
-            Action::Revive { peer } => self.nodes[i as usize].detector.reset_peer(peer, self.now()),
+            Action::RequestJoin { to } => self.send(i, to, Frame::JoinReq),
+            Action::RequestLeave { to } => self.send(i, to, Frame::LeaveReq),
+            Action::Revive { peer } => node.detector.reset_peer(peer, now),
             Action::TookOver { from, .. } => {
-                let map = self.nodes[i as usize].dir.current_map().expect("elastic");
+                let map = node.dir.current_map().expect("elastic");
                 let ever = |&&m: &&u32| self.ever[m as usize][from as usize];
                 let latched = map.members.iter().filter(ever).count();
                 if latched < quorum(map.members.len()) || self.sc.in_minority(i, self.t) {
                     return Err(format!("node {i} took the lease from {from} on {latched} latches"));
                 }
                 self.out.takeovers += 1;
-                let after = Duration::from_millis(self.t) - self.sc.window().0;
-                self.out.takeover_after.get_or_insert(after);
+                self.out.takeover_after = self.out.takeover_after.or(self.since_fault());
             }
             Action::Vetoed { .. } => self.out.vetoes += 1,
             Action::Evicting { peer } if self.sc.in_minority(i, self.t) => {
                 return Err(format!("node {i} on a minority side proposed evicting {peer}"));
             }
-            Action::Evicting { .. } | Action::Migrated => {}
-            Action::Commit { term, plan } | Action::Redrive { term, plan } => {
-                self.out.evictions += matches!(plan.change, TopologyChange::Evict(_)) as u64;
-                let topo = Frame::Topo { term, map: plan.map.clone(), plan: Some(plan) };
-                others.into_iter().for_each(|j| self.send(i, j, topo.clone()));
-                self.deliver(i, i, topo)?;
+            Action::Evicting { .. } | Action::Write { .. } | Action::Cut => {}
+            Action::Commit(topo) => {
+                let change = topo.change;
+                self.out.evictions += matches!(change, Some(TopologyChange::Evict(_))) as u64;
+                // gravel-node --kill-on-commit: broadcast, then die.
+                let kill = matches!(self.sc.fault, Fault::JoinHolderKilled)
+                    && self.killed.is_none()
+                    && change == Some(TopologyChange::Join(self.sc.n as u32));
+                self.broadcast(i, topo, !kill)?;
+                if kill {
+                    self.kill(i);
+                }
             }
+            Action::Redrive(topo) => self.broadcast(i, topo, true)?,
+            Action::SendTopo { to, topo } => self.send(i, to, Frame::Topo(topo)),
+            Action::Pull { to, shard, ward } => self.send(i, to, Frame::Pull { shard, ward }),
+            Action::Ship { to, shard, ward } => {
+                // Only the next slot keeps a ward.
+                if ward.is_none_or(|w| (w + 1) % slots == i) {
+                    let words = node.dir.current_map().expect("elastic").shard_words(TABLE, shard);
+                    self.send(i, to, Frame::Words { shard, words });
+                }
+            }
+            Action::MarkReady { shard } => node.ready |= 1 << shard,
+            Action::Serve { shard, .. } => {
+                if node.ready & 1 << shard == 0 {
+                    return Err(format!("node {i} served shard {shard} before marking it ready"));
+                }
+                node.served |= 1 << shard;
+                self.moved = true;
+            }
+            Action::Ack { to, shard, version } => self.send(i, to, Frame::Ack { shard, version }),
+            Action::Migrated => {
+                if self.killed.is_some() && self.out.migrated_after.is_none() {
+                    self.out.migrated_after = self.since_fault();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Send `topo` to every other slot, then install it here.
+    fn broadcast(&mut self, i: u32, topo: Topo, install: bool) -> Result<(), String> {
+        for j in (0..self.nodes.len() as u32).filter(|&j| j != i) {
+            self.send(i, j, Frame::Topo(topo.clone()));
+        }
+        if install {
+            self.on_topo(i, i, topo)?;
         }
         Ok(())
     }
@@ -360,16 +566,19 @@ mod tests {
         OneWay,
         /// A member other than the holder is killed.
         MemberKilled,
+        /// A spare slot JOINs and the holder dies committing it.
+        JoinHolderKilled,
+        /// A spare slot JOINs and a donor dies installing it.
+        DonorKilled,
     }
 
-    /// Draw N ∈ 3..=7 (4..=7 for a one-way cut: with one other voter a
-    /// round can be neither confirmed nor denied), the fault at 400–1000
-    /// ms (a cut lasts 1.5–3 s), jitter up to 3 ms, loss up to 10 % and
-    /// an evict grace of 0.2–2 s.
+    /// Draw N ∈ 3..=7 members, the fault at 400–1000 ms (a cut lasts
+    /// 1.5–3 s), jitter up to 3 ms, loss up to 10 % and an evict grace
+    /// of 0.2–2 s.
     fn seeded(family: Family, seed: u64) -> Scenario {
         let mut st = seed ^ ((family as u64) << 56);
         let mut r = move |k: u64| splitmix(&mut st) % k;
-        let n = if family == Family::OneWay { 4 + r(4) } else { 3 + r(5) } as usize;
+        let n = 3 + r(5) as usize;
         let from = Duration::from_millis(400 + r(600));
         let until = from + Duration::from_millis(1500 + r(1500));
         let mut ids: Vec<u32> = (0..n as u32).collect();
@@ -386,6 +595,8 @@ mod tests {
             Family::OneWay => {
                 Fault::Cut(LinkFault::OneWay { src: ids[0], dest: ids[1], from, until })
             }
+            Family::JoinHolderKilled => Fault::JoinHolderKilled,
+            Family::DonorKilled => Fault::JoinDonorKilled,
         };
         let (jitter_us, loss) = (1 + r(3000), r(101) as f64 / 1000.0);
         let evict_grace = Duration::from_millis(200 + r(1800));
@@ -403,24 +614,31 @@ mod tests {
     /// promise. A failing suite names the seed; replay it with a
     /// one-line test calling this.
     fn check(family: Family, seed: u64) -> Outcome {
+        use Family::*;
         let sc = seeded(family, seed);
         let o = run(&sc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let fail = |what: &str| panic!("seed {seed}: {sc:?}: {what}; {o:?}");
         if o.forked_maps != 1 || o.versions != 1 || o.latches != 0 {
             fail("live nodes did not settle on one lease, one map and no latch");
         }
+        if o.unserved != 0 || o.busy != 0 {
+            fail("a shard is not served by its live owner, or a migration never finished");
+        }
         match family {
-            Family::HolderKilled if o.takeover_after.is_none_or(|d| d > TAKEOVER_BOUND) => {
+            HolderKilled | JoinHolderKilled
+                if o.takeover_after.is_none_or(|d| d > TAKEOVER_BOUND) =>
+            {
                 fail("the killed holder was not succeeded in time")
             }
-            Family::HolderKilled | Family::MemberKilled if !o.victim_evicted => {
+            HolderKilled | MemberKilled | JoinHolderKilled | DonorKilled if !o.victim_evicted => {
                 fail("the dead member was never evicted")
             }
-            Family::MemberKilled if o.takeovers > 0 => fail("a live holder was taken over"),
-            Family::OneWay if o.term != INITIAL_TERM || o.evictions > 0 => {
+            JoinHolderKilled | DonorKilled if !o.joined => fail("the spare never joined"),
+            MemberKilled | DonorKilled if o.takeovers > 0 => fail("a live holder was taken over"),
+            OneWay if o.term != INITIAL_TERM || o.evictions > 0 => {
                 fail("a one-way cut moved the term or evicted")
             }
-            Family::OneWay if o.vetoes == 0 => fail("a one-way suspicion was never vetoed"),
+            OneWay if o.vetoes == 0 => fail("a one-way suspicion was never vetoed"),
             _ => {}
         }
         o
@@ -451,6 +669,20 @@ mod tests {
     fn a_killed_member_is_evicted_under_the_same_term() {
         for o in sweep(Family::MemberKilled) {
             assert_eq!((o.term, o.takeovers), (INITIAL_TERM, 0), "{o:?}");
+        }
+    }
+
+    #[test]
+    fn a_holder_killed_committing_a_join_is_succeeded_and_the_join_completes() {
+        for o in sweep(Family::JoinHolderKilled) {
+            assert!(o.term > INITIAL_TERM && o.migrated_after.is_some(), "{o:?}");
+        }
+    }
+
+    #[test]
+    fn a_donor_killed_mid_migration_is_pulled_from_its_ward() {
+        for o in sweep(Family::DonorKilled) {
+            assert!(o.victim.is_some_and(|v| v != 0) && o.migrated_after.is_some(), "{o:?}");
         }
     }
 

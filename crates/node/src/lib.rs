@@ -18,8 +18,8 @@
 //!   through its directory (fixed or elastic), fed to the core flow
 //!   engine (`gravel_core::flow`) on wire lane 0.
 //! * [`elastic`] — live membership: the versioned shard directory, the
-//!   stale-routing bounce gate, pull-based shard migration, and the
-//!   lease-held coordinator (DESIGN.md §16, §18).
+//!   stale-routing bounce gate, and the loops that run the control-plane
+//!   machine (`gravel_core::ha::HaMachine`, DESIGN.md §16, §18).
 //! * [`gets`] — the sentinel GET probes the cluster test verifies
 //!   bit-exact; their requests and replies ride a core aggregator, on
 //!   lane 1's express flows.

@@ -388,7 +388,7 @@ struct Reporter {
     node: Arc<NodeShared>,
     transport: Arc<SocketTransport>,
     forwarder: Arc<Forwarder>,
-    elastic: Option<Arc<ElasticState>>,
+    elastic: Option<Arc<ElasticCtx>>,
     sender_drained: Arc<AtomicBool>,
     recovered_from_ckpt: bool,
     recovered_log_packets: u64,
@@ -404,6 +404,8 @@ impl Reporter {
         let snap = self.node.registry.snapshot();
         let me = self.args.node;
         let n = |suffix: &str| format!("node{me}.{suffix}");
+        let map = self.elastic.as_ref().map(|ctx| ctx.state.current_map());
+        let lease = self.elastic.as_ref().map_or((0, 0), |ctx| ctx.machine().lease());
         let quarantine = {
             let mut q = self.quarantine.lock().unwrap_or_else(|p| p.into_inner());
             q.extend(self.node.quarantine.drain().into_iter().map(|m| QuarantineEntry {
@@ -452,22 +454,21 @@ impl Reporter {
                 reshard_stale_routed: snap.counter(&n("reshard.stale_routed")),
                 reshard_redelivered: snap.counter(&n("reshard.redelivered")),
                 reshard_bounce_dropped: snap.counter(&n("reshard.bounce_dropped")),
-                reshard_moves_in: snap.counter(&n("reshard.moves_in")),
-                reshard_moves_out: snap.counter(&n("reshard.moves_out")),
+                reshard_shards_in: snap.counter(&n("reshard.shards_in")),
+                reshard_shards_out: snap.counter(&n("reshard.shards_out")),
                 reshard_bytes_migrated: snap.counter(&n("reshard.bytes_migrated")),
                 ha_takeovers: snap.counter("ha.takeovers"),
                 ha_evictions_vetoed: snap.counter("ha.evictions_vetoed"),
             },
             quarantine,
-            map_version: self.elastic.as_ref().map_or(0, |st| st.version()),
-            members: self.elastic.as_ref().map_or_else(Vec::new, |st| st.members()),
-            shard_owners: self
-                .elastic
-                .as_ref()
-                .map_or_else(Vec::new, |st| st.shard_owners()),
+            map_version: map.as_ref().map_or(0, |m| m.version),
+            members: map.as_ref().map_or_else(Vec::new, |m| m.members.clone()),
+            // Owner per shard: lets a harness assemble the authoritative
+            // table from the owners' heaps.
+            shard_owners: map.as_ref().map_or_else(Vec::new, |m| m.owners.clone()),
             sender_drained: self.sender_drained.load(Ordering::SeqCst),
-            ha_term: self.elastic.as_ref().map_or(0, |st| st.lease().0),
-            ha_holder: self.elastic.as_ref().map_or(0, |st| st.lease().1),
+            ha_term: lease.0,
+            ha_holder: lease.1,
         };
         if let Err(e) = write_report(&self.args.out, &report) {
             eprintln!("[gravel-node {me}] failed to write {}: {e}", self.args.out.display());
@@ -564,42 +565,35 @@ fn run() -> i32 {
     };
     let detector = Arc::new(FailureDetector::new(hb_cfg.clone()));
 
-    // Elastic mode: the shard directory and bounce gate. The
-    // checkpoint provider must be installed before the first cut so
-    // every baseline carries its ready-shard set.
-    let elastic_state = args.active.map(|active| {
-        let nshards = gravel_pgas::DEFAULT_SHARDS.min(args.table.max(1));
-        let members: Vec<u32> = (0..active as u32).collect();
-        let initial = gravel_pgas::ShardMap::initial(&members, nshards);
-        let st = ElasticState::new(
-            node.clone(),
-            transport.clone(),
-            nodes,
-            args.table,
-            initial,
-            args.kill_on_migrate,
-            // Every node boots agreeing: the lowest initial member, 0,
-            // holds the initial term, so fencing needs no handshake.
-            HaMachine::new(me, 0, Duration::from_millis(args.evict_grace_ms), hb_cfg.interval),
-        );
-        let provider = st.clone();
-        forwarder.set_ready_provider(Arc::new(move || provider.ckpt_ready_shards()));
-        st
-    });
     // Raised once startup recovery has restored (or cold-booted) the
     // heap; the membership loop and the shard-migration ops wait for it.
     let started = Arc::new(AtomicBool::new(false));
-    let elastic_ctx = elastic_state.as_ref().map(|st| {
+    // Elastic mode: the shard directory, bounce gate and control-plane
+    // machine. The checkpoint provider must be installed before the
+    // first cut so every baseline carries its ready-shard set.
+    let elastic_ctx = args.active.map(|active| {
+        let nshards = gravel_pgas::DEFAULT_SHARDS.min(args.table.max(1));
+        let members: Vec<u32> = (0..active as u32).collect();
+        let initial = gravel_pgas::ShardMap::initial(&members, nshards);
+        // Every node boots agreeing: the lowest initial member holds
+        // the initial term, so fencing needs no handshake.
+        let grace = Duration::from_millis(args.evict_grace_ms);
+        let ha = HaMachine::new(me, &initial, nodes, args.table, grace, hb_cfg.interval);
+        let (t, kill) = (transport.clone(), args.kill_on_migrate);
+        let st = ElasticState::new(node.clone(), t, nodes, args.table, initial, kill);
+        let provider = st.clone();
+        forwarder.set_ready_provider(Arc::new(move || provider.ckpt_ready_shards()));
         Arc::new(ElasticCtx {
-            state: st.clone(),
+            state: st,
+            ha: Mutex::new(ha),
             forwarder: forwarder.clone(),
             stores: stores.clone(),
-            transport: transport.clone(),
             detector: detector.clone(),
-            is_joiner: args.join,
+            kill_on_commit: args.kill_on_commit,
             started: started.clone(),
         })
     });
+    let elastic_state = elastic_ctx.as_ref().map(|ctx| ctx.state.clone());
 
     // Control-plane service first: recovery requests (ours and our
     // ward's) need it running before anything blocks.
@@ -663,22 +657,17 @@ fn run() -> i32 {
     }
     let epoch = recovered.baseline.as_ref().map_or(0, |b| b.epoch);
     if let Some(st) = &elastic_state {
-        match &recovered.baseline {
+        let ready: Vec<u32> = match &recovered.baseline {
             // Restart: exactly the shards the last cut proved. A shard
             // migrated in but never cut is *absent* here and will be
             // re-pulled; the heap image just restored matches.
-            Some(b) => {
-                let ready: Vec<u32> = b.app.iter().filter_map(|&w| u32::try_from(w).ok()).collect();
-                st.seed_ready(&ready);
-            }
+            Some(b) => b.app.iter().filter_map(|&w| u32::try_from(w).ok()).collect(),
             // Cold boot: an initial member starts serving its dealt
             // shards; a joiner serves nothing until migration.
-            None => {
-                if (me as usize) < args.active.unwrap_or(nodes) && !args.join {
-                    st.seed_ready(&st.current_map().shards_of(me));
-                }
-            }
-        }
+            None if args.join => Vec::new(),
+            None => st.current_map().shards_of(me),
+        };
+        st.seed_ready(&ready);
     }
     forwarder.seed(&replayed.cursors, epoch);
     // Recovery done: membership-event rebaselines are safe from here.
@@ -703,30 +692,28 @@ fn run() -> i32 {
         );
     }
 
-    // Elastic, non-holder: resync the shard map before serving a byte
-    // of data traffic. A restarted node's built-in map may predate
-    // topology changes; applying under it could accept shards that
-    // moved away. The boot lease holder is the map authority and skips
-    // this (topo_seen starts true there); everyone else knocks at
-    // whoever it currently believes holds the lease.
-    if let Some(st) = &elastic_state {
-        let mut last = Instant::now() - Duration::from_secs(1);
-        while !st.topo_seen() {
-            if signal::shutdown_requested() {
-                transport.close();
-                return 0;
-            }
-            if Instant::now() >= deadline {
-                eprintln!("[gravel-node {me}] no topology from lease holder before deadline");
-                transport.close();
-                return 2;
-            }
-            if last.elapsed() >= Duration::from_millis(200) {
-                last = Instant::now();
-                transport.send_control(st.lease().1, &proto::encode_map_req());
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    // Elastic: the control loop (HA machine, shard pulls, knocks at
+    // the holder) on EVERY node — any node may end up holding the
+    // coordinator lease. Its machine syncs the shard map before this
+    // node serves a byte of data traffic: a restarted node's built-in
+    // map may predate topology changes, and applying under it could
+    // accept shards that moved away.
+    let stop = Arc::new(AtomicBool::new(false));
+    let elastic_thread = elastic_ctx.as_ref().map(|ctx| {
+        let (ctx, stop) = (ctx.clone(), stop.clone());
+        std::thread::spawn(move || elastic::run_ha(&ctx, &stop, deadline))
+    });
+    while elastic_ctx.as_ref().is_some_and(|ctx| !ctx.machine().synced()) {
+        if signal::shutdown_requested() {
+            transport.close();
+            return 0;
         }
+        if Instant::now() >= deadline {
+            eprintln!("[gravel-node {me}] no topology from lease holder before deadline");
+            transport.close();
+            return 2;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 
     // Request-reply plane: with `--gets`, one core aggregator lane
@@ -767,7 +754,6 @@ fn run() -> i32 {
     // static node's ends fully acked; an elastic node's runs until
     // `stop` and republishes `sender_drained` every pass (a bounce can
     // clear it again).
-    let stop = Arc::new(AtomicBool::new(false));
     let sender_drained = Arc::new(AtomicBool::new(false));
     let snd = std::thread::spawn({
         let (t, n, e, stop, drained) =
@@ -801,14 +787,6 @@ fn run() -> i32 {
                 e.set(err);
             }
         }
-    });
-
-    // Elastic: the control loop (HA machine, shard pulls, knocks at
-    // the holder) on EVERY node — any node may end up holding the
-    // coordinator lease.
-    let elastic_thread = elastic_ctx.as_ref().map(|ctx| {
-        let (ctx, stop, kill_on_commit) = (ctx.clone(), stop.clone(), args.kill_on_commit);
-        std::thread::spawn(move || elastic::run_ha(&ctx, kill_on_commit, &stop, deadline))
     });
 
     // The RPC lane's thread, and a probe stream GETting every peer's
@@ -853,7 +831,7 @@ fn run() -> i32 {
         node: node.clone(),
         transport: transport.clone(),
         forwarder: forwarder.clone(),
-        elastic: elastic_state.clone(),
+        elastic: elastic_ctx.clone(),
         sender_drained: sender_drained.clone(),
         recovered_from_ckpt,
         recovered_log_packets,
@@ -882,8 +860,8 @@ fn run() -> i32 {
             eprintln!("[gravel-node {me}] graceful shutdown (completed={completed})");
             break 0;
         }
-        let locally_done = match &elastic_state {
-            Some(st) => sender_drained.load(Ordering::SeqCst) && !st.migrations_pending(),
+        let locally_done = match &elastic_ctx {
+            Some(ctx) => sender_drained.load(Ordering::SeqCst) && !ctx.machine().pulling(),
             None => {
                 sender_drained.load(Ordering::SeqCst)
                     && gets_done.load(Ordering::SeqCst)
@@ -895,7 +873,7 @@ fn run() -> i32 {
             reporter.write(true, false);
             eprintln!("[gravel-node {me}] complete; lingering for peers");
         }
-        if elastic_state.is_some() && last_periodic.elapsed() >= Duration::from_millis(250) {
+        if elastic_ctx.is_some() && last_periodic.elapsed() >= Duration::from_millis(250) {
             last_periodic = Instant::now();
             reporter.write(completed, false);
         }

@@ -61,7 +61,7 @@
 //!   partition from evicting the other side or forking the map.
 
 use gravel_core::ha::checkpoint::ENTRY_HEAD_WORDS;
-use gravel_core::ha::{Baseline, LoggedPacket, RecoveryLog, TopologyChange};
+use gravel_core::ha::{Baseline, LoggedPacket, RecoveryLog, Topo, TopologyChange};
 use gravel_pgas::{ShardMap, ShardMove};
 
 /// Applied-packet forward (receiver → its buddy).
@@ -218,24 +218,7 @@ pub fn decode_recover_resp(words: &[u64]) -> Option<RecoveryLog> {
     (i == words.len()).then_some(RecoveryLog { baseline, packets })
 }
 
-/// A topology broadcast: the map every receiver must install, the
-/// change it commits — `None` for a snapshot of the current map and
-/// outstanding moves, answering `MAP_REQ` or `JOIN_REQ` — and the
-/// shard moves still outstanding under it. An EVICT's new owners pull
-/// from the dead owner's buddy's ward reconstruction.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TopoMsg {
-    /// Fencing term of the coordinator lease that issued this frame.
-    /// Receivers feed it through
-    /// [`Directory::install_fenced`](gravel_pgas::Directory::install_fenced):
-    /// a term below their observed floor marks the whole frame stale.
-    pub term: u64,
-    pub change: Option<TopologyChange>,
-    pub map: ShardMap,
-    pub moves: Vec<ShardMove>,
-}
-
-pub fn encode_topo(t: &TopoMsg) -> Vec<u64> {
+pub fn encode_topo(t: &Topo) -> Vec<u64> {
     // The change as a kind word (JOIN 0, LEAVE 1, EVICT 2, snapshot 3)
     // and its node.
     let (kind, node) = match t.change {
@@ -253,7 +236,7 @@ pub fn encode_topo(t: &TopoMsg) -> Vec<u64> {
     w
 }
 
-pub fn decode_topo(words: &[u64]) -> Option<TopoMsg> {
+pub fn decode_topo(words: &[u64]) -> Option<Topo> {
     if words.first() != Some(&OP_TOPO) {
         return None;
     }
@@ -280,7 +263,7 @@ pub fn decode_topo(words: &[u64]) -> Option<TopoMsg> {
         moves.push(ShardMove { shard, from, to });
         i += 3;
     }
-    (i == words.len()).then_some(TopoMsg { term, change, map, moves })
+    (i == words.len()).then_some(Topo { term, change, map, moves })
 }
 
 /// The holder's periodic lease beat for `(term, holder)`. `map_version`
@@ -623,10 +606,10 @@ mod tests {
         }
     }
 
-    fn topo() -> TopoMsg {
+    fn topo() -> Topo {
         let map = ShardMap::initial(&[0, 1, 2, 3], 8);
         let (map, moves) = map.rebalance_join(4).unwrap();
-        TopoMsg { term: 3, change: Some(TopologyChange::Join(4)), map, moves }
+        Topo { term: 3, change: Some(TopologyChange::Join(4)), map, moves }
     }
 
     #[test]
@@ -634,7 +617,7 @@ mod tests {
         use TopologyChange::{Evict, Join, Leave};
         for change in [Some(Join(4)), Some(Leave(4)), Some(Evict(4)), None] {
             for term in [1, 7, u64::MAX] {
-                let t = TopoMsg { term, change, ..topo() };
+                let t = Topo { term, change, ..topo() };
                 assert_eq!(decode_topo(&encode_topo(&t)), Some(t));
             }
         }

@@ -61,9 +61,9 @@ pub struct OutStats {
     pub reshard_bounce_dropped: u64,
     /// Shards this node pulled in / served out during migrations.
     #[serde(default)]
-    pub reshard_moves_in: u64,
+    pub reshard_shards_in: u64,
     #[serde(default)]
-    pub reshard_moves_out: u64,
+    pub reshard_shards_out: u64,
     /// Shard words shipped (both directions), in bytes.
     #[serde(default)]
     pub reshard_bytes_migrated: u64,

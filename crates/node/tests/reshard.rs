@@ -108,7 +108,7 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
     // joiners pulled them over the wire.
     for joiner in [4u64, 5u64] {
         let r = grown.iter().find(|r| r.node == joiner).unwrap();
-        assert!(r.stats.reshard_moves_in > 0, "joiner {joiner} pulled shards");
+        assert!(r.stats.reshard_shards_in > 0, "joiner {joiner} pulled shards");
         assert!(r.stats.reshard_bytes_migrated > 0, "joiner {joiner} migrated bytes");
     }
     assert!(
@@ -220,7 +220,7 @@ fn dead_member_is_evicted_and_its_shards_recovered_from_ward() {
         );
     }
     assert!(
-        settled.iter().map(|r| r.stats.reshard_moves_in).sum::<u64>() > 0,
+        settled.iter().map(|r| r.stats.reshard_shards_in).sum::<u64>() > 0,
         "survivors took over the victim's shards"
     );
     assert!(

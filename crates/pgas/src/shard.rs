@@ -98,6 +98,12 @@ impl ShardMap {
         Route { dest: self.owner_of(g), offset: g }
     }
 
+    /// Words of shard `s` in a `table`-word heap: the globals `g <
+    /// table` with `g % nshards == s`, strided by `nshards`.
+    pub fn shard_words(&self, table: usize, s: u32) -> usize {
+        table.saturating_sub(s as usize).div_ceil(self.nshards())
+    }
+
     /// The member owning shard `s`.
     pub fn owner_of_shard(&self, s: u32) -> u32 {
         self.owners[s as usize]
@@ -393,6 +399,18 @@ pub enum FencedInstall {
 mod tests {
     use super::*;
     use crate::partition::Layout;
+
+    #[test]
+    fn shard_words_counts_the_stride() {
+        // table 10, 4 shards: shard 0 owns {0,4,8}, 1 owns {1,5,9},
+        // 2 owns {2,6}, 3 owns {3,7}.
+        let m = ShardMap::initial(&[0], 4);
+        assert_eq!([0, 1, 2, 3].map(|s| m.shard_words(10, s)), [3, 3, 2, 2]);
+        // Degenerate: more shards than words.
+        assert_eq!(ShardMap::initial(&[0], 8).shard_words(3, 5), 0);
+        let m = ShardMap::initial(&[0], 64);
+        assert_eq!((0..64).map(|s| m.shard_words(513, s)).sum::<usize>(), 513);
+    }
 
     #[test]
     fn initial_map_deals_round_robin_and_is_version_1() {
