@@ -21,31 +21,30 @@
 //! `net.misrouted`, `net.quarantined`) lifted out per cell.
 //!
 //! A second axis — `reshard_sweep.json` — prices elastic membership
-//! churn (DESIGN.md §16) instead of link faults: the same update
-//! stream is replayed through the real shard directory while
-//! join/leave plans commit at epoch boundaries, recording shard moves,
-//! stale-routed bounces, and migration-copy latency (p50/p99).
+//! churn (DESIGN.md §16) instead of link faults: `gravel_core::ha::sim`'s
+//! data plane (the real gate, packetizer, receive state and buddy log)
+//! streams four members' weighted INCs while two spare slots join and
+//! leave, recording shard moves, stale-routed bounces and the virtual
+//! pull → serve latency (p50/p99) of each migrated shard.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_bench::report::{f2, Table};
-use gravel_core::ha::sim::{self, Fault, Scenario};
-use gravel_core::ha::{Rebalancer, TopologyChange};
+use gravel_core::ha::sim::{self, Churn, Fault, Scenario};
+use gravel_core::ha::TopologyChange;
 use gravel_core::net::LinkFault;
 use gravel_core::{
-    FaultConfig, GravelConfig, GravelRuntime, Registry, RegistrySnapshot, RpcFailure, TransportKind,
+    FaultConfig, GravelConfig, GravelRuntime, RegistrySnapshot, RpcFailure, TransportKind,
 };
-use gravel_pgas::{Directory, ShardMap, DEFAULT_SHARDS};
 
 /// One sweep cell's telemetry: the injected fault kind/probability, the
 /// wire-integrity and request-reply headline counters, and the
-/// cluster's complete metric snapshot at quiescence.
-#[derive(serde::Serialize)]
+/// cluster's complete metric snapshot at quiescence (empty for the
+/// virtual-time cells, which have no wire and no GET probes).
+#[derive(Default, serde::Serialize)]
 struct TelemetryCell {
     fault_kind: String,
     fault_prob: f64,
@@ -110,41 +109,23 @@ struct ReshardStats {
     flips: u64,
     /// Final installed `ShardMap` version (`1 + flips`).
     map_version: u64,
-    /// Shard migrations executed across all committed plans.
+    /// Updates the members streamed.
+    updates: u64,
+    /// Shard migrations installed across all committed plans.
     moves: u64,
-    /// Heap words copied by those migrations.
+    /// Heap words those migrations carried.
     words_moved: u64,
-    /// Updates routed on a stale map and refused by the ownership gate.
+    /// Updates refused by the gate (routed on a stale map), re-queued by
+    /// their sender, and lost to a dead sender: `stale_routed ==
+    /// redelivered + bounce_dropped` is the exactly-once ledger.
     stale_routed: u64,
-    /// Refused updates re-delivered under the bounced-back map. Must
-    /// equal `stale_routed` — the exactly-once ledger.
     redelivered: u64,
-    /// Per-shard migration latency (timed copy of the strided words).
-    migration_p50_ns: u64,
-    migration_p99_ns: u64,
-}
-
-impl TelemetryCell {
-    /// A model-level cell: no wire, no GET probes.
-    fn model(kind: &str, prob: f64, telemetry: RegistrySnapshot) -> Self {
-        TelemetryCell {
-            fault_kind: kind.to_string(),
-            fault_prob: prob,
-            corrupt_dropped: 0,
-            truncated: 0,
-            misrouted: 0,
-            quarantined: 0,
-            rpc_issued: 0,
-            rpc_completed: 0,
-            rpc_timeouts: 0,
-            rpc_restarted: 0,
-            rpc_replies_sent: 0,
-            rpc_credits_stalled: 0,
-            reshard: None,
-            failover: None,
-            telemetry,
-        }
-    }
+    bounce_dropped: u64,
+    /// Words an owner holds wrong against the sequential truth.
+    miscounted: u64,
+    /// Per-shard pull → serve latency, virtual milliseconds.
+    migration_p50_ms: f64,
+    migration_p99_ms: f64,
 }
 
 /// Write the per-cell snapshots next to the tabular report.
@@ -176,144 +157,54 @@ fn cell_config(kind: &str, p: f64, seed: u64) -> Option<FaultConfig> {
     }
 }
 
-/// One reshard cell: replay the elastic membership protocol (DESIGN.md
-/// §16) in-process over the real `Directory`/`ShardMap`/`Rebalancer`
-/// machinery while four senders stream the deterministic GUPS updates.
-/// `flips` join/leave proposals commit one per epoch boundary; every
-/// committed plan pays a timed copy of each moving shard's strided
-/// words (the `migration_ns` histogram behind the p99 column). Senders
-/// route on a snapshot of the map that is refreshed only when the
-/// ownership gate refuses them — exactly the stale-routing NACK path
-/// the socket cluster takes — so the cell prices directory churn
-/// itself: lookups, bounces, re-delivery, and migration copies, with
-/// no socket I/O in the way. The cell asserts bit-exact delivery
-/// against a sequential replay and a balanced stale/redelivered ledger
-/// before it is recorded.
-fn run_reshard_cell(input: &GupsInput, flips: u64) -> (ReshardStats, RegistrySnapshot, u64, Duration) {
-    let senders = 4usize;
-    let capacity = 6usize;
-    let nshards = DEFAULT_SHARDS.min(input.table_len.max(1));
-    let members: Vec<u32> = (0..senders as u32).collect();
-    let dir = Directory::elastic(input.table_len, ShardMap::initial(&members, nshards));
-    let mut heaps: Vec<Vec<u64>> = vec![vec![0u64; input.table_len]; capacity];
-    let mut reb = Rebalancer::default();
-    let registry = Registry::enabled();
-    let migration_ns = registry.histogram("bench.reshard.migration_ns");
+/// One reshard cell: `ha::sim`'s churn family without a kill. Members
+/// 0–3 stream 2 000 weighted INCs each, four a 5 ms step, while the
+/// spares 4 and 5 join and leave in turn (`flips` changes, each asked as
+/// soon as the one before it committed), over a lossless control
+/// fabric. The sim holds the owners' heaps bit-exact against the
+/// sequential truth and the stale-routing ledger balanced; so does the
+/// cell, before it is recorded.
+fn reshard_cell(flips: u64) -> ReshardStats {
+    let cycle = [
+        TopologyChange::Join(4),
+        TopologyChange::Join(5),
+        TopologyChange::Leave(4),
+        TopologyChange::Leave(5),
+    ];
+    let changes = (0..flips as usize).map(|i| (Duration::ZERO, cycle[i % 4])).collect();
+    let churn = Churn { spares: 2, changes, updates: 2000, rate: 4, kill: None };
+    let (fault, evict_grace) = (Fault::Churn(churn), Duration::from_secs(60));
+    let sc = Scenario { n: 4, fault, jitter_us: 1500, loss: 0.0, evict_grace, seed: 7 };
+    let o = sim::run(&sc).unwrap_or_else(|e| panic!("reshard cell at flips={flips}: {e}"));
+    assert!(o.drained && o.changes as u64 == flips, "flips={flips}: {o:?}");
+    assert!(o.miscounted.is_empty(), "reshard cell diverged at flips={flips}: {o:?}");
+    assert_eq!(o.stale_routed, o.redelivered + o.bounce_dropped, "ledger at flips={flips}");
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let (p50, p99) = ranks(o.migrations.iter().map(|d| d.as_nanos() as u64).collect());
+    ReshardStats {
+        flips,
+        map_version: o.version,
+        updates: 4 * 2000,
+        moves: o.moves,
+        words_moved: o.words_moved,
+        stale_routed: o.stale_routed,
+        redelivered: o.redelivered,
+        bounce_dropped: o.bounce_dropped,
+        miscounted: o.miscounted.len() as u64,
+        migration_p50_ms: ms(Duration::from_nanos(p50)),
+        migration_p99_ms: ms(Duration::from_nanos(p99)),
+    }
+}
 
-    // The same per-node update streams the live sweep issues, drained
-    // round-robin so every flip lands mid-traffic for all senders.
-    let mut streams: Vec<VecDeque<usize>> =
-        (0..senders).map(|s| gups::node_updates(input, senders, s).into()).collect();
-    let total: u64 = streams.iter().map(|q| q.len() as u64).sum();
-    let boundary_every = (total / (flips + 1)).max(1);
-    // Joins and leaves of the two spare slots, interleaved so every
-    // proposal is non-moot under FIFO commit order.
-    let mut schedule: VecDeque<TopologyChange> = (0..flips)
-        .map(|i| match i % 4 {
-            0 => TopologyChange::Join(4),
-            1 => TopologyChange::Join(5),
-            2 => TopologyChange::Leave(4),
-            _ => TopologyChange::Leave(5),
-        })
-        .collect();
-
-    let mut stats = ReshardStats::default();
-
-    // Commit the next queued change and migrate its shards: a timed
-    // strided copy per move, donor → new owner, then cut the map.
-    let boundary = |reb: &mut Rebalancer,
-                        schedule: &mut VecDeque<TopologyChange>,
-                        heaps: &mut [Vec<u64>],
-                        stats: &mut ReshardStats| {
-        if reb.is_quiescent() {
-            if let Some(change) = schedule.pop_front() {
-                reb.propose(change);
-            }
-        }
-        let current = dir.current_map().expect("elastic directory");
-        if let Some(plan) = reb.boundary_tick(&current) {
-            for m in &plan.moves {
-                let t0 = Instant::now();
-                let mut g = m.shard as usize;
-                let mut words = 0u64;
-                while g < input.table_len {
-                    heaps[m.to as usize][g] = heaps[m.from as usize][g];
-                    g += nshards;
-                    words += 1;
-                }
-                migration_ns.record(t0.elapsed().as_nanos() as u64);
-                stats.words_moved += words;
-                stats.moves += 1;
-                reb.note_shard_ready(m.shard);
-            }
-            assert!(dir.install(plan.map), "map install must be monotonic");
-            stats.flips += 1;
-        }
+/// The exact p50 and p99 ranks of `v` (0 if empty): a registry
+/// histogram's buckets are ~12 % wide.
+fn ranks(mut v: Vec<u64>) -> (u64, u64) {
+    v.sort_unstable();
+    let rank = |q: f64| {
+        let i = (q * v.len() as f64).ceil() as usize;
+        v.get(i.clamp(1, v.len().max(1)) - 1).copied().unwrap_or(0)
     };
-
-    let mut snaps: Vec<Arc<ShardMap>> =
-        (0..senders).map(|_| dir.current_map().expect("elastic directory")).collect();
-    let mut issued = 0u64;
-    let start = Instant::now();
-    loop {
-        let mut any = false;
-        for s in 0..senders {
-            let Some(g) = streams[s].pop_front() else { continue };
-            any = true;
-            // Route on the sender's snapshot; the gate refuses the
-            // update if the installed map owns the word elsewhere, and
-            // the bounce hands the sender the new map to retry under.
-            let mut dest = snaps[s].owner_of(g as u64);
-            let live = dir.current_map().expect("elastic directory");
-            if live.owner_of(g as u64) != dest {
-                stats.stale_routed += 1;
-                snaps[s] = live;
-                dest = snaps[s].owner_of(g as u64);
-                stats.redelivered += 1;
-            }
-            heaps[dest as usize][g] = heaps[dest as usize][g].wrapping_add(1);
-            issued += 1;
-            if issued.is_multiple_of(boundary_every) {
-                boundary(&mut reb, &mut schedule, &mut heaps, &mut stats);
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    // Flips the stream was too short to reach commit after the drain —
-    // the cell's axis stays exact even when traffic can't race them.
-    while !schedule.is_empty() || !reb.is_quiescent() {
-        boundary(&mut reb, &mut schedule, &mut heaps, &mut stats);
-    }
-    let wall = start.elapsed();
-
-    // Bit-exact vs the sequential replay, under the final ownership.
-    let final_map = dir.current_map().expect("elastic directory");
-    let mut expected = vec![0u64; input.table_len];
-    for s in 0..senders {
-        for g in gups::node_updates(input, senders, s) {
-            expected[g] += 1;
-        }
-    }
-    for (g, want) in expected.iter().enumerate() {
-        let owner = final_map.owner_of(g as u64) as usize;
-        assert_eq!(heaps[owner][g], *want, "reshard cell diverged at index {g} (flips={flips})");
-    }
-    assert_eq!(
-        stats.stale_routed, stats.redelivered,
-        "reshard ledger out of balance at flips={flips}"
-    );
-    assert_eq!(stats.flips, flips, "a scheduled topology change went moot at flips={flips}");
-    stats.map_version = final_map.version;
-    assert_eq!(stats.map_version, 1 + flips, "map version must count every commit");
-
-    let telemetry = registry.snapshot();
-    if let Some(h) = telemetry.histogram("bench.reshard.migration_ns") {
-        stats.migration_p50_ns = h.p50();
-        stats.migration_p99_ns = h.p99();
-    }
-    (stats, telemetry, issued, wall)
+    (rank(0.50), rank(0.99))
 }
 
 /// One failover cell: `trials` runs of the HA machine in virtual time
@@ -355,15 +246,6 @@ fn run_failover_cell(scenario: &str, trials: u64) -> FailoverStats {
         latencies.extend(out.takeover_after.map(|d| d.as_nanos() as u64));
         migrations.extend(out.migrated_after.map(|d| d.as_nanos() as u64));
     }
-    // Exact ranks: a registry histogram's buckets are ~12 % wide.
-    let ranks = |mut v: Vec<u64>| {
-        v.sort_unstable();
-        let rank = |q: f64| {
-            let i = (q * v.len() as f64).ceil() as usize;
-            v.get(i.clamp(1, v.len().max(1)) - 1).copied().unwrap_or(0)
-        };
-        (rank(0.50), rank(0.99))
-    };
     stats.migrated = migrations.len() as u64;
     (stats.takeover_p50_ns, stats.takeover_p99_ns) = ranks(latencies);
     (stats.migrated_p50_ns, stats.migrated_p99_ns) = ranks(migrations);
@@ -508,47 +390,35 @@ fn main() {
     }
     t.emit();
 
-    // ---- Reshard cells: the same GUPS stream under directory churn
-    // instead of link faults. The axis is committed topology flips;
-    // the measured planes are migration cost (moves, words, p50/p99
-    // copy latency) and what stale routing cost the senders.
+    // ---- Reshard cells: membership churn instead of link faults, in
+    // virtual time. The axis is committed topology flips; the measured
+    // planes are migration cost (moves, words, p50/p99 pull → serve) and
+    // what stale routing cost the senders that raced it.
     let mut rt = Table::new(
         "reshard_sweep",
-        "GUPS under elastic membership churn (model-level reshard replay)",
+        "Weighted INCs under elastic membership churn (ha::sim data plane, virtual time)",
         &[
             "flips",
             "updates",
-            "wall ms",
-            "Mupdates/s",
             "map ver",
             "moves",
             "words moved",
             "stale routed",
             "redelivered",
-            "mig p50 ns",
-            "mig p99 ns",
+            "bounce dropped",
+            "mig p50 ms",
+            "mig p99 ms",
         ],
     );
     for flips in [0u64, 4, 16, 64] {
-        let (rs, telemetry, issued, wall) = run_reshard_cell(&input, flips);
-        let rate = issued as f64 / wall.as_secs_f64() / 1e6;
-        rt.row(vec![
-            flips.to_string(),
-            issued.to_string(),
-            f2(wall.as_secs_f64() * 1e3),
-            f2(rate),
-            rs.map_version.to_string(),
-            rs.moves.to_string(),
-            rs.words_moved.to_string(),
-            rs.stale_routed.to_string(),
-            rs.redelivered.to_string(),
-            rs.migration_p50_ns.to_string(),
-            rs.migration_p99_ns.to_string(),
-        ]);
-        cells.push(TelemetryCell {
-            reshard: Some(rs),
-            ..TelemetryCell::model("reshard", flips as f64, telemetry)
-        });
+        let rs = reshard_cell(flips);
+        let counts = [flips, rs.updates, rs.map_version, rs.moves, rs.words_moved];
+        let ledger = [rs.stale_routed, rs.redelivered, rs.bounce_dropped];
+        let mut row: Vec<String> = counts.iter().chain(&ledger).map(u64::to_string).collect();
+        row.extend([f2(rs.migration_p50_ms), f2(rs.migration_p99_ms)]);
+        rt.row(row);
+        let (fault_kind, fault_prob) = ("reshard".to_string(), flips as f64);
+        cells.push(TelemetryCell { fault_kind, fault_prob, reshard: Some(rs), ..Default::default() });
     }
     rt.emit();
 
@@ -589,10 +459,8 @@ fn main() {
             f2(fs.migrated_p50_ns as f64 / 1e6),
             f2(fs.migrated_p99_ns as f64 / 1e6),
         ]);
-        cells.push(TelemetryCell {
-            failover: Some(fs),
-            ..TelemetryCell::model("failover", 0.0, RegistrySnapshot::default())
-        });
+        let fault_kind = "failover".to_string();
+        cells.push(TelemetryCell { fault_kind, failover: Some(fs), ..Default::default() });
     }
     ft.emit();
     save_telemetry(cells);

@@ -13,7 +13,8 @@
 //! the heap with `gravel_pgas::apply_words`, the loop the network thread
 //! itself runs, bit for bit, and returns the flow cursors to resume
 //! from. In-process, [`GravelRuntime::cut_epoch`](crate::GravelRuntime::cut_epoch)
-//! quiesces first, so callers cut between supersteps.
+//! quiesces first, so callers cut between supersteps. An elastic node's
+//! log also holds what its gate refused since the cut (DESIGN.md §16).
 
 use std::collections::HashMap;
 
@@ -77,6 +78,14 @@ impl LoggedPacket {
         op.extend([0, u64::from(src), u64::from(lane), seq, n as u64]);
         let words = payload.chunks_exact(8).map(|w| w.try_into().expect("an 8-byte chunk"));
         op.extend(words.map(u64::from_le_bytes));
+        LoggedPacket { op }
+    }
+
+    /// What an elastic gate refused of packet `seq` of flow `src:lane`:
+    /// its raw message words, four a message, as a refusal entry.
+    pub fn refused(src: u32, lane: u32, seq: u64, quads: &[u64]) -> Self {
+        let mut op = vec![0, u64::from(src), u64::from(lane), seq, quads.len() as u64];
+        op.extend_from_slice(quads);
         LoggedPacket { op }
     }
 
@@ -153,14 +162,19 @@ pub struct Replayed {
     pub cursors: Vec<(u32, u32, u64)>,
     /// Messages the replayed packets disposed of.
     pub disposed: u64,
+    /// The logged refusals of packets the log applied (a packet it did
+    /// not apply is re-sent and gated again): their bounces are owed.
+    pub owed: Vec<LoggedPacket>,
 }
 
 /// A node's recovery state: the last [`Baseline`] (`None` before the
-/// first cut) plus every packet applied since it, in apply order.
+/// first cut) plus every packet applied since it, in apply order, and
+/// every refusal ([`LoggedPacket::refused`]) its gate made since it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryLog {
     pub baseline: Option<Baseline>,
     pub packets: Vec<LoggedPacket>,
+    pub refused: Vec<LoggedPacket>,
 }
 
 impl RecoveryLog {
@@ -169,6 +183,7 @@ impl RecoveryLog {
     pub fn rebase(&mut self, baseline: Baseline) {
         self.baseline = Some(baseline);
         self.packets.clear();
+        self.refused.clear();
     }
 
     /// Rebuild `heap`: refill it from the baseline (when there is one),
@@ -195,9 +210,12 @@ impl RecoveryLog {
             let cursor = cursors.entry((p.src(), p.lane())).or_insert(0);
             *cursor = (*cursor).max(p.seq() + 1);
         }
+        let applied =
+            |r: &&LoggedPacket| cursors.get(&(r.src(), r.lane())).is_some_and(|&e| r.seq() < e);
+        let owed = self.refused.iter().filter(applied).cloned().collect();
         let mut cursors: Vec<_> = cursors.into_iter().map(|((s, l), e)| (s, l, e)).collect();
         cursors.sort_unstable();
-        Ok(Replayed { cursors, disposed })
+        Ok(Replayed { cursors, disposed, owed })
     }
 }
 
@@ -237,6 +255,21 @@ mod tests {
         assert_eq!(heap.snapshot(), vec![16, 0, 77, 4]);
         assert_eq!(r.cursors, vec![(0, 0, 4), (1, 0, 3), (3, 0, 1)]);
         assert_eq!(r.disposed, 5, "the undecodable record is not counted");
+    }
+
+    /// A refusal is owed only if the log applied its packet.
+    #[test]
+    fn replay_owes_the_refusals_of_applied_packets() {
+        let mut log = RecoveryLog::default();
+        log.rebase(Baseline { epoch: 1, cursors: vec![(1, 0, 4)], heap: vec![0; 4], app: vec![] });
+        let refusal = |seq| LoggedPacket::refused(1, 0, seq, &[7; 4]);
+        log.refused.push(refusal(4));
+        log.packets.push(pkt(1, 4, &[Message::inc(2, 0, 1)]));
+        log.refused.push(refusal(5));
+        let r = log.replay(&SymmetricHeap::new(4), &AmRegistry::new()).expect("sizes match");
+        assert_eq!(r.owed, [refusal(4)], "packet 5 was refused but never forwarded");
+        log.rebase(Baseline::default());
+        assert!(log.refused.is_empty(), "a cut truncates the refusals");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub enum Event<'a> {
     /// shards our data plane serves.
     Topo { from: u32, topo: &'a Topo, map: &'a ShardMap, served: &'a [u32] },
     /// `from` asks for our verdict; `latched`: our detector holds it.
-    VoteRequest { from: u32, term: u64, suspect: u32, latched: bool },
+    VoteRequest { from: u32, suspect: u32, latched: bool },
     Vote { from: u32, suspect: u32, dead: bool },
     /// `from` asks the holder for its map; with `join`, to admit it.
     MapRequest { from: u32, join: Option<u32>, map: &'a ShardMap },
@@ -95,8 +95,8 @@ pub enum Action {
     /// Broadcast a lease beat for `(term, holder)`: us, or our
     /// successor on a handoff.
     Beat { term: u64, holder: u32 },
-    AskVote { to: u32, term: u64, suspect: u32 },
-    Vote { to: u32, term: u64, suspect: u32, dead: bool },
+    AskVote { to: u32, suspect: u32 },
+    Vote { to: u32, suspect: u32, dead: bool },
     /// Knock at the holder `to`: for its map, to be admitted, to leave.
     RequestMap { to: u32 },
     RequestJoin { to: u32 },
@@ -265,10 +265,10 @@ impl HaMachine {
             Event::Topo { from, topo, map, served } => {
                 self.on_topo(now, from, topo, map, served, &mut out)
             }
-            Event::VoteRequest { from, term, suspect, latched } => {
+            Event::VoteRequest { from, suspect, latched } => {
                 // Advisory: the requester applies the quorum.
                 let dead = latched && suspect != self.me;
-                out.push(Action::Vote { to: from, term, suspect, dead });
+                out.push(Action::Vote { to: from, suspect, dead });
             }
             Event::Vote { from, suspect, dead } => self.votes.record(suspect, from, dead),
             // Only the holder answers: a deposed one staying silent
@@ -473,7 +473,7 @@ impl HaMachine {
                     .copied()
                     .filter(|&m| m != me && m != peer && !latched.contains(&m))
                     .collect();
-                out.extend(asked.iter().map(|&to| Action::AskVote { to, term, suspect: peer }));
+                out.extend(asked.iter().map(|&to| Action::AskVote { to, suspect: peer }));
                 if self.votes.denied(peer, members, &asked) && self.votes.note_veto(peer) {
                     out.push(Action::Vetoed { suspect: peer });
                 }
@@ -513,17 +513,16 @@ impl HaMachine {
             return;
         }
 
-        // Quorum-gated evictions of members latched past the grace, but
-        // never one the in-flight plan moves shards from or to.
+        // Quorum-gated evictions of members latched past the grace, one
+        // at a time and only while nothing else is queued or in flight,
+        // so it commits below in this very tick: an EVICT left queued
+        // would commit after the revive sweep had un-latched its peer.
         for &peer in latched.iter().filter(|&&p| map.is_member(p)) {
             let since = *self.dead_since.entry(peer).or_insert(now);
-            let entangled = self
-                .rebalancer
-                .migrating()
-                .is_some_and(|p| p.moves.iter().any(|m| m.from == peer || m.to == peer));
             if now.duration_since(since) >= self.evict_grace
                 && confirmed.contains(&peer)
-                && !entangled
+                && !leave
+                && self.rebalancer.is_quiescent()
                 && self.rebalancer.propose(TopologyChange::Evict(peer))
             {
                 out.push(Action::Evicting { peer });
@@ -736,7 +735,7 @@ mod tests {
         let first: Vec<_> =
             first.into_iter().filter(|a| !matches!(a, Action::Pull { .. })).collect();
         let want = [
-            Action::AskVote { to: 2, term: 1, suspect: 0 },
+            Action::AskVote { to: 2, suspect: 0 },
             Action::TookOver { term: 2, from: 0 },
             Action::Beat { term: 2, holder: 1 },
             Action::Redrive(Topo { term: 2, ..t.clone() }),

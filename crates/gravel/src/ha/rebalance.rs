@@ -18,7 +18,7 @@
 //!   one, not the one it was proposed under).
 //! * **Monotonic versions.** Every committed plan carries
 //!   `map.version == current.version + 1`; the caller broadcasts and
-//!   installs it, and [`Directory::install`](gravel_pgas::Directory::install)
+//!   installs it, and [`Directory::install_fenced`](gravel_pgas::Directory::install_fenced)
 //!   refuses regressions independently.
 //!
 //! The [`HaMachine`](super::HaMachine) owns one and commits only while

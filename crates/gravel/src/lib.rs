@@ -31,6 +31,7 @@ pub mod flow;
 pub mod ha;
 pub mod netthread;
 pub mod node;
+pub mod reshard;
 pub mod rings;
 pub mod rpc;
 pub mod runtime;

@@ -12,16 +12,15 @@
 //!   index, so a message re-routed to a different owner needs no
 //!   offset translation and a shard's words are the stride
 //!   `shard, shard + nshards, shard + 2·nshards, …`.
-//! * **Stale-routing bounce.** The receive-side [`ApplyGate`] refuses
-//!   messages for shards it does not own (stale map at the sender) or
-//!   does not *yet* serve (migration still in flight) and bounces them
-//!   to their sender with the current map — the packet's sequence
-//!   number is consumed and acked either way, so the flow never wedges
-//!   and nothing is ever dropped: [`ElasticState`] is the sender's
-//!   bounce source ([`crate::sender::Bounces`]), and the sender queues
-//!   bounced messages for their new owner. `reshard.stale_routed`
-//!   (bounced) and `reshard.redelivered` (re-enqueued) reconcile
-//!   exactly.
+//! * **Stale-routing bounce.** The receive-side [`ApplyGate`] runs
+//!   [`reshard::gate`], as `ha::sim` does: messages for shards this node
+//!   does not own (stale map at the sender) or does not *yet* serve are
+//!   refused, the rest applies, and the sequence number is acked either
+//!   way. The forwarder ([`forward::Reshard`]) logs the refusal with the
+//!   buddy, forwards the packet, then has the quads bounced to their
+//!   sender with the current map, which re-queues each refusal once
+//!   ([`crate::sender::Bounces`]). `reshard.stale_routed` ==
+//!   `reshard.redelivered` + `reshard.bounce_dropped`.
 //! * **One control-plane machine.** Every lease, vote, takeover,
 //!   eviction, commit and migration decision (pulls, ward escalation,
 //!   donations, installs, re-acks, snapshots, knocks) is the
@@ -35,8 +34,8 @@
 //! suite compares against bit-exactly.
 //!
 //! Documented limitations (asserted by tests, not hidden): an elastic
-//! *sender's* restart is unsupported (its queues are volatile —
-//! chaos targets joiners mid-migration and drained evictees); a member
+//! *sender's* restart is unsupported (its queues are volatile — chaos
+//! targets joiners, which carry no stream, and drained evictees); a member
 //! evicted while data packets to it are still unacked leaves those
 //! flows probing forever (the harness drains before killing, so the
 //! suite never enters that window); and a cluster without a live
@@ -49,15 +48,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::{Action, Event, HaMachine, Topo, TopologyChange};
+use gravel_core::ha::{Action, Event, HaMachine, LoggedPacket, Topo, TopologyChange};
 use gravel_core::netthread::ApplyGate;
+use gravel_core::reshard::{self, Requeued};
 use gravel_core::{FailureDetector, NodeShared, PeerStatus};
-use gravel_gq::{Command, Message};
 use gravel_net::{SocketTransport, Transport};
 use gravel_pgas::{Directory, FencedInstall, Packet, ShardMap};
 use gravel_telemetry::{Counter, Gauge, Histogram};
 
-use crate::forward::Forwarder;
+use crate::forward::{self, Forwarder};
 use crate::sender::Bounces;
 use crate::proto::{
     self, BounceMsg, MigrateMsg, OP_BOUNCE, OP_DEATH_VOTE, OP_DEATH_VOTE_REQ, OP_JOIN_REQ,
@@ -91,6 +90,11 @@ pub struct ElasticState {
     shards: Mutex<Shards>,
     /// Bounced message quads awaiting re-aggregation by the sender.
     bounced: Mutex<VecDeque<[u64; 4]>>,
+    /// The highest refused packet re-queued per receiver and lane.
+    requeued: Mutex<Requeued>,
+    /// The gate's refusal of the packet being applied, until the
+    /// forwarder takes it.
+    refused: Mutex<Option<LoggedPacket>>,
     /// `--kill-on-migrate K`: SIGKILL while installing the Kth
     /// migrated shard, after its words land but before the epoch cut —
     /// the adversarial mid-migration window.
@@ -130,6 +134,8 @@ impl ElasticState {
             transport,
             shards: Mutex::default(),
             bounced: Mutex::new(VecDeque::new()),
+            requeued: Mutex::default(),
+            refused: Mutex::new(None),
             kill_on_migrate: Mutex::new(kill_on_migrate),
             stale_routed: registry.counter(&name("stale_routed")),
             redelivered: registry.counter(&name("redelivered")),
@@ -159,23 +165,15 @@ impl ElasticState {
         s.ready.extend(shards);
     }
 
-    /// The checkpoint provider: shards whose words are guaranteed
-    /// present in any heap snapshot taken from now on, as a baseline's
-    /// app words.
-    pub fn ckpt_ready_shards(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = lock(&self.shards).ready.iter().map(|&s| u64::from(s)).collect();
-        v.sort_unstable();
-        v
-    }
-
     pub fn current_map(&self) -> Arc<ShardMap> {
         self.dir.current_map().expect("elastic directory")
     }
 
     /// Fenced map install (TOPO and BOUNCE). `Stale` means the whole
-    /// frame must be ignored.
-    fn install_map(&self, map: &ShardMap, term: u64) -> FencedInstall {
+    /// frame must be ignored; `pruned`, that a ready shard left.
+    fn install_map(&self, map: &ShardMap, term: u64) -> (FencedInstall, bool) {
         let outcome = self.dir.install_fenced(map.clone(), term);
+        let mut pruned = false;
         if outcome == FencedInstall::Stale {
             self.topo_fenced.inc();
         } else if outcome == FencedInstall::Installed {
@@ -186,9 +184,11 @@ impl ElasticState {
             // its stale pre-departure words.
             let s = &mut *lock(&self.shards);
             s.served.retain(|&x| map.owner_of_shard(x) == self.me);
+            let ready = s.ready.len();
             s.ready.retain(|&x| map.owner_of_shard(x) == self.me);
+            pruned = s.ready.len() < ready;
         }
-        outcome
+        (outcome, pruned)
     }
 
     /// Send `shard`'s strided words, read from `word(global index)`.
@@ -220,22 +220,46 @@ impl ElasticState {
         }
     }
 
-    /// Handle a bounce: adopt the newer map, queue the refused quads
-    /// for re-aggregation.
-    pub fn on_bounce(&self, b: &BounceMsg) {
+    /// Handle `from`'s bounce: adopt the newer map, queue the refused
+    /// quads once. Returns whether the map pruned a ready shard.
+    pub fn on_bounce(&self, from: u32, b: BounceMsg) -> bool {
         // Bounce maps carry no term of their own — they echo a map that
         // was originally installed under a fenced TOPO, so version
         // monotonicity suffices. Install at the current floor.
-        self.install_map(&b.map, self.dir.term());
-        self.enqueue_bounced(&b.quads);
+        let (_, pruned) = self.install_map(&b.map, self.dir.term());
+        self.requeue(from, b.refused);
+        pruned
     }
 
-    fn enqueue_bounced(&self, quads: &[u64]) {
+    /// Queue `r`'s quads, refused by `receiver`, for re-aggregation once.
+    fn requeue(&self, receiver: u32, r: LoggedPacket) {
+        if !lock(&self.requeued).fresh(receiver, r.lane(), r.seq()) {
+            return;
+        }
         let mut q = lock(&self.bounced);
-        for quad in quads.chunks_exact(4) {
+        for quad in r.words().chunks_exact(4) {
             q.push_back(quad.try_into().expect("chunks_exact(4)"));
         }
-        self.redelivered.add((quads.len() / 4) as u64);
+        self.redelivered.add((r.words().len() / 4) as u64);
+    }
+
+    /// Send `r` back to its sender with the current map: to our own
+    /// sender's queue on loopback. `false` if the sender's link is down.
+    fn send_bounce(&self, r: LoggedPacket) -> bool {
+        if r.src() == self.me {
+            self.requeue(self.me, r);
+            return true;
+        }
+        let (map, src) = ((*self.current_map()).clone(), r.src());
+        self.transport.send_control(src, &proto::encode_bounce(&BounceMsg { map, refused: r }))
+    }
+
+    /// A restarted node re-sends the bounces its keeper's log says its
+    /// predecessor owed, uncounted: each was counted when forwarded.
+    pub fn resend_owed(&self, owed: Vec<LoggedPacket>) {
+        for r in owed {
+            self.send_bounce(r);
+        }
     }
 }
 
@@ -247,54 +271,42 @@ impl Bounces for ElasticState {
     }
 }
 
-/// The receive-side stale-routing gate: every accepted packet's
-/// PUT/INC messages are checked against the installed map and the
-/// served-shard set; refused messages bounce to the packet's sender
-/// with the current map and the packet applies without them.
+/// The receive-side stale-routing gate: [`reshard::gate`] against the
+/// installed map and the served shards. The forwarder takes what it
+/// refuses ([`forward::Reshard`]).
 impl ApplyGate for ElasticState {
     fn filter(&self, pkt: &Packet) -> Option<Packet> {
         let map = self.dir.current_map()?;
-        let mut kept: Vec<u64> = Vec::new();
-        let mut refused: Vec<u64> = Vec::new();
-        {
+        let (kept, quads) = {
             let shards = lock(&self.shards);
-            for words in pkt.messages() {
-                let keep = match Message::decode(words) {
-                    Some(m) if matches!(m.command, Command::Put | Command::Inc) => {
-                        map.owner_of(m.addr) == self.me
-                            && shards.served.contains(&map.shard_of(m.addr))
-                    }
-                    // Poison and non-addressed commands go through to
-                    // the apply path's quarantine/handler logic.
-                    _ => true,
-                };
-                if keep {
-                    kept.extend(words);
-                } else {
-                    refused.extend(words);
-                }
-            }
-        }
-        if refused.is_empty() {
-            return None;
-        }
-        let n = (refused.len() / 4) as u64;
+            reshard::gate(self.me, &map, |s| shards.served.contains(&s), pkt)?
+        };
+        *lock(&self.refused) = Some(LoggedPacket::refused(pkt.src, pkt.lane, pkt.seq, &quads));
+        Some(kept)
+    }
+}
+
+impl forward::Reshard for ElasticState {
+    fn ready_shards(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = lock(&self.shards).ready.iter().map(|&s| u64::from(s)).collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn take_refusal(&self) -> Option<LoggedPacket> {
+        lock(&self.refused).take()
+    }
+
+    /// Counted here, once the refusal is durable: a kill before the
+    /// forward undoes it, and the re-sent packet is gated again.
+    fn bounce(&self, r: LoggedPacket) {
+        let n = (r.words().len() / 4) as u64;
         self.stale_routed.add(n);
-        if pkt.src == self.me {
-            // Loopback: hand the quads straight to our own sender.
-            self.enqueue_bounced(&refused);
-        } else {
-            let b = BounceMsg { map: (*map).clone(), quads: refused };
-            if !self.transport.send_control(pkt.src, &proto::encode_bounce(&b)) {
-                // Sender's link is down (it died): the messages are
-                // lost to it — surfaced, not silent.
-                self.bounce_dropped.add(n);
-            }
+        if !self.send_bounce(r) {
+            // Sender's link is down (it died): the messages are lost to
+            // it — surfaced, not silent.
+            self.bounce_dropped.add(n);
         }
-        let mut repl = Packet::from_words(pkt.src, pkt.dest, &kept);
-        repl.lane = pkt.lane;
-        repl.seq = pkt.seq;
-        Some(repl)
     }
 }
 
@@ -384,8 +396,16 @@ impl ElasticCtx {
     /// A TOPO issued by `from`: fence by term and install the map, then
     /// let the machine register, re-ack and reset what it carries.
     fn on_topo(&self, t: &Topo, from: u32) {
-        if self.state.install_map(&t.map, t.term) == FencedInstall::Stale {
+        let (outcome, pruned) = self.state.install_map(&t.map, t.term);
+        if outcome == FencedInstall::Stale {
             return;
+        }
+        // A ready shard left: cut before anything can ship it, so the
+        // buddy's baseline stops claiming it — a restart would otherwise
+        // serve its stale words when it returns. (Until startup recovery
+        // is done, its own cut does this.)
+        if pruned && self.started.load(Ordering::SeqCst) {
+            self.forwarder.rebaseline();
         }
         let map = self.state.current_map();
         let served: Vec<u32> = lock(&self.state.shards).served.iter().copied().collect();
@@ -415,11 +435,9 @@ impl ElasticCtx {
                     }
                     self.broadcast(&proto::encode_lease(term, holder, state.dir.version()));
                 }
-                Action::AskVote { to, term, suspect } => {
-                    send(to, proto::encode_death_vote_req(term, suspect))
-                }
-                Action::Vote { to, term, suspect, dead } => {
-                    send(to, proto::encode_death_vote(term, suspect, dead))
+                Action::AskVote { to, suspect } => send(to, proto::encode_death_vote_req(suspect)),
+                Action::Vote { to, suspect, dead } => {
+                    send(to, proto::encode_death_vote(suspect, dead))
                 }
                 Action::RequestMap { to } => send(to, proto::encode_map_req()),
                 Action::RequestJoin { to } => send(to, proto::encode_join_req(me)),
@@ -482,7 +500,7 @@ impl ElasticCtx {
                     state.ship(to, shard, |g| state.node.heap.load(g as u64))
                 }
                 Action::Ship { to, shard, ward: Some(w) } => {
-                    let heap = self.stores.reconstruct_heap(w).filter(|h| h.len() == state.table);
+                    let heap = self.stores.ship_ward(w, shard).filter(|h| h.len() == state.table);
                     if let Some(heap) = heap {
                         state.ship(to, shard, |g| heap[g]);
                     }
@@ -570,8 +588,9 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
             }
         }
         Some(OP_BOUNCE) => {
-            if let Some(b) = proto::decode_bounce(words) {
-                state.on_bounce(&b);
+            // As for a TOPO whose map pruned a ready shard.
+            if proto::decode_bounce(words).is_some_and(|b| state.on_bounce(src, b)) && started {
+                ctx.forwarder.rebaseline();
             }
         }
         Some(OP_LEASE) => {
@@ -581,13 +600,13 @@ pub fn handle_ctrl(ctx: &ElasticCtx, src: u32, words: &[u64]) -> bool {
             }
         }
         Some(OP_DEATH_VOTE_REQ) => {
-            if let Some((term, suspect)) = proto::decode_death_vote_req(words) {
+            if let Some(suspect) = proto::decode_death_vote_req(words) {
                 let latched = ctx.detector.status(suspect, now) == PeerStatus::Dead;
-                ctx.step(Event::VoteRequest { from: src, term, suspect, latched }, &[]);
+                ctx.step(Event::VoteRequest { from: src, suspect, latched }, &[]);
             }
         }
         Some(OP_DEATH_VOTE) => {
-            if let Some((_, suspect, dead)) = proto::decode_death_vote(words) {
+            if let Some((suspect, dead)) = proto::decode_death_vote(words) {
                 ctx.step(Event::Vote { from: src, suspect, dead }, &[]);
             }
         }

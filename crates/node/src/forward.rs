@@ -16,6 +16,12 @@
 //!    coordination: the cut's position in the stream *is* its
 //!    consistency point.
 //!
+//! 3. **Refusal, forward, bounce.** What an elastic gate refused of a
+//!    packet goes to the buddy (`REFUSED`) before the packet's `FWD`,
+//!    and back to its sender only after, all before any cut (DESIGN.md
+//!    §16): a kill anywhere leaves the packet to re-gate or the refusal
+//!    to re-send.
+//!
 //! A forward is sealed straight from the applied packet's payload
 //! bytes: the five `FWD` header words and the payload go into one
 //! control frame in one pass (one copy, one CRC) and are gather-written
@@ -37,9 +43,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use gravel_core::ha::Baseline;
+use gravel_core::ha::{Baseline, LoggedPacket};
 use gravel_core::netthread::{PacketTap, RecvState};
 use gravel_core::NodeShared;
 use gravel_net::{ChaosPlan, SocketTransport, MAX_FRAME_BYTES};
@@ -76,9 +82,13 @@ struct FwdState {
     epoch: u64,
 }
 
-/// Supplies the app words of each epoch cut: the ready-shard set
-/// (elastic mode; see [`Forwarder::set_ready_provider`]).
-pub type ReadyProvider = Arc<dyn Fn() -> Vec<u64> + Send + Sync>;
+/// What an elastic node adds to each cut (the ready shards as its app
+/// words) and each forward (the gate's refusal, bounced after it).
+pub trait Reshard: Send + Sync {
+    fn ready_shards(&self) -> Vec<u64>;
+    fn take_refusal(&self) -> Option<LoggedPacket>;
+    fn bounce(&self, r: LoggedPacket);
+}
 
 /// Streams applied packets to the buddy and cuts epochs.
 pub struct Forwarder {
@@ -95,10 +105,10 @@ pub struct Forwarder {
     ckpt_every: u64,
     chaos: Option<Arc<ChaosPlan>>,
     state: Mutex<FwdState>,
-    /// Elastic mode: supplies the checkpoint's ready-shard set (the
-    /// shards this node is serving, as recorded *in* each cut) as the
-    /// baseline's app words. Static clusters leave it unset (empty).
-    ready_provider: Mutex<Option<ReadyProvider>>,
+    /// Elastic mode: the checkpoint's ready-shard set (the shards this
+    /// node is serving, as recorded *in* each cut) as the baseline's app
+    /// words, and the gate's refusals. Static clusters leave it unset.
+    reshard: OnceLock<Arc<dyn Reshard>>,
     fwd_sent: Counter,
     fwd_dropped: Counter,
     epochs_cut: Counter,
@@ -128,7 +138,7 @@ impl Forwarder {
                 log_budget: log_budget(0),
                 epoch: 0,
             }),
-            ready_provider: Mutex::new(None),
+            reshard: OnceLock::new(),
             fwd_sent: registry.counter(&name("fwd.sent")),
             fwd_dropped: registry.counter(&name("fwd.dropped")),
             epochs_cut: registry.counter(&name("ha.epochs_cut")),
@@ -136,10 +146,11 @@ impl Forwarder {
         }
     }
 
-    /// Install the elastic ready-shard provider; every subsequent cut
-    /// records its result in the checkpoint image.
-    pub fn set_ready_provider(&self, f: ReadyProvider) {
-        *self.ready_provider.lock().unwrap_or_else(|p| p.into_inner()) = Some(f);
+    /// Install the elastic hooks, before the first cut: every cut then
+    /// records the ready shards in the checkpoint image, and every
+    /// forward carries the gate's refusal of its packet.
+    pub fn set_reshard(&self, r: Arc<dyn Reshard>) {
+        assert!(self.reshard.set(r).is_ok(), "one elastic state per node");
     }
 
     /// Seed the cursor mirror and epoch after recovery, before the
@@ -175,12 +186,7 @@ impl Forwarder {
         let mut cursors: Vec<(u32, u32, u64)> =
             st.cursors.iter().map(|(&(s, l), &e)| (s, l, e)).collect();
         cursors.sort_unstable();
-        let app = self
-            .ready_provider
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map_or_else(Vec::new, |f| f());
+        let app = self.reshard.get().map_or_else(Vec::new, |r| r.ready_shards());
         let heap = self.node.heap.snapshot();
         let ckpt = proto::encode_ckpt(&Baseline { epoch: st.epoch, cursors, heap, app });
         st.log_bytes = 0;
@@ -209,6 +215,13 @@ impl PacketTap for Forwarder {
         let words = &pkt.payload[..pkt.payload.len() & !7];
         let head = proto::fwd_head(pkt.src, pkt.lane, pkt.seq, words.len() / 8);
         let mut st = self.lock();
+        let refusal = self.reshard.get().and_then(|r| r.take_refusal());
+        if let Some(r) = &refusal {
+            let op = proto::encode_refused(r);
+            if self.transport.send_control(self.buddy, &op) {
+                st.log_bytes += 8 * op.len();
+            }
+        }
         if self.transport.send_control_parts(self.buddy, &head, words) {
             self.fwd_sent.inc();
             st.log_bytes += 8 * (FWD_HEAD_WORDS - 1) + words.len();
@@ -218,6 +231,9 @@ impl PacketTap for Forwarder {
             self.fwd_dropped.inc();
         }
         st.cursors.insert((pkt.src, pkt.lane), pkt.seq + 1);
+        if let (Some(r), Some(reshard)) = (refusal, self.reshard.get()) {
+            reshard.bounce(r);
+        }
         st.since_cut += 1;
         if (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every)
             || st.log_bytes >= st.log_budget

@@ -42,7 +42,7 @@ use gravel_telemetry::Counter;
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
 use gravel_node::forward::Forwarder;
 use gravel_node::gets::{self, RPC_LANE};
-use gravel_node::proto::{self, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP};
+use gravel_node::proto::{self, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP, OP_REFUSED};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
 use gravel_node::sender::{self, Bounces};
 use gravel_node::signal;
@@ -251,6 +251,11 @@ fn ctrl_loop(
             Some(OP_CKPT) => {
                 if let Some(c) = proto::decode_ckpt(&msg.words) {
                     stores.on_ckpt(msg.src, c);
+                }
+            }
+            Some(OP_REFUSED) => {
+                if let Some(r) = proto::decode_refused(msg.words) {
+                    stores.on_refused(msg.src, r);
                 }
             }
             Some(OP_RECOVER_REQ) => {
@@ -581,8 +586,7 @@ fn run() -> i32 {
         let ha = HaMachine::new(me, &initial, nodes, args.table, grace, hb_cfg.interval);
         let (t, kill) = (transport.clone(), args.kill_on_migrate);
         let st = ElasticState::new(node.clone(), t, nodes, args.table, initial, kill);
-        let provider = st.clone();
-        forwarder.set_ready_provider(Arc::new(move || provider.ckpt_ready_shards()));
+        forwarder.set_reshard(st.clone());
         Arc::new(ElasticCtx {
             state: st,
             ha: Mutex::new(ha),
@@ -640,7 +644,7 @@ fn run() -> i32 {
     // A baseline of another heap size (a restart with another --table,
     // or --gets toggled) is refused whole: restoring its cursors without
     // its heap would dup-suppress every packet it covers.
-    let replayed = match recovered.replay(&node.heap, &node.ams) {
+    let mut replayed = match recovered.replay(&node.heap, &node.ams) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("[gravel-node {me}] refusing buddy {buddy}'s checkpoint: {e}");
@@ -668,6 +672,9 @@ fn run() -> i32 {
             None => st.current_map().shards_of(me),
         };
         st.seed_ready(&ready);
+        // Before anything is consumed or cut: the cut below truncates
+        // the refusals the keeper held.
+        st.resend_owed(std::mem::take(&mut replayed.owed));
     }
     forwarder.seed(&replayed.cursors, epoch);
     // Recovery done: membership-event rebaselines are safe from here.

@@ -25,6 +25,9 @@
 //! * `RECOVER_REQ`  — a (re)starting node asks its buddy for its state.
 //! * `RECOVER_RESP` — the whole log in one frame (empty on cold boot,
 //!   so the restart path and the cold-boot path are the same code).
+//! * `REFUSED` — what an elastic node's gate refused of a packet, laid
+//!   out as a `FWD`: logged with its keeper ahead of that packet's
+//!   `FWD` and truncated by the next `CKPT` like the forwards.
 //!
 //! Elastic-membership ops (DESIGN.md §16) ride the same plane:
 //!
@@ -43,7 +46,8 @@
 //! * `BOUNCE` — the stale-routing NACK: message quads the receiver
 //!   refused (it no longer — or does not yet — own their shard) are
 //!   returned to their sender together with the receiver's current
-//!   map, to be re-aggregated and re-sent, never dropped.
+//!   map and the refused packet's `(lane, seq)`, to be re-aggregated
+//!   and re-sent once, never dropped.
 //!
 //! Coordinator-failover ops (DESIGN.md §18) make the coordinator role
 //! itself survivable. `TOPO` frames carry the issuing holder's fencing
@@ -99,6 +103,8 @@ pub const OP_LEASE: u64 = 14;
 pub const OP_DEATH_VOTE_REQ: u64 = 15;
 /// Ballot reply carrying the voter's verdict (peer → requester).
 pub const OP_DEATH_VOTE: u64 = 16;
+/// What the gate refused of one packet (receiver → its buddy).
+pub const OP_REFUSED: u64 = 17;
 
 /// Words of a `FWD` op ahead of the packet's payload words:
 /// `[OP_FWD, src, lane, seq, nwords]` — a [`LoggedPacket`]'s head, its
@@ -178,18 +184,52 @@ pub fn encode_recover_req() -> Vec<u64> {
     vec![OP_RECOVER_REQ]
 }
 
+/// `[OP_REFUSED, src, lane, seq, nwords, words…]`: a `FWD`'s layout.
+pub fn encode_refused(r: &LoggedPacket) -> Vec<u64> {
+    let mut w = vec![OP_REFUSED];
+    w.extend_from_slice(r.wire());
+    w
+}
+
+pub fn decode_refused(op: Vec<u64>) -> Option<LoggedPacket> {
+    if op.first() != Some(&OP_REFUSED) {
+        return None;
+    }
+    LoggedPacket::adopt(op)
+}
+
 /// A ward's whole log in one frame: `[OP_RECOVER_RESP, has_baseline,
-/// baseline?, npackets, entries…]`, each entry a [`LoggedPacket::wire`].
+/// baseline?, npackets, entries…, (nrefused, entries…)?]`, each entry a
+/// [`LoggedPacket::wire`]. The refusals come only when there are any,
+/// so a static node's response is what it always was.
 pub fn encode_recover_resp(log: &RecoveryLog) -> Vec<u64> {
     let mut w = vec![OP_RECOVER_RESP, u64::from(log.baseline.is_some())];
     if let Some(b) = &log.baseline {
         push_baseline(&mut w, b);
     }
     w.push(log.packets.len() as u64);
-    for p in &log.packets {
-        w.extend_from_slice(p.wire());
+    log.packets.iter().for_each(|p| w.extend_from_slice(p.wire()));
+    if !log.refused.is_empty() {
+        w.push(log.refused.len() as u64);
+        log.refused.iter().for_each(|r| w.extend_from_slice(r.wire()));
     }
     w
+}
+
+/// A count and that many entries from `words[*i]` on, each a
+/// [`LoggedPacket::wire`]; leaves `*i` one past them.
+fn pop_entries(words: &[u64], i: &mut usize) -> Option<Vec<LoggedPacket>> {
+    let n = usize::try_from(*words.get(*i)?).ok()?;
+    *i += 1;
+    let mut entries = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let end = (*i + 4).checked_add(usize::try_from(*words.get(*i + 3)?).ok()?)?;
+        let mut op = vec![0];
+        op.extend_from_slice(words.get(*i..end)?);
+        entries.push(LoggedPacket::adopt(op)?);
+        *i = end;
+    }
+    Some(entries)
 }
 
 pub fn decode_recover_resp(words: &[u64]) -> Option<RecoveryLog> {
@@ -204,18 +244,12 @@ pub fn decode_recover_resp(words: &[u64]) -> Option<RecoveryLog> {
         }
         _ => return None,
     };
-    let npackets = usize::try_from(*words.get(i)?).ok()?;
-    i += 1;
-    let mut packets = Vec::with_capacity(npackets.min(4096));
-    for _ in 0..npackets {
-        let n = usize::try_from(*words.get(i + 3)?).ok()?;
-        let end = (i + 4).checked_add(n)?;
-        let mut op = vec![0];
-        op.extend_from_slice(words.get(i..end)?);
-        packets.push(LoggedPacket::adopt(op)?);
-        i = end;
-    }
-    (i == words.len()).then_some(RecoveryLog { baseline, packets })
+    let packets = pop_entries(words, &mut i)?;
+    let refused = match i < words.len() {
+        true => pop_entries(words, &mut i).filter(|r| !r.is_empty())?,
+        false => Vec::new(),
+    };
+    (i == words.len()).then_some(RecoveryLog { baseline, packets, refused })
 }
 
 pub fn encode_topo(t: &Topo) -> Vec<u64> {
@@ -280,29 +314,29 @@ pub fn decode_lease(words: &[u64]) -> Option<(u64, u32, u64)> {
     Some((words[1], u32::try_from(words[2]).ok()?, words[3]))
 }
 
-/// Ask a peer to corroborate `suspect`'s death as observed under
-/// `term`. The requester's identity rides the control frame's `src`.
-pub fn encode_death_vote_req(term: u64, suspect: u32) -> Vec<u64> {
-    vec![OP_DEATH_VOTE_REQ, term, suspect as u64]
+/// Ask a peer to corroborate `suspect`'s death. The requester's
+/// identity rides the control frame's `src`.
+pub fn encode_death_vote_req(suspect: u32) -> Vec<u64> {
+    vec![OP_DEATH_VOTE_REQ, suspect as u64]
 }
 
-pub fn decode_death_vote_req(words: &[u64]) -> Option<(u64, u32)> {
-    if words.len() != 3 || words[0] != OP_DEATH_VOTE_REQ {
+pub fn decode_death_vote_req(words: &[u64]) -> Option<u32> {
+    if words.len() != 2 || words[0] != OP_DEATH_VOTE_REQ {
         return None;
     }
-    Some((words[1], u32::try_from(words[2]).ok()?))
+    u32::try_from(words[1]).ok()
 }
 
 /// A ballot reply: the voter's own detector verdict on `suspect`.
-pub fn encode_death_vote(term: u64, suspect: u32, dead: bool) -> Vec<u64> {
-    vec![OP_DEATH_VOTE, term, suspect as u64, u64::from(dead)]
+pub fn encode_death_vote(suspect: u32, dead: bool) -> Vec<u64> {
+    vec![OP_DEATH_VOTE, suspect as u64, u64::from(dead)]
 }
 
-pub fn decode_death_vote(words: &[u64]) -> Option<(u64, u32, bool)> {
-    if words.len() != 4 || words[0] != OP_DEATH_VOTE || words[3] > 1 {
+pub fn decode_death_vote(words: &[u64]) -> Option<(u32, bool)> {
+    if words.len() != 3 || words[0] != OP_DEATH_VOTE || words[2] > 1 {
         return None;
     }
-    Some((words[1], u32::try_from(words[2]).ok()?, words[3] == 1))
+    Some((u32::try_from(words[1]).ok()?, words[2] == 1))
 }
 
 /// One shard's words, pulled by its new owner. Word `k` is the value
@@ -394,21 +428,20 @@ pub fn encode_map_req() -> Vec<u64> {
     vec![OP_MAP_REQ]
 }
 
-/// The stale-routing NACK: refused message quads plus the refuser's
-/// current map, so one round trip both re-delivers the messages and
-/// heals the sender's directory.
+/// The stale-routing NACK: the refuser's current map and what it
+/// refused of one packet, so one round trip both re-delivers the
+/// messages and heals the sender's directory; the sender drops a repeat
+/// by the refusal's `(lane, seq)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BounceMsg {
     pub map: ShardMap,
-    /// Raw message words, 4 per refused message.
-    pub quads: Vec<u64>,
+    pub refused: LoggedPacket,
 }
 
 pub fn encode_bounce(b: &BounceMsg) -> Vec<u64> {
     let mut w = vec![OP_BOUNCE];
     w.extend(b.map.encode_words());
-    w.push((b.quads.len() / 4) as u64);
-    w.extend_from_slice(&b.quads);
+    w.extend_from_slice(b.refused.wire());
     w
 }
 
@@ -417,12 +450,9 @@ pub fn decode_bounce(words: &[u64]) -> Option<BounceMsg> {
         return None;
     }
     let (map, i) = ShardMap::decode_words(words, 1)?;
-    let n = usize::try_from(*words.get(i)?).ok()?;
-    let quads = words.get(i + 1..)?.to_vec();
-    if quads.len() != n.checked_mul(4)? {
-        return None;
-    }
-    Some(BounceMsg { map, quads })
+    let mut op = vec![0];
+    op.extend_from_slice(&words[i..]);
+    Some(BounceMsg { map, refused: LoggedPacket::adopt(op)? })
 }
 
 #[cfg(test)]
@@ -467,10 +497,42 @@ mod tests {
 
     #[test]
     fn recover_resp_roundtrips_with_and_without_baseline() {
-        let full = RecoveryLog { baseline: Some(baseline()), packets: vec![fwd(9), fwd(10)] };
-        assert_eq!(decode_recover_resp(&encode_recover_resp(&full)), Some(full));
+        let full = RecoveryLog {
+            baseline: Some(baseline()),
+            packets: vec![fwd(9), fwd(10)],
+            refused: vec![],
+        };
+        assert_eq!(decode_recover_resp(&encode_recover_resp(&full)), Some(full.clone()));
         let cold = RecoveryLog::default();
         assert_eq!(decode_recover_resp(&encode_recover_resp(&cold)), Some(cold));
+        // An elastic ward's refusals ride behind its packets.
+        let refused = vec![refusal(9), LoggedPacket::refused(3, 0, 10, &[])];
+        let elastic = RecoveryLog { refused, ..full };
+        let w = encode_recover_resp(&elastic);
+        assert_eq!(decode_recover_resp(&w), Some(elastic));
+        let mut zero = encode_recover_resp(&RecoveryLog::default());
+        zero.push(0);
+        assert_eq!(decode_recover_resp(&zero), None, "an empty refusal section is not canonical");
+    }
+
+    fn refusal(seq: u64) -> LoggedPacket {
+        LoggedPacket::refused(3, 0, seq, &(0..8).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_refusal_roundtrips_laid_out_as_a_forward() {
+        let r = refusal(5);
+        let w = encode_refused(&r);
+        assert_eq!(w, [OP_REFUSED, 3, 0, 5, 8, 0, 1, 2, 3, 4, 5, 6, 7], "pinned");
+        assert_eq!(w[1..], fwd_op(&r)[1..], "a FWD op's layout");
+        assert_eq!(decode_refused(w.clone()), Some(r.clone()));
+        for cut in 0..w.len() {
+            assert_eq!(decode_refused(w[..cut].to_vec()), None, "cut at {cut}");
+        }
+        let mut long = w.clone();
+        long.push(0);
+        assert_eq!(decode_refused(long), None, "trailing words refused");
+        assert_eq!(decode_refused(fwd_op(&r)), None, "a FWD is not a refusal");
     }
 
     #[test]
@@ -478,6 +540,7 @@ mod tests {
         let w = encode_recover_resp(&RecoveryLog {
             baseline: Some(baseline()),
             packets: vec![fwd(1)],
+            refused: vec![],
         });
         for cut in 0..w.len() {
             assert_eq!(decode_recover_resp(&w[..cut]), None, "cut at {cut}");
@@ -528,6 +591,7 @@ mod tests {
                 LoggedPacket::new(2, 1, 9, &payload(2, &first)),
                 LoggedPacket::new(0, 0, 5, &payload(0, &[Message::put(1, 1, 4)])),
             ],
+            refused: vec![],
         }
     }
 
@@ -637,19 +701,15 @@ mod tests {
     fn lease_and_death_vote_roundtrip() {
         let l = encode_lease(9, 2, 14);
         assert_eq!(decode_lease(&l), Some((9, 2, 14)));
-        assert_eq!(decode_death_vote_req(&encode_death_vote_req(9, 5)), Some((9, 5)));
+        // The vote frames' words, pinned: no term rides them.
+        assert_eq!(encode_death_vote_req(5), [OP_DEATH_VOTE_REQ, 5]);
+        assert_eq!(encode_death_vote(5, true), [OP_DEATH_VOTE, 5, 1]);
+        assert_eq!(decode_death_vote_req(&encode_death_vote_req(5)), Some(5));
         for dead in [true, false] {
-            assert_eq!(
-                decode_death_vote(&encode_death_vote(9, 5, dead)),
-                Some((9, 5, dead))
-            );
+            assert_eq!(decode_death_vote(&encode_death_vote(5, dead)), Some((5, dead)));
         }
         // Cut loops: every truncation of every new frame decodes to None.
-        for w in [
-            l.clone(),
-            encode_death_vote_req(9, 5),
-            encode_death_vote(9, 5, true),
-        ] {
+        for w in [l.clone(), encode_death_vote_req(5), encode_death_vote(5, true)] {
             for cut in 0..w.len() {
                 assert_eq!(decode_lease(&w[..cut]), None, "cut at {cut}");
                 assert_eq!(decode_death_vote_req(&w[..cut]), None, "cut at {cut}");
@@ -657,10 +717,10 @@ mod tests {
             }
         }
         // Cross-op confusion and out-of-range fields are refused.
-        assert_eq!(decode_lease(&encode_death_vote(9, 5, true)), None);
+        assert_eq!(decode_lease(&encode_death_vote(5, true)), None);
         assert_eq!(decode_death_vote(&l), None);
-        let mut bad_verdict = encode_death_vote(9, 5, true);
-        bad_verdict[3] = 2;
+        let mut bad_verdict = encode_death_vote(5, true);
+        bad_verdict[2] = 2;
         assert_eq!(decode_death_vote(&bad_verdict), None);
         let mut wide_holder = l.clone();
         wide_holder[2] = u64::MAX;
@@ -694,6 +754,8 @@ mod tests {
             let _ = decode_lease(w);
             let _ = decode_death_vote_req(w);
             let _ = decode_death_vote(w);
+            let _ = decode_refused(w.to_vec());
+            let _ = decode_bounce(w);
         };
         for case in 0..cases {
             // Random soup, sometimes starting with a valid opcode.
@@ -708,7 +770,9 @@ mod tests {
                     OP_FWD,
                     OP_CKPT,
                     OP_RECOVER_RESP,
-                ][(next() % 7) as usize];
+                    OP_REFUSED,
+                    OP_BOUNCE,
+                ][(next() % 9) as usize];
             }
             decode_all(&w);
             // A valid frame with one word bit-flipped: decodes to None
@@ -744,14 +808,13 @@ mod tests {
 
     #[test]
     fn bounce_roundtrips_and_refuses_partial_quads() {
-        let b = BounceMsg {
-            map: ShardMap::initial(&[0, 1], 4),
-            quads: vec![1, 2, 3, 4, 5, 6, 7, 8],
-        };
+        let b = BounceMsg { map: ShardMap::initial(&[0, 1], 4), refused: refusal(17) };
         assert_eq!(decode_bounce(&encode_bounce(&b)), Some(b.clone()));
         let mut w = encode_bounce(&b);
+        let map_words = b.map.encode_words().len();
+        assert_eq!(w[1 + map_words..1 + map_words + 4], [3, 0, 17, 8], "src, lane, seq, words");
         w.pop();
-        assert_eq!(decode_bounce(&w), None, "partial quad refused");
+        assert_eq!(decode_bounce(&w), None, "a short refusal refused");
         for cut in 0..w.len() {
             assert_eq!(decode_bounce(&w[..cut]), None, "cut at {cut}");
         }

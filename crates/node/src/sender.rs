@@ -1,9 +1,10 @@
-//! The node's one packetizer: its update stream, routed through its
-//! [`Directory`], cut into packets per destination and fed to the core
-//! flow engine ([`gravel_core::flow`]) on wire lane 0 — the same engine
-//! the in-process aggregator runs. This module only decides *what* the
-//! packets are; a static and an elastic node differ only in the
-//! directory, the stream and the bounce source they hand to [`run`].
+//! The node's sender: its update stream, routed through its
+//! [`Directory`] into a [`Packetizer`] (`gravel_core::reshard`, the
+//! queues `ha::sim` drives too), cut into packets per destination and fed
+//! to the core flow engine ([`gravel_core::flow`]) on wire lane 0 — the
+//! same engine the in-process aggregator runs. A static and an elastic
+//! node differ only in the directory, the stream and the bounce source
+//! they hand to [`run`].
 //!
 //! The stream is routed once, up front, into one queue per destination
 //! of `(offset, value)` pairs. A packet is what the paper's aggregator
@@ -27,23 +28,22 @@
 //! delivery path, not two.
 //!
 //! Over an elastic directory the map can change under the stream
-//! (DESIGN.md §16): whatever is still queued is routed again when the
-//! map version moves, and messages a receiver refused come back through
-//! the bounce source and join their new owner's queue.
+//! (DESIGN.md §16): the packetizer routes whatever is still queued again
+//! when the map version moves, and messages a receiver refused come back
+//! through the bounce source and join their new owner's queue.
 
-use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::time::Duration;
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::flow::{FlowGauges, Sender};
+use gravel_core::reshard::Packetizer;
 use gravel_core::{NodeShared, RuntimeError};
-use gravel_gq::{Band, Message};
+use gravel_gq::Band;
 use gravel_net::{Transport, MAX_FRAME_BYTES};
 use gravel_pgas::{
-    Directory, Packet, Route, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD, PAIR_BYTES,
-    RUN_HEADER_BYTES,
+    Directory, ACK_MAP_BITS, DEFAULT_QUEUE_BYTES, FRAME_OVERHEAD, PAIR_BYTES, RUN_HEADER_BYTES,
 };
 
 use crate::proto::FWD_HEAD_WORDS;
@@ -119,43 +119,6 @@ pub trait Bounces {
     fn take_bounced(&self) -> Vec<[u64; 4]>;
 }
 
-/// Per destination, the messages routed there and not yet submitted:
-/// `(address, value)`, in stream order.
-type Queues = Vec<VecDeque<(u64, u64)>>;
-
-/// `dir` as one pass routes through it: its map version and a router
-/// that takes no lock — a fixed directory routes as it is, an elastic
-/// one through a single snapshot of its map.
-fn snapshot(dir: &Directory) -> (u64, impl Fn(u64) -> Route + '_) {
-    let map = dir.current_map();
-    let version = map.as_ref().map_or(0, |m| m.version);
-    let route = move |g: u64| match &map {
-        Some(map) => map.route(g),
-        None => dir.route(g as usize),
-    };
-    (version, route)
-}
-
-/// Queue an INC of `value` at global index `g` for its owner.
-fn enqueue(queues: &mut Queues, route: &impl Fn(u64) -> Route, g: u64, value: u64) {
-    let r = route(g);
-    queues[r.dest as usize].push_back((r.offset, value));
-}
-
-/// The next packet from `src` to `dest`: the first `msgs_per_packet`
-/// pairs of its queue, or all of them if fewer, as one run of INC
-/// records in a buffer from `pool`.
-fn cut(
-    queue: &mut VecDeque<(u64, u64)>,
-    src: u32,
-    dest: u32,
-    msgs_per_packet: usize,
-    pool: Option<&gravel_gq::BufferPool>,
-) -> Packet {
-    let n = queue.len().min(msgs_per_packet);
-    Packet::from_incs_in(src, dest, queue.drain(..n), pool)
-}
-
 /// Send `updates` — `(global index, value)` INCs, in stream order —
 /// routed through `dir`, as packets of up to `msgs_per_packet`
 /// messages, each submitted to its destination's flow as the flow's
@@ -166,9 +129,7 @@ fn cut(
 /// Without a bounce source nothing can come back, so the sender returns
 /// once drained. With one (an elastic node) a bounce may arrive whenever
 /// another node reshards, so it runs until `stop` and `drained` may
-/// fall again. Re-routing and bounces read a queued message's address
-/// as its global index: what an elastic directory's offsets are (a
-/// fixed directory never changes, so nothing is routed twice).
+/// fall again.
 ///
 /// A restarted process calls this with the same stream over the same
 /// fixed directory and fresh engine state: it restamps from sequence 0,
@@ -190,35 +151,19 @@ pub fn run(
     let gauges = FlowGauges::of(node);
     let mut flows = Vec::new();
     let mut sender = Sender::new(node, 0, transport, &mut flows, &gauges);
-    let mut queues: Queues = vec![VecDeque::new(); node.nodes];
-    let (mut routed_at, route) = snapshot(dir);
-    let mut offloaded = 0;
-    for (g, value) in updates {
-        enqueue(&mut queues, &route, g, value);
-        offloaded += 1;
-    }
+    let mut queues = Packetizer::new(node.nodes);
     // Counted once, here: a bounced message is never offloaded again.
-    node.note_offloaded(offloaded);
+    node.note_offloaded(queues.enqueue(dir, updates));
     let mut bounced = Vec::new();
     loop {
         sender.service()?;
-        let (version, route) = snapshot(dir);
-        if version != routed_at {
-            routed_at = version;
-            let queued: Vec<_> = queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            for (g, value) in queued {
-                enqueue(&mut queues, &route, g, value);
-            }
-        }
-        for quad in bounced.drain(..) {
-            if let Some(m) = Message::decode(quad) {
-                enqueue(&mut queues, &route, m.addr, m.value);
-            }
-        }
+        queues.reroute(dir, bounced.drain(..));
         let mut progressed = false;
-        for (dest, queue) in queues.iter_mut().enumerate() {
-            while !queue.is_empty() && sender.has_room(dest) {
-                let pkt = cut(queue, node.id, dest as u32, msgs_per_packet, Some(&node.pool));
+        for dest in 0..node.nodes as u32 {
+            while sender.has_room(dest as usize) {
+                let Some(pkt) = queues.cut(node.id, dest, msgs_per_packet, Some(&node.pool)) else {
+                    break;
+                };
                 sender.submit(Band::Bulk, pkt);
                 progressed = true;
             }
@@ -231,8 +176,7 @@ pub fn run(
         }
         // Checked right behind `service`, before any sleep: the acks
         // for the last packets are usually in by the time they are out.
-        let idle =
-            bounced.is_empty() && queues.iter().all(VecDeque::is_empty) && sender.is_drained();
+        let idle = bounced.is_empty() && queues.is_empty() && sender.is_drained();
         drained.store(idle, SeqCst);
         if (idle && bounces.is_none()) || stop.load(Relaxed) || transport.is_closed() {
             return Ok(());
@@ -246,25 +190,19 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gravel_gq::Message;
     use gravel_pgas::runs::run_header;
-    use gravel_pgas::RunKind;
+    use gravel_pgas::{Packet, RunKind};
 
     /// `node`'s GUPS stream over a fixed directory, as [`run`] packs
     /// it: every destination's packets, in order.
     fn packets(input: &GupsInput, nodes: usize, node: usize, k: usize) -> Vec<Vec<Packet>> {
         let dir = gups::directory(input, nodes);
-        let (_, route) = snapshot(&dir);
-        let mut queues: Queues = vec![VecDeque::new(); nodes];
-        for g in gups::update_stream(input, nodes, node) {
-            enqueue(&mut queues, &route, g as u64, 1);
-        }
-        let mut out = vec![Vec::new(); nodes];
-        for (dest, queue) in queues.iter_mut().enumerate() {
-            while !queue.is_empty() {
-                out[dest].push(cut(queue, node as u32, dest as u32, k, None));
-            }
-        }
-        out
+        let mut queues = Packetizer::new(nodes);
+        queues.enqueue(&dir, gups::update_stream(input, nodes, node).map(|g| (g as u64, 1)));
+        (0..nodes as u32)
+            .map(|dest| std::iter::from_fn(|| queues.cut(node as u32, dest, k, None)).collect())
+            .collect()
     }
 
     #[test]

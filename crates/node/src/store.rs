@@ -10,8 +10,8 @@
 //! the ward emits `FWD` frames and `CKPT` frames on the same stream, so
 //! applying them here in arrival order reproduces exactly the ward's
 //! own cut points. A `CKPT` rebases the ward's [`RecoveryLog`]; a `FWD`
-//! appends to it. Replayed, the log is the ward's state as of its last
-//! forwarded packet.
+//! appends to it, and so does an elastic ward's `REFUSED`. Replayed, the
+//! log is the ward's state as of its last forwarded packet.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -31,6 +31,11 @@ impl WardStores {
         self.lock().entry(ward).or_default().packets.push(pkt);
     }
 
+    /// Append one of `ward`'s gate refusals to its log.
+    pub fn on_refused(&self, ward: u32, r: LoggedPacket) {
+        self.lock().entry(ward).or_default().refused.push(r);
+    }
+
     /// Rebase `ward`'s log on a new cut.
     pub fn on_ckpt(&self, ward: u32, baseline: Baseline) {
         self.lock().entry(ward).or_default().rebase(baseline);
@@ -41,19 +46,19 @@ impl WardStores {
         self.lock().get(&ward).cloned().unwrap_or_default()
     }
 
-    /// `ward`'s heap as of its last forwarded packet: its log replayed
-    /// onto a heap of the baseline's size. `None` if no baseline is
-    /// stored (nothing to take over). This is the EVICT data source —
-    /// when the coordinator expels a dead member, the new owners of its
-    /// shards pull from this reconstruction instead of the corpse.
-    /// Forward-before-ack makes it exact: every update any sender saw
-    /// acked is in here.
-    pub fn reconstruct_heap(&self, ward: u32) -> Option<Vec<u64>> {
-        let wards = self.lock();
-        let log = wards.get(&ward)?;
+    /// `ward`'s heap as of its last forwarded packet, to ship `shard`
+    /// out of when its owner is dead (evicted, or killed mid-migration):
+    /// the log replayed onto a heap of the baseline's size, `None`
+    /// without a baseline. Forward-before-ack makes it exact. The stored
+    /// baseline stops claiming `shard` ready, so a restarted ward
+    /// re-pulls it rather than serve the words it died with.
+    pub fn ship_ward(&self, ward: u32, shard: u32) -> Option<Vec<u64>> {
+        let mut wards = self.lock();
+        let log = wards.get_mut(&ward)?;
         let heap = SymmetricHeap::new(log.baseline.as_ref()?.heap.len());
         // A gravel-node registers no handlers, so none can run here.
         log.replay(&heap, &AmRegistry::new()).ok()?;
+        log.baseline.as_mut()?.app.retain(|&s| s != u64::from(shard));
         Some(heap.snapshot())
     }
 
@@ -91,8 +96,9 @@ mod tests {
     #[test]
     fn reconstruct_replays_the_log_onto_the_baseline() {
         let s = WardStores::default();
-        assert_eq!(s.reconstruct_heap(2), None, "no baseline, nothing to take over");
-        s.on_ckpt(2, Baseline { epoch: 1, cursors: vec![], heap: vec![10, 0, 0, 3], app: vec![0] });
+        assert_eq!(s.ship_ward(2, 0), None, "no baseline, nothing to take over");
+        let heap = vec![10, 0, 0, 3];
+        s.on_ckpt(2, Baseline { epoch: 1, cursors: vec![], heap, app: vec![0, 1] });
         let mut words = Vec::new();
         words.extend(Message::inc(2, 0, 5).encode());
         words.extend(Message::put(2, 2, 77).encode());
@@ -101,6 +107,7 @@ mod tests {
         words.extend(Message::inc(2, 999, 1).encode()); // out of range: skipped
         let payload = gravel_pgas::Packet::from_words(1, 2, &words).payload.to_vec();
         s.on_fwd(2, LoggedPacket::new(1, 0, 0, &payload));
-        assert_eq!(s.reconstruct_heap(2), Some(vec![15, 0, 77, 4]));
+        assert_eq!(s.ship_ward(2, 0), Some(vec![15, 0, 77, 4]));
+        assert_eq!(s.recover(2).baseline.unwrap().app, [1], "shard 0 is no longer ready");
     }
 }

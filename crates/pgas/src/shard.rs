@@ -14,7 +14,7 @@
 //!
 //! 1. **Monotonic versions.** Every rebalance bumps `version` by one;
 //!    a node never installs a map older than the one it holds
-//!    ([`Directory::install`] refuses). In-flight packets routed under
+//!    ([`Directory::install_fenced`] refuses). In-flight packets routed under
 //!    a stale map are detected by *ownership*, not by version stamps —
 //!    the receiver checks `owner_of(addr) == me` before applying — so
 //!    late frames can never corrupt a moved shard.
@@ -316,23 +316,6 @@ impl Directory {
         }
     }
 
-    /// Install a newer map; refuses stale or equal versions (the
-    /// monotonicity guard) and is a no-op on fixed directories.
-    /// Returns whether the map was installed.
-    pub fn install(&self, new: ShardMap) -> bool {
-        match &self.inner {
-            DirInner::Fixed(_) => false,
-            DirInner::Elastic { map, .. } => {
-                let mut cur = map.write().unwrap_or_else(|p| p.into_inner());
-                if new.version <= cur.version {
-                    return false;
-                }
-                *cur = Arc::new(new);
-                true
-            }
-        }
-    }
-
     /// The highest coordinator term observed via
     /// [`install_fenced`](Self::install_fenced) (0 for fixed
     /// directories and before any term-stamped frame arrives).
@@ -519,7 +502,8 @@ mod tests {
         }
         assert_eq!(d.version(), 0);
         assert!(d.current_map().is_none());
-        assert!(!d.install(ShardMap::initial(&[0], 4)), "fixed never reshards");
+        let install = d.install_fenced(ShardMap::initial(&[0], 4), 0);
+        assert_eq!(install, FencedInstall::Current, "fixed never reshards");
     }
 
     #[test]
@@ -531,13 +515,11 @@ mod tests {
         assert_eq!(r.dest, (13 % 8) % 4, "shard 5 deals to member 1");
         let m = d.current_map().unwrap();
         let (next, _) = m.rebalance_join(4).unwrap();
-        assert!(d.install(next.clone()));
+        let install = |map| d.install_fenced(map, 0) == FencedInstall::Installed;
+        assert!(install(next.clone()));
         assert_eq!(d.version(), 2);
-        assert!(!d.install(next), "equal version refused");
-        assert!(
-            !d.install(ShardMap::initial(&[0, 1], 8)),
-            "stale version refused"
-        );
+        assert!(!install(next), "equal version refused");
+        assert!(!install(ShardMap::initial(&[0, 1], 8)), "stale version refused");
         // Routing reflects the installed map.
         let m2 = d.current_map().unwrap();
         for g in 0..100u64 {

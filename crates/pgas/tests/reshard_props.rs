@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use gravel_pgas::{Directory, ShardMap};
+use gravel_pgas::{Directory, FencedInstall, ShardMap};
 use proptest::prelude::*;
 use proptest::prop_oneof;
 
@@ -134,7 +134,8 @@ proptest! {
                     };
                     if let Some(next) = next {
                         let v = next.version;
-                        prop_assert!(dir.install(next), "monotonic install");
+                        let installed = dir.install_fenced(next, 0);
+                        prop_assert_eq!(installed, FencedInstall::Installed, "monotonic install");
                         prop_assert_eq!(dir.version(), v);
                         prop_assert!(v > last_version, "versions move forward");
                         last_version = v;
