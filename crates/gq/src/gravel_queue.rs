@@ -162,7 +162,8 @@ impl<'a> SlotView<'a> {
         let at = out.len();
         out.resize(at + self.count * rows, 0);
         for (r, row) in self.rows().enumerate() {
-            for (word, cell) in out[at + r..].iter_mut().step_by(rows).zip(row) {
+            // Word `r` of every message; an empty slot has none.
+            for (word, cell) in out[at..].iter_mut().skip(r).step_by(rows).zip(row) {
                 *word = cell.load(Ordering::Relaxed);
             }
         }
@@ -361,9 +362,20 @@ impl GravelQueue {
     /// lane and row — is charged to `ctx` instruction for instruction, but
     /// not interpreted: a lane's column is its rank in the active mask,
     /// the broadcast value is the reservation the leader just made, and
-    /// the row addresses follow from the column. The host-side cost of an
+    /// the store's cache lines follow from the ranks in closed form
+    /// ([`WgCtx::mem_access_compacted`]). The host-side cost of an
     /// offload is then the payload evaluation and the same slot write
     /// [`produce_batch`](Self::produce_batch) does.
+    ///
+    /// The messages are filled into a staging buffer *before* the
+    /// reservation and written row by row after it. Filling each message
+    /// straight into its column after the reservation, as
+    /// [`produce_with`](Self::produce_with) does, measured slower in
+    /// `gups_simt` (×0.94–0.96, 0 of 20 pairs): the fill then runs while
+    /// the slot holds up the lane, and one pass of interleaved stores
+    /// loses to row passes here as in `write_slot`.
+    /// Filling first also keeps a panicking `fill` (a kernel bug: a
+    /// short register) from ever holding a reserved slot.
     pub fn wg_produce_with(&self, ctx: &mut WgCtx, fill: impl Fn(usize, &mut [u64])) {
         assert!(
             ctx.wg_size() <= self.cfg.lane_width,
@@ -371,8 +383,7 @@ impl GravelQueue {
             ctx.wg_size(),
             self.cfg.lane_width
         );
-        let mask = ctx.active().clone();
-        let count = mask.count();
+        let count = ctx.active_count();
         if count == 0 {
             return;
         }
@@ -382,7 +393,7 @@ impl GravelQueue {
         let rows = self.cfg.rows;
         // The lanes' messages, compacted in lane order (message-major).
         let mut words = ctx.take_words(count * rows);
-        for (msg, lane) in words.chunks_exact_mut(rows).zip(mask.iter()) {
+        for (msg, lane) in words.chunks_exact_mut(rows).zip(ctx.active().iter()) {
             fill(lane, msg);
         }
         // Fig. 5b lines 4-6: `prefix_sum(1)` gives each lane its column,
@@ -396,15 +407,10 @@ impl GravelQueue {
         // Line 10: broadcast the reservation to every lane (reduce-to-sum
         // of a register that is zero except at the leader).
         ctx.charge_collective();
-        // Coalesced payload writes: row by row, adjacent lanes hit
-        // adjacent words.
-        let base = slot.payload.as_ptr() as u64;
-        let full = count == mask.lanes();
+        // Coalesced payload writes: row by row, the lane of rank `r`
+        // writes column `r`.
         let pitch = (self.cfg.lane_width * 8) as u64;
-        ctx.mem_access_rows(8, rows, pitch, |lane| {
-            let col = if full { lane } else { mask.rank(lane) };
-            base + col as u64 * 8
-        });
+        ctx.mem_access_compacted(8, rows, pitch, slot.payload.as_ptr() as u64);
         self.write_slot(slot, &words);
         ctx.give_words(words);
         // Fig. 7 time ③: the leader sets the full bit.
@@ -491,6 +497,10 @@ impl GravelQueue {
     /// pipeline, where the slot's lines come from the consumer's core:
     /// `gups_simt` 40.8 → 39.3 M msgs/s in six of six pairs;
     /// EXPERIMENTS.md "Hand-offs (PR 23)".)
+    /// Measured again for [`wg_produce_with`](Self::wg_produce_with) once
+    /// its coalescer walk was gone: ×0.98 in `gups_simt`, 5 of 6 rounds
+    /// slower (EXPERIMENTS.md "The slot write's cache lines in closed
+    /// form").
     fn write_slot(&self, slot: &Slot, words: &[u64]) {
         let rows = self.cfg.rows;
         for (r, row) in slot.payload.chunks_exact(self.cfg.lane_width).enumerate() {
@@ -969,6 +979,57 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(by_msg.stats.snapshot(), by_words.stats.snapshot());
         }
+    }
+
+    #[test]
+    fn a_fill_that_panics_leaves_the_ring_moving() {
+        let grid = Grid { wg_count: 1, wg_size: 8, wf_width: 4 };
+        let fill = |first: u64| {
+            move |lane: usize, msg: &mut [u64]| {
+                assert!(first > 0 || lane != 3, "a kernel bug at lane 3");
+                msg.copy_from_slice(&Message::inc(0, first + lane as u64, 1).encode());
+            }
+        };
+        for in_place in [false, true] {
+            let q = GravelQueue::new(small_cfg());
+            let mut ctx = WgCtx::new(grid, 0);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                q.wg_produce_with(&mut ctx, fill(0));
+            }));
+            assert!(unwound.is_err(), "the fill's panic reaches the kernel");
+            ctx.reset(0);
+            q.wg_produce_with(&mut ctx, fill(100));
+            // Only the second work-group's messages come out, whoever
+            // drains the ring.
+            let addrs: Vec<u64> = if in_place {
+                let Consumed::Batch(claim) = q.try_claim(4) else { panic!("a slot is ready") };
+                let mut addrs = Vec::new();
+                for seq in claim.first..claim.first + claim.slots {
+                    addrs.extend(q.claimed(seq).messages::<MSG_ROWS>(0).map(|m| m[2]));
+                    q.release(seq);
+                }
+                q.wake_producers();
+                addrs
+            } else {
+                let mut out = Vec::new();
+                assert_eq!(q.try_consume_batch(&mut out, 4), Consumed::Batch(8));
+                out.chunks_exact(MSG_ROWS).map(|m| m[2]).collect()
+            };
+            assert_eq!(addrs, (100..108).collect::<Vec<u64>>());
+            let snap = q.stats.snapshot();
+            assert_eq!((snap.messages_produced, snap.messages_consumed), (8, 8));
+            assert_eq!(q.backlog(), 0);
+        }
+    }
+
+    #[test]
+    fn an_empty_slot_copies_out_nothing() {
+        let payload: Vec<AtomicU64> = (0..4 * 8).map(AtomicU64::new).collect();
+        let mut out = vec![7];
+        SlotView { payload: &payload, lane_width: 8, count: 0 }.copy_into(&mut out);
+        assert_eq!(out, [7]);
+        SlotView { payload: &payload, lane_width: 8, count: 2 }.copy_into(&mut out);
+        assert_eq!(out, [7, 0, 8, 16, 24, 1, 9, 17, 25]);
     }
 
     #[test]

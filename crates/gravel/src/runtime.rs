@@ -321,9 +321,10 @@ impl GravelRuntime {
 
     /// Dispatch the same kernel on every node (SPMD superstep). Kernels
     /// see their node through [`GravelCtx::my_node`]. Nodes run one after
-    /// another — on a real cluster they run concurrently, but live-mode
-    /// results here are about *correctness*; timing comes from the
-    /// `gravel-cluster` simulator.
+    /// another; on a real cluster they run concurrently. The dispatches
+    /// are live, and `gbench` times rounds of them end to end; only the
+    /// paper-scale cluster figures come from the `gravel-cluster`
+    /// simulator.
     pub fn dispatch_all(&self, wg_count: usize, kernel: impl Fn(&mut GravelCtx) + Sync) {
         for id in 0..self.cfg.nodes {
             self.dispatch(id, wg_count, &kernel);

@@ -172,11 +172,11 @@ impl WgCtx {
 
     /// `rows` memory instructions over one address register: instruction
     /// `r` accesses `bytes` at `addr_of(lane) + r * pitch` — a pitched
-    /// store such as a queue slot's payload rows or a structure-of-arrays
-    /// record. Charged as `rows` calls of [`mem_access`](Self::mem_access);
-    /// returns their transactions summed. A pitch of whole cache lines
-    /// moves every access by whole lines, so each row coalesces exactly
-    /// like the first and the coalescer walks the lanes once.
+    /// access such as a structure-of-arrays record. Charged as `rows`
+    /// calls of [`mem_access`](Self::mem_access); returns their
+    /// transactions summed. A store to the columns of the lanes' ranks
+    /// is charged the same without walking the lanes by
+    /// [`mem_access_compacted`](Self::mem_access_compacted).
     pub fn mem_access_rows(
         &mut self,
         bytes: usize,
@@ -184,21 +184,57 @@ impl WgCtx {
         pitch: u64,
         addr_of: impl Fn(usize) -> u64,
     ) -> usize {
-        let whole_lines = pitch.is_multiple_of(coalesce::CACHE_LINE as u64);
-        let (mut tx, mut total) = (0, 0);
+        let mut total = 0;
         for row in 0..rows as u64 {
-            if row == 0 || !whole_lines {
-                let active = self.active();
-                tx = coalesce::wg_transactions_by(active, bytes, self.wf_width(), |lane| {
-                    addr_of(lane) + row * pitch
-                });
-            }
+            let tx = coalesce::wg_transactions_by(self.active(), bytes, self.wf_width(), |lane| {
+                addr_of(lane) + row * pitch
+            });
             self.counters.mem_transactions += tx as u64;
             self.counters.mem_accesses += self.active_count() as u64;
             self.charge(1, ExecScope::ActiveWavefronts);
             total += tx;
         }
         total
+    }
+
+    /// `rows` memory instructions of a compacted-column store: the active
+    /// lane of rank `r` accesses `bytes` at `base + r * bytes + row *
+    /// pitch` in instruction `row` — a queue slot's payload rows written
+    /// by a diverged work-group. Charges exactly what
+    /// [`mem_access_rows`](Self::mem_access_rows) charges for
+    /// `|lane| base + rank(lane) * bytes`, in closed form: a wavefront's
+    /// active lanes hold consecutive ranks, so each row of theirs is one
+    /// contiguous byte range, one transaction per cache line it touches.
+    /// A popcount per wavefront, no walk over the lanes.
+    pub fn mem_access_compacted(
+        &mut self,
+        bytes: usize,
+        rows: usize,
+        pitch: u64,
+        base: u64,
+    ) -> usize {
+        assert!(bytes > 0, "zero-sized access");
+        let (line, bytes_u64) = (coalesce::CACHE_LINE as u64, bytes as u64);
+        let (active, wf_width) = (self.active(), self.wf_width());
+        // `rank`: active lanes in the wavefronts before this one.
+        let (mut tx, mut rank, mut lo) = (0u64, 0u64, 0);
+        while lo < active.lanes() {
+            let hi = (lo + wf_width).min(active.lanes());
+            let live = active.count_range(lo, hi) as u64;
+            if live > 0 {
+                for row in 0..rows as u64 {
+                    let first = base + row * pitch + rank * bytes_u64;
+                    let last = first + live * bytes_u64 - 1;
+                    tx += last / line - first / line + 1;
+                }
+            }
+            rank += live;
+            lo = hi;
+        }
+        self.counters.mem_transactions += tx;
+        self.counters.mem_accesses += rows as u64 * rank;
+        self.charge(rows as u64, ExecScope::ActiveWavefronts);
+        tx as usize
     }
 
     /// Execute a work-group barrier (charges every wavefront — all must
@@ -448,6 +484,19 @@ mod tests {
         let tx = ctx.mem_access(&addrs, 4);
         assert_eq!(tx, 2); // one transaction per wavefront port
         assert_eq!(ctx.counters.mem_accesses, 8);
+    }
+
+    #[test]
+    fn compacted_store_charges_what_rank_addressed_rows_charge() {
+        // Lanes 1, 2 | 6 (ranks 0, 1 | 2) store 8 bytes from byte 60,
+        // rows 72 bytes apart: row 0 is lines 0-1 | 1, row 1 line 2 | 2.
+        let mask = Mask::from_fn(8, |l| [1, 2, 6].contains(&l));
+        let (mut closed, mut walked) = (ctx4(), ctx4());
+        closed.with_mask(mask.clone(), |c| assert_eq!(c.mem_access_compacted(8, 2, 72, 60), 5));
+        let rank_addr = |l: usize| 60 + mask.rank(l) as u64 * 8;
+        walked.with_mask(mask.clone(), |c| assert_eq!(c.mem_access_rows(8, 2, 72, rank_addr), 5));
+        assert_eq!(closed.counters, walked.counters);
+        assert_eq!(closed.counters.mem_accesses, 6);
     }
 
     #[test]

@@ -354,6 +354,50 @@ proptest! {
         prop_assert_eq!(ctx.counters, model);
     }
 
+    /// A compacted-column store — the active lane of rank `r` accesses
+    /// `bytes` at `base + r·bytes + row·pitch` — charges in closed form
+    /// what the coalescer walk over those addresses charges, and what the
+    /// per-lane model charges, in every `Counters` field: aligned and
+    /// unaligned bases, access sizes that do and do not divide a line,
+    /// whole-line and odd pitches.
+    #[test]
+    fn compacted_store_charges_what_the_rank_addressed_walk_charges(
+        wg in arb_wg(),
+        bytes in 1usize..=64,
+        rows in 0usize..6,
+        base in prop_oneof![
+            (0u64..1 << 34).prop_map(|line| line * CACHE_LINE as u64),
+            0u64..1 << 40,
+        ],
+        pitch in prop_oneof![
+            Just(0u64),
+            (1u64..64).prop_map(|lines| lines * CACHE_LINE as u64),
+            1u64..5000,
+        ],
+    ) {
+        let (lanes, wf, bits) = wg;
+        let mask = mask_from_bits(&bits);
+        let addrs: Vec<u64> = (0..lanes).map(|l| base + (mask.rank(l) * bytes) as u64).collect();
+        let mut model = Counters::default();
+        for row in 0..rows as u64 {
+            let shifted: Vec<u64> = addrs.iter().map(|a| a + row * pitch).collect();
+            model_mem_access(&mut model, &shifted, &bits, bytes, wf);
+        }
+        let grid = Grid { wg_count: 1, wg_size: lanes, wf_width: wf };
+        let (mut closed, mut walked) = (WgCtx::new(grid, 0), WgCtx::new(grid, 0));
+        let (mut closed_tx, mut walked_tx) = (0, 0);
+        closed.with_mask(mask.clone(), |c| {
+            closed_tx = c.mem_access_compacted(bytes, rows, pitch, base);
+        });
+        walked.with_mask(mask.clone(), |c| {
+            walked_tx = c.mem_access_rows(bytes, rows, pitch, |l| addrs[l]);
+        });
+        prop_assert_eq!(closed_tx, walked_tx);
+        prop_assert_eq!(closed_tx as u64, model.mem_transactions);
+        prop_assert_eq!(closed.counters, walked.counters);
+        prop_assert_eq!(closed.counters, model);
+    }
+
     /// Instructions, collectives, atomics, barriers and branches charge
     /// what the lane-at-a-time issue model charges, and return the
     /// per-lane values; a reset context is indistinguishable from a new

@@ -562,3 +562,44 @@ fn malformed_message_does_not_wedge_the_cluster() {
     assert_eq!(stats.total_offloaded(), 2);
     assert_eq!(stats.total_applied(), 2); // dropped counts as disposed
 }
+
+/// A kernel bug inside an offload — here a register one lane too short,
+/// read while the work-group's messages are written — fails that
+/// dispatch and nothing else: no ring slot waits for the failed
+/// work-group, the next kernel's messages all arrive, and quiescence
+/// balances (the failed work-group's messages were never counted
+/// offloaded).
+#[test]
+fn a_kernel_that_panics_mid_offload_leaves_the_ring_moving() {
+    let heap_len = 8;
+    let rt = GravelRuntime::new(GravelConfig::small(2, heap_len));
+    let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.dispatch(0, 1, |ctx| {
+            let n = ctx.wg.wg_size();
+            let dests = LaneVec::from_fn(n, |l| (l % 2) as u32);
+            let addrs = LaneVec::from_fn(n, |l| (l % heap_len) as u64);
+            ctx.shmem_inc(&dests, &addrs, &LaneVec::splat(3, 1u64));
+        });
+    }));
+    assert!(failed.is_err(), "the kernel's panic surfaces from dispatch");
+    let wgs = 3;
+    let result = rt.dispatch(0, wgs, |ctx| {
+        let n = ctx.wg.wg_size();
+        let dests = LaneVec::from_fn(n, |l| (l % 2) as u32);
+        let addrs = LaneVec::from_fn(n, |l| (l % heap_len) as u64);
+        ctx.shmem_inc(&dests, &addrs, &LaneVec::splat(n, 1u64));
+    });
+    rt.quiesce_deadline(Duration::from_secs(20))
+        .expect("the ring drains past the failed work-group");
+    let wg_size = result.counters.messages as usize / wgs;
+    let mut want = vec![vec![0u64; heap_len]; 2];
+    for l in 0..wg_size {
+        want[l % 2][l % heap_len] += wgs as u64;
+    }
+    for (node, want) in want.iter().enumerate() {
+        assert_eq!(&rt.heap(node).snapshot(), want, "node {node}'s heap");
+    }
+    let stats = rt.shutdown().expect("clean shutdown");
+    assert_eq!(stats.total_offloaded(), (wgs * wg_size) as u64);
+    assert_eq!(stats.total_applied(), stats.total_offloaded());
+}
