@@ -1091,10 +1091,9 @@ impl<'a> Sim<'a> {
         let mut out = Vec::new();
         for dest in 0..slots {
             let flow = &mut plane.flows[dest as usize];
-            while flow.unacked.len() < WINDOW
-                && (offloaded || plane.queues.queued(dest) >= MSGS_PER_PACKET)
-            {
-                let Some(mut pkt) = plane.queues.cut(i, dest, MSGS_PER_PACKET, None) else {
+            while flow.unacked.len() < WINDOW {
+                let Some(mut pkt) = plane.queues.cut(i, dest, MSGS_PER_PACKET, offloaded, None)
+                else {
                     break;
                 };
                 pkt.seq = flow.next;

@@ -134,6 +134,12 @@ impl RecvState {
             .collect()
     }
 
+    /// Flow `(src, lane)`'s next-expected sequence number: how many of
+    /// its packets have been applied (0 for a flow not yet seen).
+    pub fn cursor(&self, src: u32, lane: u32) -> u64 {
+        self.flows.get(&(src, lane)).map_or(0, |f| f.expected)
+    }
+
     /// Restore a flow's next-expected sequence number (process
     /// recovery: a restarted node replays its checkpoint + forwarded
     /// log, then seeds the cursors so retransmissions of

@@ -71,16 +71,57 @@ impl Packetizer {
         let version = dir.version();
         if version != std::mem::replace(&mut self.routed_at, version) {
             let queued: Vec<_> = self.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            queued.into_iter().for_each(|(g, value)| self.push(dir, g, value));
+            for (g, value) in queued {
+                self.push(dir, g, value);
+            }
         }
         for m in bounced.into_iter().filter_map(Message::decode) {
             self.push(dir, m.addr, m.value);
         }
     }
 
-    fn push(&mut self, dir: &Directory, g: u64, value: u64) {
+    fn push(&mut self, dir: &Directory, g: u64, value: u64) -> usize {
         let Route { dest, offset } = dir.route(g as usize);
         self.queues[dest as usize].push_back((offset, value));
+        dest as usize
+    }
+
+    /// Route pairs from `stream` only until a destination that is `open`
+    /// — and a member of `dir`'s map — holds a full packet of
+    /// `msgs_per_packet` pairs, or the stream runs dry; returns how many
+    /// it routed. Nothing is routed while no such destination exists: a
+    /// slot outside the membership never receives a pair, so waiting
+    /// for it to fill would route the whole stream up front.
+    pub fn fill(
+        &mut self,
+        dir: &Directory,
+        stream: &mut impl Iterator<Item = (u64, u64)>,
+        msgs_per_packet: usize,
+        open: impl Fn(u32) -> bool,
+    ) -> u64 {
+        self.reroute(dir, []);
+        let map = dir.current_map();
+        let waits: Vec<bool> = (0..self.queues.len() as u32)
+            .map(|d| open(d) && map.as_ref().is_none_or(|m| m.is_member(d)))
+            .collect();
+        let full = |q: &VecDeque<_>| q.len() >= msgs_per_packet;
+        if !waits.contains(&true) || self.queues.iter().zip(&waits).any(|(q, &w)| w && full(q)) {
+            return 0;
+        }
+        let mut n = 0;
+        for (g, value) in stream {
+            let dest = self.push(dir, g, value);
+            n += 1;
+            if waits[dest] && full(&self.queues[dest]) {
+                break;
+            }
+        }
+        n
+    }
+
+    /// The destinations it queues for.
+    pub fn slots(&self) -> u32 {
+        self.queues.len() as u32
     }
 
     /// Pairs queued for `dest`.
@@ -92,19 +133,25 @@ impl Packetizer {
         self.queues.iter().all(VecDeque::is_empty)
     }
 
-    /// The next packet from `src` to `dest`: up to `msgs_per_packet` pairs
-    /// from the head of its queue as one run of INC records, in a buffer
-    /// from `pool`; `None` if nothing is queued.
+    /// The next packet from `src` to `dest`: the head `msgs_per_packet`
+    /// pairs of its queue as one run of INC records, in a buffer from
+    /// `pool` — or, once the stream is `exhausted`, whatever short tail
+    /// is left; `None` if there is no such packet yet. Cut only this
+    /// way, packet `k` of a flow over a fixed directory is the `k`-th
+    /// full slice of the stream towards its destination, however the
+    /// routing and the cutting interleave.
     pub fn cut(
         &mut self,
         src: u32,
         dest: u32,
         msgs_per_packet: usize,
+        exhausted: bool,
         pool: Option<&BufferPool>,
     ) -> Option<Packet> {
         let queue = &mut self.queues[dest as usize];
         let n = queue.len().min(msgs_per_packet);
-        (n > 0).then(|| Packet::from_incs_in(src, dest, queue.drain(..n), pool))
+        (n == msgs_per_packet || (exhausted && n > 0))
+            .then(|| Packet::from_incs_in(src, dest, queue.drain(..n), pool))
     }
 }
 
@@ -168,10 +215,31 @@ mod tests {
         assert_eq!(dir.install_fenced(next, 0), gravel_pgas::FencedInstall::Installed);
         q.reroute(&dir, [Message::inc(0, 9, 5).encode()]);
         assert_eq!((q.queued(0), q.queued(1)), (0, 9));
-        let pkt = q.cut(0, 1, 6, None).expect("a packet");
+        let pkt = q.cut(0, 1, 6, false, None).expect("a packet");
         assert_eq!(pkt.msg_count(), 6);
-        assert_eq!(q.cut(0, 1, 6, None).map(|p| p.msg_count()), Some(3));
-        assert!(q.cut(0, 1, 6, None).is_none() && q.is_empty());
+        assert!(q.cut(0, 1, 6, false, None).is_none(), "a short tail waits for the stream");
+        assert_eq!(q.cut(0, 1, 6, true, None).map(|p| p.msg_count()), Some(3));
+        assert!(q.cut(0, 1, 6, true, None).is_none() && q.is_empty());
+    }
+
+    #[test]
+    fn the_stream_is_routed_only_until_an_open_member_fills_a_packet() {
+        // Slot 2 is spare capacity: no shard, so no pair ever goes there.
+        let dir = Directory::elastic(16, ShardMap::initial(&[0, 1], 4));
+        let mut q = Packetizer::new(3);
+        let mut stream = (0..16).map(|g| (g, 1));
+        assert_eq!(q.fill(&dir, &mut stream, 3, |d| d == 2), 0, "only the spare is open");
+        // Indices alternate between the members: node 1's third pair is
+        // the sixth of the stream.
+        assert_eq!(q.fill(&dir, &mut stream, 3, |_| true), 5);
+        assert_eq!((q.queued(0), q.queued(1)), (3, 2));
+        assert_eq!(q.fill(&dir, &mut stream, 3, |_| true), 0, "node 0 is full already");
+        assert!(q.cut(0, 0, 3, false, None).is_some());
+        assert_eq!(q.fill(&dir, &mut stream, 3, |d| d == 1), 1);
+        assert_eq!((q.queued(0), q.queued(1)), (0, 3));
+        assert!(q.cut(0, 1, 3, false, None).is_some());
+        assert_eq!(q.fill(&dir, &mut stream, 100, |_| true), 10, "the stream runs dry");
+        assert_eq!(stream.next(), None);
     }
 
     #[test]

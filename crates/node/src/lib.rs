@@ -9,14 +9,16 @@
 //!
 //! Layering:
 //!
-//! * [`proto`]  — control-plane word codec (FWD / CKPT / RECOVER and
-//!   the elastic TOPO / MIGRATE / BOUNCE family).
+//! * [`proto`]  — control-plane word codec (FWD / CKPT / RECOVER, the
+//!   FLOW_END completion announcement, and the elastic TOPO / MIGRATE /
+//!   BOUNCE family).
 //! * [`store`]  — buddy-side storage of a ward's recovery log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
 //! * [`sender`] — the one packetizer: a node's update stream routed
-//!   through its directory (fixed or elastic), fed to the core flow
-//!   engine (`gravel_core::flow`) on wire lane 0.
+//!   through its directory (fixed or elastic) as packets leave, fed to
+//!   the core flow engine (`gravel_core::flow`) on wire lane 0; and the
+//!   ledger of announced packet counts a static receiver completes on.
 //! * [`elastic`] — live membership: the versioned shard directory, the
 //!   stale-routing bounce gate, and the loops that run the control-plane
 //!   machine (`gravel_core::ha::HaMachine`, DESIGN.md §16, §18).

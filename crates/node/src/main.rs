@@ -16,21 +16,35 @@
 //! cluster heap is bit-exact with a no-fault run (asserted by
 //! `tests/cluster.rs`).
 //!
+//! Each member generates and routes its update stream once, on its
+//! sender thread, as packets leave. A static member knows it is done
+//! from what its peers announce: once a sender has cut its whole stream
+//! it announces each flow's packet count (`OP_FLOW_END`) and repeats it
+//! about every 10 ms while the process lives, and a receiver is complete
+//! when every inbound flow's cursor reaches its count. An elastic member
+//! is done when its sender is drained and it pulls no shard.
+//!
+//! The threads carry their role as their name — `ctrl`, `hb`, `memb`,
+//! `ha`, `net`, `snd`, `rpc` and `gets` — so a per-thread sample
+//! (`/proc/<pid>/task/*/comm` beside `schedstat`) splits a job's CPU by
+//! role.
+//!
 //! Exit codes: 0 success (including graceful SIGTERM/SIGINT shutdown),
 //! 2 deadline expired before completion, 3 cluster error (a buddy-held
-//! baseline of another heap size among them), 64 usage.
+//! baseline of another heap size, or a peer announcing another packet
+//! count than before, among them), 64 usage.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
 use gravel_core::ha::{heartbeat, HaMachine, RecoveryLog};
 use gravel_core::netthread::{self, PacketTap, RecvState};
 use gravel_core::{
-    aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared,
+    aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared, RuntimeError,
 };
 use gravel_net::{
     ChaosPlan, LinkSchedule, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec,
@@ -42,9 +56,11 @@ use gravel_telemetry::Counter;
 use gravel_node::elastic::{self, ElasticCtx, ElasticState};
 use gravel_node::forward::Forwarder;
 use gravel_node::gets::{self, RPC_LANE};
-use gravel_node::proto::{self, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP, OP_REFUSED};
+use gravel_node::proto::{
+    self, OP_CKPT, OP_FLOW_END, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP, OP_REFUSED,
+};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
-use gravel_node::sender::{self, Bounces};
+use gravel_node::sender::{self, Bounces, FlowEnds};
 use gravel_node::signal;
 use gravel_node::store::WardStores;
 
@@ -215,13 +231,24 @@ struct Membership {
     rejoins: Counter,
 }
 
+/// How often a static member repeats its flows' packet counts: what a
+/// restarted receiver waits, at most, to learn them again.
+const ANNOUNCE_EVERY: Duration = Duration::from_millis(10);
+
+/// Spawn one of the node's threads under its role's `name`.
+fn spawn<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    std::thread::Builder::new().name(name.into()).spawn(f).expect("spawn a node thread")
+}
+
 /// Control-plane service loop: store the ward's forwards and cuts,
-/// serve recovery requests, route recovery responses to `resp_tx` —
-/// and, in elastic mode, dispatch the TOPO/MIGRATE/BOUNCE family.
+/// serve recovery requests, route recovery responses to `resp_tx`,
+/// record the packet counts the senders announce in `flow_ends` — and,
+/// in elastic mode, dispatch the TOPO/MIGRATE/BOUNCE family.
 fn ctrl_loop(
     transport: Arc<SocketTransport>,
     stores: Arc<WardStores>,
     resp_tx: mpsc::Sender<RecoveryLog>,
+    flow_ends: Arc<Mutex<FlowEnds>>,
     errors: Arc<ErrorSlot>,
     elastic: Option<Arc<ElasticCtx>>,
 ) {
@@ -265,6 +292,22 @@ fn ctrl_loop(
             Some(OP_RECOVER_RESP) => {
                 if let Some(r) = proto::decode_recover_resp(&msg.words) {
                     let _ = resp_tx.send(r);
+                }
+            }
+            Some(OP_FLOW_END) => {
+                let Some((lane, packets)) = proto::decode_flow_end(&msg.words) else {
+                    continue;
+                };
+                let mut ends = flow_ends.lock().unwrap_or_else(|p| p.into_inner());
+                if let Err(first) = ends.record(msg.src, lane, packets) {
+                    // Over a fixed directory every incarnation cuts the
+                    // same packets: this one runs another stream.
+                    errors.set(RuntimeError::RecoveryFailed {
+                        node: msg.src,
+                        reason: format!(
+                            "announced {packets} packets on its lane-{lane} flow after {first}"
+                        ),
+                    });
                 }
             }
             // Unknown op from a newer (or confused) peer: ignore —
@@ -370,22 +413,6 @@ fn recover_from_buddy(
             }
         }
     }
-}
-
-/// Whether every inbound flow has reached its deterministic packet
-/// count.
-fn receive_complete(state: &Mutex<RecvState>, expected: &[u64]) -> bool {
-    let cursors: HashMap<(u32, u32), u64> = state
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .flow_cursors()
-        .into_iter()
-        .map(|(s, l, e)| ((s, l), e))
-        .collect();
-    expected
-        .iter()
-        .enumerate()
-        .all(|(src, &want)| cursors.get(&(src as u32, 0)).copied().unwrap_or(0) >= want)
 }
 
 struct Reporter {
@@ -602,12 +629,13 @@ fn run() -> i32 {
     // Control-plane service first: recovery requests (ours and our
     // ward's) need it running before anything blocks.
     let (resp_tx, resp_rx) = mpsc::channel();
-    let ctrl = std::thread::spawn({
+    let inbound_ends = Arc::new(Mutex::new(FlowEnds::default()));
+    let ctrl = spawn("ctrl", {
         let (t, s, e) = (transport.clone(), stores.clone(), errors.clone());
-        let ctx = elastic_ctx.clone();
-        move || ctrl_loop(t, s, resp_tx, e, ctx)
+        let (ctx, ends) = (elastic_ctx.clone(), inbound_ends.clone());
+        move || ctrl_loop(t, s, resp_tx, ends, e, ctx)
     });
-    let hb = std::thread::spawn({
+    let hb = spawn("hb", {
         let (t, d, e, r) = (transport.clone(), detector.clone(), errors.clone(), node.registry.clone());
         let n = nodes as u32;
         move || {
@@ -620,7 +648,7 @@ fn run() -> i32 {
         losses: node.registry.counter(&format!("node{me}.membership.losses")),
         rejoins: node.registry.counter(&format!("node{me}.membership.rejoins")),
     };
-    let memb = std::thread::spawn({
+    let memb = spawn("memb", {
         let (t, d, f) = (transport.clone(), detector.clone(), forwarder.clone());
         let elastic = args.active.is_some();
         let started = started.clone();
@@ -708,7 +736,7 @@ fn run() -> i32 {
     let stop = Arc::new(AtomicBool::new(false));
     let elastic_thread = elastic_ctx.as_ref().map(|ctx| {
         let (ctx, stop) = (ctx.clone(), stop.clone());
-        std::thread::spawn(move || elastic::run_ha(&ctx, &stop, deadline))
+        spawn("ha", move || elastic::run_ha(&ctx, &stop, deadline))
     });
     while elastic_ctx.as_ref().is_some_and(|ctx| !ctx.machine().synced()) {
         if signal::shutdown_requested() {
@@ -747,7 +775,7 @@ fn run() -> i32 {
     // Receiver: the shared netthread body, with the forwarder tapping
     // every applied packet before its ack — and, in elastic mode, the
     // stale-routing gate filtering each accepted packet first.
-    let net = std::thread::spawn({
+    let net = spawn("net", {
         let (n, t, e, s) = (node.clone(), transport.clone(), errors.clone(), state.clone());
         let tap: Arc<dyn PacketTap> = forwarder.clone();
         let gate = elastic_state
@@ -758,18 +786,18 @@ fn run() -> i32 {
     });
 
     // Sender: this node's update stream through its directory. A
-    // static node's ends fully acked; an elastic node's runs until
-    // `stop` and republishes `sender_drained` every pass (a bounce can
-    // clear it again).
+    // static node's ends fully acked, and publishes its flows' packet
+    // counts in `outbound_ends` once it has cut them all; an elastic
+    // node's runs until `stop` and republishes `sender_drained` every
+    // pass (a bounce can clear it again).
     let sender_drained = Arc::new(AtomicBool::new(false));
-    let snd = std::thread::spawn({
+    let outbound_ends = Arc::new(OnceLock::new());
+    let snd = spawn("snd", {
         let (t, n, e, stop, drained) =
             (transport.clone(), node.clone(), errors.clone(), stop.clone(), sender_drained.clone());
-        let elastic_state = elastic_state.clone();
+        let (elastic_state, ends) = (elastic_state.clone(), outbound_ends.clone());
         let (join, msgs_per_packet) = (args.join, args.msgs_per_packet);
         move || {
-            // Routed on this thread: the main thread counts the inbound
-            // flows' packets meanwhile.
             let fixed = gups::directory(&input, nodes);
             let (dir, updates, bounces): (_, Box<dyn Iterator<Item = _>>, Option<&dyn Bounces>) =
                 match &elastic_state {
@@ -784,12 +812,20 @@ fn run() -> i32 {
                         (&st.dir, Box::new(plan.into_iter()), Some(&**st))
                     }
                     None => {
+                        // The first packets leave at once, and a frame
+                        // written before its link is up is dropped and
+                        // costs the flow a retransmit timer: stream once
+                        // every peer is connected.
+                        for peer in (0..nodes as u32).filter(|&p| p != me) {
+                            let left = deadline.saturating_duration_since(Instant::now());
+                            t.wait_connected(peer, left);
+                        }
                         let stream = gups::update_stream(&input, nodes, me as usize);
                         (&fixed, Box::new(stream.map(|g| (g as u64, 1))), None)
                     }
                 };
             if let Err(err) =
-                sender::run(&*t, &n, dir, updates, bounces, msgs_per_packet, &stop, &drained)
+                sender::run(&*t, &n, dir, updates, bounces, msgs_per_packet, &stop, &drained, &ends)
             {
                 e.set(err);
             }
@@ -802,11 +838,11 @@ fn run() -> i32 {
     let mut rpc_threads = Vec::new();
     let mut agg = None;
     if let Some(lane) = &rpc_lane {
-        agg = Some(std::thread::spawn({
+        agg = Some(spawn("rpc", {
             let lane = lane.clone();
             move || aggregator::run_supervised(lane, None)
         }));
-        rpc_threads.push(std::thread::spawn({
+        rpc_threads.push(spawn("gets", {
             let (lane, stop, done) = (lane.clone(), stop.clone(), gets_done.clone());
             let (gets, seed, input) = (args.gets, args.seed, input);
             move || {
@@ -832,7 +868,6 @@ fn run() -> i32 {
         }));
     }
 
-    let expected = sender::expected_packets(&input, nodes, me, args.msgs_per_packet);
     let reporter = Reporter {
         args,
         node: node.clone(),
@@ -852,6 +887,7 @@ fn run() -> i32 {
     // grows and shrinks, and the harness polls for convergence.
     let mut completed = false;
     let mut last_periodic = Instant::now();
+    let mut announced_at: Option<Instant> = None;
     let code = loop {
         if errors.is_set() {
             eprintln!("[gravel-node {me}] cluster error: {:?}", errors.take());
@@ -867,12 +903,24 @@ fn run() -> i32 {
             eprintln!("[gravel-node {me}] graceful shutdown (completed={completed})");
             break 0;
         }
+        // Announced from here, not by the sender, which returns once
+        // drained: the repeats go on while the process lives.
+        if let Some(counts) = outbound_ends.get() {
+            if announced_at.is_none_or(|at| at.elapsed() >= ANNOUNCE_EVERY) {
+                announced_at = Some(Instant::now());
+                for (dest, &packets) in counts.iter().enumerate() {
+                    transport.send_control(dest as u32, &proto::encode_flow_end(0, packets));
+                }
+            }
+        }
         let locally_done = match &elastic_ctx {
             Some(ctx) => sender_drained.load(Ordering::SeqCst) && !ctx.machine().pulling(),
             None => {
-                sender_drained.load(Ordering::SeqCst)
-                    && gets_done.load(Ordering::SeqCst)
-                    && receive_complete(&state, &expected)
+                sender_drained.load(Ordering::SeqCst) && gets_done.load(Ordering::SeqCst) && {
+                    let ends = inbound_ends.lock().unwrap_or_else(|p| p.into_inner());
+                    let st = state.lock().unwrap_or_else(|p| p.into_inner());
+                    ends.complete(nodes, |src| st.cursor(src, 0))
+                }
             }
         };
         if !completed && locally_done {

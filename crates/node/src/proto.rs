@@ -29,6 +29,14 @@
 //!   out as a `FWD`: logged with its keeper ahead of that packet's
 //!   `FWD` and truncated by the next `CKPT` like the forwards.
 //!
+//! A static cluster's completion rides the plane too:
+//!
+//! * `FLOW_END` — `[op, lane, packets]`: how many packets a sender's
+//!   flow to the receiver carries, announced once the sender has cut
+//!   its whole stream and re-announced about every 10 ms while it
+//!   lives, so a restarted receiver learns it again. A receiver is
+//!   complete once every source's cursor reaches its count.
+//!
 //! Elastic-membership ops (DESIGN.md §16) ride the same plane:
 //!
 //! * `TOPO` — the coordinator's committed topology change: the new
@@ -105,6 +113,9 @@ pub const OP_DEATH_VOTE_REQ: u64 = 15;
 pub const OP_DEATH_VOTE: u64 = 16;
 /// What the gate refused of one packet (receiver → its buddy).
 pub const OP_REFUSED: u64 = 17;
+/// A static sender's packet count for its flow on one lane (sender →
+/// each destination, itself included).
+pub const OP_FLOW_END: u64 = 18;
 
 /// Words of a `FWD` op ahead of the packet's payload words:
 /// `[OP_FWD, src, lane, seq, nwords]` — a [`LoggedPacket`]'s head, its
@@ -312,6 +323,19 @@ pub fn decode_lease(words: &[u64]) -> Option<(u64, u32, u64)> {
         return None;
     }
     Some((words[1], u32::try_from(words[2]).ok()?, words[3]))
+}
+
+/// The sender's flow to the frame's destination on `lane` carries
+/// `packets` packets.
+pub fn encode_flow_end(lane: u32, packets: u64) -> Vec<u64> {
+    vec![OP_FLOW_END, lane as u64, packets]
+}
+
+pub fn decode_flow_end(words: &[u64]) -> Option<(u32, u64)> {
+    if words.len() != 3 || words[0] != OP_FLOW_END {
+        return None;
+    }
+    Some((u32::try_from(words[1]).ok()?, words[2]))
 }
 
 /// Ask a peer to corroborate `suspect`'s death. The requester's
@@ -727,6 +751,22 @@ mod tests {
         assert_eq!(decode_lease(&wide_holder), None);
     }
 
+    #[test]
+    fn flow_end_roundtrips_and_is_pinned() {
+        let w = encode_flow_end(0, 65);
+        assert_eq!(w, [OP_FLOW_END, 0, 65]);
+        assert_eq!(decode_flow_end(&w), Some((0, 65)));
+        assert_eq!(decode_flow_end(&encode_flow_end(1, u64::MAX)), Some((1, u64::MAX)));
+        for cut in 0..w.len() {
+            assert_eq!(decode_flow_end(&w[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(decode_flow_end(&[w.clone(), vec![0]].concat()), None, "a trailing word");
+        assert_eq!(decode_flow_end(&encode_lease(0, 0, 65)[..3]), None, "another op");
+        let mut wide_lane = w;
+        wide_lane[1] = u64::MAX;
+        assert_eq!(decode_flow_end(&wide_lane), None);
+    }
+
     /// Seeded byte-level fuzz over the failover-frame and log
     /// decoders: random word soups and bit-mutated valid encodings must
     /// decode to `None` or a well-formed message, never panic. Nightly CI widens the
@@ -756,6 +796,7 @@ mod tests {
             let _ = decode_death_vote(w);
             let _ = decode_refused(w.to_vec());
             let _ = decode_bounce(w);
+            let _ = decode_flow_end(w);
         };
         for case in 0..cases {
             // Random soup, sometimes starting with a valid opcode.
@@ -772,7 +813,8 @@ mod tests {
                     OP_RECOVER_RESP,
                     OP_REFUSED,
                     OP_BOUNCE,
-                ][(next() % 9) as usize];
+                    OP_FLOW_END,
+                ][(next() % 10) as usize];
             }
             decode_all(&w);
             // A valid frame with one word bit-flipped: decodes to None

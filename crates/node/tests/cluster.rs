@@ -12,10 +12,10 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use common::{Cluster, BIN};
-use gravel_apps::gups::GupsInput;
+use gravel_apps::gups::{self, GupsInput};
 use gravel_net::ChaosPlan;
 use gravel_node::report::{read_report, OutReport};
-use gravel_node::signal::{send_signal, SIGTERM};
+use gravel_node::signal::{send_signal, SIGKILL, SIGTERM};
 
 #[test]
 fn no_fault_cluster_is_bit_exact_and_sigterm_is_graceful() {
@@ -118,6 +118,85 @@ fn kill9_mid_run_recovers_bit_exact_over_the_wire() {
     for r in &finals {
         assert!(r.graceful, "node {} tore down gracefully after recovery", r.node);
     }
+}
+
+/// Packets flow `src → dest` of a static `nodes`-member cluster
+/// carries for `input` at `Cluster::spawn`'s 8 messages a packet: the
+/// source's stream towards `dest`, in full packets and one short tail.
+fn flow_packets(input: &GupsInput, nodes: usize, src: usize, dest: usize) -> u64 {
+    let dir = gups::directory(input, nodes);
+    let msgs = gups::node_updates(input, nodes, src)
+        .into_iter()
+        .filter(|&g| dir.route(g).dest == dest as u32)
+        .count();
+    msgs.div_ceil(8) as u64
+}
+
+/// The victim dies right after applying its last inbound packet. A
+/// source cuts its short tails only once its stream is exhausted, so by
+/// then every source has routed its whole stream and announced its
+/// counts, and the restarted victim — its cursors back from its buddy —
+/// can only learn them again from the repeats.
+#[test]
+fn a_victim_killed_after_every_announcement_learns_the_counts_again() {
+    let input = GupsInput { updates: 1500, table_len: 96, seed: 23 };
+    let cluster = Cluster::new("cluster_late_kill", input, 3);
+    const VICTIM: usize = 2;
+    let last: u64 = (0..3).map(|src| flow_packets(&input, 3, src, VICTIM)).sum();
+    let kill = ["--kill-at".to_string(), last.to_string()];
+    let mut children: Vec<Child> =
+        (0..3).map(|n| cluster.spawn(n, if n == VICTIM { &kill } else { &[] })).collect();
+    let status = children[VICTIM].wait().unwrap();
+    assert!(!status.success(), "victim must die by SIGKILL, got {status:?}");
+    // Convergence below must be the restarted process's.
+    std::fs::remove_file(cluster.out_path(VICTIM)).ok();
+
+    children[VICTIM] = cluster.spawn(VICTIM, &[]);
+    let reports = cluster.wait_all_completed(Duration::from_secs(45));
+    cluster.assert_bit_exact(&reports);
+    let vr = &reports[VICTIM];
+    assert!(vr.recovered_from_ckpt, "restarted victim recovered a buddy-held baseline");
+    let fwd = vr.stats.fwd_sent + vr.stats.fwd_dropped;
+    assert!(fwd < last, "the restart applied {fwd} packets again of {last}: not a late kill");
+    let mut children: Vec<(usize, Child)> = children.into_iter().enumerate().collect();
+    let finals = cluster.sigterm_and_reap(&mut children);
+    cluster.assert_bit_exact(&finals);
+}
+
+/// Over a fixed directory every incarnation of a sender announces the
+/// same packet counts. A member restarted with another `--updates` runs
+/// another stream: the peers that recorded its first counts refuse the
+/// new ones and exit 3 rather than complete on either.
+#[test]
+fn a_restart_announcing_other_packet_counts_exits_3() {
+    let input = GupsInput { updates: 900, table_len: 96, seed: 7 };
+    let cluster = Cluster::new("cluster_recount", input, 3);
+    let mut children: Vec<Child> = (0..3).map(|n| cluster.spawn(n, &[])).collect();
+    cluster.wait_all_completed(Duration::from_secs(45));
+
+    const VICTIM: usize = 1;
+    let more = GupsInput { updates: input.updates + 300, ..input };
+    let counts = |input| [0, 2].map(|dest| flow_packets(input, 3, VICTIM, dest));
+    assert_ne!(counts(&input), counts(&more), "the other stream must cut other packets");
+    assert!(send_signal(children[VICTIM].id(), SIGKILL));
+    children[VICTIM].wait().unwrap();
+    let updates = ["--updates".to_string(), more.updates.to_string()];
+    children[VICTIM] = cluster.spawn(VICTIM, &updates);
+    let deadline = Instant::now() + Duration::from_secs(40);
+    let mut codes = [None; 3];
+    while Instant::now() < deadline && (codes[0].is_none() || codes[2].is_none()) {
+        for n in [0, 2] {
+            if let Some(status) = children[n].try_wait().unwrap() {
+                codes[n] = Some(status.code());
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for c in &mut children {
+        c.kill().ok();
+        c.wait().ok();
+    }
+    assert_eq!([codes[0], codes[2]], [Some(Some(3)); 2], "the peers must refuse the recount");
 }
 
 /// A restarted member whose heap is not the size of the baseline its

@@ -7,7 +7,7 @@
 //! and wall-clock waits.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -129,18 +129,27 @@ impl Cluster {
     }
 
     /// Run `senders`, each with fresh engine state and routing through
-    /// `dir`, until every one reads drained.
-    fn run_senders(&self, dir: &Directory, msgs_per_packet: usize, senders: Vec<SenderSpec>) {
+    /// `dir`, until every one reads drained. Returns the packet counts
+    /// each published for its flows (`None` with a bounce source).
+    fn run_senders(
+        &self,
+        dir: &Directory,
+        msgs_per_packet: usize,
+        senders: Vec<SenderSpec>,
+    ) -> Vec<Option<Vec<u64>>> {
         let stop = AtomicBool::new(false);
         let drained: Vec<AtomicBool> = senders.iter().map(|_| AtomicBool::new(false)).collect();
+        let mut ends: Vec<OnceLock<Vec<u64>>> = senders.iter().map(|_| OnceLock::new()).collect();
         std::thread::scope(|s| {
-            for ((me, updates, bounces), done) in senders.into_iter().zip(&drained) {
+            for (((me, updates, bounces), done), ends) in
+                senders.into_iter().zip(&drained).zip(&ends)
+            {
                 let (node, stop) = (&self.nodes[me], &stop);
                 s.spawn(move || {
                     let bounces = bounces.map(|b| b as &dyn Bounces);
                     let t = &*self.transport;
-                    if let Err(e) =
-                        sender::run(t, node, dir, updates, bounces, msgs_per_packet, stop, done)
+                    let k = msgs_per_packet;
+                    if let Err(e) = sender::run(t, node, dir, updates, bounces, k, stop, done, ends)
                     {
                         self.errors.set(e);
                     }
@@ -152,6 +161,7 @@ impl Cluster {
             assert!(all, "a sender did not drain before the failsafe");
         });
         assert!(!self.errors.is_set(), "flow error: {:?}", self.errors.take());
+        ends.iter_mut().map(OnceLock::take).collect()
     }
 
     /// With every sender stopped: wait until the fabric has delivered
@@ -213,7 +223,7 @@ fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     let dir = gups::directory(&input, NODES);
     let streams = |who: &[usize]| who.iter().map(|&n| (n, gups_stream(&input, n), None)).collect();
 
-    cluster.run_senders(&dir, msgs_per_packet, streams(&[0, 1, 2]));
+    let ends = cluster.run_senders(&dir, msgs_per_packet, streams(&[0, 1, 2]));
     let heaps = cluster.heaps();
     assert_eq!(heaps, expected_heaps(&input, heap_len), "heap not bit-exact");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
@@ -223,18 +233,31 @@ fn bit_exact_then_restart(input: GupsInput, msgs_per_packet: usize) {
     );
     assert_eq!(cluster.total(|n| n.net_fast_forwarded.get()), 0, "nothing restarted yet");
 
+    // Each sender published what its flows carry: the stream's share
+    // towards each destination, in full packets and one short tail.
+    let ends: Vec<Vec<u64>> =
+        ends.into_iter().map(|e| e.expect("a static sender's counts")).collect();
+    for (src, ends) in ends.iter().enumerate() {
+        for (dest, &packets) in ends.iter().enumerate() {
+            let msgs = gups::node_updates(&input, NODES, src)
+                .into_iter()
+                .filter(|&g| dir.route(g).dest == dest as u32)
+                .count();
+            assert_eq!(packets, msgs.div_ceil(msgs_per_packet) as u64, "flow {src} → {dest}");
+        }
+    }
+
     // "kill -9 + restart" of node 0's sender: the same stream restamped
     // from sequence 0 by fresh engine state, against receivers that
     // already hold the whole stream.
-    let packets: u64 = (0..NODES as u32)
-        .map(|dest| sender::expected_packets(&input, NODES, dest, msgs_per_packet)[0])
-        .sum();
+    let packets: u64 = ends[0].iter().sum();
     cluster.run_dry(0);
     let dups_before = cluster.total(|n| n.net_dups_suppressed.get());
     let fabric =
         || cluster.transport.fault_stats().duplicated + cluster.nodes[0].net_retransmits.get();
     let fabric_before = fabric();
-    cluster.run_senders(&dir, msgs_per_packet, streams(&[0]));
+    let again = cluster.run_senders(&dir, msgs_per_packet, streams(&[0]));
+    assert_eq!(again[0].as_ref(), Some(&ends[0]), "another incarnation, other counts");
 
     assert_eq!(cluster.heaps(), heaps, "a restarted sender double-applied");
     assert_eq!(cluster.total(|n| n.applied.get()), input.updates as u64);
