@@ -4,11 +4,13 @@
 //! A node's network thread applies every message addressed to it,
 //! atomics included, so its state is a heap image plus the packets it
 //! applied after that image, in apply order. [`RecoveryLog`] is exactly
-//! that, and it is the only recovery state in the tree: the in-process
-//! runtime keeps one per node in its network thread's
-//! [`RecvState`](crate::netthread::RecvState); `gravel-node` keeps one
-//! per ward on the ward's buddy, filled from `FWD` and `CKPT` frames and
-//! shipped back whole in `RECOVER_RESP`. An epoch cut
+//! that, and it is the only recovery state in the tree, kept by the one
+//! [`Keeper`](super::Keeper): the in-process runtime keeps its nodes'
+//! logs in one, appended by each network thread's tap
+//! ([`Keeper::tap`](super::Keeper::tap)); `gravel-node` and `ha::sim`
+//! keep one per ward on the ward's buddy, filled from the `FWD` and
+//! `CKPT` frames its [`Ward`](super::Ward) side sends and shipped back
+//! whole in `RECOVER_RESP`. An epoch cut
 //! [rebases](RecoveryLog::rebase) it; [`RecoveryLog::replay`] rebuilds
 //! the heap with `gravel_pgas::apply_words`, the loop the network thread
 //! itself runs, bit for bit, and returns the flow cursors to resume
@@ -293,9 +295,10 @@ mod tests {
     /// The one log against the live receiver: random streams of
     /// applied packets over several flows, cut at random points,
     /// delivered through [`RecvState`](crate::netthread::RecvState) as
-    /// the network thread delivers them (late, duplicated, parked).
-    /// Replaying baseline + log must leave the live heap and the live
-    /// flow cursors.
+    /// the network thread delivers them (late, duplicated, parked) and
+    /// logged by the runtime's tap into its keeper. Replaying
+    /// baseline + log must leave the live heap and the live flow
+    /// cursors.
     mod property {
         use std::sync::Arc;
 
@@ -304,6 +307,7 @@ mod tests {
 
         use super::*;
         use crate::config::GravelConfig;
+        use crate::ha::Keeper;
         use crate::netthread::RecvState;
         use crate::NodeShared;
 
@@ -366,7 +370,8 @@ mod tests {
                 let (steps, cuts) = stream;
                 let node = node();
                 let mut st = RecvState::new();
-                st.log = Some(RecoveryLog::default());
+                let keeper = Arc::new(Keeper::default());
+                let tap = Some(keeper.tap(0));
                 let mut next_seq = [0u64; FLOWS.len()];
                 let (mut late, mut twice): (Option<Packet>, Vec<Packet>) = (None, Vec::new());
                 let mut epoch = 0;
@@ -379,7 +384,7 @@ mod tests {
                             heap: node.heap.snapshot(),
                             app: vec![epoch],
                         };
-                        st.log.as_mut().expect("logging").rebase(baseline);
+                        keeper.on_ckpt(0, baseline);
                     }
                     let Some((flow, msgs, delay, dup)) = steps.get(i) else { break };
                     let (src, lane) = FLOWS[*flow];
@@ -394,17 +399,17 @@ mod tests {
                     if *delay {
                         late = Some(pkt);
                     } else {
-                        st.accept(&node, pkt, None, None, None);
+                        st.accept(&node, pkt, None, None, tap.as_ref());
                     }
                     for p in held.into_iter().chain(twice.pop()) {
-                        st.accept(&node, p, None, None, None);
+                        st.accept(&node, p, None, None, tap.as_ref());
                     }
                 }
                 for p in late.into_iter().chain(twice) {
-                    st.accept(&node, p, None, None, None);
+                    st.accept(&node, p, None, None, tap.as_ref());
                 }
 
-                let log = st.log.as_ref().expect("logging");
+                let log = keeper.recover(0);
                 let last_cut = log.baseline.as_ref().map(|b| b.epoch);
                 prop_assert_eq!(last_cut, (!cuts.is_empty()).then_some(epoch));
                 let heap = SymmetricHeap::new(HEAP as usize);

@@ -57,6 +57,7 @@
 //! boundaries — injected chaos fires only at message boundaries, which
 //! is what makes restart exactness provable.
 
+pub mod buddy;
 pub mod checkpoint;
 pub mod heartbeat;
 pub mod lease;
@@ -65,6 +66,7 @@ pub mod rebalance;
 pub mod sim;
 pub mod supervisor;
 
+pub use buddy::{Emit, Keeper, Ward, CKPT_EVERY};
 pub use checkpoint::{Baseline, Checkpoint, LoggedPacket, RecoveryLog, ReplayError, Replayed};
 pub use heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 pub use lease::{quorum, successor, LeaseState, VoteLedger, INITIAL_TERM};

@@ -14,8 +14,9 @@
 //! A [`Fault::Churn`] scenario adds the data plane, built from the
 //! production pieces: each node owns a [`NodeShared`] heap and a
 //! [`RecvState`], applies every packet through `RecvState::accept`
-//! with the [`reshard::gate`] and a tap that logs with its keeper as
-//! `gravel-node`'s forwarder does (refusal, forward, bounce, cut), and
+//! gated and tapped by the [`Ward`] side of the buddy protocol that
+//! `gravel-node` runs (its refusal, forward, bounce and cut, in the
+//! order it returns them), keeps its ward's log in a [`Keeper`], and
 //! streams through a [`Packetizer`] under a model of the flow engine's
 //! contract (sequence numbers, cumulative acks, a 50 ms re-send of
 //! everything unacked). Data frames — packets, acks, forwards, cuts,
@@ -36,8 +37,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gravel_net::{splitmix, LinkFault};
-use gravel_pgas::{AmRegistry, Directory, FencedInstall, Packet, ShardMap, SymmetricHeap};
+use gravel_pgas::{AmRegistry, Directory, FencedInstall, Packet, ShardMap};
 
+use super::buddy::{Emit, Keeper, Ward, CKPT_EVERY};
 use super::checkpoint::{Baseline, LoggedPacket, RecoveryLog};
 use super::heartbeat::{FailureDetector, HeartbeatConfig, PeerStatus};
 use super::lease::{quorum, INITIAL_TERM};
@@ -46,7 +48,7 @@ use super::rebalance::TopologyChange;
 use crate::config::GravelConfig;
 use crate::netthread::{ApplyGate, PacketTap, RecvState};
 use crate::node::NodeShared;
-use crate::reshard::{self, Packetizer, Requeued};
+use crate::reshard::{Packetizer, Requeued};
 
 /// A killed holder is succeeded within this much virtual time: the
 /// detector's latch (~300 ms of silence) plus 150 ms vote rounds that
@@ -68,13 +70,12 @@ const TICK_MS: u64 = 25;
 /// The table: `gravel-node`'s 64 shards, of 4 words.
 const SHARDS: usize = 64;
 const TABLE: usize = 256;
-/// The data plane: messages a packet carries, packets a flow keeps
-/// unacknowledged, the re-send timer and the packet cadence of cuts
-/// (`gravel-node --msgs-per-packet 8`, its default `--ckpt-every`).
+/// The data plane: messages a packet carries (`gravel-node
+/// --msgs-per-packet 8`), packets a flow keeps unacknowledged and the
+/// re-send timer. Cuts come at `gravel-node`'s default cadence.
 const MSGS_PER_PACKET: usize = 8;
 const WINDOW: usize = 4;
 const RTO_MS: u64 = 50;
-const CKPT_EVERY: u64 = 16;
 
 /// The one fault a scenario injects.
 #[derive(Clone, Debug)]
@@ -298,13 +299,6 @@ enum Data {
     RecoverResp(RecoveryLog),
 }
 
-/// One send of an accept: to the keeper (a cut is no kill point), or a
-/// bounce to the packet's sender.
-enum Out {
-    Keeper(Option<After>, Data),
-    Bounce(LoggedPacket),
-}
-
 /// One sender flow: the next sequence number and the packets not yet
 /// acknowledged, re-sent whole when the oldest has waited [`RTO_MS`].
 #[derive(Default)]
@@ -314,74 +308,53 @@ struct Flow {
     since: u64,
 }
 
-/// The gate and tap a node's [`RecvState::accept`] runs: the gate
-/// decision with the state it needs, and the forwarder's order of sends.
-#[derive(Default)]
-struct Tap {
-    st: Mutex<TapState>,
-}
-
-#[derive(Default)]
-struct TapState {
+/// What a plane's receive path lends its [`Ward`]: the map and served
+/// shards the gate holds each packet to, the heap and ready shards a
+/// cut images, and the ward's sends in order — a forward with the
+/// entry it carries — for [`Sim::accept`] to make.
+struct Lent {
+    ward: Ward,
     me: u32,
     map: Option<Arc<ShardMap>>,
     served: u64,
     ready: u64,
-    heap: Option<Arc<NodeShared>>,
-    /// The forwarder's cursor mirror, packets since the last cut, and
-    /// the epoch.
-    cursors: HashMap<(u32, u32), u64>,
-    since_cut: u64,
-    epoch: u64,
-    refused: Option<LoggedPacket>,
-    sends: Vec<Out>,
+    shared: Arc<NodeShared>,
+    emits: Vec<(Emit, Option<LoggedPacket>)>,
 }
 
-impl Tap {
-    fn lock(&self) -> MutexGuard<'_, TapState> {
-        self.st.lock().unwrap_or_else(|p| p.into_inner())
+/// The ward side as `RecvState::accept` calls it: gate and tap.
+struct Hooks(Mutex<Lent>);
+
+impl Hooks {
+    fn lock(&self) -> MutexGuard<'_, Lent> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
-impl TapState {
-    /// A baseline of the heap, the cursor mirror and the ready shards.
-    fn cut(&mut self) -> Baseline {
-        self.epoch += 1;
-        self.since_cut = 0;
-        let mut cursors: Vec<_> = self.cursors.iter().map(|(&(s, l), &e)| (s, l, e)).collect();
-        cursors.sort_unstable();
-        let heap = self.heap.as_ref().expect("a data plane").heap.snapshot();
-        let app = (0..SHARDS as u64).filter(|&s| self.ready & 1 << s != 0).collect();
-        Baseline { epoch: self.epoch, cursors, heap, app }
+impl Lent {
+    /// A cut's image: the heap and the ready shards.
+    fn image(shared: &NodeShared, ready: u64) -> (Vec<u64>, Vec<u64>) {
+        let app = (0..SHARDS as u64).filter(|&s| ready & 1 << s != 0).collect();
+        (shared.heap.snapshot(), app)
     }
 }
 
-impl ApplyGate for Tap {
+impl ApplyGate for Hooks {
     fn filter(&self, pkt: &Packet) -> Option<Packet> {
-        let mut st = self.lock();
-        let map = st.map.clone()?;
-        let served = st.served;
-        let (kept, quads) = reshard::gate(st.me, &map, |s| served & 1 << s != 0, pkt)?;
-        st.refused = Some(LoggedPacket::refused(pkt.src, pkt.lane, pkt.seq, &quads));
-        Some(kept)
+        let st = &mut *self.lock();
+        let (map, served) = (st.map.clone()?, st.served);
+        st.ward.gate(st.me, &map, |s| served & 1 << s != 0, pkt)
     }
 }
 
-impl PacketTap for Tap {
+impl PacketTap for Hooks {
     fn on_packet_applied(&self, pkt: &Packet) {
-        let mut st = self.lock();
-        let refusal = st.refused.take();
-        if let Some(r) = &refusal {
-            st.sends.push(Out::Keeper(Some(After::Refused), Data::Refused(r.clone())));
-        }
-        let logged = LoggedPacket::new(pkt.src, pkt.lane, pkt.seq, &pkt.payload);
-        st.sends.push(Out::Keeper(Some(After::Forward), Data::Fwd(logged)));
-        st.cursors.insert((pkt.src, pkt.lane), pkt.seq + 1);
-        st.sends.extend(refusal.map(Out::Bounce));
-        st.since_cut += 1;
-        if st.since_cut >= CKPT_EVERY {
-            let b = st.cut();
-            st.sends.push(Out::Keeper(None, Data::Ckpt(b)));
+        let st = &mut *self.lock();
+        let (shared, ready) = (&st.shared, st.ready);
+        for emit in st.ward.applied(pkt, || Lent::image(shared, ready)) {
+            let entry = (emit == Emit::Forward)
+                .then(|| LoggedPacket::new(pkt.src, pkt.lane, pkt.seq, &pkt.payload));
+            st.emits.push((emit, entry));
         }
     }
 }
@@ -390,7 +363,7 @@ impl PacketTap for Tap {
 struct Plane {
     shared: Arc<NodeShared>,
     recv: RecvState,
-    tap: Arc<Tap>,
+    hooks: Arc<Hooks>,
     gate: Arc<dyn ApplyGate>,
     tapped: Arc<dyn PacketTap>,
     /// The stream not yet offloaded.
@@ -401,7 +374,7 @@ struct Plane {
     /// Quads bounced back, routed on the next pass.
     bounced: Vec<[u64; 4]>,
     /// The log kept for the ward, the previous slot.
-    ward: RecoveryLog,
+    keeper: Keeper,
     /// Recovered from the keeper: the machine ticks and data applies.
     started: bool,
     /// Packets and acks that came before the node served, in order.
@@ -415,24 +388,27 @@ impl Plane {
             &GravelConfig::small(slots, TABLE),
             Arc::new(AmRegistry::new()),
         ));
-        let tap = Arc::new(Tap::default());
-        {
-            let mut st = tap.lock();
-            st.me = me;
-            st.heap = Some(shared.clone());
-        }
+        let hooks = Arc::new(Hooks(Mutex::new(Lent {
+            ward: Ward::new(CKPT_EVERY),
+            me,
+            map: None,
+            served: 0,
+            ready: 0,
+            shared: shared.clone(),
+            emits: Vec::new(),
+        })));
         Plane {
             shared,
             recv: RecvState::new(),
-            gate: tap.clone(),
-            tapped: tap.clone(),
-            tap,
+            gate: hooks.clone(),
+            tapped: hooks.clone(),
+            hooks,
             stream: stream.into_iter(),
             queues: Packetizer::new(slots),
             flows: (0..slots).map(|_| Flow::default()).collect(),
             requeued: Requeued::default(),
             bounced: Vec::new(),
-            ward: RecoveryLog::default(),
+            keeper: Keeper::default(),
             started: false,
             held: VecDeque::new(),
         }
@@ -895,8 +871,6 @@ impl<'a> Sim<'a> {
     /// A data frame lands at `to` from `from`.
     fn land(&mut self, from: u32, to: u32, data: Data) -> Result<(), String> {
         let serving = self.serving(to);
-        let slots = self.nodes.len() as u32;
-        let ward = (from + 1) % slots == to;
         let node = &mut self.nodes[to as usize];
         let plane = node.plane.as_mut().expect("a churn node has a data plane");
         match data {
@@ -910,10 +884,9 @@ impl<'a> Sim<'a> {
                     flow.since = self.t;
                 }
             }
-            Data::Fwd(p) if ward => plane.ward.packets.push(p),
-            Data::Ckpt(b) if ward => plane.ward.rebase(b),
-            Data::Refused(r) if ward => plane.ward.refused.push(r),
-            Data::Fwd(_) | Data::Ckpt(_) | Data::Refused(_) => {}
+            Data::Fwd(p) => plane.keeper.on_fwd(from, p),
+            Data::Ckpt(b) => plane.keeper.on_ckpt(from, b),
+            Data::Refused(r) => plane.keeper.on_refused(from, r),
             Data::Bounce { map, refusal } => {
                 let term = node.dir.term();
                 self.install(to, map, term)?;
@@ -929,10 +902,8 @@ impl<'a> Sim<'a> {
                 }
             }
             Data::RecoverReq => {
-                if ward {
-                    let log = plane.ward.clone();
-                    self.send_data(to, from, Data::RecoverResp(log));
-                }
+                let log = plane.keeper.recover(from);
+                self.send_data(to, from, Data::RecoverResp(log));
             }
             Data::RecoverResp(log) if !plane.started => self.recover(to, log)?,
             Data::RecoverResp(_) => {}
@@ -953,11 +924,8 @@ impl<'a> Sim<'a> {
         for &(src, lane, next) in &replayed.cursors {
             plane.recv.seed_flow(src, lane, next);
         }
-        {
-            let mut st = plane.tap.lock();
-            st.cursors = replayed.cursors.iter().map(|&(s, l, e)| ((s, l), e)).collect();
-            st.epoch = log.baseline.as_ref().map_or(0, |b| b.epoch);
-        }
+        let epoch = log.baseline.as_ref().map_or(0, |b| b.epoch);
+        plane.hooks.lock().ward.seed(&replayed.cursors, epoch);
         let ready = match &log.baseline {
             Some(b) => bits(b.app.iter().map(|&s| s as u32)),
             None if member => bits(node.dir.current_map().expect("elastic").shards_of(i)),
@@ -978,44 +946,49 @@ impl<'a> Sim<'a> {
         let node = &mut self.nodes[to as usize];
         let plane = node.plane.as_mut().expect("a data plane");
         {
-            let mut st = plane.tap.lock();
+            let mut st = plane.hooks.lock();
             st.map = node.dir.current_map();
             (st.served, st.ready) = (node.served, node.ready);
         }
         let src = pkt.src;
         let (gate, tap) = (Some(&plane.gate), Some(&plane.tapped));
         let (next, _) = plane.recv.accept(&plane.shared, pkt, None, gate, tap);
-        let sends = std::mem::take(&mut plane.tap.lock().sends);
+        let emits = std::mem::take(&mut plane.hooks.lock().emits);
         let mut kill_after = None;
         let kill = self.sc.churn().and_then(|c| c.kill).filter(|k| k.node == to);
         if let Some(Kill { at: KillAt::Packet { nth, after }, .. }) = kill {
-            if sends.iter().any(|s| matches!(s, Out::Keeper(Some(After::Refused), _))) {
+            if emits.iter().any(|e| matches!(e.0, Emit::Refused(_))) {
                 self.refusing += 1;
                 kill_after = (self.refusing == nth && self.killed.is_none()).then_some(after);
             }
         }
-        let slots = self.nodes.len() as u32;
+        let keeper = (to + 1) % self.nodes.len() as u32;
         // A refusal counts as stale-routed once its packet's forward is
         // out, as `gravel-node` counts it: a kill before then undoes it.
         let mut refused = 0;
-        for out in sends {
-            let sent = match out {
-                Out::Keeper(what, data) => {
-                    if let Data::Refused(r) = &data {
-                        refused = (r.words().len() / 4) as u64;
-                    }
-                    self.send_data(to, (to + 1) % slots, data);
-                    if what == Some(After::Forward) {
-                        self.out.stale_routed += std::mem::take(&mut refused);
-                    }
-                    what
+        for (emit, entry) in emits {
+            let sent = match emit {
+                Emit::Refused(r) => {
+                    refused = (r.words().len() / 4) as u64;
+                    self.send_data(to, keeper, Data::Refused(r));
+                    Some(After::Refused)
                 }
-                Out::Bounce(r) => {
+                Emit::Forward => {
+                    self.send_data(to, keeper, Data::Fwd(entry.expect("a forward's entry")));
+                    self.out.stale_routed += std::mem::take(&mut refused);
+                    Some(After::Forward)
+                }
+                Emit::Bounce(r) => {
                     let n = (r.words().len() / 4) as u64;
                     if !self.bounce(to, r) {
                         self.out.bounce_dropped += n;
                     }
                     Some(After::Bounce)
+                }
+                // A cut is no kill point.
+                Emit::Ckpt(b) => {
+                    self.send_data(to, keeper, Data::Ckpt(b));
+                    None
                 }
             };
             if sent.is_some() && kill_after == sent {
@@ -1058,9 +1031,9 @@ impl<'a> Sim<'a> {
             return;
         };
         let b = {
-            let mut st = plane.tap.lock();
-            st.ready = node.ready;
-            st.cut()
+            let st = &mut *plane.hooks.lock();
+            let (heap, app) = Lent::image(&st.shared, node.ready);
+            st.ward.cut(heap, app)
         };
         let slots = self.nodes.len() as u32;
         self.send_data(i, (i + 1) % slots, Data::Ckpt(b));
@@ -1240,17 +1213,19 @@ impl<'a> Sim<'a> {
             Action::Redrive(topo) => self.broadcast(i, topo, true)?,
             Action::SendTopo { to, topo } => self.send(i, to, Frame::Topo(topo)),
             Action::Pull { to, shard, ward } => self.send(i, to, Frame::Pull { shard, ward }),
-            // Only the next slot keeps a ward.
-            Action::Ship { to, shard, ward } if ward.is_none_or(|w| (w + 1) % slots == i) => {
+            Action::Ship { to, shard, ward } => {
                 let map = node.dir.current_map().expect("elastic");
-                let Some(plane) = &mut node.plane else {
-                    let words = map.shard_words(TABLE, shard);
-                    self.send(i, to, Frame::Words { shard, words });
+                let Some(plane) = &node.plane else {
+                    // Only the next slot keeps a ward.
+                    if ward.is_none_or(|w| (w + 1) % slots == i) {
+                        let words = map.shard_words(TABLE, shard);
+                        self.send(i, to, Frame::Words { shard, words });
+                    }
                     return Ok(());
                 };
                 let heap = match ward {
                     None => Some(plane.shared.heap.snapshot()),
-                    Some(_) => reconstruct(&mut plane.ward, shard),
+                    Some(w) => plane.keeper.ship_ward(w, shard),
                 };
                 if let Some(heap) = heap.filter(|h| h.len() == TABLE) {
                     let stride = map.nshards();
@@ -1259,7 +1234,6 @@ impl<'a> Sim<'a> {
                     self.send_data(i, to, Data::Words { shard, words });
                 }
             }
-            Action::Ship { .. } => {}
             Action::Write { shard } => {
                 self.installs += 1;
                 if let Some(plane) = &node.plane {
@@ -1307,16 +1281,6 @@ impl<'a> Sim<'a> {
         }
         Ok(())
     }
-}
-
-/// A ward's heap as of its last forwarded packet, as a keeper ships
-/// `shard` out of it (`WardStores::ship_ward`); `None` without a
-/// baseline. The baseline stops claiming the shard ready.
-fn reconstruct(log: &mut RecoveryLog, shard: u32) -> Option<Vec<u64>> {
-    let heap = SymmetricHeap::new(log.baseline.as_ref()?.heap.len());
-    log.replay(&heap, &AmRegistry::new()).ok()?;
-    log.baseline.as_mut()?.app.retain(|&s| s != u64::from(shard));
-    Some(heap.snapshot())
 }
 
 #[cfg(test)]

@@ -35,6 +35,12 @@
 //! address, undecodable command word) divert to the node's bounded
 //! quarantine instead of panicking; the rest of their packet still
 //! applies.
+//!
+//! The thread keeps no recovery state of its own. A node that keeps a
+//! recovery log hands the thread a [`PacketTap`] — a keeper's
+//! (`ha::Keeper::tap`) in-process, its buddy forwarder in `gravel-node`
+//! — which sees every fully applied packet under the receive-state
+//! lock, the lock epoch cuts and recovery take too.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
@@ -50,7 +56,6 @@ use gravel_pgas::{
 
 use crate::aggregator::Lane;
 use crate::error::ErrorSlot;
-use crate::ha::{LoggedPacket, RecoveryLog};
 use crate::node::NodeShared;
 
 /// Receive poll interval; bounds how quickly the thread notices shutdown
@@ -97,17 +102,12 @@ impl FlowState {
 /// buffers, and mid-packet resume cursors all survive the thread.
 pub struct RecvState {
     flows: HashMap<(u32, u32), FlowState>,
-    /// The node's recovery log, when it keeps one (`cfg.ha.checkpoint`):
-    /// every packet [`accept`](Self::accept) fully applies is appended,
-    /// under the same lock as the cursors it advances.
-    pub(crate) log: Option<RecoveryLog>,
 }
 
 impl RecvState {
     pub fn new() -> Self {
         RecvState {
             flows: HashMap::new(),
-            log: None,
         }
     }
 
@@ -164,8 +164,7 @@ impl RecvState {
         gate: Option<&Arc<dyn ApplyGate>>,
         tap: Option<&Arc<dyn PacketTap>>,
     ) -> (u64, u64) {
-        let RecvState { flows, log } = self;
-        let flow = flows.entry((pkt.src, pkt.lane)).or_default();
+        let flow = self.flows.entry((pkt.src, pkt.lane)).or_default();
         if pkt.seq < flow.expected || flow.ooo.contains_key(&pkt.seq) {
             // Duplicate (injected, a retransmission of an applied packet
             // whose ack was lost, or a second copy of a parked one).
@@ -181,14 +180,14 @@ impl RecvState {
                 node.net_ooo_dropped.add(1);
             }
         } else {
-            gate_apply_tap(node, &pkt, &mut flow.resume_at, log.as_mut(), chaos, gate, tap);
+            gate_apply_tap(node, &pkt, &mut flow.resume_at, chaos, gate, tap);
             flow.expected += 1;
             // Drain any buffered successors the gap was hiding. A panic
             // mid-drain loses the popped packet but not its messages:
             // `expected` was not yet advanced past it and the next ack's
             // map no longer reports it, so the sender re-sends it.
             while let Some(next) = flow.ooo.remove(&flow.expected) {
-                gate_apply_tap(node, &next, &mut flow.resume_at, log.as_mut(), chaos, gate, tap);
+                gate_apply_tap(node, &next, &mut flow.resume_at, chaos, gate, tap);
                 flow.expected += 1;
             }
         }
@@ -202,7 +201,9 @@ impl RecvState {
 /// forwarding possible: a node that forwards the packet to its buddy
 /// inside the tap knows the forward was written before the sender
 /// could ever see the ack, so an acked packet is never missing from
-/// the buddy's log (forward-before-ack).
+/// the buddy's log (forward-before-ack). The in-process runtime's
+/// epoch cuts take the same lock, so no cut falls between a packet
+/// counted applied and its entry in the log.
 pub trait PacketTap: Send + Sync {
     fn on_packet_applied(&self, pkt: &Packet);
 }
@@ -346,16 +347,13 @@ fn apply_message(node: &NodeShared, pkt: &Packet, index: usize, words: [u64; MSG
 /// packet resumes at the cursor. Batching never fakes quiescence:
 /// replies a handler enqueues inflate `offloaded` before the batch
 /// lands in `applied`, so the counters cannot balance mid-packet. On
-/// completion the packet's well-formed payload is appended to the
-/// node's recovery log (`log`, if checkpointing) — before its last messages are
-/// counted, so a quiescent cluster's logs are complete — and the cursor
-/// returns to 0; an interrupted packet is *not* logged — its completed
-/// retransmission will be.
+/// completion the cursor returns to 0; an interrupted packet never
+/// reaches the caller's [`PacketTap`], so a recovery log holds only
+/// completed packets.
 fn apply_packet(
     node: &NodeShared,
     pkt: &Packet,
     resume_at: &mut usize,
-    log: Option<&mut RecoveryLog>,
     chaos: Option<&ChaosPlan>,
 ) {
     let _span = node.tracer.span("net.apply", "apply", node.id);
@@ -377,26 +375,19 @@ fn apply_packet(
         || chaos.is_some_and(|c| c.net_tick(node.id)),
         |index, words| apply_message(node, pkt, index, words),
     );
-    let applied = match end {
+    match end {
         StreamEnd::Interrupted => panic!(
             "chaos: net thread {} killed at injected apply step",
             node.id
         ),
         StreamEnd::Malformed { at } => {
             // It verifies only if its sender sealed it that way (a frame
-            // cut short in transit fails the CRC).
+            // cut short in transit fails the CRC). A replay skips the
+            // same malformed rest.
             let words = runs::fragment(payload, at);
             quarantine(node, pkt, *batch.cursor, words, QuarantineReason::PartialPayload);
-            &payload[..at * 8]
         }
-        StreamEnd::Drained | StreamEnd::Shutdown => payload,
-    };
-    // Log before counting: once `applied` balances, `cut_epoch` may
-    // rebase the log on a heap image, and a packet appended after that
-    // would be replayed on top of an image that already holds it. Only
-    // whole runs go in, so an entry stays a stream of runs.
-    if let Some(log) = log {
-        log.packets.push(LoggedPacket::new(pkt.src, pkt.lane, pkt.seq, applied));
+        StreamEnd::Drained | StreamEnd::Shutdown => {}
     }
     drop(batch);
     *resume_at = 0;
@@ -413,25 +404,23 @@ pub fn run(node: Arc<NodeShared>, transport: Arc<dyn Transport>, errors: Arc<Err
 /// packet, receive-state lock held by the caller. The tap sees exactly
 /// what applied: the gate's replacement when it filtered, the original
 /// otherwise.
-#[allow(clippy::too_many_arguments)]
 fn gate_apply_tap(
     node: &NodeShared,
     pkt: &Packet,
     resume_at: &mut usize,
-    log: Option<&mut RecoveryLog>,
     chaos: Option<&ChaosPlan>,
     gate: Option<&Arc<dyn ApplyGate>>,
     tap: Option<&Arc<dyn PacketTap>>,
 ) {
     match gate.and_then(|g| g.filter(pkt)) {
         Some(repl) => {
-            apply_packet(node, &repl, resume_at, log, chaos);
+            apply_packet(node, &repl, resume_at, chaos);
             if let Some(t) = tap {
                 t.on_packet_applied(&repl);
             }
         }
         None => {
-            apply_packet(node, pkt, resume_at, log, chaos);
+            apply_packet(node, pkt, resume_at, chaos);
             if let Some(t) = tap {
                 t.on_packet_applied(pkt);
             }
@@ -442,8 +431,9 @@ fn gate_apply_tap(
 /// [`run`] with receiver state hoisted into `state` for supervised
 /// restart, and four optional hooks: process-fault injection from
 /// `chaos`; a [`PacketTap`] observing every fully applied packet before
-/// its ack leaves (the multi-process runtime forwards packets to a
-/// buddy node there); an [`ApplyGate`] filtering every accepted packet
+/// its ack leaves (the in-process runtime logs packets with its
+/// keeper there, the multi-process runtime forwards them to a buddy
+/// node); an [`ApplyGate`] filtering every accepted packet
 /// before it applies (the elastic reshard layer bounces
 /// no-longer-owned messages there); and the node's express [`Lane`],
 /// whose express pass the thread runs itself after acking an express
@@ -756,8 +746,10 @@ mod tests {
         assert_eq!(node.quarantine.total(), 3);
     }
 
+    /// The torn rest is quarantined, and the whole packet — what a
+    /// [`PacketTap`] logs — replays to the same heap.
     #[test]
-    fn a_torn_payload_applies_its_runs_and_logs_only_them() {
+    fn a_torn_payload_applies_its_runs_and_replays_to_the_same_heap() {
         use gravel_pgas::runs::{run_header, RunKind};
         let node = NodeShared::new(0, &GravelConfig::small(1, 8), Arc::new(AmRegistry::new()));
         let msgs = [Message::inc(0, 1, 5).encode(), Message::put(0, 2, 6).encode()];
@@ -767,8 +759,8 @@ mod tests {
         let mut bytes = good.payload.to_vec();
         bytes.extend(torn.iter().flat_map(|w| w.to_le_bytes()));
         let pkt = Packet::from_payload(0, 0, bytes.into());
-        let (mut cursor, mut log) = (0, RecoveryLog::default());
-        apply_packet(&node, &pkt, &mut cursor, Some(&mut log), None);
+        let mut cursor = 0;
+        apply_packet(&node, &pkt, &mut cursor, None);
         assert_eq!((cursor, node.applied.get()), (0, 2));
         assert_eq!(node.heap.snapshot()[..3], [0, 5, 6]);
         let q = node.quarantine.drain();
@@ -777,12 +769,16 @@ mod tests {
             (q[0].reason, q[0].index, q[0].words),
             (QuarantineReason::PartialPayload, 2, [torn[0], 3, 4, 0])
         );
-        // The log holds the runs that applied, so a replay is exact.
+        // A replay skips the same malformed rest, so logging the whole
+        // packet is exact.
+        let keeper = Arc::new(crate::ha::Keeper::default());
+        keeper.tap(0).on_packet_applied(&pkt);
+        let log = keeper.recover(0);
         assert_eq!(log.packets.len(), 1);
-        assert_eq!(log.packets[0].words(), good.words());
         let replayed = gravel_pgas::SymmetricHeap::new(8);
         log.replay(&replayed, &node.ams).expect("no baseline to refuse");
         assert_eq!(replayed.snapshot(), node.heap.snapshot());
+        assert_eq!(replayed.snapshot()[..3], [0, 5, 6]);
     }
 
     #[test]

@@ -226,7 +226,7 @@ proptest! {
     fn run_wise_apply_leaves_what_the_per_message_loop_leaves(pkt in arb_packet(96)) {
         let (node, sink) = rig();
         let mut cursor = 0;
-        apply_packet(&node, &pkt, &mut cursor, None, None);
+        apply_packet(&node, &pkt, &mut cursor, None);
         prop_assert_eq!(cursor, 0, "a finished packet leaves no resume point");
         prop_assert_eq!(outcome(&node, &sink), by_message(&pkt));
     }
@@ -249,12 +249,12 @@ proptest! {
             let (node, sink) = rig();
             let mut cursor = 0;
             let died = catch_unwind(AssertUnwindSafe(|| {
-                apply_packet(&node, &pkt, &mut cursor, None, Some(&chaos))
+                apply_packet(&node, &pkt, &mut cursor, Some(&chaos))
             }));
             prop_assert!(died.is_err(), "kill {} fired", kill_at);
             prop_assert_eq!(cursor, kill_at - 1);
             prop_assert_eq!(node.applied.get(), kill_at as u64 - 1);
-            apply_packet(&node, &pkt, &mut cursor, None, Some(&chaos));
+            apply_packet(&node, &pkt, &mut cursor, Some(&chaos));
             prop_assert_eq!(cursor, 0);
             let got = outcome(&node, &sink);
             // The malformed end is evidence only the call that reaches
@@ -280,7 +280,7 @@ fn a_panicking_handler_leaves_the_cursor_on_its_message() {
     let pkt = Packet::from_words(1, 0, &words);
     let mut cursor = 0;
     let died = catch_unwind(AssertUnwindSafe(|| {
-        apply_packet(&node, &pkt, &mut cursor, None, None)
+        apply_packet(&node, &pkt, &mut cursor, None)
     }));
     assert!(died.is_err());
     assert_eq!((cursor, node.applied.get()), (2, 2));

@@ -44,9 +44,7 @@ use crate::aggregator::{self, Lane};
 use crate::config::GravelConfig;
 use crate::ctx::GravelCtx;
 use crate::error::{ErrorSlot, RuntimeError};
-use crate::ha::{
-    heartbeat, Baseline, Checkpoint, FailureDetector, RecoveryLog, Supervisor, WorkerKind,
-};
+use crate::ha::{heartbeat, Baseline, Checkpoint, FailureDetector, Keeper, Supervisor, WorkerKind};
 use crate::netthread::{self, RecvState};
 use crate::node::NodeShared;
 use crate::stats::{HaStats, NodeStats, RuntimeStats};
@@ -73,6 +71,10 @@ pub struct GravelRuntime {
     /// threads so epoch cuts can read the flow cursors and recovery can
     /// reset mid-packet ones.
     recv_states: Vec<Arc<Mutex<RecvState>>>,
+    /// Every node's recovery log, with `cfg.ha.checkpoint`: each network
+    /// thread's tap appends what it applies, under its receive-state
+    /// lock, so no cut falls between a packet's apply and its entry.
+    keeper: Option<Arc<Keeper>>,
     /// Per-node aggregator lanes, shared with the (restartable) lane
     /// threads so host requesters can run the express pass themselves.
     lanes: Vec<Arc<Lane>>,
@@ -141,13 +143,9 @@ impl GravelRuntime {
             .collect();
 
         // Network threads (receivers) first, then aggregators (senders).
-        let recv_states: Vec<Arc<Mutex<RecvState>>> = (0..cfg.nodes)
-            .map(|_| {
-                let mut state = RecvState::new();
-                state.log = cfg.ha.checkpoint.then(RecoveryLog::default);
-                Arc::new(Mutex::new(state))
-            })
-            .collect();
+        let recv_states: Vec<Arc<Mutex<RecvState>>> =
+            (0..cfg.nodes).map(|_| Arc::default()).collect();
+        let keeper = cfg.ha.checkpoint.then(Arc::<Keeper>::default);
         for ((node, state), lane) in nodes.iter().zip(&recv_states).zip(&lanes) {
             let (node, transport, errors, state, chaos, lane) = (
                 node.clone(),
@@ -157,6 +155,7 @@ impl GravelRuntime {
                 chaos.clone(),
                 lane.clone(),
             );
+            let tap = keeper.as_ref().map(|k| k.tap(node.id));
             supervisor.spawn(
                 format!("gravel-net-{}", node.id),
                 WorkerKind::Net,
@@ -168,7 +167,7 @@ impl GravelRuntime {
                         errors.clone(),
                         state.clone(),
                         chaos.clone(),
-                        None,
+                        tap.clone(),
                         None,
                         Some(lane.clone()),
                     )
@@ -232,6 +231,7 @@ impl GravelRuntime {
             supervisor: Some(supervisor),
             detectors,
             recv_states,
+            keeper,
             lanes,
             shut_down: false,
         }
@@ -574,27 +574,25 @@ impl GravelRuntime {
     /// sequence is only a consistent cut when no new traffic races it.
     /// Requires `cfg.ha.checkpoint` (programmer error otherwise).
     pub fn cut_epoch_with(&self, app: Option<&dyn Checkpoint>) -> u64 {
-        assert!(
-            self.cfg.ha.checkpoint,
-            "cut_epoch requires GravelConfig.ha.checkpoint = true"
-        );
+        let keeper = self
+            .keeper
+            .as_ref()
+            .expect("cut_epoch requires GravelConfig.ha.checkpoint = true");
         self.quiesce();
         let app = app.map_or_else(Vec::new, |a| a.save());
-        let lock = |id: usize| self.recv_states[id].lock().unwrap_or_else(|p| p.into_inner());
-        let last = lock(0).log.as_ref().and_then(|l| l.baseline.as_ref()).map_or(0, |b| b.epoch);
-        let epoch = last + 1;
+        let epoch = keeper.epoch(0) + 1;
         for (id, node) in self.nodes.iter().enumerate() {
             // Under the receive-state lock the network thread applies
-            // and appends under: heap image and cursors are one
-            // consistent pair.
-            let mut recv = lock(id);
+            // and logs under: heap image and cursors are one consistent
+            // pair, and a packet counted applied is already logged.
+            let recv = self.recv_states[id].lock().unwrap_or_else(|p| p.into_inner());
             let baseline = Baseline {
                 epoch,
                 cursors: recv.flow_cursors(),
                 heap: node.heap.snapshot(),
                 app: app.clone(),
             };
-            recv.log.as_mut().expect("checkpointing keeps a log").rebase(baseline);
+            keeper.on_ckpt(node.id, baseline);
             // Stamp the new epoch into every frame sealed from here on;
             // the cluster is quiescent, so no in-flight frame still
             // carries the old number.
@@ -630,7 +628,8 @@ impl GravelRuntime {
             let mut recv = self.recv_states[id]
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
-            let log = recv.log.as_ref().ok_or_else(|| fail("checkpointing disabled"))?;
+            let keeper = self.keeper.as_ref().ok_or_else(|| fail("checkpointing disabled"))?;
+            let log = keeper.recover(node.id);
             let baseline = log.baseline.as_ref().ok_or_else(|| fail("no epoch checkpoint taken"))?;
             // Replayed messages were already counted toward quiescence
             // when first applied: the disposed count goes nowhere.

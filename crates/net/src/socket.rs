@@ -409,9 +409,16 @@ impl StreamDecoder {
 /// would stop draining the socket — with both directions' buffers full
 /// neither side's writer could ever finish. It is only written with
 /// the slot locked; readers load it lock-free.
+///
+/// A peer's frames are routed in the order it wrote them, across
+/// connections too: a replaced reader still reads its (shut down)
+/// stream to the end, and each reader holds `reading` while it runs,
+/// so the next connection's reader routes nothing before its
+/// predecessor has returned.
 struct Peer {
     slot: Mutex<PeerSlot>,
     generation: AtomicU64,
+    reading: Mutex<()>,
 }
 
 impl Peer {
@@ -522,6 +529,7 @@ impl SocketTransport {
                         gave_up: false,
                     }),
                     generation: AtomicU64::new(0),
+                    reading: Mutex::new(()),
                 })
                 .collect(),
             data_tx,
@@ -973,15 +981,17 @@ impl Inner {
     // -- inbound frame pump ------------------------------------------------
 
     fn read_loop(self: Arc<Self>, peer: NodeId, gen: u64, mut stream: Stream) {
+        let p = &self.peers[peer as usize];
+        let _turn = p.reading.lock().unwrap_or_else(|e| e.into_inner());
         let mut decoder = StreamDecoder::new(MAX_FRAME_BYTES);
         loop {
             if self.closed.load(Ordering::Relaxed) {
                 return;
             }
-            // Lock-free on purpose: see `Peer`.
-            if self.peers[peer as usize].generation.load(Ordering::SeqCst) != gen {
-                return; // replaced by a newer connection
-            }
+            // Replaced by a newer connection (lock-free on purpose: see
+            // `Peer`): whoever replaced it shut the stream down, so what
+            // it still holds reads out, then EOF.
+            let replaced = p.generation.load(Ordering::SeqCst) != gen;
             match decoder.read_from(&mut stream) {
                 Ok(0) => break, // EOF: peer exited or died
                 Ok(_) => loop {
@@ -998,7 +1008,8 @@ impl Inner {
                     }
                 },
                 Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
+                    if !replaced
+                        && (e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut) =>
                 {
                     continue;
                 }

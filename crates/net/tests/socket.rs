@@ -511,6 +511,69 @@ fn a_link_a_write_finds_dead_is_announced_down() {
     t0.close();
 }
 
+/// A raw stream to the listener at `path`, handshaken as node 1 of 2.
+fn dial_as_node_1(path: &PathBuf) -> UnixStream {
+    let mut raw = UnixStream::connect(path).expect("dial listener");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let hello = seal_hello(
+        &HelloInfo { node: 1, peer: 0, nodes: 2, lanes: 1, epoch: 0 },
+        WireIntegrity::Crc32c,
+    );
+    raw.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&hello).unwrap();
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).expect("listener answers with its own HELLO");
+    let mut answer = vec![0u8; u32::from_le_bytes(len) as usize];
+    raw.read_exact(&mut answer).unwrap();
+    raw
+}
+
+/// A peer's frames are routed in the order it wrote them, across a
+/// reconnect too. Node 1 (a raw stream) writes a 4 MB control frame and
+/// a burst of small ones, and dies; node 0 then writes to it, which
+/// tears the link down while node 0's reader is still routing the big
+/// frame; then node 1's next incarnation connects and writes a marker.
+/// The replaced reader must still route every frame its stream holds,
+/// before the next connection's reader routes the marker — a keeper
+/// that drops a dead ward's last forwards, or lets its restart's
+/// recovery request overtake them, hands back a log without them.
+#[test]
+fn a_replaced_reader_routes_what_its_stream_holds_before_the_next_connection() {
+    const SMALL: u64 = 512;
+    let path = temp_path("replaced-listener");
+    let addrs = vec![
+        SocketAddrSpec::Uds(path.clone()),
+        SocketAddrSpec::Uds(temp_path("replaced-ghost")),
+    ];
+    let t0 = SocketTransport::spawn(SocketConfig::new(0, addrs)).expect("bind");
+    let framed = |words: &[u64]| -> Vec<u8> {
+        let frame = seal_control(1, 0, 0, words, WireIntegrity::Crc32c);
+        let mut bytes = (frame.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&frame);
+        bytes
+    };
+    let mut raw = dial_as_node_1(&path);
+    assert_eq!(t0.poll_event(Duration::from_secs(5)), Some(PeerEvent::Up(1)));
+    let big: Vec<u64> = (0..512 * 1024).collect();
+    raw.write_all(&framed(&big)).expect("the big frame is written");
+    let burst: Vec<u8> = (1..=SMALL).flat_map(|i| framed(&[i, i, i])).collect();
+    raw.write_all(&burst).expect("the burst is written");
+    drop(raw);
+    // Node 0's write finds the link dead and replaces the connection.
+    t0.send_control(1, &[9]);
+
+    let mut next = dial_as_node_1(&path);
+    next.write_all(&framed(&[u64::MAX])).expect("the marker is written");
+    let mut got = Vec::new();
+    while got.last() != Some(&u64::MAX) {
+        got.push(next_control(&t0, Duration::from_secs(10)).words[0]);
+    }
+    let want: Vec<u64> = (0..=SMALL).chain([u64::MAX]).collect();
+    assert_eq!(got.len(), want.len(), "frames lost or reordered: {got:?}");
+    assert_eq!(got, want);
+    t0.close();
+}
+
 /// An oversized length prefix is a framing error, not an allocation.
 #[test]
 fn oversized_length_prefix_is_rejected() {

@@ -12,15 +12,16 @@
 //!   index, so a message re-routed to a different owner needs no
 //!   offset translation and a shard's words are the stride
 //!   `shard, shard + nshards, shard + 2·nshards, …`.
-//! * **Stale-routing bounce.** The receive-side [`ApplyGate`] runs
-//!   [`reshard::gate`], as `ha::sim` does: messages for shards this node
-//!   does not own (stale map at the sender) or does not *yet* serve are
-//!   refused, the rest applies, and the sequence number is acked either
-//!   way. The forwarder ([`forward::Reshard`]) logs the refusal with the
-//!   buddy, forwards the packet, then has the quads bounced to their
-//!   sender with the current map, which re-queues each refusal once
-//!   ([`crate::sender::Bounces`]). `reshard.stale_routed` ==
-//!   `reshard.redelivered` + `reshard.bounce_dropped`.
+//! * **Stale-routing bounce.** The forwarder gates every packet
+//!   through its [`Ward`] against this state's map and served shards,
+//!   as `ha::sim` does: messages for shards this node does not own
+//!   (stale map at the sender) or does not *yet* serve are refused, the
+//!   rest applies, and the sequence number is acked either way. The
+//!   ward logs the refusal with the buddy, forwards the packet, then
+//!   has the quads bounced to their sender with the current map, which
+//!   re-queues each refusal once ([`crate::sender::Bounces`]).
+//!   `reshard.stale_routed` == `reshard.redelivered` +
+//!   `reshard.bounce_dropped`.
 //! * **One control-plane machine.** Every lease, vote, takeover,
 //!   eviction, commit and migration decision (pulls, ward escalation,
 //!   donations, installs, re-acks, snapshots, knocks) is the
@@ -48,22 +49,20 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::{Action, Event, HaMachine, LoggedPacket, Topo, TopologyChange};
-use gravel_core::netthread::ApplyGate;
-use gravel_core::reshard::{self, Requeued};
+use gravel_core::ha::{Action, Event, HaMachine, Keeper, LoggedPacket, Topo, TopologyChange, Ward};
+use gravel_core::reshard::Requeued;
 use gravel_core::{FailureDetector, NodeShared, PeerStatus};
 use gravel_net::{SocketTransport, Transport};
 use gravel_pgas::{Directory, FencedInstall, Packet, ShardMap};
 use gravel_telemetry::{Counter, Gauge, Histogram};
 
-use crate::forward::{self, Forwarder};
+use crate::forward::Forwarder;
 use crate::sender::Bounces;
 use crate::proto::{
     self, BounceMsg, MigrateMsg, OP_BOUNCE, OP_DEATH_VOTE, OP_DEATH_VOTE_REQ, OP_JOIN_REQ,
     OP_LEASE, OP_LEAVE_REQ, OP_MAP_REQ, OP_MIGRATE, OP_MIGRATE_ACK, OP_MIGRATE_REQ, OP_TOPO,
     OP_WARD_MIGRATE_REQ,
 };
-use crate::store::WardStores;
 
 /// The shards the gate applies locally (everything else bounces), and
 /// those recorded ready in the *next* epoch cut — marked before the
@@ -92,9 +91,6 @@ pub struct ElasticState {
     bounced: Mutex<VecDeque<[u64; 4]>>,
     /// The highest refused packet re-queued per receiver and lane.
     requeued: Mutex<Requeued>,
-    /// The gate's refusal of the packet being applied, until the
-    /// forwarder takes it.
-    refused: Mutex<Option<LoggedPacket>>,
     /// `--kill-on-migrate K`: SIGKILL while installing the Kth
     /// migrated shard, after its words land but before the epoch cut —
     /// the adversarial mid-migration window.
@@ -135,7 +131,6 @@ impl ElasticState {
             shards: Mutex::default(),
             bounced: Mutex::new(VecDeque::new()),
             requeued: Mutex::default(),
-            refused: Mutex::new(None),
             kill_on_migrate: Mutex::new(kill_on_migrate),
             stale_routed: registry.counter(&name("stale_routed")),
             redelivered: registry.counter(&name("redelivered")),
@@ -271,35 +266,26 @@ impl Bounces for ElasticState {
     }
 }
 
-/// The receive-side stale-routing gate: [`reshard::gate`] against the
-/// installed map and the served shards. The forwarder takes what it
-/// refuses ([`forward::Reshard`]).
-impl ApplyGate for ElasticState {
-    fn filter(&self, pkt: &Packet) -> Option<Packet> {
+/// What the forwarder's [`Ward`] asks of the elastic data plane.
+impl ElasticState {
+    /// The receive-side stale-routing gate: `ward` refuses what this
+    /// node does not serve under the installed map.
+    pub fn gate(&self, ward: &mut Ward, pkt: &Packet) -> Option<Packet> {
         let map = self.dir.current_map()?;
-        let (kept, quads) = {
-            let shards = lock(&self.shards);
-            reshard::gate(self.me, &map, |s| shards.served.contains(&s), pkt)?
-        };
-        *lock(&self.refused) = Some(LoggedPacket::refused(pkt.src, pkt.lane, pkt.seq, &quads));
-        Some(kept)
+        let shards = lock(&self.shards);
+        ward.gate(self.me, &map, |s| shards.served.contains(&s), pkt)
     }
-}
 
-impl forward::Reshard for ElasticState {
-    fn ready_shards(&self) -> Vec<u64> {
+    /// The shards a cut records ready, as its app words.
+    pub fn ready_shards(&self) -> Vec<u64> {
         let mut v: Vec<u64> = lock(&self.shards).ready.iter().map(|&s| u64::from(s)).collect();
         v.sort_unstable();
         v
     }
 
-    fn take_refusal(&self) -> Option<LoggedPacket> {
-        lock(&self.refused).take()
-    }
-
     /// Counted here, once the refusal is durable: a kill before the
     /// forward undoes it, and the re-sent packet is gated again.
-    fn bounce(&self, r: LoggedPacket) {
+    pub fn bounce(&self, r: LoggedPacket) {
         let n = (r.words().len() / 4) as u64;
         self.stale_routed.add(n);
         if !self.send_bounce(r) {
@@ -361,7 +347,7 @@ pub struct ElasticCtx {
     /// control loop.
     pub ha: Mutex<HaMachine>,
     pub forwarder: Arc<Forwarder>,
-    pub stores: Arc<WardStores>,
+    pub stores: Arc<Keeper>,
     pub detector: Arc<FailureDetector>,
     /// `--kill-on-commit`: SIGKILL right after broadcasting the next
     /// moves-carrying commit, before installing it here.

@@ -1,5 +1,7 @@
-//! The buddy forwarder: a [`PacketTap`] that streams every applied
-//! packet to this node's buddy and periodically cuts an epoch.
+//! The buddy forwarder: the socket half of the buddy protocol's ward
+//! side. The decisions — what to send for each applied packet, in which
+//! order, and when to cut — are [`gravel_core::ha::Ward`]'s, the type
+//! `ha::sim` runs too; this module seals and writes what it returns.
 //!
 //! Crash consistency rests on two orderings:
 //!
@@ -16,19 +18,14 @@
 //!    coordination: the cut's position in the stream *is* its
 //!    consistency point.
 //!
-//! 3. **Refusal, forward, bounce.** What an elastic gate refused of a
-//!    packet goes to the buddy (`REFUSED`) before the packet's `FWD`,
-//!    and back to its sender only after, all before any cut (DESIGN.md
-//!    §16): a kill anywhere leaves the packet to re-gate or the refusal
-//!    to re-send.
+//! An elastic node's forwarder is also its gate: the ward keeps what
+//! the gate refused of a packet until the packet's sends (DESIGN.md
+//! §16).
 //!
 //! A forward is sealed straight from the applied packet's payload
 //! bytes: the five `FWD` header words and the payload go into one
 //! control frame in one pass (one copy, one CRC) and are gather-written
-//! to the buddy's stream. Epochs are cut on two cadences: every
-//! `--ckpt-every` applied packets, and — whatever that flag says —
-//! before the log the buddy holds could outgrow the single frame a
-//! `RECOVER_RESP` must fit in (see `log_budget`).
+//! to the buddy's stream.
 //!
 //! If the buddy is down, forwards are dropped (`send_control` returns
 //! false) and the node's protection degrades — the documented
@@ -41,56 +38,21 @@
 //! the Nth packet — the worst possible moment, after state changed but
 //! potentially before the ack left.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use gravel_core::ha::{Baseline, LoggedPacket};
-use gravel_core::netthread::{PacketTap, RecvState};
+use gravel_core::ha::{Baseline, Emit, Ward};
+use gravel_core::netthread::{ApplyGate, PacketTap, RecvState};
 use gravel_core::NodeShared;
-use gravel_net::{ChaosPlan, SocketTransport, MAX_FRAME_BYTES};
-use gravel_pgas::{Packet, FRAME_OVERHEAD};
+use gravel_net::{ChaosPlan, SocketTransport};
+use gravel_pgas::Packet;
 use gravel_telemetry::Counter;
 
-use crate::proto::{self, FWD_HEAD_WORDS};
+use crate::elastic::ElasticState;
+use crate::proto;
 
-/// How many bytes of forwards the buddy may log on top of a baseline of
-/// `ckpt_words` encoded words before the next cut. A restarting node
-/// gets baseline + log back in *one* `RECOVER_RESP` frame, and a frame
-/// over [`MAX_FRAME_BYTES`] can never be delivered — so the log is cut
-/// at half of what the baseline leaves under the ceiling, and the
-/// packet that crosses the line still fits in the other half.
-fn log_budget(ckpt_words: usize) -> usize {
-    // `[OP_RECOVER_RESP, has_ckpt]` + the checkpoint body (the `CKPT`
-    // op minus its opcode) + the log's entry count.
-    let fixed = FRAME_OVERHEAD + 8 * (ckpt_words + 2);
-    MAX_FRAME_BYTES.saturating_sub(fixed) / 2
-}
-
-struct FwdState {
-    /// Next-expected sequence per flow, mirroring the network thread's
-    /// receive state (the tap sees every applied packet in order, so
-    /// the mirror is exact and needs no second lock on `RecvState`).
-    cursors: HashMap<(u32, u32), u64>,
-    /// Applied packets since the last cut.
-    since_cut: u64,
-    /// Bytes those packets occupy in the buddy's log, as `RECOVER_RESP`
-    /// will encode them, and the bound that forces a cut.
-    log_bytes: usize,
-    log_budget: usize,
-    /// Monotonic epoch number (first cut = 1).
-    epoch: u64,
-}
-
-/// What an elastic node adds to each cut (the ready shards as its app
-/// words) and each forward (the gate's refusal, bounced after it).
-pub trait Reshard: Send + Sync {
-    fn ready_shards(&self) -> Vec<u64>;
-    fn take_refusal(&self) -> Option<LoggedPacket>;
-    fn bounce(&self, r: LoggedPacket);
-}
-
-/// Streams applied packets to the buddy and cuts epochs.
+/// Streams applied packets to the buddy and cuts epochs, as its
+/// [`Ward`] decides.
 pub struct Forwarder {
     transport: Arc<SocketTransport>,
     node: Arc<NodeShared>,
@@ -100,15 +62,12 @@ pub struct Forwarder {
     recv_state: Arc<Mutex<RecvState>>,
     /// Who keeps our state: `(me + 1) % nodes`.
     buddy: u32,
-    /// Cut an epoch every this many applied packets (0 = only explicit
-    /// rebaselines and the log-size bound).
-    ckpt_every: u64,
     chaos: Option<Arc<ChaosPlan>>,
-    state: Mutex<FwdState>,
-    /// Elastic mode: the checkpoint's ready-shard set (the shards this
-    /// node is serving, as recorded *in* each cut) as the baseline's app
-    /// words, and the gate's refusals. Static clusters leave it unset.
-    reshard: OnceLock<Arc<dyn Reshard>>,
+    ward: Mutex<Ward>,
+    /// Elastic mode: the gate's map and served shards, the ready shards
+    /// each cut records as its app words, and the bounce path. Static
+    /// clusters leave it unset.
+    elastic: OnceLock<Arc<ElasticState>>,
     fwd_sent: Counter,
     fwd_dropped: Counter,
     epochs_cut: Counter,
@@ -129,16 +88,9 @@ impl Forwarder {
             transport,
             recv_state,
             buddy,
-            ckpt_every,
             chaos,
-            state: Mutex::new(FwdState {
-                cursors: HashMap::new(),
-                since_cut: 0,
-                log_bytes: 0,
-                log_budget: log_budget(0),
-                epoch: 0,
-            }),
-            reshard: OnceLock::new(),
+            ward: Mutex::new(Ward::new(ckpt_every)),
+            elastic: OnceLock::new(),
             fwd_sent: registry.counter(&name("fwd.sent")),
             fwd_dropped: registry.counter(&name("fwd.dropped")),
             epochs_cut: registry.counter(&name("ha.epochs_cut")),
@@ -146,27 +98,23 @@ impl Forwarder {
         }
     }
 
-    /// Install the elastic hooks, before the first cut: every cut then
-    /// records the ready shards in the checkpoint image, and every
-    /// forward carries the gate's refusal of its packet.
-    pub fn set_reshard(&self, r: Arc<dyn Reshard>) {
-        assert!(self.reshard.set(r).is_ok(), "one elastic state per node");
+    /// Install the elastic state, before the first cut: every cut then
+    /// records the ready shards in the checkpoint image, and the
+    /// forwarder gates every packet before it applies.
+    pub fn set_elastic(&self, st: Arc<ElasticState>) {
+        assert!(self.elastic.set(st).is_ok(), "one elastic state per node");
     }
 
     /// Seed the cursor mirror and epoch after recovery, before the
     /// network thread starts consuming.
     pub fn seed(&self, cursors: &[(u32, u32, u64)], epoch: u64) {
-        let mut st = self.lock();
-        for &(src, lane, expected) in cursors {
-            st.cursors.insert((src, lane), expected);
-        }
-        st.epoch = epoch;
+        self.lock().seed(cursors, epoch);
         self.stamp_epoch(epoch);
     }
 
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.lock().epoch
+        self.lock().epoch()
     }
 
     /// Cut a full checkpoint *now*, even with no traffic flowing.
@@ -174,25 +122,20 @@ impl Forwarder {
     /// the heap image and cursor mirror are mutually consistent.
     pub fn rebaseline(&self) {
         let _recv = self.recv_state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut st = self.lock();
-        self.cut_locked(&mut st);
+        let (heap, app) = self.image();
+        let b = self.lock().cut(heap, app);
+        self.send_ckpt(&b);
     }
 
-    /// The cut body; caller holds (or is called under) the receive-state
-    /// lock, and holds `self.state`.
-    fn cut_locked(&self, st: &mut FwdState) {
-        st.epoch += 1;
-        st.since_cut = 0;
-        let mut cursors: Vec<(u32, u32, u64)> =
-            st.cursors.iter().map(|(&(s, l), &e)| (s, l, e)).collect();
-        cursors.sort_unstable();
-        let app = self.reshard.get().map_or_else(Vec::new, |r| r.ready_shards());
-        let heap = self.node.heap.snapshot();
-        let ckpt = proto::encode_ckpt(&Baseline { epoch: st.epoch, cursors, heap, app });
-        st.log_bytes = 0;
-        st.log_budget = log_budget(ckpt.len());
-        self.transport.send_control(self.buddy, &ckpt);
-        self.stamp_epoch(st.epoch);
+    /// A cut's heap image and app words (the ready shards).
+    fn image(&self) -> (Vec<u64>, Vec<u64>) {
+        let app = self.elastic.get().map_or_else(Vec::new, |st| st.ready_shards());
+        (self.node.heap.snapshot(), app)
+    }
+
+    fn send_ckpt(&self, b: &Baseline) {
+        self.transport.send_control(self.buddy, &proto::encode_ckpt(b));
+        self.stamp_epoch(b.epoch);
         self.epochs_cut.inc();
     }
 
@@ -204,43 +147,46 @@ impl Forwarder {
         self.transport.set_epoch(epoch as u32);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FwdState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Ward> {
+        self.ward.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// The elastic gate: the ward refuses what this node does not serve
+/// under its installed map, and keeps the refusal for the packet's
+/// sends.
+impl ApplyGate for Forwarder {
+    fn filter(&self, pkt: &Packet) -> Option<Packet> {
+        self.elastic.get()?.gate(&mut self.lock(), pkt)
     }
 }
 
 impl PacketTap for Forwarder {
     fn on_packet_applied(&self, pkt: &Packet) {
-        // Whole words only, as the log replays them.
-        let words = &pkt.payload[..pkt.payload.len() & !7];
-        let head = proto::fwd_head(pkt.src, pkt.lane, pkt.seq, words.len() / 8);
-        let mut st = self.lock();
-        let refusal = self.reshard.get().and_then(|r| r.take_refusal());
-        if let Some(r) = &refusal {
-            let op = proto::encode_refused(r);
-            if self.transport.send_control(self.buddy, &op) {
-                st.log_bytes += 8 * op.len();
+        let mut ward = self.lock();
+        for emit in ward.applied(pkt, || self.image()) {
+            match emit {
+                Emit::Refused(r) => {
+                    self.transport.send_control(self.buddy, &proto::encode_refused(&r));
+                }
+                Emit::Forward => {
+                    // Whole words only, as the log replays them.
+                    let words = &pkt.payload[..pkt.payload.len() & !7];
+                    let head = proto::fwd_head(pkt.src, pkt.lane, pkt.seq, words.len() / 8);
+                    if self.transport.send_control_parts(self.buddy, &head, words) {
+                        self.fwd_sent.inc();
+                    } else {
+                        // Buddy down: protection degraded until the
+                        // rebaseline on its rejoin (single-failure
+                        // assumption).
+                        self.fwd_dropped.inc();
+                    }
+                }
+                Emit::Bounce(r) => self.elastic.get().expect("only a gate refuses").bounce(r),
+                Emit::Ckpt(b) => self.send_ckpt(&b),
             }
         }
-        if self.transport.send_control_parts(self.buddy, &head, words) {
-            self.fwd_sent.inc();
-            st.log_bytes += 8 * (FWD_HEAD_WORDS - 1) + words.len();
-        } else {
-            // Buddy down: protection degraded until the rebaseline on
-            // its rejoin (single-failure assumption).
-            self.fwd_dropped.inc();
-        }
-        st.cursors.insert((pkt.src, pkt.lane), pkt.seq + 1);
-        if let (Some(r), Some(reshard)) = (refusal, self.reshard.get()) {
-            reshard.bounce(r);
-        }
-        st.since_cut += 1;
-        if (self.ckpt_every > 0 && st.since_cut >= self.ckpt_every)
-            || st.log_bytes >= st.log_budget
-        {
-            self.cut_locked(&mut st);
-        }
-        drop(st);
+        drop(ward);
         // Chaos kill switch: die *after* the forward was written (the
         // guarantee under test) but before the ack goes out — the
         // network thread sends it after the tap returns, so SIGKILL
@@ -267,10 +213,12 @@ mod tests {
 
     use super::*;
     use crate::proto::{OP_CKPT, OP_FWD};
-    use crate::store::WardStores;
+    use gravel_core::ha::Keeper;
+    use gravel_net::MAX_FRAME_BYTES;
+    use gravel_pgas::FRAME_OVERHEAD;
 
-    /// What `WardStores::recover` would put on the wire for ward 0.
-    fn recover_frame_bytes(stores: &WardStores) -> usize {
+    /// What `Keeper::recover` would put on the wire for ward 0.
+    fn recover_frame_bytes(stores: &Keeper) -> usize {
         FRAME_OVERHEAD + 8 * proto::encode_recover_resp(&stores.recover(0)).len()
     }
 
@@ -300,7 +248,7 @@ mod tests {
         let buddy = std::thread::spawn({
             let t1 = t1.clone();
             move || {
-                let stores = WardStores::default();
+                let stores = Keeper::default();
                 let (mut fwds, mut cuts, mut largest) = (0, 0, 0);
                 let until = Instant::now() + Duration::from_secs(60);
                 while fwds < PACKETS {

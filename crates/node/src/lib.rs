@@ -12,9 +12,11 @@
 //! * [`proto`]  — control-plane word codec (FWD / CKPT / RECOVER, the
 //!   FLOW_END completion announcement, and the elastic TOPO / MIGRATE /
 //!   BOUNCE family).
-//! * [`store`]  — buddy-side storage of a ward's recovery log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
-//!   that streams applied packets to the buddy and cuts epochs.
+//!   (and elastic gate) that writes what the core buddy protocol's
+//!   ward side (`gravel_core::ha::Ward`) sends for each applied packet:
+//!   forwards to the buddy, refusals, bounces and epoch cuts. The
+//!   buddy keeps them in a `gravel_core::ha::Keeper`.
 //! * [`sender`] — the one packetizer: a node's update stream routed
 //!   through its directory (fixed or elastic) as packets leave, fed to
 //!   the core flow engine (`gravel_core::flow`) on wire lane 0; and the
@@ -36,4 +38,3 @@ pub mod proto;
 pub mod report;
 pub mod sender;
 pub mod signal;
-pub mod store;

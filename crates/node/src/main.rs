@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gravel_apps::gups::{self, GupsInput};
-use gravel_core::ha::{heartbeat, HaMachine, RecoveryLog};
+use gravel_core::ha::{heartbeat, HaMachine, Keeper, RecoveryLog, CKPT_EVERY};
 use gravel_core::netthread::{self, PacketTap, RecvState};
 use gravel_core::{
     aggregator, ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared, RuntimeError,
@@ -62,7 +62,6 @@ use gravel_node::proto::{
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
 use gravel_node::sender::{self, Bounces, FlowEnds};
 use gravel_node::signal;
-use gravel_node::store::WardStores;
 
 struct Args {
     node: u32,
@@ -123,7 +122,7 @@ fn parse_args() -> Args {
         table: 512,
         seed: 42,
         msgs_per_packet: sender::DEFAULT_MSGS_PER_PACKET,
-        ckpt_every: 16,
+        ckpt_every: CKPT_EVERY,
         kill_at: None,
         deadline_secs: 60,
         gets: 0,
@@ -246,7 +245,7 @@ fn spawn<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) 
 /// in elastic mode, dispatch the TOPO/MIGRATE/BOUNCE family.
 fn ctrl_loop(
     transport: Arc<SocketTransport>,
-    stores: Arc<WardStores>,
+    stores: Arc<Keeper>,
     resp_tx: mpsc::Sender<RecoveryLog>,
     flow_ends: Arc<Mutex<FlowEnds>>,
     errors: Arc<ErrorSlot>,
@@ -569,7 +568,7 @@ fn run() -> i32 {
 
     let errors = Arc::new(ErrorSlot::default());
     let state = Arc::new(Mutex::new(RecvState::new()));
-    let stores = Arc::new(WardStores::default());
+    let stores = Arc::new(Keeper::default());
     let buddy = ((me as usize + 1) % nodes) as u32;
     let chaos = args
         .kill_at
@@ -613,7 +612,7 @@ fn run() -> i32 {
         let ha = HaMachine::new(me, &initial, nodes, args.table, grace, hb_cfg.interval);
         let (t, kill) = (transport.clone(), args.kill_on_migrate);
         let st = ElasticState::new(node.clone(), t, nodes, args.table, initial, kill);
-        forwarder.set_reshard(st.clone());
+        forwarder.set_elastic(st.clone());
         Arc::new(ElasticCtx {
             state: st,
             ha: Mutex::new(ha),
@@ -779,8 +778,8 @@ fn run() -> i32 {
         let (n, t, e, s) = (node.clone(), transport.clone(), errors.clone(), state.clone());
         let tap: Arc<dyn PacketTap> = forwarder.clone();
         let gate = elastic_state
-            .clone()
-            .map(|st| st as Arc<dyn netthread::ApplyGate>);
+            .is_some()
+            .then(|| forwarder.clone() as Arc<dyn netthread::ApplyGate>);
         let lane = rpc_lane.clone();
         move || netthread::run_with(n, t, e, s, None, Some(tap), gate, lane)
     });

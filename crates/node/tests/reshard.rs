@@ -12,12 +12,12 @@
 mod common;
 
 use std::process::Child;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::Cluster;
 use gravel_apps::gups::GupsInput;
 use gravel_node::elastic;
-use gravel_node::report::OutReport;
+use gravel_node::report::{read_report, OutReport};
 use gravel_node::signal::{send_signal, SIGKILL, SIGUSR1};
 
 /// Cluster-wide exactly-once ledger over a set of final (quiesced)
@@ -30,15 +30,36 @@ fn ledger(reports: &[OutReport]) -> (u64, u64, u64) {
     (stale, redel, dropped)
 }
 
+/// The first reading of `slots`' reports that `pred` holds for.
+fn first_reports(
+    cluster: &Cluster,
+    slots: &[usize],
+    timeout: Duration,
+    what: &str,
+    pred: impl Fn(&[OutReport]) -> bool,
+) -> Vec<OutReport> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let reports: Vec<OutReport> =
+            slots.iter().filter_map(|&n| read_report(&cluster.out_path(n)).ok()).collect();
+        if reports.len() == slots.len() && pred(&reports) {
+            return reports;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
-    // A stream long enough that the joins and leaves land mid-traffic:
-    // the flips must race live packets, or the stale-routing path is
-    // never exercised (asserted on the ledger below). Twice what it was
-    // before the socket path stopped moving frames byte by byte through
-    // a `VecDeque`: at 24 000 a debug build now drains before the first
-    // flip in a third of the runs.
-    let input = GupsInput { updates: 48_000, table_len: 96, seed: 17 };
+    // A stream long enough that both joins land mid-traffic: the flips
+    // must race live packets, or the stale-routing path is never
+    // exercised (asserted on the reports and the ledger below). The
+    // members stream ~210 k updates/s in a debug build and ~3 M/s in
+    // `--release` (2 vCPUs); the map reaches version 3 about 250 ms
+    // after the joiners start, so each size streams for ~2 s.
+    let updates = if cfg!(debug_assertions) { 480_000 } else { 6_000_000 };
+    let input = GupsInput { updates, table_len: 96, seed: 17 };
     let senders: Vec<u32> = (0..4).collect();
     let expected = elastic::expected_table(&input, 6, &senders);
 
@@ -77,8 +98,12 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
     let mut children: Vec<(usize, Child)> =
         (0..4).map(|n| (n, cluster.spawn(n, &grace))).collect();
 
-    // Let the initial members mesh and start streaming before growing.
-    std::thread::sleep(Duration::from_millis(100));
+    // Grow only once every initial member reports streaming.
+    let initial = [0, 1, 2, 3];
+    let streaming = |r: &OutReport| r.updates_issued > 0 && !r.sender_drained;
+    first_reports(&cluster, &initial, Duration::from_secs(30), "the members to stream", |rs| {
+        rs.iter().all(streaming)
+    });
 
     // Joiner 4 self-SIGKILLs while installing its first migrated shard
     // (words written, checkpoint-ready marked, epoch not yet cut — the
@@ -95,6 +120,16 @@ fn grow_shrink_under_chaos_matches_static_run_bit_exact() {
     // switch: it resyncs the map (MAP_REQ → outstanding moves) and
     // re-pulls the half-installed shard from its donor.
     children.push((4, cluster.spawn(4, &grace)));
+
+    // Both joins raced the stream: a member still streamed at version 3.
+    let at_v3 = first_reports(&cluster, &initial, Duration::from_secs(60), "map version 3", |rs| {
+        rs.iter().any(|r| r.map_version >= 3)
+    });
+    assert!(
+        at_v3.iter().any(|r| !r.sender_drained),
+        "every member drained before the map reached version 3: {:?}",
+        at_v3.iter().map(|r| (r.node, r.map_version, r.updates_issued)).collect::<Vec<_>>()
+    );
 
     let all: Vec<usize> = (0..6).collect();
     let grown = cluster.wait_settled(
