@@ -135,7 +135,7 @@ impl Checkpoint for GupsProgress {
 
 /// Run GUPS as a sequence of per-node supersteps with an epoch cut after
 /// each: dispatch node `k`'s stream, quiesce, snapshot heaps + progress.
-/// Requires `cfg.ha.checkpoint = true`. Resumes from
+/// Requires `cfg.checkpoint = true`. Resumes from
 /// `progress.nodes_dispatched` (pass a default-constructed progress for a
 /// fresh run); returns the number of updates issued *by this call*.
 pub fn run_live_checkpointed(
@@ -259,7 +259,7 @@ mod tests {
     fn checkpointed_gups_cuts_one_epoch_per_superstep() {
         let input = GupsInput::small();
         let mut cfg = GravelConfig::small(2, input.table_len);
-        cfg.ha.checkpoint = true;
+        cfg.checkpoint = true;
         let rt = GravelRuntime::new(cfg);
         let mut progress = GupsProgress::default();
         let issued = run_live_checkpointed(&rt, &input, &mut progress);

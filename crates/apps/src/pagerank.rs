@@ -97,7 +97,7 @@ impl Checkpoint for PageRankProgress {
 }
 
 /// Run PageRank with an epoch cut after every iteration's apply step.
-/// Requires `cfg.ha.checkpoint = true`. Resumes from
+/// Requires `cfg.checkpoint = true`. Resumes from
 /// `progress.iteration`/`progress.rank` (a default-constructed progress
 /// starts fresh); returns the rank vector after `iters` total iterations.
 pub fn run_live_checkpointed(
@@ -264,7 +264,7 @@ mod tests {
         let g = gen::cage15_like(96, 5);
         let damping = default_damping();
         let mut cfg = GravelConfig::small(3, 64);
-        cfg.ha.checkpoint = true;
+        cfg.checkpoint = true;
         let rt = GravelRuntime::new(cfg);
         // Run one iteration, "crash", rebuild progress from its saved
         // words, then finish — the result must equal an uninterrupted run.

@@ -166,7 +166,7 @@ impl Checkpoint for SsspProgress {
 }
 
 /// Run SSSP with an epoch cut after every superstep. Requires
-/// `cfg.ha.checkpoint = true`. Resumes from `progress` (a
+/// `cfg.checkpoint = true`. Resumes from `progress` (a
 /// default-constructed progress starts fresh); returns the distance
 /// vector as of the last superstep run. `max_rounds` bounds how many
 /// supersteps *this call* runs (None = to convergence) — the
@@ -318,7 +318,7 @@ mod tests {
         let g = gen::hugebubbles_like(144, 11);
         let mut relax_id = 0;
         let mut cfg = GravelConfig::small(3, 64);
-        cfg.ha.checkpoint = true;
+        cfg.checkpoint = true;
         let rt = GravelRuntime::with_handlers(cfg, |reg| {
             relax_id = register(reg);
         });

@@ -13,8 +13,6 @@ use gravel_gq::QueueConfig;
 use gravel_net::{ChaosPlan, RetryConfig, TransportKind};
 use gravel_telemetry::TelemetryConfig;
 
-use crate::ha::HaConfig;
-
 /// Configuration of a [`GravelRuntime`](crate::GravelRuntime).
 #[derive(Clone, Debug)]
 pub struct GravelConfig {
@@ -73,38 +71,23 @@ pub struct GravelConfig {
     /// full channel parks packets at the sender (see
     /// `NodeStats::net.backpressure_stalls`).
     pub channel_capacity: usize,
-    /// Optional ceiling on how long [`quiesce`](crate::GravelRuntime::quiesce)
-    /// (and therefore `shutdown`) may wait for in-flight messages. When
-    /// the deadline passes, the runtime gives up and reports
-    /// [`RuntimeError::QuiesceTimeout`](crate::RuntimeError::QuiesceTimeout)
-    /// with per-node queue/counter diagnostics instead of spinning
-    /// forever. `None` waits indefinitely (the pre-fault-tolerance
-    /// behavior, still the right choice for debuggers and very long
-    /// kernels).
-    pub quiesce_deadline: Option<Duration>,
     /// Observability level (see DESIGN.md §10):
     /// [`TelemetryConfig::Counters`] (the default) keeps the sharded
     /// metric registry live, [`TelemetryConfig::CountersAndTrace`] also
     /// records spans for chrome://tracing export as well.
     pub telemetry: TelemetryConfig,
-    /// Node-level fault tolerance: worker restart policy, optional
-    /// heartbeat failure detection, and epoch checkpointing (see
-    /// DESIGN.md §11).
-    pub ha: HaConfig,
+    /// Keep per-node recovery logs so
+    /// [`cut_epoch`](crate::GravelRuntime::cut_epoch) /
+    /// [`recover_node`](crate::GravelRuntime::recover_node) can restore
+    /// a dead node exactly (DESIGN.md §11). Off by default: the log
+    /// grows with traffic between epoch cuts.
+    pub checkpoint: bool,
     /// Optional deterministic process-fault schedule (panic this
-    /// aggregator at that drain step, blackhole those heartbeats). The
-    /// chaos counterpart to [`TransportKind::Unreliable`]'s link faults;
-    /// `None` (the default) injects nothing.
+    /// aggregator at that drain step, that network thread at that
+    /// apply step). The chaos counterpart to
+    /// [`TransportKind::Unreliable`]'s link faults; `None` (the default)
+    /// injects nothing.
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// How often a still-spinning [`quiesce`](crate::GravelRuntime::quiesce)
-    /// logs a stuck-pipeline warning (with per-node diagnostics) and
-    /// bumps the `ha.quiesce_warnings` counter while it waits.
-    pub quiesce_warn_interval: Duration,
-    /// Capacity of each node's poison-message quarantine (dead-letter
-    /// buffer for CRC-clean messages failing semantic validation). Past
-    /// it the oldest entry is evicted, so a babbling peer cannot OOM the
-    /// receiver.
-    pub quarantine_capacity: usize,
     /// Request-reply traffic: pending-reply table capacity and
     /// the request timeout. See DESIGN.md §15.
     pub rpc: crate::rpc::RpcConfig,
@@ -128,12 +111,9 @@ impl GravelConfig {
             transport: TransportKind::Reliable,
             retry: RetryConfig::default(),
             channel_capacity: 1024,
-            quiesce_deadline: Some(Duration::from_secs(60)),
             telemetry: TelemetryConfig::default(),
-            ha: HaConfig::default(),
+            checkpoint: false,
             chaos: None,
-            quiesce_warn_interval: Duration::from_secs(5),
-            quarantine_capacity: 1024,
             rpc: crate::rpc::RpcConfig::default(),
         }
     }
@@ -159,12 +139,9 @@ impl GravelConfig {
             transport: TransportKind::Reliable,
             retry: RetryConfig::default(),
             channel_capacity: 256,
-            quiesce_deadline: Some(Duration::from_secs(30)),
             telemetry: TelemetryConfig::default(),
-            ha: HaConfig::default(),
+            checkpoint: false,
             chaos: None,
-            quiesce_warn_interval: Duration::from_secs(5),
-            quarantine_capacity: 64,
             rpc: crate::rpc::RpcConfig {
                 reply_table_cap: 256,
                 timeout: Duration::from_millis(500),
@@ -219,25 +196,10 @@ impl GravelConfig {
             faults.validate(self.nodes);
         }
         assert!(
-            !self.quiesce_warn_interval.is_zero(),
-            "quiesce warn interval must be nonzero"
-        );
-        assert!(
-            self.quarantine_capacity >= 1,
-            "quarantine must hold at least one message"
-        );
-        assert!(
             self.rpc.reply_table_cap >= 1,
             "pending-reply table must hold at least one request"
         );
         assert!(!self.rpc.timeout.is_zero(), "rpc timeout must be nonzero");
-        if let Some(hb) = &self.ha.heartbeat {
-            assert!(!hb.interval.is_zero(), "heartbeat interval must be nonzero");
-            assert!(
-                hb.suspect_phi > 0.0 && hb.dead_phi > hb.suspect_phi,
-                "need 0 < suspect_phi < dead_phi"
-            );
-        }
     }
 }
 

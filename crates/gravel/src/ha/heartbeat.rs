@@ -1,9 +1,10 @@
 //! Heartbeat emission and phi-accrual failure detection.
 //!
-//! Every node runs one heartbeat thread ([`run`]) that (a) emits a
-//! best-effort heartbeat to every peer each
+//! Every `gravel-node` process runs one heartbeat thread ([`run`])
+//! that (a) emits a best-effort heartbeat to every peer each
 //! [`HeartbeatConfig::interval`], and (b) drains its own heartbeat
-//! mailbox into a per-node [`FailureDetector`].
+//! mailbox into the process's [`FailureDetector`]. [`sim`](super::sim)
+//! feeds the same detector virtual beats.
 //!
 //! The detector is phi-accrual (Hayashibara et al.): instead of a
 //! binary timeout it tracks an EWMA of each peer's inter-arrival times
@@ -24,11 +25,10 @@
 //! distinguish "slow network" from "dead process".
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gravel_net::{ChaosPlan, Heartbeat, Transport};
+use gravel_net::{Heartbeat, Transport};
 use gravel_telemetry::Registry;
 
 use crate::error::ErrorSlot;
@@ -242,19 +242,15 @@ impl FailureDetector {
 /// Heartbeat worker body for node `id` in an `n`-node cluster: emit a
 /// beat to every peer each interval, drain the mailbox into `detector`,
 /// sweep for deaths. Runs until the transport closes or the cluster
-/// fails; restartable under the supervisor (the shared beat counter and
-/// detector survive the thread).
-#[allow(clippy::too_many_arguments)]
+/// fails.
 pub fn run(
     cfg: HeartbeatConfig,
     id: u32,
     nodes: u32,
     transport: Arc<dyn Transport>,
     detector: Arc<FailureDetector>,
-    chaos: Option<Arc<ChaosPlan>>,
     errors: Arc<ErrorSlot>,
     registry: Arc<Registry>,
-    beat_seq: Arc<AtomicU64>,
 ) {
     let beats_sent = registry.counter(&format!("node{id}.ha.beats_sent"));
     let deaths = registry.counter("ha.deaths_declared");
@@ -267,20 +263,15 @@ pub fn run(
             detector.track(peer, start);
         }
     }
+    let mut beat = 0;
     while !transport.is_closed() && !errors.is_set() {
-        // Emit one beat per peer, unless a chaos blackhole suppresses
-        // this node's outgoing beats right now.
-        let beat = beat_seq.fetch_add(1, Ordering::Relaxed);
-        let blackholed =
-            chaos.as_deref().is_some_and(|c| c.heartbeat_blackholed(id, beat));
-        if !blackholed {
-            for peer in 0..nodes {
-                if peer != id {
-                    transport.send_heartbeat(Heartbeat { src: id, dest: peer, seq: beat });
-                    beats_sent.inc();
-                }
+        for peer in 0..nodes {
+            if peer != id {
+                transport.send_heartbeat(Heartbeat { src: id, dest: peer, seq: beat });
+                beats_sent.inc();
             }
         }
+        beat += 1;
         // Drain everything that arrived since the last tick.
         let now = Instant::now();
         while let Some(hb) = transport.try_recv_heartbeat(id) {

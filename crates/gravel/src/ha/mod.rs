@@ -3,19 +3,20 @@
 //! PR 1 made *links* survivable: the delivery protocol (sequence
 //! numbers, selective acks, retransmission) delivers every
 //! message exactly once over a transport that drops, duplicates, and
-//! reorders. This layer makes *nodes* survivable. Three mechanisms,
-//! composable and individually switchable through [`HaConfig`]:
+//! reorders. This layer makes *nodes* survivable. Three mechanisms:
 //!
-//! 1. **Failure detection** ([`heartbeat`]) — every node emits
-//!    best-effort heartbeats over the transport's heartbeat plane; a
-//!    phi-accrual detector per observer turns inter-arrival statistics
-//!    into a continuous suspicion level, distinguishing *slow* (phi
-//!    above the suspect threshold, below dead) from *dead* (phi above
-//!    the dead threshold). Suspicion is exported as per-peer gauges.
+//! 1. **Failure detection** ([`heartbeat`]) — each `gravel-node`
+//!    process emits best-effort heartbeats over its socket transport's
+//!    heartbeat plane; a phi-accrual detector per observer turns
+//!    inter-arrival statistics into a continuous suspicion level,
+//!    distinguishing *slow* (phi above the suspect threshold, below
+//!    dead) from *dead* (phi above the dead threshold). Suspicion is
+//!    exported as per-peer gauges. [`sim`] feeds the same detector
+//!    virtual beats.
 //!
-//! 2. **Supervised restart** ([`supervisor`]) — worker threads
-//!    (aggregators, network threads, heartbeat emitters) run under a
-//!    supervisor that restarts a panicked worker with exponential
+//! 2. **Supervised restart** ([`supervisor`]) — the in-process
+//!    runtime's worker threads (aggregators, network threads) run under
+//!    a supervisor that restarts a panicked worker with exponential
 //!    backoff, bounded per restart window. Worker state (sender
 //!    windows, receive cursors) lives in shared `Mutex`es outside the
 //!    threads, so a restarted worker resumes exactly where its
@@ -23,8 +24,9 @@
 //!    acks make the replay exact. Budget exhaustion escalates the
 //!    original panic through the runtime's [`ErrorSlot`](crate::ErrorSlot).
 //!
-//! 3. **Epoch checkpointing** ([`checkpoint`]) — the runtime
-//!    periodically cuts a consistent epoch (a quiesce-lite barrier)
+//! 3. **Epoch checkpointing** ([`checkpoint`]) — with
+//!    [`GravelConfig::checkpoint`](crate::GravelConfig::checkpoint) the
+//!    runtime cuts a consistent epoch (a quiesce-lite barrier)
 //!    into each node's [`RecoveryLog`]: a baseline of its PGAS heap,
 //!    flow cursors and app progress (via the [`Checkpoint`] trait),
 //!    then every packet it applies. A node declared dead is restored
@@ -73,21 +75,3 @@ pub use lease::{quorum, successor, LeaseState, VoteLedger, INITIAL_TERM};
 pub use machine::{Action, Event, HaMachine, Topo};
 pub use rebalance::{RebalancePlan, Rebalancer, TopologyChange};
 pub use supervisor::{Supervisor, SupervisorConfig, WorkerKind};
-
-/// Fault-tolerance configuration of a runtime.
-#[derive(Clone, Debug, Default)]
-pub struct HaConfig {
-    /// Worker restart policy. Always present; set
-    /// `supervisor.max_restarts = 0` for the pre-HA behaviour where the
-    /// first worker panic is terminal.
-    pub supervisor: SupervisorConfig,
-    /// Heartbeat emission + phi-accrual failure detection. `None` (the
-    /// default) spawns no heartbeat threads — detection costs one thread
-    /// per node, which short-lived test clusters don't want.
-    pub heartbeat: Option<HeartbeatConfig>,
-    /// Keep per-node recovery logs so [`cut_epoch`](crate::GravelRuntime::cut_epoch)
-    /// / [`recover_node`](crate::GravelRuntime::recover_node) can restore
-    /// a dead node exactly. Off by default: the log grows with traffic
-    /// between epoch cuts.
-    pub checkpoint: bool,
-}

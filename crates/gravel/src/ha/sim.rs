@@ -30,7 +30,8 @@
 //! or EVICT from a partition side below quorum, an EVICT committed only
 //! against a peer its committer's detector has latched, no shard served
 //! before it was marked ready, and no shard served by two live nodes at
-//! one map version.
+//! one map version. At every bounce: the bouncing node's live keeper
+//! already holds the packet's forward (DESIGN.md §16's send order).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -933,7 +934,7 @@ impl<'a> Sim<'a> {
         };
         (node.served, node.ready, plane.started) = (ready, ready, true);
         for r in replayed.owed {
-            self.bounce(i, r);
+            self.bounce(i, r)?;
         }
         self.cut(i);
         Ok(())
@@ -980,7 +981,7 @@ impl<'a> Sim<'a> {
                 }
                 Emit::Bounce(r) => {
                     let n = (r.words().len() / 4) as u64;
-                    if !self.bounce(to, r) {
+                    if !self.bounce(to, r)? {
                         self.out.bounce_dropped += n;
                     }
                     Some(After::Bounce)
@@ -1004,14 +1005,36 @@ impl<'a> Sim<'a> {
     }
 
     /// Send `r` back to its sender with `i`'s map, or to `i`'s own
-    /// queues on loopback. `false` if the sender is dead.
-    fn bounce(&mut self, i: u32, r: LoggedPacket) -> bool {
+    /// queues on loopback. `false` if the sender is dead; `Err` if `i`'s
+    /// live keeper does not yet hold the packet's forward.
+    fn bounce(&mut self, i: u32, r: LoggedPacket) -> Result<bool, String> {
+        if !self.keeper_holds_fwd(i, &r) {
+            let (src, lane, seq) = (r.src(), r.lane(), r.seq());
+            return Err(format!("node {i} bounced packet {src}/{lane}/{seq} before its forward"));
+        }
         if r.src() == i {
             self.requeue(i, i, r);
-            return true;
+            return Ok(true);
         }
         let map = (*self.nodes[i as usize].dir.current_map().expect("elastic")).clone();
-        self.send_data(i, r.src(), Data::Bounce { map, refusal: r })
+        Ok(self.send_data(i, r.src(), Data::Bounce { map, refusal: r }))
+    }
+
+    /// Whether `i`'s keeper holds the forward of `r`'s packet: in its
+    /// log, or on the FIFO link that lands it before anything `i` sends
+    /// later. A dead keeper holds nothing and is owed nothing.
+    fn keeper_holds_fwd(&self, i: u32, r: &LoggedPacket) -> bool {
+        let slots = self.nodes.len();
+        let keeper = (i as usize + 1) % slots;
+        if !self.alive(keeper as u32) {
+            return true;
+        }
+        let same = |p: &LoggedPacket| (p.src(), p.lane(), p.seq()) == (r.src(), r.lane(), r.seq());
+        let on_link = self.links[i as usize * slots + keeper]
+            .iter()
+            .any(|(_, d)| matches!(d, Data::Fwd(p) if same(p)));
+        let plane = self.nodes[keeper].plane.as_ref();
+        on_link || plane.is_some_and(|p| p.keeper.recover(i).packets.iter().any(same))
     }
 
     /// Node `i` takes back what `receiver` refused, once.
@@ -1511,7 +1534,11 @@ mod tests {
     /// The over-count `gravel-node`'s `grow_shrink` test hit: a kill
     /// right after a packet's bounce. When the bounce left before the
     /// forward, the restarted joiner was re-sent the packet, refused it
-    /// again, and its sender re-queued the messages twice.
+    /// again, and its sender re-queued the messages twice. The sender's
+    /// `Requeued` guard now drops such a repeat, so the send order is
+    /// held at the send instead: with `Emit::Bounce` ahead of
+    /// `Emit::Forward`, node 4's first bounce (packet 4/0/14, 540 ms)
+    /// fails this seed.
     #[test]
     fn churn_seed_14_a_kill_after_the_bounce_does_not_over_count() {
         killed(14, KillAt::Packet { nth: 1, after: After::Bounce });

@@ -1,10 +1,11 @@
 //! Worker supervision: restart panicked workers instead of aborting.
 //!
-//! The runtime's worker threads (aggregator lanes, network threads,
-//! heartbeat emitters) are spawned through a [`Supervisor`]. Each worker
-//! is a restartable body (`Arc<dyn Fn()>` over state that outlives the
-//! thread); when a worker panics, a monitor thread joins the corpse and
-//! respawns the body with exponential backoff, up to
+//! The runtime's worker threads (aggregator lanes, network threads)
+//! are spawned through a [`Supervisor`]. Each worker is a restartable
+//! body (`Arc<dyn Fn()>` over state that outlives the thread); the
+//! runtime runs them under [`SupervisorConfig::default`]. When a
+//! worker panics, a monitor thread joins the corpse and respawns the
+//! body with exponential backoff, up to
 //! [`SupervisorConfig::max_restarts`] restarts per sliding
 //! [`SupervisorConfig::restart_window`]. Budget exhaustion (or a restart
 //! attempted after the cluster already failed) escalates the panic as a
@@ -67,8 +68,6 @@ pub enum WorkerKind {
     Aggregator,
     /// Network thread (receiver half).
     Net,
-    /// Heartbeat emitter / failure-detector driver.
-    Heartbeat,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -251,10 +250,13 @@ fn monitor_loop(
                             let backoff = (cfg.backoff * 2u32.saturating_pow(attempt))
                                 .min(cfg.backoff_max);
                             std::thread::sleep(backoff);
-                            let handle = spawn_worker_thread(&name, id, body, tx.clone());
+                            // Count the restart before the body runs: a
+                            // reader that sees the restarted worker's
+                            // progress must also see the restart.
                             restarts_total.add(1);
                             registry.counter(&format!("node{node}.ha.restarts")).add(1);
                             recovery_ns.record(observed.elapsed().as_nanos() as u64);
+                            let handle = spawn_worker_thread(&name, id, body, tx.clone());
                             let mut ws = lock_workers(&shared);
                             ws[id].handle = Some(handle);
                             // status stays Running

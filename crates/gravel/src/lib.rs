@@ -41,7 +41,7 @@ pub use config::GravelConfig;
 pub use ctx::GravelCtx;
 pub use error::{ErrorSlot, RuntimeError};
 pub use ha::{
-    Checkpoint, FailureDetector, HaConfig, HeartbeatConfig, PeerStatus, RecoveryLog, Supervisor,
+    Checkpoint, FailureDetector, HeartbeatConfig, PeerStatus, RecoveryLog, Supervisor,
     SupervisorConfig, WorkerKind,
 };
 pub use node::NodeShared;

@@ -25,6 +25,11 @@ use crate::config::GravelConfig;
 use crate::rings::RingPair;
 use crate::stats::NodeStats;
 
+/// Messages each node's poison-message quarantine holds. Past it the
+/// oldest entry is evicted, so a babbling peer cannot exhaust the
+/// receiver's memory.
+const QUARANTINE_CAPACITY: usize = 1024;
+
 /// Shared state of one node.
 pub struct NodeShared {
     /// This node's id.
@@ -220,7 +225,7 @@ impl NodeShared {
             net_truncated: registry.counter(&name("net.truncated")),
             net_misrouted: registry.counter(&name("net.misrouted")),
             net_ack_corrupt_dropped: registry.counter(&name("net.ack_corrupt_dropped")),
-            quarantine: Quarantine::bound(&registry, &p, cfg.quarantine_capacity),
+            quarantine: Quarantine::bound(&registry, &p, QUARANTINE_CAPACITY),
             packet_latency: registry.histogram(&name("net.packet_latency_ns")),
             rpc: crate::rpc::PendingReplies::bound(&registry, &p, cfg.rpc.reply_table_cap),
             rpc_timeout: cfg.rpc.timeout,

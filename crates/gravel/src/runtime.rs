@@ -31,7 +31,7 @@
 //! let _stats = rt.shutdown().expect("clean shutdown");
 //! ```
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,7 @@ use crate::aggregator::{self, Lane};
 use crate::config::GravelConfig;
 use crate::ctx::GravelCtx;
 use crate::error::{ErrorSlot, RuntimeError};
-use crate::ha::{heartbeat, Baseline, Checkpoint, FailureDetector, Keeper, Supervisor, WorkerKind};
+use crate::ha::{Baseline, Checkpoint, Keeper, Supervisor, SupervisorConfig, WorkerKind};
 use crate::netthread::{self, RecvState};
 use crate::node::NodeShared;
 use crate::stats::{HaStats, NodeStats, RuntimeStats};
@@ -52,6 +52,15 @@ use crate::stats::{HaStats, NodeStats, RuntimeStats};
 /// Park cap for quiescence polling (the wait escalates from a short
 /// spin up to this).
 const QUIESCE_POLL: Duration = Duration::from_micros(200);
+
+/// How long [`quiesce`](GravelRuntime::quiesce) (and so `shutdown`)
+/// waits for in-flight messages before it gives up and reports a
+/// [`RuntimeError::QuiesceTimeout`] with per-node diagnostics.
+const QUIESCE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// How often a still-spinning quiescence wait logs a stuck-pipeline
+/// warning and bumps the `ha.quiesce_warnings` counter.
+const QUIESCE_WARN_EVERY: Duration = Duration::from_secs(5);
 
 /// An in-process Gravel cluster.
 pub struct GravelRuntime {
@@ -62,16 +71,14 @@ pub struct GravelRuntime {
     registry: Arc<Registry>,
     tracer: Tracer,
     errors: Arc<ErrorSlot>,
-    /// All worker threads (aggregators, net threads, heartbeat emitters)
-    /// run under the supervisor; `None` only after shutdown.
+    /// All worker threads (aggregators, net threads) run under the
+    /// supervisor; `None` only after shutdown.
     supervisor: Option<Supervisor>,
-    /// Per-node failure detectors; empty unless `cfg.ha.heartbeat`.
-    detectors: Vec<Arc<FailureDetector>>,
     /// Per-node receiver state, shared with the (restartable) network
     /// threads so epoch cuts can read the flow cursors and recovery can
     /// reset mid-packet ones.
     recv_states: Vec<Arc<Mutex<RecvState>>>,
-    /// Every node's recovery log, with `cfg.ha.checkpoint`: each network
+    /// Every node's recovery log, with `cfg.checkpoint`: each network
     /// thread's tap appends what it applies, under its receive-state
     /// lock, so no cut falls between a packet's apply and its entry.
     keeper: Option<Arc<Keeper>>,
@@ -125,7 +132,7 @@ impl GravelRuntime {
         // restart budget runs out, at which point the panic escalates
         // through `errors` exactly as an unsupervised worker's would.
         let supervisor =
-            Supervisor::new(cfg.ha.supervisor.clone(), errors.clone(), registry.clone());
+            Supervisor::new(SupervisorConfig::default(), errors.clone(), registry.clone());
         let chaos = cfg.chaos.clone();
 
         // Adaptive flush when configured; the paper's fixed timeout
@@ -145,7 +152,7 @@ impl GravelRuntime {
         // Network threads (receivers) first, then aggregators (senders).
         let recv_states: Vec<Arc<Mutex<RecvState>>> =
             (0..cfg.nodes).map(|_| Arc::default()).collect();
-        let keeper = cfg.ha.checkpoint.then(Arc::<Keeper>::default);
+        let keeper = cfg.checkpoint.then(Arc::<Keeper>::default);
         for ((node, state), lane) in nodes.iter().zip(&recv_states).zip(&lanes) {
             let (node, transport, errors, state, chaos, lane) = (
                 node.clone(),
@@ -184,42 +191,6 @@ impl GravelRuntime {
             );
         }
 
-        // Optional heartbeat plane: one emitter/detector thread per node.
-        let mut detectors = Vec::new();
-        if let Some(hb) = &cfg.ha.heartbeat {
-            for i in 0..cfg.nodes as u32 {
-                let detector = Arc::new(FailureDetector::new(hb.clone()));
-                detectors.push(detector.clone());
-                let beat_seq = Arc::new(AtomicU64::new(0));
-                let (hb, transport, errors, registry, chaos) = (
-                    hb.clone(),
-                    transport.clone(),
-                    errors.clone(),
-                    registry.clone(),
-                    chaos.clone(),
-                );
-                let nodes_total = cfg.nodes as u32;
-                supervisor.spawn(
-                    format!("gravel-hb-{i}"),
-                    WorkerKind::Heartbeat,
-                    i,
-                    Arc::new(move || {
-                        heartbeat::run(
-                            hb.clone(),
-                            i,
-                            nodes_total,
-                            transport.clone(),
-                            detector.clone(),
-                            chaos.clone(),
-                            errors.clone(),
-                            registry.clone(),
-                            beat_seq.clone(),
-                        )
-                    }),
-                );
-            }
-        }
-
         GravelRuntime {
             engine: SimtEngine::with_cus(cfg.num_cus),
             cfg,
@@ -229,7 +200,6 @@ impl GravelRuntime {
             tracer,
             errors,
             supervisor: Some(supervisor),
-            detectors,
             recv_states,
             keeper,
             lanes,
@@ -357,44 +327,12 @@ impl GravelRuntime {
     /// destination. Call between supersteps (after `dispatch*` returns)
     /// and before reading remote results.
     ///
-    /// Bounded by `GravelConfig::quiesce_deadline` (when set) and bails
-    /// early if a worker already failed; either way the failure is
-    /// reported by [`shutdown`](Self::shutdown), so a kernel loop can
-    /// keep calling `quiesce()` obliviously and still terminate.
+    /// Bounded by a 60 s deadline and bails early if a worker already
+    /// failed; either way the failure is reported by
+    /// [`shutdown`](Self::shutdown), so a kernel loop can keep calling
+    /// `quiesce()` obliviously and still terminate.
     pub fn quiesce(&self) {
-        match self.cfg.quiesce_deadline {
-            Some(d) => {
-                let _ = self.quiesce_deadline(d);
-            }
-            None => {
-                let start = Instant::now();
-                let mut last_warn = start;
-                let mut bo = crate::backoff::Backoff::new(QUIESCE_POLL);
-                while !self.is_quiescent() && !self.errors.is_set() {
-                    self.warn_if_stuck(start, &mut last_warn);
-                    if !bo.should_spin() {
-                        bo.park_sleep();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emit a once-per-`quiesce_warn_interval` stuck-pipeline warning
-    /// (stderr + the `ha.quiesce_warnings` counter) while a
-    /// quiescence wait spins, so an operator watching a wedged run sees
-    /// *where* messages are stuck instead of silence.
-    fn warn_if_stuck(&self, start: Instant, last_warn: &mut Instant) {
-        if last_warn.elapsed() < self.cfg.quiesce_warn_interval {
-            return;
-        }
-        *last_warn = Instant::now();
-        self.registry.counter("ha.quiesce_warnings").inc();
-        eprintln!(
-            "gravel: quiesce still waiting after {:?}; pipeline diagnostics:\n{}",
-            start.elapsed(),
-            self.diagnostics()
-        );
+        let _ = self.quiesce_deadline(QUIESCE_DEADLINE);
     }
 
     /// Like [`quiesce`](Self::quiesce) with an explicit deadline. On
@@ -402,6 +340,14 @@ impl GravelRuntime {
     /// [`RuntimeError::QuiesceTimeout`] carrying per-node diagnostics of
     /// where messages are stuck.
     pub fn quiesce_deadline(&self, deadline: Duration) -> Result<(), RuntimeError> {
+        self.wait_quiescent(deadline, QUIESCE_WARN_EVERY)
+    }
+
+    /// The one quiescence wait. Every `warn_every` it still spins it
+    /// logs a stuck-pipeline warning (stderr + the `ha.quiesce_warnings`
+    /// counter), so an operator watching a wedged run sees *where*
+    /// messages are stuck instead of silence.
+    fn wait_quiescent(&self, deadline: Duration, warn_every: Duration) -> Result<(), RuntimeError> {
         let start = Instant::now();
         let mut last_warn = start;
         let mut bo = crate::backoff::Backoff::new(QUIESCE_POLL);
@@ -422,7 +368,15 @@ impl GravelRuntime {
                 self.errors.set(e.clone());
                 return Err(e);
             }
-            self.warn_if_stuck(start, &mut last_warn);
+            if last_warn.elapsed() >= warn_every {
+                last_warn = Instant::now();
+                self.registry.counter("ha.quiesce_warnings").inc();
+                eprintln!(
+                    "gravel: quiesce still waiting after {:?}; pipeline diagnostics:\n{}",
+                    start.elapsed(),
+                    self.diagnostics()
+                );
+            }
             if !bo.should_spin() {
                 bo.park_sleep();
             }
@@ -552,12 +506,6 @@ impl GravelRuntime {
         }
     }
 
-    /// Node `id`'s phi-accrual failure detector (its view of every
-    /// peer). `None` unless `cfg.ha.heartbeat` is set.
-    pub fn detector(&self, id: usize) -> Option<&Arc<FailureDetector>> {
-        self.detectors.get(id)
-    }
-
     /// Cut an epoch checkpoint with no application progress attached.
     /// See [`cut_epoch_with`](Self::cut_epoch_with).
     pub fn cut_epoch(&self) -> u64 {
@@ -572,12 +520,12 @@ impl GravelRuntime {
     /// Must be called *between supersteps* — after the dispatching code
     /// has stopped issuing messages — because the quiesce-then-snapshot
     /// sequence is only a consistent cut when no new traffic races it.
-    /// Requires `cfg.ha.checkpoint` (programmer error otherwise).
+    /// Requires `cfg.checkpoint` (programmer error otherwise).
     pub fn cut_epoch_with(&self, app: Option<&dyn Checkpoint>) -> u64 {
         let keeper = self
             .keeper
             .as_ref()
-            .expect("cut_epoch requires GravelConfig.ha.checkpoint = true");
+            .expect("cut_epoch requires GravelConfig.checkpoint = true");
         self.quiesce();
         let app = app.map_or_else(Vec::new, |a| a.save());
         let epoch = keeper.epoch(0) + 1;
@@ -664,11 +612,9 @@ impl GravelRuntime {
             }
             if let Some(supervisor) = self.supervisor.take() {
                 supervisor.join_kind(WorkerKind::Aggregator);
-                // Only now stop the fabric and let the receivers (and
-                // heartbeat emitters) exit.
+                // Only now stop the fabric and let the receivers exit.
                 self.transport.close();
                 supervisor.join_kind(WorkerKind::Net);
-                supervisor.join_kind(WorkerKind::Heartbeat);
                 // stop() joins any straggler exactly once — including
                 // workers that failed after their restart budget — so no
                 // thread outlives the runtime even with multiple errors.
@@ -932,7 +878,7 @@ mod tests {
     #[test]
     fn epoch_cuts_stamp_the_wire_epoch() {
         let mut cfg = GravelConfig::small(2, 4);
-        cfg.ha.checkpoint = true;
+        cfg.checkpoint = true;
         let rt = GravelRuntime::new(cfg);
         assert_eq!(rt.node(0).wire_epoch.load(Ordering::Relaxed), 0);
         assert_eq!(rt.cut_epoch(), 1);
@@ -954,7 +900,7 @@ mod tests {
         let (probe, held) = (state.clone(), Arc::new(Mutex::new(Vec::new())));
         let seen = held.clone();
         let mut cfg = GravelConfig::small(2, 4);
-        cfg.ha.checkpoint = true;
+        cfg.checkpoint = true;
         let rt = GravelRuntime::with_handlers(cfg, |reg| {
             reg.register(Box::new(move |h, a, v| {
                 h.fetch_add(a, v);
@@ -1008,5 +954,25 @@ mod tests {
             Err(RuntimeError::QuiesceTimeout { .. }) => {}
             other => panic!("expected QuiesceTimeout from shutdown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stuck_quiesce_warns_with_diagnostics_then_converges() {
+        let rt = GravelRuntime::new(GravelConfig::small(2, 8));
+        // One message counted as offloaded but applied only ~60 ms later:
+        // the wait must spin, warn at least once, then return normally.
+        rt.node(0).note_offloaded(1);
+        let node = rt.node(0).clone();
+        let unstick = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(60));
+            node.note_applied(1);
+        });
+        rt.wait_quiescent(Duration::from_secs(10), Duration::from_millis(15))
+            .expect("converges before the deadline");
+        unstick.join().unwrap();
+        let snap = rt.telemetry_snapshot();
+        assert!(snap.counter("ha.quiesce_warnings") >= 1, "no warning emitted");
+        let stats = rt.shutdown().expect("converged run is clean");
+        assert!(stats.ha.quiesce_warnings >= 1);
     }
 }

@@ -255,9 +255,6 @@ pub struct HaStats {
     pub restarts: u64,
     /// Nodes restored from an epoch checkpoint.
     pub recoveries: u64,
-    /// Peers declared dead by phi-accrual failure detectors (counted per
-    /// observer, so one dead node in an N-node cluster counts N-1 times).
-    pub deaths_declared: u64,
     /// Epoch cuts taken.
     pub epochs: u64,
     /// Stuck-pipeline warnings emitted by a spinning `quiesce()`.
@@ -270,7 +267,6 @@ impl HaStats {
         HaStats {
             restarts: snap.counter("ha.restarts"),
             recoveries: snap.counter("ha.recoveries"),
-            deaths_declared: snap.counter("ha.deaths_declared"),
             epochs: snap.counter("ha.epochs"),
             quiesce_warnings: snap.counter("ha.quiesce_warnings"),
         }
@@ -284,7 +280,7 @@ pub struct RuntimeStats {
     pub nodes: Vec<NodeStats>,
     /// Faults the transport injected (all zero on a reliable transport).
     pub faults: FaultStats,
-    /// Fault-tolerance activity (restarts, recoveries, declared deaths).
+    /// Fault-tolerance activity (restarts, recoveries, epoch cuts).
     pub ha: HaStats,
 }
 

@@ -1,13 +1,16 @@
-//! Fault-tolerance integration tests: supervised restart exactness,
-//! escalation, failure detection, and the quiesce stuck-pipeline
-//! warning (DESIGN.md §11).
+//! Fault-tolerance integration tests: supervised restart exactness and
+//! escalation, and failure detection over the socket transport
+//! (DESIGN.md §11).
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gravel_core::ha::heartbeat;
+use gravel_core::net::{SocketAddrSpec, SocketConfig, SocketTransport, Transport};
 use gravel_core::{
-    ChaosPlan, GravelConfig, GravelRuntime, HeartbeatConfig, PeerStatus, ProcessFault,
-    RuntimeError,
+    ChaosPlan, ErrorSlot, FailureDetector, GravelConfig, GravelRuntime, HeartbeatConfig,
+    PeerStatus, ProcessFault, Registry, RuntimeError, SupervisorConfig, TelemetryConfig,
 };
 use gravel_simt::LaneVec;
 use proptest::prelude::*;
@@ -88,20 +91,27 @@ fn chaos_restarts_are_visible_in_telemetry() {
 
 #[test]
 fn simultaneous_worker_deaths_error_without_hanging() {
-    // Both pipeline halves die with restarts disabled: shutdown must
-    // join everything and report the first failure, not hang.
+    // Both pipeline halves die once more than the default restart budget
+    // allows: shutdown must join everything and report the first
+    // failure, not hang. Steps count across restarts, so each fault
+    // fires on the next drain (or apply) step after the last restart.
+    let steps = 1..=u64::from(SupervisorConfig::default().max_restarts) + 1;
     let mut cfg = GravelConfig::small(2, 8);
-    cfg.ha.supervisor.max_restarts = 0;
-    cfg.chaos = Some(Arc::new(ChaosPlan::new(vec![
-        ProcessFault::PanicAggregator { node: 0, slot: 0, at_step: 1 },
-        ProcessFault::PanicNet { node: 1, at_step: 1 },
-    ])));
+    cfg.chaos = Some(Arc::new(ChaosPlan::new(
+        steps
+            .flat_map(|at_step| {
+                [
+                    ProcessFault::PanicAggregator { node: 0, slot: 0, at_step },
+                    ProcessFault::PanicNet { node: 1, at_step },
+                ]
+            })
+            .collect(),
+    )));
     // Short retry budget: with node 1's receiver dead, node 0's flows
     // can only drain by giving up.
     cfg.retry.backoff = Duration::from_millis(1);
     cfg.retry.backoff_max = Duration::from_millis(5);
     cfg.retry.max_retries = 5;
-    cfg.quiesce_deadline = Some(Duration::from_secs(5));
     let rt = GravelRuntime::new(cfg);
     inc_all(&rt, 0, 1, 1);
     let start = Instant::now();
@@ -121,10 +131,9 @@ fn simultaneous_worker_deaths_error_without_hanging() {
 #[test]
 fn restart_budget_exhaustion_escalates_worker_panic() {
     // A deterministically poisoned AM handler kills node 1's network
-    // thread on every delivery: the supervisor restarts it
-    // `max_restarts` times, then escalates the panic.
+    // thread on every delivery: the supervisor restarts it up to its
+    // default budget, then escalates the panic.
     let mut cfg = GravelConfig::small(2, 8);
-    cfg.ha.supervisor.max_restarts = 2;
     cfg.retry.backoff = Duration::from_millis(2);
     cfg.retry.backoff_max = Duration::from_millis(10);
     let rt = GravelRuntime::with_handlers(cfg, |reg| {
@@ -146,81 +155,71 @@ fn restart_budget_exhaustion_escalates_worker_panic() {
     }
 }
 
-#[test]
-fn stuck_quiesce_warns_with_diagnostics_then_converges() {
-    let mut cfg = GravelConfig::small(2, 8);
-    cfg.quiesce_warn_interval = Duration::from_millis(15);
-    cfg.quiesce_deadline = Some(Duration::from_secs(10));
-    let rt = GravelRuntime::new(cfg);
-    // One message counted as offloaded but applied only ~60 ms later:
-    // quiesce() must spin, warn at least once, then return normally.
-    rt.node(0).note_offloaded(1);
-    let node = rt.node(0).clone();
-    let unstick = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(60));
-        node.note_applied(1);
-    });
-    rt.quiesce();
-    unstick.join().unwrap();
-    let snap = rt.telemetry_snapshot();
-    assert!(snap.counter("ha.quiesce_warnings") >= 1, "no warning emitted");
-    let stats = rt.shutdown().expect("converged run is clean");
-    assert!(stats.ha.quiesce_warnings >= 1);
+fn uds_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("gravel-ha-{}-{tag}", std::process::id()))
 }
 
-#[test]
-fn heartbeats_keep_healthy_cluster_alive() {
-    let mut cfg = GravelConfig::small(3, 8);
-    cfg.ha.heartbeat = Some(HeartbeatConfig::default());
-    let rt = GravelRuntime::new(cfg);
-    // Let a few beat intervals elapse, with real traffic in flight.
-    inc_all(&rt, 0, 1, 1);
-    rt.quiesce();
-    std::thread::sleep(Duration::from_millis(60));
-    let now = Instant::now();
-    for observer in 0..3 {
-        let det = rt.detector(observer).expect("heartbeat enabled");
-        for peer in 0..3u32 {
-            if peer as usize != observer {
-                assert_eq!(det.status(peer, now), PeerStatus::Alive, "{observer} -> {peer}");
-            }
-        }
-    }
-    let snap = rt.telemetry_snapshot();
-    for id in 0..3 {
-        assert!(snap.counter(&format!("node{id}.ha.beats_sent")) > 0, "node {id} never beat");
-    }
-    let stats = rt.shutdown().expect("clean");
-    assert_eq!(stats.ha.deaths_declared, 0);
-}
-
-#[test]
-fn blackholed_node_is_declared_dead_by_its_peers() {
-    let mut cfg = GravelConfig::small(2, 8);
-    cfg.ha.heartbeat = Some(HeartbeatConfig::default());
-    // Node 0 never gets a beat out: its peer must eventually latch it
-    // dead while node 0 still sees node 1 alive.
-    cfg.chaos = Some(Arc::new(ChaosPlan::new(vec![ProcessFault::HeartbeatBlackhole {
-        node: 0,
-        from_beat: 0,
-        beats: u64::MAX,
-    }])));
-    let rt = GravelRuntime::new(cfg);
-    let observer = rt.detector(1).expect("heartbeat enabled").clone();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while observer.dead_peers().is_empty() {
-        assert!(Instant::now() < deadline, "death never declared");
+/// Poll `done` every 10 ms until it holds; fail after 10 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let until = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < until, "timed out waiting until {what}");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(observer.dead_peers(), vec![0]);
-    let snap = rt.telemetry_snapshot();
-    assert!(snap.counter("ha.deaths_declared") >= 1);
-    // Suspicion gauges export milli-phi; the dead peer's must be high.
-    assert!(snap.gauge("node1.ha.phi.node0") >= 8000, "phi gauge too low");
-    // A blackholed heartbeat plane harms liveness *detection* only, not
-    // delivery: data still flows and shutdown is clean.
-    inc_all(&rt, 0, 1, 1);
-    rt.quiesce();
-    assert_eq!(rt.heap(1).load(0), 64);
-    rt.shutdown().expect("data plane unaffected");
+}
+
+/// The real `heartbeat::run` on both ends of a `SocketTransport` pair
+/// over Unix sockets, the one transport that carries beats: while both
+/// sides beat, each holds the other alive; once one side stops, the
+/// other latches it dead and exports it.
+#[test]
+fn socket_heartbeats_keep_a_live_peer_alive_and_latch_a_silent_one_dead() {
+    let addrs = vec![SocketAddrSpec::Uds(uds_path("0")), SocketAddrSpec::Uds(uds_path("1"))];
+    let transports: Vec<Arc<SocketTransport>> = (0..2)
+        .map(|id| SocketTransport::spawn(SocketConfig::new(id, addrs.clone())).expect("bind"))
+        .collect();
+    for (id, t) in transports.iter().enumerate() {
+        assert!(t.wait_connected(1 - id as u32, Duration::from_secs(10)), "{id} connects");
+    }
+    // A 20 ms beat: a peer that never beats is latched dead after about
+    // 1.5 s under the warm-up prior, one that stops after about 0.4 s.
+    let cfg = HeartbeatConfig { interval: Duration::from_millis(20), ..HeartbeatConfig::default() };
+    let registries: Vec<Arc<Registry>> =
+        (0..2).map(|_| Arc::new(Registry::new(TelemetryConfig::Counters))).collect();
+    let detectors: Vec<Arc<FailureDetector>> =
+        (0..2).map(|_| Arc::new(FailureDetector::new(cfg.clone()))).collect();
+    let errors = Arc::new(ErrorSlot::default());
+    let beaters: Vec<_> = (0..2)
+        .map(|id| {
+            let (cfg, errors) = (cfg.clone(), errors.clone());
+            let t: Arc<dyn Transport> = transports[id].clone();
+            let (d, r) = (detectors[id].clone(), registries[id].clone());
+            std::thread::spawn(move || heartbeat::run(cfg, id as u32, 2, t, d, errors, r))
+        })
+        .collect();
+    let beats = |id: usize| registries[id].snapshot().counter(&format!("node{id}.ha.beats_sent"));
+
+    // Both beat for 2 s, past the time the prior alone would take to
+    // latch a silent peer: each still holds the other alive.
+    wait_for("both sides sent 100 beats", || beats(0) >= 100 && beats(1) >= 100);
+    let now = Instant::now();
+    for (id, d) in detectors.iter().enumerate() {
+        let peer = 1 - id as u32;
+        assert_eq!(d.status(peer, now), PeerStatus::Alive, "{id} -> {peer}");
+        assert_eq!(registries[id].snapshot().counter("ha.deaths_declared"), 0, "node {id}");
+    }
+
+    // Node 0 stops: its transport closes and its beater exits.
+    let mut beaters = beaters.into_iter();
+    transports[0].close();
+    beaters.next().unwrap().join().expect("node 0's beater");
+    wait_for("node 1 latches node 0 dead", || {
+        let snap = registries[1].snapshot();
+        // Suspicion gauges export milli-phi.
+        snap.counter("ha.deaths_declared") >= 1 && snap.gauge("node1.ha.phi.node0") >= 8000
+    });
+    assert_eq!(detectors[1].dead_peers(), vec![0]);
+    assert_eq!(detectors[1].status(0, Instant::now()), PeerStatus::Dead);
+    transports[1].close();
+    beaters.next().unwrap().join().expect("node 1's beater");
 }

@@ -93,7 +93,7 @@ fn semantically_invalid_get_times_out_and_is_quarantined() {
 #[test]
 fn generation_guard_rejects_replies_from_before_a_restart() {
     let mut cfg = GravelConfig::small(2, 8);
-    cfg.ha.checkpoint = true;
+    cfg.checkpoint = true;
     let rt = GravelRuntime::new(cfg);
     rt.cut_epoch();
     let node = rt.node(0).clone();

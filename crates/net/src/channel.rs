@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use gravel_pgas::DataFrame;
 
-use crate::{AckFrame, FaultStats, Heartbeat, NodeId, RecvStatus, SendStatus, Transport};
+use crate::{AckFrame, FaultStats, NodeId, RecvStatus, SendStatus, Transport};
 
 /// Reliable bounded transport: one data ingress per node (consumed by
 /// its network thread) and one ack mailbox per `(node, lane)` (consumed
@@ -23,7 +23,6 @@ pub struct ChannelTransport {
     /// Frames each of a node's two ingress queues may hold.
     capacity: usize,
     acks: Vec<Vec<(Sender<AckFrame>, Receiver<AckFrame>)>>,
-    heartbeats: Vec<(Sender<Heartbeat>, Receiver<Heartbeat>)>,
     closed: AtomicBool,
     dropped_acks: AtomicU64,
 }
@@ -66,11 +65,6 @@ impl Ingress {
 /// the latest cumulative value matters.
 const ACK_MAILBOX_CAPACITY: usize = 1024;
 
-/// Heartbeat mailboxes are smaller still: only the most recent arrivals
-/// matter to the failure detector, and losing a beat is itself a valid
-/// network behaviour the detector must absorb.
-const HEARTBEAT_MAILBOX_CAPACITY: usize = 256;
-
 impl ChannelTransport {
     /// Fabric for `nodes` nodes with `lanes` aggregator lanes each and
     /// `capacity` packets of data buffering per node and band.
@@ -83,7 +77,6 @@ impl ChannelTransport {
             acks: (0..nodes)
                 .map(|_| (0..lanes).map(|_| bounded(ACK_MAILBOX_CAPACITY)).collect())
                 .collect(),
-            heartbeats: (0..nodes).map(|_| bounded(HEARTBEAT_MAILBOX_CAPACITY)).collect(),
             closed: AtomicBool::new(false),
             dropped_acks: AtomicU64::new(0),
         }
@@ -190,19 +183,6 @@ impl Transport for ChannelTransport {
 
     fn try_recv_ack(&self, node: NodeId, lane: u32) -> Option<AckFrame> {
         self.acks[node as usize][lane as usize].1.try_recv().ok()
-    }
-
-    fn send_heartbeat(&self, hb: Heartbeat) {
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // A full mailbox silently eats the beat: heartbeats carry no
-        // payload the detector cannot reconstruct from the next one.
-        let _ = self.heartbeats[hb.dest as usize].0.try_send(hb);
-    }
-
-    fn try_recv_heartbeat(&self, node: NodeId) -> Option<Heartbeat> {
-        self.heartbeats[node as usize].1.try_recv().ok()
     }
 
     fn close(&self) {
@@ -370,24 +350,6 @@ mod tests {
             (Ack { src: 1, dest: 0, lane: 1, cum_seq: 41 }, 0)
         );
         assert_eq!(t.try_recv_ack(0, 1), None);
-    }
-
-    #[test]
-    fn heartbeats_route_and_survive_overflow() {
-        let t = ChannelTransport::new(2, 1, 4);
-        t.send_heartbeat(Heartbeat { src: 0, dest: 1, seq: 7 });
-        assert_eq!(t.try_recv_heartbeat(0), None);
-        assert_eq!(t.try_recv_heartbeat(1), Some(Heartbeat { src: 0, dest: 1, seq: 7 }));
-        // Overflow is silent: the mailbox keeps the oldest beats and the
-        // sender never blocks.
-        for seq in 0..(HEARTBEAT_MAILBOX_CAPACITY as u64 * 2) {
-            t.send_heartbeat(Heartbeat { src: 0, dest: 1, seq });
-        }
-        let mut drained = 0;
-        while t.try_recv_heartbeat(1).is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, HEARTBEAT_MAILBOX_CAPACITY);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! A [`ChaosPlan`] is a deterministic schedule of *process* faults —
 //! panic a given aggregator lane at its Nth drain step, panic a network
-//! thread at its Nth applied packet, or blackhole a node's outgoing
-//! heartbeats for a window of beats. The runtime polls the plan from
-//! the affected worker threads (`agg_tick` / `net_tick` /
-//! `heartbeat_blackholed`); each kill fires exactly once, so a
+//! thread at its Nth applied packet, or kill a whole `gravel-node`
+//! process at its Nth applied packet. The runtime polls the plan from
+//! the affected worker threads (`agg_tick` / `net_tick`), `gravel-node`
+//! from its forwarder (`kill_tick`); each kill fires exactly once, so a
 //! supervised restart of the worker does not immediately re-kill it.
 //!
 //! Plans are either hand-written (pinpoint a step for a regression
@@ -30,11 +30,6 @@ pub enum ProcessFault {
     /// Panic the network thread of `node` when it is about to apply its
     /// `at_step`th message (counted across restarts).
     PanicNet { node: NodeId, at_step: u64 },
-    /// Suppress every outgoing heartbeat from `node` whose beat number
-    /// lies in `[from_beat, from_beat + beats)`. Unlike the panics this
-    /// is not one-shot — the whole window is blackholed — and it is how
-    /// tests make the failure detector declare a live node dead.
-    HeartbeatBlackhole { node: NodeId, from_beat: u64, beats: u64 },
     /// Kill the whole OS process of `node` when it has applied its
     /// `at_step`th packet. Thread panics are healed by the in-process
     /// supervisor; this one is not — it is the `kill -9` class of
@@ -51,8 +46,7 @@ pub enum ProcessFault {
 /// is a couple of integer compares under a short critical section.
 pub struct ChaosPlan {
     faults: Vec<ProcessFault>,
-    /// One-shot latch per fault (indexed like `faults`); heartbeat
-    /// blackholes never latch.
+    /// One-shot latch per fault (indexed like `faults`).
     fired: Vec<AtomicBool>,
     /// Drain-step counters per (node, slot) aggregator lane.
     agg_steps: Mutex<HashMap<(NodeId, u32), u64>>,
@@ -109,13 +103,10 @@ impl ChaosPlan {
         &self.faults
     }
 
-    /// How many panic-style kills the plan schedules (used by tests and
-    /// benches to size restart budgets).
+    /// How many kills the plan schedules (used by tests and benches to
+    /// size restart budgets).
     pub fn kills_planned(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| !matches!(f, ProcessFault::HeartbeatBlackhole { .. }))
-            .count()
+        self.faults.len()
     }
 
     /// How many one-shot faults have fired so far.
@@ -196,14 +187,6 @@ impl ChaosPlan {
         })
     }
 
-    /// Should heartbeat number `beat` from `node` be suppressed?
-    pub fn heartbeat_blackholed(&self, node: NodeId, beat: u64) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, ProcessFault::HeartbeatBlackhole { node: n, from_beat, beats }
-                if *n == node && (*from_beat..from_beat + beats).contains(&beat))
-        })
-    }
-
     /// Latch-and-fire: true for the first unfired fault matching `pred`.
     fn fire_matching(&self, pred: impl Fn(&ProcessFault) -> bool) -> bool {
         for (i, f) in self.faults.iter().enumerate() {
@@ -254,21 +237,6 @@ mod tests {
         assert!(!plan.net_tick(0));
         assert!(plan.net_tick(0));
         assert_eq!(plan.fired(), 2);
-    }
-
-    #[test]
-    fn heartbeat_blackhole_covers_window() {
-        let plan = ChaosPlan::new(vec![ProcessFault::HeartbeatBlackhole {
-            node: 2,
-            from_beat: 5,
-            beats: 3,
-        }]);
-        assert!(!plan.heartbeat_blackholed(2, 4));
-        assert!(plan.heartbeat_blackholed(2, 5));
-        assert!(plan.heartbeat_blackholed(2, 7));
-        assert!(!plan.heartbeat_blackholed(2, 8));
-        assert!(!plan.heartbeat_blackholed(1, 6));
-        assert_eq!(plan.kills_planned(), 0, "blackholes are not kills");
     }
 
     #[test]
@@ -323,7 +291,6 @@ mod tests {
         assert!(!plan.agg_tick(0, 0));
         assert!(!plan.net_tick(0));
         assert!(!plan.kill_tick(0));
-        assert!(!plan.heartbeat_blackholed(0, 0));
         assert_eq!(plan.kills_planned(), 0);
     }
 

@@ -29,7 +29,7 @@ pub enum TransportKind {
 /// for a given traffic order on each link regardless of cluster size or
 /// scheduling of other links. A data frame draws drop, duplicate,
 /// reorder (and its jitter), then at most one corruption; an ack draws
-/// drop then a bit flip; a heartbeat draws drop.
+/// drop then a bit flip.
 #[derive(Clone, Debug)]
 pub struct FaultConfig {
     /// Base seed for all per-link RNGs.
@@ -56,7 +56,7 @@ pub struct FaultConfig {
     /// lands at the wrong node with its contents (and CRC) intact.
     pub misroute: f64,
     /// Outages and delays: symmetric partitions and one-way drops (on
-    /// data, acks and heartbeats) and per-link delays (on data frames),
+    /// data and acks) and per-link delays (on data frames),
     /// evaluated against time since the transport was built — see
     /// [`LinkFault`].
     pub link_faults: Vec<LinkFault>,
@@ -182,9 +182,6 @@ pub struct FaultStats {
     pub dropped_data: u64,
     /// Acks dropped (probability faults or full mailbox).
     pub dropped_acks: u64,
-    /// Heartbeats dropped (probability faults; full-mailbox losses are
-    /// not counted — the detector never learns about them by design).
-    pub dropped_heartbeats: u64,
     /// Data packets delivered twice.
     pub duplicated: u64,
     /// Frames held back for later delivery (a `reorder` roll, a

@@ -9,7 +9,7 @@
 //!   real backpressure instead of unbounded queue growth.
 //! - [`UnreliableTransport`] — a decorator that injects seeded,
 //!   per-link faults (drop, duplication, reordering jitter, corruption)
-//!   on the data plane, plus ack and heartbeat drops.
+//!   on the data plane, plus ack drops and bit flips.
 //!
 //! Outages and delays are [`LinkFault`]s only: one [`LinkSchedule`]
 //! decides, holds and counts them for the in-process decorator and the
@@ -146,12 +146,13 @@ impl AckFrame {
 
 /// One liveness beacon on the heartbeat plane.
 ///
-/// Heartbeats are the input to the runtime's phi-accrual failure
+/// Heartbeats are the input to `gravel-node`'s phi-accrual failure
 /// detector: node `src` emits one per heartbeat interval towards every
 /// peer, and the *absence* of arrivals is what raises suspicion. They
 /// are deliberately the least reliable traffic class — best-effort,
-/// droppable by full mailboxes and by every injected fault — because a
-/// detector that needs reliable heartbeats would be useless.
+/// droppable by full queues and by every injected link fault — because
+/// a detector that needs reliable heartbeats would be useless. Only the
+/// [`SocketTransport`] carries them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Heartbeat {
     /// Emitting node.
@@ -219,9 +220,9 @@ pub trait Transport: Send + Sync {
     fn try_recv_ack(&self, node: NodeId, lane: u32) -> Option<AckFrame>;
 
     /// Send a liveness beacon towards `hb.dest`. Best-effort and
-    /// non-blocking like acks; a transport without a heartbeat plane may
-    /// simply drop them (the failure detector then reports every peer as
-    /// silent, which is the honest answer).
+    /// non-blocking like acks; a transport without a heartbeat plane
+    /// (the in-process fabrics) drops them, and a failure detector fed
+    /// from it would report every peer as silent, the honest answer.
     fn send_heartbeat(&self, hb: Heartbeat) {
         let _ = hb;
     }

@@ -35,7 +35,7 @@
 //! count than before, among them), 64 usage.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -637,9 +637,7 @@ fn run() -> i32 {
     let hb = spawn("hb", {
         let (t, d, e, r) = (transport.clone(), detector.clone(), errors.clone(), node.registry.clone());
         let n = nodes as u32;
-        move || {
-            heartbeat::run(hb_cfg, me, n, t, d, None, e, r, Arc::new(AtomicU64::new(0)));
-        }
+        move || heartbeat::run(hb_cfg, me, n, t, d, e, r)
     });
 
     let membership = Membership {

@@ -145,7 +145,7 @@ fn epoch_checkpoint_recovers_a_reset_node_exactly() {
     // last epoch cut and restore it: the table must come back exactly.
     let input = gups_input();
     let mut cfg = GravelConfig::small(2, input.table_len);
-    cfg.ha.checkpoint = true;
+    cfg.checkpoint = true;
     let rt = GravelRuntime::new(cfg);
     let mut progress = gups::GupsProgress::default();
     gups::run_live_checkpointed(&rt, &input, &mut progress);
@@ -279,7 +279,7 @@ fn checkpointed_pagerank_survives_aggregator_kill() {
     let g = gen::cage15_like(96, 5);
     let damping = pagerank::default_damping();
     let mut cfg = GravelConfig::small(3, 64);
-    cfg.ha.checkpoint = true;
+    cfg.checkpoint = true;
     cfg.chaos = Some(Arc::new(ChaosPlan::new(vec![
         ProcessFault::PanicAggregator {
             node: 1,
@@ -303,7 +303,7 @@ fn checkpointed_sssp_survives_aggregator_kill() {
     // by the supervisor and the distances still match Dijkstra exactly.
     let g = gen::hugebubbles_like(144, 11);
     let mut cfg = GravelConfig::small(3, 64);
-    cfg.ha.checkpoint = true;
+    cfg.checkpoint = true;
     cfg.chaos = Some(Arc::new(ChaosPlan::new(vec![
         ProcessFault::PanicAggregator {
             node: 1,
